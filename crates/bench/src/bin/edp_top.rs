@@ -21,9 +21,6 @@ options:
   --shards S         run each seed on S parallel shards; outputs are
                      byte-identical for any S (default: EDP_SHARDS or
                      0 = classic single-world engine)
-  --burst B          sub-windows per negotiated shard window; outputs
-                     are byte-identical for any B >= 1 (default:
-                     EDP_BURST or 1)
   --pcap FILE        replay the capture (pcap or pcapng) from the sender
                      host instead of the CBR load, preserving the file's
                      inter-arrival gaps
@@ -149,7 +146,6 @@ fn main() {
             "--threads" => opts.threads = parsed("--threads", args.next()),
             "--trace-capacity" => opts.trace_capacity = parsed("--trace-capacity", args.next()),
             "--shards" => opts.shards = parsed("--shards", args.next()),
-            "--burst" => opts.burst = parsed::<usize>("--burst", args.next()).max(1),
             "--overhead" => overhead = Some(parsed("--overhead", args.next())),
             "--pcap" => {
                 pcap = Some(args.next().unwrap_or_else(|| fail("--pcap needs a path")));

@@ -16,6 +16,10 @@
 //!   cargo run --release -p edp-bench --bin $b
 //! done
 //! ```
+//!
+//! Performance is not measured here: the repo's one benchmark is the
+//! standalone package under `benchmark/` (`bash benchmark/run.sh`, with
+//! `--smoke`, `--workload W` and `compare A B`; see its README).
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -22,7 +22,7 @@ use edp_evsim::{default_threads, sweep, HorizonMode, Sim, SimDuration, SimTime};
 use edp_netsim::traffic::start_cbr;
 use edp_netsim::{
     run_sharded_opts, start_endpoints, start_replay, EndpointConfig, EndpointFleet, HostApp,
-    Network,
+    Network, SUBWINDOWS,
 };
 use edp_packet::{Packet, PacketBuilder, ParsedPacket, PcapPacket};
 use edp_pisa::{Destination, StdMeta};
@@ -71,10 +71,6 @@ pub struct TopOptions {
     /// through [`edp_netsim::run_sharded`], whose output is byte-identical
     /// for any shard count.
     pub shards: usize,
-    /// Burst factor (`EDP_BURST` default): sub-windows executed per
-    /// negotiated shard window. Pure execution-strategy knob — output is
-    /// byte-identical for any value `>= 1`; only the window count drops.
-    pub burst: usize,
     /// Horizon mode (`EDP_HORIZON` default): classic conservative
     /// windows, or the certificate-aware effects horizon that spends each
     /// app's [`edp_core::EffectSummary`]. Pure execution-strategy knob —
@@ -94,7 +90,7 @@ pub struct TopOptions {
 ///
 /// Anything else must parse as a non-negative integer — garbage or
 /// negative values exit with a diagnostic naming the bad value, matching
-/// the engine's misconfiguration policy (`EDP_BURST`, `EDP_HORIZON`).
+/// the engine's misconfiguration policy (`EDP_HORIZON`).
 pub fn shards_from_env() -> usize {
     let raw = match std::env::var("EDP_SHARDS") {
         Ok(v) => v,
@@ -122,7 +118,6 @@ impl Default for TopOptions {
             threads: default_threads(),
             trace_capacity: 65_536,
             shards: shards_from_env(),
-            burst: edp_evsim::burst_from_env(),
             horizon: edp_evsim::horizon_from_env(),
             workload: TopWorkload::Cbr,
             profile: false,
@@ -421,7 +416,7 @@ fn drive(app: &str, seed: u64, duration: SimDuration, workload: &TopWorkload) ->
 /// nondeterministic) structures and never touches these outputs.
 fn run_point(app: &str, seed: u64, o: &TopOptions) -> PointOutcome {
     if o.shards > 0 {
-        return run_point_sharded(app, seed, o);
+        return run_point_sharded(app, seed, o, SUBWINDOWS);
     }
     telemetry::enable(TelemetryConfig {
         trace_capacity: o.trace_capacity,
@@ -462,15 +457,17 @@ fn run_point(app: &str, seed: u64, o: &TopOptions) -> PointOutcome {
 /// heap sequence numbers, which depend on how events were distributed
 /// over shards — and the merged trace uses the canonical (span-less)
 /// rendering sorted by `(time, text)`, so the whole outcome is a pure
-/// function of `(app, seed, duration, capacity)` for any shard count.
-fn run_point_sharded(app: &str, seed: u64, o: &TopOptions) -> PointOutcome {
+/// function of `(app, seed, duration, capacity)` for any shard count
+/// and any `subwindows` (always [`SUBWINDOWS`] outside the tests that
+/// pin exactly that).
+fn run_point_sharded(app: &str, seed: u64, o: &TopOptions, subwindows: usize) -> PointOutcome {
     // One epoch per point, created before the workers spawn, so every
     // shard's profiling timestamps share an origin and the per-shard
     // tracks of the trace export line up.
     let epoch = Instant::now();
     let (sessions, stats) = run_sharded_opts(
         o.shards,
-        o.burst,
+        subwindows,
         o.horizon,
         SimTime::ZERO + o.duration,
         |shard| {
@@ -605,12 +602,8 @@ pub fn run(app: &str, opts: &TopOptions) -> Result<TopReport, String> {
             app_names().join(", ")
         ));
     }
-    let point_opts = TopOptions {
-        burst: opts.burst.max(1),
-        ..opts.clone()
-    };
-    let mut outcomes = sweep(opts.seeds.clone(), opts.threads, move |seed| {
-        run_point(app, seed, &point_opts)
+    let mut outcomes = sweep(opts.seeds.clone(), opts.threads, |seed| {
+        run_point(app, seed, opts)
     });
     let mut registry = Registry::new();
     let mut trace = String::new();
@@ -860,7 +853,6 @@ mod tests {
             threads: 1,
             trace_capacity: 4096,
             shards: 0,
-            burst: 1,
             horizon: HorizonMode::Classic,
             workload: TopWorkload::Cbr,
             profile: false,
@@ -911,6 +903,95 @@ mod tests {
         assert_eq!(one.shards, 1);
         assert_eq!(two.shards, 2);
         assert!(render(&two).contains("shards: 2"));
+    }
+
+    /// Canonical outputs (trace, JSON, Prometheus) and negotiated-window
+    /// count of one sharded point at an explicit sub-window count — the
+    /// one axis `TopOptions` cannot reach, since [`run`] always uses
+    /// [`SUBWINDOWS`].
+    fn sharded_point(
+        app: &str,
+        seed: u64,
+        o: &TopOptions,
+        subwindows: usize,
+    ) -> ((String, String, String), u64) {
+        let p = run_point_sharded(app, seed, o, subwindows);
+        assert!(p.records > 0, "{app}: sharded run recorded nothing");
+        assert_eq!(p.dropped, 0, "{app}: ring evicted; raise capacity");
+        let json = telemetry::to_json(&p.registry);
+        let prom = telemetry::to_prometheus_text(&p.registry);
+        ((p.trace, json, prom), p.windows)
+    }
+
+    /// The sub-window count is a pure execution strategy: every
+    /// registered app renders the byte-identical canonical trace and
+    /// exports at 1 (one negotiation per lookahead, the reference leg)
+    /// and at [`SUBWINDOWS`], for shards {1, 2, 4} under both horizon
+    /// modes — only the negotiated-window count may move (down).
+    #[test]
+    fn every_app_is_byte_identical_across_subwindow_counts() {
+        let mut o = quick();
+        o.trace_capacity = 65_536;
+        for app in app_names() {
+            for seed in [1u64, 2] {
+                o.shards = 1;
+                o.horizon = HorizonMode::Classic;
+                let (base, _) = sharded_point(app, seed, &o, 1);
+                for horizon in [HorizonMode::Classic, HorizonMode::Effects] {
+                    for shards in [1usize, 2, 4] {
+                        o.shards = shards;
+                        o.horizon = horizon;
+                        let (one, w1) = sharded_point(app, seed, &o, 1);
+                        let (many, w32) = sharded_point(app, seed, &o, SUBWINDOWS);
+                        let leg = format!("{app} seed {seed}: {shards} shards {horizon:?}");
+                        assert_eq!(base, one, "{leg} differs at 1 sub-window");
+                        assert_eq!(base, many, "{leg} differs at {SUBWINDOWS} sub-windows");
+                        assert!(w32 <= w1, "{leg}: more windows ({w32} > {w1})");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The ingestion-plane pin: the pcap-replay and endpoint-fleet
+    /// workloads are a pure function of `(file, seed)` — trace and
+    /// exports byte-identical across shards {1, 2, 4} × sub-windows
+    /// {1, [`SUBWINDOWS`]}.
+    fn workload_pin(workload: TopWorkload) {
+        let mut o = quick();
+        o.seeds = vec![1];
+        o.duration = SimDuration::from_millis(2);
+        o.trace_capacity = 262_144;
+        o.workload = workload;
+        o.shards = 1;
+        let (base, _) = sharded_point("microburst", 1, &o, 1);
+        for shards in [1usize, 2, 4] {
+            o.shards = shards;
+            for sub in [1, SUBWINDOWS] {
+                let (b, _) = sharded_point("microburst", 1, &o, sub);
+                assert_eq!(base, b, "differs at {shards} shards x {sub} sub-windows");
+            }
+        }
+    }
+
+    #[test]
+    fn pcap_replay_is_byte_identical_across_shards_and_subwindows() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/fixtures/mixed_protocols.pcap"
+        );
+        let bytes = std::fs::read(path).expect("fixture present");
+        let file = edp_packet::PcapFile::parse(&bytes).expect("fixture parses");
+        assert!(!file.packets.is_empty());
+        workload_pin(TopWorkload::Pcap {
+            packets: Arc::new(file.packets),
+            speedup: 1.0,
+        });
+    }
+
+    #[test]
+    fn endpoint_fleet_is_byte_identical_across_shards_and_subwindows() {
+        workload_pin(TopWorkload::Endpoints { count: 1000 });
     }
 
     #[test]

@@ -15,7 +15,6 @@ fn opts(threads: usize) -> TopOptions {
         threads,
         trace_capacity: 8192,
         shards: 0,
-        burst: 1,
         horizon: HorizonMode::Classic,
         workload: TopWorkload::Cbr,
         profile: false,
@@ -55,7 +54,6 @@ fn shard_opts(shards: usize) -> TopOptions {
         threads: 1,
         trace_capacity: 65_536,
         shards,
-        burst: 1,
         horizon: HorizonMode::Classic,
         workload: TopWorkload::Cbr,
         profile: false,
@@ -90,48 +88,14 @@ fn every_app_is_byte_identical_across_shard_counts() {
     }
 }
 
-/// `EDP_BURST` is a pure execution-strategy knob: for every registered
-/// app the sharded point must render the byte-identical canonical trace
-/// and exports at burst 1, 8, and 32 — only the negotiated-window count
-/// is allowed to move (down).
-#[test]
-fn every_app_is_byte_identical_across_burst_factors() {
-    for app in app_names() {
-        let mut o = shard_opts(2);
-        let one = run(app, &o).expect("burst-1 run");
-        assert_eq!(one.trace_dropped, 0, "{app}: ring evicted; raise capacity");
-        let one_json = to_json_report(&one);
-        let one_prom = edp_telemetry::to_prometheus_text(&one.registry);
-        for burst in [8usize, 32] {
-            o.burst = burst;
-            let b = run(app, &o).expect("burst run");
-            assert_eq!(one.trace, b.trace, "{app}: trace differs at burst {burst}");
-            assert_eq!(
-                one_json,
-                to_json_report(&b),
-                "{app}: JSON report differs at burst {burst}"
-            );
-            assert_eq!(
-                one_prom,
-                edp_telemetry::to_prometheus_text(&b.registry),
-                "{app}: Prometheus export differs at burst {burst}"
-            );
-            assert!(
-                b.shard_windows <= one.shard_windows,
-                "{app}: burst {burst} negotiated more windows ({} > {})",
-                b.shard_windows,
-                one.shard_windows
-            );
-        }
-    }
-}
-
-/// `EDP_HORIZON` is a pure execution-strategy knob too: for every
+/// `EDP_HORIZON` is a pure execution-strategy knob: for every
 /// registered app the sharded point under the certificate-aware effects
 /// horizon must render the byte-identical canonical trace and exports
-/// at shard counts 1/2/4 crossed with burst 1/32. The build installs
-/// each app's effect summary, so certified-local timer cranks really do
-/// run past window bounds here — and must not change a byte.
+/// at shard counts 1/2/4. The build installs each app's effect summary,
+/// so certified-local timer cranks really do run past window bounds
+/// here — and must not change a byte. (The sub-window axis {1, 32} is
+/// pinned per app, workload and horizon by the unit tests in `top.rs`,
+/// the only place that can reach it since `run` uses the constant.)
 #[test]
 fn every_app_is_byte_identical_under_the_effects_horizon() {
     for app in app_names() {
@@ -140,99 +104,25 @@ fn every_app_is_byte_identical_under_the_effects_horizon() {
         let base_json = to_json_report(&base);
         let base_prom = edp_telemetry::to_prometheus_text(&base.registry);
         for shards in [1usize, 2, 4] {
-            for burst in [1usize, 32] {
-                let mut o = shard_opts(shards);
-                o.burst = burst;
-                o.horizon = HorizonMode::Effects;
-                let b = run(app, &o).expect("effects run");
-                assert_eq!(
-                    base.trace, b.trace,
-                    "{app}: trace differs under effects at {shards} shards x burst {burst}"
-                );
-                assert_eq!(
-                    base_json,
-                    to_json_report(&b),
-                    "{app}: JSON differs under effects at {shards} shards x burst {burst}"
-                );
-                assert_eq!(
-                    base_prom,
-                    edp_telemetry::to_prometheus_text(&b.registry),
-                    "{app}: Prometheus differs under effects at {shards} shards x burst {burst}"
-                );
-            }
-        }
-    }
-}
-
-/// The ingestion-plane acceptance pin: the pcap-replay and
-/// endpoint-fleet workloads are a pure function of `(file, seed)` —
-/// trace and exports byte-identical across shard counts 1/2/4 crossed
-/// with burst factors 1/32.
-fn workload_pin(workload: TopWorkload, tag: &str) {
-    let point = |shards: usize, burst: usize| {
-        let o = TopOptions {
-            seeds: vec![1],
-            duration: SimDuration::from_millis(2),
-            threads: 1,
-            trace_capacity: 262_144,
-            shards,
-            burst,
-            horizon: HorizonMode::Classic,
-            workload: workload.clone(),
-            profile: false,
-        };
-        run("microburst", &o).expect("workload run")
-    };
-    let base = point(1, 1);
-    assert!(base.trace_records > 0, "{tag}: run recorded nothing");
-    assert_eq!(base.trace_dropped, 0, "{tag}: ring evicted; raise capacity");
-    let base_json = to_json_report(&base);
-    let base_prom = edp_telemetry::to_prometheus_text(&base.registry);
-    for shards in [1usize, 2, 4] {
-        for burst in [1usize, 32] {
-            if (shards, burst) == (1, 1) {
-                continue;
-            }
-            let b = point(shards, burst);
+            let mut o = shard_opts(shards);
+            o.horizon = HorizonMode::Effects;
+            let b = run(app, &o).expect("effects run");
             assert_eq!(
                 base.trace, b.trace,
-                "{tag}: trace differs at {shards} shards x burst {burst}"
+                "{app}: trace differs under effects at {shards} shards"
             );
             assert_eq!(
                 base_json,
                 to_json_report(&b),
-                "{tag}: JSON differs at {shards} shards x burst {burst}"
+                "{app}: JSON differs under effects at {shards} shards"
             );
             assert_eq!(
                 base_prom,
                 edp_telemetry::to_prometheus_text(&b.registry),
-                "{tag}: Prometheus differs at {shards} shards x burst {burst}"
+                "{app}: Prometheus differs under effects at {shards} shards"
             );
         }
     }
-}
-
-#[test]
-fn pcap_replay_is_byte_identical_across_shards_and_burst() {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../tests/fixtures/mixed_protocols.pcap"
-    );
-    let bytes = std::fs::read(path).expect("fixture present");
-    let file = edp_packet::PcapFile::parse(&bytes).expect("fixture parses");
-    assert!(!file.packets.is_empty());
-    workload_pin(
-        TopWorkload::Pcap {
-            packets: std::sync::Arc::new(file.packets),
-            speedup: 1.0,
-        },
-        "pcap",
-    );
-}
-
-#[test]
-fn endpoint_fleet_is_byte_identical_across_shards_and_burst() {
-    workload_pin(TopWorkload::Endpoints { count: 1000 }, "endpoints");
 }
 
 /// The PR-9 pin: the wall-clock profiler is opt-in and *outside* the

@@ -294,14 +294,6 @@ impl EventCounters {
         self.counts[kind.code() as usize] += 1;
     }
 
-    /// Records `n` occurrences of `kind` with one indexed add — the
-    /// per-burst form of [`EventCounters::record`]. Final counts are
-    /// identical to `n` individual calls.
-    #[inline]
-    pub fn record_n(&mut self, kind: EventKind, n: u64) {
-        self.counts[kind.code() as usize] += n;
-    }
-
     /// Occurrences of `kind` so far.
     pub fn get(&self, kind: EventKind) -> u64 {
         self.counts[kind.code() as usize]

@@ -23,8 +23,8 @@ use crate::program::{EventActions, EventProgram};
 use edp_evsim::{SimDuration, SimTime};
 use edp_packet::{parse_packet, Burst, Packet, PacketUid, ParsedPacket};
 use edp_pisa::{
-    CachedDecision, Destination, FlowCache, FlowCacheStats, PortId, QueueConfig, QueueStats,
-    StdMeta, TrafficManager,
+    Destination, FlowCache, FlowCacheStats, PortId, QueueConfig, QueueStats, StdMeta,
+    TrafficManager,
 };
 use edp_telemetry::{emit, DropReason, RecordKind};
 use serde::{Deserialize, Serialize};
@@ -279,139 +279,11 @@ impl<P: EventProgram> EventSwitch<P> {
         self.pipeline_pass(now, pkt, meta, EventKind::IngressPacket, 0);
     }
 
-    /// A burst of same-instant frames arrives on `port` (the `rx_burst`
-    /// fast path).
-    ///
-    /// Byte-identical to calling [`EventSwitch::receive`] once per frame
-    /// in arrival order — same record order, same counters, same handler
-    /// firing sequence — but the loop-invariant work is amortized across
-    /// the burst: ingress counters update once, frames go through one
-    /// array-of-packets parse ([`Burst::parse`]), and the flow cache is
-    /// probed once per *run* of equal flow hashes instead of once per
-    /// packet (one megaflow probe classifies the whole run).
+    /// A burst of same-instant frames arrives on `port`: exactly
+    /// [`EventSwitch::receive`] once per frame, in arrival order.
     pub fn receive_burst(&mut self, now: SimTime, port: PortId, burst: Burst) {
-        let n = burst.len();
-        if n == 0 {
-            return;
-        }
-        // Hoisted once-per-burst counter updates. Counters are cumulative
-        // values, not trace-ordered records, so batching keeps the final
-        // state identical to per-packet increments.
-        self.counters.rx += n as u64;
-        self.events.record_n(EventKind::IngressPacket, n as u64);
-        let cacheable = self.program.flow_cacheable();
-        let telemetry_on = edp_telemetry::on();
-        let switch_id = self.cfg.switch_id;
-        // Phase 1 (pure): parse every frame and derive its flow hash.
-        // No records are emitted here, so phase 2 can replay the exact
-        // per-packet record order of the sequential path.
-        let pb = burst.parse();
-        let mut pkts: Vec<Option<Packet>> = pb.pkts.into_iter().map(Some).collect();
-        let parsed = pb.parsed;
-        let hashes = pb.flow_hashes;
-        // Phase 2: per-packet work, in arrival order.
-        let mut i = 0;
-        while i < n {
-            let run_hash = if cacheable { hashes[i] } else { None };
-            if let Some(h) = run_hash {
-                let mut j = i + 1;
-                while j < n && hashes[j] == Some(h) {
-                    j += 1;
-                }
-                if let Some(d) = self.cache.lookup_run(h, (j - i) as u64) {
-                    // One probe classified the run; each packet still
-                    // emits its own records and fires its own
-                    // architectural events, in order.
-                    for (pkt_slot, p) in pkts[i..j].iter_mut().zip(&parsed[i..j]) {
-                        let pkt = pkt_slot.take().expect("burst slot consumed once");
-                        let p = p.as_ref().expect("keyed frames parsed");
-                        if telemetry_on {
-                            emit(
-                                now.as_nanos(),
-                                RecordKind::PacketRx {
-                                    switch: switch_id,
-                                    port,
-                                    len: pkt.len() as u32,
-                                },
-                            );
-                        }
-                        let meta = StdMeta::ingress(port, now, pkt.len());
-                        self.pipeline_parsed(
-                            now,
-                            pkt,
-                            p,
-                            meta,
-                            EventKind::IngressPacket,
-                            0,
-                            Some(h),
-                            Some(d),
-                        );
-                    }
-                    i = j;
-                    continue;
-                }
-                // Miss: only the first packet of the run is known to miss
-                // (its pipeline pass may admit the flow, turning the rest
-                // of the run into hits on the re-probe).
-                let pkt = pkts[i].take().expect("burst slot consumed once");
-                let p = parsed[i].as_ref().expect("keyed frames parsed");
-                if telemetry_on {
-                    emit(
-                        now.as_nanos(),
-                        RecordKind::PacketRx {
-                            switch: switch_id,
-                            port,
-                            len: pkt.len() as u32,
-                        },
-                    );
-                }
-                let meta = StdMeta::ingress(port, now, pkt.len());
-                self.pipeline_parsed(
-                    now,
-                    pkt,
-                    p,
-                    meta,
-                    EventKind::IngressPacket,
-                    0,
-                    Some(h),
-                    None,
-                );
-                i += 1;
-            } else {
-                // Unkeyed, uncacheable or unparseable frame: sequential
-                // semantics, slot by slot.
-                let pkt = pkts[i].take().expect("burst slot consumed once");
-                if telemetry_on {
-                    emit(
-                        now.as_nanos(),
-                        RecordKind::PacketRx {
-                            switch: switch_id,
-                            port,
-                            len: pkt.len() as u32,
-                        },
-                    );
-                }
-                match parsed[i].as_ref() {
-                    Some(p) => {
-                        let meta = StdMeta::ingress(port, now, pkt.len());
-                        self.pipeline_parsed(
-                            now,
-                            pkt,
-                            p,
-                            meta,
-                            EventKind::IngressPacket,
-                            0,
-                            None,
-                            None,
-                        );
-                    }
-                    None => {
-                        self.counters.parse_errors += 1;
-                        self.drop_record(now, DropReason::ParseError);
-                    }
-                }
-                i += 1;
-            }
+        for pkt in burst {
+            self.receive(now, port, pkt);
         }
     }
 
@@ -500,7 +372,7 @@ impl<P: EventProgram> EventSwitch<P> {
     }
 
     /// Pulls up to `max` queued frames through egress on `port` in one
-    /// call — the `tx_burst` fan-out half of the fast path.
+    /// call (`usize::MAX` drains the queue).
     ///
     /// Equivalent to a caller looping `has_pending` + [`transmit`]: the
     /// queue-empty check is hoisted here, so draining stops at the first
@@ -511,7 +383,7 @@ impl<P: EventProgram> EventSwitch<P> {
     ///
     /// [`transmit`]: EventSwitch::transmit
     pub fn transmit_burst(&mut self, now: SimTime, port: PortId, max: usize) -> Vec<Packet> {
-        let mut out = Vec::with_capacity(max);
+        let mut out = Vec::with_capacity(max.min(self.tm.depth_pkts(port) as usize));
         for _ in 0..max {
             if !self.has_pending(port) {
                 break;
@@ -621,8 +493,8 @@ impl<P: EventProgram> EventSwitch<P> {
     fn pipeline_pass(
         &mut self,
         now: SimTime,
-        pkt: Packet,
-        meta: StdMeta,
+        mut pkt: Packet,
+        mut meta: StdMeta,
         kind: EventKind,
         depth: u8,
     ) {
@@ -646,24 +518,6 @@ impl<P: EventProgram> EventSwitch<P> {
             None
         };
         let cached = flow_hash.and_then(|h| self.cache.lookup(h));
-        self.pipeline_parsed(now, pkt, &parsed, meta, kind, depth, flow_hash, cached);
-    }
-
-    /// The pipeline on an already-parsed frame. `cached` is the flow-cache
-    /// probe outcome for `flow_hash` — the caller owns the probe so the
-    /// burst path can amortize one probe across a run of equal keys.
-    #[allow(clippy::too_many_arguments)] // deliberate: the single merge point of both the scalar and burst paths
-    fn pipeline_parsed(
-        &mut self,
-        now: SimTime,
-        mut pkt: Packet,
-        parsed: &ParsedPacket,
-        mut meta: StdMeta,
-        kind: EventKind,
-        depth: u8,
-        flow_hash: Option<u64>,
-        cached: Option<CachedDecision>,
-    ) {
         let _probe = ProbeScope::enter(kind.probe_context());
         // `still_parsed` is `parsed` for as long as it provably describes
         // `pkt`'s current bytes; a handler mutation invalidates it. It is
@@ -671,22 +525,22 @@ impl<P: EventProgram> EventSwitch<P> {
         // re-parse (parsing is pure — reuse is unobservable).
         let still_parsed = if let Some(decision) = cached {
             decision.apply(&mut meta);
-            Some(*parsed)
+            Some(parsed)
         } else {
             let muts_before = pkt.mutation_count();
             let mut actions = EventActions::new();
             match kind {
                 EventKind::RecirculatedPacket => {
                     self.program
-                        .on_recirculated(&mut pkt, parsed, &mut meta, now, &mut actions)
+                        .on_recirculated(&mut pkt, &parsed, &mut meta, now, &mut actions)
                 }
                 EventKind::GeneratedPacket => {
                     self.program
-                        .on_generated(&mut pkt, parsed, &mut meta, now, &mut actions)
+                        .on_generated(&mut pkt, &parsed, &mut meta, now, &mut actions)
                 }
                 _ => self
                     .program
-                    .on_ingress(&mut pkt, parsed, &mut meta, now, &mut actions),
+                    .on_ingress(&mut pkt, &parsed, &mut meta, now, &mut actions),
             }
             if let Some(h) = flow_hash {
                 self.cache.admit(h, &meta);
@@ -699,7 +553,7 @@ impl<P: EventProgram> EventSwitch<P> {
             }
             self.drain_actions(now, actions, depth);
             if pkt.mutation_count() == muts_before {
-                Some(*parsed)
+                Some(parsed)
             } else {
                 None
             }
@@ -1355,7 +1209,7 @@ mod tests {
     }
 
     /// One run of the mixed-traffic workload; `burst` switches between
-    /// per-packet [`EventSwitch::receive`] and the burst fast path.
+    /// per-packet [`EventSwitch::receive`] and [`EventSwitch::receive_burst`].
     /// Returns every observable: trace render, counters, event counts,
     /// flow-cache stats, and the transmitted frame bytes.
     fn burst_observables(burst: bool) -> (String, EventSwitchCounters, String, FlowCacheStats) {
@@ -1374,8 +1228,8 @@ mod tests {
                 .build(),
             )
         };
-        // Two interleaved flows + a runt (parse error) mid-burst: runs of
-        // equal keys, a run break, and an error slot that must stay put.
+        // Two interleaved flows + a runt (parse error) mid-burst: the
+        // error drop must be accounted at its arrival position.
         let frames = || {
             vec![
                 flow_frame(7),
@@ -1419,8 +1273,8 @@ mod tests {
         assert_eq!(ctr_b, ctr_seq, "switch counters must match");
         assert_eq!(tx_b, tx_seq, "transmitted frames must match byte-for-byte");
         assert_eq!(fc_b, fc_seq, "flow-cache stats must match");
-        // Sanity: the workload actually exercised the cache run probe —
-        // flow 7's first packet misses, the rest of its run hits.
+        // Sanity: the workload actually exercised the flow cache —
+        // each flow's first packet misses, the rest hit.
         assert!(fc_b.hits >= 3);
         assert!(fc_b.misses >= 2);
     }
@@ -1436,6 +1290,13 @@ mod tests {
         assert_eq!(sw.program.und, 0, "no underflow fired for the empty tail");
         assert_eq!(sw.program.tx, 3);
         assert!(sw.transmit_burst(SimTime::from_nanos(20), 1, 8).is_empty());
+        // `usize::MAX` means "drain everything", not "reserve everything".
+        for _ in 0..3 {
+            sw.receive(SimTime::from_nanos(30), 0, frame());
+        }
+        let out = sw.transmit_burst(SimTime::from_nanos(40), 1, usize::MAX);
+        assert_eq!(out.len(), 3);
+        assert_eq!(sw.program.und, 0);
     }
 
     #[test]

@@ -46,8 +46,8 @@ pub use clock::{ClockDomain, Cycles};
 pub use parallel::{default_threads, sweep};
 pub use rng::{SimRng, Zipf};
 pub use shard::{
-    burst_from_env, drive_windows, env_config_error, horizon_from_env, safe_horizon, DriveStats,
-    HorizonMode, WindowSync,
+    drive_windows, env_config_error, horizon_from_env, safe_horizon, DriveStats, HorizonMode,
+    WindowSync,
 };
 pub use sim::{EventClass, EventFn, EventId, Periodic, Sim, UNKEYED};
 pub use stats::{jain_fairness, percentile, Counter, Histogram, TimeSeries, Welford};

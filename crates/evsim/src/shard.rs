@@ -17,11 +17,11 @@
 //! 4. hand outbound messages to their destination shards and barrier
 //!    ([`WindowSync::exchange`]) so step 1 of the next window sees them.
 //!
-//! When burst mode is on (`EDP_BURST > 1`, see [`burst_from_env`]) a
-//! negotiated window is stretched into up to that many lookahead-sized
-//! sub-windows, each closed by a single combined exchange-and-vote barrier
-//! ([`WindowSync::exchange_vote`]) instead of a fresh negotiation — see
-//! [`drive_windows`] for the induction that keeps this conservative.
+//! With `subwindows > 1` a negotiated window is stretched into up to
+//! that many lookahead-sized sub-windows, each closed by a single
+//! combined exchange-and-vote barrier ([`WindowSync::exchange_vote`])
+//! instead of a fresh negotiation — see [`drive_windows`] for the
+//! induction that keeps this conservative.
 //! Sub-steps that provably cannot carry traffic anywhere — every event
 //! below the group's negotiated *bound floor* is certified emission-free —
 //! skip even that barrier and free-run to the next sub-horizon
@@ -383,7 +383,7 @@ impl WindowSync {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum HorizonMode {
     /// Every pending event bounds the horizon: negotiated windows of
-    /// `lookahead`, optionally stretched into burst sub-windows (with
+    /// `lookahead`, optionally stretched into sub-windows (with
     /// rendezvous elided below the negotiated bound floor). Needs no
     /// certificates; the PR-6 behavior plus elision.
     #[default]
@@ -440,29 +440,6 @@ pub struct DriveStats {
     /// exchange elision). Deterministic: the skip set is a pure function
     /// of the negotiated floor, so every shard counts the same elisions.
     pub elided: u64,
-}
-
-/// Burst size from the `EDP_BURST` environment variable (default 1 —
-/// exactly the one-sub-window-at-a-time legacy behavior). The knob sizes
-/// both packet bursts on the switch fast path and the number of
-/// lookahead-sized sub-windows a sharded run executes per negotiated
-/// window. Unset (or empty) means 1; anything that is not a positive
-/// integer exits with a diagnostic naming the bad value instead of
-/// silently running the slow path.
-pub fn burst_from_env() -> usize {
-    match std::env::var("EDP_BURST") {
-        Err(std::env::VarError::NotPresent) => 1,
-        Err(std::env::VarError::NotUnicode(_)) => {
-            env_config_error("EDP_BURST", "<non-unicode>", "a positive integer")
-        }
-        Ok(v) => match v.trim() {
-            "" => 1,
-            t => match t.parse::<usize>() {
-                Ok(n) if n >= 1 => n,
-                _ => env_config_error("EDP_BURST", &v, "a positive integer"),
-            },
-        },
-    }
 }
 
 /// The exclusive event-execution bound for one window: events strictly
@@ -1029,7 +1006,7 @@ mod tests {
 
     #[test]
     fn classic_elision_skips_barriers_below_the_bound_floor() {
-        // With no bound event anywhere, every burst sub-step lies below
+        // With no bound event anywhere, every sub-step lies below
         // the (absent) floor: the whole budget free-runs with a single
         // closing exchange per window instead of a vote per sub-step.
         let (l_base, s_base) = local_chain(HorizonMode::Classic, 1);
@@ -1088,16 +1065,6 @@ mod tests {
         let got = [false, false, true].map(|mine| sync.exchange_vote(mine));
         assert_eq!(got, [false, true, true]);
         assert_eq!(peer.join().unwrap(), [false, true, true]);
-    }
-
-    #[test]
-    fn burst_env_defaults_to_one() {
-        // The suite must not mutate process-global env (tests run in
-        // parallel); with the variable unset the default is the legacy
-        // single-packet behavior.
-        if std::env::var("EDP_BURST").is_err() {
-            assert_eq!(burst_from_env(), 1);
-        }
     }
 
     #[test]

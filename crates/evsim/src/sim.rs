@@ -731,32 +731,6 @@ impl<W> Sim<W> {
         }
         fired
     }
-
-    /// Fires up to `max` events that share the earliest pending timestamp
-    /// — a batch dequeue in the `rx_burst` idiom. Returns how many fired.
-    ///
-    /// The head is re-peeked after every firing rather than popped in one
-    /// sweep: a handler may schedule a *new* event at the burst instant
-    /// with a smaller ordering key, and that event must fire inside this
-    /// burst exactly where a [`Sim::step`] loop would have placed it. The
-    /// executed schedule is therefore identical to single-stepping for
-    /// every `max`; only the caller's per-event overhead is amortized.
-    pub fn run_burst(&mut self, world: &mut W, max: u64) -> u64 {
-        let Some(t0) = self.peek_next() else {
-            return 0;
-        };
-        let mut fired = 0;
-        while fired < max {
-            match self.peek_next() {
-                Some(t) if t == t0 => {
-                    self.step(world);
-                    fired += 1;
-                }
-                _ => break,
-            }
-        }
-        fired
-    }
 }
 
 #[cfg(test)]
@@ -776,47 +750,6 @@ mod tests {
         sim.run(&mut out);
         assert_eq!(out, vec![10, 20, 30]);
         assert_eq!(sim.events_fired(), 3);
-    }
-
-    #[test]
-    fn run_burst_fires_only_the_head_timestamp() {
-        let mut sim: Sim<Vec<u64>> = Sim::new();
-        let mut out = Vec::new();
-        for &(t, tag) in &[(10u64, 1u64), (10, 2), (10, 3), (20, 4)] {
-            sim.schedule_at(
-                SimTime::from_nanos(t),
-                move |w: &mut Vec<u64>, _: &mut _| w.push(tag),
-            );
-        }
-        assert_eq!(sim.run_burst(&mut out, 64), 3, "burst stops at t=20");
-        assert_eq!(out, vec![1, 2, 3]);
-        assert_eq!(sim.run_burst(&mut out, 64), 1);
-        assert_eq!(out, vec![1, 2, 3, 4]);
-        assert_eq!(sim.run_burst(&mut out, 64), 0, "empty queue fires none");
-    }
-
-    #[test]
-    fn run_burst_caps_at_max_and_admits_same_instant_inserts() {
-        let mut sim: Sim<Vec<u64>> = Sim::new();
-        let mut out = Vec::new();
-        // The first handler schedules another event at the same instant;
-        // the burst must pick it up in scheduling order, like step() would.
-        sim.schedule_at(
-            SimTime::from_nanos(5),
-            |w: &mut Vec<u64>, s: &mut Sim<Vec<u64>>| {
-                w.push(1);
-                s.schedule_at(SimTime::from_nanos(5), |w: &mut Vec<u64>, _: &mut _| {
-                    w.push(3)
-                });
-            },
-        );
-        sim.schedule_at(SimTime::from_nanos(5), |w: &mut Vec<u64>, _: &mut _| {
-            w.push(2)
-        });
-        assert_eq!(sim.run_burst(&mut out, 2), 2, "max caps the batch");
-        assert_eq!(out, vec![1, 2]);
-        assert_eq!(sim.run_burst(&mut out, 8), 1);
-        assert_eq!(out, vec![1, 2, 3]);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! Determinism: every endpoint draws from its own stateless RNG stream,
 //! `SimRng::stream(seed, &[ENDPOINT_DOMAIN, endpoint_id])`, so the whole
 //! fleet's traffic is a pure function of the config seed — independent of
-//! endpoint count ordering, shard count, or burst mode. The fleet is
-//! advanced only by its host's pacer event, whose body is gated on shard
+//! endpoint count ordering, shard count, or sub-window count. The fleet
+//! is advanced only by its host's pacer event, whose body is gated on shard
 //! ownership like every other traffic source.
 
 use crate::host::{HostApp, HostId};

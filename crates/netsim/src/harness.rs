@@ -20,10 +20,9 @@ pub trait SwitchHarness: Any + Send {
     fn n_ports(&self) -> usize;
     /// Deliver an arriving frame.
     fn receive(&mut self, now: SimTime, port: PortId, pkt: Packet);
-    /// Deliver a same-instant burst of frames. The default unrolls into
-    /// per-frame [`SwitchHarness::receive`] calls; switches with a native
-    /// burst fast path override it, and must stay byte-identical to the
-    /// unrolled form.
+    /// Deliver a same-instant burst of frames: per-frame
+    /// [`SwitchHarness::receive`] calls in arrival order. An override
+    /// must stay byte-identical to this unrolled form.
     fn receive_burst(&mut self, now: SimTime, port: PortId, burst: edp_packet::Burst) {
         for pkt in burst {
             self.receive(now, port, pkt);
@@ -92,9 +91,6 @@ impl<P: EventProgram + 'static> SwitchHarness for EventSwitch<P> {
     fn receive(&mut self, now: SimTime, port: PortId, pkt: Packet) {
         EventSwitch::receive(self, now, port, pkt)
     }
-    fn receive_burst(&mut self, now: SimTime, port: PortId, burst: edp_packet::Burst) {
-        EventSwitch::receive_burst(self, now, port, burst)
-    }
     fn transmit(&mut self, now: SimTime, port: PortId) -> Option<Packet> {
         EventSwitch::transmit(self, now, port)
     }
@@ -154,12 +150,12 @@ mod tests {
     fn burst_delivery_matches_sequential_for_both_architectures() {
         use edp_packet::{Burst, PacketBuilder};
         use std::net::Ipv4Addr;
-        let frame = || {
+        let frame = |src_port: u16| {
             Packet::anonymous(
                 PacketBuilder::udp(
                     Ipv4Addr::new(1, 0, 0, 1),
                     Ipv4Addr::new(1, 0, 0, 2),
-                    5,
+                    src_port,
                     6,
                     b"y",
                 )
@@ -167,34 +163,57 @@ mod tests {
                 .build(),
             )
         };
-        let drain = |h: &mut dyn SwitchHarness| {
+        // Two flows around a runt: its parse-error drop must be accounted
+        // at its arrival position, which only the record stream shows.
+        let frames = || {
+            vec![
+                frame(5),
+                frame(5),
+                Packet::anonymous(vec![0xde, 0xad, 0xbe]),
+                frame(7),
+                frame(5),
+            ]
+        };
+        // Every observable of one run: trace render, drained bytes, metrics.
+        let observe = |mut h: Box<dyn SwitchHarness>, burst: bool| {
+            edp_telemetry::enable(edp_telemetry::TelemetryConfig::default());
+            if burst {
+                h.receive_burst(SimTime::ZERO, 0, Burst::from_frames(frames()));
+            } else {
+                for f in frames() {
+                    h.receive(SimTime::ZERO, 0, f);
+                }
+            }
             let mut out = Vec::new();
             while let Some(p) = h.transmit(SimTime::from_nanos(9), 1) {
                 out.push(p.bytes().to_vec());
             }
-            out
+            let trace = edp_telemetry::disable().expect("session").render_trace();
+            let mut reg = edp_telemetry::Registry::default();
+            h.publish_metrics(&mut reg, "sw0");
+            (trace, out, edp_telemetry::to_json(&reg))
         };
-        // Baseline switch exercises the trait's default unrolling; the
-        // event switch exercises its native burst override.
-        let mut base: Box<dyn SwitchHarness> =
-            Box::new(BaselineSwitch::new(ForwardTo(1), 2, QueueConfig::default()));
-        let mut seq: Box<dyn SwitchHarness> =
-            Box::new(BaselineSwitch::new(ForwardTo(1), 2, QueueConfig::default()));
-        base.receive_burst(SimTime::ZERO, 0, Burst::from_frames(vec![frame(), frame()]));
-        seq.receive(SimTime::ZERO, 0, frame());
-        seq.receive(SimTime::ZERO, 0, frame());
-        assert_eq!(drain(base.as_mut()), drain(seq.as_mut()));
-
-        let mut ev: Box<dyn SwitchHarness> = Box::new(EventSwitch::new(
-            edp_core::BaselineAdapter(ForwardTo(1)),
-            EventSwitchConfig {
-                n_ports: 2,
-                ..Default::default()
-            },
-        ));
-        ev.receive_burst(SimTime::ZERO, 0, Burst::from_frames(vec![frame(), frame()]));
-        let ev_out = drain(ev.as_mut());
-        assert_eq!(ev_out.len(), 2, "native burst path delivered both frames");
+        let base = || -> Box<dyn SwitchHarness> {
+            Box::new(BaselineSwitch::new(ForwardTo(1), 2, QueueConfig::default()))
+        };
+        let ev = || -> Box<dyn SwitchHarness> {
+            Box::new(EventSwitch::new(
+                edp_core::BaselineAdapter(ForwardTo(1)),
+                EventSwitchConfig {
+                    n_ports: 2,
+                    ..Default::default()
+                },
+            ))
+        };
+        for (name, mk) in [("baseline", &base as &dyn Fn() -> _), ("event", &ev)] {
+            let burst = observe(mk(), true);
+            assert_eq!(burst, observe(mk(), false), "{name}");
+            assert_eq!(burst.1.len(), 4, "{name}: all but the runt delivered");
+            assert!(
+                burst.0.contains("parse_error"),
+                "{name}: runt drop is on the trace"
+            );
+        }
     }
 
     #[test]

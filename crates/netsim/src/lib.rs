@@ -47,5 +47,5 @@ pub use link::{
 };
 pub use net::{Endpoint, Network, NodeRef};
 pub use replay::start_replay;
-pub use shard::{merge_tracers, run_sharded, run_sharded_opts, ShardPlan, ShardStats};
+pub use shard::{merge_tracers, run_sharded, run_sharded_opts, ShardPlan, ShardStats, SUBWINDOWS};
 pub use trace::{TraceEntry, TraceKind, Tracer};

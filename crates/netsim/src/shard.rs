@@ -174,12 +174,18 @@ pub struct ShardStats {
     pub barriers: u64,
     /// Packets that crossed a shard boundary through the mailboxes.
     pub cross_messages: u64,
-    /// Burst sub-steps that advanced with no rendezvous at all because
+    /// Sub-steps that advanced with no rendezvous at all because
     /// they lay below the negotiated bound floor (classic-mode exchange
     /// elision; identical on every shard). See
     /// [`edp_evsim::DriveStats::elided`].
     pub elided: u64,
 }
+
+/// Lookahead-sized sub-windows [`run_sharded`] executes per negotiated
+/// window (see [`edp_evsim::drive_windows`]). A constant, not a knob: the
+/// schedule is byte-identical for every value and 32 was the fastest
+/// measured at 2 and 4 shards (within noise at 1) — DESIGN.md §12.
+pub const SUBWINDOWS: usize = 32;
 
 /// Runs a network simulation across `nshards` worker threads and returns
 /// each shard's `finish` result (in shard order) plus run statistics.
@@ -194,10 +200,10 @@ pub struct ShardStats {
 /// With `nshards == 1` this is the single-threaded reference schedule;
 /// larger counts produce the byte-identical observable outcome.
 ///
-/// The sub-window batch size comes from the `EDP_BURST` environment
-/// variable (default 1) and the horizon mode from `EDP_HORIZON`
-/// (`effects` spends installed [`edp_core::EffectSummary`] certificates;
-/// default classic); use [`run_sharded_opts`] to pin both explicitly.
+/// Each negotiated window covers up to [`SUBWINDOWS`] sub-windows and
+/// the horizon mode comes from `EDP_HORIZON` (`effects` spends installed
+/// [`edp_core::EffectSummary`] certificates; default classic); use
+/// [`run_sharded_opts`] to pin both explicitly.
 pub fn run_sharded<T, B, F>(
     nshards: usize,
     deadline: SimTime,
@@ -211,7 +217,7 @@ where
 {
     run_sharded_opts(
         nshards,
-        edp_evsim::burst_from_env(),
+        SUBWINDOWS,
         edp_evsim::horizon_from_env(),
         deadline,
         build,
@@ -456,27 +462,63 @@ mod tests {
         Ipv4Addr::new(10, 0, 0, n)
     }
 
-    /// h0 — sw0 — sw1 — h1, switch-switch latency 2 us.
-    fn two_switch_line(seed: u64) -> (Network, HostId, HostId) {
+    /// h0 — sw0 — … — sw(n-1) — h1, switch-switch latency 2 us.
+    fn switch_line(seed: u64, n: usize) -> (Network, HostId, HostId) {
         let mut net = Network::new(seed);
-        let s0 = net.add_switch(Box::new(BaselineSwitch::new(
-            ForwardTo(1),
-            2,
-            QueueConfig::default(),
-        )));
-        let s1 = net.add_switch(Box::new(BaselineSwitch::new(
-            ForwardTo(1),
-            2,
-            QueueConfig::default(),
-        )));
+        for _ in 0..n {
+            net.add_switch(Box::new(BaselineSwitch::new(
+                ForwardTo(1),
+                2,
+                QueueConfig::default(),
+            )));
+        }
         let h0 = net.add_host(Host::new(a(1), HostApp::Sink));
         let h1 = net.add_host(Host::new(a(2), HostApp::Sink));
         let edge = LinkSpec::ten_gig(SimDuration::from_micros(1));
         let trunk = LinkSpec::ten_gig(SimDuration::from_micros(2));
-        net.connect((NodeRef::Host(h0), 0), (NodeRef::Switch(s0), 0), edge);
-        net.connect((NodeRef::Switch(s0), 1), (NodeRef::Switch(s1), 0), trunk);
-        net.connect((NodeRef::Switch(s1), 1), (NodeRef::Host(h1), 0), edge);
+        net.connect((NodeRef::Host(h0), 0), (NodeRef::Switch(0), 0), edge);
+        for i in 1..n {
+            net.connect((NodeRef::Switch(i - 1), 1), (NodeRef::Switch(i), 0), trunk);
+        }
+        net.connect((NodeRef::Switch(n - 1), 1), (NodeRef::Host(h1), 0), edge);
         (net, h0, h1)
+    }
+
+    fn two_switch_line(seed: u64) -> (Network, HostId, HostId) {
+        switch_line(seed, 2)
+    }
+
+    /// [`ShardStats`] of a fixed workload: 10k CBR frames (256 B every
+    /// 500 ns) down a `switches`-switch line on 2 shards at
+    /// [`SUBWINDOWS`]. The window and barrier counts are pure functions
+    /// of the workload, so callers pin them exactly.
+    fn cbr_line_stats(switches: usize) -> ShardStats {
+        const N: u64 = 10_000;
+        let (delivered, stats) = run_sharded_opts(
+            2,
+            SUBWINDOWS,
+            HorizonMode::Classic,
+            SimTime::from_nanos(500 * N + 1_000_000),
+            |_me| {
+                let (net, h0, _h1) = switch_line(7, switches);
+                let mut sim: Sim<Network> = Sim::new();
+                let interval = SimDuration::from_nanos(500);
+                crate::traffic::start_cbr(&mut sim, h0, SimTime::ZERO, interval, N, |i| {
+                    PacketBuilder::udp(a(1), a(2), 4000, 8080, &[])
+                        .ident(i as u16)
+                        .pad_to(256)
+                        .build()
+                });
+                (net, sim)
+            },
+            |_me, net, _sim| net.hosts[1].stats.rx_pkts,
+        );
+        assert_eq!(
+            delivered.iter().sum::<u64>(),
+            N,
+            "line delivers every frame"
+        );
+        stats
     }
 
     #[test]
@@ -619,6 +661,7 @@ mod tests {
                 stats_base.windows
             );
         }
+        assert_eq!(cbr_line_stats(4).windows, 79, "window collapse regressed");
     }
 
     #[test]
@@ -741,8 +784,8 @@ mod tests {
     }
 
     /// The elision satellite: the timer line is traffic-free after its
-    /// five packets drain (~35 us of a 1 ms run), so almost every burst
-    /// sub-step lies below the certified bound floor. Classic burst mode
+    /// five packets drain (~35 us of a 1 ms run), so almost every
+    /// sub-step lies below the certified bound floor. Classic mode
     /// must elide the rendezvous for those sub-steps — cutting barriers
     /// at least 10x against the per-sub-step protocol — without moving a
     /// single byte of the merged schedule.
@@ -753,10 +796,7 @@ mod tests {
         assert_eq!(rx_1, 5);
         assert_eq!(rx_b, rx_1);
         assert_eq!(trace_b, trace_1, "elision must not change the schedule");
-        assert!(
-            stats_b.elided > 0,
-            "certified gaps must elide burst sub-steps"
-        );
+        assert!(stats_b.elided > 0, "certified gaps must elide sub-steps");
         assert!(
             stats_b.barriers * 10 <= stats_1.barriers,
             "elided barriers {} vs per-sub-step {}",
@@ -769,5 +809,12 @@ mod tests {
         assert_eq!(rx_u, rx_1);
         assert_eq!(trace_u, trace_1);
         assert_eq!(stats_u.elided, 0, "no certificate, no elision");
+        // A change that reintroduces per-sub-step rendezvous on the
+        // traffic-free tail of the 8-switch line moves this count.
+        assert_eq!(
+            cbr_line_stats(8).barriers,
+            2669,
+            "barrier elision regressed"
+        );
     }
 }

@@ -57,7 +57,7 @@ pub use apphdr::{
     PORT_HULA, PORT_KV, PORT_LIVENESS, PORT_RPC, PORT_TELEMETRY,
 };
 pub use builder::PacketBuilder;
-pub use burst::{Burst, ParsedBurst};
+pub use burst::Burst;
 pub use error::{ParseError, ParseResult};
 pub use eth::{EthHeader, EtherType, ETH_HEADER_LEN};
 pub use flow::{fnv1a64, FlowKey, Fnv1a};

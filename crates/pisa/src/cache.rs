@@ -151,29 +151,6 @@ impl FlowCache {
         }
     }
 
-    /// Probes once for a *run* of `run` packets sharing `flow_hash` (the
-    /// burst fast path: one megaflow probe classifies the whole run).
-    ///
-    /// On a hit the decision applies to every packet of the run, so the
-    /// hit counter is credited `run` at once — byte-identical to `run`
-    /// sequential [`FlowCache::lookup`] hits. On a miss only the *first*
-    /// packet is known to miss (the pipeline pass it triggers may admit
-    /// the flow, turning the rest of the run into hits), so exactly one
-    /// miss is counted and the caller re-probes for the remainder.
-    pub fn lookup_run(&mut self, flow_hash: u64, run: u64) -> Option<CachedDecision> {
-        debug_assert!(run >= 1, "a run has at least one packet");
-        match self.map.get(&flow_hash) {
-            Some(d) => {
-                self.stats.hits += run;
-                Some(*d)
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
-    }
-
     /// Memoizes a completed ingress pass, if the decision is cacheable.
     ///
     /// Only unicast `Destination::Port` decisions are admitted: floods and
@@ -245,25 +222,6 @@ mod tests {
         assert_eq!(fresh.pkt_len, 64);
         assert_eq!(c.stats().hits, 1);
         assert_eq!(c.stats().misses, 1);
-    }
-
-    #[test]
-    fn lookup_run_credits_hits_like_sequential_probes() {
-        // Sequential reference: 1 miss (first packet) + admit + 4 hits.
-        let mut seq = FlowCache::new(16);
-        assert!(seq.lookup(42).is_none());
-        seq.admit(42, &meta_to(3));
-        for _ in 0..4 {
-            assert!(seq.lookup(42).is_some());
-        }
-        // Burst: one miss-probe for the 5-run, pipeline+admit, then one
-        // run-probe covering the remaining 4.
-        let mut burst = FlowCache::new(16);
-        assert!(burst.lookup_run(42, 5).is_none());
-        burst.admit(42, &meta_to(3));
-        let d = burst.lookup_run(42, 4).expect("admitted mid-run");
-        assert_eq!(d.dest, Destination::Port(3));
-        assert_eq!(burst.stats(), seq.stats(), "stats byte-identical");
     }
 
     #[test]

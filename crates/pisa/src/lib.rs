@@ -40,7 +40,7 @@ pub use program::{ForwardTo, PisaProgram, TableRouter};
 pub use register::{PacketByteCounter, RegisterArray};
 pub use switch::{BaselineSwitch, SwitchCounters, MAX_RECIRCULATIONS};
 pub use table::{
-    insert_ipv4_route, ipv4_lpm_schema, FieldMatch, LookupBurstStats, MatchKind, MatchTable,
-    ShapeEntry, TableEntry, TableError, TableShape,
+    insert_ipv4_route, ipv4_lpm_schema, FieldMatch, MatchKind, MatchTable, ShapeEntry, TableEntry,
+    TableError, TableShape,
 };
 pub use tm::{QueueConfig, QueueDisc, QueueStats, TmEvent, TrafficManager};

@@ -214,19 +214,6 @@ enum Index {
     Scan(Vec<usize>),
 }
 
-/// Hit/miss snapshot of one [`MatchTable::lookup_burst`] call, tagged
-/// with the table generation the burst was probed under.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LookupBurstStats {
-    /// Keys in the burst that matched an entry.
-    pub hits: u64,
-    /// Keys in the burst that matched nothing.
-    pub misses: u64,
-    /// [`MatchTable::generation`] at probe time; a cached burst result is
-    /// stale once the live table's generation moves past this.
-    pub generation: u64,
-}
-
 /// A match-action table with key schema and entries.
 #[derive(Debug, Clone)]
 pub struct MatchTable<A> {
@@ -425,52 +412,6 @@ impl<A> MatchTable<A> {
         }
     }
 
-    /// Looks up a whole burst of keys in one pass, writing each key's
-    /// winning action (or `None`) into `out` in key order.
-    ///
-    /// The per-lookup bookkeeping is hoisted out of the loop: arity is
-    /// checked once against the shared schema, hit/miss counts accumulate
-    /// in locals with a single (saturating) counter update at the end, and
-    /// the returned [`LookupBurstStats`] snapshots the burst alongside the
-    /// table generation it was probed under — callers caching burst
-    /// results can compare generations instead of re-probing.
-    ///
-    /// # Panics
-    /// Panics if any key's arity doesn't match the schema.
-    pub fn lookup_burst<'a>(
-        &'a self,
-        keys: &[&[u64]],
-        out: &mut Vec<Option<&'a A>>,
-    ) -> LookupBurstStats {
-        let arity = self.schema.len();
-        assert!(
-            keys.iter().all(|k| k.len() == arity),
-            "key arity mismatch in burst"
-        );
-        out.clear();
-        out.reserve(keys.len());
-        let (mut hits, mut misses) = (0u64, 0u64);
-        for key in keys {
-            match self.lookup_index(key) {
-                Some(i) => {
-                    hits += 1;
-                    out.push(Some(&self.entries[i].action));
-                }
-                None => {
-                    misses += 1;
-                    out.push(None);
-                }
-            }
-        }
-        self.hits.set(self.hits.get().saturating_add(hits));
-        self.misses.set(self.misses.get().saturating_add(misses));
-        LookupBurstStats {
-            hits,
-            misses,
-            generation: self.generation,
-        }
-    }
-
     fn lookup_index(&self, key: &[u64]) -> Option<usize> {
         match &self.index {
             Index::Exact(idx) => idx.get(key).copied(),
@@ -665,38 +606,6 @@ mod tests {
     }
 
     #[test]
-    fn lookup_burst_matches_sequential_and_snapshots_stats() {
-        let mut t: MatchTable<&str> = MatchTable::new("routes", ipv4_lpm_schema());
-        insert_ipv4_route(&mut t, Ipv4Addr::new(10, 0, 0, 0), 8, "coarse");
-        insert_ipv4_route(&mut t, Ipv4Addr::new(10, 1, 0, 0), 16, "fine");
-        let keys: Vec<Vec<u64>> = [
-            Ipv4Addr::new(10, 1, 2, 3),
-            Ipv4Addr::new(10, 9, 2, 3),
-            Ipv4Addr::new(192, 168, 0, 1),
-            Ipv4Addr::new(10, 1, 0, 1),
-        ]
-        .iter()
-        .map(|a| vec![u32::from(*a) as u64])
-        .collect();
-        let refs: Vec<&[u64]> = keys.iter().map(|k| k.as_slice()).collect();
-        let mut out = Vec::new();
-        let stats = t.lookup_burst(&refs, &mut out);
-        assert_eq!(
-            out,
-            vec![Some(&"fine"), Some(&"coarse"), None, Some(&"fine")]
-        );
-        assert_eq!(stats.hits, 3);
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.generation, t.generation());
-        // The burst feeds the same cumulative counters as per-key lookups.
-        assert_eq!(t.hits(), 3);
-        assert_eq!(t.misses(), 1);
-        // A mutation after the probe makes the snapshot's generation stale.
-        insert_ipv4_route(&mut t, Ipv4Addr::new(0, 0, 0, 0), 0, "default");
-        assert!(t.generation() > stats.generation);
-    }
-
-    #[test]
     fn hit_miss_counters_saturate_instead_of_wrapping() {
         let mut t: MatchTable<&str> = MatchTable::new("mac", vec![MatchKind::Exact]);
         t.insert_exact(&[42], "port1");
@@ -707,10 +616,6 @@ mod tests {
         assert_eq!(t.lookup(&[43]), None);
         assert_eq!(t.lookup(&[43]), None);
         assert_eq!(t.misses(), u64::MAX, "miss counter pegs at the ceiling");
-        let mut out = Vec::new();
-        let stats = t.lookup_burst(&[&[42u64][..], &[43u64][..]], &mut out);
-        assert_eq!((t.hits(), t.misses()), (u64::MAX, u64::MAX));
-        assert_eq!((stats.hits, stats.misses), (1, 1), "snapshot is per-burst");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The trace ring and metrics registry in this crate are sim-time-only
 //! and determinism-pinned — byte-identical across thread counts, shard
-//! counts, and burst factors. That is exactly why they cannot answer the
+//! counts, and sub-window counts. That is exactly why they cannot answer the
 //! question the sharded engine's perf work needs answered: of a run's
 //! wall-clock seconds, how many were compute, how many were barrier
 //! wait, and how many were mailbox exchange? This module is the

@@ -4,27 +4,25 @@
 #   scripts/ci.sh               # full local gate (everything below)
 #   scripts/ci.sh --quick       # fmt, build, test, edp_lint, telemetry smoke
 #   scripts/ci.sh --matrix-leg  # build + tier-1 tests under the ambient
-#                               # EDP_SHARDS / EDP_BURST / EDP_HORIZON
-#                               # (one CI matrix leg)
+#                               # EDP_SHARDS / EDP_HORIZON (one CI matrix leg)
 #   scripts/ci.sh --gate        # fmt, clippy, edp_lint (+ SARIF artifact),
 #                               # profiled-run smoke (+ trace artifact),
 #                               # EDP_HORIZON=effects elision smoke,
 #                               # pcap fixture round-trip, replay smoke,
-#                               # bench gate
+#                               # benchmark smoke
 #
-# The CI pipeline fans the engine matrix {EDP_SHARDS=1,4} x {EDP_BURST=1,32}
-# plus an EDP_HORIZON=effects leg (shards=4, burst=32) across
-# `--matrix-leg` jobs and runs `--gate` once beside them; the default
-# (no-flag) mode runs the union locally, emulating the matrix with
-# in-process EDP_SHARDS=4 / EDP_BURST=32 / EDP_HORIZON=effects re-runs.
+# The CI pipeline fans the engine matrix EDP_SHARDS={1,4} plus an
+# EDP_HORIZON=effects leg (shards=4) across `--matrix-leg` jobs and runs
+# `--gate` once beside them; the default (no-flag) mode runs the union
+# locally, emulating the matrix with in-process EDP_SHARDS=4 /
+# EDP_HORIZON=effects re-runs.
 #
 # The workspace vendors all third-party crates (see vendor/), so the
 # whole gate runs with the cargo registry unreachable.
 #
-# The bench-regression gate compares the smoke snapshot against the
-# committed baseline (BENCH_1.json by default; override with
-# EDP_BENCH_BASELINE) and fails on a >25% throughput drop in the gated
-# metrics (override with EDP_BENCH_MAX_REGRESS).
+# The bench gate is the benchmark's own smoke (`benchmark/run.sh
+# --smoke`): correctness of the one ledger, not a wall-clock threshold —
+# compare two full runs with `benchmark/run.sh compare A.json B.json`.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -43,9 +41,6 @@ case "${1:-}" in
     ;;
 esac
 
-baseline="${EDP_BENCH_BASELINE:-BENCH_1.json}"
-max_regress="${EDP_BENCH_MAX_REGRESS:-0.25}"
-
 step_fmt() {
     echo "==> cargo fmt --check"
     cargo fmt --check
@@ -57,7 +52,7 @@ step_build() {
 }
 
 step_test() {
-    echo "==> cargo test (EDP_SHARDS=${EDP_SHARDS:-unset} EDP_BURST=${EDP_BURST:-unset} EDP_HORIZON=${EDP_HORIZON:-unset})"
+    echo "==> cargo test (EDP_SHARDS=${EDP_SHARDS:-unset} EDP_HORIZON=${EDP_HORIZON:-unset})"
     cargo test --offline -q
 }
 
@@ -194,18 +189,11 @@ step_engine_matrix_local() {
     # themselves (top_determinism, integration_shards).
     EDP_SHARDS=4 cargo test --offline -q
 
-    echo "==> cargo test (EDP_BURST=32: tier-1 on the burst fast path)"
-    # Everything that consults EDP_BURST (TopOptions' default and the
-    # sharded engine's sub-window count) reruns with 32-deep bursts;
-    # byte-identity with the per-packet path is asserted by the tests
-    # themselves (top_determinism, integration_shards).
-    EDP_BURST=32 cargo test --offline -q
-
     echo "==> cargo test (EDP_HORIZON=effects: certificate-aware horizon)"
     # The sharded engine loads per-app effect summaries and extends
     # safe_horizon past certified-local event runs; the determinism
     # suites assert the merged schedule stays byte-identical to classic.
-    EDP_HORIZON=effects EDP_SHARDS=4 EDP_BURST=32 cargo test --offline -q
+    EDP_HORIZON=effects EDP_SHARDS=4 cargo test --offline -q
 }
 
 step_elision_smoke() {
@@ -231,17 +219,13 @@ step_clippy() {
 }
 
 step_bench_gate() {
-    echo "==> bench_snapshot --smoke (regression gate vs ${baseline})"
-    # Telemetry is compiled in but *disabled* here (no session enabled),
-    # so this same gate proves the instrumented hot paths cost at most
-    # the disabled-path branch: a >${max_regress} throughput drop fails.
-    # Smoke scale: verifies the perf harness end-to-end in seconds and
-    # fails (exit 1) if a gated metric regressed more than the limit.
-    # Writes nothing into the repo; full snapshots are taken manually
-    # with `cargo run --release --bin bench_snapshot`.
-    cargo run --offline --release -q --bin bench_snapshot -- \
-        --smoke --out /tmp/edp_ci_smoke.json \
-        --baseline "${baseline}" --max-regress "${max_regress}"
+    echo "==> benchmark/run.sh --smoke (the repo's one benchmark, end to end)"
+    # The standalone benchmark package's own fmt + clippy + unit tests,
+    # then a tiny run of all five workloads whose result is schema-checked
+    # and must pass packet conservation and the sim_digest pins — a change
+    # that moves the scalar path's observable behaviour fails here. Full
+    # runs (`bash benchmark/run.sh`) and `compare` are taken manually.
+    bash benchmark/run.sh --smoke
 }
 
 case "$mode" in
@@ -254,14 +238,14 @@ quick)
     ;;
 matrix-leg)
     # One leg of the CI engine matrix: the workflow exports EDP_SHARDS
-    # and EDP_BURST before calling this, so the whole tier-1 suite runs
-    # natively on that engine configuration.
+    # and EDP_HORIZON before calling this, so the whole tier-1 suite
+    # runs natively on that engine configuration.
     step_build
     step_test
     ;;
 gate)
     # The non-matrixed CI leg: style, static analysis, fixtures, smoke
-    # drives and the perf regression gate — everything that only needs
+    # drives and the benchmark smoke — everything that only needs
     # to run once per pipeline.
     step_fmt
     step_build

@@ -3,7 +3,7 @@
 //! heavy loss makes endpoints give up, reorder past the timeout produces
 //! spurious retransmits whose stale responses are ignored — and every
 //! one of those outcomes is byte-identical between the classic engine
-//! and `run_sharded_opts` at 2/4 shards crossed with burst 1/32.
+//! and `run_sharded_opts` at 2/4 shards crossed with sub-windows 1/32.
 
 use edp_evsim::{HorizonMode, Sim, SimDuration, SimTime};
 use edp_netsim::{
@@ -99,11 +99,11 @@ fn run_sharded(
     seed: u64,
     model: Option<LinkFaultModel>,
     shards: usize,
-    burst: usize,
+    subwindows: usize,
 ) -> (FleetStats, u64) {
     let (results, _) = run_sharded_opts(
         shards,
-        burst,
+        subwindows,
         HorizonMode::Classic,
         DEADLINE,
         |_shard| build(seed, model),
@@ -189,11 +189,11 @@ fn stats_identical_classic_vs_sharded_under_faults() {
             classic.0
         );
         for shards in [2usize, 4] {
-            for burst in [1usize, 32] {
-                let sharded = run_sharded(seed, Some(model), shards, burst);
+            for sub in [1usize, 32] {
+                let sharded = run_sharded(seed, Some(model), shards, sub);
                 assert_eq!(
                     classic, sharded,
-                    "seed {seed}: {shards} shards x burst {burst} diverged"
+                    "seed {seed}: {shards} shards x {sub} sub-windows diverged"
                 );
             }
         }

@@ -36,13 +36,13 @@ where
     run_shards_at(shards, 1, HorizonMode::Classic, deadline, build)
 }
 
-/// Same, at an explicit burst factor (sub-windows per negotiated
-/// window) and horizon mode. Passed explicitly rather than via
-/// `EDP_BURST`/`EDP_HORIZON` so parallel tests never race on
-/// process-global env state.
+/// Same, at an explicit sub-window count per negotiated window and
+/// horizon mode (the latter passed explicitly rather than via
+/// `EDP_HORIZON` so parallel tests never race on process-global env
+/// state).
 fn run_shards_at<B>(
     shards: usize,
-    burst: usize,
+    subwindows: usize,
     mode: HorizonMode,
     deadline: SimTime,
     build: B,
@@ -52,7 +52,7 @@ where
 {
     let (nets, _stats) = run_sharded_opts(
         shards,
-        burst,
+        subwindows,
         mode,
         deadline,
         |_s| build(),
@@ -109,28 +109,28 @@ where
         "tracer ring evicted; scenario too big for invariance checks"
     );
     for shards in SHARD_COUNTS {
-        // Burst 1 is the legacy one-negotiation-per-window protocol;
-        // burst 32 exercises the sub-window fast path; the effects
-        // horizon exercises the certificate-extended windows. Every
-        // scenario family must be invariant under all three.
-        for (burst, mode) in [
+        // 1 sub-window is the one-negotiation-per-lookahead reference
+        // protocol; 32 is what `run_sharded` runs; the effects horizon
+        // exercises the certificate-extended windows. Every scenario
+        // family must be invariant under all three.
+        for (sub, mode) in [
             (1usize, HorizonMode::Classic),
             (32, HorizonMode::Classic),
             (32, HorizonMode::Effects),
         ] {
-            let (many, trace, json) = run_shards_at(shards, burst, mode, deadline, &build);
+            let (many, trace, json) = run_shards_at(shards, sub, mode, deadline, &build);
             assert_eq!(
                 observe(&many),
                 classic_obs,
-                "{shards}-shard burst-{burst} {mode:?} observables diverged"
+                "{shards}-shard sub-{sub} {mode:?} observables diverged"
             );
             assert_eq!(
                 one_trace, trace,
-                "{shards}-shard burst-{burst} {mode:?} merged trace diverged"
+                "{shards}-shard sub-{sub} {mode:?} merged trace diverged"
             );
             assert_eq!(
                 one_json, json,
-                "{shards}-shard burst-{burst} {mode:?} metrics JSON diverged"
+                "{shards}-shard sub-{sub} {mode:?} metrics JSON diverged"
             );
         }
     }
