@@ -71,11 +71,6 @@ pub struct TopOptions {
     /// through [`edp_netsim::run_sharded`], whose output is byte-identical
     /// for any shard count.
     pub shards: usize,
-    /// Horizon mode (`EDP_HORIZON` default): classic conservative
-    /// windows, or the certificate-aware effects horizon that spends each
-    /// app's [`edp_core::EffectSummary`]. Pure execution-strategy knob —
-    /// output is byte-identical; only window/barrier counts move.
-    pub horizon: HorizonMode,
     /// The traffic source (CBR, pcap replay, or endpoint fleet).
     pub workload: TopWorkload,
     /// Opt-in wall-clock profiler ([`edp_telemetry::prof`]). Collects
@@ -89,8 +84,8 @@ pub struct TopOptions {
 /// Reads `EDP_SHARDS`; unset or empty means `0` (classic path).
 ///
 /// Anything else must parse as a non-negative integer — garbage or
-/// negative values exit with a diagnostic naming the bad value, matching
-/// the engine's misconfiguration policy (`EDP_HORIZON`).
+/// negative values exit with a diagnostic naming the bad value
+/// ([`edp_evsim::env_config_error`]).
 pub fn shards_from_env() -> usize {
     let raw = match std::env::var("EDP_SHARDS") {
         Ok(v) => v,
@@ -118,7 +113,6 @@ impl Default for TopOptions {
             threads: default_threads(),
             trace_capacity: 65_536,
             shards: shards_from_env(),
-            horizon: edp_evsim::horizon_from_env(),
             workload: TopWorkload::Cbr,
             profile: false,
         }
@@ -337,8 +331,8 @@ fn build_point(
     // the port most registry apps egress to — so ~190 Mb/s of CBR load
     // builds real queues and forces overflow/trim paths.
     let (mut net, senders, sink, _) = dumbbell(Box::new(sw), 1, 50_000_000, seed);
-    // The app's emission certificate rides along so a sharded run under
-    // the effects horizon can class certified timer cranks local. The
+    // The app's emission certificate rides along so a sharded run can
+    // class certified timer cranks local (exchange elision). The
     // ReturnPath front adds an undeclared client-bound ingress emission,
     // so the endpoint workload conservatively runs uncertified.
     if !matches!(workload, TopWorkload::Endpoints { .. }) {
@@ -468,7 +462,7 @@ fn run_point_sharded(app: &str, seed: u64, o: &TopOptions, subwindows: usize) ->
     let (sessions, stats) = run_sharded_opts(
         o.shards,
         subwindows,
-        o.horizon,
+        HorizonMode::Classic,
         SimTime::ZERO + o.duration,
         |shard| {
             telemetry::enable(TelemetryConfig {
@@ -559,8 +553,9 @@ pub fn measure_overhead(app: &str, duration: SimDuration, reps: u64) -> (f64, f6
 
 /// Wall-clock cost of the profiler itself on the instrumented sharded
 /// engine (the path with hooks at every rendezvous): runs a 2-shard
-/// point `reps` times with a profiling session enabled, then `reps`
-/// times with the hooks on their disabled one-branch path, and returns
+/// point at the shipped [`SUBWINDOWS`] `reps` times with a profiling
+/// session enabled, then `reps` times with the hooks on their disabled
+/// one-branch path, and returns
 /// `(profiled_secs, unprofiled_secs)` totals. Telemetry stays off for
 /// both so the ratio isolates the profiler.
 pub fn measure_prof_overhead(app: &str, duration: SimDuration, reps: u64) -> (f64, f64) {
@@ -568,7 +563,7 @@ pub fn measure_prof_overhead(app: &str, duration: SimDuration, reps: u64) -> (f6
         let epoch = Instant::now();
         let (_, stats) = run_sharded_opts(
             2,
-            1,
+            SUBWINDOWS,
             HorizonMode::Classic,
             SimTime::ZERO + duration,
             |shard| {
@@ -853,7 +848,6 @@ mod tests {
             threads: 1,
             trace_capacity: 4096,
             shards: 0,
-            horizon: HorizonMode::Classic,
             workload: TopWorkload::Cbr,
             profile: false,
         }
@@ -926,8 +920,8 @@ mod tests {
     /// The sub-window count is a pure execution strategy: every
     /// registered app renders the byte-identical canonical trace and
     /// exports at 1 (one negotiation per lookahead, the reference leg)
-    /// and at [`SUBWINDOWS`], for shards {1, 2, 4} under both horizon
-    /// modes — only the negotiated-window count may move (down).
+    /// and at [`SUBWINDOWS`], for shards {1, 2, 4} — only the
+    /// negotiated-window count may move (down).
     #[test]
     fn every_app_is_byte_identical_across_subwindow_counts() {
         let mut o = quick();
@@ -935,19 +929,15 @@ mod tests {
         for app in app_names() {
             for seed in [1u64, 2] {
                 o.shards = 1;
-                o.horizon = HorizonMode::Classic;
                 let (base, _) = sharded_point(app, seed, &o, 1);
-                for horizon in [HorizonMode::Classic, HorizonMode::Effects] {
-                    for shards in [1usize, 2, 4] {
-                        o.shards = shards;
-                        o.horizon = horizon;
-                        let (one, w1) = sharded_point(app, seed, &o, 1);
-                        let (many, w32) = sharded_point(app, seed, &o, SUBWINDOWS);
-                        let leg = format!("{app} seed {seed}: {shards} shards {horizon:?}");
-                        assert_eq!(base, one, "{leg} differs at 1 sub-window");
-                        assert_eq!(base, many, "{leg} differs at {SUBWINDOWS} sub-windows");
-                        assert!(w32 <= w1, "{leg}: more windows ({w32} > {w1})");
-                    }
+                for shards in [1usize, 2, 4] {
+                    o.shards = shards;
+                    let (one, w1) = sharded_point(app, seed, &o, 1);
+                    let (many, w32) = sharded_point(app, seed, &o, SUBWINDOWS);
+                    let leg = format!("{app} seed {seed}: {shards} shards");
+                    assert_eq!(base, one, "{leg} differs at 1 sub-window");
+                    assert_eq!(base, many, "{leg} differs at {SUBWINDOWS} sub-windows");
+                    assert!(w32 <= w1, "{leg}: more windows ({w32} > {w1})");
                 }
             }
         }

@@ -6,7 +6,7 @@
 //! for every registered app.
 
 use edp_bench::top::{app_names, run, to_json_report, TopOptions, TopWorkload};
-use edp_evsim::{HorizonMode, SimDuration};
+use edp_evsim::SimDuration;
 
 fn opts(threads: usize) -> TopOptions {
     TopOptions {
@@ -15,7 +15,6 @@ fn opts(threads: usize) -> TopOptions {
         threads,
         trace_capacity: 8192,
         shards: 0,
-        horizon: HorizonMode::Classic,
         workload: TopWorkload::Cbr,
         profile: false,
     }
@@ -54,7 +53,6 @@ fn shard_opts(shards: usize) -> TopOptions {
         threads: 1,
         trace_capacity: 65_536,
         shards,
-        horizon: HorizonMode::Classic,
         workload: TopWorkload::Cbr,
         profile: false,
     }
@@ -83,43 +81,6 @@ fn every_app_is_byte_identical_across_shard_counts() {
                 one_prom,
                 edp_telemetry::to_prometheus_text(&many.registry),
                 "{app}: Prometheus export differs at {shards} shards"
-            );
-        }
-    }
-}
-
-/// `EDP_HORIZON` is a pure execution-strategy knob: for every
-/// registered app the sharded point under the certificate-aware effects
-/// horizon must render the byte-identical canonical trace and exports
-/// at shard counts 1/2/4. The build installs each app's effect summary,
-/// so certified-local timer cranks really do run past window bounds
-/// here — and must not change a byte. (The sub-window axis {1, 32} is
-/// pinned per app, workload and horizon by the unit tests in `top.rs`,
-/// the only place that can reach it since `run` uses the constant.)
-#[test]
-fn every_app_is_byte_identical_under_the_effects_horizon() {
-    for app in app_names() {
-        let base = run(app, &shard_opts(1)).expect("classic 1-shard run");
-        assert_eq!(base.trace_dropped, 0, "{app}: ring evicted; raise capacity");
-        let base_json = to_json_report(&base);
-        let base_prom = edp_telemetry::to_prometheus_text(&base.registry);
-        for shards in [1usize, 2, 4] {
-            let mut o = shard_opts(shards);
-            o.horizon = HorizonMode::Effects;
-            let b = run(app, &o).expect("effects run");
-            assert_eq!(
-                base.trace, b.trace,
-                "{app}: trace differs under effects at {shards} shards"
-            );
-            assert_eq!(
-                base_json,
-                to_json_report(&b),
-                "{app}: JSON differs under effects at {shards} shards"
-            );
-            assert_eq!(
-                base_prom,
-                edp_telemetry::to_prometheus_text(&b.registry),
-                "{app}: Prometheus differs under effects at {shards} shards"
             );
         }
     }

@@ -13,8 +13,8 @@
 //!   function of (program, seed).
 //! * **Explicit randomness.** All stochastic inputs flow from [`SimRng`]
 //!   seeds; forked streams keep components independent.
-//! * **Cycle models welcome.** [`ClockDomain`] and [`TimerWheel`] support
-//!   hardware-shaped, cycle-granular models alongside event-granular ones.
+//! * **Cycle models welcome.** [`ClockDomain`] supports hardware-shaped,
+//!   cycle-granular models alongside event-granular ones.
 //!
 //! ```
 //! use edp_evsim::{Sim, SimTime, SimDuration, Periodic};
@@ -40,16 +40,13 @@ pub mod shard;
 mod sim;
 pub mod stats;
 mod time;
-mod wheel;
 
 pub use clock::{ClockDomain, Cycles};
 pub use parallel::{default_threads, sweep};
 pub use rng::{SimRng, Zipf};
 pub use shard::{
-    drive_windows, env_config_error, horizon_from_env, safe_horizon, DriveStats, HorizonMode,
-    WindowSync,
+    drive_windows, env_config_error, safe_horizon, DriveStats, HorizonMode, WindowSync,
 };
 pub use sim::{EventClass, EventFn, EventId, Periodic, Sim, UNKEYED};
 pub use stats::{jain_fairness, percentile, Counter, Histogram, TimeSeries, Welford};
 pub use time::{SimDuration, SimTime};
-pub use wheel::{TimerId, TimerWheel};

@@ -124,16 +124,34 @@ where
 /// (simulation sweeps are memory-bandwidth-bound beyond that). The cap can
 /// be overridden with the `EDP_SWEEP_THREADS` environment variable, e.g.
 /// to pin CI boxes to a single worker or to use a bigger machine fully.
+/// A value that is not a non-negative integer exits with a diagnostic
+/// naming it ([`crate::env_config_error`]).
 pub fn default_threads() -> usize {
-    if let Ok(v) = std::env::var("EDP_SWEEP_THREADS") {
-        if let Ok(n) = v.parse::<usize>() {
-            return n.max(1);
-        }
+    let raw = std::env::var_os("EDP_SWEEP_THREADS").unwrap_or_default();
+    let raw = raw.to_string_lossy();
+    match parse_threads(&raw) {
+        Ok(Some(n)) => n,
+        Ok(None) => std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+            .min(8),
+        Err(()) => crate::env_config_error(
+            "EDP_SWEEP_THREADS",
+            raw.trim(),
+            "a non-negative worker count (0 clamps to 1)",
+        ),
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8)
+}
+
+/// Parses an `EDP_SWEEP_THREADS` value: blank means unset (`None`), a
+/// non-negative integer is clamped to at least one worker, anything else
+/// is an error.
+fn parse_threads(raw: &str) -> Result<Option<usize>, ()> {
+    let v = raw.trim();
+    if v.is_empty() {
+        return Ok(None);
+    }
+    v.parse::<usize>().map(|n| Some(n.max(1))).map_err(|_| ())
 }
 
 #[cfg(test)]
@@ -213,5 +231,11 @@ mod tests {
         assert_eq!(default_threads(), 1, "zero clamps to one worker");
         std::env::remove_var("EDP_SWEEP_THREADS");
         assert!(default_threads() >= 1);
+        // Garbage exits the process, so those inputs go to the pure parser.
+        assert_eq!(parse_threads(" 3 "), Ok(Some(3)));
+        assert_eq!(parse_threads(""), Ok(None), "empty means unset");
+        assert_eq!(parse_threads("  "), Ok(None), "blank means unset");
+        assert_eq!(parse_threads("abc"), Err(()));
+        assert_eq!(parse_threads("-1"), Err(()));
     }
 }

@@ -11,7 +11,7 @@
 //!
 //! 1. accept messages delivered at the previous window's close,
 //! 2. publish the local earliest pending-event time and take the global
-//!    minimum ([`WindowSync::negotiate`]),
+//!    minimum ([`WindowSync::negotiate_bound`]),
 //! 3. fire everything strictly before the safe horizon
 //!    ([`Sim::run_before`]),
 //! 4. hand outbound messages to their destination shards and barrier
@@ -25,16 +25,8 @@
 //! Sub-steps that provably cannot carry traffic anywhere — every event
 //! below the group's negotiated *bound floor* is certified emission-free —
 //! skip even that barrier and free-run to the next sub-horizon
-//! (*exchange elision*, counted in [`DriveStats::elided`]).
-//!
-//! The *effects horizon* (`EDP_HORIZON=effects`, see [`HorizonMode`])
-//! goes further and drops the per-round rendezvous entirely: shards
-//! exchange through lock-free per-shard *frontier* atomics and
-//! per-destination mailbox sequence counters, each shard executing up to
-//! `min(peer frontiers) + lookahead` and draining its inbox whenever the
-//! shared traffic counter moves. Barriers remain only at the opening
-//! negotiation and the closing one that confirms termination. See
-//! [`drive_windows`] for the induction.
+//! (*exchange elision*, counted in [`DriveStats::elided`]). This barrier
+//! loop is the engine's only synchronization protocol.
 //!
 //! The loop ends when no shard has an event at or before the deadline;
 //! messages cannot appear out of thin air, so the shards agree on that
@@ -44,9 +36,8 @@
 //!
 //! The rendezvous is poisonable: a worker that panics mid-window calls
 //! [`WindowSync::poison`] before unwinding, which wakes every peer blocked
-//! at a barrier (or spinning on a frontier) and makes it panic too — the
-//! run fails loudly instead of deadlocking on a rendezvous that will
-//! never fill.
+//! at a barrier and makes it panic too — the run fails loudly instead of
+//! deadlocking on a rendezvous that will never fill.
 
 use crate::sim::Sim;
 use crate::time::{SimDuration, SimTime};
@@ -66,7 +57,7 @@ fn unpack(v: u64) -> Option<SimTime> {
     (v != NONE_NS).then(|| SimTime::from_nanos(v))
 }
 
-/// A cache-line-padded atomic so per-shard frontier and sequence slots
+/// A cache-line-padded atomic so per-shard negotiation and sequence slots
 /// never false-share under the spin-heavy exchange path.
 #[repr(align(64))]
 struct PaddedU64(AtomicU64);
@@ -79,9 +70,8 @@ impl PaddedU64 {
 
 /// Shared synchronization state for one sharded run: a reusable,
 /// poisonable sense-reversing spin-then-park barrier, per-shard slots for
-/// the earliest-pending-event negotiation, and the lock-free exchange
-/// state (per-shard frontiers, per-destination inbox sequence counters,
-/// and the shared round-traffic counter).
+/// the earliest-pending-event negotiation, and per-destination inbox
+/// sequence counters.
 pub struct WindowSync {
     shards: usize,
     /// Threads currently arrived at the in-progress barrier.
@@ -91,31 +81,19 @@ pub struct WindowSync {
     generation: AtomicU64,
     /// Set by [`WindowSync::poison`]; every waiter panics on observing it.
     poisoned: AtomicBool,
-    /// OR-accumulator for the in-progress [`WindowSync::exchange_vote`]
-    /// (also the `active` bit of [`WindowSync::exchange_horizon`]).
+    /// OR-accumulator for the in-progress [`WindowSync::exchange_vote`].
     vote_accum: AtomicBool,
     /// The accumulated vote of the barrier round that last filled.
     vote_latched: AtomicBool,
-    /// Min-accumulator for the in-progress
-    /// [`WindowSync::exchange_horizon`] (ns; [`NONE_NS`] = no floor).
-    emit_accum: AtomicU64,
-    /// The accumulated emit floor of the barrier round that last filled.
-    emit_latched: AtomicU64,
     /// Per-shard earliest-pending-event slots for the negotiation.
     next: Vec<PaddedU64>,
     /// Per-shard earliest *bound* (emission-capable) event slots, folded
     /// by [`WindowSync::negotiate_bound`] into the elision floor.
     bound: Vec<PaddedU64>,
-    /// Per-shard execution/emission frontiers (ns) for the lock-free
-    /// effects-mode exchange; monotone over the whole run.
-    frontier: Vec<PaddedU64>,
     /// Per-destination publish sequence counters: bumped after a message
     /// lands in that destination's mailbox, so receivers drain only when
     /// something actually arrived.
     inbox_seq: Vec<PaddedU64>,
-    /// The shared "round has traffic" counter: total publish marks so
-    /// far, bumped on every publish.
-    traffic: AtomicU64,
     /// Parking fallback for oversubscribed hosts: waiters that exhaust
     /// the spin budget sleep here until the generation ticket moves.
     park: Mutex<()>,
@@ -140,13 +118,9 @@ impl WindowSync {
             poisoned: AtomicBool::new(false),
             vote_accum: AtomicBool::new(false),
             vote_latched: AtomicBool::new(false),
-            emit_accum: AtomicU64::new(NONE_NS),
-            emit_latched: AtomicU64::new(NONE_NS),
             next: (0..shards).map(|_| PaddedU64::new(NONE_NS)).collect(),
             bound: (0..shards).map(|_| PaddedU64::new(NONE_NS)).collect(),
-            frontier: (0..shards).map(|_| PaddedU64::new(0)).collect(),
             inbox_seq: (0..shards).map(|_| PaddedU64::new(0)).collect(),
-            traffic: AtomicU64::new(0),
             park: Mutex::new(()),
             cv: Condvar::new(),
         }
@@ -169,9 +143,7 @@ impl WindowSync {
         self.cv.notify_all();
     }
 
-    /// Whether [`WindowSync::poison`] has been called. Lock-free loops
-    /// (frontier spins) poll this so a peer's panic still fails the run
-    /// loudly.
+    /// Whether [`WindowSync::poison`] has been called.
     pub fn is_poisoned(&self) -> bool {
         self.poisoned.load(Ordering::Acquire)
     }
@@ -229,18 +201,13 @@ impl WindowSync {
         self.wait_with(|_| {});
     }
 
-    /// Publishes this shard's earliest pending event time and returns the
-    /// global minimum over all shards. Every shard must call this once per
-    /// window; all callers return the same value.
-    pub fn negotiate(&self, shard: usize, local_next: Option<SimTime>) -> Option<SimTime> {
-        self.negotiate_bound(shard, local_next, local_next).0
-    }
-
-    /// [`WindowSync::negotiate`] that additionally folds each shard's
-    /// earliest *bound* (emission-capable) event time. The second
-    /// returned value is the group's emission floor: no shard can publish
-    /// a message from an event strictly before it, so sub-steps entirely
-    /// below it need no rendezvous at all (see [`drive_windows`]).
+    /// Publishes this shard's earliest pending event time and its earliest
+    /// *bound* (emission-capable) event time, and returns the global
+    /// minimum of each over all shards. Every shard must call this once
+    /// per window; all callers return the same pair. The second value is
+    /// the group's emission floor: no shard can publish a message from an
+    /// event strictly before it, so sub-steps entirely below it need no
+    /// rendezvous at all (see [`drive_windows`]).
     pub fn negotiate_bound(
         &self,
         shard: usize,
@@ -296,75 +263,10 @@ impl WindowSync {
         self.vote_latched.load(Ordering::Acquire)
     }
 
-    /// Exchange barrier for a horizon fold: every shard contributes its
-    /// `active` bit and its *emit floor* — the earliest time at which it
-    /// could still cause a cross-shard transmission. All shards receive
-    /// the OR of the bits and the min of the floors.
-    ///
-    /// The same single-wait latch argument as [`WindowSync::exchange_vote`]
-    /// applies: the latched pair can only be overwritten by the next
-    /// barrier fill, which needs every shard to arrive again.
-    pub fn exchange_horizon(
-        &self,
-        active: bool,
-        emit_next: Option<SimTime>,
-    ) -> (bool, Option<SimTime>) {
-        if active {
-            self.vote_accum.store(true, Ordering::Release);
-        }
-        if let Some(t) = emit_next {
-            self.emit_accum.fetch_min(t.as_nanos(), Ordering::AcqRel);
-        }
-        self.wait_with(|s| {
-            s.vote_latched.store(
-                s.vote_accum.swap(false, Ordering::AcqRel),
-                Ordering::Release,
-            );
-            s.emit_latched.store(
-                s.emit_accum.swap(NONE_NS, Ordering::AcqRel),
-                Ordering::Release,
-            );
-        });
-        (
-            self.vote_latched.load(Ordering::Acquire),
-            unpack(self.emit_latched.load(Ordering::Acquire)),
-        )
-    }
-
-    /// Raises this shard's execution/emission frontier (monotone): a
-    /// promise that it will never again publish a message arriving before
-    /// `ns + lookahead`. Store *after* the publishes it covers so a peer
-    /// that reads the new frontier also sees their traffic bumps.
-    pub fn set_frontier(&self, shard: usize, ns: u64) {
-        self.frontier[shard].0.fetch_max(ns, Ordering::AcqRel);
-    }
-
-    /// Minimum frontier over the other shards — the receive-bound
-    /// certificate: nothing can arrive here before `min + lookahead`.
-    /// Read *before* the traffic counter so a drain never misses a
-    /// message published under a frontier this call observed.
-    pub fn peer_frontier_min(&self, me: usize) -> u64 {
-        let mut m = u64::MAX;
-        for (s, f) in self.frontier.iter().enumerate() {
-            if s != me {
-                m = m.min(f.0.load(Ordering::Acquire));
-            }
-        }
-        m
-    }
-
-    /// Marks a publish to `dst`: bumps the destination's inbox sequence
-    /// and the shared round-traffic counter. Call after the message is in
-    /// the mailbox and before raising the frontier.
+    /// Marks a publish to `dst` by bumping the destination's inbox
+    /// sequence. Call after the message is in the mailbox.
     pub fn mark_traffic(&self, dst: usize) {
         self.inbox_seq[dst].0.fetch_add(1, Ordering::AcqRel);
-        self.traffic.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// Bumps only the shared round-traffic counter (generic callers whose
-    /// publish hooks do not track destinations).
-    pub fn note_publish(&self) {
-        self.traffic.fetch_add(1, Ordering::AcqRel);
     }
 
     /// Inbox sequence for `shard` — a drain is needed only when this has
@@ -372,28 +274,18 @@ impl WindowSync {
     pub fn inbox_seq(&self, shard: usize) -> u64 {
         self.inbox_seq[shard].0.load(Ordering::Acquire)
     }
-
-    /// The shared round-traffic counter: total publish marks so far.
-    pub fn traffic(&self) -> u64 {
-        self.traffic.load(Ordering::Acquire)
-    }
 }
 
-/// How [`drive_windows`] bounds each execution window.
+/// The one way the sharded engine synchronizes: negotiated windows of
+/// `lookahead`, stretched into sub-windows with rendezvous elided below
+/// the negotiated bound floor (see [`drive_windows`]). Nothing reads it —
+/// kept for `benchmark/`'s source compatibility; remove with the next
+/// benchmark PR.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum HorizonMode {
-    /// Every pending event bounds the horizon: negotiated windows of
-    /// `lookahead`, optionally stretched into sub-windows (with
-    /// rendezvous elided below the negotiated bound floor). Needs no
-    /// certificates; the PR-6 behavior plus elision.
+    /// The barrier loop of [`drive_windows`].
     #[default]
     Classic,
-    /// Rendezvous-free: shards exchange through lock-free frontier
-    /// atomics instead of per-round barriers, and events classed
-    /// [`crate::EventClass::Local`] are invisible to the negotiated
-    /// emission floor. The `Local` classifications must be backed by
-    /// effect-summary certificates.
-    Effects,
 }
 
 /// Diagnostic exit for a misconfigured environment knob, matching the
@@ -404,26 +296,6 @@ pub fn env_config_error(var: &str, got: &str, want: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Horizon mode from the `EDP_HORIZON` environment variable:
-/// case-insensitive `effects` selects [`HorizonMode::Effects`] and
-/// `classic` the conservative default; unset (or empty) is `classic`.
-/// Any other value exits with a diagnostic naming it — a typo must not
-/// silently fall back to the slow path.
-pub fn horizon_from_env() -> HorizonMode {
-    match std::env::var("EDP_HORIZON") {
-        Err(std::env::VarError::NotPresent) => HorizonMode::Classic,
-        Err(std::env::VarError::NotUnicode(_)) => {
-            env_config_error("EDP_HORIZON", "<non-unicode>", "`classic` or `effects`")
-        }
-        Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-            "" => HorizonMode::Classic,
-            "classic" => HorizonMode::Classic,
-            "effects" => HorizonMode::Effects,
-            _ => env_config_error("EDP_HORIZON", &v, "`classic` or `effects`"),
-        },
-    }
-}
-
 /// Counters returned by [`drive_windows`]; identical on every shard of a
 /// run (each counted step is a pure function of group-agreed state).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -432,13 +304,12 @@ pub struct DriveStats {
     pub windows: u64,
     /// Barrier rendezvous joined (a negotiation counts its two waits;
     /// every exchange/vote barrier counts one). The true synchronization
-    /// cost of the run — the lock-free frontier exchange of
-    /// [`HorizonMode::Effects`] joins none inside a window.
+    /// cost of the run.
     pub barriers: u64,
     /// Sub-steps advanced with *no* rendezvous because the whole span lay
-    /// at or below the group's negotiated bound floor (classic-mode
-    /// exchange elision). Deterministic: the skip set is a pure function
-    /// of the negotiated floor, so every shard counts the same elisions.
+    /// at or below the group's negotiated bound floor (exchange elision).
+    /// Deterministic: the skip set is a pure function of the negotiated
+    /// floor, so every shard counts the same elisions.
     pub elided: u64,
 }
 
@@ -465,16 +336,14 @@ pub fn safe_horizon(
 }
 
 /// Runs one shard's event loop to `deadline` in conservative windows of up
-/// to `subwindows` lookahead-sized sub-steps each (classic mode), or
-/// through the lock-free frontier exchange ([`HorizonMode::Effects`]).
+/// to `subwindows` lookahead-sized sub-steps each.
 ///
 /// `accept` schedules messages handed over by peers into `sim`; `publish`
-/// moves outbound messages into the shared mailboxes and returns the
-/// earliest *arrival time* among the messages it just published (`None`
-/// when it published nothing). Both run on the shard's own thread.
+/// moves outbound messages into the shared mailboxes and returns whether
+/// it published anything. Both run on the shard's own thread.
 /// Returns [`DriveStats`], identical on every shard.
 ///
-/// # Sub-windows and elision (classic mode)
+/// # Sub-windows and elision
 ///
 /// A full window negotiates the global earliest event time (two waits) and
 /// then fires everything before `global_next + lookahead` (one exchange
@@ -500,40 +369,6 @@ pub fn safe_horizon(
 /// [`DriveStats::elided`]); the first sub-step past the floor resumes the
 /// per-round vote. The executed schedule is identical for every
 /// `subwindows >= 1`; `subwindows == 1` is exactly the legacy protocol.
-///
-/// # The effects horizon: lock-free frontier exchange
-///
-/// [`HorizonMode::Effects`] replaces the per-round rendezvous with one
-/// continuous *frontier session* spanning the whole run. Each shard
-/// maintains an atomic frontier `F` — a promise that it will never again
-/// publish a message arriving before `F + lookahead` — and repeats, with
-/// no barrier:
-///
-/// 1. read the peers' frontiers; the receive bound is
-///    `min(peer F) + lookahead` (nothing can arrive here before it);
-/// 2. if the shared traffic counter moved, drain the inbox (messages are
-///    published *before* the sender's covering frontier raise, so a
-///    reader of the frontier also sees their traffic bumps);
-/// 3. fire everything strictly before the receive bound and publish —
-///    every fired event is at or past the previous promise, so published
-///    arrivals respect it;
-/// 4. raise `F` to the receive bound.
-///
-/// Soundness is the window induction applied per message: a message
-/// published after a peer read `F = f` from this shard arrives at or past
-/// `f + lookahead`, which is exactly the bound the peer executes below;
-/// a message published *before* that read is visible to the peer's
-/// traffic check (the publish precedes the frontier raise the peer
-/// observed) and is drained before the peer executes. Progress is the
-/// classic lookahead argument: the globally smallest frontier always
-/// advances, because its owner's receive bound exceeds it. The session
-/// ends when every frontier reaches the deadline cap and the traffic
-/// counter has quiesced; because a promise is only meaningful while the
-/// session lasts, the frontiers are never reused — one session covers the
-/// run, and the closing negotiation (which finds no event left at or
-/// before the deadline) confirms termination group-wide. The executed
-/// schedule is identical to classic mode — the protocol only changes how
-/// the shards synchronize, never which events fire.
 #[allow(clippy::too_many_arguments)] // deliberate: the low-level engine entry point takes the full window protocol
 pub fn drive_windows<W>(
     world: &mut W,
@@ -542,17 +377,12 @@ pub fn drive_windows<W>(
     sync: &WindowSync,
     lookahead: Option<SimDuration>,
     deadline: SimTime,
-    mode: HorizonMode,
     subwindows: usize,
     mut accept: impl FnMut(&mut W, &mut Sim<W>),
-    mut publish: impl FnMut(&mut W, &mut Sim<W>, SimTime) -> Option<SimTime>,
+    mut publish: impl FnMut(&mut W, &mut Sim<W>, SimTime) -> bool,
 ) -> DriveStats {
     let subwindows = subwindows.max(1) as u64;
     let cap = deadline.as_nanos().saturating_add(1);
-    // The frontier session needs a finite lookahead; with none the
-    // classic path already runs the whole span as one window, which no
-    // frontier can improve on.
-    let effects = mode == HorizonMode::Effects && lookahead.is_some();
     let mut stats = DriveStats::default();
     loop {
         accept(world, sim);
@@ -571,24 +401,6 @@ pub fn drive_windows<W>(
         }
         stats.windows += 1;
         prof::window_begin();
-        if effects {
-            // One frontier session runs the whole remaining span; every
-            // arrival it leaves behind is past the deadline, so the next
-            // negotiation terminates the loop (the frontiers, being
-            // monotone promises, are never reused).
-            drive_frontier_session(
-                world,
-                sim,
-                shard,
-                sync,
-                lookahead,
-                cap,
-                &mut accept,
-                &mut publish,
-            );
-            prof::window_end();
-            continue;
-        }
         let mut horizon = safe_horizon(global, lookahead, deadline);
         let bound_ns = global_bound.map_or(cap, |b| b.as_nanos());
         let mut remaining = subwindows;
@@ -616,10 +428,7 @@ pub fn drive_windows<W>(
             }
             sim.run_before(world, horizon);
             prof::lap(prof::Phase::Execute);
-            let published = publish(world, sim, horizon).is_some();
-            if published {
-                sync.note_publish();
-            }
+            let published = publish(world, sim, horizon);
             prof::lap(prof::Phase::Mailbox);
             // The dynamic face of the elision proof: a span at or below
             // the bound floor is certified emission-free, so publishing
@@ -666,104 +475,6 @@ pub fn drive_windows<W>(
     stats
 }
 
-/// The effects-mode frontier session (see [`drive_windows`]): runs this
-/// shard to the deadline cap through the lock-free frontier exchange,
-/// joining no barriers. Returns once every shard's frontier has reached
-/// the cap and the traffic counter has quiesced past this shard's last
-/// drain.
-#[allow(clippy::too_many_arguments)]
-fn drive_frontier_session<W>(
-    world: &mut W,
-    sim: &mut Sim<W>,
-    shard: usize,
-    sync: &WindowSync,
-    lookahead: Option<SimDuration>,
-    cap: u64,
-    accept: &mut impl FnMut(&mut W, &mut Sim<W>),
-    publish: &mut impl FnMut(&mut W, &mut Sim<W>, SimTime) -> Option<SimTime>,
-) {
-    let la = lookahead
-        .expect("effects frontier requires lookahead")
-        .as_nanos();
-    // Stall ladder for waiting on a slow peer's frontier: tuned for
-    // sub-microsecond rounds, with a sleep fallback so an oversubscribed
-    // host is not starved by busy loops. There is no wake channel on the
-    // frontier atomics, so the park is a timed backoff, not a condvar.
-    const SPIN: u32 = 64;
-    const YIELDS: u32 = 4096;
-    // Force a drain on the first iteration: a peer already in its session
-    // may have published between this shard's negotiation-top accept and
-    // here, and that publish must not be absorbed into the baseline.
-    let mut seen_traffic: Option<u64> = None;
-    // The exclusive bound this shard has executed to, which is also the
-    // frontier value it last promised (both monotone).
-    let mut exec_bound: u64 = 0;
-    let mut dirty = false;
-    let mut stalls = 0u32;
-    loop {
-        // Order matters: read peer frontiers before the traffic counter,
-        // so any message published under an observed frontier raise is
-        // seen by the drain below.
-        let recv = sync.peer_frontier_min(shard);
-        let bound = recv.saturating_add(la).min(cap);
-        let traffic_now = sync.traffic();
-        if seen_traffic != Some(traffic_now) {
-            seen_traffic = Some(traffic_now);
-            prof::lap(prof::Phase::Elide);
-            accept(world, sim);
-            prof::lap(prof::Phase::Mailbox);
-            dirty = true;
-        }
-        let mut progressed = false;
-        if bound > exec_bound || dirty {
-            prof::lap(prof::Phase::Elide);
-            sim.run_before(world, SimTime::from_nanos(bound));
-            prof::lap(prof::Phase::Execute);
-            // Everything just fired was at or past the previous promise
-            // (drained arrivals included — they postdate it), so published
-            // arrivals land at or past promise + lookahead.
-            let promise_t = SimTime::from_nanos(exec_bound.saturating_add(la).min(cap));
-            if publish(world, sim, promise_t).is_some() {
-                sync.note_publish();
-            }
-            prof::lap(prof::Phase::Mailbox);
-            progressed = dirty || bound > exec_bound;
-            dirty = false;
-            if bound > exec_bound {
-                exec_bound = bound;
-                // Raise the promise only after the publishes it must
-                // cover are marked in the traffic counter.
-                sync.set_frontier(shard, bound);
-            }
-        }
-        if exec_bound >= cap
-            && sync.peer_frontier_min(shard) >= cap
-            && Some(sync.traffic()) == seen_traffic
-        {
-            prof::lap(prof::Phase::Elide);
-            break;
-        }
-        prof::lap(prof::Phase::Elide);
-        if progressed {
-            stalls = 0;
-            continue;
-        }
-        assert!(
-            !sync.is_poisoned(),
-            "sharded run poisoned: a peer shard panicked"
-        );
-        stalls = stalls.saturating_add(1);
-        if stalls <= SPIN {
-            std::hint::spin_loop();
-        } else if stalls <= SPIN + YIELDS {
-            std::thread::yield_now();
-        } else {
-            std::thread::sleep(std::time::Duration::from_micros(50));
-        }
-        prof::lap(prof::Phase::Barrier);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -795,10 +506,10 @@ mod tests {
         );
     }
 
-    /// Runs the two-shard ping-pong under `subwindows`/`mode` and returns
-    /// the per-shard fired-time logs plus the (identical-across-shards)
-    /// drive stats.
-    fn ping_pong_mode(subwindows: usize, mode: HorizonMode) -> (Vec<u64>, Vec<u64>, DriveStats) {
+    /// Runs the two-shard ping-pong under `subwindows` and returns the
+    /// per-shard fired-time logs plus the (identical-across-shards)
+    /// negotiated-window count.
+    fn ping_pong(subwindows: usize) -> (Vec<u64>, Vec<u64>, u64) {
         use std::sync::Mutex as StdMutex;
         let lookahead = SimDuration::from_nanos(10);
         let deadline = SimTime::from_nanos(200);
@@ -836,7 +547,6 @@ mod tests {
                         sync,
                         Some(lookahead),
                         deadline,
-                        mode,
                         subwindows,
                         |_w, s| {
                             let mut inbox = mailbox[me].lock().unwrap();
@@ -856,13 +566,12 @@ mod tests {
                         },
                         |w, _s, _horizon| {
                             if w.0.is_empty() {
-                                return None;
+                                return false;
                             }
                             let peer = 1 - me;
-                            let min_arrival = w.0.iter().copied().min();
                             mailbox[peer].lock().unwrap().append(&mut w.0);
                             sync.mark_traffic(peer);
-                            min_arrival
+                            true
                         },
                     );
                     assert!(stats.windows >= 1 || me == 1);
@@ -876,12 +585,7 @@ mod tests {
         let l1 = log[1].lock().unwrap().clone();
         let (w0, w1) = (*wins[0].lock().unwrap(), *wins[1].lock().unwrap());
         assert_eq!(w0, w1, "drive stats must agree across shards");
-        (l0, l1, w0)
-    }
-
-    fn ping_pong(subwindows: usize) -> (Vec<u64>, Vec<u64>, u64) {
-        let (l0, l1, stats) = ping_pong_mode(subwindows, HorizonMode::Classic);
-        (l0, l1, stats.windows)
+        (l0, l1, w0.windows)
     }
 
     #[test]
@@ -907,34 +611,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn effects_horizon_preserves_the_schedule_and_collapses_negotiations() {
-        let (l0_base, l1_base, w_base) = ping_pong(1);
-        let (l0, l1, stats) = ping_pong_mode(1, HorizonMode::Effects);
-        assert_eq!(l0, l0_base, "effects horizon changed shard 0's schedule");
-        assert_eq!(l1, l1_base, "effects horizon changed shard 1's schedule");
-        assert!(
-            stats.windows < w_base,
-            "effects horizon should negotiate fewer windows ({} vs {w_base})",
-            stats.windows
-        );
-    }
-
-    #[test]
-    fn effects_frontier_joins_no_barriers_inside_the_session() {
-        let (_, _, base) = ping_pong_mode(1, HorizonMode::Classic);
-        let (_, _, stats) = ping_pong_mode(1, HorizonMode::Effects);
-        // Two negotiations (opening + termination), two waits each — the
-        // session itself is rendezvous-free.
-        assert_eq!(stats.barriers, 4, "frontier session must not rendezvous");
-        assert!(stats.barriers * 4 < base.barriers);
-    }
-
-    /// A shard whose whole frontier is certified local must not drag its
-    /// peer through per-event rendezvous: the effects horizon runs the
-    /// chain out with no barriers at all, and the classic loop elides the
-    /// barrier for every sub-step below the negotiated bound floor.
-    fn local_chain(mode: HorizonMode, subwindows: usize) -> (Vec<u64>, DriveStats) {
+    /// A shard whose every pending event is certified local must not drag
+    /// its peer through per-event rendezvous: the loop elides the barrier
+    /// for every sub-step below the negotiated bound floor.
+    fn local_chain(subwindows: usize) -> (Vec<u64>, DriveStats) {
         use std::sync::Mutex as StdMutex;
         let sync = WindowSync::new(2);
         let log: StdMutex<Vec<u64>> = StdMutex::new(Vec::new());
@@ -968,10 +648,9 @@ mod tests {
                         sync,
                         Some(SimDuration::from_nanos(10)),
                         SimTime::from_nanos(200),
-                        mode,
                         subwindows,
                         |_w, _s| {},
-                        |_w, _s, _horizon| None,
+                        |_w, _s, _horizon| false,
                     );
                     if me == 0 {
                         *log.lock().unwrap() = world;
@@ -988,19 +667,11 @@ mod tests {
 
     #[test]
     fn certified_local_chain_runs_in_one_extended_window() {
-        let (l_classic, s_classic) = local_chain(HorizonMode::Classic, 1);
-        let (l_effects, s_effects) = local_chain(HorizonMode::Effects, 1);
-        assert_eq!(l_effects, l_classic, "schedule must not change");
-        assert_eq!(l_classic, (0..=100).step_by(5).collect::<Vec<u64>>());
+        let (l, s) = local_chain(32);
+        assert_eq!(l, (0..=100).step_by(5).collect::<Vec<u64>>());
         assert_eq!(
-            s_effects.windows, 1,
+            s.windows, 1,
             "one negotiation covers the whole certified-local chain"
-        );
-        assert!(
-            s_effects.barriers < s_classic.barriers,
-            "effects barriers {} must undercut classic {}",
-            s_effects.barriers,
-            s_classic.barriers
         );
     }
 
@@ -1009,8 +680,8 @@ mod tests {
         // With no bound event anywhere, every sub-step lies below
         // the (absent) floor: the whole budget free-runs with a single
         // closing exchange per window instead of a vote per sub-step.
-        let (l_base, s_base) = local_chain(HorizonMode::Classic, 1);
-        let (l, s) = local_chain(HorizonMode::Classic, 32);
+        let (l_base, s_base) = local_chain(1);
+        let (l, s) = local_chain(32);
         assert_eq!(l, l_base, "elision changed the schedule");
         assert!(s.elided > 0, "certified-local span must elide sub-steps");
         assert!(
@@ -1019,37 +690,6 @@ mod tests {
             s.barriers,
             s_base.barriers
         );
-    }
-
-    #[test]
-    fn exchange_horizon_ors_votes_and_mins_floors() {
-        let sync = std::sync::Arc::new(WindowSync::new(2));
-        let t = SimTime::from_nanos;
-        let peer = {
-            let sync = std::sync::Arc::clone(&sync);
-            std::thread::spawn(move || {
-                [
-                    sync.exchange_horizon(false, Some(t(10))),
-                    sync.exchange_horizon(true, Some(t(30))),
-                    sync.exchange_horizon(false, None),
-                ]
-            })
-        };
-        let got = [
-            sync.exchange_horizon(false, None),
-            sync.exchange_horizon(false, Some(t(20))),
-            sync.exchange_horizon(false, None),
-        ];
-        let want = [(false, Some(t(10))), (true, Some(t(20))), (false, None)];
-        assert_eq!(got, want);
-        assert_eq!(peer.join().unwrap(), want);
-    }
-
-    #[test]
-    fn horizon_env_defaults_to_classic() {
-        if std::env::var("EDP_HORIZON").is_err() {
-            assert_eq!(horizon_from_env(), HorizonMode::Classic);
-        }
     }
 
     #[test]
@@ -1068,23 +708,11 @@ mod tests {
     }
 
     #[test]
-    fn frontier_and_traffic_counters_are_monotone() {
+    fn mark_traffic_bumps_only_the_destination_inbox() {
         let sync = WindowSync::new(3);
-        assert_eq!(sync.peer_frontier_min(0), 0);
-        sync.set_frontier(1, 100);
-        sync.set_frontier(2, 50);
-        assert_eq!(sync.peer_frontier_min(0), 50);
-        assert_eq!(sync.peer_frontier_min(2), 0, "own slot is excluded");
-        sync.set_frontier(2, 20);
-        assert_eq!(sync.peer_frontier_min(0), 50, "frontiers never retreat");
-        let t0 = sync.traffic();
-        let s0 = sync.inbox_seq(1);
         sync.mark_traffic(1);
-        assert_eq!(sync.traffic(), t0 + 1);
-        assert_eq!(sync.inbox_seq(1), s0 + 1);
+        assert_eq!(sync.inbox_seq(1), 1);
         assert_eq!(sync.inbox_seq(0), 0, "other inboxes untouched");
-        sync.note_publish();
-        assert_eq!(sync.traffic(), t0 + 2);
     }
 
     #[test]
@@ -1092,7 +720,7 @@ mod tests {
         let sync = std::sync::Arc::new(WindowSync::new(2));
         let peer = {
             let sync = std::sync::Arc::clone(&sync);
-            std::thread::spawn(move || sync.negotiate(0, Some(SimTime::ZERO)))
+            std::thread::spawn(move || sync.negotiate_bound(0, Some(SimTime::ZERO), None))
         };
         // Give the peer time to park at the first rendezvous, then poison
         // instead of joining it.

@@ -100,7 +100,7 @@ pub enum Periodic {
 pub const UNKEYED: u64 = u64::MAX;
 
 /// Horizon class of a scheduled event, for window-driven execution
-/// (see `shard::drive_windows` with [`crate::HorizonMode::Effects`]).
+/// (see [`crate::drive_windows`]).
 ///
 /// - [`EventClass::Bound`] (the default): firing the event may publish a
 ///   message toward another shard, so it participates in safe-horizon
@@ -108,8 +108,9 @@ pub const UNKEYED: u64 = u64::MAX;
 /// - [`EventClass::Local`]: the scheduler's owner certifies that firing
 ///   the event — *including every event its cascade schedules* — cannot
 ///   publish anything cross-shard. Certified-local events are invisible
-///   to [`Sim::peek_next_bound`], which is what lets the effects horizon
-///   extend a window past runs of them without a rendezvous.
+///   to [`Sim::peek_next_bound`], which is what lets the window loop
+///   extend a window past runs of them without a rendezvous (exchange
+///   elision).
 ///
 /// The class is pure metadata: it never changes firing order. An event
 /// wrongly classed `Local` breaks the window invariant, which is why the
@@ -663,9 +664,9 @@ impl<W> Sim<W> {
     /// every pending event is local (or nothing is pending) — the state
     /// in which a shard no longer constrains the global safe horizon.
     ///
-    /// A full scan of the heap's backing vector, not a pop: the effects
-    /// horizon calls this once per window barrier, where O(pending) is
-    /// noise next to the rendezvous it replaces; the hot firing path is
+    /// A full scan of the heap's backing vector, not a pop: the window
+    /// loop calls this once per negotiation, where O(pending) is noise
+    /// next to the rendezvous it elides; the hot firing path is
     /// untouched.
     pub fn peek_next_bound(&self) -> Option<SimTime> {
         self.heap

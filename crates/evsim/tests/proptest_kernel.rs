@@ -1,6 +1,6 @@
 //! Property-based tests for the simulation kernel's core invariants.
 
-use edp_evsim::{Histogram, Sim, SimDuration, SimTime, TimerWheel, Welford};
+use edp_evsim::{Histogram, Sim, SimDuration, SimTime, Welford};
 use proptest::prelude::*;
 
 proptest! {
@@ -88,25 +88,6 @@ proptest! {
             fired.len(),
             times.iter().filter(|&&t| t <= deadline).count()
         );
-    }
-
-    /// The timer wheel fires every timer after exactly its delay.
-    #[test]
-    fn wheel_exact_delays(
-        slots in 1usize..64,
-        delays in prop::collection::vec(1u64..500, 1..50),
-    ) {
-        let mut wheel = TimerWheel::new(slots);
-        for (i, &d) in delays.iter().enumerate() {
-            wheel.arm(d, (i, d));
-        }
-        let max = *delays.iter().max().unwrap();
-        let fired = wheel.advance(max);
-        prop_assert_eq!(fired.len(), delays.len());
-        for (tick, (_i, d)) in fired {
-            prop_assert_eq!(tick, d, "timer armed for {} fired at {}", d, tick);
-        }
-        prop_assert_eq!(wheel.armed(), 0);
     }
 
     /// Histogram quantiles are monotone in q and bracket the data.

@@ -103,12 +103,12 @@ impl Network {
     }
 
     /// Installs the emission certificate for switch `i`'s program (see
-    /// [`EffectSummary`]). Under [`crate::run_sharded`] with the effects
-    /// horizon (`EDP_HORIZON=effects`), a summary whose timer closure
-    /// cannot emit lets the engine class that switch's timer cranks
-    /// [`EventClass::Local`] — invisible to the safe-horizon negotiation,
-    /// so purely internal bookkeeping (policer refills, sketch decay,
-    /// epoch rotation) no longer forces a barrier per period.
+    /// [`EffectSummary`]). Under [`crate::run_sharded`], a summary whose
+    /// timer closure cannot emit lets the engine class that switch's
+    /// timer cranks [`EventClass::Local`] — invisible to the negotiated
+    /// bound floor, so purely internal bookkeeping (policer refills,
+    /// sketch decay, epoch rotation) no longer forces a barrier per
+    /// lookahead: sub-windows below the floor elide their rendezvous.
     ///
     /// Install the same summary in every shard's build closure (the
     /// engine is SPMD: all shards must agree on event classes). Without a
@@ -606,8 +606,8 @@ impl Network {
         let due = due.max(sim.now()).max(self.stalled_until[i]);
         // A crank backed by an emission-free timer certificate is local:
         // its whole cascade (handler, user events, the re-arm below) stays
-        // inside the switch, so under the effects horizon it never forces
-        // a window barrier.
+        // inside the switch, so it never holds the bound floor down and
+        // the sub-windows it falls in can elide their barrier.
         let class = self.timer_class(i);
         sim.schedule_classed_at(
             due,

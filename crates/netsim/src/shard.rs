@@ -175,8 +175,8 @@ pub struct ShardStats {
     /// Packets that crossed a shard boundary through the mailboxes.
     pub cross_messages: u64,
     /// Sub-steps that advanced with no rendezvous at all because
-    /// they lay below the negotiated bound floor (classic-mode exchange
-    /// elision; identical on every shard). See
+    /// they lay below the negotiated bound floor (exchange elision;
+    /// identical on every shard). See
     /// [`edp_evsim::DriveStats::elided`].
     pub elided: u64,
 }
@@ -200,10 +200,8 @@ pub const SUBWINDOWS: usize = 32;
 /// With `nshards == 1` this is the single-threaded reference schedule;
 /// larger counts produce the byte-identical observable outcome.
 ///
-/// Each negotiated window covers up to [`SUBWINDOWS`] sub-windows and
-/// the horizon mode comes from `EDP_HORIZON` (`effects` spends installed
-/// [`edp_core::EffectSummary`] certificates; default classic); use
-/// [`run_sharded_opts`] to pin both explicitly.
+/// Each negotiated window covers up to [`SUBWINDOWS`] sub-windows; the
+/// tests' reference leg pins `1` through [`run_sharded_opts`].
 pub fn run_sharded<T, B, F>(
     nshards: usize,
     deadline: SimTime,
@@ -218,29 +216,25 @@ where
     run_sharded_opts(
         nshards,
         SUBWINDOWS,
-        edp_evsim::horizon_from_env(),
+        HorizonMode::Classic,
         deadline,
         build,
         finish,
     )
 }
 
-/// [`run_sharded`] with an explicit sub-window batch size and horizon
-/// mode.
+/// [`run_sharded`] with an explicit sub-window batch size.
 ///
 /// `subwindows` is the number of lookahead-sized sub-steps each negotiated
 /// window may cover (see [`edp_evsim::drive_windows`]); `1` reproduces the
-/// legacy one-negotiation-per-lookahead protocol exactly. `mode` selects
-/// the classic conservative horizon or the certificate-aware effects
-/// horizon ([`HorizonMode::Effects`]), which extends windows past events
-/// proven local by installed effect summaries (see
-/// [`Network::install_effect_summary`]). The observable simulation
-/// outcome is byte-identical for every combination — only the window and
-/// barrier counts ([`ShardStats`]) change.
+/// legacy one-negotiation-per-lookahead protocol exactly. The observable
+/// simulation outcome is byte-identical for every value — only the window
+/// and barrier counts ([`ShardStats`]) change. `_mode` has one value and
+/// is ignored (see [`HorizonMode`]).
 pub fn run_sharded_opts<T, B, F>(
     nshards: usize,
     subwindows: usize,
-    mode: HorizonMode,
+    _mode: HorizonMode,
     deadline: SimTime,
     build: B,
     finish: F,
@@ -266,29 +260,32 @@ where
                 let build = &build;
                 let finish = &finish;
                 scope.spawn(move || {
-                    let out = catch_unwind(AssertUnwindSafe(|| {
+                    catch_unwind(AssertUnwindSafe(|| {
                         run_shard(
-                            me, nshards, subwindows, mode, deadline, sync, mailboxes, crossed,
-                            build, finish,
+                            me, nshards, subwindows, deadline, sync, mailboxes, crossed, build,
+                            finish,
                         )
-                    }));
-                    match out {
-                        Ok(v) => v,
-                        Err(p) => {
-                            // Wake peers blocked at a window barrier so the
-                            // run fails loudly instead of deadlocking.
-                            sync.poison();
-                            resume_unwind(p);
-                        }
-                    }
+                    }))
+                    .map_err(|p| {
+                        // Wake peers blocked at a window barrier so the
+                        // run fails loudly instead of deadlocking. A panic
+                        // raised *by* the poison is an echo, not the cause.
+                        let echo = sync.is_poisoned();
+                        sync.poison();
+                        (!echo).then_some(p)
+                    })
                 })
             })
             .collect();
+        let mut cause = None;
         for (me, h) in handles.into_iter().enumerate() {
-            match h.join() {
+            match h.join().expect("shard workers catch their own panics") {
                 Ok(v) => results[me] = Some(v),
-                Err(p) => resume_unwind(p),
+                Err(p) => cause = cause.or(p),
             }
+        }
+        if let Some(p) = cause {
+            resume_unwind(p);
         }
     });
     let mut drive = edp_evsim::DriveStats::default();
@@ -316,7 +313,6 @@ fn run_shard<T, B, F>(
     me: usize,
     nshards: usize,
     subwindows: usize,
-    mode: HorizonMode,
     deadline: SimTime,
     sync: &WindowSync,
     mailboxes: &[Vec<Mutex<Vec<ShardMsg>>>],
@@ -352,7 +348,6 @@ where
         sync,
         lookahead,
         deadline,
-        mode,
         subwindows,
         |net, sim| {
             let seq = sync.inbox_seq(me);
@@ -377,10 +372,9 @@ where
         |net, _sim, horizon| {
             let out = net.take_outbox();
             if out.is_empty() {
-                return None;
+                return false;
             }
             crossed.fetch_add(out.len() as u64, Ordering::Relaxed);
-            let mut earliest: Option<SimTime> = None;
             for (dst, msg) in out {
                 // The conservative-window invariant, checked at runtime:
                 // everything published from a window arrives at or past
@@ -393,10 +387,6 @@ where
                      a handler emitted outside its effect summary (EDP-E007)",
                     msg.at
                 );
-                earliest = Some(match earliest {
-                    Some(e) if e <= msg.at => e,
-                    _ => msg.at,
-                });
                 staged[dst].push(msg);
             }
             for (dst, batch) in staged.iter_mut().enumerate() {
@@ -407,12 +397,12 @@ where
                         .expect("shard mailbox poisoned")
                         .append(batch);
                     // After the batch lands: bump the destination's inbox
-                    // watermark (and the shared traffic counter) so its
-                    // next accept knows a drain will find something.
+                    // watermark so its next accept knows a drain will find
+                    // something.
                     sync.mark_traffic(dst);
                 }
             }
-            earliest
+            true
         },
     );
     (finish(me, net, sim), stats)
@@ -581,18 +571,14 @@ mod tests {
     /// Runs the two-switch line under `shards` workers and folds the
     /// observables: (delivered count, flow latency means, merged trace).
     fn run_line(shards: usize) -> (u64, String, String, ShardStats) {
-        run_line_opts(shards, 1, HorizonMode::Classic)
+        run_line_opts(shards, 1)
     }
 
-    fn run_line_opts(
-        shards: usize,
-        subwindows: usize,
-        mode: HorizonMode,
-    ) -> (u64, String, String, ShardStats) {
+    fn run_line_opts(shards: usize, subwindows: usize) -> (u64, String, String, ShardStats) {
         let (nets, stats) = run_sharded_opts(
             shards,
             subwindows,
-            mode,
+            HorizonMode::Classic,
             SimTime::from_millis(1),
             |_me| {
                 let (mut net, h0, _h1) = two_switch_line(11);
@@ -640,10 +626,9 @@ mod tests {
 
     #[test]
     fn subwindows_keep_byte_identity_and_shrink_the_window_count() {
-        let (rx_base, means_base, trace_base, stats_base) =
-            run_line_opts(2, 1, HorizonMode::Classic);
+        let (rx_base, means_base, trace_base, stats_base) = run_line_opts(2, 1);
         for sub in [8usize, 32] {
-            let (rx, means, trace, stats) = run_line_opts(2, sub, HorizonMode::Classic);
+            let (rx, means, trace, stats) = run_line_opts(2, sub);
             assert_eq!(rx, rx_base);
             assert_eq!(
                 means, means_base,
@@ -662,19 +647,6 @@ mod tests {
             );
         }
         assert_eq!(cbr_line_stats(4).windows, 79, "window collapse regressed");
-    }
-
-    #[test]
-    fn effects_horizon_without_summaries_stays_byte_identical() {
-        // No certificates installed: the effects horizon can only lean on
-        // the structurally local sink deliveries, but the schedule must
-        // still match classic mode byte for byte.
-        let (rx_c, means_c, trace_c, _) = run_line_opts(2, 1, HorizonMode::Classic);
-        let (rx_e, means_e, trace_e, stats_e) = run_line_opts(2, 1, HorizonMode::Effects);
-        assert_eq!(rx_c, rx_e);
-        assert_eq!(means_c, means_e, "latency accounting under effects");
-        assert_eq!(trace_c, trace_e, "merged trace under effects");
-        assert!(stats_e.barriers > 0);
     }
 
     /// h0 — ev0 — ev1 — h1: two event switches with a silent 10 us
@@ -717,15 +689,11 @@ mod tests {
         (net, h0)
     }
 
-    fn run_timer_line(
-        mode: HorizonMode,
-        subwindows: usize,
-        certify: bool,
-    ) -> (u64, String, ShardStats) {
+    fn run_timer_line(subwindows: usize, certify: bool) -> (u64, String, ShardStats) {
         let (nets, stats) = run_sharded_opts(
             2,
             subwindows,
-            mode,
+            HorizonMode::Classic,
             SimTime::from_millis(1),
             |_me| {
                 let (mut net, h0) = timer_line(certify);
@@ -752,47 +720,56 @@ mod tests {
         (rx, merge_tracers(&tracers), stats)
     }
 
+    /// A shard that dies mid-run fails the whole run with its own panic:
+    /// the peer blocked at (or arriving at) the window barrier is woken by
+    /// the poison instead of waiting for a rendezvous that never fills.
     #[test]
-    fn certified_timers_collapse_barriers_without_changing_the_schedule() {
-        let (rx_c, trace_c, stats_c) = run_timer_line(HorizonMode::Classic, 1, true);
-        let (rx_e, trace_e, stats_e) = run_timer_line(HorizonMode::Effects, 1, true);
-        assert_eq!(rx_c, 5);
-        assert_eq!(rx_c, rx_e);
-        assert_eq!(
-            trace_c, trace_e,
-            "certificates must not change the schedule"
-        );
-        // Classic mode pays a rendezvous per 2 us lookahead over the whole
-        // millisecond; the frontier session joins none, so the effects run
-        // coasts to the deadline on lock-free frontier reads.
-        assert!(
-            stats_e.barriers * 4 < stats_c.barriers,
-            "effects barriers {} vs classic {}",
-            stats_e.barriers,
-            stats_c.barriers
-        );
-        // The frontier session is rendezvous-free with or without the
-        // certificate — summaries no longer gate the effects win, they
-        // power classic-mode exchange elision instead (see below).
-        let (rx_u, trace_u, stats_u) = run_timer_line(HorizonMode::Effects, 1, false);
-        assert_eq!(rx_u, rx_c);
-        assert_eq!(trace_u, trace_c);
-        assert_eq!(
-            stats_u.barriers, stats_e.barriers,
-            "uncertified frontier session must match the certified one"
-        );
+    fn a_dying_shard_fails_the_run_instead_of_hanging_it() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        // On a helper thread, so a regression that deadlocks the barrier
+        // fails this test at the timeout instead of wedging the suite.
+        std::thread::spawn(move || {
+            let out = catch_unwind(|| {
+                run_sharded_opts(
+                    2,
+                    SUBWINDOWS,
+                    HorizonMode::Classic,
+                    SimTime::from_millis(1),
+                    |_me| {
+                        let (net, _h0, _h1) = two_switch_line(5);
+                        let mut sim: Sim<Network> = Sim::new();
+                        sim.schedule_at(
+                            SimTime::from_micros(10),
+                            |w: &mut Network, _: &mut Sim<Network>| {
+                                if w.shard_role().0 == 1 {
+                                    panic!("shard 1 died");
+                                }
+                            },
+                        );
+                        (net, sim)
+                    },
+                    |_me, _net, _sim| (),
+                )
+            });
+            let _ = tx.send(out.map(|_| ()));
+        });
+        let payload = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("sharded run hung after a shard panicked")
+            .expect_err("a dead shard must fail the run");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"shard 1 died"));
     }
 
     /// The elision satellite: the timer line is traffic-free after its
     /// five packets drain (~35 us of a 1 ms run), so almost every
-    /// sub-step lies below the certified bound floor. Classic mode
+    /// sub-step lies below the certified bound floor. The window loop
     /// must elide the rendezvous for those sub-steps — cutting barriers
     /// at least 10x against the per-sub-step protocol — without moving a
     /// single byte of the merged schedule.
     #[test]
     fn traffic_free_gaps_elide_barriers_without_changing_the_schedule() {
-        let (rx_1, trace_1, stats_1) = run_timer_line(HorizonMode::Classic, 1, true);
-        let (rx_b, trace_b, stats_b) = run_timer_line(HorizonMode::Classic, 256, true);
+        let (rx_1, trace_1, stats_1) = run_timer_line(1, true);
+        let (rx_b, trace_b, stats_b) = run_timer_line(256, true);
         assert_eq!(rx_1, 5);
         assert_eq!(rx_b, rx_1);
         assert_eq!(trace_b, trace_1, "elision must not change the schedule");
@@ -805,7 +782,7 @@ mod tests {
         );
         // Without certificates every sub-step stays at or above the bound
         // floor: no elision, and the schedule still matches.
-        let (rx_u, trace_u, stats_u) = run_timer_line(HorizonMode::Classic, 256, false);
+        let (rx_u, trace_u, stats_u) = run_timer_line(256, false);
         assert_eq!(rx_u, rx_1);
         assert_eq!(trace_u, trace_1);
         assert_eq!(stats_u.elided, 0, "no certificate, no elision");

@@ -71,21 +71,20 @@ pub enum Phase {
     Setup = 0,
     /// Event execution: `Sim::run_before` / `run_until` firing handlers.
     Execute = 1,
-    /// Window negotiation: publishing the local frontier and waiting for
-    /// the global minimum (both rendezvous of `WindowSync::negotiate`).
+    /// Window negotiation: publishing the local earliest event times and
+    /// waiting for the global minima (both rendezvous of
+    /// `WindowSync::negotiate_bound`).
     Negotiate = 2,
     /// Mailbox exchange work: draining inbound mailboxes into the
     /// schedule and staging/publishing outbound batches.
     Mailbox = 3,
-    /// Blocked at an exchange / vote / horizon barrier waiting for
-    /// peer shards.
+    /// Blocked at an exchange / vote barrier waiting for peer shards.
     Barrier = 4,
     /// Horizon extension: continuing a window past a sub-barrier
     /// (mid-window accepts and the next-horizon bookkeeping).
     Extend = 5,
     /// Rendezvous elision: the bookkeeping of sub-steps that advance
-    /// without a barrier — bound-floor checks, frontier publication,
-    /// and seq-counter polling on the lock-free exchange path.
+    /// without a barrier (bound-floor checks and horizon merging).
     Elide = 6,
     /// Teardown after the window loop: metric publication, session
     /// collection, and the tail up to `disable`.

@@ -4,18 +4,17 @@
 #   scripts/ci.sh               # full local gate (everything below)
 #   scripts/ci.sh --quick       # fmt, build, test, edp_lint, telemetry smoke
 #   scripts/ci.sh --matrix-leg  # build + tier-1 tests under the ambient
-#                               # EDP_SHARDS / EDP_HORIZON (one CI matrix leg)
+#                               # EDP_SHARDS (one CI matrix leg)
 #   scripts/ci.sh --gate        # fmt, clippy, edp_lint (+ SARIF artifact),
 #                               # profiled-run smoke (+ trace artifact),
-#                               # EDP_HORIZON=effects elision smoke,
+#                               # exchange-elision smoke,
 #                               # pcap fixture round-trip, replay smoke,
 #                               # benchmark smoke
 #
-# The CI pipeline fans the engine matrix EDP_SHARDS={1,4} plus an
-# EDP_HORIZON=effects leg (shards=4) across `--matrix-leg` jobs and runs
-# `--gate` once beside them; the default (no-flag) mode runs the union
-# locally, emulating the matrix with in-process EDP_SHARDS=4 /
-# EDP_HORIZON=effects re-runs.
+# The CI pipeline fans the engine matrix EDP_SHARDS={1,4} across
+# `--matrix-leg` jobs and runs `--gate` once beside them; the default
+# (no-flag) mode runs the union locally, emulating the matrix with an
+# in-process EDP_SHARDS=4 re-run.
 #
 # The workspace vendors all third-party crates (see vendor/), so the
 # whole gate runs with the cargo registry unreachable.
@@ -52,7 +51,7 @@ step_build() {
 }
 
 step_test() {
-    echo "==> cargo test (EDP_SHARDS=${EDP_SHARDS:-unset} EDP_HORIZON=${EDP_HORIZON:-unset})"
+    echo "==> cargo test (EDP_SHARDS=${EDP_SHARDS:-unset})"
     cargo test --offline -q
 }
 
@@ -188,27 +187,21 @@ step_engine_matrix_local() {
     # byte-identity with the classic path is asserted by the tests
     # themselves (top_determinism, integration_shards).
     EDP_SHARDS=4 cargo test --offline -q
-
-    echo "==> cargo test (EDP_HORIZON=effects: certificate-aware horizon)"
-    # The sharded engine loads per-app effect summaries and extends
-    # safe_horizon past certified-local event runs; the determinism
-    # suites assert the merged schedule stays byte-identical to classic.
-    EDP_HORIZON=effects EDP_SHARDS=4 cargo test --offline -q
 }
 
 step_elision_smoke() {
-    echo "==> EDP_HORIZON=effects elision smoke (barrier elision end-to-end)"
-    # Runs the barrier-elision suites (traffic-free gaps must cut
-    # DriveStats.barriers >=10x with a byte-identical merged schedule;
-    # the frontier session must stay rendezvous-free) and then drives a
-    # registered app through the 2-shard engine under the effects
-    # horizon, checking the JSON report is non-degenerate.
-    EDP_HORIZON=effects cargo test --offline --release -q -p edp-netsim barriers
+    echo "==> exchange-elision smoke (barrier elision end-to-end)"
+    # Runs the barrier-elision suite (traffic-free gaps must cut
+    # DriveStats.barriers >=10x with a byte-identical merged schedule,
+    # and the 8-switch line's exact barrier count is pinned) and then
+    # drives a registered app through the 2-shard engine, checking the
+    # JSON report is non-degenerate.
+    cargo test --offline --release -q -p edp-netsim barriers
     local out
-    out="$(EDP_HORIZON=effects cargo run --offline --release -q -p edp-bench --bin edp_top -- \
+    out="$(cargo run --offline --release -q -p edp-bench --bin edp_top -- \
         microburst --shards 2 --seeds 1 --duration-ms 2 --json)"
     echo "$out" | grep -q '"app":"microburst"' || {
-        echo "effects elision smoke: degenerate edp_top output under EDP_HORIZON=effects" >&2
+        echo "elision smoke: degenerate 2-shard edp_top output" >&2
         exit 1
     }
 }
@@ -238,8 +231,8 @@ quick)
     ;;
 matrix-leg)
     # One leg of the CI engine matrix: the workflow exports EDP_SHARDS
-    # and EDP_HORIZON before calling this, so the whole tier-1 suite
-    # runs natively on that engine configuration.
+    # before calling this, so the whole tier-1 suite runs natively on
+    # that engine configuration.
     step_build
     step_test
     ;;

@@ -33,17 +33,13 @@ fn run_shards<B>(shards: usize, deadline: SimTime, build: B) -> (Vec<Network>, S
 where
     B: Fn() -> (Network, Sim<Network>) + Sync,
 {
-    run_shards_at(shards, 1, HorizonMode::Classic, deadline, build)
+    run_shards_at(shards, 1, deadline, build)
 }
 
-/// Same, at an explicit sub-window count per negotiated window and
-/// horizon mode (the latter passed explicitly rather than via
-/// `EDP_HORIZON` so parallel tests never race on process-global env
-/// state).
+/// Same, at an explicit sub-window count per negotiated window.
 fn run_shards_at<B>(
     shards: usize,
     subwindows: usize,
-    mode: HorizonMode,
     deadline: SimTime,
     build: B,
 ) -> (Vec<Network>, String, String)
@@ -53,7 +49,7 @@ where
     let (nets, _stats) = run_sharded_opts(
         shards,
         subwindows,
-        mode,
+        HorizonMode::Classic,
         deadline,
         |_s| build(),
         |_s, net, _sim| net,
@@ -110,27 +106,22 @@ where
     );
     for shards in SHARD_COUNTS {
         // 1 sub-window is the one-negotiation-per-lookahead reference
-        // protocol; 32 is what `run_sharded` runs; the effects horizon
-        // exercises the certificate-extended windows. Every scenario
-        // family must be invariant under all three.
-        for (sub, mode) in [
-            (1usize, HorizonMode::Classic),
-            (32, HorizonMode::Classic),
-            (32, HorizonMode::Effects),
-        ] {
-            let (many, trace, json) = run_shards_at(shards, sub, mode, deadline, &build);
+        // protocol; 32 is what `run_sharded` runs. Every scenario family
+        // must be invariant under both.
+        for sub in [1usize, 32] {
+            let (many, trace, json) = run_shards_at(shards, sub, deadline, &build);
             assert_eq!(
                 observe(&many),
                 classic_obs,
-                "{shards}-shard sub-{sub} {mode:?} observables diverged"
+                "{shards}-shard sub-{sub} observables diverged"
             );
             assert_eq!(
                 one_trace, trace,
-                "{shards}-shard sub-{sub} {mode:?} merged trace diverged"
+                "{shards}-shard sub-{sub} merged trace diverged"
             );
             assert_eq!(
                 one_json, json,
-                "{shards}-shard sub-{sub} {mode:?} metrics JSON diverged"
+                "{shards}-shard sub-{sub} metrics JSON diverged"
             );
         }
     }
