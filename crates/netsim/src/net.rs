@@ -11,10 +11,10 @@ use crate::link::{Dir, LinkDirState, LinkFaults, LinkId, LinkSpec, LinkState};
 use crate::shard::{ShardCtx, ShardMsg, ShardPlan};
 use crate::trace::Tracer;
 use edp_core::{CpNotification, EffectSummary};
-use edp_evsim::{EventClass, Sim, SimDuration, SimRng, SimTime, UNKEYED};
+use edp_evsim::{EventClass, EventFn, Sim, SimDuration, SimRng, SimTime, UNKEYED};
 use edp_packet::{Packet, PacketUid};
 use edp_pisa::PortId;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// A node in the topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -33,6 +33,60 @@ struct NetLink {
     ends: [Endpoint; 2],
 }
 
+/// One attachment point's glue state. Ports are a small dense index
+/// space, so the per-hop lookups are array indexing, not hashing.
+#[derive(Clone, Copy, Default)]
+struct PortSlot {
+    /// The link plugged in here and the direction that leaves this port.
+    link: Option<(LinkId, Dir)>,
+    /// A transmit attempt for this port is scheduled and has not fired.
+    armed: bool,
+}
+
+/// The delivery event: a frame arriving at `dest`. A concrete
+/// [`EventFn`] rather than a closure so its box can be recycled — see
+/// [`Network::arm_delivery`].
+struct Delivery {
+    dest: Endpoint,
+    key: u64,
+    /// `Some` exactly while the event is armed.
+    pkt: Option<Packet>,
+}
+
+impl EventFn<Network> for Delivery {
+    fn fire(mut self: Box<Self>, w: &mut Network, s: &mut Sim<Network>) {
+        let pkt = self.pkt.take().expect("an armed delivery holds its frame");
+        let (dest, key) = (self.dest, self.key);
+        // Back on the free list first: the cascade below re-arms with it.
+        w.free_deliveries.push(self);
+        w.deliver(s, dest, pkt, key);
+    }
+}
+
+/// The transmit-attempt event for one port; recycled like [`Delivery`].
+struct TransmitAttempt {
+    ep: Endpoint,
+}
+
+impl EventFn<Network> for TransmitAttempt {
+    fn fire(self: Box<Self>, w: &mut Network, s: &mut Sim<Network>) {
+        let ep = self.ep;
+        w.free_transmits.push(self);
+        w.try_transmit(s, ep);
+    }
+}
+
+/// Boxes `ev`, reusing a fired event's box off `free` when there is one.
+fn reboxed<T>(free: &mut Vec<Box<T>>, ev: T) -> Box<T> {
+    match free.pop() {
+        Some(mut b) => {
+            *b = ev;
+            b
+        }
+        None => Box::new(ev),
+    }
+}
+
 /// The simulated network.
 pub struct Network {
     /// Switches (baseline or event-driven), boxed behind the harness.
@@ -47,10 +101,19 @@ pub struct Network {
     /// [`install_effect_summary`](Self::install_effect_summary)); `None`
     /// means no proof — every event stays horizon-bound.
     effect_summaries: Vec<Option<EffectSummary>>,
-    port_links: HashMap<Endpoint, (LinkId, Dir)>,
-    tx_armed: HashSet<Endpoint>,
+    /// Per-switch port table, one slot per port (sized at `add_switch`).
+    switch_ports: Vec<Vec<PortSlot>>,
+    /// Per-host port table: hosts have the single port 0.
+    host_ports: Vec<PortSlot>,
     host_txq: Vec<VecDeque<Packet>>,
-    send_times: HashMap<PacketUid, SimTime>,
+    /// Fired [`Delivery`] / [`TransmitAttempt`] boxes awaiting reuse. Each
+    /// list grows to the peak number of simultaneously armed events of
+    /// its kind and no further, so a steady-state hop allocates nothing.
+    /// (The `Box` is the thing recycled: the scheduler takes events boxed.)
+    #[allow(clippy::vec_box)]
+    free_deliveries: Vec<Box<Delivery>>,
+    #[allow(clippy::vec_box)]
+    free_transmits: Vec<Box<TransmitAttempt>>,
     next_uid: u64,
     /// Per-link, per-direction wire sequence counters feeding the
     /// delivery ordering keys (see [`Network::next_wire_key`]).
@@ -79,10 +142,11 @@ impl Network {
             links: Vec::new(),
             stalled_until: Vec::new(),
             effect_summaries: Vec::new(),
-            port_links: HashMap::new(),
-            tx_armed: HashSet::new(),
+            switch_ports: Vec::new(),
+            host_ports: Vec::new(),
             host_txq: Vec::new(),
-            send_times: HashMap::new(),
+            free_deliveries: Vec::new(),
+            free_transmits: Vec::new(),
             next_uid: 1,
             wire_seq: Vec::new(),
             shard: None,
@@ -96,6 +160,8 @@ impl Network {
 
     /// Adds a switch; returns its index.
     pub fn add_switch(&mut self, sw: Box<dyn SwitchHarness>) -> usize {
+        self.switch_ports
+            .push(vec![PortSlot::default(); sw.n_ports()]);
         self.switches.push(sw);
         self.stalled_until.push(SimTime::ZERO);
         self.effect_summaries.push(None);
@@ -148,6 +214,7 @@ impl Network {
     /// Adds a host; returns its id.
     pub fn add_host(&mut self, host: Host) -> HostId {
         self.hosts.push(host);
+        self.host_ports.push(PortSlot::default());
         self.host_txq.push(VecDeque::new());
         self.hosts.len() - 1
     }
@@ -160,14 +227,11 @@ impl Network {
         self.validate_endpoint(a);
         self.validate_endpoint(b);
         let id = self.links.len();
-        assert!(
-            self.port_links.insert(a, (id, Dir::AtoB)).is_none(),
-            "endpoint {a:?} already connected"
-        );
-        assert!(
-            self.port_links.insert(b, (id, Dir::BtoA)).is_none(),
-            "endpoint {b:?} already connected"
-        );
+        for (ep, dir) in [(a, Dir::AtoB), (b, Dir::BtoA)] {
+            let slot = self.port_mut(ep);
+            assert!(slot.link.is_none(), "endpoint {ep:?} already connected");
+            slot.link = Some((id, dir));
+        }
         self.links.push(NetLink {
             state: LinkState::new(spec),
             ends: [a, b],
@@ -219,13 +283,34 @@ impl Network {
             NodeRef::Switch(i) => {
                 assert!(i < self.switches.len(), "no switch {i}");
                 assert!(
-                    (port as usize) < self.switches[i].n_ports(),
+                    (port as usize) < self.switch_ports[i].len(),
                     "switch {i} has no port {port}"
                 );
             }
             NodeRef::Host(h) => {
                 assert!(h < self.hosts.len(), "no host {h}");
                 assert_eq!(port, 0, "hosts have a single port 0");
+            }
+        }
+    }
+
+    /// The port-table slot of a (validated) endpoint.
+    fn port(&self, (node, port): Endpoint) -> &PortSlot {
+        match node {
+            NodeRef::Switch(i) => &self.switch_ports[i][port as usize],
+            NodeRef::Host(h) => {
+                debug_assert_eq!(port, 0, "hosts have a single port 0");
+                &self.host_ports[h]
+            }
+        }
+    }
+
+    fn port_mut(&mut self, (node, port): Endpoint) -> &mut PortSlot {
+        match node {
+            NodeRef::Switch(i) => &mut self.switch_ports[i][port as usize],
+            NodeRef::Host(h) => {
+                debug_assert_eq!(port, 0, "hosts have a single port 0");
+                &mut self.host_ports[h]
             }
         }
     }
@@ -249,9 +334,13 @@ impl Network {
             .expect("switch type mismatch")
     }
 
-    /// Link utilization in `[0,1]` for the direction leaving `ep`.
+    /// Link utilization in `[0,1]` for the direction leaving `ep` (0 when
+    /// no link is attached there).
+    ///
+    /// # Panics
+    /// Panics if `ep` names no port of this network.
     pub fn link_utilization(&self, ep: Endpoint, now: SimTime) -> f64 {
-        let Some(&(lid, dir)) = self.port_links.get(&ep) else {
+        let Some((lid, dir)) = self.port(ep).link else {
             return 0.0;
         };
         self.links[lid].state.utilization(dir, now)
@@ -292,11 +381,12 @@ impl Network {
         }
     }
 
-    /// Allocates a fresh packet uid and records its send time.
+    /// Allocates a fresh packet uid and stamps the send time into the
+    /// packet, where the receiving host reads it back for latency.
     pub fn stamp_packet(&mut self, now: SimTime, frame: Vec<u8>) -> Packet {
-        let uid = self.alloc_uid();
-        self.send_times.insert(uid, now);
-        Packet::new(uid, frame)
+        let mut pkt = Packet::new(self.alloc_uid(), frame);
+        pkt.stamp_sent(now.as_nanos());
+        pkt
     }
 
     /// Like [`stamp_packet`](Self::stamp_packet) but wrapping an
@@ -307,9 +397,9 @@ impl Network {
         now: SimTime,
         payload: std::sync::Arc<Vec<u8>>,
     ) -> Packet {
-        let uid = self.alloc_uid();
-        self.send_times.insert(uid, now);
-        Packet::from_shared(uid, payload)
+        let mut pkt = Packet::from_shared(self.alloc_uid(), payload);
+        pkt.stamp_sent(now.as_nanos());
+        pkt
     }
 
     // ------------------------------------------------------------------
@@ -351,19 +441,23 @@ impl Network {
         if !self.owns_node(ep.0) {
             return;
         }
-        if self.tx_armed.contains(&ep) {
+        if self.port(ep).armed {
             return;
         }
-        self.tx_armed.insert(ep);
-        sim.schedule_in(
-            SimDuration::ZERO,
-            move |w: &mut Network, s: &mut Sim<Network>| w.try_transmit(s, ep),
-        );
+        self.arm_transmit(sim, sim.now(), ep);
+    }
+
+    /// Marks `ep` armed and schedules its transmit attempt at `at`,
+    /// reusing a fired event's box when one is free.
+    fn arm_transmit(&mut self, sim: &mut Sim<Network>, at: SimTime, ep: Endpoint) {
+        self.port_mut(ep).armed = true;
+        let ev = reboxed(&mut self.free_transmits, TransmitAttempt { ep });
+        sim.schedule_boxed(at, ev);
     }
 
     /// Arms transmit attempts on every switch port with pending frames.
     pub fn kick_switch_ports(&mut self, sim: &mut Sim<Network>, i: usize) {
-        for port in 0..self.switches[i].n_ports() as PortId {
+        for port in 0..self.switch_ports[i].len() as PortId {
             if self.switches[i].has_pending(port) {
                 self.kick(sim, (NodeRef::Switch(i), port));
             }
@@ -371,19 +465,17 @@ impl Network {
     }
 
     fn try_transmit(&mut self, sim: &mut Sim<Network>, ep: Endpoint) {
-        self.tx_armed.remove(&ep);
         let now = sim.now();
         let (node, port) = ep;
-        let link = self.port_links.get(&ep).copied();
+        let slot = self.port_mut(ep);
+        slot.armed = false;
+        let link = slot.link;
         // A stalled switch's egress pipeline is frozen too: defer the
         // whole attempt until the stall lifts.
         if let NodeRef::Switch(i) = node {
             let until = self.stalled_until[i];
             if until > now {
-                self.tx_armed.insert(ep);
-                sim.schedule_at(until, move |w: &mut Network, s: &mut Sim<Network>| {
-                    w.try_transmit(s, ep)
-                });
+                self.arm_transmit(sim, until, ep);
                 return;
             }
         }
@@ -391,10 +483,7 @@ impl Network {
         if let Some((lid, dir)) = link {
             let busy = self.links[lid].state.dirs[dir as usize].busy_until;
             if busy > now {
-                self.tx_armed.insert(ep);
-                sim.schedule_at(busy, move |w: &mut Network, s: &mut Sim<Network>| {
-                    w.try_transmit(s, ep)
-                });
+                self.arm_transmit(sim, busy, ep);
                 return;
             }
         }
@@ -411,12 +500,12 @@ impl Network {
         };
         let Some(pkt) = pkt else {
             // Program dropped it at egress; try the next one if any.
-            self.maybe_rekick(sim, ep, now);
+            self.maybe_rekick(sim, ep);
             return;
         };
         let Some((lid, dir)) = link else {
             self.dropped_unconnected += 1;
-            self.maybe_rekick(sim, ep, now);
+            self.maybe_rekick(sim, ep);
             return;
         };
         let out = self.links[lid]
@@ -441,7 +530,7 @@ impl Network {
             let key = self.next_wire_key(lid, dir);
             self.schedule_delivery(sim, d.at, dest, copy, key);
         }
-        self.maybe_rekick(sim, ep, now);
+        self.maybe_rekick(sim, ep);
     }
 
     /// Allocates the next wire-order key for `(link, dir)`.
@@ -474,46 +563,39 @@ impl Network {
     ) {
         if self.owns_node(dest.0) {
             let class = self.delivery_class(dest);
-            sim.schedule_classed_at(
-                at,
-                key,
-                class,
-                move |w: &mut Network, s: &mut Sim<Network>| w.deliver(s, dest, pkt, key),
-            );
+            self.arm_delivery(sim, at, key, class, dest, pkt);
         } else {
             // Hand the frame to the destination shard at the window
-            // close. The in-flight send-time record travels with it so
-            // end-to-end latency accounting survives the crossing.
-            let send_time = self.send_times.remove(&pkt.uid);
+            // close; its send stamp crosses inside the packet.
             self.shard
                 .as_mut()
                 .expect("unowned destination without a shard role")
                 .outbox
-                .push(ShardMsg {
-                    at,
-                    dest,
-                    pkt,
-                    send_time,
-                    key,
-                });
+                .push(ShardMsg { at, dest, pkt, key });
         }
     }
 
     /// Schedules a delivery handed over from another shard.
     pub(crate) fn accept_shard_msg(&mut self, sim: &mut Sim<Network>, m: ShardMsg) {
-        if let Some(t) = m.send_time {
-            self.send_times.insert(m.pkt.uid, t);
-        }
-        let ShardMsg {
-            at, dest, pkt, key, ..
-        } = m;
+        let ShardMsg { at, dest, pkt, key } = m;
         let class = self.delivery_class(dest);
-        sim.schedule_classed_at(
-            at,
-            key,
-            class,
-            move |w: &mut Network, s: &mut Sim<Network>| w.deliver(s, dest, pkt, key),
-        );
+        self.arm_delivery(sim, at, key, class, dest, pkt);
+    }
+
+    /// Schedules `pkt`'s arrival at `dest`, reusing a fired delivery's box
+    /// when one is free.
+    fn arm_delivery(
+        &mut self,
+        sim: &mut Sim<Network>,
+        at: SimTime,
+        key: u64,
+        class: EventClass,
+        dest: Endpoint,
+        pkt: Packet,
+    ) {
+        let pkt = Some(pkt);
+        let ev = reboxed(&mut self.free_deliveries, Delivery { dest, key, pkt });
+        sim.schedule_classed_boxed(at, key, class, ev);
     }
 
     /// Drains the outbound mailbox, tagging each message with its
@@ -530,7 +612,7 @@ impl Network {
         }
     }
 
-    fn maybe_rekick(&mut self, sim: &mut Sim<Network>, ep: Endpoint, _now: SimTime) {
+    fn maybe_rekick(&mut self, sim: &mut Sim<Network>, ep: Endpoint) {
         let (node, port) = ep;
         let pending = match node {
             NodeRef::Switch(i) => self.switches[i].has_pending(port),
@@ -550,9 +632,7 @@ impl Network {
                 // the ingress and is re-delivered when the stall lifts,
                 // keeping its original wire-order key so the re-delivery
                 // order is the arrival order in every execution mode.
-                sim.schedule_keyed_at(until, key, move |w: &mut Network, s: &mut Sim<Network>| {
-                    w.deliver(s, ep, pkt, key)
-                });
+                self.arm_delivery(sim, until, key, EventClass::Bound, ep, pkt);
                 return;
             }
         }
@@ -576,10 +656,9 @@ impl Network {
                 self.kick_switch_ports(sim, i);
             }
             NodeRef::Host(h) => {
-                let latency = self
-                    .send_times
-                    .remove(&pkt.uid)
-                    .map(|t| now.saturating_since(t).as_nanos());
+                let latency = pkt
+                    .sent_at()
+                    .map(|sent| now.as_nanos().saturating_sub(sent));
                 let responses = self.hosts[h].on_receive(now, &pkt, latency);
                 for frame in responses {
                     self.host_send(sim, h, frame);
@@ -1063,6 +1142,107 @@ mod tests {
         assert_eq!(reg.counter("link_frames", "net"), 2);
         assert_eq!(reg.counter("tracer_entries", "net"), 2);
         assert_eq!(reg.counter("tracer_dropped", "net"), 0);
+    }
+
+    /// Forwards to port 1 and keeps a handle on the first payload it sees.
+    struct TapForward(Option<std::sync::Arc<Vec<u8>>>);
+    impl edp_pisa::PisaProgram for TapForward {
+        fn ingress(
+            &mut self,
+            p: &mut Packet,
+            _h: &edp_packet::ParsedPacket,
+            m: &mut edp_pisa::StdMeta,
+            _n: SimTime,
+        ) {
+            self.0.get_or_insert_with(|| p.share_payload());
+            m.dest = edp_pisa::Destination::Port(1);
+        }
+    }
+
+    /// The recycled event boxes under every path that re-arms one: fault
+    /// duplicates, reorder hold-backs and corruption on both trunks of a
+    /// 3-switch line, plus a stall of the middle switch (deliveries wait
+    /// at its ingress, transmit attempts wait out the stall).
+    #[test]
+    fn recycled_event_boxes_hold_nothing_and_stay_bounded() {
+        use crate::faults::FaultPlan;
+        use crate::link::LinkFaultModel;
+        const N: u64 = 2_000;
+        let mut net = Network::new(7);
+        let tap = BaselineSwitch::new(TapForward(None), 2, QueueConfig::default());
+        net.add_switch(Box::new(tap));
+        for _ in 0..2 {
+            let sw = BaselineSwitch::new(ForwardTo(1), 2, QueueConfig::default());
+            net.add_switch(Box::new(sw));
+        }
+        let h0 = net.add_host(Host::new(a(1), HostApp::Sink));
+        let h1 = net.add_host(Host::new(a(2), HostApp::Sink));
+        let spec = LinkSpec::ten_gig(SimDuration::from_micros(1));
+        net.connect((NodeRef::Host(h0), 0), (NodeRef::Switch(0), 0), spec);
+        let trunks = [
+            net.connect((NodeRef::Switch(0), 1), (NodeRef::Switch(1), 0), spec),
+            net.connect((NodeRef::Switch(1), 1), (NodeRef::Switch(2), 0), spec),
+        ];
+        net.connect((NodeRef::Switch(2), 1), (NodeRef::Host(h1), 0), spec);
+        let model = LinkFaultModel {
+            corrupt_prob: 0.3,
+            duplicate_prob: 0.3,
+            reorder_prob: 0.3,
+            reorder_delay: SimDuration::from_micros(20),
+            ..Default::default()
+        };
+        let mut sim: Sim<Network> = Sim::new();
+        FaultPlan::new(9)
+            .link_model(trunks[0], model)
+            .link_model(trunks[1], model)
+            .switch_stall(1, SimTime::from_micros(100), SimTime::from_micros(300))
+            .apply(&mut net, &mut sim);
+        let frame = PacketBuilder::udp(a(1), a(2), 5, 6, &[])
+            .pad_to(128)
+            .build();
+        let interval = SimDuration::from_micros(1);
+        crate::traffic::start_cbr_template(&mut sim, h0, SimTime::ZERO, interval, N, frame);
+
+        // Peak armed transmit attempts (one per armed bit) and an upper
+        // bound on peak armed deliveries (every other pending event). A
+        // step pops one event and then only arms, so sampling after each
+        // step sees every peak.
+        let (mut peak_tx, mut peak_rest) = (0, 0);
+        while sim.step(&mut net) {
+            let ports = net.switch_ports.iter().flatten().chain(&net.host_ports);
+            let armed_tx = ports.filter(|s| s.armed).count();
+            peak_tx = peak_tx.max(armed_tx);
+            peak_rest = peak_rest.max(sim.pending() - armed_tx);
+        }
+
+        // Conservation along the line: every frame, fault copies included,
+        // is forwarded, dropped with a reason, or received.
+        let sw = |i| net.switch_as::<BaselineSwitch<ForwardTo>>(i).counters();
+        let first = net.switch_as::<BaselineSwitch<TapForward>>(0).counters();
+        let dup = |l| net.link_dir_state(l, Dir::AtoB).duplicated;
+        assert_eq!(first.rx, N);
+        assert_eq!(first.tx, N);
+        assert_eq!(sw(1).rx, first.tx + dup(trunks[0]));
+        assert_eq!(sw(2).rx, sw(1).tx + dup(trunks[1]));
+        assert_eq!(net.hosts[h1].stats.rx_pkts, sw(2).tx);
+        for c in [sw(1), sw(2)] {
+            assert_eq!(c.rx, c.tx + c.parse_errors + c.dropped_overflow);
+        }
+        assert!(dup(trunks[0]) > 0 && dup(trunks[1]) > 0 && sw(2).parse_errors > 0);
+
+        // Nothing parked on a free list still owns a frame: the generator
+        // is done, so the tap's handle is the template's last reference.
+        assert!(net.free_deliveries.iter().all(|d| d.pkt.is_none()));
+        let tap = &net.switch_as::<BaselineSwitch<TapForward>>(0).program;
+        let payload = tap.0.as_ref().expect("tap saw a frame");
+        assert_eq!(std::sync::Arc::strong_count(payload), 1);
+
+        // Boxes are only allocated when a free list is empty, so the lists
+        // stop growing at the peak number of simultaneously armed events.
+        assert!(!net.free_deliveries.is_empty() && !net.free_transmits.is_empty());
+        assert!(net.free_transmits.len() <= peak_tx);
+        assert!(net.free_deliveries.len() <= peak_rest);
+        assert!(sim.events_fired() > 20 * (peak_tx + peak_rest) as u64);
     }
 
     #[test]

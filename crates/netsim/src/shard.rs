@@ -40,13 +40,12 @@ use std::sync::Mutex;
 
 /// A packet crossing from one shard to another, carrying everything the
 /// destination shard needs to schedule the delivery exactly as the
-/// single-shard run would have: the arrival instant, the wire-order key,
-/// and the in-flight send-time record for latency accounting.
+/// single-shard run would have: the arrival instant and the wire-order
+/// key (the send stamp for latency accounting rides inside the packet).
 pub(crate) struct ShardMsg {
     pub(crate) at: SimTime,
     pub(crate) dest: Endpoint,
     pub(crate) pkt: Packet,
-    pub(crate) send_time: Option<SimTime>,
     pub(crate) key: u64,
 }
 

@@ -29,17 +29,26 @@ impl fmt::Display for PacketUid {
 /// sees another clone's writes.
 #[derive(Debug, Clone)]
 pub struct Packet {
-    /// Simulation-unique identity for tracing and latency bookkeeping.
+    /// Simulation-unique identity, for tracing.
     pub uid: PacketUid,
     data: Arc<Vec<u8>>,
+    /// Simulated instant (ns) the injecting host sent this packet, or
+    /// [`UNSTAMPED`] (see [`Packet::stamp_sent`]). A bare `u64` with a
+    /// sentinel rather than an `Option` so the packet stays 32 bytes.
+    sent_ns: u64,
     /// Count of mutable-buffer accesses (see [`Packet::mutation_count`]).
     muts: u32,
 }
 
+/// `sent_ns` of a packet nobody stamped: `u64::MAX` ns is the simulator's
+/// "never" instant, so no real send time collides with it.
+const UNSTAMPED: u64 = u64::MAX;
+
 impl PartialEq for Packet {
     fn eq(&self, other: &Self) -> bool {
         // Value semantics: identity + bytes. The mutation counter is an
-        // optimization aid, not part of the packet's value.
+        // optimization aid and the send stamp is measurement metadata;
+        // neither is part of the packet's value.
         self.uid == other.uid && self.data == other.data
     }
 }
@@ -52,6 +61,7 @@ impl Packet {
         Packet {
             uid,
             data: Arc::new(bytes),
+            sent_ns: UNSTAMPED,
             muts: 0,
         }
     }
@@ -67,8 +77,25 @@ impl Packet {
         Packet {
             uid,
             data: bytes,
+            sent_ns: UNSTAMPED,
             muts: 0,
         }
+    }
+
+    /// Records the simulated instant (ns) at which a host put this packet
+    /// on the network. The stamp rides with the packet — through clones
+    /// (a fault-model duplicate keeps its original's stamp), rewrites and
+    /// trims — so the receiving host can compute end-to-end latency
+    /// without any side table keyed by uid.
+    pub fn stamp_sent(&mut self, ns: u64) {
+        debug_assert_ne!(ns, UNSTAMPED, "u64::MAX ns is the unstamped sentinel");
+        self.sent_ns = ns;
+    }
+
+    /// The instant (ns) recorded by [`Packet::stamp_sent`]; `None` for a
+    /// packet no host sent (built in a test, generated inside a switch).
+    pub fn sent_at(&self) -> Option<u64> {
+        (self.sent_ns != UNSTAMPED).then_some(self.sent_ns)
     }
 
     /// Number of mutable-buffer accesses this packet has seen (writes
@@ -219,5 +246,60 @@ mod tests {
         let q = p.clone();
         assert!(p.try_into_unique_frame().is_none());
         assert_eq!(q.try_into_unique_frame(), Some(vec![4, 5]));
+    }
+
+    #[test]
+    fn constructors_leave_the_send_stamp_unset() {
+        // Switch-generated packets are built through these, so they
+        // record no host latency.
+        assert_eq!(Packet::new(PacketUid(1), vec![1]).sent_at(), None);
+        assert_eq!(Packet::anonymous(vec![1]).sent_at(), None);
+        assert_eq!(
+            Packet::from_shared(PacketUid(2), Arc::new(vec![1])).sent_at(),
+            None
+        );
+    }
+
+    #[test]
+    fn send_stamp_rides_through_clone_and_rewrites() {
+        let frame = crate::PacketBuilder::udp(
+            "10.0.0.1".parse().expect("addr"),
+            "10.0.0.2".parse().expect("addr"),
+            5,
+            6,
+            b"payload",
+        )
+        .pad_to(128)
+        .build();
+        let mut p = Packet::new(PacketUid(3), frame);
+        p.stamp_sent(0);
+        assert_eq!(p.sent_at(), Some(0), "t = 0 is a real stamp");
+        p.stamp_sent(1_500);
+        let copy = p.clone();
+        assert_eq!(copy.sent_at(), Some(1_500), "a duplicate keeps the stamp");
+        // Copy-on-write (the payload is shared with `copy`), then an
+        // in-place write, an NDP trim and a truncate.
+        p.bytes_mut()[0] ^= 0xFF;
+        p.bytes_mut()[0] ^= 0xFF;
+        assert_eq!(p.sent_at(), Some(1_500));
+        assert!(p.trim_to_network_header());
+        assert_eq!(p.sent_at(), Some(1_500));
+        p.truncate(14);
+        assert_eq!(p.sent_at(), Some(1_500));
+        assert_eq!(copy.sent_at(), Some(1_500));
+    }
+
+    #[test]
+    fn send_stamp_is_not_part_of_the_value() {
+        let a = Packet::new(PacketUid(4), vec![1, 2]);
+        let mut b = a.clone();
+        b.stamp_sent(77);
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn packet_stays_four_words() {
+        // The TM's queue item and netsim's delivery event embed a Packet.
+        assert!(std::mem::size_of::<Packet>() <= 32);
     }
 }

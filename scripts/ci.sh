@@ -20,8 +20,9 @@
 # whole gate runs with the cargo registry unreachable.
 #
 # The bench gate is the benchmark's own smoke (`benchmark/run.sh
-# --smoke`): correctness of the one ledger, not a wall-clock threshold —
-# compare two full runs with `benchmark/run.sh compare A.json B.json`.
+# --smoke`) plus two exact work counters read from its result:
+# correctness of the one ledger, not a wall-clock threshold — compare two
+# full runs with `benchmark/run.sh compare A.json B.json`.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -219,6 +220,25 @@ step_bench_gate() {
     # that moves the scalar path's observable behaviour fails here. Full
     # runs (`bash benchmark/run.sh`) and `compare` are taken manually.
     bash benchmark/run.sh --smoke
+    # Then the line's work counters, which repeat bit for bit: 19 events
+    # per packet (generator tick, sender's transmit attempt, a delivery
+    # and a transmit attempt per switch, the sink's delivery) and no
+    # allocation per hop in the Network glue — what is left is the frame
+    # and its host-side bookkeeping (3.3 at smoke size; 21.3 when every
+    # event was a fresh box).
+    if command -v python3 >/dev/null 2>&1; then
+        python3 - benchmark/out/smoke.json <<'PYEOF'
+import json, sys
+m = json.load(open(sys.argv[1]))["workloads"]["line8_fwd64"]["per_layer"]["metrics"]
+events = m["evsim.events_per_pkt"]["value"]
+allocs = m["host.allocs_per_pkt"]["value"]
+assert events == 19, f"line8_fwd64 evsim.events_per_pkt = {events}, expected 19"
+assert allocs <= 4, f"line8_fwd64 host.allocs_per_pkt = {allocs}, expected <= 4"
+print(f"hop work counters ok: {events} events/pkt, {allocs} allocs/pkt")
+PYEOF
+    else
+        echo "python3 not found: hop work counters not checked" >&2
+    fi
 }
 
 case "$mode" in

@@ -344,15 +344,15 @@ fn corrupt_model_flips_bytes_and_checksums_catch_most() {
     assert!(rx > 0, "no flip landed in the unprotected Ethernet bytes");
 }
 
-#[test]
-fn duplicate_model_delivers_every_frame_twice() {
+/// `n` CBR frames over the line with every frame duplicated on the
+/// first hop. Returns (net, h1, first-hop link id).
+fn duplicated_line_run(n: u64) -> (Network, usize, usize) {
     let model = LinkFaultModel {
         duplicate_prob: 1.0,
         ..Default::default()
     };
     let (mut net, h0, h1, l0) = line(Some(model), 5);
     let mut sim: Sim<Network> = Sim::new();
-    let n = 50u64;
     let src = addr(1);
     start_cbr(&mut sim, h0, SimTime::ZERO, INTERVAL, n, move |i| {
         PacketBuilder::udp(src, addr(2), 1, 2, &[])
@@ -361,9 +361,30 @@ fn duplicate_model_delivers_every_frame_twice() {
             .build()
     });
     run_until(&mut net, &mut sim, SimTime::from_millis(30));
+    (net, h1, l0)
+}
+
+#[test]
+fn duplicate_model_delivers_every_frame_twice() {
+    let n = 50u64;
+    let (net, h1, l0) = duplicated_line_run(n);
     let d = net.link_dir_state(l0, Dir::AtoB);
     assert_eq!(d.duplicated, n);
     assert_eq!(net.hosts[h1].stats.rx_pkts, 2 * n, "original + copy each");
+}
+
+/// The send stamp rides in the packet, so a fault-model duplicate carries
+/// its original's: every delivered copy records a latency sample (with a
+/// uid-keyed side table the first copy to arrive consumed the entry and
+/// the other recorded none).
+#[test]
+fn duplicate_copies_each_record_a_latency_sample() {
+    let n = 50u64;
+    let (net, h1, _) = duplicated_line_run(n);
+    let stats = &net.hosts[h1].stats;
+    let samples: u64 = stats.flows.values().map(|f| f.latency_ns.count()).sum();
+    assert_eq!(stats.rx_pkts, 2 * n);
+    assert_eq!(samples, stats.rx_pkts);
 }
 
 #[test]

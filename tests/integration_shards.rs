@@ -558,6 +558,7 @@ fn duplicate_model_is_shard_invariant() {
             (
                 sum_u64(nets, |n| n.hosts[1].stats.rx_pkts),
                 sum_u64(nets, |n| n.link_dir_state(1, Dir::AtoB).duplicated),
+                latency_samples_per_flow(nets),
             )
         },
         DEADLINE,
@@ -567,6 +568,26 @@ fn duplicate_model_is_shard_invariant() {
         2 * n,
         "original + copy each"
     );
+    // The copy carries its original's send stamp across the cut, so both
+    // record a latency sample whichever shard delivers them.
+    assert_eq!(
+        latency_samples_per_flow(&nets)
+            .iter()
+            .map(|(_, c)| c)
+            .sum::<u64>(),
+        2 * n
+    );
+}
+
+/// Host 1's latency sample count per flow, over whichever worlds own it.
+fn latency_samples_per_flow(nets: &[Network]) -> Vec<(edp_packet::FlowKey, u64)> {
+    let mut counts: Vec<_> = nets
+        .iter()
+        .flat_map(|n| &n.hosts[1].stats.flows)
+        .map(|(k, fs)| (*k, fs.latency_ns.count()))
+        .collect();
+    counts.sort();
+    counts
 }
 
 #[test]
