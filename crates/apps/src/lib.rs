@@ -14,8 +14,8 @@
 //! | In-Network Computing | [`netcache`] | Timer, Generated Packet |
 //!
 //! Every module's tests run the application on a real simulated topology
-//! with byte-level packets; the `edp-bench` binaries re-run them at
-//! experiment scale and print the paper's tables/figures.
+//! with byte-level packets; `edp_exp` (in `edp-bench`) re-runs them at
+//! experiment scale and prints the paper's tables/figures.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]

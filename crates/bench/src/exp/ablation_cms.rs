@@ -7,9 +7,9 @@
 //! detections on a clean (burst-free) background vs a bursty one, for
 //! shrinking sketch widths.
 
+use crate::{footnote, table_header};
 use edp_apps::common::{addr, dumbbell, run_until, sink_addr};
 use edp_apps::microburst::{MicroburstCms, MicroburstEvent};
-use edp_bench::{footnote, table_header};
 use edp_core::{EventSwitch, EventSwitchConfig};
 use edp_evsim::{Sim, SimDuration, SimTime};
 use edp_netsim::traffic::{start_burst, start_cbr};
@@ -124,7 +124,7 @@ fn run_exact(with_burst: bool) -> (usize, usize) {
     (prog.detections.len(), prog.state_words())
 }
 
-fn main() {
+pub fn run() {
     println!("24 polite flows (+ one 120-pkt microburst in the 'burst' runs), thresh {THRESH} B");
     table_header(
         "footnote 1: exact register vs CMS for per-flow occupancy",

@@ -5,9 +5,9 @@
 //! drop-tail vs the event-driven FRED. Reproduction target: FRED holds
 //! fairness near 1.0 regardless of hog intensity; drop-tail collapses.
 
+use crate::{f2, footnote, mbps, table_header};
 use edp_apps::common::{addr, dumbbell, run_until, sink_addr};
 use edp_apps::fred::{FredAqm, TIMER_REPORT};
-use edp_bench::{f2, footnote, mbps, table_header};
 use edp_core::{EventSwitch, EventSwitchConfig, TimerSpec};
 use edp_evsim::{jain_fairness, Sim, SimDuration, SimTime};
 use edp_netsim::traffic::start_cbr;
@@ -27,8 +27,8 @@ fn qc() -> QueueConfig {
     }
 }
 
-/// Returns (per-flow goodputs, mean occupancy from data-plane reports).
-fn run(fair: bool, hog_interval_us: u64) -> (Vec<f64>, f64) {
+/// Runs the four flows to `HORIZON`; returns the network and the sink host.
+pub(super) fn contend(fair: bool, hog_interval_us: u64) -> (Network, usize) {
     let (mut net, senders, sink, _) = if fair {
         let cfg = EventSwitchConfig {
             n_ports: 5,
@@ -67,6 +67,12 @@ fn run(fair: bool, hog_interval_us: u64) -> (Vec<f64>, f64) {
         });
     }
     run_until(&mut net, &mut sim, HORIZON);
+    (net, sink)
+}
+
+/// Returns (per-flow goodputs, mean occupancy from data-plane reports).
+fn simulate(fair: bool, hog_interval_us: u64) -> (Vec<f64>, f64) {
+    let (net, sink) = contend(fair, hog_interval_us);
     let goodputs: Vec<f64> = (0..N)
         .map(|i| {
             let key = edp_packet::FlowKey::new(
@@ -95,7 +101,7 @@ fn run(fair: bool, hog_interval_us: u64) -> (Vec<f64>, f64) {
     (goodputs, occ)
 }
 
-fn main() {
+pub fn run() {
     println!("3 polite flows @40 Mb/s + 1 hog into a 100 Mb/s bottleneck, {HORIZON}");
     table_header(
         "fair AQM (FRED, event-driven) vs drop-tail across hog intensity",
@@ -110,7 +116,7 @@ fn main() {
     for &hog_us in &[120u64, 60, 30, 15] {
         let hog_rate = 1500.0 * 8.0 / hog_us as f64 * 1e6;
         for &fair in &[false, true] {
-            let (g, _) = run(fair, hog_us);
+            let (g, _) = simulate(fair, hog_us);
             let polite_min = g[..N - 1].iter().cloned().fold(f64::INFINITY, f64::min);
             println!(
                 "{:>9} {:>9} {:>11} {:>9} {:>6}",
@@ -122,7 +128,7 @@ fn main() {
             );
         }
     }
-    let (_, occ) = run(true, 30);
+    let (_, occ) = simulate(true, 30);
     println!("\nmean buffer occupancy under FRED (data-plane reports): {occ:.0} bytes");
     footnote(
         "per-active-flow occupancy and flow counts come entirely from \

@@ -7,9 +7,9 @@
 //! and one message per reset — "significant overhead for the control
 //! plane, especially if the data structure must be frequently reset".
 
+use crate::{f2, footnote, table_header};
 use edp_apps::cms_reset::{CmsMonitor, CP_OP_RESET};
 use edp_apps::common::{addr, dumbbell, run_until, sink_addr};
-use edp_bench::{f2, footnote, table_header};
 use edp_core::{EventSwitch, EventSwitchConfig, TimerSpec};
 use edp_evsim::{Periodic, Sim, SimDuration, SimTime};
 use edp_netsim::traffic::start_cbr;
@@ -25,7 +25,7 @@ struct Outcome {
     cp_msgs: u64,
 }
 
-fn run(period: SimDuration, via_timer: bool) -> Outcome {
+fn simulate(period: SimDuration, via_timer: bool) -> Outcome {
     let timers = if via_timer {
         vec![TimerSpec {
             id: 0,
@@ -76,7 +76,7 @@ fn run(period: SimDuration, via_timer: bool) -> Outcome {
     }
 }
 
-fn main() {
+pub fn run() {
     println!("workload: 100 Mb/s single flow for {HORIZON}; CP channel latency {CP_LATENCY}");
     table_header(
         "CMS periodic reset: data-plane timer vs control plane",
@@ -92,7 +92,7 @@ fn main() {
     for &ms in &[10u64, 5, 2, 1] {
         let period = SimDuration::from_millis(ms);
         for &timer in &[true, false] {
-            let o = run(period, timer);
+            let o = simulate(period, timer);
             println!(
                 "{:>12} {:>8} {:>7} {:>14} {:>8} {:>9}",
                 ms,

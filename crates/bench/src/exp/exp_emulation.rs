@@ -12,7 +12,7 @@
 //! the pipeline is idle). This bench makes that cost concrete: effective
 //! forwarding capacity vs. event rate, slot-accounted, for both designs.
 
-use edp_bench::{f2, footnote, table_header};
+use crate::{f2, footnote, table_header};
 use edp_core::event::UserEvent;
 use edp_core::{Event, EventMerger, MergerConfig};
 use edp_evsim::SimRng;
@@ -84,7 +84,7 @@ fn run_native(load: f64, events_per_100: u32, cycles: u64, seed: u64) -> (u64, u
     (fwd, delivered, 0)
 }
 
-fn main() {
+pub fn run() {
     const CYCLES: u64 = 1_000_000;
     const LOAD: f64 = 0.95;
     println!("pipeline slot model: 95% offered packet load, 1M slots");

@@ -5,9 +5,9 @@
 //! scales linearly with the control loop; event-driven loss is ~0 and
 //! independent of it.
 
+use crate::{footnote, table_header};
 use edp_apps::common::{addr, run_until};
 use edp_apps::frr::{FrrBaseline, FrrEvent, CP_OP_SET_ROUTE};
-use edp_bench::{footnote, table_header};
 use edp_core::{EventSwitch, EventSwitchConfig};
 use edp_evsim::{Sim, SimDuration, SimTime};
 use edp_netsim::traffic::start_cbr;
@@ -47,7 +47,8 @@ fn send(sim: &mut Sim<Network>, sender: usize) {
     });
 }
 
-fn run(event: bool, cp_latency: SimDuration) -> (u64, Option<SimTime>) {
+/// Runs the failover to completion; returns the network and the sink host.
+pub(super) fn reroute(event: bool, cp_latency: SimDuration) -> (Network, usize) {
     let (mut net, sender, sink, primary) = if event {
         let cfg = EventSwitchConfig {
             n_ports: 3,
@@ -70,6 +71,11 @@ fn run(event: bool, cp_latency: SimDuration) -> (u64, Option<SimTime>) {
     }
     send(&mut sim, sender);
     run_until(&mut net, &mut sim, SimTime::from_millis(60));
+    (net, sink)
+}
+
+fn simulate(event: bool, cp_latency: SimDuration) -> (u64, Option<SimTime>) {
+    let (net, sink) = reroute(event, cp_latency);
     let failover = if event {
         net.switch_as::<EventSwitch<FrrEvent>>(0)
             .program
@@ -84,7 +90,7 @@ fn run(event: bool, cp_latency: SimDuration) -> (u64, Option<SimTime>) {
     (PKTS - net.hosts[sink].stats.rx_pkts, failover)
 }
 
-fn main() {
+pub fn run() {
     println!("primary link fails at {FAIL_AT}; one 500 B packet per {INTERVAL} ({PKTS} total)");
     table_header(
         "fast re-route: packets lost during failover",
@@ -95,7 +101,7 @@ fn main() {
             ("failover at", 12),
         ],
     );
-    let (lost, at) = run(true, SimDuration::ZERO);
+    let (lost, at) = simulate(true, SimDuration::ZERO);
     println!(
         "{:>26} {:>11} {:>6} {:>12}",
         "event-driven",
@@ -104,7 +110,7 @@ fn main() {
         at.map(|t| t.to_string()).unwrap_or_else(|| "-".into())
     );
     for &ms in &[1u64, 2, 5, 10, 20] {
-        let (lost, at) = run(false, SimDuration::from_millis(ms));
+        let (lost, at) = simulate(false, SimDuration::from_millis(ms));
         println!(
             "{:>26} {:>11} {:>6} {:>12}",
             "baseline + controller",

@@ -4,9 +4,9 @@
 //! volume of per-packet INT vs the event-driven reducer, and whether the
 //! anomaly (a mid-run burst) still surfaced.
 
+use crate::{f2, footnote, table_header};
 use edp_apps::common::{addr, dumbbell, run_until, sink_addr};
 use edp_apps::int_reduce::{IntPerPacket, IntReduced, NOTIFY_ANOMALY, TIMER_WINDOW};
-use edp_bench::{f2, footnote, table_header};
 use edp_core::{EventSwitch, EventSwitchConfig, TimerSpec};
 use edp_evsim::{Sim, SimDuration, SimTime};
 use edp_netsim::traffic::{start_burst, start_cbr};
@@ -58,7 +58,7 @@ fn drive(net: &mut Network, sim: &mut Sim<Network>, senders: &[usize]) {
     run_until(net, sim, HORIZON);
 }
 
-fn main() {
+pub fn run() {
     // Baseline firehose.
     let cfg = EventSwitchConfig {
         n_ports: 4,

@@ -4,9 +4,9 @@
 //! Reproduction targets: ≥4× state reduction (constant, by construction)
 //! and earlier detection (ingress, before enqueue) across the sweep.
 
+use crate::{footnote, table_header};
 use edp_apps::common::{addr, dumbbell, run_until, sink_addr};
 use edp_apps::microburst::{Detection, MicroburstBaseline, MicroburstEvent};
-use edp_bench::{footnote, table_header};
 use edp_core::{EventSwitch, EventSwitchConfig};
 use edp_evsim::{Sim, SimDuration, SimTime};
 use edp_netsim::traffic::{start_burst, start_cbr};
@@ -64,7 +64,7 @@ struct Outcome {
     first: Option<Detection>,
 }
 
-fn run(event: bool, burst_pkts: u64) -> Outcome {
+fn simulate(event: bool, burst_pkts: u64) -> Outcome {
     if event {
         let cfg = EventSwitchConfig {
             n_ports: 4,
@@ -100,9 +100,9 @@ fn run(event: bool, burst_pkts: u64) -> Outcome {
     }
 }
 
-fn main() {
-    let ev0 = run(true, 0);
-    let base0 = run(false, 0);
+pub fn run() {
+    let ev0 = simulate(true, 0);
+    let base0 = simulate(false, 0);
     println!(
         "state: event-driven {} words, baseline {} words ({}x reduction)",
         ev0.state_words,
@@ -123,8 +123,8 @@ fn main() {
         ],
     );
     for &burst in &[0u64, 10, 20, 40, 80, 160, 240] {
-        let ev = run(true, burst);
-        let base = run(false, burst);
+        let ev = simulate(true, burst);
+        let base = simulate(false, burst);
         let fmt = |d: &Option<Detection>| match d {
             Some(d) => format!(
                 "{:.1}",

@@ -4,9 +4,9 @@
 //! the receiver learns about: with trimming every overflow victim
 //! arrives as a high-priority header; with drop-tail the victims vanish.
 
+use crate::{footnote, table_header};
 use edp_apps::common::{addr, dumbbell, run_until, sink_addr};
 use edp_apps::ndp::NdpTrim;
-use edp_bench::{footnote, table_header};
 use edp_core::event::OverflowEvent;
 use edp_core::{EventActions, EventProgram, EventSwitch, EventSwitchConfig};
 use edp_evsim::{Sim, SimDuration, SimTime};
@@ -35,7 +35,7 @@ impl EventProgram for NoTrim {
     }
 }
 
-fn run(trim: bool, burst: u64) -> (u64, u64, u64) {
+fn simulate(trim: bool, burst: u64) -> (u64, u64, u64) {
     let cfg = EventSwitchConfig {
         n_ports: 2,
         queue: QueueConfig {
@@ -87,7 +87,7 @@ fn run(trim: bool, burst: u64) -> (u64, u64, u64) {
     (delivered, trimmed, lost)
 }
 
-fn main() {
+pub fn run() {
     println!("20 KB data buffer + 8 KB header reserve; 1500 B bursts into 100 Mb/s");
     table_header(
         "NDP trimming vs drop-tail: what the receiver learns about",
@@ -101,8 +101,8 @@ fn main() {
         ],
     );
     for &burst in &[10u64, 20, 50, 100, 200] {
-        let (d_rx, _, d_lost) = run(false, burst);
-        let (t_rx, t_trim, t_lost) = run(true, burst);
+        let (d_rx, _, d_lost) = simulate(false, burst);
+        let (t_rx, t_trim, t_lost) = simulate(true, burst);
         println!(
             "{:>6} {:>12} {:>14} {:>8} {:>8} {:>12}",
             burst, d_rx, d_lost, t_rx, t_trim, t_lost

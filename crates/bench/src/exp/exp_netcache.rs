@@ -5,9 +5,9 @@
 //! let the cache "more rapidly react to workload changes". The hot set
 //! shifts mid-run; we compare phase-2 hit rates with and without resets.
 
+use crate::{f2, footnote, table_header};
 use edp_apps::common::run_until;
 use edp_apps::netcache::{NetCacheSwitch, TIMER_STATS};
-use edp_bench::{f2, footnote, table_header};
 use edp_core::{EventSwitch, EventSwitchConfig, TimerSpec};
 use edp_evsim::{Sim, SimDuration, SimRng, SimTime, Zipf};
 use edp_netsim::{Host, HostApp, LinkSpec, Network, NodeRef};
@@ -21,7 +21,9 @@ fn server_addr() -> Ipv4Addr {
     Ipv4Addr::new(10, 0, 0, 2)
 }
 
-fn build(reset_stats: bool, capacity: usize) -> (Network, usize, usize) {
+/// Client — NetCache switch (switch 0) — KV server; returns
+/// `(net, client, server)`.
+pub(super) fn build(reset_stats: bool, capacity: usize) -> (Network, usize, usize) {
     let mut net = Network::new(71);
     let cfg = EventSwitchConfig {
         n_ports: 2,
@@ -50,7 +52,9 @@ fn build(reset_stats: bool, capacity: usize) -> (Network, usize, usize) {
     (net, client, server)
 }
 
-fn gets(
+/// Schedules `n` GETs from `client`, keys Zipf(`s`) over 200 ranks shifted
+/// by `offset`.
+pub(super) fn gets(
     sim: &mut Sim<Network>,
     client: usize,
     start: SimTime,
@@ -90,7 +94,7 @@ fn server_load(net: &Network, server: usize) -> u64 {
     }
 }
 
-fn main() {
+pub fn run() {
     table_header(
         "server load shed vs workload skew (5000 GETs, 8-entry cache)",
         &[

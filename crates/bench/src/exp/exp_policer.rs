@@ -6,10 +6,10 @@
 //! refill-quantization trade-off the programmer now owns (including the
 //! burst-smaller-than-quantum cliff).
 
+use crate::{f2, footnote, table_header};
 use edp_apps::policer::compare_policers;
-use edp_bench::{f2, footnote, table_header};
 
-fn main() {
+pub fn run() {
     println!("policed rate 100 Mb/s, burst 15 KB, offered 200 Mb/s CBR for 100 ms");
     table_header(
         "green-rate error vs refill period (timer policer vs fixed meter)",

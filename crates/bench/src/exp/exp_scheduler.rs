@@ -4,9 +4,9 @@
 //! the computed rank. Compares steady-flow latency against FIFO when a
 //! burst flow dumps its demand at once, and fairness across equal flows.
 
+use crate::{f2, footnote, table_header};
 use edp_apps::common::{addr, dumbbell, run_until, sink_addr};
 use edp_apps::scheduler::StfqScheduler;
-use edp_bench::{f2, footnote, table_header};
 use edp_core::{EventSwitch, EventSwitchConfig};
 use edp_evsim::{Sim, SimDuration, SimTime};
 use edp_netsim::traffic::{start_burst, start_cbr};
@@ -18,7 +18,7 @@ const BOTTLENECK: u64 = 100_000_000;
 const HORIZON: SimTime = SimTime::from_millis(60);
 
 /// Returns per-flow mean latency (µs): [steady0, steady1, burst].
-fn run(pifo: bool, burst_pkts: u64) -> Vec<f64> {
+fn simulate(pifo: bool, burst_pkts: u64) -> Vec<f64> {
     let disc = if pifo {
         QueueDisc::Pifo
     } else {
@@ -86,7 +86,7 @@ fn run(pifo: bool, burst_pkts: u64) -> Vec<f64> {
         .collect()
 }
 
-fn main() {
+pub fn run() {
     println!(
         "2 steady flows (30 Mb/s each) + 1 burst flow into 100 Mb/s; PIFO rank = STFQ start tag"
     );
@@ -102,8 +102,8 @@ fn main() {
         ],
     );
     for &burst in &[40u64, 80, 120, 240] {
-        let fifo = run(false, burst);
-        let stfq = run(true, burst);
+        let fifo = simulate(false, burst);
+        let stfq = simulate(true, burst);
         let f_steady = (fifo[0] + fifo[1]) / 2.0;
         let s_steady = (stfq[0] + stfq[1]) / 2.0;
         println!(

@@ -6,9 +6,9 @@
 //! within the window quantization (one bucket) for CBR, and the correct
 //! average for bursty traffic.
 
+use crate::{f2, footnote, table_header};
 use edp_apps::common::{addr, dumbbell, run_until, sink_addr};
 use edp_apps::rate_monitor::{RateMonitor, TIMER_SAMPLE, TIMER_SHIFT};
-use edp_bench::{f2, footnote, table_header};
 use edp_core::{EventSwitch, EventSwitchConfig, TimerSpec};
 use edp_evsim::{Sim, SimDuration, SimTime};
 use edp_netsim::traffic::{start_cbr, start_on_off};
@@ -40,7 +40,7 @@ fn build() -> (Network, Vec<usize>) {
     (net, senders)
 }
 
-fn main() {
+pub fn run() {
     table_header(
         "CBR flow-rate measurement via timer events + shift register",
         &[

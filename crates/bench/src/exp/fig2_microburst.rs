@@ -7,9 +7,9 @@
 //! the port usage a direct multiported (low-line-rate) realization needs,
 //! which §4 then replaces with aggregation registers for fast devices.
 
+use crate::{footnote, table_header};
 use edp_apps::common::{addr, dumbbell, run_until, sink_addr};
 use edp_apps::microburst::MicroburstEvent;
-use edp_bench::{footnote, table_header};
 use edp_core::{Accessor, EventKind, EventSwitch, EventSwitchConfig};
 use edp_evsim::{Sim, SimDuration, SimTime};
 use edp_netsim::traffic::{start_burst, start_cbr};
@@ -17,7 +17,7 @@ use edp_netsim::Network;
 use edp_packet::PacketBuilder;
 use edp_pisa::QueueConfig;
 
-fn main() {
+pub fn run() {
     let cfg = EventSwitchConfig {
         n_ports: 4,
         queue: QueueConfig {

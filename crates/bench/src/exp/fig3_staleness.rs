@@ -10,11 +10,11 @@
 //! * more idle-cycle memory bandwidth tightens the bound (the paper's
 //!   "packet processing bandwidth versus accuracy" trade-off).
 
-use edp_bench::{f2, footnote, table_header};
+use crate::{f2, footnote, table_header};
 use edp_core::{run_staleness_experiment, AggregConfig, StalenessReport};
 use edp_evsim::{default_threads, sweep};
 
-fn main() {
+pub fn run() {
     const ENTRIES: usize = 64;
     const PACKETS: u64 = 200_000;
 

@@ -6,14 +6,14 @@
 //! carrier-frame bandwidth overhead, and event delivery latency — the
 //! operating envelope of the Figure 4 design.
 
-use edp_bench::{f2, footnote, table_header};
+use crate::{f2, footnote, table_header};
 use edp_core::event::{TimerEvent, UserEvent};
 use edp_core::{Event, EventMerger, MergerConfig};
 use edp_evsim::SimRng;
 
 /// Simulates `cycles` pipeline slots; a packet occupies a slot with
 /// probability `load`, and `events_per_100` events arrive per 100 cycles.
-fn run(load: f64, events_per_100: u32, cycles: u64, seed: u64) -> (f64, f64, u64, u64) {
+fn simulate(load: f64, events_per_100: u32, cycles: u64, seed: u64) -> (f64, f64, u64, u64) {
     let mut m = EventMerger::new(MergerConfig::default());
     let mut rng = SimRng::seed_from_u64(seed);
     let mut ev_budget = 0u32;
@@ -60,7 +60,7 @@ fn run(load: f64, events_per_100: u32, cycles: u64, seed: u64) -> (f64, f64, u64
     )
 }
 
-fn main() {
+pub fn run() {
     const CYCLES: u64 = 1_000_000;
 
     table_header(
@@ -74,7 +74,7 @@ fn main() {
         ],
     );
     for &load in &[0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0] {
-        let (pf, ov, p99, backlog) = run(load, 4, CYCLES, 1);
+        let (pf, ov, p99, backlog) = simulate(load, 4, CYCLES, 1);
         println!(
             "{:>9} {:>15} {:>17} {:>15} {:>8}",
             f2(load),
@@ -95,7 +95,7 @@ fn main() {
         ],
     );
     for &rate in &[1u32, 4, 16, 64, 256, 390, 410, 500] {
-        let (pf, _ov, p99, backlog) = run(0.9, rate, CYCLES, 2);
+        let (pf, _ov, p99, backlog) = simulate(0.9, rate, CYCLES, 2);
         println!("{:>14} {:>15} {:>15} {:>8}", rate, f2(pf), p99, backlog);
     }
 

@@ -4,7 +4,7 @@
 //! then prints Table 1 augmented with the observed count and whether a
 //! baseline PISA programming model exposes the event.
 
-use edp_bench::{footnote, table_header};
+use crate::{footnote, table_header};
 use edp_core::{
     EventActions, EventKind, EventProgram, EventSwitch, EventSwitchConfig, PacketGenConfig,
     TimerSpec,
@@ -56,7 +56,7 @@ impl EventProgram for Exerciser {
     }
 }
 
-fn main() {
+pub fn run() {
     let cfg = EventSwitchConfig {
         n_ports: 2,
         queue: QueueConfig {

@@ -3,10 +3,10 @@
 //! Prints the resource-model reproduction next to the paper's reported
 //! numbers. The target is the *shape*: every class ≤ ~2%, BRAM dominant.
 
-use edp_bench::{f2, footnote, table_header};
+use crate::{f2, footnote, table_header};
 use edp_resources::{baseline_sume_switch, sume_event_switch, table3, VIRTEX7_690T};
 
-fn main() {
+pub fn run() {
     let dev = VIRTEX7_690T;
     println!("device: {}", dev.name);
     println!(

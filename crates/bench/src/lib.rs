@@ -1,20 +1,13 @@
-//! # edp-bench — table/figure regeneration binaries and benches
+//! # edp-bench — the paper-reproduction driver, `edp_top` and `pcap_gen`
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §4 for the
-//! index) plus Criterion micro/system benches. This library holds the
-//! small shared pieces: fixed-width table printing and experiment-scale
-//! defaults.
-//!
-//! Run everything with:
+//! [`exp`] holds one module per table, figure and §5 experiment of the
+//! paper (see DESIGN.md §4 for the index) and the one table naming
+//! them; the `edp_exp` binary runs them. This library also holds the
+//! small shared pieces (fixed-width table printing) and [`top`].
 //!
 //! ```sh
-//! for b in table1 table2 table3 fig2_microburst fig3_staleness \
-//!          fig4_pipeline exp_microburst exp_hula exp_cms_reset \
-//!          exp_liveness exp_timewindow exp_aqm exp_frr exp_policer \
-//!          exp_netcache exp_scheduler exp_ndp exp_int_reduce exp_emulation \
-//!          ablation_cms; do
-//!   cargo run --release -p edp-bench --bin $b
-//! done
+//! cargo run --release -p edp-bench --bin edp_exp -- all       # docs/experiment_output.txt
+//! cargo run --release -p edp-bench --bin edp_exp -- exp_ndp   # one report
 //! ```
 //!
 //! Performance is not measured here: the repo's one benchmark is the
@@ -24,6 +17,7 @@
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod exp;
 pub mod top;
 
 /// Prints a table header: a rule, the column names, another rule.

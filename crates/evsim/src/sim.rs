@@ -723,15 +723,6 @@ impl<W> Sim<W> {
             self.now = t;
         }
     }
-
-    /// Runs at most `n` events; returns how many actually fired.
-    pub fn run_steps(&mut self, world: &mut W, n: u64) -> u64 {
-        let mut fired = 0;
-        while fired < n && self.step(world) {
-            fired += 1;
-        }
-        fired
-    }
 }
 
 #[cfg(test)]
@@ -853,18 +844,6 @@ mod tests {
             s.schedule_at(SimTime::from_nanos(50), |_: &mut u64, _: &mut _| {});
         });
         sim.run(&mut w);
-    }
-
-    #[test]
-    fn run_steps_limits() {
-        let mut sim: Sim<u64> = Sim::new();
-        let mut w = 0u64;
-        for i in 0..10u64 {
-            sim.schedule_at(SimTime::from_nanos(i), |w: &mut u64, _: &mut _| *w += 1);
-        }
-        assert_eq!(sim.run_steps(&mut w, 3), 3);
-        assert_eq!(w, 3);
-        assert_eq!(sim.pending(), 7);
     }
 
     #[test]

@@ -48,7 +48,6 @@ mod l4;
 mod packet;
 mod parse;
 mod pcap;
-mod pool;
 pub mod wire;
 
 pub use addr::MacAddr;
@@ -69,4 +68,3 @@ pub use l4::{
 pub use packet::{Packet, PacketUid};
 pub use parse::{parse_packet, summarize, AppHeader, ParsedPacket, L4};
 pub use pcap::{PcapError, PcapFile, PcapPacket, PcapResult, LINKTYPE_ETHERNET, MAX_FRAME_LEN};
-pub use pool::{BufferPool, PoolStats};

@@ -127,13 +127,6 @@ impl Packet {
         Arc::try_unwrap(self.data).unwrap_or_else(|shared| (*shared).clone())
     }
 
-    /// Unwraps into the frame bytes only if uniquely owned (buffer
-    /// recycling); returns `None` — dropping nothing but the refcount —
-    /// when the payload is still shared.
-    pub fn try_into_unique_frame(self) -> Option<Vec<u8>> {
-        Arc::try_unwrap(self.data).ok()
-    }
-
     /// Frame length in bytes.
     pub fn len(&self) -> usize {
         self.data.len()
@@ -244,8 +237,8 @@ mod tests {
 
         let p = Packet::anonymous(vec![4, 5]);
         let q = p.clone();
-        assert!(p.try_into_unique_frame().is_none());
-        assert_eq!(q.try_into_unique_frame(), Some(vec![4, 5]));
+        assert_eq!(p.into_frame(), vec![4, 5]);
+        assert_eq!(q.into_frame(), vec![4, 5]);
     }
 
     #[test]

@@ -2,14 +2,15 @@
 # Offline-friendly CI gate: everything a PR must pass, with no network.
 #
 #   scripts/ci.sh               # full local gate (everything below)
-#   scripts/ci.sh --quick       # fmt, build, test, edp_lint, telemetry smoke
+#   scripts/ci.sh --quick       # fmt, build, test, edp_lint, telemetry smoke,
+#                               # paper-reproduction pin
 #   scripts/ci.sh --matrix-leg  # build + tier-1 tests under the ambient
 #                               # EDP_SHARDS (one CI matrix leg)
 #   scripts/ci.sh --gate        # fmt, clippy, edp_lint (+ SARIF artifact),
 #                               # profiled-run smoke (+ trace artifact),
 #                               # exchange-elision smoke,
 #                               # pcap fixture round-trip, replay smoke,
-#                               # benchmark smoke
+#                               # paper-reproduction pin, benchmark smoke
 #
 # The CI pipeline fans the engine matrix EDP_SHARDS={1,4} across
 # `--matrix-leg` jobs and runs `--gate` once beside them; the default
@@ -102,6 +103,23 @@ step_top_smoke() {
             exit 1
         }
     done
+}
+
+step_reproduction() {
+    echo "==> edp_exp all vs docs/experiment_output.txt (paper reproduction pin)"
+    # The archive is the repo's claim to reproduce the paper's tables,
+    # figures and §5 experiments: modelled results only, identical in
+    # debug and release and under any EDP_SHARDS / EDP_SWEEP_THREADS. A
+    # change that re-orders same-instant events moves these numbers, and
+    # must do so as a reviewed diff.
+    cargo run --offline --release -q -p edp-bench --bin edp_exp -- all |
+        diff -u docs/experiment_output.txt - || {
+        echo "edp_exp all differs from docs/experiment_output.txt (diff above)." >&2
+        echo "If the change is intended, regenerate it, never hand-edit it:" >&2
+        echo "  cargo run --offline --release -q -p edp-bench --bin edp_exp -- all >docs/experiment_output.txt" >&2
+        echo "and explain the diff (which numbers moved, and why) in CHANGES.md." >&2
+        exit 1
+    }
 }
 
 step_pcap() {
@@ -248,6 +266,7 @@ quick)
     step_test
     step_lint
     step_top_smoke
+    step_reproduction
     ;;
 matrix-leg)
     # One leg of the CI engine matrix: the workflow exports EDP_SHARDS
@@ -258,8 +277,8 @@ matrix-leg)
     ;;
 gate)
     # The non-matrixed CI leg: style, static analysis, fixtures, smoke
-    # drives and the benchmark smoke — everything that only needs
-    # to run once per pipeline.
+    # drives, the reproduction pin and the benchmark smoke — everything
+    # that only needs to run once per pipeline.
     step_fmt
     step_build
     step_clippy
@@ -269,6 +288,7 @@ gate)
     step_profile_smoke
     step_elision_smoke
     step_pcap
+    step_reproduction
     step_bench_gate
     ;;
 full)
@@ -280,6 +300,7 @@ full)
     step_profile_smoke
     step_elision_smoke
     step_pcap
+    step_reproduction
     step_engine_matrix_local
     step_clippy
     step_bench_gate

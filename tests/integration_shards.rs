@@ -796,7 +796,7 @@ fn profiling_is_outside_the_determinism_boundary() {
     let mut crossed = 0u64;
     for (shard, p) in profiles.iter().enumerate() {
         assert_eq!(p.shard, shard, "profiles arrive in shard order");
-        // The ISSUE acceptance criterion, stated as the pin: >= 95% of
+        // The acceptance bar, stated as the pin: >= 95% of
         // the worker's wall-clock span attributed to named phases.
         assert!(
             p.attributed_ns() * 100 >= p.total_ns * 95,
