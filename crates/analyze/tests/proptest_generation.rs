@@ -1,9 +1,9 @@
 //! Property: every mutating `MatchTable` operation bumps `generation`.
 //!
-//! The flow cache keys its validity on the table generation counter; a
-//! mutation that forgets to bump it would serve stale cached actions.
-//! This pins `insert`, `remove_where` (including predicates that remove
-//! nothing), and `clear`.
+//! Anything derived from lookup results keys its validity on the table
+//! generation counter; a mutation that forgets to bump it would leave
+//! that state silently stale. This pins `insert`, `remove_where`
+//! (including predicates that remove nothing), and `clear`.
 
 use edp_pisa::{ipv4_lpm_schema, FieldMatch, MatchTable, TableEntry};
 use proptest::prelude::*;

@@ -272,12 +272,6 @@ impl EventProgram for ReturnPath {
         self.inner.on_transmit(ev, now, actions)
     }
 
-    fn flow_cacheable(&self) -> bool {
-        // The return route is itself a pure function of the 5-tuple, so
-        // the inner program's promise carries over unchanged.
-        self.inner.flow_cacheable()
-    }
-
     fn passive_events(&self) -> u16 {
         self.inner.passive_events()
     }
@@ -727,15 +721,6 @@ pub fn render(r: &TopReport) -> String {
             r.registry.gauge("queue_bytes", s).unwrap_or(0),
         );
     }
-
-    let _ = writeln!(
-        out,
-        "\n  flow cache: {} hits, {} misses, {} insertions, {} invalidations",
-        r.registry.counter("flow_cache_hits", "sw0"),
-        r.registry.counter("flow_cache_misses", "sw0"),
-        r.registry.counter("flow_cache_insertions", "sw0"),
-        r.registry.counter("flow_cache_invalidations", "sw0"),
-    );
 
     let mut any = false;
     for (name, scope, v) in r.registry.counters() {

@@ -189,18 +189,6 @@ pub trait EventProgram: Send {
     /// Packet transmitted event.
     fn on_transmit(&mut self, ev: &TransmitEvent, now: SimTime, actions: &mut EventActions) {}
 
-    /// Opt-in to the switch's per-flow action cache (same contract as
-    /// [`edp_pisa::PisaProgram::flow_cacheable`]): `true` promises that
-    /// [`on_ingress`](Self::on_ingress) writes `meta` as a pure function
-    /// of the flow 5-tuple and control-plane-managed state, requests no
-    /// [`EventActions`], and does not rewrite the packet. Cached packets
-    /// skip `on_ingress` entirely; architectural events (enqueue, dequeue,
-    /// …) still fire for them. The cache is invalidated on every
-    /// control-plane event. Default: `false`.
-    fn flow_cacheable(&self) -> bool {
-        false
-    }
-
     /// Bitmask (of [`EventKind::bit`](crate::EventKind::bit)) of *control*
     /// events — enqueue, dequeue, transmit, underflow, overflow, timer,
     /// control-plane, link-status, user — whose handlers this program
@@ -302,9 +290,6 @@ impl<P: EventProgram + ?Sized> EventProgram for Box<P> {
     fn on_transmit(&mut self, ev: &TransmitEvent, now: SimTime, actions: &mut EventActions) {
         (**self).on_transmit(ev, now, actions)
     }
-    fn flow_cacheable(&self) -> bool {
-        (**self).flow_cacheable()
-    }
     fn passive_events(&self) -> u16 {
         (**self).passive_events()
     }
@@ -354,10 +339,6 @@ impl<P: edp_pisa::PisaProgram> EventProgram for BaselineAdapter<P> {
         _actions: &mut EventActions,
     ) {
         self.0.control_update(ev.opcode, ev.args, now)
-    }
-
-    fn flow_cacheable(&self) -> bool {
-        self.0.flow_cacheable()
     }
 
     /// A baseline program *cannot* react to control events — that is the

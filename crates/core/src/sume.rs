@@ -22,10 +22,7 @@ use crate::event::{
 use crate::program::{EventActions, EventProgram};
 use edp_evsim::{SimDuration, SimTime};
 use edp_packet::{parse_packet, Burst, Packet, PacketUid, ParsedPacket};
-use edp_pisa::{
-    Destination, FlowCache, FlowCacheStats, PortId, QueueConfig, QueueStats, StdMeta,
-    TrafficManager,
-};
+use edp_pisa::{Destination, PortId, QueueConfig, QueueStats, StdMeta, TrafficManager};
 use edp_telemetry::{emit, DropReason, RecordKind};
 use serde::{Deserialize, Serialize};
 
@@ -166,7 +163,6 @@ pub struct EventSwitch<P> {
     counters: EventSwitchCounters,
     events: EventCounters,
     cp_out: Vec<CpNotification>,
-    cache: FlowCache,
     /// The program's [`EventProgram::passive_events`] mask, sampled once
     /// at construction (the contract requires it constant).
     passive: u16,
@@ -202,16 +198,9 @@ impl<P: EventProgram> EventSwitch<P> {
             counters: EventSwitchCounters::default(),
             events: EventCounters::new(),
             cp_out: Vec::new(),
-            cache: FlowCache::default(),
             passive,
             cfg,
         }
-    }
-
-    /// Flow-cache counters (hits stay 0 unless the program opted in via
-    /// [`EventProgram::flow_cacheable`]).
-    pub fn flow_cache_stats(&self) -> FlowCacheStats {
-        self.cache.stats()
     }
 
     /// Number of ports.
@@ -434,17 +423,13 @@ impl<P: EventProgram> EventSwitch<P> {
     }
 
     /// The control plane triggers an event (Table 1 "Control-Plane
-    /// Triggered"). Program state may have changed, so every memoized
-    /// flow decision is invalidated.
+    /// Triggered").
     pub fn control_plane(&mut self, now: SimTime, opcode: u32, args: [u64; 4]) {
         self.dispatch_event(
             now,
             Event::ControlPlane(ControlPlaneEvent { opcode, args }),
             0,
         );
-        let evicted = self.cache.len() as u32;
-        self.cache.invalidate_all();
-        emit(now.as_nanos(), RecordKind::FlowCacheInvalidate { evicted });
     }
 
     /// A port's link status changed.
@@ -463,12 +448,11 @@ impl<P: EventProgram> EventSwitch<P> {
         self.dispatch_event(now, Event::User(UserEvent { code, args }), 0);
     }
 
-    /// Publishes counters, event coverage, flow-cache stats and per-port
-    /// queue stats into the unified metrics registry under `scope`.
+    /// Publishes counters, event coverage and per-port queue stats into
+    /// the unified metrics registry under `scope`.
     pub fn publish_metrics(&self, reg: &mut edp_telemetry::Registry, scope: &str) {
         self.counters.publish(reg, scope);
         self.events.publish(reg, scope);
-        self.cache.stats().publish(reg, scope);
         for port in 0..self.cfg.n_ports as PortId {
             self.tm
                 .stats(port)
@@ -506,58 +490,28 @@ impl<P: EventProgram> EventSwitch<P> {
                 return;
             }
         };
-        // Fast path: first-pass ingress packets of a flow-cacheable
-        // program replay the memoized decision instead of invoking the
-        // handler. Architectural events (enqueue etc.) still fire below.
-        let flow_hash = if kind == EventKind::IngressPacket
-            && meta.recirc_count == 0
-            && self.program.flow_cacheable()
-        {
-            parsed.flow_key().map(|k| k.hash64())
-        } else {
-            None
-        };
-        let cached = flow_hash.and_then(|h| self.cache.lookup(h));
         let _probe = ProbeScope::enter(kind.probe_context());
+        let muts_before = pkt.mutation_count();
+        let mut actions = EventActions::new();
+        match kind {
+            EventKind::RecirculatedPacket => {
+                self.program
+                    .on_recirculated(&mut pkt, &parsed, &mut meta, now, &mut actions)
+            }
+            EventKind::GeneratedPacket => {
+                self.program
+                    .on_generated(&mut pkt, &parsed, &mut meta, now, &mut actions)
+            }
+            _ => self
+                .program
+                .on_ingress(&mut pkt, &parsed, &mut meta, now, &mut actions),
+        }
+        self.drain_actions(now, actions, depth);
         // `still_parsed` is `parsed` for as long as it provably describes
         // `pkt`'s current bytes; a handler mutation invalidates it. It is
         // stashed with the packet at enqueue so egress can skip its
         // re-parse (parsing is pure — reuse is unobservable).
-        let still_parsed = if let Some(decision) = cached {
-            decision.apply(&mut meta);
-            Some(parsed)
-        } else {
-            let muts_before = pkt.mutation_count();
-            let mut actions = EventActions::new();
-            match kind {
-                EventKind::RecirculatedPacket => {
-                    self.program
-                        .on_recirculated(&mut pkt, &parsed, &mut meta, now, &mut actions)
-                }
-                EventKind::GeneratedPacket => {
-                    self.program
-                        .on_generated(&mut pkt, &parsed, &mut meta, now, &mut actions)
-                }
-                _ => self
-                    .program
-                    .on_ingress(&mut pkt, &parsed, &mut meta, now, &mut actions),
-            }
-            if let Some(h) = flow_hash {
-                self.cache.admit(h, &meta);
-                emit(
-                    now.as_nanos(),
-                    RecordKind::FlowCacheAdmit {
-                        entries: self.cache.len() as u32,
-                    },
-                );
-            }
-            self.drain_actions(now, actions, depth);
-            if pkt.mutation_count() == muts_before {
-                Some(parsed)
-            } else {
-                None
-            }
-        };
+        let still_parsed = (pkt.mutation_count() == muts_before).then_some(parsed);
         match meta.dest {
             Destination::Port(out) => {
                 if (out as usize) < self.cfg.n_ports {
@@ -855,6 +809,7 @@ mod tests {
     /// Counts every handler invocation.
     #[derive(Default)]
     struct Recorder {
+        ing: u32,
         enq: u32,
         deq: u32,
         ovf: u32,
@@ -875,6 +830,7 @@ mod tests {
             _now: SimTime,
             _a: &mut EventActions,
         ) {
+            self.ing += 1;
             meta.dest = Destination::Port(1);
         }
         fn on_enqueue(&mut self, _e: &EnqueueEvent, _n: SimTime, _a: &mut EventActions) {
@@ -1164,25 +1120,22 @@ mod tests {
     }
 
     #[test]
-    fn flow_cache_skips_handler_but_not_architecture_events() {
-        use crate::program::BaselineAdapter;
-        let mut sw = EventSwitch::new(BaselineAdapter(edp_pisa::ForwardTo(2)), cfg());
+    fn every_packet_of_a_flow_runs_the_handler_and_the_architecture_events() {
+        let mut sw = EventSwitch::new(Recorder::default(), cfg());
         for _ in 0..5 {
             sw.receive(SimTime::ZERO, 0, frame());
         }
-        let stats = sw.flow_cache_stats();
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits, 4);
-        // Cached packets still traverse the architecture: one enqueue
-        // event per packet, all on the same port.
+        assert_eq!(sw.program.ing, 5, "no packet skips its handler");
         assert_eq!(sw.event_counters().get(EventKind::BufferEnqueue), 5);
         for _ in 0..5 {
-            assert!(sw.transmit(SimTime::ZERO, 2).is_some());
+            assert!(sw.transmit(SimTime::ZERO, 1).is_some());
         }
+        assert_eq!(sw.program.deq, 5);
+        assert_eq!(sw.program.tx, 5);
     }
 
     #[test]
-    fn control_plane_event_invalidates_flow_cache() {
+    fn control_plane_update_takes_effect_on_the_next_packet() {
         use crate::program::BaselineAdapter;
         use edp_pisa::TableRouter;
         let dst = Ipv4Addr::new(1, 0, 0, 2);
@@ -1194,10 +1147,9 @@ mod tests {
         );
         sw.receive(SimTime::ZERO, 0, frame());
         sw.receive(SimTime::ZERO, 0, frame());
-        assert!(sw.flow_cache_stats().hits >= 1);
         assert!(sw.transmit(SimTime::ZERO, 1).is_some());
         assert!(sw.transmit(SimTime::ZERO, 1).is_some());
-        // Mid-run route change: a stale cache would keep port 1.
+        // Mid-run route change: a more specific prefix to a new port.
         sw.control_plane(
             SimTime::ZERO,
             TableRouter::OP_INSERT_ROUTE,
@@ -1210,9 +1162,9 @@ mod tests {
 
     /// One run of the mixed-traffic workload; `burst` switches between
     /// per-packet [`EventSwitch::receive`] and [`EventSwitch::receive_burst`].
-    /// Returns every observable: trace render, counters, event counts,
-    /// flow-cache stats, and the transmitted frame bytes.
-    fn burst_observables(burst: bool) -> (String, EventSwitchCounters, String, FlowCacheStats) {
+    /// Returns every observable: trace render, counters, and the
+    /// transmitted frame bytes.
+    fn burst_observables(burst: bool) -> (String, EventSwitchCounters, String) {
         use crate::program::BaselineAdapter;
         use edp_packet::Burst;
         let flow_frame = |src_port: u16| {
@@ -1257,26 +1209,16 @@ mod tests {
             .map(|p| format!("{:02x?}", p.bytes()))
             .collect::<Vec<_>>()
             .join("|");
-        (
-            t.render_trace(),
-            sw.counters(),
-            payloads,
-            sw.flow_cache_stats(),
-        )
+        (t.render_trace(), sw.counters(), payloads)
     }
 
     #[test]
     fn receive_burst_is_byte_identical_to_sequential() {
-        let (trace_seq, ctr_seq, tx_seq, fc_seq) = burst_observables(false);
-        let (trace_b, ctr_b, tx_b, fc_b) = burst_observables(true);
+        let (trace_seq, ctr_seq, tx_seq) = burst_observables(false);
+        let (trace_b, ctr_b, tx_b) = burst_observables(true);
         assert_eq!(trace_b, trace_seq, "telemetry record stream must match");
         assert_eq!(ctr_b, ctr_seq, "switch counters must match");
         assert_eq!(tx_b, tx_seq, "transmitted frames must match byte-for-byte");
-        assert_eq!(fc_b, fc_seq, "flow-cache stats must match");
-        // Sanity: the workload actually exercised the flow cache —
-        // each flow's first packet misses, the rest hit.
-        assert!(fc_b.hits >= 3);
-        assert!(fc_b.misses >= 2);
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! The network world: nodes, links, and the event-driven glue.
 //!
 //! [`Network`] is the world type `W` for [`Sim<Network>`]: every link
-//! delivery, transmission opportunity, timer crank, and control-plane
-//! round trip is a scheduled event. All methods that advance the world
-//! take `&mut Sim<Network>` so they can schedule follow-up events.
+//! delivery, timer crank, and control-plane round trip is a scheduled
+//! event; a transmission runs inside the cascade that created its
+//! backlog and is scheduled only when it must wait for a future instant.
+//! All methods that advance the world take `&mut Sim<Network>` so they
+//! can schedule follow-up events.
 
 use crate::harness::SwitchHarness;
 use crate::host::{Host, HostId};
@@ -39,7 +41,8 @@ struct NetLink {
 struct PortSlot {
     /// The link plugged in here and the direction that leaves this port.
     link: Option<(LinkId, Dir)>,
-    /// A transmit attempt for this port is scheduled and has not fired.
+    /// A transmit attempt for this port is scheduled for a future instant
+    /// (the wire frees, or the switch's stall lifts) and has not fired.
     armed: bool,
 }
 
@@ -63,7 +66,9 @@ impl EventFn<Network> for Delivery {
     }
 }
 
-/// The transmit-attempt event for one port; recycled like [`Delivery`].
+/// A port's deferred transmit attempt, scheduled only for the future
+/// instant its wire frees or its switch's stall lifts (see
+/// [`Network::service`]); recycled like [`Delivery`].
 struct TransmitAttempt {
     ep: Endpoint,
 }
@@ -72,7 +77,8 @@ impl EventFn<Network> for TransmitAttempt {
     fn fire(self: Box<Self>, w: &mut Network, s: &mut Sim<Network>) {
         let ep = self.ep;
         w.free_transmits.push(self);
-        w.try_transmit(s, ep);
+        w.port_mut(ep).armed = false;
+        w.service(s, ep.0);
     }
 }
 
@@ -416,7 +422,7 @@ impl Network {
         }
         let pkt = self.stamp_packet(sim.now(), frame);
         self.host_txq[host].push_back(pkt);
-        self.kick(sim, (NodeRef::Host(host), 0));
+        self.service(sim, NodeRef::Host(host));
     }
 
     /// Sends a shared template payload from `host` zero-copy (fresh uid,
@@ -432,80 +438,113 @@ impl Network {
         }
         let pkt = self.stamp_packet_shared(sim.now(), payload);
         self.host_txq[host].push_back(pkt);
-        self.kick(sim, (NodeRef::Host(host), 0));
+        self.service(sim, NodeRef::Host(host));
     }
 
-    /// Arms a transmit attempt on `ep` if none is pending. Only the
-    /// endpoint owner's shard transmits.
-    pub fn kick(&mut self, sim: &mut Sim<Network>, ep: Endpoint) {
-        if !self.owns_node(ep.0) {
-            return;
+    /// Transmits what `node` can put on its wires at this instant: every
+    /// port with backlog and a free wire sends now, inside the cascade
+    /// that created the backlog; a port that must wait (busy wire, stalled
+    /// switch) gets a transmit attempt scheduled for the instant the wait
+    /// ends. Only the node owner's shard transmits.
+    pub fn kick(&mut self, sim: &mut Sim<Network>, node: NodeRef) {
+        if self.owns_node(node) {
+            self.service(sim, node);
         }
-        if self.port(ep).armed {
-            return;
-        }
-        self.arm_transmit(sim, sim.now(), ep);
     }
 
-    /// Marks `ep` armed and schedules its transmit attempt at `at`,
-    /// reusing a fired event's box when one is free.
+    /// Marks `ep` armed and schedules its transmit attempt at the future
+    /// instant `at`, reusing a fired event's box when one is free. An
+    /// attempt that could run now is never scheduled: it runs inline.
     fn arm_transmit(&mut self, sim: &mut Sim<Network>, at: SimTime, ep: Endpoint) {
+        debug_assert!(at > sim.now(), "a zero-delay transmit attempt runs inline");
         self.port_mut(ep).armed = true;
         let ev = reboxed(&mut self.free_transmits, TransmitAttempt { ep });
         sim.schedule_boxed(at, ev);
     }
 
-    /// Arms transmit attempts on every switch port with pending frames.
-    pub fn kick_switch_ports(&mut self, sim: &mut Sim<Network>, i: usize) {
-        for port in 0..self.switch_ports[i].len() as PortId {
-            if self.switches[i].has_pending(port) {
-                self.kick(sim, (NodeRef::Switch(i), port));
+    /// The future instant `ep` must wait for before it may transmit — the
+    /// end of its switch's stall (a stalled switch's egress pipeline is
+    /// frozen too), else the end of the frame on its wire — or `None`
+    /// when it may transmit now.
+    fn blocked_until(&self, ep: Endpoint, now: SimTime) -> Option<SimTime> {
+        if let NodeRef::Switch(i) = ep.0 {
+            let until = self.stalled_until[i];
+            if until > now {
+                return Some(until);
             }
+        }
+        let (lid, dir) = self.port(ep).link?;
+        let busy = self.links[lid].state.dirs[dir as usize].busy_until;
+        (busy > now).then_some(busy)
+    }
+
+    /// Services every port of `node` that has backlog and no attempt
+    /// scheduled: frames leave while the wire is free and the switch is
+    /// not stalled; a port that must wait is armed for the instant the
+    /// wait ends. The glue calls this after *every* call into a switch,
+    /// so at the end of every cascade a backlogged port is either armed
+    /// for a future instant or was just serviced.
+    ///
+    /// A loop, never a recursion: frames the egress program drops and
+    /// frames leaving an unconnected port occupy no wire, so one call may
+    /// drain a backlog of any depth. Returns whether it transmitted or
+    /// armed anything.
+    fn service(&mut self, sim: &mut Sim<Network>, node: NodeRef) -> bool {
+        let now = sim.now();
+        let n_ports = match node {
+            NodeRef::Switch(i) => self.switch_ports[i].len(),
+            NodeRef::Host(_) => 1,
+        };
+        let mut acted = false;
+        // A transmit's egress-side handlers may enqueue toward any port
+        // of the switch, so pass over the ports until a pass sends nothing.
+        loop {
+            let mut sent = false;
+            for port in 0..n_ports as PortId {
+                let ep = (node, port);
+                if self.port(ep).armed {
+                    continue;
+                }
+                while self.has_backlog(ep) {
+                    if let Some(at) = self.blocked_until(ep, now) {
+                        self.arm_transmit(sim, at, ep);
+                        acted = true;
+                        break;
+                    }
+                    self.transmit_one(sim, ep);
+                    sent = true;
+                }
+            }
+            if !sent {
+                return acted;
+            }
+            acted = true;
         }
     }
 
-    fn try_transmit(&mut self, sim: &mut Sim<Network>, ep: Endpoint) {
+    fn has_backlog(&self, (node, port): Endpoint) -> bool {
+        match node {
+            NodeRef::Switch(i) => self.switches[i].has_pending(port),
+            NodeRef::Host(h) => !self.host_txq[h].is_empty(),
+        }
+    }
+
+    /// Takes the next frame off `ep`'s backlog and puts it on the wire
+    /// (`ep` has backlog and may transmit now).
+    fn transmit_one(&mut self, sim: &mut Sim<Network>, ep: Endpoint) {
         let now = sim.now();
-        let (node, port) = ep;
-        let slot = self.port_mut(ep);
-        slot.armed = false;
-        let link = slot.link;
-        // A stalled switch's egress pipeline is frozen too: defer the
-        // whole attempt until the stall lifts.
-        if let NodeRef::Switch(i) = node {
-            let until = self.stalled_until[i];
-            if until > now {
-                self.arm_transmit(sim, until, ep);
-                return;
-            }
-        }
-        // If the wire is still busy, wait until it frees.
-        if let Some((lid, dir)) = link {
-            let busy = self.links[lid].state.dirs[dir as usize].busy_until;
-            if busy > now {
-                self.arm_transmit(sim, busy, ep);
-                return;
-            }
-        }
-        let pkt = match node {
+        let pkt = match ep.0 {
             NodeRef::Switch(i) => {
-                if !self.switches[i].has_pending(port) {
-                    return;
-                }
-                let p = self.switches[i].transmit(now, port);
+                let p = self.switches[i].transmit(now, ep.1);
                 self.collect_cp(i);
                 p
             }
             NodeRef::Host(h) => self.host_txq[h].pop_front(),
         };
-        let Some(pkt) = pkt else {
-            // Program dropped it at egress; try the next one if any.
-            self.maybe_rekick(sim, ep);
-            return;
-        };
-        let Some((lid, dir)) = link else {
+        // `None`: the program dropped the frame at egress.
+        let Some(pkt) = pkt else { return };
+        let Some((lid, dir)) = self.port(ep).link else {
             self.dropped_unconnected += 1;
-            self.maybe_rekick(sim, ep);
             return;
         };
         let out = self.links[lid]
@@ -530,7 +569,6 @@ impl Network {
             let key = self.next_wire_key(lid, dir);
             self.schedule_delivery(sim, d.at, dest, copy, key);
         }
-        self.maybe_rekick(sim, ep);
     }
 
     /// Allocates the next wire-order key for `(link, dir)`.
@@ -612,17 +650,6 @@ impl Network {
         }
     }
 
-    fn maybe_rekick(&mut self, sim: &mut Sim<Network>, ep: Endpoint) {
-        let (node, port) = ep;
-        let pending = match node {
-            NodeRef::Switch(i) => self.switches[i].has_pending(port),
-            NodeRef::Host(h) => !self.host_txq[h].is_empty(),
-        };
-        if pending {
-            self.kick(sim, ep);
-        }
-    }
-
     fn deliver(&mut self, sim: &mut Sim<Network>, ep: Endpoint, pkt: Packet, key: u64) {
         let now = sim.now();
         if let NodeRef::Switch(i) = ep.0 {
@@ -653,7 +680,7 @@ impl Network {
             NodeRef::Switch(i) => {
                 self.switches[i].receive(now, port, pkt);
                 self.collect_cp(i);
-                self.kick_switch_ports(sim, i);
+                self.service(sim, node);
             }
             NodeRef::Host(h) => {
                 let latency = pkt
@@ -712,7 +739,14 @@ impl Network {
         }
         self.switches[i].fire_due_timers(sim.now());
         self.collect_cp(i);
-        self.kick_switch_ports(sim, i);
+        let acted = self.service(sim, NodeRef::Switch(i));
+        // A certified-local crank enqueued nothing, and every port that
+        // had backlog before it is armed (the invariant `service` keeps),
+        // so it neither transmits nor schedules an attempt.
+        debug_assert!(
+            !acted || self.timer_class(i) == EventClass::Bound,
+            "switch {i}'s certified-local timer crank transmitted"
+        );
         self.arm_switch_timers(sim, i);
     }
 
@@ -735,7 +769,7 @@ impl Network {
         // Restart egress once the stall lifts (deliveries and timer
         // cranks re-schedule themselves; queued frames need a kick).
         sim.schedule_at(until, move |w: &mut Network, s: &mut Sim<Network>| {
-            w.kick_switch_ports(s, i);
+            w.kick(s, NodeRef::Switch(i));
         });
     }
 
@@ -778,7 +812,7 @@ impl Network {
                 }
                 self.switches[i].set_link_status(now, port, up);
                 self.collect_cp(i);
-                self.kick_switch_ports(sim, i);
+                self.service(sim, node);
             }
         }
     }
@@ -921,7 +955,7 @@ impl Network {
             }
             w.switches[i].control_plane(s.now(), opcode, args);
             w.collect_cp(i);
-            w.kick_switch_ports(s, i);
+            w.service(s, NodeRef::Switch(i));
         });
     }
 }
@@ -1243,6 +1277,134 @@ mod tests {
         assert!(net.free_transmits.len() <= peak_tx);
         assert!(net.free_deliveries.len() <= peak_rest);
         assert!(sim.events_fired() > 20 * (peak_tx + peak_rest) as u64);
+    }
+
+    /// Forwards arriving frames to port 1 and its own generated frames to
+    /// port 2; every frame leaving port 1 generates a copy of `mirror`.
+    struct MirrorOnTransmit {
+        mirror: Vec<u8>,
+    }
+    impl edp_core::EventProgram for MirrorOnTransmit {
+        fn on_ingress(
+            &mut self,
+            _p: &mut Packet,
+            _h: &edp_packet::ParsedPacket,
+            m: &mut edp_pisa::StdMeta,
+            _n: SimTime,
+            _a: &mut edp_core::EventActions,
+        ) {
+            // Generated frames enter "from" port `n_ports` and fall
+            // through to this handler.
+            m.dest = edp_pisa::Destination::Port(if m.ingress_port == 0 { 1 } else { 2 });
+        }
+        fn on_transmit(
+            &mut self,
+            ev: &edp_core::event::TransmitEvent,
+            _n: SimTime,
+            a: &mut edp_core::EventActions,
+        ) {
+            if ev.port == 1 {
+                a.generate_packet(self.mirror.clone());
+            }
+        }
+    }
+
+    /// A frame that an egress-side handler enqueues toward another, idle
+    /// port leaves in the cascade that enqueued it — not at the next
+    /// unrelated delivery or timer crank (here there is none, so the
+    /// frame would never leave).
+    #[test]
+    fn frame_generated_by_an_egress_handler_leaves_at_once() {
+        let frame = PacketBuilder::udp(a(1), a(2), 5, 6, &[])
+            .pad_to(125)
+            .build();
+        let mut net = Network::new(1);
+        let cfg = edp_core::EventSwitchConfig {
+            n_ports: 3,
+            ..Default::default()
+        };
+        let program = MirrorOnTransmit {
+            mirror: frame.clone(),
+        };
+        let sw = net.add_switch(Box::new(edp_core::EventSwitch::new(program, cfg)));
+        let h0 = net.add_host(Host::new(a(1), HostApp::Sink));
+        let h2 = net.add_host(Host::new(a(2), HostApp::Sink));
+        let spec = LinkSpec::ten_gig(SimDuration::from_micros(1));
+        net.connect((NodeRef::Host(h0), 0), (NodeRef::Switch(sw), 0), spec);
+        net.connect((NodeRef::Host(h2), 0), (NodeRef::Switch(sw), 2), spec);
+        let mut sim: Sim<Network> = Sim::new();
+        net.host_send(&mut sim, h0, frame);
+        sim.run(&mut net);
+        // 125 B at 10 Gb/s = 100 ns on the wire, 1 us of flight: the frame
+        // reaches the switch at 1.1 us and leaves (unconnected) port 1 at
+        // once; its mirror is enqueued, and leaves port 2, in that same
+        // instant, so the run's last event is its arrival at 2.2 us.
+        assert_eq!(net.dropped_unconnected, 1);
+        assert_eq!(net.hosts[h2].stats.rx_pkts, 1);
+        assert_eq!(sim.now(), SimTime::from_nanos(2_200));
+    }
+
+    /// Sends everything to port 1 and drops it in the egress pipeline.
+    struct DropAtEgress;
+    impl edp_pisa::PisaProgram for DropAtEgress {
+        fn ingress(
+            &mut self,
+            _p: &mut Packet,
+            _h: &edp_packet::ParsedPacket,
+            m: &mut edp_pisa::StdMeta,
+            _n: SimTime,
+        ) {
+            m.dest = edp_pisa::Destination::Port(1);
+        }
+        fn egress(
+            &mut self,
+            _p: &mut Packet,
+            _h: &edp_packet::ParsedPacket,
+            m: &mut edp_pisa::StdMeta,
+            _n: SimTime,
+        ) {
+            m.egress_drop = true;
+        }
+    }
+
+    /// A backlog of frames that occupy no wire — toward an unconnected
+    /// port, or dropped by the egress program — drains in one kick, on a
+    /// stack far too small for a recursion as deep as the backlog.
+    #[test]
+    fn deep_backlog_drains_in_one_kick_on_a_small_stack() {
+        const N: u64 = 20_000;
+        fn drain<P: edp_pisa::PisaProgram + 'static>(program: P) -> (Network, Sim<Network>) {
+            let cfg = QueueConfig {
+                capacity_bytes: u64::MAX,
+                ..QueueConfig::default()
+            };
+            let mut net = Network::new(1);
+            let sw = net.add_switch(Box::new(BaselineSwitch::new(program, 2, cfg)));
+            let frame = PacketBuilder::udp(a(1), a(2), 5, 6, &[]).build();
+            for _ in 0..N {
+                net.switches[sw].receive(SimTime::ZERO, 0, Packet::anonymous(frame.clone()));
+            }
+            let mut sim: Sim<Network> = Sim::new();
+            net.kick(&mut sim, NodeRef::Switch(sw));
+            (net, sim)
+        }
+        let small_stack = std::thread::Builder::new().stack_size(256 * 1024);
+        let worker = small_stack.spawn(|| {
+            let (net, sim) = drain(ForwardTo(1));
+            let c = net.switch_as::<BaselineSwitch<ForwardTo>>(0).counters();
+            assert_eq!((c.rx, c.tx, net.dropped_unconnected), (N, N, N));
+            assert!(!net.switches[0].has_pending(1) && sim.pending() == 0);
+
+            let (net, sim) = drain(DropAtEgress);
+            let c = net.switch_as::<BaselineSwitch<DropAtEgress>>(0).counters();
+            assert_eq!((c.rx, c.tx, c.dropped_by_program), (N, 0, N));
+            assert_eq!(net.dropped_unconnected, 0);
+            assert!(!net.switches[0].has_pending(1) && sim.pending() == 0);
+        });
+        worker
+            .expect("spawn")
+            .join()
+            .expect("backlog drained within the small stack");
     }
 
     #[test]

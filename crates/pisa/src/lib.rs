@@ -24,7 +24,6 @@
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod cache;
 mod meta;
 pub mod probe;
 mod program;
@@ -33,7 +32,6 @@ mod switch;
 mod table;
 mod tm;
 
-pub use cache::{CachedDecision, FlowCache, FlowCacheStats, DEFAULT_FLOW_CACHE_CAPACITY};
 pub use meta::{Destination, PortId, StdMeta};
 pub use probe::{ProbeAccess, ProbeClaim, ProbeClass, ProbeRecord};
 pub use program::{ForwardTo, PisaProgram, TableRouter};

@@ -47,19 +47,6 @@ pub trait PisaProgram: Send {
     fn control_update(&mut self, opcode: u32, args: [u64; 4], now: SimTime) {
         let _ = (opcode, args, now);
     }
-
-    /// Opt-in to the switch's per-flow action cache
-    /// ([`crate::FlowCache`]). Returning `true` promises that
-    /// [`ingress`](Self::ingress) is a pure function of the packet's flow
-    /// 5-tuple and state that only changes via
-    /// [`control_update`](Self::control_update): no per-packet counters
-    /// read back into the decision, no dependence on payload bytes or
-    /// arrival time, no packet rewrites. The switch then replays cached
-    /// decisions without invoking `ingress` and invalidates the cache on
-    /// every control-plane update. Default: `false` (never cached).
-    fn flow_cacheable(&self) -> bool {
-        false
-    }
 }
 
 /// A trivial program forwarding everything to a fixed port (useful as a
@@ -80,16 +67,11 @@ impl PisaProgram for ForwardTo {
     ) {
         meta.dest = crate::meta::Destination::Port(self.0);
     }
-
-    fn flow_cacheable(&self) -> bool {
-        true
-    }
 }
 
-/// An L3 router over a single LPM table: the canonical flow-cacheable
-/// program. Ingress looks the destination address up in the route table;
-/// routes are installed exclusively through [`control_update`]
-/// (P4Runtime-style), so the cacheability contract holds by construction.
+/// An L3 router over a single LPM table. Ingress looks the destination
+/// address up in the route table; routes are installed exclusively
+/// through [`control_update`] (P4Runtime-style).
 #[derive(Debug, Clone)]
 pub struct TableRouter {
     routes: crate::table::MatchTable<crate::meta::PortId>,
@@ -153,10 +135,6 @@ impl PisaProgram for TableRouter {
             Self::OP_CLEAR_ROUTES => self.routes.clear(),
             _ => {}
         }
-    }
-
-    fn flow_cacheable(&self) -> bool {
-        true
     }
 }
 

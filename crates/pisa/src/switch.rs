@@ -6,7 +6,6 @@
 //! slot to deliver them to. `edp-core::sume` builds the event-driven
 //! variant on the same parts and delivers them.
 
-use crate::cache::{FlowCache, FlowCacheStats};
 use crate::meta::{Destination, PortId, StdMeta};
 use crate::program::PisaProgram;
 use crate::tm::{QueueConfig, QueueStats, TrafficManager};
@@ -60,7 +59,6 @@ pub struct BaselineSwitch<P> {
     tm: TrafficManager,
     n_ports: usize,
     counters: SwitchCounters,
-    cache: FlowCache,
 }
 
 impl<P: PisaProgram> BaselineSwitch<P> {
@@ -71,14 +69,7 @@ impl<P: PisaProgram> BaselineSwitch<P> {
             tm: TrafficManager::new(n_ports, cfg),
             n_ports,
             counters: SwitchCounters::default(),
-            cache: FlowCache::default(),
         }
-    }
-
-    /// Flow-cache counters (hits stay 0 unless the program opted in via
-    /// [`PisaProgram::flow_cacheable`]).
-    pub fn flow_cache_stats(&self) -> FlowCacheStats {
-        self.cache.stats()
     }
 
     /// Number of ports.
@@ -133,29 +124,7 @@ impl<P: PisaProgram> BaselineSwitch<P> {
                 return;
             }
         };
-        // Fast path: replay a memoized decision for a known flow instead
-        // of running the pipeline. Only first-pass packets of programs
-        // that declared themselves cacheable are eligible.
-        let flow_hash = if meta.recirc_count == 0 && self.program.flow_cacheable() {
-            parsed.flow_key().map(|k| k.hash64())
-        } else {
-            None
-        };
-        match flow_hash.and_then(|h| self.cache.lookup(h)) {
-            Some(decision) => decision.apply(&mut meta),
-            None => {
-                self.program.ingress(&mut pkt, &parsed, &mut meta, now);
-                if let Some(h) = flow_hash {
-                    self.cache.admit(h, &meta);
-                    emit(
-                        now.as_nanos(),
-                        RecordKind::FlowCacheAdmit {
-                            entries: self.cache.len() as u32,
-                        },
-                    );
-                }
-            }
-        }
+        self.program.ingress(&mut pkt, &parsed, &mut meta, now);
         match meta.dest {
             Destination::Port(out) => {
                 if (out as usize) < self.n_ports {
@@ -279,22 +248,17 @@ impl<P: PisaProgram> BaselineSwitch<P> {
         self.tm.depth_pkts(port) > 0
     }
 
-    /// Delivers a control-plane update to the program (P4Runtime-style).
-    /// Program state may have changed, so every memoized flow decision is
-    /// invalidated — the next packet of each flow re-runs the pipeline.
+    /// Delivers a control-plane update to the program (P4Runtime-style);
+    /// the next packet sees the updated state.
     pub fn control_plane(&mut self, now: SimTime, opcode: u32, args: [u64; 4]) {
         self.program.control_update(opcode, args, now);
-        let evicted = self.cache.len() as u32;
-        self.cache.invalidate_all();
-        emit(now.as_nanos(), RecordKind::FlowCacheInvalidate { evicted });
     }
 
-    /// Publishes every counter this switch owns — aggregate counters,
-    /// per-port queue statistics, flow-cache statistics — into the
-    /// unified metrics registry under `scope`.
+    /// Publishes every counter this switch owns — aggregate counters and
+    /// per-port queue statistics — into the unified metrics registry
+    /// under `scope`.
     pub fn publish_metrics(&self, reg: &mut edp_telemetry::Registry, scope: &str) {
         self.counters.publish(reg, scope);
-        self.cache.stats().publish(reg, scope);
         for port in 0..self.n_ports as PortId {
             self.tm
                 .stats(port)
@@ -559,22 +523,7 @@ mod tests {
     }
 
     #[test]
-    fn flow_cache_hits_on_repeat_flow() {
-        let mut sw = BaselineSwitch::new(ForwardTo(2), 4, QueueConfig::default());
-        for _ in 0..5 {
-            sw.receive(SimTime::ZERO, 0, frame());
-        }
-        let stats = sw.flow_cache_stats();
-        assert_eq!(stats.misses, 1, "first packet of the flow misses");
-        assert_eq!(stats.hits, 4, "the rest replay the cached decision");
-        // Cached and uncached packets take the same forwarding decision.
-        for _ in 0..5 {
-            assert!(sw.transmit(SimTime::ZERO, 2).is_some());
-        }
-    }
-
-    #[test]
-    fn control_update_invalidates_flow_cache_mid_run() {
+    fn control_update_takes_effect_on_the_next_packet() {
         use crate::program::TableRouter;
         let dst = Ipv4Addr::new(1, 0, 0, 2);
         let mut sw = BaselineSwitch::new(TableRouter::new(), 4, QueueConfig::default());
@@ -583,14 +532,11 @@ mod tests {
             TableRouter::OP_INSERT_ROUTE,
             [u32::from(dst) as u64, 24, 1, 0],
         );
-        // Warm the cache on port 1, with cached repeats.
         sw.receive(SimTime::ZERO, 0, frame());
         sw.receive(SimTime::ZERO, 0, frame());
-        assert!(sw.flow_cache_stats().hits >= 1);
         assert!(sw.transmit(SimTime::ZERO, 1).is_some());
         assert!(sw.transmit(SimTime::ZERO, 1).is_some());
-        // Mid-run route change: a more specific prefix to a new port. A
-        // stale cache would keep sending the flow to port 1.
+        // Mid-run route change: a more specific prefix to a new port.
         sw.control_plane(
             SimTime::ZERO,
             TableRouter::OP_INSERT_ROUTE,
@@ -599,29 +545,8 @@ mod tests {
         sw.receive(SimTime::ZERO, 0, frame());
         assert!(
             sw.has_pending(3),
-            "post-update packets must see the new route, not the cached one"
+            "post-update packets must see the new route"
         );
         assert!(!sw.has_pending(1));
-    }
-
-    #[test]
-    fn non_cacheable_program_never_consults_cache() {
-        struct Dropper;
-        impl PisaProgram for Dropper {
-            fn ingress(
-                &mut self,
-                _p: &mut Packet,
-                _h: &ParsedPacket,
-                m: &mut StdMeta,
-                _n: SimTime,
-            ) {
-                m.dest = Destination::Drop;
-            }
-        }
-        let mut sw = BaselineSwitch::new(Dropper, 2, QueueConfig::default());
-        sw.receive(SimTime::ZERO, 0, frame());
-        sw.receive(SimTime::ZERO, 0, frame());
-        let stats = sw.flow_cache_stats();
-        assert_eq!((stats.hits, stats.misses), (0, 0));
     }
 }

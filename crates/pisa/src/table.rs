@@ -221,8 +221,8 @@ pub struct MatchTable<A> {
     schema: Vec<MatchKind>,
     entries: Vec<TableEntry<A>>,
     index: Index,
-    /// Bumped on every mutation; lets callers (e.g. flow caches) detect
-    /// control-plane churn without hooking each write path.
+    /// Bumped on every mutation; lets callers detect control-plane churn
+    /// without hooking each write path.
     generation: u64,
     /// Interior-mutable so [`lookup`](Self::lookup) works through `&self`
     /// (read-only probing by the analyzer; lookups are observations, not
@@ -269,8 +269,8 @@ impl<A> MatchTable<A> {
 
     /// Mutation counter: bumped by [`insert`](Self::insert),
     /// [`remove_where`](Self::remove_where) and [`clear`](Self::clear).
-    /// Anything derived from lookup results (flow caches, compiled
-    /// fast paths) is stale once this moves.
+    /// Anything derived from lookup results (a compiled fast path, a
+    /// per-packet-consistency check) is stale once this moves.
     pub fn generation(&self) -> u64 {
         self.generation
     }

@@ -120,16 +120,6 @@ pub enum RecordKind {
         /// Unfolded delta magnitude visible to the read.
         bound: u64,
     },
-    /// The flow cache admitted an entry.
-    FlowCacheAdmit {
-        /// Entries resident after admission.
-        entries: u32,
-    },
-    /// The flow cache was invalidated wholesale.
-    FlowCacheInvalidate {
-        /// Entries evicted.
-        evicted: u32,
-    },
     /// The scheduler armed a future event.
     SchedArm {
         /// Heap sequence number of the armed event.
@@ -285,12 +275,6 @@ impl TraceRecord {
             }
             RecordKind::Staleness { register, bound } => {
                 format!("staleness r{register:08x} bound={bound}")
-            }
-            RecordKind::FlowCacheAdmit { entries } => {
-                format!("cache-admit entries={entries}")
-            }
-            RecordKind::FlowCacheInvalidate { evicted } => {
-                format!("cache-invalidate evicted={evicted}")
             }
             RecordKind::SchedArm { seq, due_ns } => {
                 format!("sched-arm seq={seq} due={due_ns}")

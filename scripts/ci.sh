@@ -238,21 +238,31 @@ step_bench_gate() {
     # that moves the scalar path's observable behaviour fails here. Full
     # runs (`bash benchmark/run.sh`) and `compare` are taken manually.
     bash benchmark/run.sh --smoke
-    # Then the line's work counters, which repeat bit for bit: 19 events
-    # per packet (generator tick, sender's transmit attempt, a delivery
-    # and a transmit attempt per switch, the sink's delivery) and no
-    # allocation per hop in the Network glue — what is left is the frame
-    # and its host-side bookkeeping (3.3 at smoke size; 21.3 when every
-    # event was a fresh box).
+    # Then the line's work counters, which repeat bit for bit. One
+    # scheduled event per hop: 10 events per packet on the classic engine
+    # (generator tick, a delivery per switch, the sink's delivery — a
+    # transmit attempt runs inside the cascade that created its backlog
+    # and is scheduled only for a future instant, which the line's idle
+    # wires never need) and 11 through the 2-shard engine, where exactly
+    # 7 frames per packet cross shards: a fused hop must not change what
+    # crosses. No allocation per hop in the Network glue — what is left is
+    # the frame and its host-side bookkeeping (3.3 at smoke size).
     if command -v python3 >/dev/null 2>&1; then
         python3 - benchmark/out/smoke.json <<'PYEOF'
 import json, sys
-m = json.load(open(sys.argv[1]))["workloads"]["line8_fwd64"]["per_layer"]["metrics"]
-events = m["evsim.events_per_pkt"]["value"]
-allocs = m["host.allocs_per_pkt"]["value"]
-assert events == 19, f"line8_fwd64 evsim.events_per_pkt = {events}, expected 19"
+workloads = json.load(open(sys.argv[1]))["workloads"]
+def metric(workload, name):
+    return workloads[workload]["per_layer"]["metrics"][name]["value"]
+events = metric("line8_fwd64", "evsim.events_per_pkt")
+allocs = metric("line8_fwd64", "host.allocs_per_pkt")
+sharded = metric("line8_shards2", "evsim.events_per_pkt")
+crossed = metric("line8_shards2", "netsim.shard.cross_msgs_per_pkt")
+assert events == 10, f"line8_fwd64 evsim.events_per_pkt = {events}, expected 10"
 assert allocs <= 4, f"line8_fwd64 host.allocs_per_pkt = {allocs}, expected <= 4"
-print(f"hop work counters ok: {events} events/pkt, {allocs} allocs/pkt")
+assert sharded == 11, f"line8_shards2 evsim.events_per_pkt = {sharded}, expected 11"
+assert crossed == 7, f"line8_shards2 netsim.shard.cross_msgs_per_pkt = {crossed}, expected 7"
+print(f"hop work counters ok: {events} events/pkt, {allocs} allocs/pkt; "
+      f"2 shards: {sharded} events/pkt, {crossed} cross msgs/pkt")
 PYEOF
     else
         echo "python3 not found: hop work counters not checked" >&2

@@ -732,6 +732,130 @@ fn tracer_merge_annotates_link_down_up_in_order() {
 }
 
 // ---------------------------------------------------------------------
+// 11. The same-instant rule: a free wire transmits in the cascade that
+//     created the backlog (DESIGN.md §12)
+// ---------------------------------------------------------------------
+
+/// Forwards everything to port 2 and logs, per enqueue, the ingress port
+/// of the frame and the queue depth the handler observed.
+#[derive(Default)]
+struct DepthLog {
+    seen: Vec<(u64, u32)>,
+}
+
+impl edp_core::EventProgram for DepthLog {
+    fn on_ingress(
+        &mut self,
+        _pkt: &mut edp_packet::Packet,
+        _parsed: &edp_packet::ParsedPacket,
+        meta: &mut edp_pisa::StdMeta,
+        _now: SimTime,
+        _actions: &mut edp_core::EventActions,
+    ) {
+        meta.event_meta[0] = u64::from(meta.ingress_port);
+        meta.dest = edp_pisa::Destination::Port(2);
+    }
+
+    fn on_enqueue(
+        &mut self,
+        ev: &edp_core::event::EnqueueEvent,
+        _now: SimTime,
+        _actions: &mut edp_core::EventActions,
+    ) {
+        self.seen.push((ev.meta[0], ev.q_pkts));
+    }
+}
+
+/// Two frames delivered to swC at the same nanosecond toward the same
+/// idle egress port: the switch takes them in wire-key order (the lower
+/// link first), and the first is on the egress wire before the second is
+/// received — so both enqueue handlers observe a depth of 1 (receiving
+/// both before transmitting either would show 1, 2).
+///
+/// The second frame then waits 8 us for the 1 Gb/s egress wire while
+/// swC's certified-local 1 us timer cranks eight times: each finds the
+/// backlogged port already armed for the instant the wire frees, so it
+/// neither transmits nor schedules — `Network`'s `debug_assert!` on that
+/// is live here (tests build with debug assertions).
+#[test]
+fn same_instant_deliveries_each_reach_the_wire_before_the_next_is_received() {
+    use edp_core::{AppManifest, EffectSummary, EmitFootprint, EventKind};
+    let build = || {
+        let mut net = Network::new(5);
+        let edge = LinkSpec::ten_gig(SimDuration::from_micros(1));
+        let trunk = LinkSpec::ten_gig(SimDuration::from_micros(2));
+        let fwd = || Box::new(BaselineSwitch::new(ForwardTo(1), 2, QueueConfig::default()));
+        let (a, b) = (net.add_switch(fwd()), net.add_switch(fwd()));
+        let cfg = EventSwitchConfig {
+            n_ports: 3,
+            timers: vec![TimerSpec {
+                id: 0,
+                period: SimDuration::from_micros(1),
+                start: SimDuration::from_micros(1),
+            }],
+            ..Default::default()
+        };
+        let c = net.add_switch(Box::new(EventSwitch::new(DepthLog::default(), cfg)));
+        let silent_timer = AppManifest::new("depth-log")
+            .handles([
+                EventKind::IngressPacket,
+                EventKind::BufferEnqueue,
+                EventKind::TimerExpiration,
+            ])
+            .emits(EventKind::IngressPacket, EmitFootprint::port(2));
+        net.install_effect_summary(c, EffectSummary::from_manifest(&silent_timer));
+        let senders = [(a, addr(1)), (b, addr(2))].map(|(sw, ip)| {
+            let h = net.add_host(Host::new(ip, HostApp::Sink));
+            net.connect((NodeRef::Host(h), 0), (NodeRef::Switch(sw), 0), edge);
+            (h, ip)
+        });
+        let sink = net.add_host(Host::new(addr(9), HostApp::Sink));
+        // swA's trunk is the lower link id, hence the lower wire key.
+        net.connect((NodeRef::Switch(a), 1), (NodeRef::Switch(c), 0), trunk);
+        net.connect((NodeRef::Switch(b), 1), (NodeRef::Switch(c), 1), trunk);
+        let slow = LinkSpec {
+            bandwidth_bps: 1_000_000_000,
+            ..edge
+        };
+        net.connect((NodeRef::Switch(c), 2), (NodeRef::Host(sink), 0), slow);
+        net.tracer.enabled = true;
+        let mut sim: Sim<Network> = Sim::new();
+        for (h, ip) in senders {
+            let f = PacketBuilder::udp(ip, addr(9), 1, 2, &[])
+                .pad_to(1000)
+                .build();
+            sim.schedule_at(
+                SimTime::ZERO,
+                move |w: &mut Network, s: &mut Sim<Network>| w.host_send(s, h, f.clone()),
+            );
+        }
+        (net, sim)
+    };
+    // (ingress port, observed depth) per enqueue at swC, and each sender's
+    // one-way latency to the sink in sender order.
+    let observe = |nets: &[Network]| {
+        let seen: Vec<(u64, u32)> = nets
+            .iter()
+            .flat_map(|n| n.switch_as::<EventSwitch<DepthLog>>(2).program.seen.clone())
+            .collect();
+        let mut landed: Vec<(std::net::Ipv4Addr, u64)> = nets
+            .iter()
+            .flat_map(|n| n.hosts[2].stats.flows.iter())
+            .map(|(k, fs)| (k.src, fs.latency_ns.mean() as u64))
+            .collect();
+        landed.sort();
+        (seen, landed)
+    };
+    let nets = assert_invariant(build, observe, SimTime::from_millis(1));
+    // 1000 B is 800 ns on a 10 Gb/s wire: both frames reach swC at
+    // 2 × 800 + 1000 + 2000 = 4600 ns. swA's leaves at once and lands
+    // 8000 + 1000 ns later; swB's leaves when the wire frees at 12600.
+    let (seen, landed) = observe(&nets);
+    assert_eq!(seen, [(0, 1), (1, 1)]);
+    assert_eq!(landed, [(addr(1), 13_600), (addr(2), 21_600)]);
+}
+
+// ---------------------------------------------------------------------
 // PR 9: the wall-clock profiler is outside the determinism boundary
 // ---------------------------------------------------------------------
 
