@@ -21,7 +21,7 @@ use crate::event::{
 };
 use crate::program::{EventActions, EventProgram};
 use edp_evsim::{SimDuration, SimTime};
-use edp_packet::{parse_packet, Burst, Packet, PacketUid, ParsedPacket};
+use edp_packet::{Burst, Packet, PacketUid, SharedFrame};
 use edp_pisa::{Destination, PortId, QueueConfig, QueueStats, StdMeta, TrafficManager};
 use edp_telemetry::{emit, DropReason, RecordKind};
 use serde::{Deserialize, Serialize};
@@ -156,8 +156,9 @@ pub struct EventSwitch<P> {
     timers: Vec<TimerState>,
     gen_next_due: Option<SimTime>,
     /// The generator template, shared once: every injected packet clones
-    /// the `Arc`, not the bytes (handlers that rewrite it copy-on-write).
-    gen_template: Option<std::sync::Arc<Vec<u8>>>,
+    /// the handle, not the bytes (handlers that rewrite it copy-on-write),
+    /// and finds the template's parse already made.
+    gen_template: Option<SharedFrame>,
     gen_seq: u64,
     link_up: Vec<bool>,
     counters: EventSwitchCounters,
@@ -185,7 +186,7 @@ impl<P: EventProgram> EventSwitch<P> {
         let gen_template = cfg
             .generator
             .as_ref()
-            .map(|g| std::sync::Arc::new(g.template.clone()));
+            .map(|g| SharedFrame::new(g.template.clone()));
         let passive = program.passive_events();
         EventSwitch {
             program,
@@ -280,7 +281,7 @@ impl<P: EventProgram> EventSwitch<P> {
     /// `None` when the queue is empty (firing a buffer-underflow event) or
     /// the program/link dropped the frame.
     pub fn transmit(&mut self, now: SimTime, port: PortId) -> Option<Packet> {
-        let (mut pkt, stashed, mut meta, ev) = match self.tm.dequeue_parsed(port, now) {
+        let (mut pkt, mut meta, ev) = match self.tm.dequeue(port, now) {
             Ok(x) => x,
             Err(_) => {
                 self.dispatch_event(now, Event::Underflow(UnderflowEvent { port }), 0);
@@ -316,19 +317,15 @@ impl<P: EventProgram> EventSwitch<P> {
             return None;
         }
         self.events.record(EventKind::EgressPacket);
-        // The ingress parse rides through the TM whenever the frame bytes
-        // provably did not change after parsing (see `enqueue`); parsing
-        // is pure, so reusing it here is byte-identical to re-parsing.
-        let parsed = match stashed {
-            Some(p) => p,
-            None => match parse_packet(pkt.bytes()) {
-                Ok(p) => p,
-                Err(_) => {
-                    self.counters.parse_errors += 1;
-                    self.drop_record(now, DropReason::ParseError);
-                    return None;
-                }
-            },
+        // The ingress parse is still on the frame unless a handler wrote
+        // to it since (`Packet::parsed`).
+        let parsed = match pkt.parsed() {
+            Ok(p) => *p,
+            Err(_) => {
+                self.counters.parse_errors += 1;
+                self.drop_record(now, DropReason::ParseError);
+                return None;
+            }
         };
         {
             let _probe = ProbeScope::enter(EventKind::EgressPacket.probe_context());
@@ -407,7 +404,7 @@ impl<P: EventProgram> EventSwitch<P> {
             }
             let period = self.cfg.generator.as_ref().expect("gen configured").period;
             self.gen_next_due = Some(due + period);
-            let template = std::sync::Arc::clone(self.gen_template.as_ref().expect("gen"));
+            let template = self.gen_template.clone().expect("gen");
             self.inject_generated(now, template, 0);
         }
         fired
@@ -482,8 +479,9 @@ impl<P: EventProgram> EventSwitch<P> {
         kind: EventKind,
         depth: u8,
     ) {
-        let parsed = match parse_packet(pkt.bytes()) {
-            Ok(p) => p,
+        // A copy, because the handler gets the packet mutably beside it.
+        let parsed = match pkt.parsed() {
+            Ok(p) => *p,
             Err(_) => {
                 self.counters.parse_errors += 1;
                 self.drop_record(now, DropReason::ParseError);
@@ -491,7 +489,6 @@ impl<P: EventProgram> EventSwitch<P> {
             }
         };
         let _probe = ProbeScope::enter(kind.probe_context());
-        let muts_before = pkt.mutation_count();
         let mut actions = EventActions::new();
         match kind {
             EventKind::RecirculatedPacket => {
@@ -507,15 +504,10 @@ impl<P: EventProgram> EventSwitch<P> {
                 .on_ingress(&mut pkt, &parsed, &mut meta, now, &mut actions),
         }
         self.drain_actions(now, actions, depth);
-        // `still_parsed` is `parsed` for as long as it provably describes
-        // `pkt`'s current bytes; a handler mutation invalidates it. It is
-        // stashed with the packet at enqueue so egress can skip its
-        // re-parse (parsing is pure — reuse is unobservable).
-        let still_parsed = (pkt.mutation_count() == muts_before).then_some(parsed);
         match meta.dest {
             Destination::Port(out) => {
                 if (out as usize) < self.cfg.n_ports {
-                    self.enqueue(now, out, pkt, still_parsed, meta, depth);
+                    self.enqueue(now, out, pkt, meta, depth);
                 } else {
                     self.counters.dropped_by_program += 1;
                     self.drop_record(now, DropReason::Program);
@@ -525,7 +517,7 @@ impl<P: EventProgram> EventSwitch<P> {
                 let ingress = meta.ingress_port;
                 for out in 0..self.cfg.n_ports as PortId {
                     if out != ingress {
-                        self.enqueue(now, out, pkt.clone(), still_parsed, meta, depth);
+                        self.enqueue(now, out, pkt.clone(), meta, depth);
                     }
                 }
             }
@@ -555,22 +547,14 @@ impl<P: EventProgram> EventSwitch<P> {
         }
     }
 
-    fn enqueue(
-        &mut self,
-        now: SimTime,
-        out: PortId,
-        pkt: Packet,
-        parsed: Option<ParsedPacket>,
-        meta: StdMeta,
-        depth: u8,
-    ) {
+    fn enqueue(&mut self, now: SimTime, out: PortId, pkt: Packet, meta: StdMeta, depth: u8) {
         // The emission probe point: every routing decision that commits a
         // frame toward an egress queue funnels through here (unicast,
         // per-port flood copies, and the overflow trim re-offer targets
         // the same port this first offer already recorded).
         edp_pisa::probe::record_emission(u16::from(out));
         let orig_meta = meta;
-        let (returned, tm_event) = self.tm.offer_parsed(out, pkt, parsed, meta, now);
+        let (returned, tm_event) = self.tm.offer(out, pkt, meta, now);
         match tm_event {
             edp_pisa::TmEvent::Enqueue {
                 port,
@@ -666,7 +650,7 @@ impl<P: EventProgram> EventSwitch<P> {
         }
     }
 
-    fn inject_generated(&mut self, now: SimTime, frame: std::sync::Arc<Vec<u8>>, depth: u8) {
+    fn inject_generated(&mut self, now: SimTime, frame: SharedFrame, depth: u8) {
         if depth >= MAX_CASCADE_DEPTH {
             self.counters.cascade_limit_drops += 1;
             self.drop_record(now, DropReason::CascadeLimit);
@@ -752,7 +736,7 @@ impl<P: EventProgram> EventSwitch<P> {
             self.dispatch_event(now, Event::User(ue), depth + 1);
         }
         for frame in actions.generated {
-            self.inject_generated(now, std::sync::Arc::new(frame), depth + 1);
+            self.inject_generated(now, SharedFrame::new(frame), depth + 1);
         }
     }
 }

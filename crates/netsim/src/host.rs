@@ -5,7 +5,7 @@
 use crate::endpoint::EndpointFleet;
 use edp_evsim::{SimTime, Welford};
 use edp_packet::{
-    parse_packet, AppHeader, EtherType, FlowKey, IpProto, KvHeader, KvOp, Packet, PacketBuilder,
+    AppHeader, EtherType, FlowKey, FnvBuildHasher, IpProto, KvHeader, KvOp, Packet, PacketBuilder,
     ParsedPacket, RpcHeader, RpcKind,
 };
 use serde::{Deserialize, Serialize};
@@ -122,8 +122,10 @@ pub struct HostStats {
     pub rx_errors: u64,
     /// Per-protocol breakdown of parsed frames.
     pub proto: ProtoStats,
-    /// Per-flow breakdown.
-    pub flows: HashMap<FlowKey, FlowStats>,
+    /// Per-flow breakdown. Hashed with FNV-1a, not `RandomState`'s
+    /// SipHash: one lookup per received frame, keyed by the simulation's
+    /// own flows. Iteration order is unspecified — sort before rendering.
+    pub flows: HashMap<FlowKey, FlowStats, FnvBuildHasher>,
 }
 
 impl HostStats {
@@ -201,14 +203,16 @@ impl Host {
     ) -> Vec<Vec<u8>> {
         self.stats.rx_pkts += 1;
         self.stats.rx_bytes += pkt.len() as u64;
-        let parsed = match parse_packet(pkt.bytes()) {
+        // The last switch's parse, unless the access link corrupted the
+        // frame in flight.
+        let parsed = match pkt.parsed() {
             Ok(p) => p,
             Err(_) => {
                 self.stats.rx_errors += 1;
                 return Vec::new();
             }
         };
-        self.stats.proto.record(&parsed, pkt.len() as u64);
+        self.stats.proto.record(parsed, pkt.len() as u64);
         if let Some(key) = parsed.flow_key() {
             let f = self.stats.flows.entry(key).or_default();
             f.pkts += 1;
@@ -292,6 +296,7 @@ impl Host {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use edp_packet::parse_packet;
 
     fn a(n: u8) -> Ipv4Addr {
         Ipv4Addr::new(10, 0, 0, n)

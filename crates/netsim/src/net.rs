@@ -14,7 +14,7 @@ use crate::shard::{ShardCtx, ShardMsg, ShardPlan};
 use crate::trace::Tracer;
 use edp_core::{CpNotification, EffectSummary};
 use edp_evsim::{EventClass, EventFn, Sim, SimDuration, SimRng, SimTime, UNKEYED};
-use edp_packet::{Packet, PacketUid};
+use edp_packet::{Packet, PacketUid, SharedFrame};
 use edp_pisa::PortId;
 use std::collections::VecDeque;
 
@@ -396,13 +396,10 @@ impl Network {
     }
 
     /// Like [`stamp_packet`](Self::stamp_packet) but wrapping an
-    /// already-shared payload without copying it — repeated sends of the
-    /// same template frame cost an `Arc` bump each, not a buffer each.
-    pub fn stamp_packet_shared(
-        &mut self,
-        now: SimTime,
-        payload: std::sync::Arc<Vec<u8>>,
-    ) -> Packet {
+    /// already-shared frame without copying it — repeated sends of the
+    /// same template frame cost a refcount bump each, not a buffer each,
+    /// and share the template's one parse.
+    pub fn stamp_packet_shared(&mut self, now: SimTime, payload: SharedFrame) -> Packet {
         let mut pkt = Packet::from_shared(self.alloc_uid(), payload);
         pkt.stamp_sent(now.as_nanos());
         pkt
@@ -427,12 +424,7 @@ impl Network {
 
     /// Sends a shared template payload from `host` zero-copy (fresh uid,
     /// same bytes; see [`stamp_packet_shared`](Self::stamp_packet_shared)).
-    pub fn host_send_shared(
-        &mut self,
-        sim: &mut Sim<Network>,
-        host: HostId,
-        payload: std::sync::Arc<Vec<u8>>,
-    ) {
+    pub fn host_send_shared(&mut self, sim: &mut Sim<Network>, host: HostId, payload: SharedFrame) {
         if !self.owns_node(NodeRef::Host(host)) {
             return;
         }
@@ -1179,7 +1171,7 @@ mod tests {
     }
 
     /// Forwards to port 1 and keeps a handle on the first payload it sees.
-    struct TapForward(Option<std::sync::Arc<Vec<u8>>>);
+    struct TapForward(Option<SharedFrame>);
     impl edp_pisa::PisaProgram for TapForward {
         fn ingress(
             &mut self,
@@ -1267,9 +1259,9 @@ mod tests {
         // Nothing parked on a free list still owns a frame: the generator
         // is done, so the tap's handle is the template's last reference.
         assert!(net.free_deliveries.iter().all(|d| d.pkt.is_none()));
-        let tap = &net.switch_as::<BaselineSwitch<TapForward>>(0).program;
-        let payload = tap.0.as_ref().expect("tap saw a frame");
-        assert_eq!(std::sync::Arc::strong_count(payload), 1);
+        let tap = &mut net.switch_as_mut::<BaselineSwitch<TapForward>>(0).program;
+        let payload = tap.0.take().expect("tap saw a frame");
+        assert!(Packet::from_shared(PacketUid(0), payload).payload_is_unique());
 
         // Boxes are only allocated when a free list is empty, so the lists
         // stop growing at the peak number of simultaneously armed events.
@@ -1405,6 +1397,140 @@ mod tests {
             .expect("spawn")
             .join()
             .expect("backlog drained within the small stack");
+    }
+
+    /// A switch under observation: logs, per frame, whether it arrived
+    /// and whether it left carrying a parse ([`Packet::parse_is_memoised`]).
+    struct MemoWatch {
+        inner: Box<dyn SwitchHarness>,
+        arrived: Vec<bool>,
+        left: Vec<bool>,
+    }
+    impl SwitchHarness for MemoWatch {
+        fn n_ports(&self) -> usize {
+            self.inner.n_ports()
+        }
+        fn receive(&mut self, now: SimTime, port: PortId, pkt: Packet) {
+            self.arrived.push(pkt.parse_is_memoised());
+            self.inner.receive(now, port, pkt);
+        }
+        fn transmit(&mut self, now: SimTime, port: PortId) -> Option<Packet> {
+            let pkt = self.inner.transmit(now, port)?;
+            self.left.push(pkt.parse_is_memoised());
+            Some(pkt)
+        }
+        fn has_pending(&self, port: PortId) -> bool {
+            self.inner.has_pending(port)
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    /// Decrements the TTL at ingress — a header rewrite between the
+    /// switch's two parses — and logs what its egress is then handed.
+    #[derive(Default)]
+    struct TtlRewrite {
+        memo_after_write: Vec<bool>,
+        ttl_written: Vec<u8>,
+        ttl_at_egress: Vec<u8>,
+    }
+    impl edp_pisa::PisaProgram for TtlRewrite {
+        fn ingress(
+            &mut self,
+            p: &mut Packet,
+            h: &edp_packet::ParsedPacket,
+            m: &mut edp_pisa::StdMeta,
+            _n: SimTime,
+        ) {
+            let ttl = edp_packet::Ipv4Header::patch_ttl_decrement(p.bytes_mut(), h.ip_offset);
+            self.ttl_written.push(ttl);
+            self.memo_after_write.push(p.parse_is_memoised());
+            m.dest = edp_pisa::Destination::Port(1);
+        }
+        fn egress(
+            &mut self,
+            _p: &mut Packet,
+            h: &edp_packet::ParsedPacket,
+            _m: &mut edp_pisa::StdMeta,
+            _n: SimTime,
+        ) {
+            self.ttl_at_egress.push(h.ipv4.expect("ip").ttl);
+        }
+    }
+
+    /// The parse rides the frame down an 8-switch line of both switch
+    /// models: the first hop makes it, hops 2–8 and the sink find it
+    /// made — except past a handler that rewrote the header, whose own
+    /// egress is handed a parse of the new bytes, never the stale one.
+    #[test]
+    fn parse_memo_rides_the_line_and_a_rewrite_drops_it() {
+        const N: u64 = 50;
+        const REWRITER: usize = 4;
+        let mut net = Network::new(3);
+        for i in 0..8 {
+            let inner: Box<dyn SwitchHarness> = if i == REWRITER {
+                let program = TtlRewrite::default();
+                Box::new(BaselineSwitch::new(program, 2, QueueConfig::default()))
+            } else if i % 2 == 0 {
+                let cfg = edp_core::EventSwitchConfig {
+                    n_ports: 2,
+                    ..Default::default()
+                };
+                let program = edp_core::BaselineAdapter(ForwardTo(1));
+                Box::new(edp_core::EventSwitch::new(program, cfg))
+            } else {
+                Box::new(BaselineSwitch::new(ForwardTo(1), 2, QueueConfig::default()))
+            };
+            net.add_switch(Box::new(MemoWatch {
+                inner,
+                arrived: Vec::new(),
+                left: Vec::new(),
+            }));
+        }
+        let h0 = net.add_host(Host::new(a(1), HostApp::Sink));
+        let h1 = net.add_host(Host::new(a(2), HostApp::Sink));
+        let spec = LinkSpec::ten_gig(SimDuration::from_micros(1));
+        net.connect((NodeRef::Host(h0), 0), (NodeRef::Switch(0), 0), spec);
+        for i in 0..7 {
+            net.connect((NodeRef::Switch(i), 1), (NodeRef::Switch(i + 1), 0), spec);
+        }
+        net.connect((NodeRef::Switch(7), 1), (NodeRef::Host(h1), 0), spec);
+        let mut sim: Sim<Network> = Sim::new();
+        let interval = SimDuration::from_micros(1);
+        crate::traffic::start_cbr(&mut sim, h0, SimTime::ZERO, interval, N, |i| {
+            PacketBuilder::udp(a(1), a(2), 5, 6, &[])
+                .ident(i as u16)
+                .ttl(9)
+                .pad_to(64)
+                .build()
+        });
+        sim.run(&mut net);
+
+        let host = &net.hosts[h1].stats;
+        assert_eq!((host.rx_pkts, host.rx_errors), (N, 0));
+        for i in 0..8 {
+            let w = net.switch_as::<MemoWatch>(i);
+            assert_eq!((w.arrived.len(), w.left.len()), (N as usize, N as usize));
+            // A host builds frames, it does not parse them: hop 1 parses.
+            let arrives_parsed = i != 0;
+            assert!(w.arrived.iter().all(|&m| m == arrives_parsed), "hop {i}");
+            // Every hop forwards the frame with the parse its egress used
+            // (hop 8's is what the sink finds).
+            assert!(w.left.iter().all(|&m| m), "hop {i}");
+        }
+        let watch = net.switch_as::<MemoWatch>(REWRITER);
+        let inner = watch.inner.as_any();
+        let rewriter = &inner
+            .downcast_ref::<BaselineSwitch<TtlRewrite>>()
+            .expect("rewriter")
+            .program;
+        assert_eq!(rewriter.memo_after_write, vec![false; N as usize]);
+        assert_eq!(rewriter.ttl_written, vec![8; N as usize]);
+        assert_eq!(rewriter.ttl_at_egress, rewriter.ttl_written);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 use crate::host::HostId;
 use crate::net::Network;
 use edp_evsim::{Periodic, Sim, SimDuration, SimTime};
+use edp_packet::SharedFrame;
 
 /// A frame factory: builds the `i`-th frame of a stream.
 pub trait FrameFn: FnMut(u64) -> Vec<u8> + 'static {}
@@ -45,7 +46,8 @@ pub fn start_cbr(
 
 /// Constant-bit-rate stream of one fixed frame: like [`start_cbr`] but
 /// the template is built once and every injection shares its payload
-/// zero-copy (an `Arc` bump per frame instead of a buffer allocation).
+/// zero-copy (a refcount bump per frame instead of a buffer allocation)
+/// and its parse (made once, by whichever hop first asks).
 /// Use when the stream does not vary per frame — the common case for
 /// load generation.
 pub fn start_cbr_template(
@@ -54,18 +56,18 @@ pub fn start_cbr_template(
     start: SimTime,
     interval: SimDuration,
     count: u64,
-    template: Vec<u8>,
+    template: impl Into<SharedFrame>,
 ) {
     if count == 0 {
         return;
     }
-    let payload = std::sync::Arc::new(template);
+    let payload: SharedFrame = template.into();
     let mut sent = 0u64;
     sim.schedule_periodic(
         start,
         interval,
         move |w: &mut Network, s: &mut Sim<Network>| {
-            w.host_send_shared(s, host, std::sync::Arc::clone(&payload));
+            w.host_send_shared(s, host, payload.clone());
             sent += 1;
             if sent >= count {
                 Periodic::Stop

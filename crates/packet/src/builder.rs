@@ -208,21 +208,20 @@ impl PacketBuilder {
     }
 
     /// Assembles the frame.
-    pub fn build(mut self) -> Vec<u8> {
-        // Grow the payload so the finished frame reaches `pad_to`.
+    pub fn build(self) -> Vec<u8> {
         let l4_hdr_len = match self.l4 {
             L4Spec::Udp { .. } => UDP_HEADER_LEN,
             L4Spec::Tcp { .. } => crate::l4::TCP_HEADER_LEN,
             L4Spec::Icmp { .. } => crate::l4::ICMP_ECHO_LEN,
             L4Spec::None => 0,
         };
+        // Zero padding that brings the finished frame up to `pad_to`. It
+        // is written straight into `out`, under the L4 checksum, so a
+        // built frame costs one buffer.
         let base_len = ETH_HEADER_LEN + IPV4_HEADER_LEN + l4_hdr_len + self.payload.len();
-        if self.pad_to > base_len {
-            self.payload
-                .resize(self.payload.len() + self.pad_to - base_len, 0);
-        }
+        let pad = self.pad_to.saturating_sub(base_len);
 
-        let l4_len = l4_hdr_len + self.payload.len();
+        let l4_len = l4_hdr_len + self.payload.len() + pad;
         let proto = match self.l4 {
             L4Spec::Udp { .. } => IpProto::Udp,
             L4Spec::Tcp { .. } => IpProto::Tcp,
@@ -255,7 +254,7 @@ impl PacketBuilder {
                     dst_port,
                     len: l4_len as u16,
                 }
-                .emit(&mut out, Some(&ip), &self.payload);
+                .emit_padded(&mut out, Some(&ip), &self.payload, pad);
             }
             L4Spec::Tcp {
                 src_port,
@@ -273,12 +272,15 @@ impl PacketBuilder {
                     flags,
                     window,
                 }
-                .emit(&mut out, Some(&ip), &self.payload);
+                .emit_padded(&mut out, Some(&ip), &self.payload, pad);
             }
             L4Spec::Icmp { kind, ident, seq } => {
-                IcmpEcho { kind, ident, seq }.emit(&mut out, &self.payload);
+                IcmpEcho { kind, ident, seq }.emit_padded(&mut out, &self.payload, pad);
             }
-            L4Spec::None => out.extend_from_slice(&self.payload),
+            L4Spec::None => {
+                out.extend_from_slice(&self.payload);
+                out.resize(out.len() + pad, 0);
+            }
         }
         out
     }
@@ -336,6 +338,34 @@ mod tests {
             .pad_to(10)
             .build();
         assert_eq!(frame.len(), 14 + 20 + 8 + 4);
+    }
+
+    #[test]
+    fn padding_is_under_the_l4_checksum() {
+        // The pad is written into the frame's own buffer before the
+        // checksum is taken, so `pad_to` builds the very bytes that
+        // handing the builder an already zero-extended payload does.
+        let padded = [b"odd".as_slice(), &[0; 52]].concat();
+        let udp = PacketBuilder::udp(a(1), a(2), 1, 2, b"odd").pad_to(97);
+        assert_eq!(
+            udp.clone().build(),
+            PacketBuilder::udp(a(1), a(2), 1, 2, &padded).build()
+        );
+        assert_eq!(
+            PacketBuilder::tcp(a(1), a(2), 1, 2, 3, 4, b"odd")
+                .pad_to(109)
+                .build(),
+            PacketBuilder::tcp(a(1), a(2), 1, 2, 3, 4, &padded).build()
+        );
+        // And the checksum covers the pad: a flipped pad byte is caught.
+        let mut frame = udp.build();
+        assert_eq!(frame.len(), 97);
+        parse_packet(&frame).expect("padded frame verifies");
+        frame[96] ^= 0x5A;
+        assert_eq!(
+            parse_packet(&frame),
+            Err(crate::ParseError::BadChecksum { layer: "udp" })
+        );
     }
 
     #[test]

@@ -66,12 +66,26 @@ impl UdpHeader {
     /// Appends the header and `payload`, computing the checksum over the
     /// pseudo-header when `ip` is given (otherwise emits checksum 0).
     pub fn emit(&self, out: &mut Vec<u8>, ip: Option<&Ipv4Header>, payload: &[u8]) {
+        self.emit_padded(out, ip, payload, 0);
+    }
+
+    /// [`UdpHeader::emit`] with `pad` zero bytes after `payload`, written
+    /// before the checksum is taken: the builder pads in the frame's own
+    /// buffer instead of growing a copy of the payload first.
+    pub(crate) fn emit_padded(
+        &self,
+        out: &mut Vec<u8>,
+        ip: Option<&Ipv4Header>,
+        payload: &[u8],
+        pad: usize,
+    ) {
         let start = out.len();
         out.extend_from_slice(&self.src_port.to_be_bytes());
         out.extend_from_slice(&self.dst_port.to_be_bytes());
         out.extend_from_slice(&self.len.to_be_bytes());
         out.extend_from_slice(&[0, 0]);
         out.extend_from_slice(payload);
+        out.resize(out.len() + pad, 0);
         if let Some(ip) = ip {
             let sum = sum_words(&out[start..], ip.pseudo_header_sum(self.len));
             let mut ck = !fold(sum);
@@ -178,6 +192,18 @@ impl TcpHeader {
     /// Appends the 20-byte header and `payload`, computing the checksum
     /// over the pseudo-header when `ip` is given.
     pub fn emit(&self, out: &mut Vec<u8>, ip: Option<&Ipv4Header>, payload: &[u8]) {
+        self.emit_padded(out, ip, payload, 0);
+    }
+
+    /// [`TcpHeader::emit`] with `pad` zero bytes after `payload` (see
+    /// [`UdpHeader::emit_padded`]).
+    pub(crate) fn emit_padded(
+        &self,
+        out: &mut Vec<u8>,
+        ip: Option<&Ipv4Header>,
+        payload: &[u8],
+        pad: usize,
+    ) {
         let start = out.len();
         out.extend_from_slice(&self.src_port.to_be_bytes());
         out.extend_from_slice(&self.dst_port.to_be_bytes());
@@ -188,8 +214,9 @@ impl TcpHeader {
         out.extend_from_slice(&self.window.to_be_bytes());
         out.extend_from_slice(&[0, 0, 0, 0]); // checksum + urgent
         out.extend_from_slice(payload);
+        out.resize(out.len() + pad, 0);
         if let Some(ip) = ip {
-            let l4_len = (TCP_HEADER_LEN + payload.len()) as u16;
+            let l4_len = (out.len() - start) as u16;
             let sum = sum_words(&out[start..], ip.pseudo_header_sum(l4_len));
             put_u16(&mut out[start..], 16, !fold(sum));
         }
@@ -246,6 +273,12 @@ impl IcmpEcho {
 
     /// Appends the message with checksum computed over header + payload.
     pub fn emit(&self, out: &mut Vec<u8>, payload: &[u8]) {
+        self.emit_padded(out, payload, 0);
+    }
+
+    /// [`IcmpEcho::emit`] with `pad` zero bytes after `payload` (see
+    /// [`UdpHeader::emit_padded`]).
+    pub(crate) fn emit_padded(&self, out: &mut Vec<u8>, payload: &[u8], pad: usize) {
         let start = out.len();
         out.push(match self.kind {
             IcmpEchoKind::Request => 8,
@@ -256,6 +289,7 @@ impl IcmpEcho {
         out.extend_from_slice(&self.ident.to_be_bytes());
         out.extend_from_slice(&self.seq.to_be_bytes());
         out.extend_from_slice(payload);
+        out.resize(out.len() + pad, 0);
         let ck = internet_checksum(&out[start..]);
         put_u16(&mut out[start..], 2, ck);
     }

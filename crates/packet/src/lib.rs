@@ -15,6 +15,8 @@
 //! * [`HulaProbe`], [`TelemetryHeader`], [`KvHeader`], [`LivenessHeader`] —
 //!   application headers used by the paper's example applications;
 //! * [`parse_packet`] — the full parser chain, PISA-parser-shaped;
+//!   [`Packet::parsed`] memoises it on the shared frame, so a frame nobody
+//!   rewrites is parsed once for its whole path;
 //! * [`PacketBuilder`] — wire-valid frame assembly;
 //! * [`FlowKey`] / [`Fnv1a`] — deterministic flow hashing.
 //!
@@ -59,12 +61,12 @@ pub use builder::PacketBuilder;
 pub use burst::Burst;
 pub use error::{ParseError, ParseResult};
 pub use eth::{EthHeader, EtherType, ETH_HEADER_LEN};
-pub use flow::{fnv1a64, FlowKey, Fnv1a};
+pub use flow::{fnv1a64, FlowKey, Fnv1a, FnvBuildHasher};
 pub use ipv4::{Ecn, IpProto, Ipv4Header, IPV4_HEADER_LEN, TRIMMED_DSCP};
 pub use l4::{
     IcmpEcho, IcmpEchoKind, TcpFlags, TcpHeader, UdpHeader, ICMP_ECHO_LEN, TCP_HEADER_LEN,
     UDP_HEADER_LEN,
 };
-pub use packet::{Packet, PacketUid};
+pub use packet::{Packet, PacketUid, SharedFrame};
 pub use parse::{parse_packet, summarize, AppHeader, ParsedPacket, L4};
 pub use pcap::{PcapError, PcapFile, PcapPacket, PcapResult, LINKTYPE_ETHERNET, MAX_FRAME_LEN};

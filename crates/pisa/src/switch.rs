@@ -10,7 +10,7 @@ use crate::meta::{Destination, PortId, StdMeta};
 use crate::program::PisaProgram;
 use crate::tm::{QueueConfig, QueueStats, TrafficManager};
 use edp_evsim::SimTime;
-use edp_packet::{parse_packet, Packet};
+use edp_packet::Packet;
 use edp_telemetry::{emit, DropReason, RecordKind};
 use serde::{Deserialize, Serialize};
 
@@ -110,8 +110,8 @@ impl<P: PisaProgram> BaselineSwitch<P> {
     }
 
     fn ingress_pass(&mut self, now: SimTime, mut pkt: Packet, mut meta: StdMeta) {
-        let parsed = match parse_packet(pkt.bytes()) {
-            Ok(p) => p,
+        let parsed = match pkt.parsed() {
+            Ok(p) => *p,
             Err(_) => {
                 self.counters.parse_errors += 1;
                 emit(
@@ -205,8 +205,8 @@ impl<P: PisaProgram> BaselineSwitch<P> {
     /// dropped the frame.
     pub fn transmit(&mut self, now: SimTime, port: PortId) -> Option<Packet> {
         let (mut pkt, mut meta, _event) = self.tm.dequeue(port, now).ok()?;
-        let parsed = match parse_packet(pkt.bytes()) {
-            Ok(p) => p,
+        let parsed = match pkt.parsed() {
+            Ok(p) => *p,
             Err(_) => {
                 self.counters.parse_errors += 1;
                 emit(

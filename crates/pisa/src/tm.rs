@@ -7,10 +7,18 @@
 //! model has nowhere to deliver them); the event-driven switch in
 //! `edp-core` feeds them to the program's event handlers. One traffic
 //! manager, two architectures — the comparison stays apples-to-apples.
+//!
+//! What is queued is the frame and its metadata, nothing else: the parse
+//! an egress pipeline needs rides with the frame itself
+//! ([`Packet::parsed`]), so a queue item is a 24-byte packet handle plus
+//! [`StdMeta`] and two words of queueing state. The per-packet entry
+//! points are `#[inline]`: this crate is compiled without LTO, and an
+//! out-of-line `offer` / `dequeue` pair moved each item through five or
+//! six by-value copies across the crate boundary.
 
 use crate::meta::{PortId, StdMeta};
 use edp_evsim::SimTime;
-use edp_packet::{Packet, ParsedPacket};
+use edp_packet::Packet;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -132,14 +140,8 @@ pub enum TmEvent {
 #[derive(Debug, Clone)]
 struct Item {
     pkt: Packet,
-    /// The caller's ingress parse of `pkt`, when the caller can prove the
-    /// frame bytes were not mutated after parsing (see
-    /// [`TrafficManager::offer_parsed`]); handed back on dequeue so
-    /// egress can skip the re-parse.
-    parsed: Option<ParsedPacket>,
     meta: StdMeta,
     enq_time: SimTime,
-    rank: u64,
     seq: u64,
 }
 
@@ -176,41 +178,36 @@ impl OutQueue {
         }
     }
 
+    #[inline]
     fn depth_pkts(&self) -> u32 {
         self.lanes.iter().map(|l| l.len() as u32).sum()
     }
 
-    fn push(
-        &mut self,
-        pkt: Packet,
-        parsed: Option<ParsedPacket>,
-        meta: StdMeta,
-        now: SimTime,
-    ) -> bool {
-        let len = pkt.len() as u64;
-        let cap = self.cfg.capacity_bytes
-            + if meta.rank == 0 {
-                self.cfg.rank0_headroom
-            } else {
-                0
-            };
-        if self.bytes + len > cap {
-            self.dropped += 1;
-            self.dropped_bytes += len;
-            return false;
-        }
+    /// True when a `len`-byte packet of `rank` fits: the one capacity
+    /// check, made by [`TrafficManager::offer`] before [`OutQueue::push`].
+    #[inline]
+    fn admits(&self, len: u64, rank: u64) -> bool {
+        let headroom = if rank == 0 {
+            self.cfg.rank0_headroom
+        } else {
+            0
+        };
+        self.bytes + len <= self.cfg.capacity_bytes + headroom
+    }
+
+    /// Queues an admitted packet.
+    #[inline]
+    fn push(&mut self, pkt: Packet, meta: StdMeta, now: SimTime) {
         let rank = meta.rank;
+        self.bytes += pkt.len() as u64;
+        self.enqueued += 1;
         let item = Item {
             pkt,
-            parsed,
             meta,
             enq_time: now,
-            rank,
             seq: self.next_seq,
         };
         self.next_seq += 1;
-        self.bytes += len;
-        self.enqueued += 1;
         match self.cfg.disc {
             QueueDisc::DropTailFifo => self.lanes[0].push_back(item),
             QueueDisc::StrictPriority { classes } => {
@@ -223,15 +220,15 @@ impl OutQueue {
                 let lane = &mut self.lanes[0];
                 let pos = lane
                     .iter()
-                    .rposition(|it| (it.rank, it.seq) <= (item.rank, item.seq))
+                    .rposition(|it| (it.meta.rank, it.seq) <= (rank, item.seq))
                     .map(|p| p + 1)
                     .unwrap_or(0);
                 lane.insert(pos, item);
             }
         }
-        true
     }
 
+    #[inline]
     fn pop(&mut self) -> Option<Item> {
         for lane in &mut self.lanes {
             if let Some(item) = lane.pop_front() {
@@ -295,23 +292,12 @@ impl TrafficManager {
     }
 
     /// Dequeues the next packet from `port`, or an underflow record.
+    #[inline]
     pub fn dequeue(
         &mut self,
         port: PortId,
         now: SimTime,
     ) -> Result<(Packet, StdMeta, TmEvent), TmEvent> {
-        self.dequeue_parsed(port, now)
-            .map(|(pkt, _parsed, meta, ev)| (pkt, meta, ev))
-    }
-
-    /// [`TrafficManager::dequeue`], additionally handing back the ingress
-    /// parse stashed by [`TrafficManager::offer_parsed`] (`None` when the
-    /// packet was offered without one).
-    pub fn dequeue_parsed(
-        &mut self,
-        port: PortId,
-        now: SimTime,
-    ) -> Result<(Packet, Option<ParsedPacket>, StdMeta, TmEvent), TmEvent> {
         let q = &mut self.queues[port as usize];
         match q.pop() {
             Some(item) => {
@@ -326,7 +312,7 @@ impl TrafficManager {
                     meta: item.meta.event_meta,
                 };
                 depth_sample(now.as_nanos(), port, q_bytes, q_pkts);
-                Ok((item.pkt, item.parsed, item.meta, ev))
+                Ok((item.pkt, item.meta, ev))
             }
             None => Err(TmEvent::Underflow { port }),
         }
@@ -365,6 +351,7 @@ impl TrafficManager {
     /// Offers a packet; on overflow the packet is returned together with
     /// the [`TmEvent::Overflow`] record (callers may recycle it into a
     /// drop-event handler or a mirror port).
+    #[inline]
     pub fn offer(
         &mut self,
         port: PortId,
@@ -372,36 +359,10 @@ impl TrafficManager {
         meta: StdMeta,
         now: SimTime,
     ) -> (Option<Packet>, TmEvent) {
-        self.offer_parsed(port, pkt, None, meta, now)
-    }
-
-    /// [`TrafficManager::offer`], stashing the caller's ingress parse of
-    /// `pkt` alongside it for [`TrafficManager::dequeue_parsed`] to hand
-    /// back.
-    ///
-    /// Contract: pass `Some` only when `parsed` is the parse of `pkt`'s
-    /// *current* bytes (no mutation since parsing — provable with
-    /// [`Packet::mutation_count`]). Parsing is pure, so an egress that
-    /// reuses the stash is byte-identical to one that re-parses; it just
-    /// skips the redundant work.
-    pub fn offer_parsed(
-        &mut self,
-        port: PortId,
-        pkt: Packet,
-        parsed: Option<ParsedPacket>,
-        meta: StdMeta,
-        now: SimTime,
-    ) -> (Option<Packet>, TmEvent) {
         let q = &mut self.queues[port as usize];
         let pkt_len = pkt.len() as u32;
         let event_meta = meta.event_meta;
-        let cap = q.cfg.capacity_bytes
-            + if meta.rank == 0 {
-                q.cfg.rank0_headroom
-            } else {
-                0
-            };
-        if q.bytes + pkt_len as u64 > cap {
+        if !q.admits(pkt_len as u64, meta.rank) {
             q.dropped += 1;
             q.dropped_bytes += pkt_len as u64;
             let ev = TmEvent::Overflow {
@@ -412,8 +373,7 @@ impl TrafficManager {
             };
             return (Some(pkt), ev);
         }
-        let ok = q.push(pkt, parsed, meta, now);
-        debug_assert!(ok, "capacity pre-checked");
+        q.push(pkt, meta, now);
         let q_bytes = q.bytes;
         let q_pkts = q.depth_pkts();
         depth_sample(now.as_nanos(), port, q_bytes, q_pkts);
@@ -442,6 +402,13 @@ mod tests {
         let mut m = StdMeta::ingress(0, SimTime::ZERO, 0);
         m.rank = rank;
         m
+    }
+
+    #[test]
+    fn queue_item_is_the_frame_and_its_metadata() {
+        // No parse is stashed beside the packet (it rides with the frame):
+        // an item is what `offer` and `dequeue` move by value.
+        assert!(std::mem::size_of::<Item>() <= 112);
     }
 
     #[test]

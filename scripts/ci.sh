@@ -2,11 +2,12 @@
 # Offline-friendly CI gate: everything a PR must pass, with no network.
 #
 #   scripts/ci.sh               # full local gate (everything below)
-#   scripts/ci.sh --quick       # fmt, build, test, edp_lint, telemetry smoke,
-#                               # paper-reproduction pin
+#   scripts/ci.sh --quick       # fmt, build, test, edp_lint, one-parse-path
+#                               # grep, telemetry smoke, paper-reproduction pin
 #   scripts/ci.sh --matrix-leg  # build + tier-1 tests under the ambient
 #                               # EDP_SHARDS (one CI matrix leg)
 #   scripts/ci.sh --gate        # fmt, clippy, edp_lint (+ SARIF artifact),
+#                               # one-parse-path grep,
 #                               # profiled-run smoke (+ trace artifact),
 #                               # exchange-elision smoke,
 #                               # pcap fixture round-trip, replay smoke,
@@ -66,6 +67,23 @@ step_lint() {
     # per-(code, subject) in the app's manifest, never
     # blanket-suppressed.
     cargo run --offline --release -q -p edp-analyze --bin edp_lint -- --deny warnings
+}
+
+step_parse_path() {
+    echo "==> one parse path (no parse_packet( on a per-packet path outside edp-packet)"
+    # Both switch models and the host read the frame's memoised parse
+    # (Packet::parsed): a frame nobody rewrites is parsed once for its
+    # whole path. A direct parse_packet( call in their non-test code
+    # (everything above the file's #[cfg(test)] module) would quietly
+    # re-parse per hop, which no test notices — parsing is pure.
+    local f bad=0
+    for f in crates/core/src/sume.rs crates/pisa/src/switch.rs crates/netsim/src/host.rs; do
+        if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n 'parse_packet('; then
+            echo "$f: calls parse_packet( directly; use Packet::parsed()" >&2
+            bad=1
+        fi
+    done
+    [ "$bad" -eq 0 ]
 }
 
 step_lint_sarif() {
@@ -275,6 +293,7 @@ quick)
     step_build
     step_test
     step_lint
+    step_parse_path
     step_top_smoke
     step_reproduction
     ;;
@@ -293,6 +312,7 @@ gate)
     step_build
     step_clippy
     step_lint
+    step_parse_path
     step_lint_sarif
     step_top_smoke
     step_profile_smoke
@@ -306,6 +326,7 @@ full)
     step_build
     step_test
     step_lint
+    step_parse_path
     step_top_smoke
     step_profile_smoke
     step_elision_smoke

@@ -7,7 +7,7 @@
 use edp_apps::common::{addr, run_until};
 use edp_apps::frr::{FrrBaseline, FrrEvent, CP_OP_SET_ROUTE};
 use edp_apps::liveness::{LivenessMonitor, LivenessReflector, Neighbor, TIMER_CHECK, TIMER_PROBE};
-use edp_core::{EventSwitch, EventSwitchConfig, TimerSpec};
+use edp_core::{BaselineAdapter, EventSwitch, EventSwitchConfig, TimerSpec};
 use edp_evsim::{sweep, Histogram, Sim, SimDuration, SimTime, Welford};
 use edp_netsim::traffic::start_cbr;
 use edp_netsim::{
@@ -342,6 +342,96 @@ fn corrupt_model_flips_bytes_and_checksums_catch_most() {
         "checksums caught only {parse_errors}/{n}"
     );
     assert!(rx > 0, "no flip landed in the unprotected Ethernet bytes");
+}
+
+/// h0 — sw0 — sw1 — sw2 — h1 with the sw0→sw1 trunk corrupting and
+/// duplicating frames in flight; `event_model` picks which switch model
+/// stands at sw1. Returns sw1's (rx, parse_errors, tx) and h1's
+/// (rx_pkts, rx_errors), after checking sw0 parsed every frame cleanly.
+fn corrupting_trunk_run(event_model: bool) -> ((u64, u64, u64), (u64, u64)) {
+    const N: u64 = 400;
+    let baseline = || BaselineSwitch::new(ForwardTo(1), 2, QueueConfig::default());
+    let mut net = Network::new(7);
+    net.add_switch(Box::new(baseline()));
+    if event_model {
+        let cfg = EventSwitchConfig {
+            n_ports: 2,
+            ..Default::default()
+        };
+        net.add_switch(Box::new(EventSwitch::new(
+            BaselineAdapter(ForwardTo(1)),
+            cfg,
+        )));
+    } else {
+        net.add_switch(Box::new(baseline()));
+    }
+    net.add_switch(Box::new(baseline()));
+    let h0 = net.add_host(Host::new(addr(1), HostApp::Sink));
+    let h1 = net.add_host(Host::new(addr(2), HostApp::Sink));
+    let spec = LinkSpec::ten_gig(SimDuration::from_micros(1));
+    net.connect((NodeRef::Host(h0), 0), (NodeRef::Switch(0), 0), spec);
+    let trunk = net.connect((NodeRef::Switch(0), 1), (NodeRef::Switch(1), 0), spec);
+    net.connect((NodeRef::Switch(1), 1), (NodeRef::Switch(2), 0), spec);
+    net.connect((NodeRef::Switch(2), 1), (NodeRef::Host(h1), 0), spec);
+    let model = LinkFaultModel {
+        corrupt_prob: 0.5,
+        duplicate_prob: 0.25,
+        ..Default::default()
+    };
+    let mut sim: Sim<Network> = Sim::new();
+    FaultPlan::new(11)
+        .link_model(trunk, model)
+        .apply(&mut net, &mut sim);
+    let src = addr(1);
+    start_cbr(&mut sim, h0, SimTime::ZERO, INTERVAL, N, move |i| {
+        PacketBuilder::udp(src, addr(2), 1, 2, &[])
+            .ident(i as u16)
+            .pad_to(100)
+            .build()
+    });
+    run_until(&mut net, &mut sim, SimTime::from_millis(30));
+
+    // Every frame left sw0 carrying the good parse sw0 made of it.
+    let up = net.switch_as::<BaselineSwitch<ForwardTo>>(0).counters();
+    assert_eq!((up.rx, up.parse_errors, up.tx), (N, 0, N));
+    let d = net.link_dir_state(trunk, Dir::AtoB);
+    assert_eq!((d.corrupted, d.duplicated), (CORRUPTED, DUPLICATED));
+    let mid = if event_model {
+        let c = net
+            .switch_as::<EventSwitch<BaselineAdapter<ForwardTo>>>(1)
+            .counters();
+        (c.rx, c.parse_errors, c.tx)
+    } else {
+        let c = net.switch_as::<BaselineSwitch<ForwardTo>>(1).counters();
+        (c.rx, c.parse_errors, c.tx)
+    };
+    let sink = &net.hosts[h1].stats;
+    (mid, (sink.rx_pkts, sink.rx_errors))
+}
+
+/// What the trunk's fault stream (seed 11) does to the 400 frames.
+const CORRUPTED: u64 = 184;
+const DUPLICATED: u64 = 103;
+/// How many of the 184 flips landed under a checksum.
+const CAUGHT: u64 = 157;
+
+/// The parse rides the shared frame from hop to hop, so the one way it
+/// can be wrong is a stale one: a frame sw0 parsed cleanly, corrupted in
+/// flight on the trunk, must still fail sw1's parse — on either switch
+/// model, duplicates (which share the original's frame until the flip
+/// copies it) included. The counts are those of the commit before the
+/// parse was memoised, when every hop parsed afresh.
+#[test]
+fn in_flight_corruption_is_caught_downstream_of_a_memoised_parse() {
+    for event_model in [false, true] {
+        let ((rx, parse_errors, tx), sink) = corrupting_trunk_run(event_model);
+        assert_eq!(rx, 400 + DUPLICATED);
+        assert_eq!(parse_errors, CAUGHT, "event_model = {event_model}");
+        assert_eq!(tx, rx - parse_errors);
+        // Flips in the unprotected Ethernet bytes pass sw1 and, memoised
+        // there, sw2 and the sink: nothing downstream sees an error.
+        assert_eq!(sink, (tx, 0));
+    }
 }
 
 /// `n` CBR frames over the line with every frame duplicated on the
