@@ -67,13 +67,18 @@ pub fn run_until(net: &mut Network, sim: &mut Sim<Network>, deadline: SimTime) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use edp_core::EventSwitch;
     use edp_netsim::traffic::start_cbr;
     use edp_packet::PacketBuilder;
-    use edp_pisa::{BaselineSwitch, ForwardTo, QueueConfig};
+    use edp_pisa::{ForwardTo, QueueConfig};
 
     #[test]
     fn dumbbell_carries_traffic() {
-        let sw = Box::new(BaselineSwitch::new(ForwardTo(2), 3, QueueConfig::default()));
+        let sw = Box::new(EventSwitch::baseline(
+            ForwardTo(2),
+            3,
+            QueueConfig::default(),
+        ));
         let (mut net, senders, sink, _) = dumbbell(sw, 2, 1_000_000_000, 1);
         let mut sim: Sim<Network> = Sim::new();
         let src = addr(1);

@@ -125,7 +125,7 @@ mod tests {
     use edp_netsim::traffic::start_cbr;
     use edp_netsim::Network;
     use edp_packet::PacketBuilder;
-    use edp_pisa::{BaselineSwitch, ForwardTo, QueueConfig};
+    use edp_pisa::{ForwardTo, QueueConfig};
 
     const CAPACITY: u64 = 30_000;
     const BOTTLENECK: u64 = 100_000_000; // 100 Mb/s
@@ -155,7 +155,7 @@ mod tests {
             let sw = EventSwitch::new(FredAqm::new(64, CAPACITY, 2000, 4), cfg);
             dumbbell(Box::new(sw), n, BOTTLENECK, 55)
         } else {
-            let sw = BaselineSwitch::new(ForwardTo(4), 5, queue_cfg());
+            let sw = EventSwitch::baseline(ForwardTo(4), 5, queue_cfg());
             dumbbell(Box::new(sw), n, BOTTLENECK, 55)
         };
         let mut sim: Sim<Network> = Sim::new();

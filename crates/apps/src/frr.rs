@@ -142,12 +142,12 @@ impl PisaProgram for FrrBaseline {
 mod tests {
     use super::*;
     use crate::common::{addr, run_until};
-    use edp_core::{EventSwitch, EventSwitchConfig};
+    use edp_core::{BaselineAdapter, EventSwitch, EventSwitchConfig};
     use edp_evsim::{Sim, SimDuration};
     use edp_netsim::traffic::start_cbr;
     use edp_netsim::{FaultPlan, Host, HostApp, LinkSpec, Network, NodeRef, SwitchHarness};
     use edp_packet::PacketBuilder;
-    use edp_pisa::{BaselineSwitch, ForwardTo, QueueConfig};
+    use edp_pisa::{ForwardTo, QueueConfig};
 
     /// h0 — swA —(primary link L1)— swR — sink
     ///          \(backup  link L2)/
@@ -156,7 +156,7 @@ mod tests {
         let mut net = Network::new(21);
         let a = net.add_switch(sw_a);
         // swR: 3 ports; forwards everything to port 2 (the sink).
-        let r = net.add_switch(Box::new(BaselineSwitch::new(
+        let r = net.add_switch(Box::new(EventSwitch::baseline(
             ForwardTo(2),
             3,
             QueueConfig::default(),
@@ -208,7 +208,7 @@ mod tests {
 
     #[test]
     fn baseline_frr_blackholes_for_the_control_loop() {
-        let sw = BaselineSwitch::new(FrrBaseline::new(1), 3, QueueConfig::default());
+        let sw = EventSwitch::baseline(FrrBaseline::new(1), 3, QueueConfig::default());
         let (mut net, sender, sink, primary) = diamond(Box::new(sw));
         let mut sim: Sim<Network> = Sim::new();
         // Control loop: failure detected + route computed + installed
@@ -224,7 +224,10 @@ mod tests {
             (150..=260).contains(&lost),
             "baseline lost {lost}, expected ≈200"
         );
-        let prog = &net.switch_as::<BaselineSwitch<FrrBaseline>>(0).program;
+        let prog = &net
+            .switch_as::<EventSwitch<BaselineAdapter<FrrBaseline>>>(0)
+            .program
+            .0;
         assert_eq!(prog.stats.failover_at, Some(FAIL_AT + cp_delay));
     }
 

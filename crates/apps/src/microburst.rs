@@ -293,12 +293,12 @@ impl EventProgram for MicroburstCms {
 mod tests {
     use super::*;
     use crate::common::{addr, dumbbell, run_until, sink_addr};
-    use edp_core::{EventSwitch, EventSwitchConfig};
+    use edp_core::{BaselineAdapter, EventSwitch, EventSwitchConfig};
     use edp_evsim::{Sim, SimDuration};
     use edp_netsim::traffic::{start_burst, start_cbr};
     use edp_netsim::Network;
     use edp_packet::PacketBuilder;
-    use edp_pisa::{BaselineSwitch, QueueConfig};
+    use edp_pisa::QueueConfig;
 
     const THRESH: u64 = 20_000; // 20 KB of buffered bytes per flow
 
@@ -460,7 +460,7 @@ mod tests {
             } else {
                 let prog = MicroburstBaseline::new(256, THRESH, 240_000, 2);
                 dumbbell(
-                    Box::new(BaselineSwitch::new(prog, 3, queue_cfg())),
+                    Box::new(EventSwitch::baseline(prog, 3, queue_cfg())),
                     2,
                     1_000_000_000,
                     9,
@@ -487,8 +487,9 @@ mod tests {
                 (p.detections.first().map(|d| d.at), p.state_words())
             } else {
                 let p = &net
-                    .switch_as::<BaselineSwitch<MicroburstBaseline>>(0)
-                    .program;
+                    .switch_as::<EventSwitch<BaselineAdapter<MicroburstBaseline>>>(0)
+                    .program
+                    .0;
                 (p.detections.first().map(|d| d.at), p.state_words())
             }
         };

@@ -136,7 +136,7 @@ pub fn compare_policers(timer_period_ns: u64, seed: u64) -> (f64, f64) {
     use edp_netsim::traffic::start_cbr;
     use edp_netsim::Network;
     use edp_packet::PacketBuilder;
-    use edp_pisa::{BaselineSwitch, QueueConfig};
+    use edp_pisa::QueueConfig;
 
     const RATE: u64 = 12_500_000; // 100 Mb/s in bytes/s
     const BURST: u64 = 15_000;
@@ -157,7 +157,7 @@ pub fn compare_policers(timer_period_ns: u64, seed: u64) -> (f64, f64) {
             dumbbell(Box::new(sw), 1, 10_000_000_000, seed)
         } else {
             let sw =
-                BaselineSwitch::new(MeterPolicer::new(RATE, BURST, 1), 2, QueueConfig::default());
+                EventSwitch::baseline(MeterPolicer::new(RATE, BURST, 1), 2, QueueConfig::default());
             dumbbell(Box::new(sw), 1, 10_000_000_000, seed)
         };
         let mut sim: Sim<Network> = Sim::new();

@@ -13,7 +13,7 @@ use edp_evsim::{jain_fairness, Sim, SimDuration, SimTime};
 use edp_netsim::traffic::start_cbr;
 use edp_netsim::Network;
 use edp_packet::PacketBuilder;
-use edp_pisa::{BaselineSwitch, ForwardTo, QueueConfig};
+use edp_pisa::{ForwardTo, QueueConfig};
 
 const CAPACITY: u64 = 30_000;
 const BOTTLENECK: u64 = 100_000_000;
@@ -44,7 +44,7 @@ pub(super) fn contend(fair: bool, hog_interval_us: u64) -> (Network, usize) {
         dumbbell(Box::new(sw), N, BOTTLENECK, 31)
     } else {
         dumbbell(
-            Box::new(BaselineSwitch::new(ForwardTo(4), 5, qc())),
+            Box::new(EventSwitch::baseline(ForwardTo(4), 5, qc())),
             N,
             BOTTLENECK,
             31,

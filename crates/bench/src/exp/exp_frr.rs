@@ -8,12 +8,12 @@
 use crate::{footnote, table_header};
 use edp_apps::common::{addr, run_until};
 use edp_apps::frr::{FrrBaseline, FrrEvent, CP_OP_SET_ROUTE};
-use edp_core::{EventSwitch, EventSwitchConfig};
+use edp_core::{BaselineAdapter, EventSwitch, EventSwitchConfig};
 use edp_evsim::{Sim, SimDuration, SimTime};
 use edp_netsim::traffic::start_cbr;
 use edp_netsim::{Host, HostApp, LinkSpec, Network, NodeRef, SwitchHarness};
 use edp_packet::PacketBuilder;
-use edp_pisa::{BaselineSwitch, ForwardTo, QueueConfig};
+use edp_pisa::{ForwardTo, QueueConfig};
 
 const FAIL_AT: SimTime = SimTime::from_millis(5);
 const PKTS: u64 = 2500;
@@ -22,7 +22,7 @@ const INTERVAL: SimDuration = SimDuration::from_micros(10);
 fn diamond(sw_a: Box<dyn SwitchHarness>) -> (Network, usize, usize, usize) {
     let mut net = Network::new(41);
     let a = net.add_switch(sw_a);
-    let r = net.add_switch(Box::new(BaselineSwitch::new(
+    let r = net.add_switch(Box::new(EventSwitch::baseline(
         ForwardTo(2),
         3,
         QueueConfig::default(),
@@ -56,7 +56,7 @@ pub(super) fn reroute(event: bool, cp_latency: SimDuration) -> (Network, usize) 
         };
         diamond(Box::new(EventSwitch::new(FrrEvent::new(1, 2), cfg)))
     } else {
-        diamond(Box::new(BaselineSwitch::new(
+        diamond(Box::new(EventSwitch::baseline(
             FrrBaseline::new(1),
             3,
             QueueConfig::default(),
@@ -82,8 +82,9 @@ fn simulate(event: bool, cp_latency: SimDuration) -> (u64, Option<SimTime>) {
             .stats
             .failover_at
     } else {
-        net.switch_as::<BaselineSwitch<FrrBaseline>>(0)
+        net.switch_as::<EventSwitch<BaselineAdapter<FrrBaseline>>>(0)
             .program
+            .0
             .stats
             .failover_at
     };

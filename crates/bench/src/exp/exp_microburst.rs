@@ -7,12 +7,12 @@
 use crate::{footnote, table_header};
 use edp_apps::common::{addr, dumbbell, run_until, sink_addr};
 use edp_apps::microburst::{Detection, MicroburstBaseline, MicroburstEvent};
-use edp_core::{EventSwitch, EventSwitchConfig};
+use edp_core::{BaselineAdapter, EventSwitch, EventSwitchConfig};
 use edp_evsim::{Sim, SimDuration, SimTime};
 use edp_netsim::traffic::{start_burst, start_cbr};
 use edp_netsim::Network;
 use edp_packet::PacketBuilder;
-use edp_pisa::{BaselineSwitch, QueueConfig};
+use edp_pisa::QueueConfig;
 
 const THRESH: u64 = 20_000;
 const N_FLOWS: usize = 256;
@@ -84,14 +84,15 @@ fn simulate(event: bool, burst_pkts: u64) -> Outcome {
         }
     } else {
         let prog = MicroburstBaseline::new(N_FLOWS, THRESH, 240_000, 3);
-        let sw = BaselineSwitch::new(prog, 4, qc());
+        let sw = EventSwitch::baseline(prog, 4, qc());
         let (mut net, senders, _, _) = dumbbell(Box::new(sw), 3, 1_000_000_000, 2);
         let mut sim: Sim<Network> = Sim::new();
         workload(&mut sim, &senders, burst_pkts);
         run_until(&mut net, &mut sim, SimTime::from_millis(40));
         let p = &net
-            .switch_as::<BaselineSwitch<MicroburstBaseline>>(0)
-            .program;
+            .switch_as::<EventSwitch<BaselineAdapter<MicroburstBaseline>>>(0)
+            .program
+            .0;
         Outcome {
             state_words: p.state_words(),
             detections: p.detections.len(),

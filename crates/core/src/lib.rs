@@ -10,9 +10,10 @@
 //!   per event, sharing state through ordinary program fields or the
 //!   [`SharedRegister`] extern from `microburst.p4`;
 //! * [`EventSwitch`] — the SUME Event Switch (Figure 4): the full
-//!   architecture delivering every event to the program, built on the
-//!   same traffic-manager substrate as the baseline PSA switch so the
-//!   two models differ *only* in what they expose;
+//!   architecture delivering every event to the program. It is the only
+//!   switch model: the baseline PSA switch is
+//!   [`EventSwitch::baseline`], the same switch running a baseline
+//!   program, so the two models differ *only* in what they expose;
 //! * [`EventMerger`] — the Figure 4 block that piggybacks event metadata
 //!   on packets or injects carrier frames, modelled at cycle granularity;
 //! * [`AggregatedState`] — the §4/Figure 3 single-ported realization of

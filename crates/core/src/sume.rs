@@ -1,11 +1,16 @@
 //! The SUME Event Switch (Figures 2 and 4).
 //!
-//! [`EventSwitch`] is the event-driven PISA architecture: the same parser,
-//! pipeline-program and traffic-manager substrate as
-//! [`edp_pisa::BaselineSwitch`], but every architectural event — enqueue,
+//! [`EventSwitch`] is the event-driven PISA architecture and the only
+//! switch model: the `edp-pisa` parser, pipeline-program and
+//! traffic-manager substrate, with every architectural event — enqueue,
 //! dequeue, overflow, underflow, timers, link status changes,
 //! control-plane triggers, generated packets, transmissions, user events —
-//! is delivered to the program's handlers.
+//! delivered to the program's handlers. The baseline PSA switch (Figure 1)
+//! is this switch running a [`PisaProgram`] through [`BaselineAdapter`]
+//! ([`EventSwitch::baseline`]): every event still fires and is counted,
+//! but the adapter leaves its handler passive, so the program sees only
+//! ingress, egress and `control_update`. Both sides of a baseline-vs-event
+//! comparison therefore run the same switch pass.
 //!
 //! Dispatch semantics follow the *logical architecture model* (Figure 2):
 //! handlers run immediately when their event occurs and share state
@@ -19,10 +24,12 @@ use crate::event::{
     ControlPlaneEvent, DequeueEvent, EnqueueEvent, Event, EventCounters, EventKind,
     LinkStatusEvent, OverflowEvent, TimerEvent, TransmitEvent, UnderflowEvent, UserEvent,
 };
-use crate::program::{EventActions, EventProgram};
+use crate::program::{BaselineAdapter, EventActions, EventProgram};
 use edp_evsim::{SimDuration, SimTime};
 use edp_packet::{Burst, Packet, PacketUid, SharedFrame};
-use edp_pisa::{Destination, PortId, QueueConfig, QueueStats, StdMeta, TrafficManager};
+use edp_pisa::{
+    Destination, PisaProgram, PortId, QueueConfig, QueueStats, StdMeta, TrafficManager,
+};
 use edp_telemetry::{emit, DropReason, RecordKind};
 use serde::{Deserialize, Serialize};
 
@@ -81,7 +88,7 @@ impl Default for EventSwitchConfig {
     }
 }
 
-/// Aggregate counters (superset of the baseline switch's).
+/// Aggregate switch counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EventSwitchCounters {
     /// Frames offered to ingress.
@@ -167,6 +174,22 @@ pub struct EventSwitch<P> {
     /// The program's [`EventProgram::passive_events`] mask, sampled once
     /// at construction (the contract requires it constant).
     passive: u16,
+}
+
+impl<P: PisaProgram> EventSwitch<BaselineAdapter<P>> {
+    /// The baseline PSA switch (Figure 1): `program` sees only the ingress
+    /// and egress packet events and `control_update`; every other event
+    /// still fires and is counted, but is passive for the adapter.
+    pub fn baseline(program: P, n_ports: usize, queue: QueueConfig) -> Self {
+        EventSwitch::new(
+            BaselineAdapter(program),
+            EventSwitchConfig {
+                n_ports,
+                queue,
+                ..EventSwitchConfig::default()
+            },
+        )
+    }
 }
 
 impl<P: EventProgram> EventSwitch<P> {
@@ -774,6 +797,7 @@ mod tests {
     use super::*;
     use crate::program::EventProgram;
     use edp_packet::{PacketBuilder, ParsedPacket};
+    use edp_pisa::ForwardTo;
     use std::net::Ipv4Addr;
 
     fn frame() -> Packet {
@@ -1031,9 +1055,9 @@ mod tests {
 
     #[test]
     fn baseline_adapter_runs_unchanged_on_event_switch() {
-        use crate::program::BaselineAdapter;
-        let mut sw = EventSwitch::new(BaselineAdapter(edp_pisa::ForwardTo(2)), cfg());
+        let mut sw = EventSwitch::baseline(ForwardTo(2), 4, QueueConfig::default());
         sw.receive(SimTime::ZERO, 0, frame());
+        assert!(sw.has_pending(2) && !sw.has_pending(0));
         assert!(sw.transmit(SimTime::ZERO, 2).is_some());
         let c = sw.counters();
         assert_eq!((c.rx, c.tx), (1, 1));
@@ -1120,10 +1144,9 @@ mod tests {
 
     #[test]
     fn control_plane_update_takes_effect_on_the_next_packet() {
-        use crate::program::BaselineAdapter;
         use edp_pisa::TableRouter;
         let dst = Ipv4Addr::new(1, 0, 0, 2);
-        let mut sw = EventSwitch::new(BaselineAdapter(TableRouter::new()), cfg());
+        let mut sw = EventSwitch::baseline(TableRouter::new(), 4, QueueConfig::default());
         sw.control_plane(
             SimTime::ZERO,
             TableRouter::OP_INSERT_ROUTE,
@@ -1144,12 +1167,97 @@ mod tests {
         assert!(!sw.has_pending(1));
     }
 
+    /// A baseline program whose ingress decision is `f(recirc_count, n)`,
+    /// `n` numbering the arrivals (first passes) from 1.
+    struct Decide(fn(u8, u64) -> Destination, u64);
+    impl PisaProgram for Decide {
+        fn ingress(&mut self, _p: &mut Packet, _h: &ParsedPacket, m: &mut StdMeta, _n: SimTime) {
+            self.1 += u64::from(m.recirc_count == 0);
+            m.dest = (self.0)(m.recirc_count, self.1);
+        }
+    }
+
+    #[test]
+    fn recirc_count_visible_to_program() {
+        // Recirculate once, then forward: only the count tells them apart.
+        let once = |r, _| match r {
+            0 => Destination::Recirculate,
+            _ => Destination::Port(1),
+        };
+        let mut sw = EventSwitch::baseline(Decide(once, 0), 2, QueueConfig::default());
+        sw.receive(SimTime::ZERO, 0, frame());
+        assert!(sw.transmit(SimTime::ZERO, 1).is_some());
+        assert_eq!(sw.counters().recirculated, 1);
+    }
+
+    /// The drop-accounting identity for a program that does not flood:
+    /// every received or generated frame left the switch, sits in a queue,
+    /// or is counted in exactly one drop bucket.
+    fn assert_accounting_consistent<P: EventProgram>(sw: &EventSwitch<P>) {
+        let c = sw.counters();
+        let queued: u64 = (0..sw.n_ports() as PortId)
+            .map(|p| u64::from(sw.queue_stats(p).pkts))
+            .sum();
+        let dropped = c.dropped_by_program + c.dropped_overflow + c.dropped_link_down;
+        assert_eq!(
+            c.rx + c.generated,
+            c.tx + dropped + c.parse_errors + queued,
+            "{c:?}, {queued} queued"
+        );
+    }
+
+    #[test]
+    fn drop_buckets_sum_consistently_with_rx_tx() {
+        // Three frames looped past the bound and an unparseable runt: a
+        // limit drop is a program drop (`DropReason::RecircLimit` on the
+        // trace), the runt a parse error.
+        let forever = Decide(|_, _| Destination::Recirculate, 0);
+        let mut sw = EventSwitch::baseline(forever, 2, QueueConfig::default());
+        for _ in 0..3 {
+            sw.receive(SimTime::ZERO, 0, frame());
+        }
+        sw.receive(SimTime::ZERO, 0, Packet::anonymous(vec![1, 2, 3]));
+        let c = sw.counters();
+        assert_eq!((c.rx, c.tx, c.parse_errors), (4, 0, 1));
+        assert_eq!(c.recirculated, 3 * MAX_RECIRCULATIONS as u64);
+        assert_eq!((c.dropped_by_program, c.dropped_overflow), (3, 0));
+        assert_accounting_consistent(&sw);
+
+        // Of every three arrivals one loops past the bound, one is
+        // dropped and one goes to port 1, into a queue for one 100-byte
+        // frame: the second forwarded one overflows, and the first still
+        // waits when the link goes down.
+        let mixed = |r, n: u64| match (r, n % 3) {
+            (0, 2) => Destination::Drop,
+            (0, 0) => Destination::Port(1),
+            _ => Destination::Recirculate,
+        };
+        let queue = QueueConfig {
+            capacity_bytes: 150,
+            ..QueueConfig::default()
+        };
+        let mut sw = EventSwitch::baseline(Decide(mixed, 0), 2, queue);
+        for _ in 0..6 {
+            sw.receive(SimTime::ZERO, 0, frame());
+        }
+        let c = sw.counters();
+        assert_eq!(
+            (c.dropped_by_program, c.dropped_overflow),
+            (4, 1),
+            "2 limit + 2 drop"
+        );
+        assert_accounting_consistent(&sw);
+        sw.set_link_status(SimTime::ZERO, 1, false);
+        assert!(sw.transmit(SimTime::ZERO, 1).is_none());
+        assert_eq!(sw.counters().dropped_link_down, 1);
+        assert_accounting_consistent(&sw);
+    }
+
     /// One run of the mixed-traffic workload; `burst` switches between
     /// per-packet [`EventSwitch::receive`] and [`EventSwitch::receive_burst`].
     /// Returns every observable: trace render, counters, and the
     /// transmitted frame bytes.
     fn burst_observables(burst: bool) -> (String, EventSwitchCounters, String) {
-        use crate::program::BaselineAdapter;
         use edp_packet::Burst;
         let flow_frame = |src_port: u16| {
             Packet::anonymous(
@@ -1178,7 +1286,7 @@ mod tests {
             ]
         };
         edp_telemetry::enable(edp_telemetry::TelemetryConfig::default());
-        let mut sw = EventSwitch::new(BaselineAdapter(edp_pisa::ForwardTo(2)), cfg());
+        let mut sw = EventSwitch::baseline(ForwardTo(2), 4, QueueConfig::default());
         if burst {
             sw.receive_burst(SimTime::from_nanos(50), 0, Burst::from_frames(frames()));
         } else {

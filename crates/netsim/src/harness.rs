@@ -1,14 +1,17 @@
-//! Uniform driving interface over baseline and event switches.
+//! The interface the network drives a switch through.
 //!
-//! The network layer must not care which architecture a node runs, so both
-//! switch types are driven through [`SwitchHarness`]. The trait's default
-//! no-ops for timers/links/control-plane are themselves meaningful: they
-//! are exactly the stimuli a baseline switch has no way to react to.
+//! Every switch is an [`EventSwitch`] — a baseline one runs its program
+//! through `edp_core::BaselineAdapter` — and [`SwitchHarness`] erases its
+//! program type, so a `Network` holds `Box<dyn SwitchHarness>` nodes and
+//! tests get the concrete switch back with `Network::switch_as`. The
+//! trait's defaults let a wrapper implement only what it needs: a test
+//! fake (`MemoWatch` in `net.rs`'s tests) or a decorator that forwards
+//! everything (the benchmark's `Timed`).
 
 use edp_core::{CpNotification, EventProgram, EventSwitch};
 use edp_evsim::SimTime;
 use edp_packet::Packet;
-use edp_pisa::{BaselineSwitch, PisaProgram, PortId};
+use edp_pisa::PortId;
 use std::any::Any;
 
 /// A switch that the network can drive.
@@ -32,17 +35,17 @@ pub trait SwitchHarness: Any + Send {
     fn transmit(&mut self, now: SimTime, port: PortId) -> Option<Packet>;
     /// True if `port` has queued frames.
     fn has_pending(&self, port: PortId) -> bool;
-    /// Fire timers due at or before `now` (no-op for baseline switches).
+    /// Fire timers due at or before `now` (default: none).
     fn fire_due_timers(&mut self, _now: SimTime) {}
-    /// Earliest pending timer deadline (None for baseline switches).
+    /// Earliest pending timer deadline (default: none).
     fn next_timer_due(&self) -> Option<SimTime> {
         None
     }
-    /// Notify a link status change (baseline switches cannot react).
+    /// Notify a link status change (default: ignored).
     fn set_link_status(&mut self, _now: SimTime, _port: PortId, _up: bool) {}
-    /// Deliver a control-plane message. On an event switch this fires a
-    /// control-plane-triggered *event*; on a baseline switch it becomes a
-    /// P4Runtime-style management update (tables/registers only).
+    /// Deliver a control-plane message. It fires a control-plane-triggered
+    /// *event*; a baseline program receives it as a P4Runtime-style
+    /// management update (`PisaProgram::control_update`). Default: ignored.
     fn control_plane(&mut self, _now: SimTime, _opcode: u32, _args: [u64; 4]) {}
     /// Drain control-plane notifications raised by handlers.
     fn drain_cp(&mut self) -> Vec<CpNotification> {
@@ -55,33 +58,6 @@ pub trait SwitchHarness: Any + Send {
     fn as_any(&self) -> &dyn Any;
     /// Downcast support (mutable).
     fn as_any_mut(&mut self) -> &mut dyn Any;
-}
-
-impl<P: PisaProgram + 'static> SwitchHarness for BaselineSwitch<P> {
-    fn n_ports(&self) -> usize {
-        BaselineSwitch::n_ports(self)
-    }
-    fn receive(&mut self, now: SimTime, port: PortId, pkt: Packet) {
-        BaselineSwitch::receive(self, now, port, pkt)
-    }
-    fn transmit(&mut self, now: SimTime, port: PortId) -> Option<Packet> {
-        BaselineSwitch::transmit(self, now, port)
-    }
-    fn has_pending(&self, port: PortId) -> bool {
-        BaselineSwitch::has_pending(self, port)
-    }
-    fn control_plane(&mut self, now: SimTime, opcode: u32, args: [u64; 4]) {
-        BaselineSwitch::control_plane(self, now, opcode, args)
-    }
-    fn publish_metrics(&self, reg: &mut edp_telemetry::Registry, scope: &str) {
-        BaselineSwitch::publish_metrics(self, reg, scope)
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 impl<P: EventProgram + 'static> SwitchHarness for EventSwitch<P> {
@@ -130,24 +106,7 @@ mod tests {
     use edp_pisa::{ForwardTo, QueueConfig};
 
     #[test]
-    fn baseline_harness_roundtrip() {
-        let mut h: Box<dyn SwitchHarness> =
-            Box::new(BaselineSwitch::new(ForwardTo(1), 2, QueueConfig::default()));
-        assert_eq!(h.n_ports(), 2);
-        assert!(h.next_timer_due().is_none());
-        h.set_link_status(SimTime::ZERO, 0, false); // no-op, must not panic
-        h.control_plane(SimTime::ZERO, 1, [0; 4]);
-        assert!(h.drain_cp().is_empty());
-        // Downcast back to the concrete type.
-        let sw = h
-            .as_any()
-            .downcast_ref::<BaselineSwitch<ForwardTo>>()
-            .expect("downcast");
-        assert_eq!(sw.counters().rx, 0);
-    }
-
-    #[test]
-    fn burst_delivery_matches_sequential_for_both_architectures() {
+    fn burst_delivery_matches_sequential() {
         use edp_packet::{Burst, PacketBuilder};
         use std::net::Ipv4Addr;
         let frame = |src_port: u16| {
@@ -175,7 +134,12 @@ mod tests {
             ]
         };
         // Every observable of one run: trace render, drained bytes, metrics.
-        let observe = |mut h: Box<dyn SwitchHarness>, burst: bool| {
+        let observe = |burst: bool| {
+            let mut h: Box<dyn SwitchHarness> = Box::new(EventSwitch::baseline(
+                ForwardTo(1),
+                2,
+                QueueConfig::default(),
+            ));
             edp_telemetry::enable(edp_telemetry::TelemetryConfig::default());
             if burst {
                 h.receive_burst(SimTime::ZERO, 0, Burst::from_frames(frames()));
@@ -193,27 +157,10 @@ mod tests {
             h.publish_metrics(&mut reg, "sw0");
             (trace, out, edp_telemetry::to_json(&reg))
         };
-        let base = || -> Box<dyn SwitchHarness> {
-            Box::new(BaselineSwitch::new(ForwardTo(1), 2, QueueConfig::default()))
-        };
-        let ev = || -> Box<dyn SwitchHarness> {
-            Box::new(EventSwitch::new(
-                edp_core::BaselineAdapter(ForwardTo(1)),
-                EventSwitchConfig {
-                    n_ports: 2,
-                    ..Default::default()
-                },
-            ))
-        };
-        for (name, mk) in [("baseline", &base as &dyn Fn() -> _), ("event", &ev)] {
-            let burst = observe(mk(), true);
-            assert_eq!(burst, observe(mk(), false), "{name}");
-            assert_eq!(burst.1.len(), 4, "{name}: all but the runt delivered");
-            assert!(
-                burst.0.contains("parse_error"),
-                "{name}: runt drop is on the trace"
-            );
-        }
+        let burst = observe(true);
+        assert_eq!(burst, observe(false));
+        assert_eq!(burst.1.len(), 4, "all but the runt delivered");
+        assert!(burst.0.contains("parse_error"), "runt drop is on the trace");
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //! * [`Network`] is the simulation world: build a topology with
 //!   [`Network::add_switch`] / [`Network::add_host`] /
 //!   [`Network::connect`], then run it on a [`edp_evsim::Sim`].
-//! * [`SwitchHarness`] drives baseline and event switches uniformly; the
-//!   trait's no-op defaults for timers/link-status/control-plane *are*
-//!   the baseline architecture's blindness to those stimuli.
+//! * [`SwitchHarness`] erases a switch's program type so one network
+//!   holds event-driven and baseline switches alike — both are
+//!   `edp_core::EventSwitch`; the baseline's blindness to timers, link
+//!   status and the rest is its program's (`BaselineAdapter`), not the
+//!   harness's.
 //! * [`Host`] endpoints count per-flow statistics and can run small
 //!   responders (UDP echo, key-value server).
 //! * [`traffic`] provides CBR / Poisson / microburst / on-off generators.

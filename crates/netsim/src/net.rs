@@ -95,7 +95,8 @@ fn reboxed<T>(free: &mut Vec<Box<T>>, ev: T) -> Box<T> {
 
 /// The simulated network.
 pub struct Network {
-    /// Switches (baseline or event-driven), boxed behind the harness.
+    /// Switches (event-driven or running a baseline program), boxed
+    /// behind the harness.
     pub switches: Vec<Box<dyn SwitchHarness>>,
     /// End hosts.
     pub hosts: Vec<Host>,
@@ -956,8 +957,9 @@ impl Network {
 mod tests {
     use super::*;
     use crate::host::HostApp;
+    use edp_core::{BaselineAdapter, EventSwitch};
     use edp_packet::PacketBuilder;
-    use edp_pisa::{BaselineSwitch, ForwardTo, QueueConfig};
+    use edp_pisa::{ForwardTo, QueueConfig};
     use std::net::Ipv4Addr;
 
     fn a(n: u8) -> Ipv4Addr {
@@ -967,7 +969,7 @@ mod tests {
     /// host0 — sw(port0) — (port1) — host1, ForwardTo(1).
     fn line_topology() -> (Network, HostId, HostId) {
         let mut net = Network::new(7);
-        let sw = net.add_switch(Box::new(BaselineSwitch::new(
+        let sw = net.add_switch(Box::new(EventSwitch::baseline(
             ForwardTo(1),
             2,
             QueueConfig::default(),
@@ -1044,7 +1046,7 @@ mod tests {
             }
         }
         let mut net = Network::new(1);
-        let sw = net.add_switch(Box::new(BaselineSwitch::new(
+        let sw = net.add_switch(Box::new(EventSwitch::baseline(
             PortSwap,
             2,
             QueueConfig::default(),
@@ -1091,14 +1093,16 @@ mod tests {
         }
         sim.run(&mut net);
         assert_eq!(net.hosts[h1].stats.rx_pkts, 2, "middle packet lost");
-        let (_, down_drops) = net.link_drops(1);
-        assert_eq!(down_drops, 1);
+        // The switch's egress gate drops it, so it never reaches the wire.
+        let sw = net.switch_as::<EventSwitch<BaselineAdapter<ForwardTo>>>(0);
+        assert_eq!(sw.counters().dropped_link_down, 1);
+        assert_eq!(net.link_drops(1), (0, 0));
     }
 
     #[test]
     fn unconnected_port_counts_drops() {
         let mut net = Network::new(1);
-        let sw = net.add_switch(Box::new(BaselineSwitch::new(
+        let sw = net.add_switch(Box::new(EventSwitch::baseline(
             ForwardTo(1), // port 1 not connected
             2,
             QueueConfig::default(),
@@ -1195,10 +1199,10 @@ mod tests {
         use crate::link::LinkFaultModel;
         const N: u64 = 2_000;
         let mut net = Network::new(7);
-        let tap = BaselineSwitch::new(TapForward(None), 2, QueueConfig::default());
+        let tap = EventSwitch::baseline(TapForward(None), 2, QueueConfig::default());
         net.add_switch(Box::new(tap));
         for _ in 0..2 {
-            let sw = BaselineSwitch::new(ForwardTo(1), 2, QueueConfig::default());
+            let sw = EventSwitch::baseline(ForwardTo(1), 2, QueueConfig::default());
             net.add_switch(Box::new(sw));
         }
         let h0 = net.add_host(Host::new(a(1), HostApp::Sink));
@@ -1243,8 +1247,13 @@ mod tests {
 
         // Conservation along the line: every frame, fault copies included,
         // is forwarded, dropped with a reason, or received.
-        let sw = |i| net.switch_as::<BaselineSwitch<ForwardTo>>(i).counters();
-        let first = net.switch_as::<BaselineSwitch<TapForward>>(0).counters();
+        let sw = |i| {
+            net.switch_as::<EventSwitch<BaselineAdapter<ForwardTo>>>(i)
+                .counters()
+        };
+        let first = net
+            .switch_as::<EventSwitch<BaselineAdapter<TapForward>>>(0)
+            .counters();
         let dup = |l| net.link_dir_state(l, Dir::AtoB).duplicated;
         assert_eq!(first.rx, N);
         assert_eq!(first.tx, N);
@@ -1259,7 +1268,10 @@ mod tests {
         // Nothing parked on a free list still owns a frame: the generator
         // is done, so the tap's handle is the template's last reference.
         assert!(net.free_deliveries.iter().all(|d| d.pkt.is_none()));
-        let tap = &mut net.switch_as_mut::<BaselineSwitch<TapForward>>(0).program;
+        let tap = &mut net
+            .switch_as_mut::<EventSwitch<BaselineAdapter<TapForward>>>(0)
+            .program
+            .0;
         let payload = tap.0.take().expect("tap saw a frame");
         assert!(Packet::from_shared(PacketUid(0), payload).payload_is_unique());
 
@@ -1371,7 +1383,7 @@ mod tests {
                 ..QueueConfig::default()
             };
             let mut net = Network::new(1);
-            let sw = net.add_switch(Box::new(BaselineSwitch::new(program, 2, cfg)));
+            let sw = net.add_switch(Box::new(EventSwitch::baseline(program, 2, cfg)));
             let frame = PacketBuilder::udp(a(1), a(2), 5, 6, &[]).build();
             for _ in 0..N {
                 net.switches[sw].receive(SimTime::ZERO, 0, Packet::anonymous(frame.clone()));
@@ -1383,12 +1395,16 @@ mod tests {
         let small_stack = std::thread::Builder::new().stack_size(256 * 1024);
         let worker = small_stack.spawn(|| {
             let (net, sim) = drain(ForwardTo(1));
-            let c = net.switch_as::<BaselineSwitch<ForwardTo>>(0).counters();
+            let c = net
+                .switch_as::<EventSwitch<BaselineAdapter<ForwardTo>>>(0)
+                .counters();
             assert_eq!((c.rx, c.tx, net.dropped_unconnected), (N, N, N));
             assert!(!net.switches[0].has_pending(1) && sim.pending() == 0);
 
             let (net, sim) = drain(DropAtEgress);
-            let c = net.switch_as::<BaselineSwitch<DropAtEgress>>(0).counters();
+            let c = net
+                .switch_as::<EventSwitch<BaselineAdapter<DropAtEgress>>>(0)
+                .counters();
             assert_eq!((c.rx, c.tx, c.dropped_by_program), (N, 0, N));
             assert_eq!(net.dropped_unconnected, 0);
             assert!(!net.switches[0].has_pending(1) && sim.pending() == 0);
@@ -1462,10 +1478,10 @@ mod tests {
         }
     }
 
-    /// The parse rides the frame down an 8-switch line of both switch
-    /// models: the first hop makes it, hops 2–8 and the sink find it
-    /// made — except past a handler that rewrote the header, whose own
-    /// egress is handed a parse of the new bytes, never the stale one.
+    /// The parse rides the frame down an 8-switch line: the first hop
+    /// makes it, hops 2–8 and the sink find it made — except past a
+    /// handler that rewrote the header, whose own egress is handed a parse
+    /// of the new bytes, never the stale one.
     #[test]
     fn parse_memo_rides_the_line_and_a_rewrite_drops_it() {
         const N: u64 = 50;
@@ -1474,16 +1490,13 @@ mod tests {
         for i in 0..8 {
             let inner: Box<dyn SwitchHarness> = if i == REWRITER {
                 let program = TtlRewrite::default();
-                Box::new(BaselineSwitch::new(program, 2, QueueConfig::default()))
-            } else if i % 2 == 0 {
-                let cfg = edp_core::EventSwitchConfig {
-                    n_ports: 2,
-                    ..Default::default()
-                };
-                let program = edp_core::BaselineAdapter(ForwardTo(1));
-                Box::new(edp_core::EventSwitch::new(program, cfg))
+                Box::new(EventSwitch::baseline(program, 2, QueueConfig::default()))
             } else {
-                Box::new(BaselineSwitch::new(ForwardTo(1), 2, QueueConfig::default()))
+                Box::new(EventSwitch::baseline(
+                    ForwardTo(1),
+                    2,
+                    QueueConfig::default(),
+                ))
             };
             net.add_switch(Box::new(MemoWatch {
                 inner,
@@ -1525,9 +1538,10 @@ mod tests {
         let watch = net.switch_as::<MemoWatch>(REWRITER);
         let inner = watch.inner.as_any();
         let rewriter = &inner
-            .downcast_ref::<BaselineSwitch<TtlRewrite>>()
+            .downcast_ref::<EventSwitch<BaselineAdapter<TtlRewrite>>>()
             .expect("rewriter")
-            .program;
+            .program
+            .0;
         assert_eq!(rewriter.memo_after_write, vec![false; N as usize]);
         assert_eq!(rewriter.ttl_written, vec![8; N as usize]);
         assert_eq!(rewriter.ttl_at_egress, rewriter.ttl_written);

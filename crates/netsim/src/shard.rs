@@ -443,8 +443,9 @@ mod tests {
     use super::*;
     use crate::host::{Host, HostApp, HostId};
     use crate::link::LinkSpec;
+    use edp_core::EventSwitch;
     use edp_packet::PacketBuilder;
-    use edp_pisa::{BaselineSwitch, ForwardTo, QueueConfig};
+    use edp_pisa::{ForwardTo, QueueConfig};
     use std::net::Ipv4Addr;
 
     fn a(n: u8) -> Ipv4Addr {
@@ -455,7 +456,7 @@ mod tests {
     fn switch_line(seed: u64, n: usize) -> (Network, HostId, HostId) {
         let mut net = Network::new(seed);
         for _ in 0..n {
-            net.add_switch(Box::new(BaselineSwitch::new(
+            net.add_switch(Box::new(EventSwitch::baseline(
                 ForwardTo(1),
                 2,
                 QueueConfig::default(),
@@ -532,12 +533,12 @@ mod tests {
     #[test]
     fn zero_latency_links_force_co_sharding() {
         let mut net = Network::new(1);
-        let s0 = net.add_switch(Box::new(BaselineSwitch::new(
+        let s0 = net.add_switch(Box::new(EventSwitch::baseline(
             ForwardTo(1),
             2,
             QueueConfig::default(),
         )));
-        let s1 = net.add_switch(Box::new(BaselineSwitch::new(
+        let s1 = net.add_switch(Box::new(EventSwitch::baseline(
             ForwardTo(1),
             2,
             QueueConfig::default(),
@@ -653,7 +654,7 @@ mod tests {
     /// declaring the pipeline emission and the timer's silence.
     fn timer_line(certify: bool) -> (Network, HostId) {
         use edp_core::{
-            AppManifest, BaselineAdapter, EffectSummary, EmitFootprint, EventKind, EventSwitch,
+            AppManifest, BaselineAdapter, EffectSummary, EmitFootprint, EventKind,
             EventSwitchConfig, TimerSpec,
         };
         let mut net = Network::new(3);

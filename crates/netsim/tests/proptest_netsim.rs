@@ -1,11 +1,12 @@
 //! Property-based tests for the network substrate's conservation and
 //! determinism invariants.
 
+use edp_core::{BaselineAdapter, EventSwitch};
 use edp_evsim::{HorizonMode, Sim, SimDuration, SimTime};
 use edp_netsim::traffic::start_cbr;
 use edp_netsim::{merge_tracers, run_sharded_opts, Host, HostApp, LinkSpec, Network, NodeRef};
 use edp_packet::PacketBuilder;
-use edp_pisa::{BaselineSwitch, ForwardTo, QueueConfig};
+use edp_pisa::{ForwardTo, QueueConfig};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
@@ -25,7 +26,7 @@ fn line(n_switches: usize, drop_prob: f64, seed: u64) -> (Network, usize, usize)
     let h1 = net.add_host(Host::new(a(1), HostApp::Sink));
     let h2 = net.add_host(Host::new(a(2), HostApp::Sink));
     for _ in 0..n_switches {
-        let s = net.add_switch(Box::new(BaselineSwitch::new(
+        let s = net.add_switch(Box::new(EventSwitch::baseline(
             ForwardTo(1),
             2,
             QueueConfig::default(),
@@ -77,7 +78,7 @@ proptest! {
         prop_assert_eq!(net.hosts[h2].stats.rx_errors, 0);
         // Every hop forwarded everything.
         for s in 0..n_switches {
-            let sw = net.switch_as::<BaselineSwitch<ForwardTo>>(s);
+            let sw = net.switch_as::<EventSwitch<BaselineAdapter<ForwardTo>>>(s);
             prop_assert_eq!(sw.counters().rx, count);
             prop_assert_eq!(sw.counters().tx, count);
         }

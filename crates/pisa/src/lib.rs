@@ -11,15 +11,17 @@
 //!   program-staged `event_meta` the paper's `enq_meta`/`deq_meta` become;
 //! * [`TrafficManager`] — output queues (FIFO / strict priority / PIFO)
 //!   that emit [`TmEvent`] records for every enqueue/dequeue/overflow;
-//! * [`PisaProgram`] + [`BaselineSwitch`] — the synchronous
-//!   packet-by-packet programming model and the PSA switch around it
-//!   (Figure 1 of the paper).
+//! * [`PisaProgram`] — the synchronous packet-by-packet programming model
+//!   (Figure 1 of the paper): an ingress and an egress control, plus the
+//!   `control_update` management channel.
 //!
-//! The deliberate limitation — faithfully reproduced — is that a
-//! [`BaselineSwitch`] throws its [`TmEvent`] records away: the baseline
-//! programming model has no handler to deliver them to. The event-driven
-//! architecture (`edp-core`) is built from these same parts but delivers
-//! every event to P4-expressible handlers.
+//! There is one switch, and it lives in `edp-core`: the event-driven
+//! architecture built from these parts. A baseline switch is that switch
+//! running a [`PisaProgram`] through `edp_core::BaselineAdapter`
+//! (`EventSwitch::baseline`). The deliberate limitation — faithfully
+//! reproduced — is that the adapter gives the program no handler for any
+//! [`TmEvent`] or other non-packet event: they still fire, but nothing in
+//! the baseline programming model can observe them.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -28,7 +30,6 @@ mod meta;
 pub mod probe;
 mod program;
 mod register;
-mod switch;
 mod table;
 mod tm;
 
@@ -36,7 +37,6 @@ pub use meta::{Destination, PortId, StdMeta};
 pub use probe::{ProbeAccess, ProbeClaim, ProbeClass, ProbeRecord};
 pub use program::{ForwardTo, PisaProgram, TableRouter};
 pub use register::{PacketByteCounter, RegisterArray};
-pub use switch::{BaselineSwitch, SwitchCounters, MAX_RECIRCULATIONS};
 pub use table::{
     insert_ipv4_route, ipv4_lpm_schema, FieldMatch, MatchKind, MatchTable, ShapeEntry, TableEntry,
     TableError, TableShape,

@@ -146,7 +146,7 @@ impl Registry {
     }
 
     /// Sets counter `name` in `scope` to an absolute value (used when
-    /// publishing component-owned counters like `SwitchCounters`).
+    /// publishing component-owned counters like `EventSwitchCounters`).
     pub fn set_counter(&mut self, name: &str, scope: &str, v: u64) {
         self.counters.insert(key(name, scope), v);
     }

@@ -67,7 +67,7 @@ pub enum RecordKind {
     },
     /// A packet arrived on a switch port.
     PacketRx {
-        /// Switch id (0 for the baseline switch).
+        /// Switch id (`EventSwitchConfig::switch_id`, 0 by default).
         switch: u16,
         /// Ingress port.
         port: u8,

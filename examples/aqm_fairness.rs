@@ -16,7 +16,7 @@ use edp_evsim::{jain_fairness, Sim, SimDuration, SimTime};
 use edp_netsim::traffic::start_cbr;
 use edp_netsim::Network;
 use edp_packet::PacketBuilder;
-use edp_pisa::{BaselineSwitch, ForwardTo, QueueConfig};
+use edp_pisa::{ForwardTo, QueueConfig};
 
 const CAPACITY: u64 = 30_000;
 const BOTTLENECK: u64 = 100_000_000;
@@ -46,7 +46,7 @@ fn run(fair: bool) -> (Vec<f64>, Option<f64>) {
         dumbbell(Box::new(sw), N, BOTTLENECK, 5)
     } else {
         dumbbell(
-            Box::new(BaselineSwitch::new(ForwardTo(4), 5, queue_cfg())),
+            Box::new(EventSwitch::baseline(ForwardTo(4), 5, queue_cfg())),
             N,
             BOTTLENECK,
             5,

@@ -16,7 +16,7 @@ use edp_evsim::{Sim, SimDuration, SimTime};
 use edp_netsim::traffic::start_cbr;
 use edp_netsim::{Host, HostApp, LinkSpec, Network, NodeRef, SwitchHarness};
 use edp_packet::PacketBuilder;
-use edp_pisa::{BaselineSwitch, ForwardTo, QueueConfig};
+use edp_pisa::{ForwardTo, QueueConfig};
 
 const FAIL_AT: SimTime = SimTime::from_millis(5);
 const PKTS: u64 = 1500;
@@ -26,7 +26,7 @@ const INTERVAL: SimDuration = SimDuration::from_micros(10);
 fn diamond(sw_a: Box<dyn SwitchHarness>) -> (Network, usize, usize, usize) {
     let mut net = Network::new(77);
     let a = net.add_switch(sw_a);
-    let r = net.add_switch(Box::new(BaselineSwitch::new(
+    let r = net.add_switch(Box::new(EventSwitch::baseline(
         ForwardTo(2),
         3,
         QueueConfig::default(),
@@ -66,7 +66,7 @@ fn run_event() -> u64 {
 }
 
 fn run_baseline(cp_latency: SimDuration) -> u64 {
-    let sw = BaselineSwitch::new(FrrBaseline::new(1), 3, QueueConfig::default());
+    let sw = EventSwitch::baseline(FrrBaseline::new(1), 3, QueueConfig::default());
     let (mut net, sender, sink, primary) = diamond(Box::new(sw));
     let mut sim: Sim<Network> = Sim::new();
     net.schedule_link_failure(&mut sim, primary, FAIL_AT, None);

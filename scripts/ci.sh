@@ -71,14 +71,19 @@ step_lint() {
 
 step_parse_path() {
     echo "==> one parse path (no parse_packet( on a per-packet path outside edp-packet)"
-    # Both switch models and the host read the frame's memoised parse
+    # The switch and the host read the frame's memoised parse
     # (Packet::parsed): a frame nobody rewrites is parsed once for its
     # whole path. A direct parse_packet( call in their non-test code
     # (everything above the file's #[cfg(test)] module) would quietly
-    # re-parse per hop, which no test notices — parsing is pure.
+    # re-parse per hop, which no test notices — parsing is pure. A listed
+    # file that is gone fails the step: sed erroring inside the `if`
+    # would otherwise pass it without checking anything.
     local f bad=0
-    for f in crates/core/src/sume.rs crates/pisa/src/switch.rs crates/netsim/src/host.rs; do
-        if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n 'parse_packet('; then
+    for f in crates/core/src/sume.rs crates/netsim/src/host.rs; do
+        if [ ! -f "$f" ]; then
+            echo "$f: listed in step_parse_path but missing" >&2
+            bad=1
+        elif sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n 'parse_packet('; then
             echo "$f: calls parse_packet( directly; use Packet::parsed()" >&2
             bad=1
         fi

@@ -14,7 +14,7 @@ use edp_netsim::{
     Dir, FaultPlan, Host, HostApp, LinkFaultModel, LinkSpec, Network, NodeRef, SwitchHarness,
 };
 use edp_packet::PacketBuilder;
-use edp_pisa::{BaselineSwitch, ForwardTo, QueueConfig};
+use edp_pisa::{ForwardTo, QueueConfig};
 
 const FAIL_AT: SimTime = SimTime::from_millis(5);
 const PKTS: u64 = 1000;
@@ -25,7 +25,7 @@ const INTERVAL: SimDuration = SimDuration::from_micros(10);
 fn diamond(sw_a: Box<dyn SwitchHarness>) -> (Network, usize, usize, usize, usize) {
     let mut net = Network::new(21);
     let a = net.add_switch(sw_a);
-    let r = net.add_switch(Box::new(BaselineSwitch::new(
+    let r = net.add_switch(Box::new(EventSwitch::baseline(
         ForwardTo(2),
         3,
         QueueConfig::default(),
@@ -54,7 +54,7 @@ fn cbr(sim: &mut Sim<Network>, sender: usize) {
 /// link. Returns (net, h0, h1, link id of the first hop).
 fn line(model: Option<LinkFaultModel>, fault_seed: u64) -> (Network, usize, usize, usize) {
     let mut net = Network::new(7);
-    let sw = net.add_switch(Box::new(BaselineSwitch::new(
+    let sw = net.add_switch(Box::new(EventSwitch::baseline(
         ForwardTo(1),
         2,
         QueueConfig::default(),
@@ -155,7 +155,7 @@ fn frr_reconvergence_tracks_the_control_loop() {
     let mut rec = Welford::new();
     let mut hist = Histogram::new();
     for &d in &delays_us {
-        let sw = BaselineSwitch::new(FrrBaseline::new(1), 3, QueueConfig::default());
+        let sw = EventSwitch::baseline(FrrBaseline::new(1), 3, QueueConfig::default());
         let (mut net, sender, sink, primary, _) = diamond(Box::new(sw));
         let mut sim: Sim<Network> = Sim::new();
         net.schedule_link_failure(&mut sim, primary, FAIL_AT, None);
@@ -165,8 +165,18 @@ fn frr_reconvergence_tracks_the_control_loop() {
         });
         cbr(&mut sim, sender);
         run_until(&mut net, &mut sim, SimTime::from_millis(30));
-        let prog = &net.switch_as::<BaselineSwitch<FrrBaseline>>(0).program;
-        let r = prog.stats.reconvergence(FAIL_AT).expect("failed over");
+        let sw_a = net.switch_as::<EventSwitch<BaselineAdapter<FrrBaseline>>>(0);
+        // The program stays blind and routes into the dead port until the
+        // controller acts; the switch's egress gate, not the wire, drops
+        // those frames.
+        assert!(sw_a.counters().dropped_link_down > 0, "cp_delay {d}us");
+        assert_eq!(net.link_drops(primary).1, 0, "nothing dies on the wire");
+        let r = sw_a
+            .program
+            .0
+            .stats
+            .reconvergence(FAIL_AT)
+            .expect("failed over");
         assert_eq!(r, cp_delay, "baseline reconvergence is the cp delay");
         rec.add(r.as_nanos() as f64);
         hist.record(r.as_nanos());
@@ -329,7 +339,7 @@ fn corrupt_model_flips_bytes_and_checksums_catch_most() {
     // Flips inside the IP/UDP region fail checksum verification and the
     // switch drops them as parse errors; only flips in the unprotected
     // Ethernet fields slip through to the sink.
-    let sw = net.switch_as::<BaselineSwitch<ForwardTo>>(0);
+    let sw = net.switch_as::<EventSwitch<BaselineAdapter<ForwardTo>>>(0);
     let parse_errors = sw.counters().parse_errors;
     let rx = net.hosts[h1].stats.rx_pkts;
     assert_eq!(
@@ -345,27 +355,16 @@ fn corrupt_model_flips_bytes_and_checksums_catch_most() {
 }
 
 /// h0 — sw0 — sw1 — sw2 — h1 with the sw0→sw1 trunk corrupting and
-/// duplicating frames in flight; `event_model` picks which switch model
-/// stands at sw1. Returns sw1's (rx, parse_errors, tx) and h1's
-/// (rx_pkts, rx_errors), after checking sw0 parsed every frame cleanly.
-fn corrupting_trunk_run(event_model: bool) -> ((u64, u64, u64), (u64, u64)) {
+/// duplicating frames in flight. Returns sw1's (rx, parse_errors, tx) and
+/// h1's (rx_pkts, rx_errors), after checking sw0 parsed every frame
+/// cleanly.
+fn corrupting_trunk_run() -> ((u64, u64, u64), (u64, u64)) {
     const N: u64 = 400;
-    let baseline = || BaselineSwitch::new(ForwardTo(1), 2, QueueConfig::default());
     let mut net = Network::new(7);
-    net.add_switch(Box::new(baseline()));
-    if event_model {
-        let cfg = EventSwitchConfig {
-            n_ports: 2,
-            ..Default::default()
-        };
-        net.add_switch(Box::new(EventSwitch::new(
-            BaselineAdapter(ForwardTo(1)),
-            cfg,
-        )));
-    } else {
-        net.add_switch(Box::new(baseline()));
+    for _ in 0..3 {
+        let sw = EventSwitch::baseline(ForwardTo(1), 2, QueueConfig::default());
+        net.add_switch(Box::new(sw));
     }
-    net.add_switch(Box::new(baseline()));
     let h0 = net.add_host(Host::new(addr(1), HostApp::Sink));
     let h1 = net.add_host(Host::new(addr(2), HostApp::Sink));
     let spec = LinkSpec::ten_gig(SimDuration::from_micros(1));
@@ -392,21 +391,20 @@ fn corrupting_trunk_run(event_model: bool) -> ((u64, u64, u64), (u64, u64)) {
     run_until(&mut net, &mut sim, SimTime::from_millis(30));
 
     // Every frame left sw0 carrying the good parse sw0 made of it.
-    let up = net.switch_as::<BaselineSwitch<ForwardTo>>(0).counters();
+    let counters = |i| {
+        net.switch_as::<EventSwitch<BaselineAdapter<ForwardTo>>>(i)
+            .counters()
+    };
+    let up = counters(0);
     assert_eq!((up.rx, up.parse_errors, up.tx), (N, 0, N));
     let d = net.link_dir_state(trunk, Dir::AtoB);
     assert_eq!((d.corrupted, d.duplicated), (CORRUPTED, DUPLICATED));
-    let mid = if event_model {
-        let c = net
-            .switch_as::<EventSwitch<BaselineAdapter<ForwardTo>>>(1)
-            .counters();
-        (c.rx, c.parse_errors, c.tx)
-    } else {
-        let c = net.switch_as::<BaselineSwitch<ForwardTo>>(1).counters();
-        (c.rx, c.parse_errors, c.tx)
-    };
+    let mid = counters(1);
     let sink = &net.hosts[h1].stats;
-    (mid, (sink.rx_pkts, sink.rx_errors))
+    (
+        (mid.rx, mid.parse_errors, mid.tx),
+        (sink.rx_pkts, sink.rx_errors),
+    )
 }
 
 /// What the trunk's fault stream (seed 11) does to the 400 frames.
@@ -417,21 +415,19 @@ const CAUGHT: u64 = 157;
 
 /// The parse rides the shared frame from hop to hop, so the one way it
 /// can be wrong is a stale one: a frame sw0 parsed cleanly, corrupted in
-/// flight on the trunk, must still fail sw1's parse — on either switch
-/// model, duplicates (which share the original's frame until the flip
-/// copies it) included. The counts are those of the commit before the
-/// parse was memoised, when every hop parsed afresh.
+/// flight on the trunk, must still fail sw1's parse — duplicates (which
+/// share the original's frame until the flip copies it) included. The
+/// counts are those of the commit before the parse was memoised, when
+/// every hop parsed afresh.
 #[test]
 fn in_flight_corruption_is_caught_downstream_of_a_memoised_parse() {
-    for event_model in [false, true] {
-        let ((rx, parse_errors, tx), sink) = corrupting_trunk_run(event_model);
-        assert_eq!(rx, 400 + DUPLICATED);
-        assert_eq!(parse_errors, CAUGHT, "event_model = {event_model}");
-        assert_eq!(tx, rx - parse_errors);
-        // Flips in the unprotected Ethernet bytes pass sw1 and, memoised
-        // there, sw2 and the sink: nothing downstream sees an error.
-        assert_eq!(sink, (tx, 0));
-    }
+    let ((rx, parse_errors, tx), sink) = corrupting_trunk_run();
+    assert_eq!(rx, 400 + DUPLICATED);
+    assert_eq!(parse_errors, CAUGHT);
+    assert_eq!(tx, rx - parse_errors);
+    // Flips in the unprotected Ethernet bytes pass sw1 and, memoised
+    // there, sw2 and the sink: nothing downstream sees an error.
+    assert_eq!(sink, (tx, 0));
 }
 
 /// `n` CBR frames over the line with every frame duplicated on the

@@ -8,12 +8,12 @@
 
 use edp_apps::common::{addr, dumbbell, run_until, sink_addr};
 use edp_apps::microburst::{MicroburstBaseline, MicroburstEvent};
-use edp_core::{EventSwitch, EventSwitchConfig};
+use edp_core::{BaselineAdapter, EventSwitch, EventSwitchConfig};
 use edp_evsim::{Sim, SimDuration, SimTime};
 use edp_netsim::traffic::{start_burst, start_cbr};
 use edp_netsim::Network;
 use edp_packet::PacketBuilder;
-use edp_pisa::{BaselineSwitch, QueueConfig};
+use edp_pisa::QueueConfig;
 
 const THRESH: u64 = 20_000;
 const N_FLOWS: usize = 256;
@@ -78,14 +78,15 @@ fn state_reduction_detection_lead_and_exactness() {
 
     // Baseline run, identical workload.
     let prog = MicroburstBaseline::new(N_FLOWS, THRESH, 240_000, 3);
-    let sw = BaselineSwitch::new(prog, 4, qc());
+    let sw = EventSwitch::baseline(prog, 4, qc());
     let (mut net, senders, _, _) = dumbbell(Box::new(sw), 3, 1_000_000_000, 3);
     let mut sim: Sim<Network> = Sim::new();
     workload(&mut sim, &senders);
     run_until(&mut net, &mut sim, SimTime::from_millis(40));
     let base = &net
-        .switch_as::<BaselineSwitch<MicroburstBaseline>>(0)
-        .program;
+        .switch_as::<EventSwitch<BaselineAdapter<MicroburstBaseline>>>(0)
+        .program
+        .0;
     let base_words = base.state_words();
     let base_first = base
         .detections

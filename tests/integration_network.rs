@@ -2,12 +2,12 @@
 //! byte-level packets, latency accounting, fault injection, and mixed
 //! baseline/event topologies.
 
-use edp_core::{EventActions, EventProgram, EventSwitch, EventSwitchConfig};
+use edp_core::{BaselineAdapter, EventActions, EventProgram, EventSwitch, EventSwitchConfig};
 use edp_evsim::{Sim, SimDuration, SimTime};
 use edp_netsim::traffic::start_cbr;
 use edp_netsim::{Host, HostApp, LinkSpec, Network, NodeRef};
 use edp_packet::{Packet, PacketBuilder, ParsedPacket};
-use edp_pisa::{BaselineSwitch, Destination, PisaProgram, QueueConfig, StdMeta};
+use edp_pisa::{Destination, PisaProgram, QueueConfig, StdMeta};
 use std::net::Ipv4Addr;
 
 fn a(n: u8) -> Ipv4Addr {
@@ -48,7 +48,7 @@ impl EventProgram for UpDownEvent {
 /// h1 — baseline — event — baseline — h2 (a 3-switch line, mixed).
 fn line() -> (Network, usize, usize) {
     let mut net = Network::new(8);
-    let s0 = net.add_switch(Box::new(BaselineSwitch::new(
+    let s0 = net.add_switch(Box::new(EventSwitch::baseline(
         UpDown,
         2,
         QueueConfig::default(),
@@ -60,7 +60,7 @@ fn line() -> (Network, usize, usize) {
             ..Default::default()
         },
     )));
-    let s2 = net.add_switch(Box::new(BaselineSwitch::new(
+    let s2 = net.add_switch(Box::new(EventSwitch::baseline(
         UpDown,
         2,
         QueueConfig::default(),
@@ -204,7 +204,7 @@ fn tracer_captures_deliveries() {
 fn queue_overflow_under_severe_congestion() {
     // 10G in, 10M out: the switch queue must overflow and count drops.
     let mut net = Network::new(13);
-    let s0 = net.add_switch(Box::new(BaselineSwitch::new(
+    let s0 = net.add_switch(Box::new(EventSwitch::baseline(
         UpDown,
         2,
         QueueConfig {
@@ -243,7 +243,7 @@ fn queue_overflow_under_severe_congestion() {
         },
     );
     sim.run_until(&mut net, SimTime::from_millis(500));
-    let sw = net.switch_as::<BaselineSwitch<UpDown>>(0);
+    let sw = net.switch_as::<EventSwitch<BaselineAdapter<UpDown>>>(0);
     let c = sw.counters();
     assert!(
         c.dropped_overflow > 100,

@@ -11,14 +11,14 @@
 use edp_apps::common::{addr, run_until};
 use edp_apps::frr::{FrrBaseline, FrrEvent, CP_OP_SET_ROUTE};
 use edp_apps::liveness::{LivenessMonitor, LivenessReflector, Neighbor, TIMER_CHECK, TIMER_PROBE};
-use edp_core::{EventSwitch, EventSwitchConfig, TimerSpec};
+use edp_core::{BaselineAdapter, EventSwitch, EventSwitchConfig, TimerSpec};
 use edp_evsim::{HorizonMode, Sim, SimDuration, SimTime};
 use edp_netsim::{
     merge_tracers, run_sharded_opts, Dir, FaultPlan, Host, HostApp, LinkFaultModel, LinkSpec,
     Network, NodeRef, Tracer,
 };
 use edp_packet::PacketBuilder;
-use edp_pisa::{BaselineSwitch, ForwardTo, QueueConfig};
+use edp_pisa::{ForwardTo, QueueConfig};
 use edp_telemetry::Registry;
 
 const SHARD_COUNTS: [usize; 2] = [2, 4];
@@ -138,7 +138,7 @@ where
 fn diamond(sw_a: Box<dyn edp_netsim::SwitchHarness>) -> (Network, usize, usize, usize, usize) {
     let mut net = Network::new(21);
     let a = net.add_switch(sw_a);
-    let r = net.add_switch(Box::new(BaselineSwitch::new(
+    let r = net.add_switch(Box::new(EventSwitch::baseline(
         ForwardTo(2),
         3,
         QueueConfig::default(),
@@ -171,12 +171,12 @@ fn two_switch_line(
     fault_seed: u64,
 ) -> (Network, usize, usize, usize) {
     let mut net = Network::new(7);
-    let sw0 = net.add_switch(Box::new(BaselineSwitch::new(
+    let sw0 = net.add_switch(Box::new(EventSwitch::baseline(
         ForwardTo(1),
         2,
         QueueConfig::default(),
     )));
-    let sw1 = net.add_switch(Box::new(BaselineSwitch::new(
+    let sw1 = net.add_switch(Box::new(EventSwitch::baseline(
         ForwardTo(1),
         2,
         QueueConfig::default(),
@@ -290,7 +290,7 @@ fn fault_seed_changes_the_sharded_run_too() {
 #[test]
 fn frr_baseline_reconvergence_is_shard_invariant() {
     let build = || {
-        let sw = BaselineSwitch::new(FrrBaseline::new(1), 3, QueueConfig::default());
+        let sw = EventSwitch::baseline(FrrBaseline::new(1), 3, QueueConfig::default());
         let (mut net, sender, _sink, primary, _) = diamond(Box::new(sw));
         let mut sim: Sim<Network> = Sim::new();
         net.schedule_link_failure(&mut sim, primary, FAIL_AT, None);
@@ -307,8 +307,9 @@ fn frr_baseline_reconvergence_is_shard_invariant() {
             let rec = nets
                 .iter()
                 .find_map(|n| {
-                    n.switch_as::<BaselineSwitch<FrrBaseline>>(0)
+                    n.switch_as::<EventSwitch<BaselineAdapter<FrrBaseline>>>(0)
                         .program
+                        .0
                         .stats
                         .reconvergence(FAIL_AT)
                 })
@@ -320,8 +321,9 @@ fn frr_baseline_reconvergence_is_shard_invariant() {
     let rec = nets
         .iter()
         .find_map(|n| {
-            n.switch_as::<BaselineSwitch<FrrBaseline>>(0)
+            n.switch_as::<EventSwitch<BaselineAdapter<FrrBaseline>>>(0)
                 .program
+                .0
                 .stats
                 .reconvergence(FAIL_AT)
         })
@@ -516,7 +518,7 @@ fn corrupt_model_is_shard_invariant() {
                 sum_u64(nets, |n| n.hosts[1].stats.rx_pkts),
                 sum_u64(nets, |n| n.link_dir_state(1, Dir::AtoB).corrupted),
                 sum_u64(nets, |n| {
-                    n.switch_as::<BaselineSwitch<ForwardTo>>(1)
+                    n.switch_as::<EventSwitch<BaselineAdapter<ForwardTo>>>(1)
                         .counters()
                         .parse_errors
                 }),
@@ -528,7 +530,7 @@ fn corrupt_model_is_shard_invariant() {
     assert_eq!(corrupted, n, "p=1 corrupts every trunk frame");
     let rx = sum_u64(&nets, |n| n.hosts[1].stats.rx_pkts);
     let parse_errors = sum_u64(&nets, |n| {
-        n.switch_as::<BaselineSwitch<ForwardTo>>(1)
+        n.switch_as::<EventSwitch<BaselineAdapter<ForwardTo>>>(1)
             .counters()
             .parse_errors
     });
@@ -784,7 +786,13 @@ fn same_instant_deliveries_each_reach_the_wire_before_the_next_is_received() {
         let mut net = Network::new(5);
         let edge = LinkSpec::ten_gig(SimDuration::from_micros(1));
         let trunk = LinkSpec::ten_gig(SimDuration::from_micros(2));
-        let fwd = || Box::new(BaselineSwitch::new(ForwardTo(1), 2, QueueConfig::default()));
+        let fwd = || {
+            Box::new(EventSwitch::baseline(
+                ForwardTo(1),
+                2,
+                QueueConfig::default(),
+            ))
+        };
         let (a, b) = (net.add_switch(fwd()), net.add_switch(fwd()));
         let cfg = EventSwitchConfig {
             n_ports: 3,
