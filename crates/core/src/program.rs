@@ -195,16 +195,16 @@ pub trait EventProgram: Send {
     /// leaves as the trait's empty defaults.
     ///
     /// A passive handler observably does nothing: it touches no program
-    /// state and requests no [`EventActions`]. The switch uses this to
-    /// skip the dispatch scaffolding for such events when no telemetry
-    /// session is live (the event *counter* still advances; with
-    /// telemetry on, dispatch always runs in full so the
-    /// `EventFired`/`HandlerDone` trace records are emitted). Declaring a
-    /// bit while overriding that handler silently disables it — only list
-    /// handlers you have not implemented. Must be constant for the
-    /// program's lifetime (queried once at switch construction). Bits for
-    /// packet events (ingress/egress/recirculated/generated) are ignored.
-    /// Default: `0` (every handler may be active).
+    /// state and requests no [`EventActions`]. The switch therefore never
+    /// calls it and builds no payload for it: the event *counter* still
+    /// advances, and with a telemetry session live the firing still leaves
+    /// its (empty) `EventFired`/`HandlerDone` pair on the trace.
+    /// Declaring a bit while overriding that handler disables it, with or
+    /// without telemetry — only list handlers you have not implemented.
+    /// Must be constant for the program's lifetime (queried once at switch
+    /// construction). Bits for packet events
+    /// (ingress/egress/recirculated/generated) are ignored. Default: `0`
+    /// (every handler may be active).
     fn passive_events(&self) -> u16 {
         0
     }

@@ -12,6 +12,12 @@
 //! ingress, egress and `control_update`. Both sides of a baseline-vs-event
 //! comparison therefore run the same switch pass.
 //!
+//! Every handler — four packet kinds, nine control kinds — fires through
+//! one private dispatch. It builds a payload from the traffic manager's
+//! plain queue facts only for a kind the program handles: a passive kind
+//! ([`EventProgram::passive_events`]) costs its counter and, under
+//! telemetry, an empty span, and its handler never runs.
+//!
 //! Dispatch semantics follow the *logical architecture model* (Figure 2):
 //! handlers run immediately when their event occurs and share state
 //! directly (Rust struct fields = multiported `shared_register`s). The
@@ -21,8 +27,8 @@
 //! is exactly the split the paper makes between §2/§5 and §4.
 
 use crate::event::{
-    ControlPlaneEvent, DequeueEvent, EnqueueEvent, Event, EventCounters, EventKind,
-    LinkStatusEvent, OverflowEvent, TimerEvent, TransmitEvent, UnderflowEvent, UserEvent,
+    ControlPlaneEvent, DequeueEvent, EnqueueEvent, EventCounters, EventKind, LinkStatusEvent,
+    OverflowEvent, TimerEvent, TransmitEvent, UnderflowEvent, UserEvent,
 };
 use crate::program::{BaselineAdapter, EventActions, EventProgram};
 use edp_evsim::{SimDuration, SimTime};
@@ -38,6 +44,13 @@ pub const MAX_RECIRCULATIONS: u8 = 8;
 /// Upper bound on nested handler-triggered work (a generated packet whose
 /// handlers generate packets, etc.) per externally-triggered event.
 pub const MAX_CASCADE_DEPTH: u8 = 8;
+
+/// The four packet kinds. Their handlers run in a pipeline pass, so they
+/// are never passive and open no span.
+const PACKET_KINDS: u16 = EventKind::IngressPacket.bit()
+    | EventKind::EgressPacket.bit()
+    | EventKind::RecirculatedPacket.bit()
+    | EventKind::GeneratedPacket.bit();
 
 /// A configured periodic timer (the "Timer period" register in Figure 4).
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -171,8 +184,9 @@ pub struct EventSwitch<P> {
     counters: EventSwitchCounters,
     events: EventCounters,
     cp_out: Vec<CpNotification>,
-    /// The program's [`EventProgram::passive_events`] mask, sampled once
-    /// at construction (the contract requires it constant).
+    /// The program's [`EventProgram::passive_events`] mask without the
+    /// packet kinds, sampled once at construction (the contract requires
+    /// it constant).
     passive: u16,
 }
 
@@ -210,7 +224,7 @@ impl<P: EventProgram> EventSwitch<P> {
             .generator
             .as_ref()
             .map(|g| SharedFrame::new(g.template.clone()));
-        let passive = program.passive_events();
+        let passive = program.passive_events() & !PACKET_KINDS;
         EventSwitch {
             program,
             tm: TrafficManager::new(cfg.n_ports, cfg.queue),
@@ -279,7 +293,6 @@ impl<P: EventProgram> EventSwitch<P> {
     /// A frame arrives on `port`.
     pub fn receive(&mut self, now: SimTime, port: PortId, pkt: Packet) {
         self.counters.rx += 1;
-        self.events.record(EventKind::IngressPacket);
         emit(
             now.as_nanos(),
             RecordKind::PacketRx {
@@ -289,7 +302,7 @@ impl<P: EventProgram> EventSwitch<P> {
             },
         );
         let meta = StdMeta::ingress(port, now, pkt.len());
-        self.pipeline_pass(now, pkt, meta, EventKind::IngressPacket, 0);
+        self.pipeline_pass(now, EventKind::IngressPacket, pkt, meta, 0);
     }
 
     /// A burst of same-instant frames arrives on `port`: exactly
@@ -304,58 +317,39 @@ impl<P: EventProgram> EventSwitch<P> {
     /// `None` when the queue is empty (firing a buffer-underflow event) or
     /// the program/link dropped the frame.
     pub fn transmit(&mut self, now: SimTime, port: PortId) -> Option<Packet> {
-        let (mut pkt, mut meta, ev) = match self.tm.dequeue(port, now) {
-            Ok(x) => x,
-            Err(_) => {
-                self.dispatch_event(now, Event::Underflow(UnderflowEvent { port }), 0);
-                return None;
-            }
+        let Some((mut pkt, mut meta, sojourn_ns)) = self.tm.dequeue(port, now) else {
+            self.fire(now, EventKind::BufferUnderflow, 0, |sw, a| {
+                sw.program.on_underflow(&UnderflowEvent { port }, now, a)
+            });
+            return None;
         };
-        // Dequeue event fires as the packet leaves the buffer.
-        if let edp_pisa::TmEvent::Dequeue {
-            port,
-            pkt_len,
-            q_bytes,
-            q_pkts,
-            sojourn_ns,
-            meta: m,
-        } = ev
-        {
-            self.dispatch_event(
-                now,
-                Event::Dequeue(DequeueEvent {
-                    port,
-                    pkt_len,
-                    q_bytes,
-                    q_pkts,
-                    sojourn_ns,
-                    meta: m,
-                }),
-                0,
-            );
+        if edp_telemetry::on() {
+            let scope = format!("sw{}:p{}", self.cfg.switch_id, port);
+            edp_telemetry::observe("sojourn_ns", &scope, sojourn_ns);
         }
+        // Dequeue event fires as the packet leaves the buffer.
+        self.fire(now, EventKind::BufferDequeue, 0, |sw, a| {
+            let ev = DequeueEvent {
+                port,
+                pkt_len: pkt.len() as u32,
+                q_bytes: sw.tm.occupancy_bytes(port),
+                q_pkts: sw.tm.depth_pkts(port),
+                sojourn_ns,
+                meta: meta.event_meta,
+            };
+            sw.program.on_dequeue(&ev, now, a)
+        });
         if !self.link_up[port as usize] {
             self.counters.dropped_link_down += 1;
             self.drop_record(now, DropReason::LinkDown);
             return None;
         }
-        self.events.record(EventKind::EgressPacket);
-        // The ingress parse is still on the frame unless a handler wrote
-        // to it since (`Packet::parsed`).
-        let parsed = match pkt.parsed() {
-            Ok(p) => *p,
-            Err(_) => {
-                self.counters.parse_errors += 1;
-                self.drop_record(now, DropReason::ParseError);
-                return None;
-            }
-        };
-        {
-            let _probe = ProbeScope::enter(EventKind::EgressPacket.probe_context());
-            let mut actions = EventActions::new();
-            self.program
-                .on_egress(&mut pkt, &parsed, &mut meta, now, &mut actions);
-            self.drain_actions(now, actions, 0);
+        let kind = EventKind::EgressPacket;
+        let parsed = self.fire(now, kind, 0, |sw, a| {
+            sw.packet_handler(now, kind, &mut pkt, &mut meta, a)
+        });
+        if !parsed?.out {
+            return None;
         }
         if meta.egress_drop {
             self.counters.dropped_by_program += 1;
@@ -372,11 +366,10 @@ impl<P: EventProgram> EventSwitch<P> {
                 len,
             },
         );
-        self.dispatch_event(
-            now,
-            Event::Transmit(TransmitEvent { port, pkt_len: len }),
-            0,
-        );
+        self.fire(now, EventKind::PacketTransmitted, 0, |sw, a| {
+            sw.program
+                .on_transmit(&TransmitEvent { port, pkt_len: len }, now, a)
+        });
         Some(pkt)
     }
 
@@ -410,14 +403,14 @@ impl<P: EventProgram> EventSwitch<P> {
         let mut fired = 0;
         for i in 0..self.timers.len() {
             while self.timers[i].next_due <= now {
-                self.timers[i].firings += 1;
-                self.timers[i].next_due = self.timers[i].next_due + self.timers[i].spec.period;
-                let ev = TimerEvent {
-                    timer_id: self.timers[i].spec.id,
-                    firing: self.timers[i].firings,
-                };
-                let at = now;
-                self.dispatch_event(at, Event::Timer(ev), 0);
+                let t = &mut self.timers[i];
+                t.firings += 1;
+                t.next_due += t.spec.period;
+                let (timer_id, firing) = (t.spec.id, t.firings);
+                self.fire(now, EventKind::TimerExpiration, 0, |sw, a| {
+                    sw.program
+                        .on_timer(&TimerEvent { timer_id, firing }, now, a)
+                });
                 fired += 1;
             }
         }
@@ -445,11 +438,10 @@ impl<P: EventProgram> EventSwitch<P> {
     /// The control plane triggers an event (Table 1 "Control-Plane
     /// Triggered").
     pub fn control_plane(&mut self, now: SimTime, opcode: u32, args: [u64; 4]) {
-        self.dispatch_event(
-            now,
-            Event::ControlPlane(ControlPlaneEvent { opcode, args }),
-            0,
-        );
+        self.fire(now, EventKind::ControlPlaneTriggered, 0, |sw, a| {
+            sw.program
+                .on_control_plane(&ControlPlaneEvent { opcode, args }, now, a)
+        });
     }
 
     /// A port's link status changed.
@@ -459,13 +451,18 @@ impl<P: EventProgram> EventSwitch<P> {
         }
         self.link_up[port as usize] = up;
         self.counters.link_transitions += 1;
-        self.dispatch_event(now, Event::LinkStatus(LinkStatusEvent { port, up }), 0);
+        self.fire(now, EventKind::LinkStatusChange, 0, |sw, a| {
+            sw.program
+                .on_link_status(&LinkStatusEvent { port, up }, now, a)
+        });
     }
 
     /// Raises a user event from outside (tests; handlers use
     /// [`EventActions::raise_user_event`]).
     pub fn raise_user_event(&mut self, now: SimTime, code: u32, args: [u64; 4]) {
-        self.dispatch_event(now, Event::User(UserEvent { code, args }), 0);
+        self.fire(now, EventKind::UserEvent, 0, |sw, a| {
+            sw.program.on_user(&UserEvent { code, args }, now, a)
+        });
     }
 
     /// Publishes counters, event coverage and per-port queue stats into
@@ -494,39 +491,60 @@ impl<P: EventProgram> EventSwitch<P> {
         );
     }
 
-    fn pipeline_pass(
+    /// Runs `kind`'s packet handler on the frame's parse (memoised on it:
+    /// `Packet::parsed`). False, after counting a parse-error drop, when
+    /// the frame does not parse. Always inlined, so the `match` folds at
+    /// call sites that pass a constant `kind`: out of line it cost the
+    /// receive path ≈ 10 ns per frame.
+    #[inline(always)]
+    fn packet_handler(
         &mut self,
         now: SimTime,
-        mut pkt: Packet,
-        mut meta: StdMeta,
         kind: EventKind,
-        depth: u8,
-    ) {
-        // A copy, because the handler gets the packet mutably beside it.
+        pkt: &mut Packet,
+        meta: &mut StdMeta,
+        actions: &mut EventActions,
+    ) -> bool {
         let parsed = match pkt.parsed() {
             Ok(p) => *p,
             Err(_) => {
                 self.counters.parse_errors += 1;
                 self.drop_record(now, DropReason::ParseError);
-                return;
+                return false;
             }
         };
-        let _probe = ProbeScope::enter(kind.probe_context());
-        let mut actions = EventActions::new();
+        let p = &mut self.program;
         match kind {
-            EventKind::RecirculatedPacket => {
-                self.program
-                    .on_recirculated(&mut pkt, &parsed, &mut meta, now, &mut actions)
-            }
-            EventKind::GeneratedPacket => {
-                self.program
-                    .on_generated(&mut pkt, &parsed, &mut meta, now, &mut actions)
-            }
-            _ => self
-                .program
-                .on_ingress(&mut pkt, &parsed, &mut meta, now, &mut actions),
+            EventKind::EgressPacket => p.on_egress(pkt, &parsed, meta, now, actions),
+            EventKind::RecirculatedPacket => p.on_recirculated(pkt, &parsed, meta, now, actions),
+            EventKind::GeneratedPacket => p.on_generated(pkt, &parsed, meta, now, actions),
+            _ => p.on_ingress(pkt, &parsed, meta, now, actions),
         }
-        self.drain_actions(now, actions, depth);
+        true
+    }
+
+    /// One ingress or recirculated pipeline pass: the handler, its
+    /// actions, then the routing of the frame it decided on.
+    fn pipeline_pass(
+        &mut self,
+        now: SimTime,
+        kind: EventKind,
+        mut pkt: Packet,
+        mut meta: StdMeta,
+        depth: u8,
+    ) {
+        let Some(fired) = self.fire(now, kind, depth, |sw, a| {
+            sw.packet_handler(now, kind, &mut pkt, &mut meta, a)
+        }) else {
+            return;
+        };
+        if fired.out {
+            self.route(now, pkt, meta, depth);
+        }
+    }
+
+    /// Sends a frame where its pipeline pass decided.
+    fn route(&mut self, now: SimTime, pkt: Packet, mut meta: StdMeta, depth: u8) {
         match meta.dest {
             Destination::Port(out) => {
                 if (out as usize) < self.cfg.n_ports {
@@ -551,7 +569,6 @@ impl<P: EventProgram> EventSwitch<P> {
                     return;
                 }
                 self.counters.recirculated += 1;
-                self.events.record(EventKind::RecirculatedPacket);
                 meta.recirc_count += 1;
                 emit(
                     now.as_nanos(),
@@ -561,7 +578,7 @@ impl<P: EventProgram> EventSwitch<P> {
                     },
                 );
                 meta.dest = Destination::Unspecified;
-                self.pipeline_pass(now, pkt, meta, EventKind::RecirculatedPacket, depth);
+                self.pipeline_pass(now, EventKind::RecirculatedPacket, pkt, meta, depth);
             }
             Destination::Drop | Destination::Unspecified => {
                 self.counters.dropped_by_program += 1;
@@ -576,169 +593,139 @@ impl<P: EventProgram> EventSwitch<P> {
         // per-port flood copies, and the overflow trim re-offer targets
         // the same port this first offer already recorded).
         edp_pisa::probe::record_emission(u16::from(out));
-        let orig_meta = meta;
-        let (returned, tm_event) = self.tm.offer(out, pkt, meta, now);
-        match tm_event {
-            edp_pisa::TmEvent::Enqueue {
-                port,
+        let pkt_len = pkt.len() as u32;
+        let Some(mut victim) = self.tm.offer(out, pkt, meta, now) else {
+            self.fire_enqueue(now, out, pkt_len, meta.event_meta, depth);
+            return;
+        };
+        // The overflow handler may rescue the victim by trimming it to its
+        // network header (NDP-style), which happens under its probe context.
+        let fired = self.fire(now, EventKind::BufferOverflow, depth, |sw, a| {
+            let ev = OverflowEvent {
+                port: out,
                 pkt_len,
-                q_bytes,
-                q_pkts,
-                meta,
-            } => {
-                self.dispatch_event(
-                    now,
-                    Event::Enqueue(EnqueueEvent {
-                        port,
-                        pkt_len,
-                        q_bytes,
-                        q_pkts,
-                        meta,
-                    }),
-                    depth,
-                );
-            }
-            edp_pisa::TmEvent::Overflow {
-                port,
-                pkt_len,
-                q_bytes,
-                meta,
-            } => {
-                // The overflow handler may rescue the victim by trimming
-                // it to its network header (NDP-style), so dispatch it
-                // inline and inspect the requested actions.
-                if depth >= MAX_CASCADE_DEPTH {
-                    self.counters.cascade_limit_drops += 1;
-                    self.counters.dropped_overflow += 1;
-                    self.drop_record(now, DropReason::CascadeLimit);
+                q_bytes: sw.tm.occupancy_bytes(out),
+                meta: meta.event_meta,
+            };
+            sw.program.on_overflow(&ev, now, a);
+            a.trim_requeue.take()
+        });
+        // In-place cut payload: the victim came back from the TM uniquely
+        // owned, so no full-frame copy is made. A trimmed frame the queue
+        // still rejects is a plain overflow drop, with no second event.
+        if let Some(rank) = fired.as_ref().and_then(|f| f.out) {
+            if victim.trim_to_network_header() {
+                let mut m = meta;
+                m.rank = rank;
+                m.pkt_len = victim.len() as u32;
+                if self.tm.offer(out, victim, m, now).is_none() {
+                    self.counters.trimmed += 1;
+                    self.fire_enqueue(now, out, m.pkt_len, m.event_meta, depth + 1);
                     return;
                 }
-                self.events.record(EventKind::BufferOverflow);
-                let ev = OverflowEvent {
-                    port,
-                    pkt_len,
-                    q_bytes,
-                    meta,
-                };
-                let _probe = ProbeScope::enter(EventKind::BufferOverflow.probe_context());
-                let mut actions = EventActions::new();
-                self.program.on_overflow(&ev, now, &mut actions);
-                let trim_rank = actions.trim_requeue.take();
-                self.drain_actions(now, actions, depth);
-                match (trim_rank, returned) {
-                    (Some(rank), Some(mut victim)) => {
-                        // In-place NDP-style cut payload: the victim just
-                        // came back from the TM uniquely owned, so no
-                        // full-frame copy is made.
-                        if victim.trim_to_network_header() {
-                            let mut m = orig_meta;
-                            m.rank = rank;
-                            m.pkt_len = victim.len() as u32;
-                            let (ret2, ev2) = self.tm.offer(out, victim, m, now);
-                            if ret2.is_none() {
-                                self.counters.trimmed += 1;
-                                if let edp_pisa::TmEvent::Enqueue {
-                                    port,
-                                    pkt_len,
-                                    q_bytes,
-                                    q_pkts,
-                                    meta,
-                                } = ev2
-                                {
-                                    self.dispatch_event(
-                                        now,
-                                        Event::Enqueue(EnqueueEvent {
-                                            port,
-                                            pkt_len,
-                                            q_bytes,
-                                            q_pkts,
-                                            meta,
-                                        }),
-                                        depth + 1,
-                                    );
-                                }
-                                return;
-                            }
-                        }
-                        self.counters.dropped_overflow += 1;
-                        self.drop_record(now, DropReason::Overflow);
-                    }
-                    _ => {
-                        self.counters.dropped_overflow += 1;
-                        self.drop_record(now, DropReason::Overflow);
-                    }
-                }
             }
-            _ => unreachable!("offer emits Enqueue or Overflow"),
         }
+        self.counters.dropped_overflow += 1;
+        self.drop_record(
+            now,
+            fired.map_or(DropReason::CascadeLimit, |_| DropReason::Overflow),
+        );
+    }
+
+    /// Fires the buffer-enqueue event of a `len`-byte frame just queued
+    /// on `port`.
+    fn fire_enqueue(&mut self, now: SimTime, port: PortId, len: u32, meta: [u64; 4], depth: u8) {
+        self.fire(now, EventKind::BufferEnqueue, depth, |sw, a| {
+            let ev = EnqueueEvent {
+                port,
+                pkt_len: len,
+                q_bytes: sw.tm.occupancy_bytes(port),
+                q_pkts: sw.tm.depth_pkts(port),
+                meta,
+            };
+            sw.program.on_enqueue(&ev, now, a)
+        });
     }
 
     fn inject_generated(&mut self, now: SimTime, frame: SharedFrame, depth: u8) {
-        if depth >= MAX_CASCADE_DEPTH {
-            self.counters.cascade_limit_drops += 1;
-            self.drop_record(now, DropReason::CascadeLimit);
-            return;
+        let kind = EventKind::GeneratedPacket;
+        let fired = self.fire(now, kind, depth, |sw, a| {
+            sw.gen_seq += 1;
+            sw.counters.generated += 1;
+            emit(
+                now.as_nanos(),
+                RecordKind::EventRaised { kind: kind.code() },
+            );
+            let uid = PacketUid(((sw.cfg.switch_id as u64) << 48) | (1 << 47) | sw.gen_seq);
+            let mut pkt = Packet::from_shared(uid, frame);
+            // Generated packets enter "from" the highest port index + 1 so
+            // programs can distinguish them; Flood excludes no real port.
+            let mut meta = StdMeta::ingress(sw.cfg.n_ports as PortId, now, pkt.len());
+            sw.packet_handler(now, kind, &mut pkt, &mut meta, a)
+                .then_some((pkt, meta))
+        });
+        let Some(fired) = fired else {
+            // The guard discarded the firing, and its frame with it.
+            return self.drop_record(now, DropReason::CascadeLimit);
+        };
+        // One level below the injection, as its actions were.
+        if let Some((pkt, meta)) = fired.out {
+            self.route(now, pkt, meta, depth + 1);
         }
-        self.gen_seq += 1;
-        self.counters.generated += 1;
-        self.events.record(EventKind::GeneratedPacket);
-        emit(
-            now.as_nanos(),
-            RecordKind::EventRaised {
-                kind: EventKind::GeneratedPacket.code(),
-            },
-        );
-        let uid = PacketUid(((self.cfg.switch_id as u64) << 48) | (1 << 47) | self.gen_seq);
-        let pkt = Packet::from_shared(uid, frame);
-        // Generated packets enter "from" the highest port index + 1 so
-        // programs can distinguish them; Flood excludes no real port.
-        let meta = StdMeta::ingress(self.cfg.n_ports as PortId, now, pkt.len());
-        self.pipeline_pass(now, pkt, meta, EventKind::GeneratedPacket, depth + 1);
     }
 
-    fn dispatch_event(&mut self, now: SimTime, ev: Event, depth: u8) {
-        if depth >= MAX_CASCADE_DEPTH {
+    /// Fires one handler: the one path every event kind of Table 1 takes
+    /// through the switch. In order:
+    ///
+    /// 1. the cascade-depth guard, which discards the firing (`None`);
+    /// 2. the per-kind event counter;
+    /// 3. the passive rule: a kind in the program's
+    ///    [`EventProgram::passive_events`] never reaches `handler` — no
+    ///    payload is built and no queue fact read — and yields
+    ///    `R::default()`, whether or not a telemetry session is live;
+    /// 4. for control kinds, the `EventFired`/`HandlerDone` span around
+    ///    everything below (empty for a passive kind); a packet's handlers
+    ///    are on the trace as `PacketRx` / `PacketTx` / `PacketRecirc`;
+    /// 5. `handler` (it builds the payload and calls the program) under
+    ///    the kind's probe context, then the actions it requested.
+    fn fire<R: Default>(
+        &mut self,
+        now: SimTime,
+        kind: EventKind,
+        depth: u8,
+        handler: impl FnOnce(&mut Self, &mut EventActions) -> R,
+    ) -> Option<Fired<R>> {
+        // A recirculated pass is bounded by `MAX_RECIRCULATIONS` instead.
+        if depth >= MAX_CASCADE_DEPTH && kind != EventKind::RecirculatedPacket {
             self.counters.cascade_limit_drops += 1;
-            return;
+            return None;
         }
-        let kind = ev.kind();
         self.events.record(kind);
-        // A passive handler (trait-default no-op, declared by the program)
-        // observably does nothing, so with no telemetry session live the
-        // dispatch scaffolding — span records, action staging, the handler
-        // call itself — is skipped. With telemetry on, the full path runs
-        // so every `EventFired`/`HandlerDone` record is still emitted.
-        if self.passive & kind.bit() != 0 && !edp_telemetry::on() {
-            return;
-        }
         let code = kind.code();
-        // Span covers the handler *and* its cascaded actions, so packets
-        // enqueued and events raised inside carry this firing as cause.
-        let span = edp_telemetry::span_begin(now.as_nanos(), RecordKind::EventFired { kind: code });
-        if edp_telemetry::on() {
-            if let Event::Dequeue(e) = &ev {
-                edp_telemetry::observe(
-                    "sojourn_ns",
-                    &format!("sw{}:p{}", self.cfg.switch_id, e.port),
-                    e.sojourn_ns,
-                );
+        let span = (PACKET_KINDS & kind.bit() == 0).then(|| {
+            edp_telemetry::span_begin(now.as_nanos(), RecordKind::EventFired { kind: code })
+        });
+        let fired = if self.passive & kind.bit() != 0 {
+            Fired {
+                out: R::default(),
+                _probe: ProbeScope(false),
             }
+        } else {
+            let probe = ProbeScope::enter(kind.probe_context());
+            let mut actions = EventActions::new();
+            let out = handler(self, &mut actions);
+            if !actions.is_empty() {
+                // A generated packet is new work: its cascade runs one
+                // level below the request the guard admitted.
+                let depth = depth + u8::from(kind == EventKind::GeneratedPacket);
+                self.drain_actions(now, actions, depth);
+            }
+            Fired { out, _probe: probe }
+        };
+        if let Some(span) = span {
+            edp_telemetry::span_end(now.as_nanos(), span, RecordKind::HandlerDone { kind: code });
         }
-        let _probe = ProbeScope::enter(kind.probe_context());
-        let mut actions = EventActions::new();
-        match &ev {
-            Event::Enqueue(e) => self.program.on_enqueue(e, now, &mut actions),
-            Event::Dequeue(e) => self.program.on_dequeue(e, now, &mut actions),
-            Event::Overflow(e) => self.program.on_overflow(e, now, &mut actions),
-            Event::Underflow(e) => self.program.on_underflow(e, now, &mut actions),
-            Event::Timer(e) => self.program.on_timer(e, now, &mut actions),
-            Event::ControlPlane(e) => self.program.on_control_plane(e, now, &mut actions),
-            Event::LinkStatus(e) => self.program.on_link_status(e, now, &mut actions),
-            Event::User(e) => self.program.on_user(e, now, &mut actions),
-            Event::Transmit(e) => self.program.on_transmit(e, now, &mut actions),
-        }
-        self.drain_actions(now, actions, depth);
-        edp_telemetry::span_end(now.as_nanos(), span, RecordKind::HandlerDone { kind: code });
+        Some(fired)
     }
 
     fn drain_actions(&mut self, now: SimTime, actions: EventActions, depth: u8) {
@@ -756,12 +743,24 @@ impl<P: EventProgram> EventSwitch<P> {
                     kind: EventKind::UserEvent.code(),
                 },
             );
-            self.dispatch_event(now, Event::User(ue), depth + 1);
+            self.fire(now, EventKind::UserEvent, depth + 1, |sw, a| {
+                sw.program.on_user(&ue, now, a)
+            });
         }
         for frame in actions.generated {
             self.inject_generated(now, SharedFrame::new(frame), depth + 1);
         }
     }
+}
+
+/// A handler firing that ran: the handler's result, and its probe context,
+/// which stays entered until the caller drops the firing. The work a
+/// firing leaves to its caller — routing the frame a pipeline pass decided
+/// on, requeueing a trimmed overflow victim — is therefore attributed to
+/// it, as the handler's own actions are.
+struct Fired<R> {
+    out: R,
+    _probe: ProbeScope,
 }
 
 /// RAII probe-context frame: while `edp_pisa::probe` is armed (analysis
@@ -814,7 +813,8 @@ mod tests {
         )
     }
 
-    /// Counts every handler invocation.
+    /// Counts every handler invocation; an overflow also raises a user
+    /// event. `passive` is what it declares passive.
     #[derive(Default)]
     struct Recorder {
         ing: u32,
@@ -827,6 +827,7 @@ mod tests {
         cp: u32,
         user: u32,
         tx: u32,
+        passive: u16,
     }
 
     impl EventProgram for Recorder {
@@ -847,8 +848,9 @@ mod tests {
         fn on_dequeue(&mut self, _e: &DequeueEvent, _n: SimTime, _a: &mut EventActions) {
             self.deq += 1;
         }
-        fn on_overflow(&mut self, _e: &OverflowEvent, _n: SimTime, _a: &mut EventActions) {
+        fn on_overflow(&mut self, _e: &OverflowEvent, _n: SimTime, a: &mut EventActions) {
             self.ovf += 1;
+            a.raise_user_event(0, [0; 4]);
         }
         fn on_underflow(&mut self, _e: &UnderflowEvent, _n: SimTime, _a: &mut EventActions) {
             self.und += 1;
@@ -867,6 +869,9 @@ mod tests {
         }
         fn on_transmit(&mut self, _e: &TransmitEvent, _n: SimTime, _a: &mut EventActions) {
             self.tx += 1;
+        }
+        fn passive_events(&self) -> u16 {
+            self.passive
         }
     }
 
@@ -988,6 +993,117 @@ mod tests {
         sw.raise_user_event(SimTime::ZERO, 0, [0; 4]);
         assert!(sw.counters().cascade_limit_drops > 0);
         assert!(sw.event_counters().get(EventKind::UserEvent) <= MAX_CASCADE_DEPTH as u64);
+
+        /// Every generated frame regenerates itself and heads for port 1,
+        /// whose queue has room for none of them.
+        struct Storm;
+        impl EventProgram for Storm {
+            fn on_generated(
+                &mut self,
+                p: &mut Packet,
+                _h: &ParsedPacket,
+                m: &mut StdMeta,
+                _n: SimTime,
+                a: &mut EventActions,
+            ) {
+                m.dest = Destination::Port(1);
+                a.generate_packet(p.bytes().to_vec());
+            }
+            fn on_user(&mut self, _e: &UserEvent, _n: SimTime, a: &mut EventActions) {
+                a.generate_packet(frame().bytes().to_vec());
+            }
+        }
+        let mut c = cfg();
+        c.queue.capacity_bytes = 50;
+        edp_telemetry::enable(edp_telemetry::TelemetryConfig::default());
+        let mut sw = EventSwitch::new(Storm, c);
+        sw.raise_user_event(SimTime::ZERO, 0, [0; 4]);
+        let t = edp_telemetry::disable().expect("session");
+        // A generated pipeline runs one level below its injection, so four
+        // frames fit under the limit and the guard discards the fifth. The
+        // deepest frame is routed first and overflows at the limit: a
+        // cascade-limit drop that fires no overflow event.
+        let c = sw.counters();
+        assert_eq!(
+            (c.generated, c.cascade_limit_drops, c.dropped_overflow),
+            (4, 2, 4)
+        );
+        assert_eq!(sw.event_counters().get(EventKind::BufferOverflow), 3);
+        let drops = |reason| {
+            let drop = edp_telemetry::RecordKind::PacketDrop { switch: 0, reason };
+            t.ring.iter().filter(|r| r.kind == drop).count()
+        };
+        assert_eq!(
+            (drops(DropReason::CascadeLimit), drops(DropReason::Overflow)),
+            (2, 3)
+        );
+        assert_accounting_consistent(&sw);
+    }
+
+    #[test]
+    fn overflow_handler_fires_under_its_span() {
+        use edp_telemetry::RecordKind as RK;
+        let mut c = cfg();
+        c.queue.capacity_bytes = 150;
+        edp_telemetry::enable(edp_telemetry::TelemetryConfig::default());
+        let mut sw = EventSwitch::new(Recorder::default(), c);
+        sw.receive(SimTime::ZERO, 0, frame());
+        sw.receive(SimTime::ZERO, 0, frame()); // overflows
+        let t = edp_telemetry::disable().expect("session");
+        let recs: Vec<_> = t.ring.iter().copied().collect();
+        let (ovf, user) = (
+            EventKind::BufferOverflow.code(),
+            EventKind::UserEvent.code(),
+        );
+        let fired = recs
+            .iter()
+            .find(|r| r.kind == RK::EventFired { kind: ovf })
+            .expect("overflow fired");
+        assert!(recs
+            .iter()
+            .any(|r| r.kind == RK::HandlerDone { kind: ovf } && r.span == fired.span));
+        // The user event the handler raised points back at the overflow.
+        for kind in [
+            RK::EventRaised { kind: user },
+            RK::EventFired { kind: user },
+        ] {
+            let r = recs.iter().find(|r| r.kind == kind).expect("user event");
+            assert_eq!(r.cause, fired.span, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn telemetry_never_changes_which_handlers_run() {
+        use edp_telemetry::RecordKind as RK;
+        // Enqueue declared passive although `Recorder` overrides it.
+        for traced in [false, true] {
+            if traced {
+                edp_telemetry::enable(edp_telemetry::TelemetryConfig::default());
+            }
+            let passive = EventKind::BufferEnqueue.bit();
+            let mut sw = EventSwitch::new(
+                Recorder {
+                    passive,
+                    ..Recorder::default()
+                },
+                cfg(),
+            );
+            for _ in 0..3 {
+                sw.receive(SimTime::ZERO, 0, frame());
+            }
+            let enqueues = sw.event_counters().get(EventKind::BufferEnqueue);
+            assert_eq!((sw.program.enq, enqueues), (0, 3), "traced: {traced}");
+        }
+        // Traced, each passive firing is its span pair and nothing else.
+        let t = edp_telemetry::disable().expect("session");
+        let recs: Vec<_> = t.ring.iter().copied().collect();
+        let enq = EventKind::BufferEnqueue.code();
+        let pairs = recs.windows(2).filter(|w| {
+            w[0].kind == RK::EventFired { kind: enq }
+                && w[1].kind == RK::HandlerDone { kind: enq }
+                && w[0].span == w[1].span
+        });
+        assert_eq!(pairs.count(), 3);
     }
 
     #[test]

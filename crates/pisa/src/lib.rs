@@ -10,7 +10,8 @@
 //! * [`StdMeta`] — PSA-style standard metadata, extended with the
 //!   program-staged `event_meta` the paper's `enq_meta`/`deq_meta` become;
 //! * [`TrafficManager`] — output queues (FIFO / strict priority / PIFO)
-//!   that emit [`TmEvent`] records for every enqueue/dequeue/overflow;
+//!   whose enqueues, dequeues, overflows and underflows are the paper's
+//!   buffer events;
 //! * [`PisaProgram`] — the synchronous packet-by-packet programming model
 //!   (Figure 1 of the paper): an ingress and an egress control, plus the
 //!   `control_update` management channel.
@@ -20,8 +21,8 @@
 //! running a [`PisaProgram`] through `edp_core::BaselineAdapter`
 //! (`EventSwitch::baseline`). The deliberate limitation — faithfully
 //! reproduced — is that the adapter gives the program no handler for any
-//! [`TmEvent`] or other non-packet event: they still fire, but nothing in
-//! the baseline programming model can observe them.
+//! buffer or other non-packet event: they still fire, but nothing in the
+//! baseline programming model can observe them.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -41,4 +42,4 @@ pub use table::{
     insert_ipv4_route, ipv4_lpm_schema, FieldMatch, MatchKind, MatchTable, ShapeEntry, TableEntry,
     TableError, TableShape,
 };
-pub use tm::{QueueConfig, QueueDisc, QueueStats, TmEvent, TrafficManager};
+pub use tm::{QueueConfig, QueueDisc, QueueStats, TrafficManager};

@@ -48,7 +48,7 @@ pub struct StdMeta {
     /// dequeue / drop event handlers (the paper's `enq_meta` / `deq_meta`:
     /// e.g. `[flow_id, pkt_len, 0, 0]` in microburst.p4). Travels with the
     /// packet through the traffic manager and is surfaced verbatim in the
-    /// event records the TM emits.
+    /// buffer-event payloads the event switch builds.
     pub event_meta: [u64; 4],
 }
 

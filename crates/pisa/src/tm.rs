@@ -1,12 +1,15 @@
 //! The traffic manager: output queues between ingress and egress.
 //!
 //! Every state change in here — a packet enqueued, dequeued, or dropped on
-//! overflow — is exactly the kind of *architectural event* the paper wants
-//! to expose. The TM therefore returns a [`TmEvent`] record for each such
-//! change. A baseline PISA switch discards these records (its programming
-//! model has nowhere to deliver them); the event-driven switch in
-//! `edp-core` feeds them to the program's event handlers. One traffic
-//! manager, two architectures — the comparison stays apples-to-apples.
+//! overflow, or a dequeue from an empty queue — is one of the paper's
+//! buffer events (Table 1). The TM is the fixed-function queue between two
+//! pipelines, so it reports plain queue facts and nothing more:
+//! [`TrafficManager::offer`] hands back the rejected frame on overflow,
+//! [`TrafficManager::dequeue`] the frame, its metadata and its sojourn (or
+//! `None` on underflow), and occupancy and depth are read through
+//! [`TrafficManager::occupancy_bytes`] / [`TrafficManager::depth_pkts`].
+//! The event switch in `edp-core` turns a fact into a handler payload only
+//! for an event kind its program handles.
 //!
 //! What is queued is the frame and its metadata, nothing else: the parse
 //! an egress pipeline needs rides with the frame itself
@@ -22,21 +25,21 @@ use edp_packet::Packet;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-/// Emits a queue-occupancy sample when a telemetry session is live and
-/// asked for queue-depth detail. Disabled cost: one thread-local branch.
+/// Emits a queue-occupancy sample of `q` when a telemetry session is live
+/// and asked for queue-depth detail. Disabled cost: one thread-local branch.
 #[inline]
-fn depth_sample(at_ns: u64, port: PortId, q_bytes: u64, q_pkts: u32) {
+fn depth_sample(now: SimTime, port: PortId, q: &OutQueue) {
     if !edp_telemetry::on() {
         return;
     }
     edp_telemetry::with(|t| {
         if t.config.queue_depth_samples {
             t.emit(
-                at_ns,
+                now.as_nanos(),
                 edp_telemetry::RecordKind::QueueDepth {
                     port,
-                    q_bytes,
-                    q_pkts,
+                    q_bytes: q.bytes,
+                    q_pkts: q.depth_pkts(),
                 },
             );
         }
@@ -82,59 +85,6 @@ impl Default for QueueConfig {
             rank0_headroom: 0,
         }
     }
-}
-
-/// An event record emitted by the traffic manager.
-///
-/// `meta` is the program-staged [`StdMeta::event_meta`] blob, surfaced so
-/// event handlers can recover flow ids etc. without re-parsing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TmEvent {
-    /// A packet was accepted into an output queue.
-    Enqueue {
-        /// Output port.
-        port: PortId,
-        /// Packet length in bytes.
-        pkt_len: u32,
-        /// Queue occupancy in bytes *after* the enqueue.
-        q_bytes: u64,
-        /// Queue depth in packets after the enqueue.
-        q_pkts: u32,
-        /// Program-staged event metadata.
-        meta: [u64; 4],
-    },
-    /// A packet left an output queue toward the egress pipeline.
-    Dequeue {
-        /// Output port.
-        port: PortId,
-        /// Packet length in bytes.
-        pkt_len: u32,
-        /// Queue occupancy in bytes *after* the dequeue.
-        q_bytes: u64,
-        /// Queue depth in packets after the dequeue.
-        q_pkts: u32,
-        /// Time the packet spent queued.
-        sojourn_ns: u64,
-        /// Program-staged event metadata.
-        meta: [u64; 4],
-    },
-    /// A packet was dropped because the queue was full (buffer overflow —
-    /// the paper's "Buffer Overflow" event).
-    Overflow {
-        /// Output port.
-        port: PortId,
-        /// Packet length in bytes.
-        pkt_len: u32,
-        /// Queue occupancy at the time of the drop.
-        q_bytes: u64,
-        /// Program-staged event metadata.
-        meta: [u64; 4],
-    },
-    /// A dequeue was attempted on an empty queue (buffer underflow).
-    Underflow {
-        /// Output port.
-        port: PortId,
-    },
 }
 
 #[derive(Debug, Clone)]
@@ -286,36 +236,39 @@ impl TrafficManager {
         }
     }
 
-    /// Number of output ports.
-    pub fn n_ports(&self) -> usize {
-        self.queues.len()
-    }
-
-    /// Dequeues the next packet from `port`, or an underflow record.
+    /// Offers a packet. On overflow the queue is unchanged (only its drop
+    /// counters advance) and the rejected packet comes back, so the caller
+    /// may hand it to an overflow handler, trim it or mirror it.
     #[inline]
-    pub fn dequeue(
+    pub fn offer(
         &mut self,
         port: PortId,
+        pkt: Packet,
+        meta: StdMeta,
         now: SimTime,
-    ) -> Result<(Packet, StdMeta, TmEvent), TmEvent> {
+    ) -> Option<Packet> {
         let q = &mut self.queues[port as usize];
-        match q.pop() {
-            Some(item) => {
-                let q_bytes = q.bytes;
-                let q_pkts = q.depth_pkts();
-                let ev = TmEvent::Dequeue {
-                    port,
-                    pkt_len: item.pkt.len() as u32,
-                    q_bytes,
-                    q_pkts,
-                    sojourn_ns: now.saturating_since(item.enq_time).as_nanos(),
-                    meta: item.meta.event_meta,
-                };
-                depth_sample(now.as_nanos(), port, q_bytes, q_pkts);
-                Ok((item.pkt, item.meta, ev))
-            }
-            None => Err(TmEvent::Underflow { port }),
+        let len = pkt.len() as u64;
+        if !q.admits(len, meta.rank) {
+            q.dropped += 1;
+            q.dropped_bytes += len;
+            return Some(pkt);
         }
+        q.push(pkt, meta, now);
+        depth_sample(now, port, q);
+        None
+    }
+
+    /// Dequeues the next packet from `port` with its metadata and its
+    /// sojourn in nanoseconds, or `None` when the queue is empty (buffer
+    /// underflow).
+    #[inline]
+    pub fn dequeue(&mut self, port: PortId, now: SimTime) -> Option<(Packet, StdMeta, u64)> {
+        let q = &mut self.queues[port as usize];
+        let item = q.pop()?;
+        depth_sample(now, port, q);
+        let sojourn_ns = now.saturating_since(item.enq_time).as_nanos();
+        Some((item.pkt, item.meta, sojourn_ns))
     }
 
     /// Occupancy of `port`'s queue in bytes.
@@ -347,49 +300,6 @@ impl TrafficManager {
     }
 }
 
-impl TrafficManager {
-    /// Offers a packet; on overflow the packet is returned together with
-    /// the [`TmEvent::Overflow`] record (callers may recycle it into a
-    /// drop-event handler or a mirror port).
-    #[inline]
-    pub fn offer(
-        &mut self,
-        port: PortId,
-        pkt: Packet,
-        meta: StdMeta,
-        now: SimTime,
-    ) -> (Option<Packet>, TmEvent) {
-        let q = &mut self.queues[port as usize];
-        let pkt_len = pkt.len() as u32;
-        let event_meta = meta.event_meta;
-        if !q.admits(pkt_len as u64, meta.rank) {
-            q.dropped += 1;
-            q.dropped_bytes += pkt_len as u64;
-            let ev = TmEvent::Overflow {
-                port,
-                pkt_len,
-                q_bytes: q.bytes,
-                meta: event_meta,
-            };
-            return (Some(pkt), ev);
-        }
-        q.push(pkt, meta, now);
-        let q_bytes = q.bytes;
-        let q_pkts = q.depth_pkts();
-        depth_sample(now.as_nanos(), port, q_bytes, q_pkts);
-        (
-            None,
-            TmEvent::Enqueue {
-                port,
-                pkt_len,
-                q_bytes,
-                q_pkts,
-                meta: event_meta,
-            },
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -415,33 +325,15 @@ mod tests {
     fn fifo_order_and_events() {
         let mut tm = TrafficManager::new(2, QueueConfig::default());
         let now = SimTime::from_nanos(10);
-        let (d, ev) = tm.offer(1, pkt(100), meta(0), now);
-        assert!(d.is_none());
-        assert!(matches!(
-            ev,
-            TmEvent::Enqueue {
-                port: 1,
-                pkt_len: 100,
-                q_bytes: 100,
-                q_pkts: 1,
-                ..
-            }
-        ));
+        assert!(tm.offer(1, pkt(100), meta(0), now).is_none());
+        assert_eq!((tm.occupancy_bytes(1), tm.depth_pkts(1)), (100, 1));
         tm.offer(1, pkt(200), meta(0), now);
         assert_eq!(tm.occupancy_bytes(1), 300);
 
         let later = SimTime::from_nanos(50);
-        let (p, _, ev) = tm.dequeue(1, later).expect("packet");
-        assert_eq!(p.len(), 100);
-        assert!(matches!(
-            ev,
-            TmEvent::Dequeue {
-                sojourn_ns: 40,
-                q_bytes: 200,
-                q_pkts: 1,
-                ..
-            }
-        ));
+        let (p, _, sojourn_ns) = tm.dequeue(1, later).expect("packet");
+        assert_eq!((p.len(), sojourn_ns), (100, 40));
+        assert_eq!((tm.occupancy_bytes(1), tm.depth_pkts(1)), (200, 1));
     }
 
     #[test]
@@ -452,27 +344,23 @@ mod tests {
         };
         let mut tm = TrafficManager::new(1, cfg);
         tm.offer(0, pkt(200), meta(0), SimTime::ZERO);
-        let (returned, ev) = tm.offer(0, pkt(100), meta(0), SimTime::ZERO);
-        assert!(returned.is_some());
-        assert!(matches!(
-            ev,
-            TmEvent::Overflow {
-                pkt_len: 100,
-                q_bytes: 200,
-                ..
-            }
-        ));
-        assert_eq!(tm.stats(0).dropped, 1);
-        assert_eq!(tm.stats(0).dropped_bytes, 100);
+        let before = tm.stats(0);
+        let returned = tm.offer(0, pkt(100), meta(0), SimTime::ZERO);
+        assert_eq!(returned.map(|p| p.len()), Some(100));
+        // A rejected offer leaves the queue as it was: only the drop
+        // counters move.
+        let after = tm.stats(0);
+        assert_eq!(
+            (after.bytes, after.pkts, after.enqueued),
+            (before.bytes, before.pkts, before.enqueued)
+        );
+        assert_eq!((after.dropped, after.dropped_bytes), (1, 100));
     }
 
     #[test]
     fn underflow_event() {
         let mut tm = TrafficManager::new(1, QueueConfig::default());
-        assert!(matches!(
-            tm.dequeue(0, SimTime::ZERO),
-            Err(TmEvent::Underflow { port: 0 })
-        ));
+        assert!(tm.dequeue(0, SimTime::ZERO).is_none());
     }
 
     #[test]
@@ -517,22 +405,9 @@ mod tests {
         let mut tm = TrafficManager::new(1, QueueConfig::default());
         let mut m = meta(0);
         m.event_meta = [7, 1500, 0, 0];
-        let (_, ev) = tm.offer(0, pkt(64), m, SimTime::ZERO);
-        assert!(matches!(
-            ev,
-            TmEvent::Enqueue {
-                meta: [7, 1500, 0, 0],
-                ..
-            }
-        ));
-        let (_, _, ev) = tm.dequeue(0, SimTime::ZERO).expect("p");
-        assert!(matches!(
-            ev,
-            TmEvent::Dequeue {
-                meta: [7, 1500, 0, 0],
-                ..
-            }
-        ));
+        tm.offer(0, pkt(64), m, SimTime::ZERO);
+        let (_, m, _) = tm.dequeue(0, SimTime::ZERO).expect("p");
+        assert_eq!(m.event_meta, [7, 1500, 0, 0]);
     }
 
     #[test]
@@ -541,7 +416,7 @@ mod tests {
         for _ in 0..5 {
             tm.offer(0, pkt(10), meta(0), SimTime::ZERO);
         }
-        tm.dequeue(0, SimTime::ZERO).ok();
+        tm.dequeue(0, SimTime::ZERO);
         let s = tm.stats(0);
         assert_eq!(s.enqueued, 5);
         assert_eq!(s.dequeued, 1);

@@ -130,12 +130,11 @@ proptest! {
             if is_enqueue {
                 offered += 1;
                 let meta = StdMeta::ingress(0, SimTime::ZERO, len);
-                let (ret, _) = tm.offer(0, Packet::anonymous(vec![0; len]), meta, SimTime::ZERO);
-                if ret.is_none() {
+                if tm.offer(0, Packet::anonymous(vec![0; len]), meta, SimTime::ZERO).is_none() {
                     queued_bytes += len as u64;
                     queued_pkts += 1;
                 }
-            } else if let Ok((p, _, _)) = tm.dequeue(0, SimTime::ZERO) {
+            } else if let Some((p, _, _)) = tm.dequeue(0, SimTime::ZERO) {
                 dequeued += 1;
                 queued_bytes -= p.len() as u64;
                 queued_pkts -= 1;
@@ -162,7 +161,7 @@ proptest! {
             tm.offer(0, Packet::anonymous(vec![0; 10]), meta, SimTime::ZERO);
         }
         let mut out = Vec::new();
-        while let Ok((_, m, _)) = tm.dequeue(0, SimTime::ZERO) {
+        while let Some((_, m, _)) = tm.dequeue(0, SimTime::ZERO) {
             out.push((m.rank, m.event_meta[0]));
         }
         let mut expect: Vec<(u64, u64)> = ranks.iter().enumerate().map(|(i, &r)| (r, i as u64)).collect();

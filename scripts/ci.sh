@@ -284,8 +284,22 @@ assert events == 10, f"line8_fwd64 evsim.events_per_pkt = {events}, expected 10"
 assert allocs <= 4, f"line8_fwd64 host.allocs_per_pkt = {allocs}, expected <= 4"
 assert sharded == 11, f"line8_shards2 evsim.events_per_pkt = {sharded}, expected 11"
 assert crossed == 7, f"line8_shards2 netsim.shard.cross_msgs_per_pkt = {crossed}, expected 7"
+# Handler firings per switch receive (Σ events_total / Σ rx of the traced
+# pass): exact, so any change in which events fire shows up here.
+handler_events = {
+    "line8_fwd64": 5,
+    "top_microburst": 4.067025862068966,
+    "fattree4_rpc": 5.006219765031099,
+    "pcap_imix_replay": 5,
+    "line8_shards2": 5,
+}
+for name, expected in handler_events.items():
+    got = metric(name, "core.handler_events_per_pkt")
+    assert abs(got - expected) < 1e-12, \
+        f"{name} core.handler_events_per_pkt = {got}, expected {expected}"
 print(f"hop work counters ok: {events} events/pkt, {allocs} allocs/pkt; "
-      f"2 shards: {sharded} events/pkt, {crossed} cross msgs/pkt")
+      f"2 shards: {sharded} events/pkt, {crossed} cross msgs/pkt; "
+      f"handler events/pkt match on all {len(handler_events)} workloads")
 PYEOF
     else
         echo "python3 not found: hop work counters not checked" >&2
