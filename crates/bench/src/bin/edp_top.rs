@@ -18,9 +18,6 @@ options:
   --duration-ms M    simulated milliseconds per seed (default 5)
   --threads T        sweep workers (default: EDP_SWEEP_THREADS or cores)
   --trace-capacity C trace-ring records per seed (default 65536)
-  --shards S         run each seed on S parallel shards; outputs are
-                     byte-identical for any S (default: EDP_SHARDS or
-                     0 = classic single-world engine)
   --pcap FILE        replay the capture (pcap or pcapng) from the sender
                      host instead of the CBR load, preserving the file's
                      inter-arrival gaps
@@ -34,15 +31,8 @@ options:
   --json             emit the report as JSON instead of the table
   --prom             emit the registry in Prometheus text format
   --trace-out FILE   write the structured trace to FILE
-  --profile          collect a wall-clock profile (per-shard phase
-                     attribution, straggler deciles, message matrix) and
-                     print it after the report; nondeterministic, never
-                     part of the canonical --json/--prom output
-  --profile-out FILE write the profile as Chrome trace-event JSON for
-                     Perfetto (ui.perfetto.dev); implies --profile
   --overhead REPS    measure enabled-vs-disabled telemetry wall-clock
-                     over REPS runs instead of reporting, plus the
-                     profiler's own overhead on the 2-shard engine";
+                     over REPS runs instead of reporting";
 
 fn fail(msg: &str) -> ! {
     eprintln!("edp_top: {msg}\n{USAGE}");
@@ -122,7 +112,6 @@ fn main() {
     let mut json = false;
     let mut prom = false;
     let mut trace_out: Option<String> = None;
-    let mut profile_out: Option<String> = None;
     let mut overhead: Option<u64> = None;
     let mut pcap: Option<String> = None;
     let mut speedup = 1.0f64;
@@ -145,7 +134,6 @@ fn main() {
             }
             "--threads" => opts.threads = parsed("--threads", args.next()),
             "--trace-capacity" => opts.trace_capacity = parsed("--trace-capacity", args.next()),
-            "--shards" => opts.shards = parsed("--shards", args.next()),
             "--overhead" => overhead = Some(parsed("--overhead", args.next())),
             "--pcap" => {
                 pcap = Some(args.next().unwrap_or_else(|| fail("--pcap needs a path")));
@@ -165,14 +153,6 @@ fn main() {
             }
             "--json" => json = true,
             "--prom" => prom = true,
-            "--profile" => opts.profile = true,
-            "--profile-out" => {
-                opts.profile = true;
-                profile_out = Some(
-                    args.next()
-                        .unwrap_or_else(|| fail("--profile-out needs a path")),
-                )
-            }
             "--trace-out" => {
                 trace_out = Some(
                     args.next()
@@ -215,16 +195,6 @@ fn main() {
             off,
             on / off
         );
-        let (pon, poff) = top::measure_prof_overhead(&app, opts.duration, reps.max(1));
-        println!(
-            "profiler overhead ({app}, {} reps x {} ms sim, 2 shards): profiled {:.3}s, \
-             unprofiled {:.3}s, ratio {:.2}x",
-            reps.max(1),
-            opts.duration.as_nanos() / 1_000_000,
-            pon,
-            poff,
-            pon / poff
-        );
         return;
     }
     let report = match top::run(&app, &opts) {
@@ -236,28 +206,11 @@ fn main() {
             fail(&format!("writing {path}: {e}"));
         }
     }
-    if let Some(path) = profile_out {
-        if let Err(e) = std::fs::write(&path, top::profile_trace_json(&report)) {
-            fail(&format!("writing {path}: {e}"));
-        }
-        eprintln!("profile trace written to {path} (load at ui.perfetto.dev)");
-    }
     if json {
         println!("{}", top::to_json_report(&report));
     } else if prom {
         print!("{}", edp_telemetry::to_prometheus_text(&report.registry));
     } else {
         print!("{}", top::render(&report));
-    }
-    if opts.profile {
-        // The table is wall-clock (nondeterministic): keep it off stdout
-        // when a canonical export was requested, so piped --json/--prom
-        // output stays pinned.
-        let table = top::render_profile(&report);
-        if json || prom {
-            eprint!("{table}");
-        } else {
-            print!("\n{table}");
-        }
     }
 }

@@ -18,18 +18,14 @@ use edp_core::event::{
     TransmitEvent, UnderflowEvent, UserEvent,
 };
 use edp_core::{EventActions, EventProgram, EventSwitch, EventSwitchConfig, TimerSpec};
-use edp_evsim::{default_threads, sweep, HorizonMode, Sim, SimDuration, SimTime};
+use edp_evsim::{default_threads, sweep, Sim, SimDuration, SimTime};
 use edp_netsim::traffic::start_cbr;
-use edp_netsim::{
-    run_sharded_opts, start_endpoints, start_replay, EndpointConfig, EndpointFleet, HostApp,
-    Network, SUBWINDOWS,
-};
+use edp_netsim::{start_endpoints, start_replay, EndpointConfig, EndpointFleet, HostApp, Network};
 use edp_packet::{Packet, PacketBuilder, ParsedPacket, PcapPacket};
 use edp_pisa::{Destination, StdMeta};
-use edp_telemetry::{self as telemetry, prof, Registry, TelemetryConfig};
+use edp_telemetry::{self as telemetry, Registry, TelemetryConfig};
 use std::fmt::Write as _;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The traffic a sweep point drives through the app's dumbbell.
 #[derive(Debug, Clone, Default)]
@@ -40,8 +36,7 @@ pub enum TopWorkload {
     /// Replay a decoded capture from the sender host, preserving the
     /// file's inter-arrival gaps divided by `speedup`.
     Pcap {
-        /// The parsed capture's frames (shared across seeds/shards
-        /// zero-copy).
+        /// The parsed capture's frames (shared across seeds zero-copy).
         packets: Arc<Vec<PcapPacket>>,
         /// Gap compression factor (1 = real capture pacing).
         speedup: f64,
@@ -66,43 +61,8 @@ pub struct TopOptions {
     pub threads: usize,
     /// Trace-ring capacity per point.
     pub trace_capacity: usize,
-    /// Shard count for the parallel engine (`EDP_SHARDS` default).
-    /// `0` runs the classic single-world path; `>= 1` runs every point
-    /// through [`edp_netsim::run_sharded`], whose output is byte-identical
-    /// for any shard count.
-    pub shards: usize,
     /// The traffic source (CBR, pcap replay, or endpoint fleet).
     pub workload: TopWorkload,
-    /// Opt-in wall-clock profiler ([`edp_telemetry::prof`]). Collects
-    /// per-shard phase attribution over the monotonic clock —
-    /// nondeterministic by nature, and therefore kept strictly out of
-    /// the canonical trace/JSON/prom outputs, which stay byte-identical
-    /// whether this is on or off.
-    pub profile: bool,
-}
-
-/// Reads `EDP_SHARDS`; unset or empty means `0` (classic path).
-///
-/// Anything else must parse as a non-negative integer — garbage or
-/// negative values exit with a diagnostic naming the bad value
-/// ([`edp_evsim::env_config_error`]).
-pub fn shards_from_env() -> usize {
-    let raw = match std::env::var("EDP_SHARDS") {
-        Ok(v) => v,
-        Err(_) => return 0,
-    };
-    let v = raw.trim();
-    if v.is_empty() {
-        return 0;
-    }
-    match v.parse() {
-        Ok(n) => n,
-        Err(_) => edp_evsim::env_config_error(
-            "EDP_SHARDS",
-            v,
-            "a non-negative shard count (0 = classic single-world path)",
-        ),
-    }
 }
 
 impl Default for TopOptions {
@@ -112,9 +72,7 @@ impl Default for TopOptions {
             duration: SimDuration::from_millis(5),
             threads: default_threads(),
             trace_capacity: 65_536,
-            shards: shards_from_env(),
             workload: TopWorkload::Cbr,
-            profile: false,
         }
     }
 }
@@ -138,20 +96,6 @@ pub struct TopReport {
     pub trace_records: u64,
     /// Total trace records evicted by ring capacity across points.
     pub trace_dropped: u64,
-    /// Shard count the points ran with (`0` = classic path).
-    pub shards: usize,
-    /// Safe-horizon windows executed, summed across points (0 classic).
-    pub shard_windows: u64,
-    /// Barrier rendezvous joined per shard, summed across points — the
-    /// true synchronization cost (0 classic).
-    pub shard_barriers: u64,
-    /// Packets exchanged across shard boundaries, summed across points.
-    pub shard_messages: u64,
-    /// Wall-clock profiles, one `(seed, per-shard profiles)` entry per
-    /// point in seed order — empty unless [`TopOptions::profile`] was
-    /// set. Nondeterministic; rendered only by [`render_profile`] and
-    /// [`profile_trace_json`], never by the canonical outputs.
-    pub profiles: Vec<(u64, Vec<prof::Profile>)>,
 }
 
 /// Names of every registered app, in registry order.
@@ -164,10 +108,6 @@ struct PointOutcome {
     trace: String,
     records: u64,
     dropped: u64,
-    windows: u64,
-    barriers: u64,
-    cross_messages: u64,
-    profiles: Vec<prof::Profile>,
 }
 
 /// Fronts a registry app's program with a static return route: ingress
@@ -277,16 +217,10 @@ impl EventProgram for ReturnPath {
     }
 }
 
-/// Builds the app's dumbbell with its CBR load armed but nothing run:
-/// the piece of [`drive`] that is also usable as a [`run_sharded`] build
-/// closure (the sharded engine arms switch timers and runs the loop
-/// itself).
-fn build_point(
-    app: &str,
-    seed: u64,
-    duration: SimDuration,
-    workload: &TopWorkload,
-) -> (Network, Sim<Network>) {
+/// Builds the app's dumbbell, drives the workload for `duration`, and
+/// returns the network for metric publication. Runs identically with
+/// telemetry enabled or disabled — [`measure_overhead`] exploits that.
+fn drive(app: &str, seed: u64, duration: SimDuration, workload: &TopWorkload) -> Network {
     let reg_app = builtin_apps()
         .into_iter()
         .find(|a| a.manifest.name == app)
@@ -325,10 +259,12 @@ fn build_point(
     // the port most registry apps egress to — so ~190 Mb/s of CBR load
     // builds real queues and forces overflow/trim paths.
     let (mut net, senders, sink, _) = dumbbell(Box::new(sw), 1, 50_000_000, seed);
-    // The app's emission certificate rides along so a sharded run can
-    // class certified timer cranks local (exchange elision). The
-    // ReturnPath front adds an undeclared client-bound ingress emission,
-    // so the endpoint workload conservatively runs uncertified.
+    // The app's emission certificate rides along. On the one-world
+    // engine an event's class is metadata only, but a certified-local
+    // timer crank arms `crank_timers`' debug assertion that the crank
+    // transmitted nothing, so every registry app's certificate is checked
+    // in debug runs. The ReturnPath front adds an undeclared client-bound
+    // ingress emission, so the endpoint workload runs uncertified.
     if !matches!(workload, TopWorkload::Endpoints { .. }) {
         net.install_effect_summary(0, summary);
     }
@@ -385,43 +321,18 @@ fn build_point(
             );
         }
     }
-    (net, sim)
-}
-
-/// Builds the app's dumbbell, drives the CBR load for `duration`, and
-/// returns the network for metric publication. Runs identically with
-/// telemetry enabled or disabled — [`measure_overhead`] exploits that.
-fn drive(app: &str, seed: u64, duration: SimDuration, workload: &TopWorkload) -> Network {
-    let (mut net, mut sim) = build_point(app, seed, duration, workload);
-    run_until(&mut net, &mut sim, SimTime::ZERO + duration);
+    run_until(&mut net, &mut sim, until);
     net
 }
 
-/// One sweep point: a pure function of `(app, seed, duration, capacity)`
-/// on the classic path, and of those *plus nothing else* on the sharded
-/// path — the sharded outcome is byte-identical for every `shards >= 1`.
-/// The opt-in profiler rides alongside in separate (wall-clock,
-/// nondeterministic) structures and never touches these outputs.
+/// One sweep point: a pure function of `(app, seed, options)`.
 fn run_point(app: &str, seed: u64, o: &TopOptions) -> PointOutcome {
-    if o.shards > 0 {
-        return run_point_sharded(app, seed, o, SUBWINDOWS);
-    }
     telemetry::enable(TelemetryConfig {
         trace_capacity: o.trace_capacity,
         ..TelemetryConfig::default()
     });
-    // The classic engine has no windows or barriers: its minimal profile
-    // is setup + one long execute span, comparable with a sharded run's
-    // compute fraction.
-    if o.profile {
-        prof::enable(Instant::now(), 0, 1);
-    }
-    let (mut net, mut sim) = build_point(app, seed, o.duration, &o.workload);
-    prof::lap(prof::Phase::Setup);
-    run_until(&mut net, &mut sim, SimTime::ZERO + o.duration);
-    prof::lap(prof::Phase::Execute);
+    let net = drive(app, seed, o.duration, &o.workload);
     telemetry::with(|t| net.publish_metrics(&mut t.registry));
-    let profiles = prof::disable().into_iter().collect();
     let t = telemetry::disable().expect("session enabled above");
     let mut trace = format!("== {app} seed {seed} ==\n");
     trace.push_str(&t.render_trace());
@@ -430,96 +341,6 @@ fn run_point(app: &str, seed: u64, o: &TopOptions) -> PointOutcome {
         dropped: t.ring.dropped(),
         registry: t.registry,
         trace,
-        windows: 0,
-        barriers: 0,
-        cross_messages: 0,
-        profiles,
-    }
-}
-
-/// One sweep point through the sharded engine.
-///
-/// Each shard runs the identical build on its own thread under its own
-/// telemetry session; `finish` publishes only owner-gated metrics into
-/// that session. Scheduler records are disabled — they carry global
-/// heap sequence numbers, which depend on how events were distributed
-/// over shards — and the merged trace uses the canonical (span-less)
-/// rendering sorted by `(time, text)`, so the whole outcome is a pure
-/// function of `(app, seed, duration, capacity)` for any shard count
-/// and any `subwindows` (always [`SUBWINDOWS`] outside the tests that
-/// pin exactly that).
-fn run_point_sharded(app: &str, seed: u64, o: &TopOptions, subwindows: usize) -> PointOutcome {
-    // One epoch per point, created before the workers spawn, so every
-    // shard's profiling timestamps share an origin and the per-shard
-    // tracks of the trace export line up.
-    let epoch = Instant::now();
-    let (sessions, stats) = run_sharded_opts(
-        o.shards,
-        subwindows,
-        HorizonMode::Classic,
-        SimTime::ZERO + o.duration,
-        |shard| {
-            telemetry::enable(TelemetryConfig {
-                trace_capacity: o.trace_capacity,
-                scheduler_records: false,
-                ..TelemetryConfig::default()
-            });
-            if o.profile {
-                prof::enable(epoch, shard, o.shards);
-            }
-            build_point(app, seed, o.duration, &o.workload)
-        },
-        |_shard, net, _sim| {
-            telemetry::with(|t| net.publish_metrics(&mut t.registry));
-            let profile = prof::disable();
-            (
-                telemetry::disable().expect("session enabled in build"),
-                profile,
-            )
-        },
-    );
-    let (sessions, profiles): (Vec<_>, Vec<_>) = sessions.into_iter().unzip();
-    let profiles: Vec<prof::Profile> = profiles.into_iter().flatten().collect();
-    // Counters/histograms are per-scope partial sums; gauges are written
-    // only by the owning shard, so `merge`'s overwrite is safe and the
-    // max re-fold below is a no-op kept for symmetry with `run`.
-    let mut registry = Registry::new();
-    for s in &sessions {
-        registry.merge(&s.registry);
-    }
-    for s in &sessions {
-        for (n, sc, v) in s.registry.gauges() {
-            registry.gauge_max(n, sc, v);
-        }
-    }
-    let mut lines: Vec<(u64, String)> = Vec::new();
-    let (mut records, mut dropped) = (0u64, 0u64);
-    for s in &sessions {
-        records += s.ring.len() as u64;
-        dropped += s.ring.dropped();
-        for rec in s.ring.iter() {
-            lines.push((rec.at_ns, rec.render_canonical()));
-        }
-    }
-    lines.sort();
-    let mut trace = format!("== {app} seed {seed} ==\n");
-    for (_, line) in &lines {
-        trace.push_str(line);
-        trace.push('\n');
-    }
-    trace.push_str(&format!(
-        "-- {records} records, {dropped} dropped (ring capacity {})\n",
-        o.trace_capacity
-    ));
-    PointOutcome {
-        registry,
-        trace,
-        records,
-        dropped,
-        windows: stats.windows,
-        barriers: stats.barriers,
-        cross_messages: stats.cross_messages,
-        profiles,
     }
 }
 
@@ -545,44 +366,6 @@ pub fn measure_overhead(app: &str, duration: SimDuration, reps: u64) -> (f64, f6
     (enabled, disabled)
 }
 
-/// Wall-clock cost of the profiler itself on the instrumented sharded
-/// engine (the path with hooks at every rendezvous): runs a 2-shard
-/// point at the shipped [`SUBWINDOWS`] `reps` times with a profiling
-/// session enabled, then `reps` times with the hooks on their disabled
-/// one-branch path, and returns
-/// `(profiled_secs, unprofiled_secs)` totals. Telemetry stays off for
-/// both so the ratio isolates the profiler.
-pub fn measure_prof_overhead(app: &str, duration: SimDuration, reps: u64) -> (f64, f64) {
-    let run_once = |seed: u64, profile: bool| {
-        let epoch = Instant::now();
-        let (_, stats) = run_sharded_opts(
-            2,
-            SUBWINDOWS,
-            HorizonMode::Classic,
-            SimTime::ZERO + duration,
-            |shard| {
-                if profile {
-                    prof::enable(epoch, shard, 2);
-                }
-                build_point(app, seed, duration, &TopWorkload::Cbr)
-            },
-            |_shard, _net, _sim| prof::disable(),
-        );
-        stats
-    };
-    let t0 = Instant::now();
-    for r in 0..reps {
-        run_once(1 + r, true);
-    }
-    let profiled = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    for r in 0..reps {
-        run_once(1 + r, false);
-    }
-    let unprofiled = t1.elapsed().as_secs_f64();
-    (profiled, unprofiled)
-}
-
 /// Runs `app` over every seed in `opts` and merges the outcomes.
 pub fn run(app: &str, opts: &TopOptions) -> Result<TopReport, String> {
     if !builtin_apps().iter().any(|a| a.manifest.name == app) {
@@ -591,34 +374,19 @@ pub fn run(app: &str, opts: &TopOptions) -> Result<TopReport, String> {
             app_names().join(", ")
         ));
     }
-    let mut outcomes = sweep(opts.seeds.clone(), opts.threads, |seed| {
+    let outcomes = sweep(opts.seeds.clone(), opts.threads, |seed| {
         run_point(app, seed, opts)
     });
     let mut registry = Registry::new();
     let mut trace = String::new();
     let mut records = 0u64;
     let mut dropped = 0u64;
-    let mut windows = 0u64;
-    let mut barriers = 0u64;
-    let mut cross = 0u64;
     for o in &outcomes {
         registry.merge(&o.registry);
         trace.push_str(&o.trace);
         records += o.records;
         dropped += o.dropped;
-        windows += o.windows;
-        barriers += o.barriers;
-        cross += o.cross_messages;
     }
-    // `sweep` returns outcomes in input order, so zipping the seeds back
-    // on labels each point's profiles correctly whatever thread ran it.
-    let profiles: Vec<(u64, Vec<prof::Profile>)> = opts
-        .seeds
-        .iter()
-        .zip(outcomes.iter_mut())
-        .filter(|(_, o)| !o.profiles.is_empty())
-        .map(|(&seed, o)| (seed, std::mem::take(&mut o.profiles)))
-        .collect();
     // `merge` keeps the *later* gauge value; re-fold them as maxima so
     // high-water marks (staleness bounds, queue peaks) survive merging.
     for o in &outcomes {
@@ -634,33 +402,7 @@ pub fn run(app: &str, opts: &TopOptions) -> Result<TopReport, String> {
         trace,
         trace_records: records,
         trace_dropped: dropped,
-        shards: opts.shards,
-        shard_windows: windows,
-        shard_barriers: barriers,
-        shard_messages: cross,
-        profiles,
     })
-}
-
-/// Renders the wall-clock profile table for a profiled report: per-shard
-/// phase attribution, the compute/barrier-wait/exchange headline, the
-/// straggler-by-decile line, and the cross-shard message matrix.
-/// Nondeterministic output — print it to a human, never into a pinned
-/// artifact.
-pub fn render_profile(r: &TopReport) -> String {
-    let points: Vec<&[prof::Profile]> = r.profiles.iter().map(|(_, p)| p.as_slice()).collect();
-    prof::render_table(&points)
-}
-
-/// Renders a profiled report as Chrome trace-event JSON (one process per
-/// seed, one thread track per shard) for Perfetto / `chrome://tracing`.
-pub fn profile_trace_json(r: &TopReport) -> String {
-    let points: Vec<(String, &[prof::Profile])> = r
-        .profiles
-        .iter()
-        .map(|(seed, p)| (format!("{} seed {seed}", r.app), p.as_slice()))
-        .collect();
-    prof::to_trace_json(&points)
 }
 
 /// Renders the report as the human-facing summary table.
@@ -798,13 +540,6 @@ pub fn render(r: &TopReport) -> String {
         "\n  trace ring: {} records, {} dropped",
         r.trace_records, r.trace_dropped
     );
-    if r.shards > 0 {
-        let _ = writeln!(
-            out,
-            "  shards: {} | {} windows, {} barriers, {} cross-shard msgs",
-            r.shards, r.shard_windows, r.shard_barriers, r.shard_messages
-        );
-    }
     out
 }
 
@@ -832,9 +567,7 @@ mod tests {
             duration: SimDuration::from_millis(1),
             threads: 1,
             trace_capacity: 4096,
-            shards: 0,
             workload: TopWorkload::Cbr,
-            profile: false,
         }
     }
 
@@ -866,137 +599,54 @@ mod tests {
         );
     }
 
-    #[test]
-    fn sharded_point_is_byte_identical_across_shard_counts() {
-        let mut opts = quick();
-        // Big enough that no shard's ring evicts — eviction order is the
-        // one thing that legitimately differs per shard count.
-        opts.trace_capacity = 65_536;
-        opts.shards = 1;
-        let one = run("microburst", &opts).expect("runs");
-        opts.shards = 2;
-        let two = run("microburst", &opts).expect("runs");
-        assert_eq!(one.trace, two.trace, "merged canonical traces diverge");
-        assert_eq!(to_json_report(&one), to_json_report(&two));
-        assert!(one.trace_records > 0);
-        assert_eq!(one.shards, 1);
-        assert_eq!(two.shards, 2);
-        assert!(render(&two).contains("shards: 2"));
-    }
-
-    /// Canonical outputs (trace, JSON, Prometheus) and negotiated-window
-    /// count of one sharded point at an explicit sub-window count — the
-    /// one axis `TopOptions` cannot reach, since [`run`] always uses
-    /// [`SUBWINDOWS`].
-    fn sharded_point(
-        app: &str,
-        seed: u64,
-        o: &TopOptions,
-        subwindows: usize,
-    ) -> ((String, String, String), u64) {
-        let p = run_point_sharded(app, seed, o, subwindows);
-        assert!(p.records > 0, "{app}: sharded run recorded nothing");
-        assert_eq!(p.dropped, 0, "{app}: ring evicted; raise capacity");
-        let json = telemetry::to_json(&p.registry);
-        let prom = telemetry::to_prometheus_text(&p.registry);
-        ((p.trace, json, prom), p.windows)
-    }
-
-    /// The sub-window count is a pure execution strategy: every
-    /// registered app renders the byte-identical canonical trace and
-    /// exports at 1 (one negotiation per lookahead, the reference leg)
-    /// and at [`SUBWINDOWS`], for shards {1, 2, 4} — only the
-    /// negotiated-window count may move (down).
-    #[test]
-    fn every_app_is_byte_identical_across_subwindow_counts() {
-        let mut o = quick();
-        o.trace_capacity = 65_536;
-        for app in app_names() {
-            for seed in [1u64, 2] {
-                o.shards = 1;
-                let (base, _) = sharded_point(app, seed, &o, 1);
-                for shards in [1usize, 2, 4] {
-                    o.shards = shards;
-                    let (one, w1) = sharded_point(app, seed, &o, 1);
-                    let (many, w32) = sharded_point(app, seed, &o, SUBWINDOWS);
-                    let leg = format!("{app} seed {seed}: {shards} shards");
-                    assert_eq!(base, one, "{leg} differs at 1 sub-window");
-                    assert_eq!(base, many, "{leg} differs at {SUBWINDOWS} sub-windows");
-                    assert!(w32 <= w1, "{leg}: more windows ({w32} > {w1})");
-                }
-            }
-        }
-    }
-
     /// The ingestion-plane pin: the pcap-replay and endpoint-fleet
-    /// workloads are a pure function of `(file, seed)` — trace and
-    /// exports byte-identical across shards {1, 2, 4} × sub-windows
-    /// {1, [`SUBWINDOWS`]}.
-    fn workload_pin(workload: TopWorkload) {
+    /// workloads (the latter through [`ReturnPath`]) are a pure function
+    /// of `(input, seed)` — trace, JSON and Prometheus output are
+    /// byte-identical on 1 and 8 sweep threads. Returns the 1-thread run
+    /// so each test can check the workload did real work.
+    fn workload_pin(workload: TopWorkload) -> TopReport {
         let mut o = quick();
-        o.seeds = vec![1];
+        o.seeds = vec![1, 2];
         o.duration = SimDuration::from_millis(2);
         o.trace_capacity = 262_144;
         o.workload = workload;
-        o.shards = 1;
-        let (base, _) = sharded_point("microburst", 1, &o, 1);
-        for shards in [1usize, 2, 4] {
-            o.shards = shards;
-            for sub in [1, SUBWINDOWS] {
-                let (b, _) = sharded_point("microburst", 1, &o, sub);
-                assert_eq!(base, b, "differs at {shards} shards x {sub} sub-windows");
-            }
-        }
+        let one = run("microburst", &o).expect("1-thread run");
+        o.threads = 8;
+        let eight = run("microburst", &o).expect("8-thread run");
+        assert_eq!(one.trace, eight.trace, "trace depends on threads");
+        assert_eq!(to_json_report(&one), to_json_report(&eight));
+        assert_eq!(
+            telemetry::to_prometheus_text(&one.registry),
+            telemetry::to_prometheus_text(&eight.registry)
+        );
+        assert!(one.trace_records > 0);
+        assert_eq!(one.trace_dropped, 0, "ring evicted; raise capacity");
+        one
     }
 
     #[test]
-    fn pcap_replay_is_byte_identical_across_shards_and_subwindows() {
+    fn pcap_replay_is_byte_identical_across_sweep_threads() {
         let path = concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/../../tests/fixtures/mixed_protocols.pcap"
         );
         let bytes = std::fs::read(path).expect("fixture present");
         let file = edp_packet::PcapFile::parse(&bytes).expect("fixture parses");
-        assert!(!file.packets.is_empty());
-        workload_pin(TopWorkload::Pcap {
+        let r = workload_pin(TopWorkload::Pcap {
             packets: Arc::new(file.packets),
             speedup: 1.0,
         });
-    }
-
-    #[test]
-    fn endpoint_fleet_is_byte_identical_across_shards_and_subwindows() {
-        workload_pin(TopWorkload::Endpoints { count: 1000 });
-    }
-
-    #[test]
-    fn profiled_points_attribute_their_wall_clock() {
-        let mut opts = quick();
-        opts.profile = true;
-        let classic = run("microburst", &opts).expect("runs");
-        assert_eq!(classic.profiles.len(), 1, "one profiled point");
-        let (seed, profs) = &classic.profiles[0];
-        assert_eq!(*seed, 7);
-        assert_eq!(profs.len(), 1, "classic path is a single track");
-        assert_eq!(profs[0].attributed_ns(), profs[0].total_ns);
-        assert!(profs[0].phase_ns[prof::Phase::Execute.index()] > 0);
-
-        opts.shards = 2;
-        let sharded = run("microburst", &opts).expect("runs");
-        assert_eq!(sharded.profiles[0].1.len(), 2, "one profile per shard");
-        for p in &sharded.profiles[0].1 {
-            assert_eq!(p.attributed_ns(), p.total_ns);
-            assert!(p.phase_ns[prof::Phase::Negotiate.index()] > 0);
+        for scope in ["eth:arp", "port:rpc"] {
+            assert!(
+                r.registry.counter("proto_pkts", scope) > 0,
+                "no proto_pkts for {scope}"
+            );
         }
-        assert!(render_profile(&sharded).contains("wall-clock profile"));
-        assert!(profile_trace_json(&sharded).contains("\"traceEvents\""));
     }
 
     #[test]
-    fn env_default_is_classic_path() {
-        // The suite doesn't set EDP_SHARDS, so Default must pick classic.
-        if std::env::var("EDP_SHARDS").is_err() {
-            assert_eq!(TopOptions::default().shards, 0);
-        }
+    fn endpoint_fleet_is_byte_identical_across_sweep_threads() {
+        let r = workload_pin(TopWorkload::Endpoints { count: 1000 });
+        assert!(r.registry.counter("endpoint_responses", "net") > 0);
     }
 }

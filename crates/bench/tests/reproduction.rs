@@ -1,7 +1,7 @@
 //! The paper reproduction, pinned: every `## <name>` section of
 //! `docs/experiment_output.txt` is, byte for byte, what `edp_exp <name>`
 //! prints. The reports are modelled results (no wall-clock), identical in
-//! debug and release and for every `EDP_SHARDS` / `EDP_SWEEP_THREADS`, so
+//! debug and release and for every `EDP_SWEEP_THREADS`, so
 //! a diff here means a change moved the paper's numbers. If it was meant
 //! to, regenerate the archive — never hand-edit it — and explain the
 //! diff in CHANGES.md:

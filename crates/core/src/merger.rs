@@ -13,7 +13,8 @@
 //! offered load — is what the Figure 4 bench sweeps.
 
 use crate::event::Event;
-use edp_evsim::{Cycles, Histogram};
+use edp_evsim::Cycles;
+use edp_telemetry::LogHistogram;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -53,7 +54,7 @@ pub struct MergerStats {
     /// Carrier bytes injected (pipeline bandwidth overhead).
     pub carrier_bytes: u64,
     /// Distribution of event wait times, in pipeline cycles.
-    pub wait_cycles: Histogram,
+    pub wait_cycles: LogHistogram,
 }
 
 impl MergerStats {
@@ -64,7 +65,7 @@ impl MergerStats {
             carried_injected: 0,
             carriers_injected: 0,
             carrier_bytes: 0,
-            wait_cycles: Histogram::new(),
+            wait_cycles: LogHistogram::new(),
         }
     }
 }

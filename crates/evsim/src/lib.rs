@@ -48,5 +48,5 @@ pub use shard::{
     drive_windows, env_config_error, safe_horizon, DriveStats, HorizonMode, WindowSync,
 };
 pub use sim::{EventClass, EventFn, EventId, Periodic, Sim, UNKEYED};
-pub use stats::{jain_fairness, percentile, Counter, Histogram, TimeSeries, Welford};
+pub use stats::{jain_fairness, percentile, Counter, TimeSeries, Welford};
 pub use time::{SimDuration, SimTime};

@@ -392,7 +392,6 @@ pub fn drive_windows<W>(
         let (global, global_bound) = sync.negotiate_bound(shard, local, local_bound);
         stats.barriers += 2;
         prof::lap(prof::Phase::Negotiate);
-        prof::rendezvous(2);
         let Some(global) = global else {
             break;
         };
@@ -400,7 +399,6 @@ pub fn drive_windows<W>(
             break;
         }
         stats.windows += 1;
-        prof::window_begin();
         let mut horizon = safe_horizon(global, lookahead, deadline);
         let bound_ns = global_bound.map_or(cap, |b| b.as_nanos());
         let mut remaining = subwindows;
@@ -449,7 +447,6 @@ pub fn drive_windows<W>(
                     sync.exchange();
                     stats.barriers += 1;
                     prof::lap(prof::Phase::Barrier);
-                    prof::rendezvous(1);
                     break;
                 }
             };
@@ -457,7 +454,6 @@ pub fn drive_windows<W>(
             let vote = sync.exchange_vote(active);
             stats.barriers += 1;
             prof::lap(prof::Phase::Barrier);
-            prof::rendezvous(1);
             if !vote {
                 // Every shard idle below `next` and nothing in flight:
                 // renegotiate so the global minimum jumps the gap.
@@ -467,7 +463,6 @@ pub fn drive_windows<W>(
             prof::lap(prof::Phase::Extend);
             horizon = next;
         }
-        prof::window_end();
     }
     // Mirror run_until's clock semantics once the shards agree that
     // nothing at or before the deadline remains.

@@ -1,8 +1,9 @@
 //! Measurement utilities shared by every experiment.
 //!
 //! Everything here is plain data: counters, streaming mean/variance
-//! ([`Welford`]), a log-linear latency [`Histogram`], a [`TimeSeries`]
-//! recorder, and small report helpers such as Jain's fairness index.
+//! ([`Welford`]), a [`TimeSeries`] recorder, and small report helpers
+//! such as Jain's fairness index. The log-linear latency histogram is
+//! `edp_telemetry::LogHistogram`.
 
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
@@ -121,114 +122,6 @@ impl Default for Welford {
     }
 }
 
-/// A log-linear histogram for non-negative values (e.g. latencies in ns).
-///
-/// Buckets are powers of two subdivided linearly, HDR-histogram style with
-/// 16 sub-buckets per octave: relative error is bounded at ~6% while the
-/// range spans the full `u64`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    counts: Vec<u64>,
-    total: u64,
-    sum: u128,
-    max: u64,
-}
-
-const SUB_BITS: u32 = 4; // 16 sub-buckets per power of two.
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        // 64 octaves * 16 sub-buckets is enough for any u64.
-        Histogram {
-            counts: vec![0; (64 << SUB_BITS) as usize],
-            total: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-
-    fn bucket_of(v: u64) -> usize {
-        if v < (1 << SUB_BITS) {
-            return v as usize;
-        }
-        let msb = 63 - v.leading_zeros();
-        let shift = msb - SUB_BITS;
-        let sub = ((v >> shift) & ((1 << SUB_BITS) - 1)) as u32;
-        (((msb - SUB_BITS + 1) << SUB_BITS) + sub) as usize
-    }
-
-    fn bucket_low(idx: usize) -> u64 {
-        let idx = idx as u64;
-        if idx < (1 << SUB_BITS) {
-            return idx;
-        }
-        let octave = (idx >> SUB_BITS) - 1;
-        let sub = idx & ((1 << SUB_BITS) - 1);
-        ((1 << SUB_BITS) | sub) << octave
-    }
-
-    /// Records one value.
-    pub fn record(&mut self, v: u64) {
-        self.counts[Self::bucket_of(v)] += 1;
-        self.total += 1;
-        self.sum += v as u128;
-        self.max = self.max.max(v);
-    }
-
-    /// Number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Mean of recorded values; 0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.total as f64
-        }
-    }
-
-    /// Exact maximum recorded value.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Value at quantile `q` in `[0, 1]`, within the bucket resolution.
-    pub fn quantile(&self, q: f64) -> u64 {
-        assert!((0.0..=1.0).contains(&q), "quantile {q}");
-        if self.total == 0 {
-            return 0;
-        }
-        let rank = ((q * self.total as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Self::bucket_low(i).min(self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Shorthand for the median.
-    pub fn p50(&self) -> u64 {
-        self.quantile(0.50)
-    }
-
-    /// Shorthand for the 99th percentile.
-    pub fn p99(&self) -> u64 {
-        self.quantile(0.99)
-    }
-}
-
 /// A `(time, value)` series recorder with simple summary queries.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TimeSeries {
@@ -308,7 +201,7 @@ pub fn jain_fairness(xs: &[f64]) -> f64 {
 }
 
 /// Exact percentile over a full sample set (sorts a copy). Prefer
-/// [`Histogram::quantile`] for large streams.
+/// `edp_telemetry::LogHistogram::quantile` for large streams.
 pub fn percentile(samples: &[f64], q: f64) -> f64 {
     assert!((0.0..=1.0).contains(&q));
     if samples.is_empty() {
@@ -365,45 +258,6 @@ mod tests {
         w.add(81100.0);
         assert_eq!(w.min(), 2200.0, "default must not zero the min sentinel");
         assert_eq!(w.max(), 81100.0);
-    }
-
-    #[test]
-    fn histogram_small_values_exact() {
-        let mut h = Histogram::new();
-        for v in 0..16u64 {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 16);
-        assert_eq!(h.quantile(0.0), 0);
-        assert_eq!(h.max(), 15);
-        assert_eq!(h.quantile(1.0), 15);
-    }
-
-    #[test]
-    fn histogram_quantile_bounded_error() {
-        let mut h = Histogram::new();
-        for v in 1..=100_000u64 {
-            h.record(v);
-        }
-        let p50 = h.p50() as f64;
-        assert!(
-            (p50 - 50_000.0).abs() / 50_000.0 < 0.07,
-            "p50 {p50} off by more than bucket error"
-        );
-        let p99 = h.p99() as f64;
-        assert!((p99 - 99_000.0).abs() / 99_000.0 < 0.07, "p99 {p99}");
-        assert!((h.mean() - 50_000.5).abs() < 1.0);
-    }
-
-    #[test]
-    fn histogram_bucket_monotone() {
-        let mut prev = 0;
-        for v in [0u64, 1, 15, 16, 17, 31, 32, 1000, 1 << 20, u64::MAX / 2] {
-            let b = Histogram::bucket_of(v);
-            assert!(b >= prev, "bucket not monotone at {v}");
-            prev = b;
-            assert!(Histogram::bucket_low(b) <= v, "bucket low above value");
-        }
     }
 
     #[test]

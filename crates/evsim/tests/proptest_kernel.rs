@@ -1,6 +1,7 @@
 //! Property-based tests for the simulation kernel's core invariants.
 
-use edp_evsim::{Histogram, Sim, SimDuration, SimTime, Welford};
+use edp_evsim::{Sim, SimDuration, SimTime, Welford};
+use edp_telemetry::LogHistogram;
 use proptest::prelude::*;
 
 proptest! {
@@ -93,7 +94,7 @@ proptest! {
     /// Histogram quantiles are monotone in q and bracket the data.
     #[test]
     fn histogram_quantiles_monotone(values in prop::collection::vec(0u64..1_000_000_000, 1..300)) {
-        let mut h = Histogram::new();
+        let mut h = LogHistogram::new();
         for &v in &values {
             h.record(v);
         }

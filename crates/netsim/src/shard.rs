@@ -354,15 +354,12 @@ where
                 return;
             }
             seen_seq = seq;
-            for (src, row) in mailboxes.iter().enumerate() {
+            for row in mailboxes {
                 let msgs: Vec<ShardMsg> = row[me]
                     .lock()
                     .expect("shard mailbox poisoned")
                     .drain(..)
                     .collect();
-                if !msgs.is_empty() {
-                    prof::flow_recv(src, msgs.len() as u64);
-                }
                 for m in msgs {
                     net.accept_shard_msg(sim, m);
                 }
@@ -390,7 +387,6 @@ where
             }
             for (dst, batch) in staged.iter_mut().enumerate() {
                 if !batch.is_empty() {
-                    prof::flow_send(dst, batch.len() as u64);
                     mailboxes[me][dst]
                         .lock()
                         .expect("shard mailbox poisoned")

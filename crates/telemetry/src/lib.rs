@@ -16,9 +16,10 @@
 //! thread ran it or what ran before.
 //!
 //! Records carry *sim time only* (nanoseconds), never wall-clock time.
-//! Wall-clock attribution lives in the separate, opt-in [`prof`] module,
-//! whose output is structurally nondeterministic and therefore never
-//! feeds a canonical export.
+//! Wall-clock attribution lives in the separate, opt-in [`prof`] module
+//! (per-phase lap totals of the sharded engine), whose output is
+//! structurally nondeterministic and therefore never feeds a canonical
+//! export.
 //!
 //! # Span/cause model
 //!

@@ -9,11 +9,10 @@
 
 use std::collections::BTreeMap;
 
-/// A log-linear histogram for non-negative values, HDR-style with 16
-/// sub-buckets per octave (relative error ~6% across the full `u64`
-/// range). Mirrors `edp_evsim::stats::Histogram`, re-implemented here so
-/// the telemetry crate stays dependency-free at the bottom of the
-/// workspace.
+/// A log-linear histogram for non-negative values (e.g. latencies in
+/// ns), HDR-style with 16 sub-buckets per octave: relative error ~6%
+/// across the full `u64` range. The workspace's one histogram — the
+/// registry's and every experiment's.
 #[derive(Debug, Clone)]
 pub struct LogHistogram {
     counts: Vec<u64>,
@@ -265,14 +264,40 @@ mod tests {
     #[test]
     fn histogram_quantiles_bounded_error() {
         let mut r = Registry::new();
-        for v in 1..=10_000u64 {
+        for v in 1..=100_000u64 {
             r.observe("lat", "sw0", v);
         }
         let h = r.histogram("lat", "sw0").unwrap();
-        assert_eq!(h.count(), 10_000);
+        assert_eq!(h.count(), 100_000);
         let p50 = h.p50() as f64;
-        assert!((p50 - 5_000.0).abs() / 5_000.0 < 0.07, "p50 {p50}");
-        assert_eq!(h.max(), 10_000);
+        assert!((p50 - 50_000.0).abs() / 50_000.0 < 0.07, "p50 {p50}");
+        let p99 = h.p99() as f64;
+        assert!((p99 - 99_000.0).abs() / 99_000.0 < 0.07, "p99 {p99}");
+        assert!((h.mean() - 50_000.5).abs() < 1.0);
+        assert_eq!(h.max(), 100_000);
+    }
+
+    #[test]
+    fn histogram_small_values_exact() {
+        let mut h = LogHistogram::new();
+        for v in 0..16u64 {
+            h.record(v);
+        }
+        assert_eq!(h.count(), 16);
+        assert_eq!(h.quantile(0.0), 0);
+        assert_eq!(h.max(), 15);
+        assert_eq!(h.quantile(1.0), 15);
+    }
+
+    #[test]
+    fn histogram_bucket_monotone() {
+        let mut prev = 0;
+        for v in [0u64, 1, 15, 16, 17, 31, 32, 1000, 1 << 20, u64::MAX / 2] {
+            let b = LogHistogram::bucket_of(v);
+            assert!(b >= prev, "bucket not monotone at {v}");
+            prev = b;
+            assert!(LogHistogram::bucket_low(b) <= v, "bucket low above value");
+        }
     }
 
     #[test]

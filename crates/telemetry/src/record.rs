@@ -227,18 +227,6 @@ impl TraceRecord {
         )
     }
 
-    /// Renders the record *without* span/cause ids: `time body`.
-    ///
-    /// Span ids are allocated sequentially per session, so they depend on
-    /// how records were distributed over sessions — under sharded
-    /// execution, on the shard count. The canonical form drops them,
-    /// leaving a line that is a pure function of the record itself;
-    /// sorting canonical lines by `(time, text)` therefore merges
-    /// per-shard rings into byte-identical text for any shard count.
-    pub fn render_canonical(&self) -> String {
-        format!("{:>12} {}", self.at_ns, self.render_body())
-    }
-
     fn render_body(&self) -> String {
         match self.kind {
             RecordKind::EventRaised { kind } => {

@@ -4,19 +4,13 @@
 #   scripts/ci.sh               # full local gate (everything below)
 #   scripts/ci.sh --quick       # fmt, build, test, edp_lint, one-parse-path
 #                               # grep, telemetry smoke, paper-reproduction pin
-#   scripts/ci.sh --matrix-leg  # build + tier-1 tests under the ambient
-#                               # EDP_SHARDS (one CI matrix leg)
 #   scripts/ci.sh --gate        # fmt, clippy, edp_lint (+ SARIF artifact),
-#                               # one-parse-path grep,
-#                               # profiled-run smoke (+ trace artifact),
-#                               # exchange-elision smoke,
+#                               # one-parse-path grep, telemetry smoke,
 #                               # pcap fixture round-trip, replay smoke,
 #                               # paper-reproduction pin, benchmark smoke
 #
-# The CI pipeline fans the engine matrix EDP_SHARDS={1,4} across
-# `--matrix-leg` jobs and runs `--gate` once beside them; the default
-# (no-flag) mode runs the union locally, emulating the matrix with an
-# in-process EDP_SHARDS=4 re-run.
+# The CI pipeline runs `--quick` (the one tier-1 run) and `--gate` side
+# by side; the default (no-flag) mode runs their union locally.
 #
 # The workspace vendors all third-party crates (see vendor/), so the
 # whole gate runs with the cargo registry unreachable.
@@ -35,10 +29,9 @@ mode=full
 case "${1:-}" in
 "") mode=full ;;
 --quick) mode=quick ;;
---matrix-leg) mode=matrix-leg ;;
 --gate) mode=gate ;;
 *)
-    echo "usage: scripts/ci.sh [--quick | --matrix-leg | --gate]" >&2
+    echo "usage: scripts/ci.sh [--quick | --gate]" >&2
     exit 2
     ;;
 esac
@@ -54,7 +47,7 @@ step_build() {
 }
 
 step_test() {
-    echo "==> cargo test (EDP_SHARDS=${EDP_SHARDS:-unset})"
+    echo "==> cargo test"
     cargo test --offline -q
 }
 
@@ -132,7 +125,7 @@ step_reproduction() {
     echo "==> edp_exp all vs docs/experiment_output.txt (paper reproduction pin)"
     # The archive is the repo's claim to reproduce the paper's tables,
     # figures and §5 experiments: modelled results only, identical in
-    # debug and release and under any EDP_SHARDS / EDP_SWEEP_THREADS. A
+    # debug and release and under any EDP_SWEEP_THREADS. A
     # change that re-orders same-instant events moves these numbers, and
     # must do so as a reviewed diff.
     cargo run --offline --release -q -p edp-bench --bin edp_exp -- all |
@@ -175,77 +168,6 @@ step_pcap() {
             exit 1
         }
     done
-}
-
-step_profile_smoke() {
-    echo "==> edp_top --profile smoke (wall-clock profiler + trace export)"
-    # Drives a 2-shard profiled run, checks the human table attributes
-    # the run, and validates the Chrome trace-event export is well
-    # formed (required keys, nonnegative durations, monotone ts per
-    # (pid, tid) track). The gate job uploads the trace as an artifact.
-    mkdir -p target
-    local out
-    out="$(cargo run --offline --release -q -p edp-bench --bin edp_top -- \
-        microburst --shards 2 --seeds 1 --duration-ms 2 \
-        --profile --profile-out target/edp_profile_trace.json)"
-    echo "$out" | grep -q "wall-clock profile" || {
-        echo "edp_top --profile: no profile table" >&2
-        exit 1
-    }
-    echo "$out" | grep -q "attributed" || {
-        echo "edp_top --profile: no attribution line" >&2
-        exit 1
-    }
-    if command -v python3 >/dev/null 2>&1; then
-        python3 - target/edp_profile_trace.json <<'PYEOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-events = doc["traceEvents"]
-assert events, "empty traceEvents"
-last = {}
-for e in events:
-    for key in ("name", "ph", "ts", "pid", "tid"):
-        assert key in e, f"event missing {key}: {e}"
-    if e["ph"] == "X":
-        assert e["dur"] >= 0, f"negative duration: {e}"
-        track = (e["pid"], e["tid"])
-        assert e["ts"] >= last.get(track, -1.0), f"ts regressed on {track}: {e}"
-        last[track] = e["ts"]
-assert last, "no complete (ph=X) span events"
-print(f"profile trace ok: {len(events)} events, {len(last)} span track(s)")
-PYEOF
-    else
-        grep -q '"traceEvents"' target/edp_profile_trace.json || {
-            echo "edp_top --profile-out: not trace-event JSON" >&2
-            exit 1
-        }
-    fi
-}
-
-step_engine_matrix_local() {
-    echo "==> cargo test (EDP_SHARDS=4: tier-1 through the sharded engine)"
-    # Everything that consults EDP_SHARDS (edp_top's TopOptions default
-    # and the determinism suites) reruns on the 4-shard parallel engine;
-    # byte-identity with the classic path is asserted by the tests
-    # themselves (top_determinism, integration_shards).
-    EDP_SHARDS=4 cargo test --offline -q
-}
-
-step_elision_smoke() {
-    echo "==> exchange-elision smoke (barrier elision end-to-end)"
-    # Runs the barrier-elision suite (traffic-free gaps must cut
-    # DriveStats.barriers >=10x with a byte-identical merged schedule,
-    # and the 8-switch line's exact barrier count is pinned) and then
-    # drives a registered app through the 2-shard engine, checking the
-    # JSON report is non-degenerate.
-    cargo test --offline --release -q -p edp-netsim barriers
-    local out
-    out="$(cargo run --offline --release -q -p edp-bench --bin edp_top -- \
-        microburst --shards 2 --seeds 1 --duration-ms 2 --json)"
-    echo "$out" | grep -q '"app":"microburst"' || {
-        echo "elision smoke: degenerate 2-shard edp_top output" >&2
-        exit 1
-    }
 }
 
 step_clippy() {
@@ -316,17 +238,9 @@ quick)
     step_top_smoke
     step_reproduction
     ;;
-matrix-leg)
-    # One leg of the CI engine matrix: the workflow exports EDP_SHARDS
-    # before calling this, so the whole tier-1 suite runs natively on
-    # that engine configuration.
-    step_build
-    step_test
-    ;;
 gate)
-    # The non-matrixed CI leg: style, static analysis, fixtures, smoke
-    # drives, the reproduction pin and the benchmark smoke — everything
-    # that only needs to run once per pipeline.
+    # The CI leg beside `--quick`: style, static analysis, fixtures, smoke
+    # drives, the reproduction pin and the benchmark smoke.
     step_fmt
     step_build
     step_clippy
@@ -334,8 +248,6 @@ gate)
     step_parse_path
     step_lint_sarif
     step_top_smoke
-    step_profile_smoke
-    step_elision_smoke
     step_pcap
     step_reproduction
     step_bench_gate
@@ -347,11 +259,8 @@ full)
     step_lint
     step_parse_path
     step_top_smoke
-    step_profile_smoke
-    step_elision_smoke
     step_pcap
     step_reproduction
-    step_engine_matrix_local
     step_clippy
     step_bench_gate
     ;;

@@ -8,13 +8,14 @@ use edp_apps::common::{addr, run_until};
 use edp_apps::frr::{FrrBaseline, FrrEvent, CP_OP_SET_ROUTE};
 use edp_apps::liveness::{LivenessMonitor, LivenessReflector, Neighbor, TIMER_CHECK, TIMER_PROBE};
 use edp_core::{BaselineAdapter, EventSwitch, EventSwitchConfig, TimerSpec};
-use edp_evsim::{sweep, Histogram, Sim, SimDuration, SimTime, Welford};
+use edp_evsim::{sweep, Sim, SimDuration, SimTime, Welford};
 use edp_netsim::traffic::start_cbr;
 use edp_netsim::{
     Dir, FaultPlan, Host, HostApp, LinkFaultModel, LinkSpec, Network, NodeRef, SwitchHarness,
 };
 use edp_packet::PacketBuilder;
 use edp_pisa::{ForwardTo, QueueConfig};
+use edp_telemetry::LogHistogram;
 
 const FAIL_AT: SimTime = SimTime::from_millis(5);
 const PKTS: u64 = 1000;
@@ -153,7 +154,7 @@ fn frr_reconvergence_tracks_the_control_loop() {
     // Baseline FRR: reconvergence equals the control-plane delay.
     let delays_us: [u64; 4] = [500, 1000, 2000, 4000];
     let mut rec = Welford::new();
-    let mut hist = Histogram::new();
+    let mut hist = LogHistogram::new();
     for &d in &delays_us {
         let sw = EventSwitch::baseline(FrrBaseline::new(1), 3, QueueConfig::default());
         let (mut net, sender, sink, primary, _) = diamond(Box::new(sw));
