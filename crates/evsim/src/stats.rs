@@ -260,6 +260,24 @@ mod tests {
         assert_eq!(w.max(), 81100.0);
     }
 
+    /// The experiments' latency histogram (`LogHistogram`) keeps its
+    /// quantiles and mean within bucket error over a wide range.
+    #[test]
+    fn histogram_quantile_bounded_error() {
+        let mut h = edp_telemetry::LogHistogram::new();
+        for v in 1..=100_000u64 {
+            h.record(v);
+        }
+        let p50 = h.p50() as f64;
+        assert!(
+            (p50 - 50_000.0).abs() / 50_000.0 < 0.07,
+            "p50 {p50} off by more than bucket error"
+        );
+        let p99 = h.p99() as f64;
+        assert!((p99 - 99_000.0).abs() / 99_000.0 < 0.07, "p99 {p99}");
+        assert!((h.mean() - 50_000.5).abs() < 1.0);
+    }
+
     #[test]
     fn time_series_weighted_mean() {
         let mut ts = TimeSeries::new();
