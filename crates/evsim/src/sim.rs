@@ -9,7 +9,7 @@
 //!
 //! # Fast path
 //!
-//! The queue is a slab-backed arena: the binary heap holds compact
+//! The queue is a slab-backed arena: a key queue holds compact
 //! `(time, key, seq, slot)` keys (32 bytes, `Copy`) while the event
 //! payloads live in a slot arena indexed by the key. This buys three
 //! things over the classic `BinaryHeap<Entry>` + cancelled-`HashSet`
@@ -24,8 +24,20 @@
 //! - **Heap traffic is cache-friendly** — sift operations move small
 //!   `Copy` keys instead of fat entries carrying a `Box` each.
 //!
+//! The key queue is a 4-ary min-heap beside a sorted append-only *run*,
+//! a fixed ring of keys in non-decreasing order. A network simulation
+//! schedules mostly `now + a constant delay`, so one stream of keys
+//! arrives already sorted: a push that is `>=` the run's back appends to
+//! the run in O(1), and only the keys that would break its order go to
+//! the heap. The **restart rule** keeps one early outlier (a far-future
+//! fault, say) from owning the run: when the run holds exactly one key
+//! and a smaller one arrives, that key moves to the heap and the new key
+//! starts the run. A pop takes the smaller of the run's front and the
+//! heap's top under the full `(time, key, seq)` order; `seq` is unique,
+//! so firing order is exactly that of a single heap.
+//!
 //! The slab invariant: every occupied slot has exactly one key in the
-//! heap, and a slot is only reclaimed when that key is popped. Handles
+//! key queue, and a slot is only reclaimed when that key is popped. Handles
 //! ([`EventId`]) carry a generation counter so stale ids (already fired,
 //! already cancelled, or re-armed since) are rejected instead of
 //! corrupting an unrelated event that reused the slot.
@@ -156,31 +168,139 @@ impl Ord for HeapKey {
     }
 }
 
-/// An 8-ary min-heap of [`HeapKey`]s.
+/// Capacity of [`KeyHeap`]'s run: a power of two, so ring indices wrap by
+/// mask. The longest monotone stream measured was 55 keys (a k=4
+/// fat-tree; the 8-switch line peaks at 29); a full run sends keys to the
+/// heap, which costs speed, never order.
+const RUN_CAP: usize = 64;
+
+/// A fixed ring of [`HeapKey`]s in non-decreasing order. Inline, so an
+/// empty simulator allocates nothing for it.
+struct Run {
+    keys: [HeapKey; RUN_CAP],
+    head: usize,
+    len: usize,
+}
+
+impl Run {
+    const MASK: usize = RUN_CAP - 1;
+
+    fn new() -> Self {
+        const EMPTY: HeapKey = HeapKey {
+            time: SimTime::ZERO,
+            key: 0,
+            seq: 0,
+            slot: 0,
+        };
+        Run {
+            keys: [EMPTY; RUN_CAP],
+            head: 0,
+            len: 0,
+        }
+    }
+
+    fn front(&self) -> Option<&HeapKey> {
+        (self.len > 0).then(|| &self.keys[self.head & Self::MASK])
+    }
+
+    /// Whether `key` may append without breaking the order.
+    fn accepts(&self, key: &HeapKey) -> bool {
+        self.len == 0
+            || (self.len < RUN_CAP && *key >= self.keys[(self.head + self.len - 1) & Self::MASK])
+    }
+
+    fn push_back(&mut self, key: HeapKey) {
+        debug_assert!(self.len < RUN_CAP);
+        self.keys[(self.head + self.len) & Self::MASK] = key;
+        self.len += 1;
+    }
+
+    fn pop_front(&mut self) -> HeapKey {
+        debug_assert!(self.len > 0);
+        let key = self.keys[self.head & Self::MASK];
+        self.head = (self.head + 1) & Self::MASK;
+        self.len -= 1;
+        key
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &HeapKey> {
+        (0..self.len).map(move |i| &self.keys[(self.head + i) & Self::MASK])
+    }
+}
+
+/// The key queue: a 4-ary min-heap of [`HeapKey`]s beside a sorted
+/// [`Run`] that takes every push which keeps it sorted (see the module
+/// docs, including the restart rule).
 ///
-/// Versus `std::collections::BinaryHeap` this cuts the tree depth to a
-/// third, so a pop on a deep queue takes far fewer dependent cache misses;
-/// a node's children are consecutive 32-byte `Copy` keys (two cache
-/// lines), which the hardware prefetcher streams while the min-scan
-/// runs. Pushes in non-decreasing time order (the overwhelmingly common
-/// pattern in a forward-running simulation) stay O(1) as in any sift-up
-/// heap.
+/// Versus `std::collections::BinaryHeap` the 4-ary heap halves the tree
+/// depth, so a pop on a deep queue takes fewer dependent cache misses; a
+/// node's children are consecutive 32-byte `Copy` keys (two cache lines),
+/// which the hardware prefetcher streams while the min-scan runs. The run
+/// matters more: every pop from a heap sifts its last key down from the
+/// root, and a simulation's monotone stream skips that entirely.
 struct KeyHeap {
+    /// The heap, in 4-ary array layout.
     keys: Vec<HeapKey>,
+    run: Run,
 }
 
 impl KeyHeap {
     const ARITY: usize = 4;
 
     fn new() -> Self {
-        KeyHeap { keys: Vec::new() }
+        KeyHeap {
+            keys: Vec::new(),
+            run: Run::new(),
+        }
+    }
+
+    /// Whether the smallest key is the run's front rather than the heap's
+    /// top. The two never compare equal: `seq` is unique.
+    #[inline]
+    fn run_first(&self) -> bool {
+        match (self.run.front(), self.keys.first()) {
+            (Some(r), Some(h)) => r < h,
+            (r, _) => r.is_some(),
+        }
     }
 
     fn peek(&self) -> Option<&HeapKey> {
-        self.keys.first()
+        if self.run_first() {
+            self.run.front()
+        } else {
+            self.keys.first()
+        }
     }
 
     fn push(&mut self, key: HeapKey) {
+        if self.run.accepts(&key) {
+            self.run.push_back(key);
+        } else if self.run.len == 1 {
+            // Restart rule: a lone run key that the stream has undercut
+            // (typically a far-future event armed first) moves to the
+            // heap, so it cannot turn every later key away from the run.
+            let lone = self.run.pop_front();
+            self.run.push_back(key);
+            self.heap_push(lone);
+        } else {
+            self.heap_push(key);
+        }
+    }
+
+    fn pop(&mut self) -> Option<HeapKey> {
+        if self.run_first() {
+            Some(self.run.pop_front())
+        } else {
+            self.heap_pop()
+        }
+    }
+
+    /// Every queued key, in no particular order.
+    fn iter(&self) -> impl Iterator<Item = &HeapKey> {
+        self.keys.iter().chain(self.run.iter())
+    }
+
+    fn heap_push(&mut self, key: HeapKey) {
         self.keys.push(key);
         // Sift up with a hole: move parents down until `key` fits.
         let mut i = self.keys.len() - 1;
@@ -195,7 +315,7 @@ impl KeyHeap {
         self.keys[i] = key;
     }
 
-    fn pop(&mut self) -> Option<HeapKey> {
+    fn heap_pop(&mut self) -> Option<HeapKey> {
         let top = *self.keys.first()?;
         let last = self.keys.pop().expect("non-empty");
         if self.keys.is_empty() {
@@ -664,13 +784,12 @@ impl<W> Sim<W> {
     /// every pending event is local (or nothing is pending) — the state
     /// in which a shard no longer constrains the global safe horizon.
     ///
-    /// A full scan of the heap's backing vector, not a pop: the window
+    /// A full scan of the key queue (heap and run), not a pop: the window
     /// loop calls this once per negotiation, where O(pending) is noise
     /// next to the rendezvous it elides; the hot firing path is
     /// untouched.
     pub fn peek_next_bound(&self) -> Option<SimTime> {
         self.heap
-            .keys
             .iter()
             .filter(|k| {
                 let slot = &self.slots[k.slot as usize];
@@ -1104,12 +1223,21 @@ mod tests {
         sim.schedule_at(SimTime::from_nanos(9), |w: &mut Vec<u64>, _: &mut _| {
             w.push(9)
         });
+        sim.schedule_classed_at(
+            SimTime::from_nanos(6),
+            UNKEYED,
+            EventClass::Local,
+            |w: &mut Vec<u64>, _: &mut _| w.push(6),
+        );
+        // The bound event sits in the run and only a local one in the heap:
+        // the scan must read both.
+        assert_eq!((sim.heap.run.len, sim.heap.keys.len()), (2, 1));
         // The local event is earlier, but only the bound one constrains
         // the horizon — and the class never changes firing order.
         assert_eq!(sim.peek_next(), Some(SimTime::from_nanos(5)));
         assert_eq!(sim.peek_next_bound(), Some(SimTime::from_nanos(9)));
         sim.run(&mut out);
-        assert_eq!(out, vec![5, 9]);
+        assert_eq!(out, vec![5, 6, 9]);
     }
 
     #[test]
@@ -1117,6 +1245,7 @@ mod tests {
         let mut sim: Sim<u64> = Sim::new();
         let a = sim.schedule_at(SimTime::from_nanos(3), |_: &mut u64, _: &mut _| {});
         sim.cancel(a);
+        assert_eq!(sim.heap.run.len, 1, "the cancelled key sits in the run");
         assert_eq!(sim.peek_next_bound(), None, "cancelled bound event");
         // Drain so the slot is reclaimed, then reuse it for a local event:
         // the stale Bound class must not leak through.
@@ -1145,5 +1274,93 @@ mod tests {
         assert_eq!(sim.now(), SimTime::from_nanos(7));
         sim.fast_forward(SimTime::from_nanos(3));
         assert_eq!(sim.now(), SimTime::from_nanos(7), "never moves backwards");
+    }
+
+    // --- the key queue's shape: a sorted run beside the heap ---
+
+    /// Hop `hop` of one packet down an 8-switch line: an edge wire, seven
+    /// trunks and the sink's edge wire, each armed `now + a constant
+    /// delay` — the push pattern the run is for.
+    fn line_hop(s: &mut Sim<()>, hop: usize) {
+        const DELAY_NS: [u64; 9] = [
+            1_050, 2_050, 2_050, 2_050, 2_050, 2_050, 2_050, 2_050, 1_050,
+        ];
+        if let Some(&d) = DELAY_NS.get(hop) {
+            s.schedule_in(
+                SimDuration::from_nanos(d),
+                move |_: &mut (), s: &mut Sim<()>| line_hop(s, hop + 1),
+            );
+        }
+    }
+
+    #[test]
+    fn line_shaped_chains_keep_the_heap_small() {
+        // A packet every 500 ns down the line: three interleaved
+        // constant-delay streams (500 / 1,050 / 2,050 ns) and ~33 keys
+        // queued. The longest-delay stream always appends to the run, so
+        // only the other two reach the heap. A far-future event armed
+        // first must not change that (the restart rule).
+        for far_first in [false, true] {
+            let mut sim: Sim<()> = Sim::new();
+            if far_first {
+                sim.schedule_at(SimTime::from_millis(1), |_: &mut (), _: &mut _| {});
+            }
+            sim.schedule_periodic(
+                SimTime::ZERO,
+                SimDuration::from_nanos(500),
+                |_: &mut (), s: &mut Sim<()>| {
+                    line_hop(s, 0);
+                    if s.now() < SimTime::from_micros(200) {
+                        Periodic::Continue
+                    } else {
+                        Periodic::Stop
+                    }
+                },
+            );
+            let (mut max_heap, mut max_pending) = (0, 0);
+            while sim.step(&mut ()) {
+                if sim.now() > SimTime::from_micros(20) {
+                    max_heap = max_heap.max(sim.heap.keys.len());
+                    max_pending = max_pending.max(sim.pending());
+                }
+            }
+            assert!(max_pending >= 30, "the line queues ~33 keys");
+            assert!(
+                max_heap <= 8,
+                "far_first={far_first}: heap held {max_heap} keys"
+            );
+            // 401 packets, a generator tick and nine hops each, plus the
+            // far-future event.
+            assert_eq!(sim.events_fired(), 401 * 10 + far_first as u64);
+        }
+    }
+
+    #[test]
+    fn monotone_pushes_beyond_the_run_fire_in_order() {
+        let mut sim: Sim<Vec<u64>> = Sim::new();
+        let mut out = Vec::new();
+        // Same-instant pairs, so FIFO ties cross the run/heap boundary.
+        let arm = |sim: &mut Sim<Vec<u64>>, range: std::ops::Range<u64>| {
+            for i in range {
+                sim.schedule_at(
+                    SimTime::from_nanos(i / 2),
+                    move |w: &mut Vec<u64>, _: &mut _| w.push(i),
+                );
+            }
+        };
+        let n = 3 * RUN_CAP as u64;
+        arm(&mut sim, 0..n);
+        assert_eq!(
+            (sim.heap.run.len, sim.heap.keys.len()),
+            (RUN_CAP, 2 * RUN_CAP)
+        );
+        for _ in 0..10 {
+            sim.step(&mut out);
+        }
+        // The run has room again; the next monotone batch wraps its ring.
+        arm(&mut sim, n..2 * n);
+        assert_eq!(sim.heap.run.len, RUN_CAP);
+        sim.run(&mut out);
+        assert_eq!(out, (0..2 * n).collect::<Vec<_>>());
     }
 }

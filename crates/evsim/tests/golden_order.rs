@@ -1,28 +1,48 @@
 //! Golden-order property test for the slab-backed event queue.
 //!
-//! The slab arena + key heap in `edp_evsim::Sim` is an acceleration
-//! structure; its observable firing semantics must be bit-for-bit those
-//! of the obvious reference implementation — a flat list scanned for the
-//! minimum `(time, seq)` — under arbitrary interleavings of one-shot
-//! schedules, periodic timers, pre-run and mid-run cancellations, and
-//! handlers that schedule more work. Times are drawn from a tiny range so
-//! same-instant ties (the FIFO-order guarantee) are exercised constantly.
+//! The slab arena + key queue (a 4-ary heap beside a sorted append-only
+//! run) in `edp_evsim::Sim` is an acceleration structure; its observable
+//! firing semantics must be bit-for-bit those of the obvious reference
+//! implementation — a flat list scanned for the minimum
+//! `(time, key, seq)` — under arbitrary interleavings of one-shot and
+//! keyed schedules, periodic timers, self-re-arming constant-delay chains,
+//! pre-run and mid-run cancellations, and handlers that schedule more
+//! work. Times are drawn from a small range so same-instant ties (keyed
+//! order, then FIFO) are exercised constantly, yet wide enough that
+//! interleaved chains keep both the run and the heap populated; an
+//! optional far-future event armed first exercises the run's restart
+//! rule.
 //!
 //! Both executors log every observable: fired tags in order, and the
 //! boolean result of every cancellation. The logs must match exactly.
 
-use edp_evsim::{EventId, Periodic, Sim, SimDuration, SimTime};
+use edp_evsim::{EventId, Periodic, Sim, SimDuration, SimTime, UNKEYED};
 use proptest::prelude::*;
+
+/// Time range of build-phase events, in ns.
+const T: u64 = 64;
+
+/// Far beyond every other event: armed first, it is the run's lone key
+/// until the restart rule moves it to the heap.
+const FAR: u64 = 1_000_000;
 
 /// One build-phase command, applied identically to both executors.
 #[derive(Debug, Clone)]
 enum Cmd {
     /// One-shot event at absolute time `t`.
     Once { t: u64 },
+    /// One-shot event at `t` with same-instant ordering key `key`.
+    Keyed { t: u64, key: u64 },
     /// Periodic event starting at `t`, firing every `period`, `ticks` times.
     Periodic { t: u64, period: u64, ticks: u64 },
+    /// Event at `d` that re-schedules itself at `now + d`, `n` firings in
+    /// all: a monotone stream, the run's common case.
+    Chain { d: u64, n: u64 },
     /// Immediate (pre-run) cancel of a previously issued id.
     CancelNow { raw: u64 },
+    /// Immediate cancel of the newest id, which sits at the run's back
+    /// whenever its key appended there.
+    CancelNewest,
     /// Event at `t` that cancels a previously issued id when it fires.
     CancelAt { t: u64, raw: u64 },
     /// Event at `t` whose handler schedules a child `child_dt` later.
@@ -31,21 +51,24 @@ enum Cmd {
 
 fn cmd_strategy() -> BoxedStrategy<Cmd> {
     prop_oneof![
-        (0u64..16).prop_map(|t| Cmd::Once { t }),
-        ((0u64..16), (1u64..4), (1u64..4)).prop_map(|(t, period, ticks)| Cmd::Periodic {
+        (0u64..T).prop_map(|t| Cmd::Once { t }),
+        ((0u64..T), (0u64..4)).prop_map(|(t, key)| Cmd::Keyed { t, key }),
+        ((0u64..T), (1u64..8), (1u64..6)).prop_map(|(t, period, ticks)| Cmd::Periodic {
             t,
             period,
             ticks
         }),
+        ((0u64..24), (1u64..8)).prop_map(|(d, n)| Cmd::Chain { d, n }),
         any::<u64>().prop_map(|raw| Cmd::CancelNow { raw }),
-        ((0u64..16), any::<u64>()).prop_map(|(t, raw)| Cmd::CancelAt { t, raw }),
-        ((0u64..16), (0u64..4)).prop_map(|(t, child_dt)| Cmd::Nested { t, child_dt }),
+        Just(Cmd::CancelNewest),
+        ((0u64..T), any::<u64>()).prop_map(|(t, raw)| Cmd::CancelAt { t, raw }),
+        ((0u64..T), (0u64..16)).prop_map(|(t, child_dt)| Cmd::Nested { t, child_dt }),
     ]
     .boxed()
 }
 
 // ---------------------------------------------------------------------
-// Reference executor: flat list, linear scan for min (time, seq).
+// Reference executor: flat list, linear scan for min (time, key, seq).
 // ---------------------------------------------------------------------
 
 #[derive(Debug)]
@@ -67,6 +90,7 @@ enum RefAction {
 #[derive(Debug)]
 struct RefEv {
     time: u64,
+    key: u64,
     seq: u64,
     action: RefAction,
 }
@@ -87,8 +111,17 @@ impl RefModel {
     }
 
     fn schedule(&mut self, time: u64, action: RefAction) -> u64 {
+        self.schedule_keyed(time, UNKEYED, action)
+    }
+
+    fn schedule_keyed(&mut self, time: u64, key: u64, action: RefAction) -> u64 {
         let seq = self.alloc_seq();
-        self.pending.push(RefEv { time, seq, action });
+        self.pending.push(RefEv {
+            time,
+            key,
+            seq,
+            action,
+        });
         seq
     }
 
@@ -108,7 +141,7 @@ impl RefModel {
                 .pending
                 .iter()
                 .enumerate()
-                .min_by_key(|(_, e)| (e.time, e.seq))
+                .min_by_key(|(_, e)| (e.time, e.key, e.seq))
                 .map(|(i, _)| i)
             else {
                 return;
@@ -154,7 +187,20 @@ impl RefModel {
 // The property
 // ---------------------------------------------------------------------
 
-fn run_script(cmds: &[Cmd]) -> (Vec<i64>, Vec<i64>, usize) {
+/// Arms the next link of a chain at `now + d`; `left` firings remain.
+fn chain(s: &mut Sim<Vec<i64>>, d: u64, left: u64, tag: i64) -> EventId {
+    s.schedule_in(
+        SimDuration::from_nanos(d),
+        move |w: &mut Vec<i64>, s: &mut Sim<Vec<i64>>| {
+            w.push(tag);
+            if left > 1 {
+                chain(s, d, left - 1, tag);
+            }
+        },
+    )
+}
+
+fn run_script(far_first: bool, cmds: &[Cmd]) -> (Vec<i64>, Vec<i64>, usize) {
     let mut sim: Sim<Vec<i64>> = Sim::new();
     let mut model = RefModel::default();
     let mut ids: Vec<EventId> = Vec::new();
@@ -167,7 +213,8 @@ fn run_script(cmds: &[Cmd]) -> (Vec<i64>, Vec<i64>, usize) {
         next_tag
     };
 
-    for cmd in cmds {
+    let far = far_first.then_some(Cmd::Once { t: FAR });
+    for cmd in far.iter().chain(cmds) {
         match *cmd {
             Cmd::Once { t } => {
                 let tg = tag();
@@ -176,6 +223,15 @@ fn run_script(cmds: &[Cmd]) -> (Vec<i64>, Vec<i64>, usize) {
                     move |w: &mut Vec<i64>, _: &mut Sim<Vec<i64>>| w.push(tg),
                 ));
                 mids.push(model.schedule(t, RefAction::Once(tg)));
+            }
+            Cmd::Keyed { t, key } => {
+                let tg = tag();
+                ids.push(sim.schedule_keyed_at(
+                    SimTime::from_nanos(t),
+                    key,
+                    move |w: &mut Vec<i64>, _: &mut Sim<Vec<i64>>| w.push(tg),
+                ));
+                mids.push(model.schedule_keyed(t, key, RefAction::Once(tg)));
             }
             Cmd::Periodic { t, period, ticks } => {
                 let tg = tag();
@@ -201,6 +257,26 @@ fn run_script(cmds: &[Cmd]) -> (Vec<i64>, Vec<i64>, usize) {
                         tag: tg,
                     },
                 ));
+            }
+            Cmd::Chain { d, n } => {
+                let tg = tag();
+                ids.push(chain(&mut sim, d, n, tg));
+                // The reference fires a chain exactly as a periodic timer;
+                // only the simulator arms each link as a fresh event.
+                mids.push(model.schedule(
+                    d,
+                    RefAction::Periodic {
+                        period: d,
+                        left: n,
+                        tag: tg,
+                    },
+                ));
+            }
+            Cmd::CancelNewest => {
+                if let (Some(&id), Some(&mid)) = (ids.last(), mids.last()) {
+                    build_log_sim.push(2000 + sim.cancel(id) as i64);
+                    build_log_model.push(2000 + model.cancel(mid) as i64);
+                }
             }
             Cmd::CancelNow { raw } => {
                 if ids.is_empty() {
@@ -265,9 +341,10 @@ fn run_script(cmds: &[Cmd]) -> (Vec<i64>, Vec<i64>, usize) {
 proptest! {
     #[test]
     fn slab_queue_fires_in_reference_order(
-        cmds in prop::collection::vec(cmd_strategy(), 0..40)
+        far_first: bool,
+        cmds in prop::collection::vec(cmd_strategy(), 0..48)
     ) {
-        let (sim_log, model_log, sim_pending) = run_script(&cmds);
+        let (sim_log, model_log, sim_pending) = run_script(far_first, &cmds);
         prop_assert_eq!(&sim_log, &model_log);
         prop_assert_eq!(sim_pending, 0, "queue fully drained");
     }
@@ -297,8 +374,18 @@ fn golden_order_fixed_script() {
             ticks: 2,
         },
         Cmd::CancelNow { raw: 9 },
+        Cmd::Chain { d: 3, n: 6 },
+        Cmd::Keyed { t: 9, key: 2 },
+        Cmd::Chain { d: 5, n: 4 },
+        Cmd::Keyed { t: 9, key: 0 },
+        Cmd::Once { t: 40 },
+        Cmd::CancelNewest,
+        Cmd::Chain { d: 7, n: 3 },
+        Cmd::CancelAt { t: 8, raw: 13 },
     ];
-    let (sim_log, model_log, sim_pending) = run_script(&cmds);
-    assert_eq!(sim_log, model_log);
-    assert_eq!(sim_pending, 0);
+    for far_first in [false, true] {
+        let (sim_log, model_log, sim_pending) = run_script(far_first, &cmds);
+        assert_eq!(sim_log, model_log, "far_first={far_first}");
+        assert_eq!(sim_pending, 0);
+    }
 }

@@ -102,6 +102,9 @@ struct OutQueue {
     /// a single deque kept sorted by (rank, seq).
     lanes: Vec<VecDeque<Item>>,
     bytes: u64,
+    /// Packets across all lanes: read for every port on every service
+    /// pass, so it is kept rather than summed.
+    pkts: u32,
     next_seq: u64,
     /// Cumulative statistics.
     enqueued: u64,
@@ -120,6 +123,7 @@ impl OutQueue {
             cfg,
             lanes: (0..lanes).map(|_| VecDeque::new()).collect(),
             bytes: 0,
+            pkts: 0,
             next_seq: 0,
             enqueued: 0,
             dequeued: 0,
@@ -130,7 +134,11 @@ impl OutQueue {
 
     #[inline]
     fn depth_pkts(&self) -> u32 {
-        self.lanes.iter().map(|l| l.len() as u32).sum()
+        debug_assert_eq!(
+            self.pkts,
+            self.lanes.iter().map(|l| l.len() as u32).sum::<u32>()
+        );
+        self.pkts
     }
 
     /// True when a `len`-byte packet of `rank` fits: the one capacity
@@ -150,6 +158,7 @@ impl OutQueue {
     fn push(&mut self, pkt: Packet, meta: StdMeta, now: SimTime) {
         let rank = meta.rank;
         self.bytes += pkt.len() as u64;
+        self.pkts += 1;
         self.enqueued += 1;
         let item = Item {
             pkt,
@@ -183,6 +192,7 @@ impl OutQueue {
         for lane in &mut self.lanes {
             if let Some(item) = lane.pop_front() {
                 self.bytes -= item.pkt.len() as u64;
+                self.pkts -= 1;
                 self.dequeued += 1;
                 return Some(item);
             }
@@ -277,6 +287,7 @@ impl TrafficManager {
     }
 
     /// Depth of `port`'s queue in packets.
+    #[inline]
     pub fn depth_pkts(&self, port: PortId) -> u32 {
         self.queues[port as usize].depth_pkts()
     }

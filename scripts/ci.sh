@@ -4,7 +4,8 @@
 #   scripts/ci.sh               # full local gate (everything below)
 #   scripts/ci.sh --quick       # fmt, build, test, edp_lint, one-parse-path
 #                               # grep, telemetry smoke, paper-reproduction pin
-#   scripts/ci.sh --gate        # fmt, clippy, edp_lint (+ SARIF artifact),
+#   scripts/ci.sh --gate        # fmt, clippy, golden_order at 5000 cases,
+#                               # edp_lint (+ SARIF artifact),
 #                               # one-parse-path grep, telemetry smoke,
 #                               # pcap fixture round-trip, replay smoke,
 #                               # paper-reproduction pin, benchmark smoke
@@ -170,6 +171,13 @@ step_pcap() {
     done
 }
 
+step_golden_order() {
+    echo "==> golden_order at 5000 cases (the event queue's order contract)"
+    # The key queue's run beside the heap is specified only by this
+    # property: every firing order equals the linear-scan reference's.
+    PROPTEST_CASES=5000 cargo test --offline --release -q -p edp-evsim --test golden_order
+}
+
 step_clippy() {
     echo "==> cargo clippy (-D warnings)"
     cargo clippy --offline --all-targets -q -- -D warnings
@@ -244,6 +252,7 @@ gate)
     step_fmt
     step_build
     step_clippy
+    step_golden_order
     step_lint
     step_parse_path
     step_lint_sarif
@@ -262,6 +271,7 @@ full)
     step_pcap
     step_reproduction
     step_clippy
+    step_golden_order
     step_bench_gate
     ;;
 esac
