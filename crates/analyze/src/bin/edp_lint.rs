@@ -25,7 +25,7 @@ over every registered app.
   --sarif           SARIF 2.1.0 report on stdout (for code-scanning UIs)
   --effects         per-app effect-summary report: observed vs declared
                     vs closure emission footprints, and whether the
-                    app's timers certify as shard-local
+                    app's timers certify as emission-free
   --deny warnings   fail (exit 1) on active warnings, not just errors
   --seed N          seed for the randomized merge-op sweep
 
@@ -255,7 +255,8 @@ fn print_human(results: &[AppResult]) {
 }
 
 /// The `--effects` view: observed vs declared vs closure footprints per
-/// kind, per app, plus the timer certificate the engine would load.
+/// kind, per app, plus whether the app's timer cascade certifies as
+/// emission-free (`timers certified local`; no engine reads it).
 fn print_effects() {
     for mut app in builtin_apps() {
         let rep = effect_report(app.program.as_mut(), &app.manifest);

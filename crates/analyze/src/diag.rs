@@ -58,8 +58,7 @@ pub enum LintCode {
     AccessorMismatch,
     /// `EDP-W008` — probing observed a handler emit a frame but the app
     /// declares no emission map at all (open world). Nothing is wrong at
-    /// runtime, but the app certifies nothing: the sharded engine must
-    /// treat every one of its events as horizon-bound. Declaring the
+    /// runtime, but the app certifies nothing about its emissions. Declaring the
     /// observed footprint (or `no_emissions()`) upgrades the app to a
     /// checkable closed world.
     UndeclaredEmission,
@@ -86,11 +85,7 @@ pub enum LintCode {
     NonExactInExactTable,
     /// `EDP-E007` — probing observed an emission outside the app's
     /// declared closed-world effect summary: a handler cascade transmits
-    /// on a path the declaration says cannot transmit. The sharded
-    /// engine's certificate-aware horizon *spends* these summaries
-    /// (certified-local events skip cross-shard rendezvous), so a
-    /// violated summary is not a style issue — it breaks the safe-window
-    /// induction and with it determinism.
+    /// on a path the declaration says cannot transmit.
     SummaryViolation,
 }
 

@@ -7,10 +7,8 @@
 //! user events, generated/recirculated packets). The dynamic side is
 //! the probe pass ([`crate::access::extract`]): every frame-routing
 //! decision a handler or its cascade made, attributed to the *entry*
-//! kind that started the cascade — the same attribution the sharded
-//! engine's certificate-aware horizon relies on when it classifies
-//! pending events as certified-local. The check is one subset relation
-//! per entry kind:
+//! kind that started the cascade. The check is one subset relation per
+//! entry kind:
 //!
 //! ```text
 //! observed(K)  ⊆  closure(K)
@@ -20,9 +18,8 @@
 //! `Any`, so nothing can be violated — but every observed emission is
 //! an [`EDP-W008`](crate::LintCode::UndeclaredEmission) nudge to close
 //! the world. For a closed-world app, an uncovered observation is an
-//! [`EDP-E007`](crate::LintCode::SummaryViolation) error: the engine
-//! *spends* these summaries to skip cross-shard rendezvous, so a wrong
-//! declaration breaks determinism, not style.
+//! [`EDP-E007`](crate::LintCode::SummaryViolation) error: the
+//! declaration claims a silence the program does not keep.
 
 use crate::access::AccessMatrix;
 use crate::diag::{Diagnostic, LintCode};
@@ -39,7 +36,7 @@ pub struct EffectRow {
     /// The manifest's direct declaration for the kind.
     pub declared: EmitFootprint,
     /// The declaration closed over raise/generate/recirculate paths —
-    /// what the engine actually trusts.
+    /// what the certificate actually claims.
     pub closure: EmitFootprint,
 }
 
@@ -50,8 +47,8 @@ pub struct EffectReport {
     pub app: String,
     /// True when the manifest declares a (possibly empty) emission map.
     pub closed_world: bool,
-    /// True when the app's timer cascade provably cannot emit — the
-    /// certificate the sharded engine spends on timer cranks.
+    /// True when the app's timer cascade provably cannot emit
+    /// ([`EffectSummary::timer_local`]).
     pub timer_local: bool,
     /// One row per kind the app handles or was observed emitting under.
     pub rows: Vec<EffectRow>,

@@ -210,8 +210,8 @@ fn summary_violation_is_e007() {
     // Declares only the ingress footprint, silently omitting both the
     // `generates()` flag and the timer's generated-frame cascade. The
     // closed world then claims closure(Timer) = None while probing
-    // watches the timer cascade emit: the exact lie the sharded engine
-    // must never load as a certificate.
+    // watches the timer cascade emit: the exact lie the certificate
+    // exists to catch.
     let manifest = emitter_manifest().emits(EventKind::IngressPacket, EmitFootprint::Any);
     let report = lint_app(&mut CovertTimerEmitter, &manifest, SEED);
     let e007 = report

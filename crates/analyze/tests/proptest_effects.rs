@@ -7,8 +7,8 @@
 //! declarations; this test compares the real `EventSwitch` dispatch
 //! path — queues, overflow trims, recirculation, generated frames,
 //! timers, control-plane opcodes, link flaps — against the same
-//! declarations. If it fails, a manifest is lying and the sharded
-//! engine would certify events an app in fact publishes on.
+//! declarations. If it fails, a manifest is lying: its certificate
+//! claims silence on a path the app in fact transmits on.
 
 use edp_apps::registry::builtin_apps;
 use edp_core::{EffectSummary, EventKind, EventSwitch, EventSwitchConfig, TimerSpec};

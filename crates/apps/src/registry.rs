@@ -89,7 +89,7 @@ pub fn builtin_apps() -> Vec<RegisteredApp> {
                 .timers([hula::TIMER_PROBE])
                 // Probe decay and tx-rate accounting only: the timer and
                 // transmit handlers touch no wire, so the closed world
-                // certifies spine timer cranks as shard-local.
+                // certifies spine timer cranks as emission-free.
                 .emits(IngressPacket, EmitFootprint::Any)
                 .source(file!()),
             program: Box::new(hula::HulaSpine::new(
@@ -201,7 +201,7 @@ pub fn builtin_apps() -> Vec<RegisteredApp> {
                 .generates()
                 // The stats timer itself is silent, but `generates()` is
                 // app-global: cache-hit replies keep the timer closure
-                // open, so netcache timers stay horizon-bound. Honest.
+                // open, so netcache timers stay uncertified. Honest.
                 .emits(IngressPacket, EmitFootprint::Any)
                 .emits(GeneratedPacket, EmitFootprint::Any)
                 .source(file!()),
@@ -287,9 +287,9 @@ mod tests {
         }
     }
 
-    /// Pins which timers the effects analysis certifies as shard-local.
+    /// Pins which timers the effects analysis certifies as emission-free.
     /// Adding an emission path to a certified app's timer cascade must
-    /// consciously move it to the horizon-bound list, not silently lose
+    /// consciously move it off the certified list, not silently lose
     /// (or worse, silently keep) the certificate.
     #[test]
     fn timer_certificates_match_the_documented_set() {

@@ -253,21 +253,11 @@ fn drive(app: &str, seed: u64, duration: SimDuration, workload: &TopWorkload) ->
         }),
         _ => reg_app.program,
     };
-    let summary = edp_core::EffectSummary::from_manifest(&reg_app.manifest);
     let sw: EventSwitch<Box<dyn EventProgram>> = EventSwitch::new(program, cfg);
     // One sender on port 0, sink behind a 50 Mb/s bottleneck on port 1 —
     // the port most registry apps egress to — so ~190 Mb/s of CBR load
     // builds real queues and forces overflow/trim paths.
     let (mut net, senders, sink, _) = dumbbell(Box::new(sw), 1, 50_000_000, seed);
-    // The app's emission certificate rides along. On the one-world
-    // engine an event's class is metadata only, but a certified-local
-    // timer crank arms `crank_timers`' debug assertion that the crank
-    // transmitted nothing, so every registry app's certificate is checked
-    // in debug runs. The ReturnPath front adds an undeclared client-bound
-    // ingress emission, so the endpoint workload runs uncertified.
-    if !matches!(workload, TopWorkload::Endpoints { .. }) {
-        net.install_effect_summary(0, summary);
-    }
     let mut sim: Sim<Network> = Sim::new();
     let until = SimTime::ZERO + duration;
     match workload {

@@ -1,10 +1,8 @@
 //! Static effect summaries: what an event program can *do to the wire*.
 //!
-//! The sharded engine (see `edp-netsim`) advances each shard in
-//! conservative safe-horizon windows; the horizon exists only because a
-//! handler firing *might* transmit a frame toward another shard. An
-//! [`EffectSummary`] is the per-app certificate that bounds that
-//! possibility: for every [`EventKind`] it gives a conservative
+//! An [`EffectSummary`] is the per-app certificate that bounds which
+//! handler firings *might* transmit a frame: for every [`EventKind`] it
+//! gives a conservative
 //! [`EmitFootprint`] — the set of ports on which handling an event of
 //! that kind can cause a frame to leave the switch, closed over the
 //! indirect paths (raised user events, generated/recirculated packets)
@@ -15,10 +13,9 @@
 //! open-world and certify nothing) and *cross-checked* by `edp-analyze`,
 //! which drives the probe over every declared event and reports any
 //! observed emission not covered by the declaration (lints EDP-W008 /
-//! EDP-E007). The engine trusts only the declared, lint-checked closure:
-//! an event kind whose closure footprint is [`EmitFootprint::None`]
-//! cannot make a handler transmit, so events of that kind never need a
-//! cross-shard rendezvous.
+//! EDP-E007). The certificate is static tooling: no engine reads it. An
+//! event kind whose closure footprint is [`EmitFootprint::None`] cannot
+//! make a handler transmit.
 
 use crate::event::EventKind;
 use crate::manifest::AppManifest;
@@ -122,9 +119,8 @@ pub struct EffectSummary {
 
 impl EffectSummary {
     /// Builds the summary from a manifest's declarations. Purely static:
-    /// no probing, no traffic — this is the certificate the sharded
-    /// engine loads at partition time, and `edp-analyze` is the pass that
-    /// checks the declarations against observed behavior.
+    /// no probing, no traffic — `edp-analyze` is the pass that checks the
+    /// declarations against observed behavior.
     pub fn from_manifest(m: &AppManifest) -> EffectSummary {
         EffectSummary {
             app: m.name,
@@ -191,9 +187,9 @@ impl EffectSummary {
         acc
     }
 
-    /// True when firing a timer provably cannot transmit a frame — the
-    /// certificate that lets the sharded engine classify this switch's
-    /// timer cranks as local and extend the safe horizon past them.
+    /// True when firing a timer provably cannot transmit a frame: the
+    /// whole timer cascade (handler, raised user events, generated
+    /// packets) emits nothing.
     pub fn timer_local(&self) -> bool {
         !self.closure(EventKind::TimerExpiration).can_emit()
     }

@@ -44,9 +44,7 @@ mod time;
 pub use clock::{ClockDomain, Cycles};
 pub use parallel::{default_threads, sweep};
 pub use rng::{SimRng, Zipf};
-pub use shard::{
-    drive_windows, env_config_error, safe_horizon, DriveStats, HorizonMode, WindowSync,
-};
-pub use sim::{EventClass, EventFn, EventId, Periodic, Sim, UNKEYED};
+pub use shard::{drive_windows, safe_horizon, DriveStats, HorizonMode, WindowSync};
+pub use sim::{EventFn, EventId, Periodic, Sim, UNKEYED};
 pub use stats::{jain_fairness, percentile, Counter, TimeSeries, Welford};
 pub use time::{SimDuration, SimTime};

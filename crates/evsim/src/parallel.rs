@@ -124,8 +124,8 @@ where
 /// (simulation sweeps are memory-bandwidth-bound beyond that). The cap can
 /// be overridden with the `EDP_SWEEP_THREADS` environment variable, e.g.
 /// to pin CI boxes to a single worker or to use a bigger machine fully.
-/// A value that is not a non-negative integer exits with a diagnostic
-/// naming it ([`crate::env_config_error`]).
+/// A value that is not a non-negative integer exits with status 2 and a
+/// diagnostic naming it.
 pub fn default_threads() -> usize {
     let raw = std::env::var_os("EDP_SWEEP_THREADS").unwrap_or_default();
     let raw = raw.to_string_lossy();
@@ -135,12 +135,19 @@ pub fn default_threads() -> usize {
             .map(|n| n.get())
             .unwrap_or(1)
             .min(8),
-        Err(()) => crate::env_config_error(
+        Err(()) => env_config_error(
             "EDP_SWEEP_THREADS",
             raw.trim(),
             "a non-negative worker count (0 clamps to 1)",
         ),
     }
+}
+
+/// Diagnostic exit for a misconfigured environment knob: name the
+/// variable and the bad value, never silently coerce.
+fn env_config_error(var: &str, got: &str, want: &str) -> ! {
+    eprintln!("error: {var} must be {want}, got `{got}`");
+    std::process::exit(2);
 }
 
 /// Parses an `EDP_SWEEP_THREADS` value: blank means unset (`None`), a

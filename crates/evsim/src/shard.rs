@@ -11,7 +11,7 @@
 //!
 //! 1. accept messages delivered at the previous window's close,
 //! 2. publish the local earliest pending-event time and take the global
-//!    minimum ([`WindowSync::negotiate_bound`]),
+//!    minimum ([`WindowSync::negotiate`]),
 //! 3. fire everything strictly before the safe horizon
 //!    ([`Sim::run_before`]),
 //! 4. hand outbound messages to their destination shards and barrier
@@ -21,12 +21,8 @@
 //! that many lookahead-sized sub-windows, each closed by a single
 //! combined exchange-and-vote barrier ([`WindowSync::exchange_vote`])
 //! instead of a fresh negotiation — see [`drive_windows`] for the
-//! induction that keeps this conservative.
-//! Sub-steps that provably cannot carry traffic anywhere — every event
-//! below the group's negotiated *bound floor* is certified emission-free —
-//! skip even that barrier and free-run to the next sub-horizon
-//! (*exchange elision*, counted in [`DriveStats::elided`]). This barrier
-//! loop is the engine's only synchronization protocol.
+//! induction that keeps this conservative. This barrier loop is the
+//! engine's only synchronization protocol.
 //!
 //! The loop ends when no shard has an event at or before the deadline;
 //! messages cannot appear out of thin air, so the shards agree on that
@@ -87,9 +83,6 @@ pub struct WindowSync {
     vote_latched: AtomicBool,
     /// Per-shard earliest-pending-event slots for the negotiation.
     next: Vec<PaddedU64>,
-    /// Per-shard earliest *bound* (emission-capable) event slots, folded
-    /// by [`WindowSync::negotiate_bound`] into the elision floor.
-    bound: Vec<PaddedU64>,
     /// Per-destination publish sequence counters: bumped after a message
     /// lands in that destination's mailbox, so receivers drain only when
     /// something actually arrived.
@@ -119,7 +112,6 @@ impl WindowSync {
             vote_accum: AtomicBool::new(false),
             vote_latched: AtomicBool::new(false),
             next: (0..shards).map(|_| PaddedU64::new(NONE_NS)).collect(),
-            bound: (0..shards).map(|_| PaddedU64::new(NONE_NS)).collect(),
             inbox_seq: (0..shards).map(|_| PaddedU64::new(0)).collect(),
             park: Mutex::new(()),
             cv: Condvar::new(),
@@ -201,37 +193,20 @@ impl WindowSync {
         self.wait_with(|_| {});
     }
 
-    /// Publishes this shard's earliest pending event time and its earliest
-    /// *bound* (emission-capable) event time, and returns the global
-    /// minimum of each over all shards. Every shard must call this once
-    /// per window; all callers return the same pair. The second value is
-    /// the group's emission floor: no shard can publish a message from an
-    /// event strictly before it, so sub-steps entirely below it need no
-    /// rendezvous at all (see [`drive_windows`]).
-    pub fn negotiate_bound(
-        &self,
-        shard: usize,
-        local_next: Option<SimTime>,
-        local_bound: Option<SimTime>,
-    ) -> (Option<SimTime>, Option<SimTime>) {
+    /// Publishes this shard's earliest pending event time and returns the
+    /// global minimum over all shards. Every shard must call this once per
+    /// window; all callers return the same value.
+    pub fn negotiate(&self, shard: usize, local_next: Option<SimTime>) -> Option<SimTime> {
         self.check_poison();
         self.next[shard]
             .0
             .store(pack(local_next), Ordering::Release);
-        self.bound[shard]
-            .0
-            .store(pack(local_bound), Ordering::Release);
         self.wait();
-        let mut g_next = NONE_NS;
-        let mut g_bound = NONE_NS;
-        for s in 0..self.shards {
-            g_next = g_next.min(self.next[s].0.load(Ordering::Acquire));
-            g_bound = g_bound.min(self.bound[s].0.load(Ordering::Acquire));
-        }
+        let global = self.next.iter().map(|s| s.0.load(Ordering::Acquire)).min();
         // Second rendezvous so no shard can overwrite its slot for the
         // next window while a peer is still reading this one.
         self.wait();
-        (unpack(g_next), unpack(g_bound))
+        unpack(global.unwrap_or(NONE_NS))
     }
 
     /// Barrier after the outbound mailboxes are filled, so the next
@@ -277,23 +252,14 @@ impl WindowSync {
 }
 
 /// The one way the sharded engine synchronizes: negotiated windows of
-/// `lookahead`, stretched into sub-windows with rendezvous elided below
-/// the negotiated bound floor (see [`drive_windows`]). Nothing reads it —
-/// kept for `benchmark/`'s source compatibility; remove with the next
-/// benchmark PR.
+/// `lookahead`, stretched into sub-windows (see [`drive_windows`]).
+/// Nothing reads it — kept for `benchmark/`'s source compatibility;
+/// remove with the next benchmark PR.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum HorizonMode {
     /// The barrier loop of [`drive_windows`].
     #[default]
     Classic,
-}
-
-/// Diagnostic exit for a misconfigured environment knob, matching the
-/// engine's misconfiguration policy: name the variable and the bad value,
-/// never silently coerce.
-pub fn env_config_error(var: &str, got: &str, want: &str) -> ! {
-    eprintln!("error: {var} must be {want}, got `{got}`");
-    std::process::exit(2);
 }
 
 /// Counters returned by [`drive_windows`]; identical on every shard of a
@@ -306,11 +272,6 @@ pub struct DriveStats {
     /// every exchange/vote barrier counts one). The true synchronization
     /// cost of the run.
     pub barriers: u64,
-    /// Sub-steps advanced with *no* rendezvous because the whole span lay
-    /// at or below the group's negotiated bound floor (exchange elision).
-    /// Deterministic: the skip set is a pure function of the negotiated
-    /// floor, so every shard counts the same elisions.
-    pub elided: u64,
 }
 
 /// The exclusive event-execution bound for one window: events strictly
@@ -343,7 +304,7 @@ pub fn safe_horizon(
 /// it published anything. Both run on the shard's own thread.
 /// Returns [`DriveStats`], identical on every shard.
 ///
-/// # Sub-windows and elision
+/// # Sub-windows
 ///
 /// A full window negotiates the global earliest event time (two waits) and
 /// then fires everything before `global_next + lookahead` (one exchange
@@ -356,18 +317,7 @@ pub fn safe_horizon(
 /// early exit: when no shard has a pending event before the next
 /// sub-horizon and none published this round, every shard breaks back to
 /// negotiation in lockstep and the negotiated minimum jumps the idle gap
-/// in one hop.
-///
-/// *Exchange elision* removes the barrier from sub-steps that provably
-/// cannot carry traffic: the negotiation also folds the group's earliest
-/// **bound** (emission-capable) event ([`WindowSync::negotiate_bound`]).
-/// Every event strictly below that floor is certified emission-free, so a
-/// sub-step whose extended horizon stays at or below the floor publishes
-/// nothing on any shard — there is nothing to exchange and no vote worth
-/// taking, and every shard derives the identical skip from the identical
-/// floor. Those sub-steps merge into one free-running span (counted in
-/// [`DriveStats::elided`]); the first sub-step past the floor resumes the
-/// per-round vote. The executed schedule is identical for every
+/// in one hop. The executed schedule is identical for every
 /// `subwindows >= 1`; `subwindows == 1` is exactly the legacy protocol.
 #[allow(clippy::too_many_arguments)] // deliberate: the low-level engine entry point takes the full window protocol
 pub fn drive_windows<W>(
@@ -387,9 +337,7 @@ pub fn drive_windows<W>(
     loop {
         accept(world, sim);
         prof::lap(prof::Phase::Mailbox);
-        let local = sim.peek_next();
-        let local_bound = sim.peek_next_bound();
-        let (global, global_bound) = sync.negotiate_bound(shard, local, local_bound);
+        let global = sync.negotiate(shard, sim.peek_next());
         stats.barriers += 2;
         prof::lap(prof::Phase::Negotiate);
         let Some(global) = global else {
@@ -400,42 +348,12 @@ pub fn drive_windows<W>(
         }
         stats.windows += 1;
         let mut horizon = safe_horizon(global, lookahead, deadline);
-        let bound_ns = global_bound.map_or(cap, |b| b.as_nanos());
         let mut remaining = subwindows;
         loop {
-            // Exchange elision: sub-steps whose whole span stays at or
-            // below the group's bound floor cannot publish on any shard —
-            // extend the horizon with no rendezvous at all. Every shard
-            // derives the same span from the same negotiated floor, so
-            // the skip set (and the counters) stay identical group-wide.
-            let mut elided_here = 0u64;
-            if let Some(la) = lookahead {
-                while remaining > 1 && horizon.as_nanos() < cap {
-                    let next = horizon.as_nanos().saturating_add(la.as_nanos()).min(cap);
-                    if next > bound_ns {
-                        break;
-                    }
-                    horizon = SimTime::from_nanos(next);
-                    remaining -= 1;
-                    elided_here += 1;
-                }
-                if elided_here > 0 {
-                    stats.elided += elided_here;
-                    prof::lap(prof::Phase::Elide);
-                }
-            }
             sim.run_before(world, horizon);
             prof::lap(prof::Phase::Execute);
             let published = publish(world, sim, horizon);
             prof::lap(prof::Phase::Mailbox);
-            // The dynamic face of the elision proof: a span at or below
-            // the bound floor is certified emission-free, so publishing
-            // inside one means an effect summary lied (EDP-E007).
-            assert!(
-                !(published && horizon.as_nanos() <= bound_ns),
-                "a message was published inside an elided span ending at {horizon}: \
-                 an event below the negotiated bound floor emitted after all (EDP-E007)"
-            );
             remaining -= 1;
             // Extend by one more lookahead without renegotiating, unless
             // the sub-window budget or the deadline cap is exhausted.
@@ -473,7 +391,6 @@ pub fn drive_windows<W>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::{EventClass, UNKEYED};
 
     #[test]
     fn horizon_is_lookahead_past_next_capped_at_deadline() {
@@ -606,10 +523,10 @@ mod tests {
         }
     }
 
-    /// A shard whose every pending event is certified local must not drag
-    /// its peer through per-event rendezvous: the loop elides the barrier
-    /// for every sub-step below the negotiated bound floor.
-    fn local_chain(subwindows: usize) -> (Vec<u64>, DriveStats) {
+    /// Runs a self-perpetuating chain on shard 0 beside an idle shard 1,
+    /// with no traffic between them, and returns shard 0's fired-time log
+    /// and its drive stats.
+    fn self_chain(subwindows: usize) -> (Vec<u64>, DriveStats) {
         use std::sync::Mutex as StdMutex;
         let sync = WindowSync::new(2);
         let log: StdMutex<Vec<u64>> = StdMutex::new(Vec::new());
@@ -625,16 +542,15 @@ mod tests {
                     let mut world: World = Vec::new();
                     let mut sim: Sim<World> = Sim::new();
                     if me == 0 {
-                        // A self-perpetuating certified-local chain: fires
-                        // every 5 ns, never publishes anything.
+                        // Fires every 5 ns and never publishes anything.
                         fn tick(w: &mut Vec<u64>, s: &mut Sim<Vec<u64>>) {
                             w.push(s.now().as_nanos());
                             let next = s.now() + SimDuration::from_nanos(5);
                             if next <= SimTime::from_nanos(100) {
-                                s.schedule_classed_at(next, UNKEYED, EventClass::Local, tick);
+                                s.schedule_at(next, tick);
                             }
                         }
-                        sim.schedule_classed_at(SimTime::ZERO, UNKEYED, EventClass::Local, tick);
+                        sim.schedule_at(SimTime::ZERO, tick);
                     }
                     let stats = drive_windows(
                         &mut world,
@@ -661,30 +577,12 @@ mod tests {
     }
 
     #[test]
-    fn certified_local_chain_runs_in_one_extended_window() {
-        let (l, s) = local_chain(32);
+    fn a_traffic_free_chain_keeps_its_schedule_in_one_extended_window() {
+        let (l_base, _) = self_chain(1);
+        let (l, s) = self_chain(32);
         assert_eq!(l, (0..=100).step_by(5).collect::<Vec<u64>>());
-        assert_eq!(
-            s.windows, 1,
-            "one negotiation covers the whole certified-local chain"
-        );
-    }
-
-    #[test]
-    fn classic_elision_skips_barriers_below_the_bound_floor() {
-        // With no bound event anywhere, every sub-step lies below
-        // the (absent) floor: the whole budget free-runs with a single
-        // closing exchange per window instead of a vote per sub-step.
-        let (l_base, s_base) = local_chain(1);
-        let (l, s) = local_chain(32);
-        assert_eq!(l, l_base, "elision changed the schedule");
-        assert!(s.elided > 0, "certified-local span must elide sub-steps");
-        assert!(
-            s.barriers * 4 < s_base.barriers,
-            "elided barriers {} vs per-step {}",
-            s.barriers,
-            s_base.barriers
-        );
+        assert_eq!(l, l_base, "sub-windows changed the schedule");
+        assert_eq!(s.windows, 1, "one negotiation covers the whole chain");
     }
 
     #[test]
@@ -715,7 +613,7 @@ mod tests {
         let sync = std::sync::Arc::new(WindowSync::new(2));
         let peer = {
             let sync = std::sync::Arc::clone(&sync);
-            std::thread::spawn(move || sync.negotiate_bound(0, Some(SimTime::ZERO), None))
+            std::thread::spawn(move || sync.negotiate(0, Some(SimTime::ZERO)))
         };
         // Give the peer time to park at the first rendezvous, then poison
         // instead of joining it.

@@ -12,8 +12,8 @@ use crate::host::{Host, HostId};
 use crate::link::{Dir, LinkDirState, LinkFaults, LinkId, LinkSpec, LinkState};
 use crate::shard::{ShardCtx, ShardMsg, ShardPlan};
 use crate::trace::Tracer;
-use edp_core::{CpNotification, EffectSummary};
-use edp_evsim::{EventClass, EventFn, Sim, SimDuration, SimRng, SimTime, UNKEYED};
+use edp_core::CpNotification;
+use edp_evsim::{EventFn, Sim, SimDuration, SimRng, SimTime};
 use edp_packet::{Packet, PacketUid, SharedFrame};
 use edp_pisa::PortId;
 use std::collections::VecDeque;
@@ -104,10 +104,6 @@ pub struct Network {
     /// Per-switch stall deadline: a switch with `stalled_until > now`
     /// neither receives, transmits, nor cranks timers until the deadline.
     stalled_until: Vec<SimTime>,
-    /// Per-switch emission certificate (see
-    /// [`install_effect_summary`](Self::install_effect_summary)); `None`
-    /// means no proof — every event stays horizon-bound.
-    effect_summaries: Vec<Option<EffectSummary>>,
     /// Per-switch port table, one slot per port (sized at `add_switch`).
     switch_ports: Vec<Vec<PortSlot>>,
     /// Per-host port table: hosts have the single port 0.
@@ -148,7 +144,6 @@ impl Network {
             hosts: Vec::new(),
             links: Vec::new(),
             stalled_until: Vec::new(),
-            effect_summaries: Vec::new(),
             switch_ports: Vec::new(),
             host_ports: Vec::new(),
             host_txq: Vec::new(),
@@ -171,51 +166,7 @@ impl Network {
             .push(vec![PortSlot::default(); sw.n_ports()]);
         self.switches.push(sw);
         self.stalled_until.push(SimTime::ZERO);
-        self.effect_summaries.push(None);
         self.switches.len() - 1
-    }
-
-    /// Installs the emission certificate for switch `i`'s program (see
-    /// [`EffectSummary`]). Under [`crate::run_sharded`], a summary whose
-    /// timer closure cannot emit lets the engine class that switch's
-    /// timer cranks [`EventClass::Local`] — invisible to the negotiated
-    /// bound floor, so purely internal bookkeeping (policer refills,
-    /// sketch decay, epoch rotation) no longer forces a barrier per
-    /// lookahead: sub-windows below the floor elide their rendezvous.
-    ///
-    /// Install the same summary in every shard's build closure (the
-    /// engine is SPMD: all shards must agree on event classes). Without a
-    /// summary every event stays conservatively horizon-bound.
-    pub fn install_effect_summary(&mut self, i: usize, summary: EffectSummary) {
-        self.effect_summaries[i] = Some(summary);
-    }
-
-    /// Event class for switch `i`'s timer cranks: `Local` only when an
-    /// installed summary proves the whole timer cascade (timer handler,
-    /// raised user events, generated packets) emits nothing.
-    fn timer_class(&self, i: usize) -> EventClass {
-        match &self.effect_summaries[i] {
-            Some(s) if s.timer_local() => EventClass::Local,
-            _ => EventClass::Bound,
-        }
-    }
-
-    /// Event class for a delivery to `dest`. Deliveries to hosts that
-    /// never respond ([`crate::host::HostApp::Sink`] and
-    /// [`crate::host::HostApp::ClientFleet`], whose requests are injected
-    /// by a separate — bound — pacer event) are certified local: their
-    /// cascades end at the host's counters. Switch deliveries stay bound:
-    /// the receive path can enqueue and hence transmit.
-    fn delivery_class(&self, dest: Endpoint) -> EventClass {
-        match dest.0 {
-            NodeRef::Host(h) => match self.hosts[h].app {
-                crate::host::HostApp::Sink | crate::host::HostApp::ClientFleet(_) => {
-                    EventClass::Local
-                }
-                _ => EventClass::Bound,
-            },
-            NodeRef::Switch(_) => EventClass::Bound,
-        }
     }
 
     /// Adds a host; returns its id.
@@ -339,18 +290,6 @@ impl Network {
             .as_any_mut()
             .downcast_mut::<T>()
             .expect("switch type mismatch")
-    }
-
-    /// Link utilization in `[0,1]` for the direction leaving `ep` (0 when
-    /// no link is attached there).
-    ///
-    /// # Panics
-    /// Panics if `ep` names no port of this network.
-    pub fn link_utilization(&self, ep: Endpoint, now: SimTime) -> f64 {
-        let Some((lid, dir)) = self.port(ep).link else {
-            return 0.0;
-        };
-        self.links[lid].state.utilization(dir, now)
     }
 
     /// Per-direction drop counters of a link: (fault drops, down drops).
@@ -480,15 +419,13 @@ impl Network {
     ///
     /// A loop, never a recursion: frames the egress program drops and
     /// frames leaving an unconnected port occupy no wire, so one call may
-    /// drain a backlog of any depth. Returns whether it transmitted or
-    /// armed anything.
-    fn service(&mut self, sim: &mut Sim<Network>, node: NodeRef) -> bool {
+    /// drain a backlog of any depth.
+    fn service(&mut self, sim: &mut Sim<Network>, node: NodeRef) {
         let now = sim.now();
         let n_ports = match node {
             NodeRef::Switch(i) => self.switch_ports[i].len(),
             NodeRef::Host(_) => 1,
         };
-        let mut acted = false;
         // A transmit's egress-side handlers may enqueue toward any port
         // of the switch, so pass over the ports until a pass sends nothing.
         loop {
@@ -501,7 +438,6 @@ impl Network {
                 while self.has_backlog(ep) {
                     if let Some(at) = self.blocked_until(ep, now) {
                         self.arm_transmit(sim, at, ep);
-                        acted = true;
                         break;
                     }
                     self.transmit_one(sim, ep);
@@ -509,9 +445,8 @@ impl Network {
                 }
             }
             if !sent {
-                return acted;
+                return;
             }
-            acted = true;
         }
     }
 
@@ -593,8 +528,7 @@ impl Network {
         key: u64,
     ) {
         if self.owns_node(dest.0) {
-            let class = self.delivery_class(dest);
-            self.arm_delivery(sim, at, key, class, dest, pkt);
+            self.arm_delivery(sim, at, key, dest, pkt);
         } else {
             // Hand the frame to the destination shard at the window
             // close; its send stamp crosses inside the packet.
@@ -609,8 +543,7 @@ impl Network {
     /// Schedules a delivery handed over from another shard.
     pub(crate) fn accept_shard_msg(&mut self, sim: &mut Sim<Network>, m: ShardMsg) {
         let ShardMsg { at, dest, pkt, key } = m;
-        let class = self.delivery_class(dest);
-        self.arm_delivery(sim, at, key, class, dest, pkt);
+        self.arm_delivery(sim, at, key, dest, pkt);
     }
 
     /// Schedules `pkt`'s arrival at `dest`, reusing a fired delivery's box
@@ -620,13 +553,12 @@ impl Network {
         sim: &mut Sim<Network>,
         at: SimTime,
         key: u64,
-        class: EventClass,
         dest: Endpoint,
         pkt: Packet,
     ) {
         let pkt = Some(pkt);
         let ev = reboxed(&mut self.free_deliveries, Delivery { dest, key, pkt });
-        sim.schedule_classed_boxed(at, key, class, ev);
+        sim.schedule_keyed_boxed(at, key, ev);
     }
 
     /// Drains the outbound mailbox, tagging each message with its
@@ -652,7 +584,7 @@ impl Network {
                 // the ingress and is re-delivered when the stall lifts,
                 // keeping its original wire-order key so the re-delivery
                 // order is the arrival order in every execution mode.
-                self.arm_delivery(sim, until, key, EventClass::Bound, ep, pkt);
+                self.arm_delivery(sim, until, key, ep, pkt);
                 return;
             }
         }
@@ -703,17 +635,9 @@ impl Network {
             return;
         };
         let due = due.max(sim.now()).max(self.stalled_until[i]);
-        // A crank backed by an emission-free timer certificate is local:
-        // its whole cascade (handler, user events, the re-arm below) stays
-        // inside the switch, so it never holds the bound floor down and
-        // the sub-windows it falls in can elide their barrier.
-        let class = self.timer_class(i);
-        sim.schedule_classed_at(
-            due,
-            UNKEYED,
-            class,
-            move |w: &mut Network, s: &mut Sim<Network>| w.crank_timers(s, i),
-        );
+        sim.schedule_at(due, move |w: &mut Network, s: &mut Sim<Network>| {
+            w.crank_timers(s, i)
+        });
     }
 
     fn crank_timers(&mut self, sim: &mut Sim<Network>, i: usize) {
@@ -721,25 +645,14 @@ impl Network {
         if until > sim.now() {
             // The switch is stalled mid-chain: wait out the stall, then
             // crank (there is exactly one crank chain per switch).
-            let class = self.timer_class(i);
-            sim.schedule_classed_at(
-                until,
-                UNKEYED,
-                class,
-                move |w: &mut Network, s: &mut Sim<Network>| w.crank_timers(s, i),
-            );
+            sim.schedule_at(until, move |w: &mut Network, s: &mut Sim<Network>| {
+                w.crank_timers(s, i)
+            });
             return;
         }
         self.switches[i].fire_due_timers(sim.now());
         self.collect_cp(i);
-        let acted = self.service(sim, NodeRef::Switch(i));
-        // A certified-local crank enqueued nothing, and every port that
-        // had backlog before it is armed (the invariant `service` keeps),
-        // so it neither transmits nor schedules an attempt.
-        debug_assert!(
-            !acted || self.timer_class(i) == EventClass::Bound,
-            "switch {i}'s certified-local timer crank transmitted"
-        );
+        self.service(sim, NodeRef::Switch(i));
         self.arm_switch_timers(sim, i);
     }
 

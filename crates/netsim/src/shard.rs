@@ -161,7 +161,7 @@ impl ShardPlan {
     }
 }
 
-/// Aggregate statistics of one sharded run. Both fields are deterministic
+/// Aggregate statistics of one sharded run. Every field is deterministic
 /// for a given (topology, workload, shard count) — they are *not* part of
 /// the simulation's observable schedule, which is shard-count-invariant.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -173,11 +173,6 @@ pub struct ShardStats {
     pub barriers: u64,
     /// Packets that crossed a shard boundary through the mailboxes.
     pub cross_messages: u64,
-    /// Sub-steps that advanced with no rendezvous at all because
-    /// they lay below the negotiated bound floor (exchange elision;
-    /// identical on every shard). See
-    /// [`edp_evsim::DriveStats::elided`].
-    pub elided: u64,
 }
 
 /// Lookahead-sized sub-windows [`run_sharded`] executes per negotiated
@@ -302,7 +297,6 @@ where
             windows: drive.windows,
             barriers: drive.barriers,
             cross_messages: crossed.load(Ordering::Relaxed),
-            elided: drive.elided,
         },
     )
 }
@@ -374,13 +368,12 @@ where
             for (dst, msg) in out {
                 // The conservative-window invariant, checked at runtime:
                 // everything published from a window arrives at or past
-                // its horizon. A failure here means an event classed
-                // local emitted after all — an effect summary lied (the
-                // dynamic face of lint EDP-E007).
+                // its horizon. A failure here means a cross-shard link
+                // delivered in less than the partition's lookahead.
                 assert!(
                     msg.at >= horizon,
                     "cross-shard arrival at {} precedes the window horizon {horizon}: \
-                     a handler emitted outside its effect summary (EDP-E007)",
+                     a cross-shard delivery undercut the lookahead",
                     msg.at
                 );
                 staged[dst].push(msg);
@@ -646,17 +639,10 @@ mod tests {
     }
 
     /// h0 — ev0 — ev1 — h1: two event switches with a silent 10 us
-    /// periodic timer each, forwarding toward h1, plus a certificate
-    /// declaring the pipeline emission and the timer's silence.
-    fn timer_line(certify: bool) -> (Network, HostId) {
-        use edp_core::{
-            AppManifest, BaselineAdapter, EffectSummary, EmitFootprint, EventKind,
-            EventSwitchConfig, TimerSpec,
-        };
+    /// periodic timer each, forwarding toward h1.
+    fn timer_line() -> (Network, HostId) {
+        use edp_core::{BaselineAdapter, EventSwitchConfig, TimerSpec};
         let mut net = Network::new(3);
-        let manifest = AppManifest::new("silent-timer")
-            .handles([EventKind::IngressPacket, EventKind::TimerExpiration])
-            .emits(EventKind::IngressPacket, EmitFootprint::Any);
         for _ in 0..2 {
             let cfg = EventSwitchConfig {
                 n_ports: 2,
@@ -667,13 +653,10 @@ mod tests {
                 }],
                 ..Default::default()
             };
-            let i = net.add_switch(Box::new(EventSwitch::new(
+            net.add_switch(Box::new(EventSwitch::new(
                 BaselineAdapter(ForwardTo(1)),
                 cfg,
             )));
-            if certify {
-                net.install_effect_summary(i, EffectSummary::from_manifest(&manifest));
-            }
         }
         let h0 = net.add_host(Host::new(a(1), HostApp::Sink));
         let h1 = net.add_host(Host::new(a(2), HostApp::Sink));
@@ -685,14 +668,14 @@ mod tests {
         (net, h0)
     }
 
-    fn run_timer_line(subwindows: usize, certify: bool) -> (u64, String, ShardStats) {
-        let (nets, stats) = run_sharded_opts(
+    fn run_timer_line(subwindows: usize) -> (u64, String) {
+        let (nets, _) = run_sharded_opts(
             2,
             subwindows,
             HorizonMode::Classic,
             SimTime::from_millis(1),
             |_me| {
-                let (mut net, h0) = timer_line(certify);
+                let (mut net, h0) = timer_line();
                 net.tracer.enabled = true;
                 let mut sim: Sim<Network> = Sim::new();
                 for i in 0..5u16 {
@@ -713,7 +696,7 @@ mod tests {
         );
         let rx: u64 = nets.iter().map(|n| n.hosts[1].stats.rx_pkts).sum();
         let tracers: Vec<&Tracer> = nets.iter().map(|n| &n.tracer).collect();
-        (rx, merge_tracers(&tracers), stats)
+        (rx, merge_tracers(&tracers))
     }
 
     /// A shard that dies mid-run fails the whole run with its own panic:
@@ -756,38 +739,22 @@ mod tests {
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"shard 1 died"));
     }
 
-    /// The elision satellite: the timer line is traffic-free after its
-    /// five packets drain (~35 us of a 1 ms run), so almost every
-    /// sub-step lies below the certified bound floor. The window loop
-    /// must elide the rendezvous for those sub-steps — cutting barriers
-    /// at least 10x against the per-sub-step protocol — without moving a
-    /// single byte of the merged schedule.
+    /// The timer line is traffic-free after its five packets drain (~35 us
+    /// of a 1 ms run) while its timers keep firing on both shards: a
+    /// 256-sub-window run must move no byte of the per-sub-step schedule.
     #[test]
-    fn traffic_free_gaps_elide_barriers_without_changing_the_schedule() {
-        let (rx_1, trace_1, stats_1) = run_timer_line(1, true);
-        let (rx_b, trace_b, stats_b) = run_timer_line(256, true);
+    fn a_timer_line_keeps_its_schedule_at_any_subwindow_count() {
+        let (rx_1, trace_1) = run_timer_line(1);
+        let (rx_b, trace_b) = run_timer_line(256);
         assert_eq!(rx_1, 5);
         assert_eq!(rx_b, rx_1);
-        assert_eq!(trace_b, trace_1, "elision must not change the schedule");
-        assert!(stats_b.elided > 0, "certified gaps must elide sub-steps");
-        assert!(
-            stats_b.barriers * 10 <= stats_1.barriers,
-            "elided barriers {} vs per-sub-step {}",
-            stats_b.barriers,
-            stats_1.barriers
-        );
-        // Without certificates every sub-step stays at or above the bound
-        // floor: no elision, and the schedule still matches.
-        let (rx_u, trace_u, stats_u) = run_timer_line(256, false);
-        assert_eq!(rx_u, rx_1);
-        assert_eq!(trace_u, trace_1);
-        assert_eq!(stats_u.elided, 0, "no certificate, no elision");
+        assert_eq!(trace_b, trace_1, "sub-windows must not change the schedule");
         // A change that reintroduces per-sub-step rendezvous on the
         // traffic-free tail of the 8-switch line moves this count.
         assert_eq!(
             cbr_line_stats(8).barriers,
             2669,
-            "barrier elision regressed"
+            "sub-window vote collapse regressed"
         );
     }
 }

@@ -125,13 +125,14 @@ proptest! {
         prop_assert_eq!(run(seed), run(seed));
     }
 
-    /// Elision soundness: no publish pattern — bursty, sparse, or
-    /// degenerate — may let a rendezvous-elided round hide a published
-    /// message. Any hidden message would change the merged schedule
-    /// against the single-shard reference, or trip the EDP-E007 publish
-    /// assert inside an elided span; both fail the property.
+    /// Seq-gated accept soundness: a shard drains its mailboxes only when
+    /// its inbox sequence moved since the last drain. No publish pattern —
+    /// bursty, sparse, or degenerate — at any sub-window count may leave a
+    /// published message undrained. A message drained late or never would
+    /// change the merged schedule against the single-shard reference, or
+    /// panic as an event scheduled into the past; both fail the property.
     #[test]
-    fn no_publish_pattern_hides_a_message_from_an_elided_round(
+    fn the_seq_gated_accept_drains_every_message_across_subwindows(
         count in 1u64..40,
         interval_us in 1u64..40,
         subwindows in 1usize..64,

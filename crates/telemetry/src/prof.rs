@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Number of profiling phases (the length of [`Profile::phase_ns`]).
-pub const NPHASES: usize = 8;
+pub const NPHASES: usize = 7;
 
 /// The wall-clock phase a lap attributes time to. Mirrors the event
 /// lifecycle of one shard worker: build the world, then loop
@@ -43,8 +43,8 @@ pub enum Phase {
     /// Event execution: `Sim::run_before` firing handlers.
     Execute = 1,
     /// Window negotiation: publishing the local earliest event times and
-    /// waiting for the global minima (both rendezvous of
-    /// `WindowSync::negotiate_bound`).
+    /// waiting for the global minimum (both rendezvous of
+    /// `WindowSync::negotiate`).
     Negotiate = 2,
     /// Mailbox exchange work: draining inbound mailboxes into the
     /// schedule and staging/publishing outbound batches.
@@ -54,12 +54,9 @@ pub enum Phase {
     /// Horizon extension: continuing a window past a sub-barrier
     /// (mid-window accepts and the next-horizon bookkeeping).
     Extend = 5,
-    /// Rendezvous elision: the bookkeeping of sub-steps that advance
-    /// without a barrier (bound-floor checks and horizon merging).
-    Elide = 6,
     /// Teardown after the window loop: metric publication, session
     /// collection, and the tail up to `disable`.
-    Finish = 7,
+    Finish = 6,
 }
 
 impl Phase {

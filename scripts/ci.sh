@@ -199,7 +199,9 @@ step_bench_gate() {
     # wires never need) and 11 through the 2-shard engine, where exactly
     # 7 frames per packet cross shards: a fused hop must not change what
     # crosses. No allocation per hop in the Network glue — what is left is
-    # the frame and its host-side bookkeeping (3.3 at smoke size).
+    # the frame and its host-side bookkeeping (3.3 at smoke size). The
+    # 2-shard engine's synchronization is pinned too: its negotiated
+    # windows and barrier rendezvous at smoke size.
     if command -v python3 >/dev/null 2>&1; then
         python3 - benchmark/out/smoke.json <<'PYEOF'
 import json, sys
@@ -210,10 +212,14 @@ events = metric("line8_fwd64", "evsim.events_per_pkt")
 allocs = metric("line8_fwd64", "host.allocs_per_pkt")
 sharded = metric("line8_shards2", "evsim.events_per_pkt")
 crossed = metric("line8_shards2", "netsim.shard.cross_msgs_per_pkt")
+windows = metric("line8_shards2", "netsim.shard.windows")
+barriers = metric("line8_shards2", "netsim.shard.barriers")
 assert events == 10, f"line8_fwd64 evsim.events_per_pkt = {events}, expected 10"
 assert allocs <= 4, f"line8_fwd64 host.allocs_per_pkt = {allocs}, expected <= 4"
 assert sharded == 11, f"line8_shards2 evsim.events_per_pkt = {sharded}, expected 11"
 assert crossed == 7, f"line8_shards2 netsim.shard.cross_msgs_per_pkt = {crossed}, expected 7"
+assert windows == 32, f"line8_shards2 netsim.shard.windows = {windows}, expected 32"
+assert barriers == 1074, f"line8_shards2 netsim.shard.barriers = {barriers}, expected 1074"
 # Handler firings per switch receive (Σ events_total / Σ rx of the traced
 # pass): exact, so any change in which events fire shows up here.
 handler_events = {
@@ -228,7 +234,8 @@ for name, expected in handler_events.items():
     assert abs(got - expected) < 1e-12, \
         f"{name} core.handler_events_per_pkt = {got}, expected {expected}"
 print(f"hop work counters ok: {events} events/pkt, {allocs} allocs/pkt; "
-      f"2 shards: {sharded} events/pkt, {crossed} cross msgs/pkt; "
+      f"2 shards: {sharded} events/pkt, {crossed} cross msgs/pkt, "
+      f"{windows} windows, {barriers} barriers; "
       f"handler events/pkt match on all {len(handler_events)} workloads")
 PYEOF
     else

@@ -773,15 +773,8 @@ impl edp_core::EventProgram for DepthLog {
 /// link first), and the first is on the egress wire before the second is
 /// received — so both enqueue handlers observe a depth of 1 (receiving
 /// both before transmitting either would show 1, 2).
-///
-/// The second frame then waits 8 us for the 1 Gb/s egress wire while
-/// swC's certified-local 1 us timer cranks eight times: each finds the
-/// backlogged port already armed for the instant the wire frees, so it
-/// neither transmits nor schedules — `Network`'s `debug_assert!` on that
-/// is live here (tests build with debug assertions).
 #[test]
 fn same_instant_deliveries_each_reach_the_wire_before_the_next_is_received() {
-    use edp_core::{AppManifest, EffectSummary, EmitFootprint, EventKind};
     let build = || {
         let mut net = Network::new(5);
         let edge = LinkSpec::ten_gig(SimDuration::from_micros(1));
@@ -804,14 +797,6 @@ fn same_instant_deliveries_each_reach_the_wire_before_the_next_is_received() {
             ..Default::default()
         };
         let c = net.add_switch(Box::new(EventSwitch::new(DepthLog::default(), cfg)));
-        let silent_timer = AppManifest::new("depth-log")
-            .handles([
-                EventKind::IngressPacket,
-                EventKind::BufferEnqueue,
-                EventKind::TimerExpiration,
-            ])
-            .emits(EventKind::IngressPacket, EmitFootprint::port(2));
-        net.install_effect_summary(c, EffectSummary::from_manifest(&silent_timer));
         let senders = [(a, addr(1)), (b, addr(2))].map(|(sw, ip)| {
             let h = net.add_host(Host::new(ip, HostApp::Sink));
             net.connect((NodeRef::Host(h), 0), (NodeRef::Switch(sw), 0), edge);
