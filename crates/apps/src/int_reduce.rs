@@ -232,19 +232,12 @@ mod tests {
             );
         }
         let src = addr(3);
-        start_burst(
-            sim,
-            senders[2],
-            SimTime::from_millis(20),
-            60,
-            SimDuration::ZERO,
-            move |s| {
-                PacketBuilder::udp(src, sink_addr(), 30, 40, &[])
-                    .ident(s as u16)
-                    .pad_to(1500)
-                    .build()
-            },
-        );
+        start_burst(sim, senders[2], SimTime::from_millis(20), 60, move |s| {
+            PacketBuilder::udp(src, sink_addr(), 30, 40, &[])
+                .ident(s as u16)
+                .pad_to(1500)
+                .build()
+        });
         run_until(net, sim, HORIZON);
     }
 

@@ -349,7 +349,6 @@ mod tests {
             senders[1],
             SimTime::from_millis(5),
             100,
-            SimDuration::ZERO,
             move |i| {
                 PacketBuilder::udp(burst_src, sink_addr(), 30, 40, &[])
                     .ident(i as u16)
@@ -387,19 +386,12 @@ mod tests {
         let (mut net, senders, _, _) = dumbbell(Box::new(sw), 2, 1_000_000_000, 6);
         let mut sim: Sim<Network> = Sim::new();
         let src = addr(1);
-        start_burst(
-            &mut sim,
-            senders[0],
-            SimTime::ZERO,
-            20,
-            SimDuration::ZERO,
-            move |i| {
-                PacketBuilder::udp(src, sink_addr(), 1, 2, &[])
-                    .ident(i as u16)
-                    .pad_to(1500)
-                    .build()
-            },
-        );
+        start_burst(&mut sim, senders[0], SimTime::ZERO, 20, move |i| {
+            PacketBuilder::udp(src, sink_addr(), 1, 2, &[])
+                .ident(i as u16)
+                .pad_to(1500)
+                .build()
+        });
         run_until(&mut net, &mut sim, SimTime::from_millis(50));
         let prog = &net.switch_as::<EventSwitch<MicroburstEvent>>(0).program;
         assert_eq!(
@@ -427,7 +419,6 @@ mod tests {
             senders[1],
             SimTime::from_millis(5),
             100,
-            SimDuration::ZERO,
             move |i| {
                 PacketBuilder::udp(burst_src, sink_addr(), 30, 40, &[])
                     .ident(i as u16)
@@ -473,7 +464,6 @@ mod tests {
                 senders[1],
                 SimTime::from_millis(1),
                 120,
-                SimDuration::ZERO,
                 move |i| {
                     PacketBuilder::udp(burst_src, sink_addr(), 30, 40, &[])
                         .ident(i as u16)

@@ -71,7 +71,7 @@ mod tests {
     use super::*;
     use crate::common::{addr, dumbbell, run_until, sink_addr};
     use edp_core::{EventSwitch, EventSwitchConfig};
-    use edp_evsim::{Sim, SimDuration, SimTime};
+    use edp_evsim::{Sim, SimTime};
     use edp_netsim::traffic::start_burst;
     use edp_netsim::Network;
     use edp_packet::{PacketBuilder, TRIMMED_DSCP};
@@ -120,7 +120,7 @@ mod tests {
 
     fn blast(net: &mut Network, sim: &mut Sim<Network>, sender: usize, n: u64) {
         let src = addr(1);
-        start_burst(sim, sender, SimTime::ZERO, n, SimDuration::ZERO, move |i| {
+        start_burst(sim, sender, SimTime::ZERO, n, move |i| {
             PacketBuilder::udp(src, sink_addr(), 40, 50, &[])
                 .ident(i as u16)
                 .pad_to(1500)

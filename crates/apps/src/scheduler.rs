@@ -129,19 +129,12 @@ mod tests {
             );
         }
         let src = addr(3);
-        start_burst(
-            &mut sim,
-            senders[2],
-            SimTime::ZERO,
-            120,
-            SimDuration::ZERO,
-            move |s| {
-                PacketBuilder::udp(src, sink_addr(), 300, 9000, &[])
-                    .ident(s as u16)
-                    .pad_to(1500)
-                    .build()
-            },
-        );
+        start_burst(&mut sim, senders[2], SimTime::ZERO, 120, move |s| {
+            PacketBuilder::udp(src, sink_addr(), 300, 9000, &[])
+                .ident(s as u16)
+                .pad_to(1500)
+                .build()
+        });
         run_until(&mut net, &mut sim, HORIZON);
         // Mean delivery latency per flow is the schedule-quality signal.
         (0..3)

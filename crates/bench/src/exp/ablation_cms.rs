@@ -62,7 +62,6 @@ fn run_cms(width: usize, depth: usize, with_burst: bool) -> (usize, usize) {
             senders[3],
             SimTime::from_millis(5),
             120,
-            SimDuration::ZERO,
             move |s| {
                 PacketBuilder::udp(src, sink_addr(), 30, 40, &[])
                     .ident(s as u16)
@@ -110,7 +109,6 @@ fn run_exact(with_burst: bool) -> (usize, usize) {
             senders[3],
             SimTime::from_millis(5),
             120,
-            SimDuration::ZERO,
             move |s| {
                 PacketBuilder::udp(src, sink_addr(), 30, 40, &[])
                     .ident(s as u16)

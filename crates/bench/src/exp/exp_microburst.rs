@@ -43,19 +43,12 @@ fn workload(sim: &mut Sim<Network>, senders: &[usize], burst_pkts: u64) {
         );
     }
     let src = addr(3);
-    start_burst(
-        sim,
-        senders[2],
-        BURST_AT,
-        burst_pkts,
-        SimDuration::ZERO,
-        move |s| {
-            PacketBuilder::udp(src, sink_addr(), 30, 40, &[])
-                .ident(s as u16)
-                .pad_to(1500)
-                .build()
-        },
-    );
+    start_burst(sim, senders[2], BURST_AT, burst_pkts, move |s| {
+        PacketBuilder::udp(src, sink_addr(), 30, 40, &[])
+            .ident(s as u16)
+            .pad_to(1500)
+            .build()
+    });
 }
 
 struct Outcome {

@@ -9,7 +9,7 @@ use edp_apps::common::{addr, dumbbell, run_until, sink_addr};
 use edp_apps::ndp::NdpTrim;
 use edp_core::event::OverflowEvent;
 use edp_core::{EventActions, EventProgram, EventSwitch, EventSwitchConfig};
-use edp_evsim::{Sim, SimDuration, SimTime};
+use edp_evsim::{Sim, SimTime};
 use edp_netsim::traffic::start_burst;
 use edp_netsim::Network;
 use edp_packet::{Packet, PacketBuilder, ParsedPacket};
@@ -62,19 +62,12 @@ fn simulate(trim: bool, burst: u64) -> (u64, u64, u64) {
     };
     let mut sim: Sim<Network> = Sim::new();
     let src = addr(1);
-    start_burst(
-        &mut sim,
-        senders[0],
-        SimTime::ZERO,
-        burst,
-        SimDuration::ZERO,
-        move |i| {
-            PacketBuilder::udp(src, sink_addr(), 40, 50, &[])
-                .ident(i as u16)
-                .pad_to(1500)
-                .build()
-        },
-    );
+    start_burst(&mut sim, senders[0], SimTime::ZERO, burst, move |i| {
+        PacketBuilder::udp(src, sink_addr(), 40, 50, &[])
+            .ident(i as u16)
+            .pad_to(1500)
+            .build()
+    });
     run_until(&mut net, &mut sim, SimTime::from_millis(100));
     let delivered = net.hosts[sink].stats.rx_pkts;
     let (trimmed, lost) = if trim {

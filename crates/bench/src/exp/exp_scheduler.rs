@@ -53,19 +53,12 @@ fn simulate(pifo: bool, burst_pkts: u64) -> Vec<f64> {
         );
     }
     let src = addr(3);
-    start_burst(
-        &mut sim,
-        senders[2],
-        SimTime::ZERO,
-        burst_pkts,
-        SimDuration::ZERO,
-        move |s| {
-            PacketBuilder::udp(src, sink_addr(), 300, 9000, &[])
-                .ident(s as u16)
-                .pad_to(1500)
-                .build()
-        },
-    );
+    start_burst(&mut sim, senders[2], SimTime::ZERO, burst_pkts, move |s| {
+        PacketBuilder::udp(src, sink_addr(), 300, 9000, &[])
+            .ident(s as u16)
+            .pad_to(1500)
+            .build()
+    });
     run_until(&mut net, &mut sim, HORIZON);
     (0..3)
         .map(|i| {

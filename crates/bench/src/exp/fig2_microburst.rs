@@ -51,7 +51,6 @@ pub fn run() {
         senders[2],
         SimTime::from_millis(3),
         100,
-        SimDuration::ZERO,
         move |s| {
             PacketBuilder::udp(src, sink_addr(), 30, 40, &[])
                 .ident(s as u16)

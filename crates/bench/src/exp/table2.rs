@@ -84,7 +84,6 @@ fn run_microburst() -> String {
         senders[1],
         SimTime::from_millis(1),
         60,
-        SimDuration::ZERO,
         move |i| {
             PacketBuilder::udp(src, sink_addr(), 3, 4, &[])
                 .ident(i as u16)

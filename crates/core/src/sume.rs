@@ -181,6 +181,8 @@ pub struct EventSwitch<P> {
     gen_template: Option<SharedFrame>,
     gen_seq: u64,
     link_up: Vec<bool>,
+    /// Each port's telemetry scope, `sw{id}:p{port}`, built once.
+    port_scopes: Box<[String]>,
     counters: EventSwitchCounters,
     events: EventCounters,
     cp_out: Vec<CpNotification>,
@@ -233,6 +235,9 @@ impl<P: EventProgram> EventSwitch<P> {
             gen_template,
             gen_seq: 0,
             link_up: vec![true; cfg.n_ports],
+            port_scopes: (0..cfg.n_ports)
+                .map(|port| format!("sw{}:p{port}", cfg.switch_id))
+                .collect(),
             counters: EventSwitchCounters::default(),
             events: EventCounters::new(),
             cp_out: Vec::new(),
@@ -323,10 +328,7 @@ impl<P: EventProgram> EventSwitch<P> {
             });
             return None;
         };
-        if edp_telemetry::on() {
-            let scope = format!("sw{}:p{}", self.cfg.switch_id, port);
-            edp_telemetry::observe("sojourn_ns", &scope, sojourn_ns);
-        }
+        edp_telemetry::observe("sojourn_ns", &self.port_scopes[port as usize], sojourn_ns);
         // Dequeue event fires as the packet leaves the buffer.
         self.fire(now, EventKind::BufferDequeue, 0, |sw, a| {
             let ev = DequeueEvent {

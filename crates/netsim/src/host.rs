@@ -191,7 +191,8 @@ impl Host {
         }
     }
 
-    /// Processes an arriving frame; returns response frames to send.
+    /// Processes an arriving frame; returns the reply to send, if any (no
+    /// app answers one frame with more than one).
     ///
     /// `latency_ns` is the precomputed one-way latency when the network
     /// tracked the packet's send time.
@@ -200,7 +201,7 @@ impl Host {
         now: SimTime,
         pkt: &Packet,
         latency_ns: Option<u64>,
-    ) -> Vec<Vec<u8>> {
+    ) -> Option<Vec<u8>> {
         self.stats.rx_pkts += 1;
         self.stats.rx_bytes += pkt.len() as u64;
         // The last switch's parse, unless the access link corrupted the
@@ -209,7 +210,7 @@ impl Host {
             Ok(p) => p,
             Err(_) => {
                 self.stats.rx_errors += 1;
-                return Vec::new();
+                return None;
             }
         };
         self.stats.proto.record(parsed, pkt.len() as u64);
@@ -222,21 +223,19 @@ impl Host {
             }
         }
         match &mut self.app {
-            HostApp::Sink => Vec::new(),
+            HostApp::Sink => None,
             HostApp::UdpEcho => {
-                if let (Some(ip), Some(edp_packet::L4::Udp(udp))) = (parsed.ipv4, parsed.l4) {
-                    let payload = &pkt.bytes()[parsed.payload_offset..];
-                    let resp =
-                        PacketBuilder::udp(ip.dst, ip.src, udp.dst_port, udp.src_port, payload)
-                            .build();
-                    vec![resp]
-                } else {
-                    Vec::new()
-                }
+                let (Some(ip), Some(edp_packet::L4::Udp(udp))) = (parsed.ipv4, parsed.l4) else {
+                    return None;
+                };
+                let payload = &pkt.bytes()[parsed.payload_offset..];
+                Some(
+                    PacketBuilder::udp(ip.dst, ip.src, udp.dst_port, udp.src_port, payload).build(),
+                )
             }
             HostApp::KvServer { store, served } => {
                 let (Some(ip), Some(AppHeader::Kv(kv))) = (parsed.ipv4, parsed.app) else {
-                    return Vec::new();
+                    return None;
                 };
                 match kv.op {
                     KvOp::Get => {
@@ -247,19 +246,19 @@ impl Host {
                             key: kv.key,
                             value,
                         };
-                        vec![PacketBuilder::kv(ip.dst, ip.src, &reply).build()]
+                        Some(PacketBuilder::kv(ip.dst, ip.src, &reply).build())
                     }
                     KvOp::Put => {
                         *served += 1;
                         store.insert(kv.key, kv.value);
-                        Vec::new()
+                        None
                     }
-                    KvOp::Reply => Vec::new(),
+                    KvOp::Reply => None,
                 }
             }
             HostApp::RpcServer { served } => {
                 let (Some(ip), Some(AppHeader::Rpc(rpc))) = (parsed.ipv4, parsed.app) else {
-                    return Vec::new();
+                    return None;
                 };
                 match rpc.kind {
                     RpcKind::Connect => {
@@ -268,7 +267,7 @@ impl Host {
                             kind: RpcKind::ConnectAck,
                             ..rpc
                         };
-                        vec![PacketBuilder::rpc(ip.dst, ip.src, &ack).build()]
+                        Some(PacketBuilder::rpc(ip.dst, ip.src, &ack).build())
                     }
                     RpcKind::Request => {
                         *served += 1;
@@ -276,18 +275,20 @@ impl Host {
                             kind: RpcKind::Response,
                             ..rpc
                         };
-                        vec![PacketBuilder::rpc(ip.dst, ip.src, &resp)
-                            .pad_to(rpc.resp_bytes as usize)
-                            .build()]
+                        Some(
+                            PacketBuilder::rpc(ip.dst, ip.src, &resp)
+                                .pad_to(rpc.resp_bytes as usize)
+                                .build(),
+                        )
                     }
-                    RpcKind::ConnectAck | RpcKind::Response => Vec::new(),
+                    RpcKind::ConnectAck | RpcKind::Response => None,
                 }
             }
             HostApp::ClientFleet(fleet) => {
                 if let Some(AppHeader::Rpc(rpc)) = parsed.app {
                     fleet.on_rpc(now, &rpc);
                 }
-                Vec::new()
+                None
             }
         }
     }
@@ -322,8 +323,7 @@ mod tests {
         let mut h = Host::new(a(2), HostApp::UdpEcho);
         let f = PacketBuilder::udp(a(1), a(2), 1111, 2222, b"ping").build();
         let out = h.on_receive(SimTime::ZERO, &Packet::anonymous(f), None);
-        assert_eq!(out.len(), 1);
-        let parsed = parse_packet(&out[0]).expect("parse");
+        let parsed = parse_packet(&out.expect("echo replies")).expect("parse");
         let ip = parsed.ipv4.expect("ip");
         assert_eq!(ip.src, a(2));
         assert_eq!(ip.dst, a(1));
@@ -358,7 +358,7 @@ mod tests {
         .build();
         assert!(h
             .on_receive(SimTime::ZERO, &Packet::anonymous(put), None)
-            .is_empty());
+            .is_none());
         // Get 99 -> reply 1234.
         let get = PacketBuilder::kv(
             a(1),
@@ -371,8 +371,7 @@ mod tests {
         )
         .build();
         let out = h.on_receive(SimTime::ZERO, &Packet::anonymous(get), None);
-        assert_eq!(out.len(), 1);
-        let parsed = parse_packet(&out[0]).expect("parse");
+        let parsed = parse_packet(&out.expect("get replies")).expect("parse");
         match parsed.app {
             Some(AppHeader::Kv(kv)) => {
                 assert_eq!(kv.op, KvOp::Reply);

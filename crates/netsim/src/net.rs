@@ -595,9 +595,8 @@ impl Network {
                 let latency = pkt
                     .sent_at()
                     .map(|sent| now.as_nanos().saturating_sub(sent));
-                let responses = self.hosts[h].on_receive(now, &pkt, latency);
-                for frame in responses {
-                    self.host_send(sim, h, frame);
+                if let Some(reply) = self.hosts[h].on_receive(now, &pkt, latency) {
+                    self.host_send(sim, h, reply);
                 }
             }
         }
@@ -1067,8 +1066,8 @@ mod tests {
         assert_eq!(reg.counter("tracer_dropped", "net"), 0);
     }
 
-    /// Forwards to port 1 and keeps a handle on the first payload it sees.
-    struct TapForward(Option<SharedFrame>);
+    /// Forwards to port 1 and keeps a handle on every payload it sees.
+    struct TapForward(Vec<SharedFrame>);
     impl edp_pisa::PisaProgram for TapForward {
         fn ingress(
             &mut self,
@@ -1077,7 +1076,7 @@ mod tests {
             m: &mut edp_pisa::StdMeta,
             _n: SimTime,
         ) {
-            self.0.get_or_insert_with(|| p.share_payload());
+            self.0.push(p.share_payload());
             m.dest = edp_pisa::Destination::Port(1);
         }
     }
@@ -1093,7 +1092,7 @@ mod tests {
         use crate::link::LinkFaultModel;
         const N: u64 = 2_000;
         let mut net = Network::new(7);
-        let tap = EventSwitch::baseline(TapForward(None), 2, QueueConfig::default());
+        let tap = EventSwitch::baseline(TapForward(Vec::new()), 2, QueueConfig::default());
         net.add_switch(Box::new(tap));
         for _ in 0..2 {
             let sw = EventSwitch::baseline(ForwardTo(1), 2, QueueConfig::default());
@@ -1125,7 +1124,9 @@ mod tests {
             .pad_to(128)
             .build();
         let interval = SimDuration::from_micros(1);
-        crate::traffic::start_cbr_template(&mut sim, h0, SimTime::ZERO, interval, N, frame);
+        crate::traffic::start_cbr(&mut sim, h0, SimTime::ZERO, interval, N, move |_| {
+            frame.clone()
+        });
         sim.run(&mut net);
 
         // Conservation along the line: every frame, fault copies included,
@@ -1148,15 +1149,18 @@ mod tests {
         }
         assert!(dup(trunks[0]) > 0 && dup(trunks[1]) > 0 && sw(2).parse_errors > 0);
 
-        // Nothing left in the scheduler still owns a frame: the generator
-        // is done, so the tap's handle is the template's last reference.
+        // Nothing left in the scheduler still owns a frame: the tap's
+        // handle is the last reference to every payload it forwarded.
         assert_eq!(sim.pending(), 0);
         let tap = &mut net
             .switch_as_mut::<EventSwitch<BaselineAdapter<TapForward>>>(0)
             .program
             .0;
-        let payload = tap.0.take().expect("tap saw a frame");
-        assert!(Packet::from_shared(PacketUid(0), payload).payload_is_unique());
+        let payloads = std::mem::take(&mut tap.0);
+        assert_eq!(payloads.len() as u64, N);
+        for payload in payloads {
+            assert!(Packet::from_shared(PacketUid(0), payload).payload_is_unique());
+        }
     }
 
     /// Forwards arriving frames to port 1 and its own generated frames to

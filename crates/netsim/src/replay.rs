@@ -9,7 +9,7 @@
 
 use crate::host::HostId;
 use crate::net::Network;
-use edp_evsim::{Sim, SimTime};
+use edp_evsim::{Sim, SimDuration, SimTime};
 use edp_packet::PcapPacket;
 use std::sync::Arc;
 
@@ -17,10 +17,14 @@ use std::sync::Arc;
 ///
 /// The i-th frame is injected at `start + (ts_i - ts_0) / speedup`, so
 /// the capture's relative timing is preserved; `speedup > 1` compresses
-/// the gaps (10 = ten times faster), `speedup < 1` stretches them.
+/// the gaps (10 = ten times faster), `speedup < 1` stretches them. A frame
+/// stamped earlier than its predecessor (a multi-queue capture, a pcapng
+/// Simple Packet Block, which carries no timestamp) is injected at its
+/// predecessor's instant: file order is kept and time never runs back.
 /// Frames whose scaled time lands at or past `until` are not injected.
 /// Events self-chain — one outstanding event per replay stream no matter
-/// how large the capture is.
+/// how large the capture is. Each frame is handed over once: moved out
+/// of a capture this replay holds alone, copied from one still shared.
 ///
 /// # Panics
 /// Panics if `speedup` is not finite and positive.
@@ -39,36 +43,37 @@ pub fn start_replay(
     if packets.is_empty() {
         return;
     }
-    arm(sim, host, packets, start, speedup, until, 0);
+    arm(sim, host, packets, start, speedup, until, 0, start);
 }
 
-/// Injection time of packet `i`: gaps are scaled relative to the first
-/// packet's timestamp. Integer nanoseconds after one f64 division keep
-/// the schedule deterministic.
-fn inject_at(packets: &[PcapPacket], start: SimTime, speedup: f64, i: usize) -> SimTime {
-    let gap = packets[i].ts_ns.saturating_sub(packets[0].ts_ns);
-    start + edp_evsim::SimDuration::from_nanos((gap as f64 / speedup) as u64)
-}
-
+/// Arms the injection of packet `i`, no earlier than its predecessor's
+/// instant `prev`. Gaps are scaled relative to the first packet's
+/// timestamp; integer nanoseconds after one f64 division keep the
+/// schedule deterministic.
+#[allow(clippy::too_many_arguments)]
 fn arm(
     sim: &mut Sim<Network>,
     host: HostId,
-    packets: Arc<Vec<PcapPacket>>,
+    mut packets: Arc<Vec<PcapPacket>>,
     start: SimTime,
     speedup: f64,
     until: SimTime,
     i: usize,
+    prev: SimTime,
 ) {
-    if i >= packets.len() {
-        return;
-    }
-    let at = inject_at(&packets, start, speedup, i);
+    let Some(p) = packets.get(i) else { return };
+    let gap = p.ts_ns.saturating_sub(packets[0].ts_ns);
+    let at = (start + SimDuration::from_nanos((gap as f64 / speedup) as u64)).max(prev);
     if at >= until {
         return;
     }
     sim.schedule_at(at, move |w: &mut Network, s: &mut Sim<Network>| {
-        w.host_send(s, host, packets[i].data.clone());
-        arm(s, host, packets, start, speedup, until, i + 1);
+        let frame = match Arc::get_mut(&mut packets) {
+            Some(own) => std::mem::take(&mut own[i].data),
+            None => packets[i].data.clone(),
+        };
+        w.host_send(s, host, frame);
+        arm(s, host, packets, start, speedup, until, i + 1, at);
     });
 }
 
@@ -78,7 +83,6 @@ mod tests {
     use crate::host::{Host, HostApp};
     use crate::link::LinkSpec;
     use crate::net::NodeRef;
-    use edp_evsim::SimDuration;
     use edp_packet::{PacketBuilder, PcapFile};
     use std::net::Ipv4Addr;
 
@@ -98,20 +102,48 @@ mod tests {
         (net, h0, h1)
     }
 
+    fn frame(i: u64) -> Vec<u8> {
+        PacketBuilder::udp(a(1), a(2), 5, 6, &[])
+            .ident(i as u16)
+            .pad_to(64)
+            .build()
+    }
+
     fn capture(n: u64, gap_ns: u64) -> PcapFile {
         PcapFile {
             packets: (0..n)
-                .map(|i| {
-                    PcapPacket::full(
-                        1_000_000 + i * gap_ns,
-                        PacketBuilder::udp(a(1), a(2), 5, 6, &[])
-                            .ident(i as u16)
-                            .pad_to(64)
-                            .build(),
-                    )
-                })
+                .map(|i| PcapPacket::full(1_000_000 + i * gap_ns, frame(i)))
                 .collect(),
         }
+    }
+
+    /// Replays `packets` from 5 µs on and returns each frame's arrival at
+    /// the far host less the start, one 64-byte serialization and the
+    /// link's 10 ns: its injection instant, if it found the wire free.
+    fn injected_at(packets: Vec<PcapPacket>) -> Vec<u64> {
+        let (mut net, h0, h1) = two_hosts();
+        net.tracer.enabled = true;
+        let mut sim: Sim<Network> = Sim::new();
+        let n = packets.len() as u64;
+        let start = SimTime::from_micros(5);
+        start_replay(
+            &mut sim,
+            h0,
+            Arc::new(packets),
+            start,
+            1.0,
+            SimTime::from_millis(1),
+        );
+        sim.run(&mut net);
+        assert_eq!(net.hosts[h1].stats.rx_pkts, n);
+        let wire = LinkSpec::ten_gig(SimDuration::ZERO)
+            .ser_delay(64)
+            .as_nanos()
+            + 10;
+        net.tracer
+            .entries()
+            .map(|e| e.at.as_nanos() - wire - start.as_nanos())
+            .collect()
     }
 
     #[test]
@@ -165,6 +197,55 @@ mod tests {
         sim.run(&mut net);
         // Injections at 0..4µs make the cut; 5µs+ do not.
         assert_eq!(net.hosts[h1].stats.rx_pkts, 5);
+    }
+
+    #[test]
+    fn a_frame_stamped_before_its_predecessor_goes_at_the_predecessors_instant() {
+        let packets = [1_000, 2_000, 1_500, 3_000]
+            .into_iter()
+            .zip(0..)
+            .map(|(ts, i)| PcapPacket::full(ts, frame(i)))
+            .collect();
+        // The third frame waits for the second on the wire, one 64-byte
+        // serialization (52 ns at 10 Gb/s), then the schedule resumes.
+        assert_eq!(injected_at(packets), [0, 1_000, 1_052, 2_000]);
+    }
+
+    /// A little-endian pcapng block: type, total length, the body padded
+    /// to 32 bits, total length again.
+    fn block(ty: u32, body: &[u8]) -> Vec<u8> {
+        let padded = body.len().div_ceil(4) * 4;
+        let total = (12 + padded) as u32;
+        let mut b = [ty.to_le_bytes(), total.to_le_bytes()].concat();
+        b.extend_from_slice(body);
+        b.resize(8 + padded, 0);
+        b.extend_from_slice(&total.to_le_bytes());
+        b
+    }
+
+    #[test]
+    fn a_pcapng_simple_packet_after_an_enhanced_one_replays_in_file_order() {
+        let words = |w: &[u32]| -> Vec<u8> { w.iter().flat_map(|v| v.to_le_bytes()).collect() };
+        let epb = |ts_us: u32, data: &[u8]| {
+            let len = data.len() as u32;
+            [words(&[0, 0, ts_us, len, len]), data.to_vec()].concat()
+        };
+        let (f0, f1, f2) = (frame(0), frame(1), frame(2));
+        let bytes = [
+            // Section header: byte-order magic, version 1.0, length unknown.
+            block(0x0A0D_0D0A, &words(&[0x1A2B_3C4D, 1, u32::MAX, u32::MAX])),
+            // Interface: Ethernet, no snap length, microsecond stamps.
+            block(1, &words(&[1, 0])),
+            block(6, &epb(1, &f0)),
+            block(6, &epb(3, &f1)),
+            // Simple Packet Block: original length and frame, no stamp.
+            block(3, &[words(&[f2.len() as u32]), f2].concat()),
+        ]
+        .concat();
+        let file = PcapFile::parse(&bytes).expect("pcapng parses");
+        let stamps: Vec<u64> = file.packets.iter().map(|p| p.ts_ns).collect();
+        assert_eq!(stamps, [1_000, 3_000, 0]);
+        assert_eq!(injected_at(file.packets), [0, 2_000, 2_052]);
     }
 
     #[test]

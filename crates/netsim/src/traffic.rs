@@ -8,7 +8,6 @@
 use crate::host::HostId;
 use crate::net::Network;
 use edp_evsim::{Periodic, Sim, SimDuration, SimTime};
-use edp_packet::SharedFrame;
 
 /// A frame factory: builds the `i`-th frame of a stream.
 pub trait FrameFn: FnMut(u64) -> Vec<u8> + 'static {}
@@ -34,40 +33,6 @@ pub fn start_cbr(
         interval,
         move |w: &mut Network, s: &mut Sim<Network>| {
             w.host_send(s, host, frame(sent));
-            sent += 1;
-            if sent >= count {
-                Periodic::Stop
-            } else {
-                Periodic::Continue
-            }
-        },
-    );
-}
-
-/// Constant-bit-rate stream of one fixed frame: like [`start_cbr`] but
-/// the template is built once and every injection shares its payload
-/// zero-copy (a refcount bump per frame instead of a buffer allocation)
-/// and its parse (made once, by whichever hop first asks).
-/// Use when the stream does not vary per frame — the common case for
-/// load generation.
-pub fn start_cbr_template(
-    sim: &mut Sim<Network>,
-    host: HostId,
-    start: SimTime,
-    interval: SimDuration,
-    count: u64,
-    template: impl Into<SharedFrame>,
-) {
-    if count == 0 {
-        return;
-    }
-    let payload: SharedFrame = template.into();
-    let mut sent = 0u64;
-    sim.schedule_periodic(
-        start,
-        interval,
-        move |w: &mut Network, s: &mut Sim<Network>| {
-            w.host_send(s, host, payload.clone());
             sent += 1;
             if sent >= count {
                 Periodic::Stop
@@ -113,28 +78,17 @@ pub fn start_poisson(
     });
 }
 
-/// A microburst: `n` frames back-to-back (spaced by `spacing`) at `at`.
+/// A microburst: `n` frames back-to-back at `at`; host egress
+/// serialization paces them.
 pub fn start_burst(
     sim: &mut Sim<Network>,
     host: HostId,
     at: SimTime,
     n: u64,
-    spacing: SimDuration,
     mut frame: impl FrameFn,
 ) {
     sim.schedule_at(at, move |w: &mut Network, s: &mut Sim<Network>| {
-        // Queue all frames at once; host egress serialization paces them.
-        // Spacing (possibly zero) separates nominal injection times.
-        for i in 0..n {
-            let f = frame(i);
-            if spacing.is_zero() {
-                w.host_send(s, host, f);
-            } else {
-                s.schedule_in(spacing * i, move |w: &mut Network, s: &mut Sim<Network>| {
-                    w.host_send(s, host, f.clone());
-                });
-            }
-        }
+        send_burst(w, s, host, 0..n, SimDuration::ZERO, &mut frame);
     });
 }
 
@@ -159,20 +113,37 @@ pub fn start_on_off(
             if s.now() >= until {
                 return Periodic::Stop;
             }
-            for i in 0..burst_len {
-                let f = frame(seq);
-                seq += 1;
-                if spacing.is_zero() {
-                    w.host_send(s, host, f);
-                } else {
-                    s.schedule_in(spacing * i, move |w: &mut Network, s: &mut Sim<Network>| {
-                        w.host_send(s, host, f.clone());
-                    });
-                }
-            }
+            send_burst(w, s, host, seq..seq + burst_len, spacing, &mut frame);
+            seq += burst_len;
             Periodic::Continue
         },
     );
+}
+
+/// Hands the frames `frame(i)` for `i` in `seqs` from `host` to the
+/// network, each exactly once: all now when `spacing` is zero, otherwise
+/// the `k`-th moved into its own event `spacing * k` from now.
+fn send_burst(
+    w: &mut Network,
+    s: &mut Sim<Network>,
+    host: HostId,
+    seqs: std::ops::Range<u64>,
+    spacing: SimDuration,
+    frame: &mut impl FrameFn,
+) {
+    for (k, i) in seqs.enumerate() {
+        let f = frame(i);
+        if spacing.is_zero() {
+            w.host_send(s, host, f);
+        } else {
+            s.schedule_in(
+                spacing * k as u64,
+                move |w: &mut Network, s: &mut Sim<Network>| {
+                    w.host_send(s, host, f);
+                },
+            );
+        }
+    }
 }
 
 #[cfg(test)]
@@ -223,22 +194,6 @@ mod tests {
     }
 
     #[test]
-    fn cbr_template_delivers_shared_frames() {
-        let (mut net, h0, _h1) = two_hosts();
-        let mut sim: Sim<Network> = Sim::new();
-        start_cbr_template(
-            &mut sim,
-            h0,
-            SimTime::from_micros(1),
-            SimDuration::from_micros(1),
-            25,
-            mk_frame(0),
-        );
-        sim.run(&mut net);
-        assert_eq!(net.hosts[1].stats.rx_pkts, 25);
-    }
-
-    #[test]
     fn poisson_rate_approximately_right() {
         let (mut net, h0, _) = two_hosts();
         let mut sim: Sim<Network> = Sim::new();
@@ -260,14 +215,7 @@ mod tests {
     fn burst_delivers_all() {
         let (mut net, h0, _) = two_hosts();
         let mut sim: Sim<Network> = Sim::new();
-        start_burst(
-            &mut sim,
-            h0,
-            SimTime::from_micros(5),
-            40,
-            SimDuration::ZERO,
-            mk_frame,
-        );
+        start_burst(&mut sim, h0, SimTime::from_micros(5), 40, mk_frame);
         sim.run(&mut net);
         assert_eq!(net.hosts[1].stats.rx_pkts, 40);
     }
@@ -289,6 +237,33 @@ mod tests {
         sim.run(&mut net);
         // Bursts at 0,1,2,3,4 ms = 50 frames.
         assert_eq!(net.hosts[1].stats.rx_pkts, 50);
+    }
+
+    #[test]
+    fn on_off_spacing_gives_each_frame_its_own_instant() {
+        let (mut net, h0, _) = two_hosts();
+        net.tracer.enabled = true;
+        let mut sim: Sim<Network> = Sim::new();
+        start_on_off(
+            &mut sim,
+            h0,
+            SimTime::ZERO,
+            SimDuration::from_millis(1),
+            4,
+            SimDuration::from_micros(1),
+            SimTime::from_millis(2),
+            mk_frame,
+        );
+        sim.run(&mut net);
+        // Frames leave 1 µs apart, far apart enough that none waits for
+        // the wire, so each arrives one fixed wire time after its instant.
+        let at: Vec<u64> = net.tracer.entries().map(|e| e.at.as_nanos()).collect();
+        let wire = at[0];
+        let want: Vec<u64> = [0, 1_000_000]
+            .into_iter()
+            .flat_map(|burst| (0..4).map(move |k| burst + k * 1_000 + wire))
+            .collect();
+        assert_eq!(at, want);
     }
 
     #[test]

@@ -41,32 +41,35 @@ pub fn internet_checksum(data: &[u8]) -> u16 {
 /// One's-complement 32-bit accumulation of 16-bit big-endian words,
 /// starting from `init`; used to chain pseudo-header and payload sums.
 ///
-/// Internally sums 32-bit chunks into two independent 64-bit lanes:
-/// because 2^16 ≡ 1 (mod 0xffff), any word grouping is congruent to the
-/// 16-bit-word sum after [`fold`], and the wide lanes turn a
-/// carry-chained byte-pair loop into ~4 adds per 8 bytes — this runs on
-/// every checksum verify of every parsed frame.
+/// Internally sums native-endian 32-bit lanes into two 64-bit
+/// accumulators: because 2^16 ≡ 1 (mod 0xffff), any word grouping is
+/// congruent to the 16-bit-word sum, and the one's-complement sum is
+/// byte-order independent (RFC 1071 §2(B)), so the lanes fold to 16 bits
+/// and are byte-swapped once at the end instead of once per load. This
+/// runs on every checksum verify of every parsed frame.
 pub fn sum_words(data: &[u8], init: u32) -> u32 {
     let mut chunks = data.chunks_exact(8);
     let (mut s0, mut s1) = (0u64, 0u64);
     for c in &mut chunks {
-        s0 += u32::from_be_bytes([c[0], c[1], c[2], c[3]]) as u64;
-        s1 += u32::from_be_bytes([c[4], c[5], c[6], c[7]]) as u64;
+        s0 += u32::from_ne_bytes([c[0], c[1], c[2], c[3]]) as u64;
+        s1 += u32::from_ne_bytes([c[4], c[5], c[6], c[7]]) as u64;
     }
-    let mut sum = init as u64 + s0 + s1;
+    let mut sum = s0 + s1;
     let mut pairs = chunks.remainder().chunks_exact(2);
     for c in &mut pairs {
-        sum += u16::from_be_bytes([c[0], c[1]]) as u64;
+        sum += u16::from_ne_bytes([c[0], c[1]]) as u64;
     }
     if let [last] = pairs.remainder() {
-        sum += u16::from_be_bytes([*last, 0]) as u64;
+        sum += u16::from_ne_bytes([*last, 0]) as u64;
     }
-    // Fold 64 → 32; the u32 result is congruent (mod 0xffff) to the
-    // plain 16-bit-word sum, which is all `fold` relies on.
-    while sum >> 32 != 0 {
-        sum = (sum & 0xffff_ffff) + (sum >> 32);
-    }
-    sum as u32
+    // End-around-carry folds 64 → 32 → 16 bits, each congruent (mod
+    // 0xffff) to its input, then the one swap back to big-endian words.
+    let (s, carry) = (sum as u32).overflowing_add((sum >> 32) as u32);
+    let s = s + carry as u32;
+    let (s, carry) = (s as u16).overflowing_add((s >> 16) as u16);
+    let s = s + carry as u16;
+    let (sum, carry) = init.overflowing_add(u16::from_be(s) as u32);
+    sum + carry as u32
 }
 
 /// Folds a 32-bit one's-complement accumulator to 16 bits.

@@ -1,5 +1,6 @@
 //! Property-based tests: every codec round-trips, corruption is caught.
 
+use edp_packet::wire::{fold, sum_words};
 use edp_packet::{
     parse_packet, Ecn, EthHeader, EtherType, HulaProbe, IcmpEcho, IcmpEchoKind, IpProto,
     Ipv4Header, KvHeader, KvOp, LivenessHeader, LivenessKind, MacAddr, PacketBuilder,
@@ -21,7 +22,34 @@ fn arb_ecn() -> impl Strategy<Value = Ecn> {
     ]
 }
 
+/// A checksum input: arbitrary bytes, or an all-zero or all-0xFF run, of
+/// any length, odd ones included.
+fn arb_sum_buf() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        prop::collection::vec(any::<u8>(), 0..300),
+        (0usize..300).prop_map(|n| vec![0u8; n]),
+        (0usize..300).prop_map(|n| vec![0xFFu8; n]),
+    ]
+}
+
 proptest! {
+    /// `sum_words` folds to the RFC 1071 byte-pair sum: big-endian 16-bit
+    /// words, an odd last byte padded with zero, chained onto `init`.
+    #[test]
+    fn sum_words_matches_the_byte_pair_definition(
+        data in arb_sum_buf(),
+        init in prop_oneof![Just(0u32), any::<u32>()],
+    ) {
+        let mut want = init as u64;
+        for pair in data.chunks(2) {
+            want += u16::from_be_bytes([pair[0], pair.get(1).copied().unwrap_or(0)]) as u64;
+        }
+        while want >> 16 != 0 {
+            want = (want & 0xffff) + (want >> 16);
+        }
+        prop_assert_eq!(fold(sum_words(&data, init)) as u64, want);
+    }
+
     /// Ethernet headers round-trip for every address/type combination.
     #[test]
     fn eth_round_trip(dst: [u8; 6], src: [u8; 6], ty in 0x0600u16..=0xffff) {

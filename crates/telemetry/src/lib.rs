@@ -269,15 +269,6 @@ pub fn span_end(at_ns: u64, token: SpanToken, kind: RecordKind) {
     });
 }
 
-/// Adds `n` to registry counter `name` in `scope`. No-op when disabled.
-#[inline]
-pub fn count(name: &str, scope: &str, n: u64) {
-    if !on() {
-        return;
-    }
-    with(|t| t.registry.add_counter(name, scope, n));
-}
-
 /// Records `v` into registry histogram `name` in `scope`. No-op when
 /// disabled.
 #[inline]
@@ -312,7 +303,7 @@ mod tests {
                 b: 0,
             },
         );
-        count("rx", "sw0", 1);
+        observe("lat", "sw0", 1);
         let tok = span_begin(11, RecordKind::EventFired { kind: 0 });
         assert_eq!(tok.span(), NO_SPAN);
         span_end(12, tok, RecordKind::HandlerDone { kind: 0 });
@@ -383,13 +374,10 @@ mod tests {
     #[test]
     fn registry_helpers_write_through() {
         enable(TelemetryConfig::default());
-        count("rx", "sw0", 2);
-        count("rx", "sw0", 3);
         observe("lat", "sw0", 7);
         gauge_max("stale", "sw0", 5);
         gauge_max("stale", "sw0", 3);
         let t = disable().expect("session");
-        assert_eq!(t.registry.counter("rx", "sw0"), 5);
         assert_eq!(t.registry.histogram("lat", "sw0").unwrap().count(), 1);
         assert_eq!(t.registry.gauge("stale", "sw0"), Some(5));
     }

@@ -123,13 +123,41 @@ impl LogHistogram {
 /// The unified metrics registry.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
-    counters: BTreeMap<(String, String), u64>,
-    gauges: BTreeMap<(String, String), i64>,
-    histograms: BTreeMap<(String, String), LogHistogram>,
+    counters: Table<u64>,
+    gauges: Table<i64>,
+    histograms: Table<LogHistogram>,
 }
 
-fn key(name: &str, scope: &str) -> (String, String) {
-    (name.to_string(), scope.to_string())
+/// Values keyed by `(name, scope)`, kept per name and then per scope so a
+/// lookup borrows both strings: only a key's first registration
+/// allocates. Walks in `(name, scope)` order.
+#[derive(Debug, Clone, Default)]
+struct Table<V>(BTreeMap<String, BTreeMap<String, V>>);
+
+impl<V> Table<V> {
+    fn get(&self, name: &str, scope: &str) -> Option<&V> {
+        self.0.get(name)?.get(scope)
+    }
+
+    /// The value at `(name, scope)`, registered as `init()` on first use.
+    fn entry(&mut self, name: &str, scope: &str, init: impl FnOnce() -> V) -> &mut V {
+        if !self.0.contains_key(name) {
+            self.0.insert(name.to_string(), BTreeMap::new());
+        }
+        let scopes = self.0.get_mut(name).expect("registered above");
+        if !scopes.contains_key(scope) {
+            scopes.insert(scope.to_string(), init());
+        }
+        scopes.get_mut(scope).expect("registered above")
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (&str, &str, &V)> {
+        self.0.iter().flat_map(|(name, scopes)| {
+            scopes
+                .iter()
+                .map(move |(scope, v)| (name.as_str(), scope.as_str(), v))
+        })
+    }
 }
 
 impl Registry {
@@ -140,89 +168,81 @@ impl Registry {
 
     /// Adds `n` to counter `name` in `scope` (registering it on first use).
     pub fn add_counter(&mut self, name: &str, scope: &str, n: u64) {
-        let c = self.counters.entry(key(name, scope)).or_insert(0);
+        let c = self.counters.entry(name, scope, || 0);
         *c = c.saturating_add(n);
     }
 
     /// Sets counter `name` in `scope` to an absolute value (used when
     /// publishing component-owned counters like `EventSwitchCounters`).
     pub fn set_counter(&mut self, name: &str, scope: &str, v: u64) {
-        self.counters.insert(key(name, scope), v);
+        *self.counters.entry(name, scope, || v) = v;
     }
 
     /// Current value of a counter; 0 if never registered.
     pub fn counter(&self, name: &str, scope: &str) -> u64 {
-        self.counters.get(&key(name, scope)).copied().unwrap_or(0)
+        self.counters.get(name, scope).copied().unwrap_or(0)
     }
 
     /// Sets gauge `name` in `scope`.
     pub fn set_gauge(&mut self, name: &str, scope: &str, v: i64) {
-        self.gauges.insert(key(name, scope), v);
+        *self.gauges.entry(name, scope, || v) = v;
     }
 
     /// Raises gauge `name` in `scope` to `v` if `v` is larger (high-water
     /// marks like staleness bounds).
     pub fn gauge_max(&mut self, name: &str, scope: &str, v: i64) {
-        let g = self.gauges.entry(key(name, scope)).or_insert(i64::MIN);
+        let g = self.gauges.entry(name, scope, || v);
         *g = (*g).max(v);
     }
 
     /// Current value of a gauge; `None` if never set.
     pub fn gauge(&self, name: &str, scope: &str) -> Option<i64> {
-        self.gauges.get(&key(name, scope)).copied()
+        self.gauges.get(name, scope).copied()
     }
 
     /// Records `v` into histogram `name` in `scope`.
     pub fn observe(&mut self, name: &str, scope: &str, v: u64) {
         self.histograms
-            .entry(key(name, scope))
-            .or_default()
+            .entry(name, scope, LogHistogram::new)
             .record(v);
     }
 
     /// The histogram registered as `name` in `scope`, if any.
     pub fn histogram(&self, name: &str, scope: &str) -> Option<&LogHistogram> {
-        self.histograms.get(&key(name, scope))
+        self.histograms.get(name, scope)
     }
 
     /// All counters, sorted by `(name, scope)`.
     pub fn counters(&self) -> impl Iterator<Item = (&str, &str, u64)> {
-        self.counters
-            .iter()
-            .map(|((n, s), v)| (n.as_str(), s.as_str(), *v))
+        self.counters.iter().map(|(n, s, v)| (n, s, *v))
     }
 
     /// All gauges, sorted by `(name, scope)`.
     pub fn gauges(&self) -> impl Iterator<Item = (&str, &str, i64)> {
-        self.gauges
-            .iter()
-            .map(|((n, s), v)| (n.as_str(), s.as_str(), *v))
+        self.gauges.iter().map(|(n, s, v)| (n, s, *v))
     }
 
     /// All histograms, sorted by `(name, scope)`.
     pub fn histograms(&self) -> impl Iterator<Item = (&str, &str, &LogHistogram)> {
-        self.histograms
-            .iter()
-            .map(|((n, s), h)| (n.as_str(), s.as_str(), h))
+        self.histograms.iter()
     }
 
     /// True when nothing has been registered.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+        self.counters.0.is_empty() && self.gauges.0.is_empty() && self.histograms.0.is_empty()
     }
 
     /// Folds another registry into this one: counters add, gauges take
     /// the later value, histogram buckets merge.
     pub fn merge(&mut self, other: &Registry) {
-        for ((n, s), v) in &other.counters {
-            let c = self.counters.entry((n.clone(), s.clone())).or_insert(0);
-            *c = c.saturating_add(*v);
+        for (n, s, v) in other.counters() {
+            self.add_counter(n, s, v);
         }
-        for ((n, s), v) in &other.gauges {
-            self.gauges.insert((n.clone(), s.clone()), *v);
+        for (n, s, v) in other.gauges() {
+            self.set_gauge(n, s, v);
         }
-        for ((n, s), h) in &other.histograms {
-            let mine = self.histograms.entry((n.clone(), s.clone())).or_default();
+        for (n, s, h) in other.histograms() {
+            let mine = self.histograms.entry(n, s, LogHistogram::new);
             for (i, c) in h.counts.iter().enumerate() {
                 mine.counts[i] += c;
             }

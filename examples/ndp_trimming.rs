@@ -14,7 +14,7 @@ use edp_apps::common::{addr, dumbbell, run_until, sink_addr};
 use edp_apps::ndp::NdpTrim;
 use edp_core::event::OverflowEvent;
 use edp_core::{EventActions, EventProgram, EventSwitch, EventSwitchConfig};
-use edp_evsim::{Sim, SimDuration, SimTime};
+use edp_evsim::{Sim, SimTime};
 use edp_netsim::traffic::start_burst;
 use edp_netsim::Network;
 use edp_packet::{Packet, PacketBuilder, ParsedPacket, TRIMMED_DSCP};
@@ -52,19 +52,12 @@ fn cfg() -> EventSwitchConfig {
 
 fn blast(net: &mut Network, sim: &mut Sim<Network>, sender: usize) {
     let src = addr(1);
-    start_burst(
-        sim,
-        sender,
-        SimTime::ZERO,
-        100,
-        SimDuration::ZERO,
-        move |i| {
-            PacketBuilder::udp(src, sink_addr(), 40, 50, &[])
-                .ident(i as u16)
-                .pad_to(1500)
-                .build()
-        },
-    );
+    start_burst(sim, sender, SimTime::ZERO, 100, move |i| {
+        PacketBuilder::udp(src, sink_addr(), 40, 50, &[])
+            .ident(i as u16)
+            .pad_to(1500)
+            .build()
+    });
     run_until(net, sim, SimTime::from_millis(50));
 }
 

@@ -199,7 +199,9 @@ step_bench_gate() {
     # exactly 7 frames per packet cross shards; no allocation per hop in
     # the Network glue (what is left is the frame and its host-side
     # bookkeeping, 3.3 at smoke size); the 2-shard engine's windows and
-    # barriers; and every workload's handler firings per switch receive.
+    # barriers; the other three workloads' events per packet (a replayed
+    # frame costs one scheduled event, a burst one for all its frames);
+    # and every workload's handler firings per switch receive.
     if command -v python3 >/dev/null 2>&1; then
         python3 - benchmark/out/smoke.json scripts/bench_counters.json <<'PYEOF'
 import json, sys

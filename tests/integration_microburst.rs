@@ -44,19 +44,12 @@ fn workload(sim: &mut Sim<Network>, senders: &[usize]) {
         );
     }
     let src = addr(3);
-    start_burst(
-        sim,
-        senders[2],
-        BURST_AT,
-        120,
-        SimDuration::ZERO,
-        move |s| {
-            PacketBuilder::udp(src, sink_addr(), 30, 40, &[])
-                .ident(s as u16)
-                .pad_to(1500)
-                .build()
-        },
-    );
+    start_burst(sim, senders[2], BURST_AT, 120, move |s| {
+        PacketBuilder::udp(src, sink_addr(), 30, 40, &[])
+            .ident(s as u16)
+            .pad_to(1500)
+            .build()
+    });
 }
 
 #[test]
