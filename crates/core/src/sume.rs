@@ -210,8 +210,22 @@ impl<P: PisaProgram> EventSwitch<BaselineAdapter<P>> {
 
 impl<P: EventProgram> EventSwitch<P> {
     /// Creates an event switch.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= cfg.n_ports <= 256` (a [`PortId`] is a `u8`),
+    /// or, with a packet generator configured, `cfg.n_ports <= 255`: its
+    /// frames enter from port id `n_ports`, which must name no real port.
     pub fn new(program: P, cfg: EventSwitchConfig) -> Self {
-        assert!(cfg.n_ports > 0);
+        assert!(
+            (1..=256).contains(&cfg.n_ports),
+            "a switch has 1 to 256 ports, not {}",
+            cfg.n_ports
+        );
+        assert!(
+            cfg.generator.is_none() || cfg.n_ports <= 255,
+            "a packet generator needs a port id past the last port"
+        );
         let timers = cfg
             .timers
             .iter()
@@ -472,9 +486,9 @@ impl<P: EventProgram> EventSwitch<P> {
     pub fn publish_metrics(&self, reg: &mut edp_telemetry::Registry, scope: &str) {
         self.counters.publish(reg, scope);
         self.events.publish(reg, scope);
-        for port in 0..self.cfg.n_ports as PortId {
+        for port in 0..self.cfg.n_ports {
             self.tm
-                .stats(port)
+                .stats(port as PortId)
                 .publish(reg, &format!("{scope}:p{port}"));
         }
     }
@@ -558,7 +572,7 @@ impl<P: EventProgram> EventSwitch<P> {
             }
             Destination::Flood => {
                 let ingress = meta.ingress_port;
-                for out in 0..self.cfg.n_ports as PortId {
+                for out in (0..self.cfg.n_ports).map(|p| p as PortId) {
                     if out != ingress {
                         self.enqueue(now, out, pkt.clone(), meta, depth);
                     }
@@ -882,6 +896,27 @@ mod tests {
             n_ports: 4,
             ..Default::default()
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "a switch has 1 to 256 ports, not 257")]
+    fn more_ports_than_port_ids_panics() {
+        EventSwitch::baseline(ForwardTo(0), 257, QueueConfig::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "a packet generator needs a port id past the last port")]
+    fn a_generator_on_256_ports_panics() {
+        let generator = PacketGenConfig {
+            period: SimDuration::from_micros(1),
+            template: frame().bytes().to_vec(),
+        };
+        let cfg = EventSwitchConfig {
+            n_ports: 256,
+            generator: Some(generator),
+            ..Default::default()
+        };
+        EventSwitch::new(Recorder::default(), cfg);
     }
 
     #[test]

@@ -30,17 +30,20 @@
 //! - **Heap traffic is cache-friendly** — sift operations move small
 //!   `Copy` keys instead of the events.
 //!
-//! The key queue is a 4-ary min-heap beside a sorted append-only *run*,
-//! a fixed ring of keys in non-decreasing order. A network simulation
-//! schedules mostly `now + a constant delay`, so one stream of keys
-//! arrives already sorted: a push that is `>=` the run's back appends to
-//! the run in O(1), and only the keys that would break its order go to
-//! the heap. The **restart rule** keeps one early outlier (a far-future
-//! fault, say) from owning the run: when the run holds exactly one key
-//! and a smaller one arrives, that key moves to the heap and the new key
-//! starts the run. A pop takes the smaller of the run's front and the
-//! heap's top under the full `(time, key, seq)` order; `seq` is unique,
-//! so firing order is exactly that of a single heap.
+//! The key queue is a 4-ary min-heap beside a sorted *run*, a fixed ring
+//! of keys in ascending order. A network simulation schedules mostly
+//! `now + a small delay`, so a new key lands at or near the back of what
+//! is queued: the **insertion rule** puts a key into the run when at most
+//! a constant bound of run keys (32) sort after it, shifting those back
+//! by one, and sends any other key to the heap. A full run evicts its
+//! back key to the heap to take a key that sorts before it. One early
+//! outlier armed first (a far-future fault or a periodic tick) therefore
+//! sits at the run's back while the streams insert in front of it. The
+//! bound keeps a key that lands far behind the back from paying for a
+//! long shift: the heap takes it in `O(log n)`. A pop takes the smaller
+//! of the run's front and the heap's top under the full
+//! `(time, key, seq)` order; `seq` is unique, so firing order is exactly
+//! that of a single heap, wherever each key went.
 //!
 //! The slab invariant: every occupied slot has exactly one key in the
 //! key queue, and a slot is only reclaimed when that key is popped. Handles
@@ -216,13 +219,16 @@ impl Ord for HeapKey {
 }
 
 /// Capacity of [`KeyHeap`]'s run: a power of two, so ring indices wrap by
-/// mask. The longest monotone stream measured was 55 keys (a k=4
-/// fat-tree; the 8-switch line peaks at 29); a full run sends keys to the
-/// heap, which costs speed, never order.
+/// mask. A full run evicts its back key to the heap, which costs speed,
+/// never order.
 const RUN_CAP: usize = 64;
 
-/// A fixed ring of [`HeapKey`]s in non-decreasing order. Inline, so an
-/// empty simulator allocates nothing for it.
+/// The most run keys a push may shift back to make room for its key; a
+/// key that would move more goes to the heap (see the module docs).
+const RUN_SHIFT_MAX: usize = 32;
+
+/// A fixed ring of [`HeapKey`]s in ascending order. Inline, so an empty
+/// simulator allocates nothing for it.
 struct Run {
     keys: [HeapKey; RUN_CAP],
     head: usize,
@@ -246,41 +252,53 @@ impl Run {
         }
     }
 
+    /// The `i`-th key from the front (`i < len`).
+    fn at(&self, i: usize) -> &HeapKey {
+        &self.keys[(self.head + i) & Self::MASK]
+    }
+
     fn front(&self) -> Option<&HeapKey> {
-        (self.len > 0).then(|| &self.keys[self.head & Self::MASK])
+        (self.len > 0).then(|| self.at(0))
     }
 
-    /// Whether `key` may append without breaking the order.
-    fn accepts(&self, key: &HeapKey) -> bool {
-        self.len == 0
-            || (self.len < RUN_CAP && *key >= self.keys[(self.head + self.len - 1) & Self::MASK])
-    }
-
-    fn push_back(&mut self, key: HeapKey) {
+    /// Inserts `key` behind every smaller key, shifting the larger ones
+    /// back by one (the run has room).
+    fn insert(&mut self, key: HeapKey) {
         debug_assert!(self.len < RUN_CAP);
-        self.keys[(self.head + self.len) & Self::MASK] = key;
+        let mut i = self.len;
+        while i > 0 && *self.at(i - 1) > key {
+            self.keys[(self.head + i) & Self::MASK] = *self.at(i - 1);
+            i -= 1;
+        }
+        self.keys[(self.head + i) & Self::MASK] = key;
         self.len += 1;
     }
 
     fn pop_front(&mut self) -> HeapKey {
         debug_assert!(self.len > 0);
-        let key = self.keys[self.head & Self::MASK];
+        let key = *self.at(0);
         self.head = (self.head + 1) & Self::MASK;
         self.len -= 1;
         key
     }
+
+    fn pop_back(&mut self) -> HeapKey {
+        debug_assert!(self.len > 0);
+        self.len -= 1;
+        *self.at(self.len)
+    }
 }
 
 /// The key queue: a 4-ary min-heap of [`HeapKey`]s beside a sorted
-/// [`Run`] that takes every push which keeps it sorted (see the module
-/// docs, including the restart rule).
+/// [`Run`] that takes every push landing near its back (see the module
+/// docs for the insertion rule).
 ///
 /// Versus `std::collections::BinaryHeap` the 4-ary heap halves the tree
 /// depth, so a pop on a deep queue takes fewer dependent cache misses; a
 /// node's children are consecutive 32-byte `Copy` keys (two cache lines),
 /// which the hardware prefetcher streams while the min-scan runs. The run
 /// matters more: every pop from a heap sifts its last key down from the
-/// root, and a simulation's monotone stream skips that entirely.
+/// root, and a key popped from the run skips that entirely.
 struct KeyHeap {
     /// The heap, in 4-ary array layout.
     keys: Vec<HeapKey>,
@@ -315,18 +333,22 @@ impl KeyHeap {
         }
     }
 
+    /// The insertion rule: `key` joins the run unless more than
+    /// [`RUN_SHIFT_MAX`] run keys sort after it, or the run is full and
+    /// `key` sorts after all of them. A full run makes room by evicting
+    /// its back key to the heap.
     fn push(&mut self, key: HeapKey) {
-        if self.run.accepts(&key) {
-            self.run.push_back(key);
-        } else if self.run.len == 1 {
-            // Restart rule: a lone run key that the stream has undercut
-            // (typically a far-future event armed first) moves to the
-            // heap, so it cannot turn every later key away from the run.
-            let lone = self.run.pop_front();
-            self.run.push_back(key);
-            self.heap_push(lone);
-        } else {
+        let run = &mut self.run;
+        if run.len > RUN_SHIFT_MAX && key < *run.at(run.len - 1 - RUN_SHIFT_MAX) {
             self.heap_push(key);
+        } else if run.len < RUN_CAP {
+            run.insert(key);
+        } else if key > *run.at(RUN_CAP - 1) {
+            self.heap_push(key);
+        } else {
+            let back = run.pop_back();
+            run.insert(key);
+            self.heap_push(back);
         }
     }
 
@@ -1091,7 +1113,7 @@ mod tests {
 
     /// Hop `hop` of one packet down an 8-switch line: an edge wire, seven
     /// trunks and the sink's edge wire, each armed `now + a constant
-    /// delay` — the push pattern the run is for.
+    /// delay`.
     fn line_hop(s: &mut Sim<()>, hop: usize) {
         const DELAY_NS: [u64; 9] = [
             1_050, 2_050, 2_050, 2_050, 2_050, 2_050, 2_050, 2_050, 1_050,
@@ -1104,46 +1126,139 @@ mod tests {
         }
     }
 
-    #[test]
-    fn line_shaped_chains_keep_the_heap_small() {
-        // A packet every 500 ns down the line: three interleaved
-        // constant-delay streams (500 / 1,050 / 2,050 ns) and ~33 keys
-        // queued. The longest-delay stream always appends to the run, so
-        // only the other two reach the heap. A far-future event armed
-        // first must not change that (the restart rule).
-        for far_first in [false, true] {
-            let mut sim: Sim<()> = Sim::new();
-            if far_first {
-                sim.schedule_at(SimTime::from_millis(1), |_: &mut (), _: &mut _| {});
-            }
-            sim.schedule_periodic(
-                SimTime::ZERO,
-                SimDuration::from_nanos(500),
-                |_: &mut (), s: &mut Sim<()>| {
-                    line_hop(s, 0);
-                    if s.now() < SimTime::from_micros(200) {
+    /// A packet every 500 ns down the line for 200 µs: three interleaved
+    /// constant-delay streams (500 / 1,050 / 2,050 ns), ~33 keys queued.
+    fn line_shape(s: &mut Sim<()>) {
+        s.schedule_periodic(
+            SimTime::ZERO,
+            SimDuration::from_nanos(500),
+            |_: &mut (), s: &mut Sim<()>| {
+                line_hop(s, 0);
+                if s.now() < SimTime::from_micros(200) {
+                    Periodic::Continue
+                } else {
+                    Periodic::Stop
+                }
+            },
+        );
+    }
+
+    /// Hop `hop` of an RPC across a k=4 fat-tree and back: 1-µs host
+    /// wires at both ends, 2-µs fabric wires between, each hop also
+    /// serializing the frame at 10 Gb/s (0.8 ns a byte) after `wait_ns`
+    /// behind the frames ahead of it.
+    fn fat_hop(s: &mut Sim<()>, hop: usize, bytes: u64, wait_ns: u64) {
+        const PROP_NS: [u64; 12] = [
+            1_000, 2_000, 2_000, 2_000, 2_000, 1_000, 1_000, 2_000, 2_000, 2_000, 2_000, 1_000,
+        ];
+        if let Some(&d) = PROP_NS.get(hop) {
+            s.schedule_in(
+                SimDuration::from_nanos(wait_ns + d + bytes * 4 / 5),
+                move |_: &mut (), s: &mut Sim<()>| fat_hop(s, hop + 1, bytes, 0),
+            );
+        }
+    }
+
+    /// Eight client fleets, each a +20 µs periodic pacer armed before any
+    /// traffic, sending five RPCs of mixed sizes back to back per tick
+    /// for 400 µs: 1-µs and 2-µs streams interleaved by serialization,
+    /// with ~90 keys queued.
+    fn fat_tree_shape(s: &mut Sim<()>) {
+        for fleet in 0..8u64 {
+            let mut lcg = fleet.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            s.schedule_periodic(
+                SimTime::from_micros(20),
+                SimDuration::from_micros(20),
+                move |_: &mut (), s: &mut Sim<()>| {
+                    let mut wait = 0;
+                    for _ in 0..5 {
+                        lcg = lcg.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                        let bytes = [96, 128, 256, 1_024, 1_536][(lcg >> 61) as usize % 5];
+                        fat_hop(s, 0, bytes, wait);
+                        wait += bytes * 4 / 5;
+                    }
+                    if s.now() < SimTime::from_micros(400) {
                         Periodic::Continue
                     } else {
                         Periodic::Stop
                     }
                 },
             );
-            let (mut max_heap, mut max_pending) = (0, 0);
-            while sim.step(&mut ()) {
-                if sim.now() > SimTime::from_micros(20) {
-                    max_heap = max_heap.max(sim.heap.keys.len());
-                    max_pending = max_pending.max(sim.pending());
-                }
-            }
-            assert!(max_pending >= 30, "the line queues ~33 keys");
-            assert!(
-                max_heap <= 8,
-                "far_first={far_first}: heap held {max_heap} keys"
-            );
-            // 401 packets, a generator tick and nine hops each, plus the
-            // far-future event.
-            assert_eq!(sim.events_fired(), 401 * 10 + far_first as u64);
         }
+    }
+
+    /// Runs a shape to the end; returns the share of pops the run served
+    /// and the most keys queued at once.
+    fn run_share(shape: fn(&mut Sim<()>), far_first: bool) -> (f64, usize) {
+        let mut sim: Sim<()> = Sim::new();
+        if far_first {
+            sim.schedule_at(SimTime::from_millis(1), |_: &mut (), _: &mut _| {});
+        }
+        shape(&mut sim);
+        let (mut from_run, mut pops, mut max_pending) = (0u64, 0u64, 0);
+        while sim.heap.peek().is_some() {
+            from_run += sim.heap.run_first() as u64;
+            pops += 1;
+            max_pending = max_pending.max(sim.pending());
+            sim.step(&mut ());
+        }
+        (from_run as f64 / pops as f64, max_pending)
+    }
+
+    #[test]
+    fn line_and_fat_tree_shapes_pop_from_the_run() {
+        // The run serves at least 90 % of pops on both shapes, with or
+        // without a far-future event armed first: it sits at the run's
+        // back and every stream inserts in front of it.
+        for far_first in [false, true] {
+            let (share, queued) = run_share(line_shape, far_first);
+            assert!(queued >= 30, "the line queues ~33 keys, saw {queued}");
+            assert!(share >= 0.9, "line, far_first={far_first}: {share}");
+            let (share, queued) = run_share(fat_tree_shape, far_first);
+            assert!(queued >= 60, "the fat-tree queues ~90 keys, saw {queued}");
+            assert!(share >= 0.9, "fat-tree, far_first={far_first}: {share}");
+        }
+    }
+
+    /// A key queue with `seq`s `0..n` at the given times, all pushed.
+    fn pushed(times: impl IntoIterator<Item = u64>) -> KeyHeap {
+        let mut q = KeyHeap::new();
+        for (seq, t) in times.into_iter().enumerate() {
+            q.push(HeapKey {
+                time: SimTime::from_nanos(t),
+                key: UNKEYED,
+                seq: seq as u64,
+                slot: seq as u32,
+            });
+        }
+        q
+    }
+
+    fn drain(mut q: KeyHeap) -> Vec<u64> {
+        std::iter::from_fn(|| q.pop().map(|k| k.seq)).collect()
+    }
+
+    #[test]
+    fn insertion_rule_bounds_the_shift_and_evicts_from_a_full_run() {
+        // An early outlier stays at the back; the next key goes in front.
+        let q = pushed([1_000_000, 5]);
+        assert_eq!((q.run.len, q.keys.len()), (2, 0));
+        assert_eq!(drain(q), [1, 0]);
+        // A key that would shift more than the bound goes to the heap.
+        let n = RUN_SHIFT_MAX as u64;
+        let q = pushed((1..=n).chain([0]));
+        assert_eq!((q.run.len, q.keys.len()), (RUN_SHIFT_MAX + 1, 0));
+        let q = pushed((1..=n + 1).chain([0]));
+        assert_eq!((q.run.len, q.keys.len()), (RUN_SHIFT_MAX + 1, 1));
+        assert_eq!(drain(q)[0], n + 1);
+        // A full run evicts its back key to take a smaller one, and sends
+        // a larger one straight to the heap.
+        let cap = RUN_CAP as u64;
+        let q = pushed((0..cap).map(|t| 2 * t).chain([2 * cap - 3, 2 * cap]));
+        assert_eq!((q.run.len, q.keys.len()), (RUN_CAP, 2));
+        assert_eq!(q.run.at(RUN_CAP - 1).seq, cap);
+        let order = drain(q);
+        assert_eq!(order[RUN_CAP - 1..], [cap, cap - 1, cap + 1]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Golden-order property test for the slab-backed event queue.
 //!
-//! The slab arena + key queue (a 4-ary heap beside a sorted append-only
-//! run) in `edp_evsim::Sim` is an acceleration structure; its observable
+//! The slab arena + key queue (a 4-ary heap beside a sorted run) in
+//! `edp_evsim::Sim` is an acceleration structure; its observable
 //! firing semantics must be bit-for-bit those of the obvious reference
 //! implementation — a flat list scanned for the minimum
 //! `(time, key, seq)` — under arbitrary interleavings of one-shot and
@@ -10,8 +10,15 @@
 //! mid-run cancellations, and handlers that schedule more work. Times are drawn from a small range so same-instant ties (keyed
 //! order, then FIFO) are exercised constantly, yet wide enough that
 //! interleaved chains keep both the run and the heap populated; an
-//! optional far-future event armed first exercises the run's restart
-//! rule.
+//! optional far-future event armed first sits at the run's back.
+//!
+//! A second generator has the shape of a fat-tree RPC fabric: waves of
+//! packets down interleaved 1-µs and 2-µs streams whose hops also pay a
+//! size-dependent serialization, a +20 µs periodic tick armed first that
+//! launches each later wave, and keyed and unkeyed same-instant ties. It
+//! queues up to hundreds of keys, so the run inserts keys in front of
+//! others, turns away keys that would shift too many, and evicts its
+//! back key when full.
 //!
 //! Both executors log every observable: fired tags in order, and the
 //! boolean result of every cancellation. The logs must match exactly.
@@ -22,9 +29,33 @@ use proptest::prelude::*;
 /// Time range of build-phase events, in ns.
 const T: u64 = 64;
 
-/// Far beyond every other event: armed first, it is the run's lone key
-/// until the restart rule moves it to the heap.
+/// Far beyond every other event: armed first, it stays at the run's back.
 const FAR: u64 = 1_000_000;
+
+/// The fat-tree generator's tick period, ns.
+const FAT_TICK: u64 = 20_000;
+
+/// Propagation of each hop of a fat-tree path, ns: 1-µs host wires at
+/// both ends, 2-µs fabric wires between.
+const FAT_PROP: [u64; 6] = [1_000, 2_000, 2_000, 2_000, 2_000, 1_000];
+
+/// Frame sizes a fat-tree packet draws from, bytes.
+const FAT_BYTES: [u64; 4] = [96, 256, 1_024, 1_536];
+
+/// Delay of hop `hop` for a `bytes`-byte frame: propagation plus 10 Gb/s
+/// serialization (0.8 ns a byte).
+fn fat_hop_ns(hop: usize, bytes: u64) -> u64 {
+    FAT_PROP[hop] + bytes * 4 / 5
+}
+
+/// One packet of a fat-tree wave.
+#[derive(Debug, Clone, Copy)]
+struct FatPkt {
+    /// Index into [`FAT_BYTES`].
+    size: usize,
+    /// Its deliveries are keyed (key `tag % 4`), or unkeyed.
+    keyed: bool,
+}
 
 /// One build-phase command, applied identically to both executors.
 #[derive(Debug, Clone)]
@@ -51,6 +82,15 @@ enum Cmd {
     CancelAt { t: u64, raw: u64 },
     /// Event at `t` whose handler schedules a child `child_dt` later.
     Nested { t: u64, child_dt: u64 },
+    /// A fat-tree wave: packet `j` of `wave` leaves at `j * gap` and
+    /// crosses the [`FAT_PROP`] hops, logging at each. A periodic tick,
+    /// armed before the wave, fires every [`FAT_TICK`] `ticks` times and
+    /// launches the wave again from its own instant.
+    FatTree {
+        wave: Vec<FatPkt>,
+        gap: u64,
+        ticks: u64,
+    },
 }
 
 fn cmd_strategy() -> BoxedStrategy<Cmd> {
@@ -71,6 +111,14 @@ fn cmd_strategy() -> BoxedStrategy<Cmd> {
         ((0u64..T), (0u64..16)).prop_map(|(t, child_dt)| Cmd::Nested { t, child_dt }),
     ]
     .boxed()
+}
+
+fn fat_tree_strategy() -> BoxedStrategy<Cmd> {
+    let pkt =
+        ((0..FAT_BYTES.len()), any::<bool>()).prop_map(|(size, keyed)| FatPkt { size, keyed });
+    (prop::collection::vec(pkt, 1..100), (0u64..48), (0u64..4))
+        .prop_map(|(wave, gap, ticks)| Cmd::FatTree { wave, gap, ticks })
+        .boxed()
 }
 
 // ---------------------------------------------------------------------
@@ -98,6 +146,20 @@ enum RefAction {
         child_dt: u64,
         parent_tag: i64,
         child_tag: i64,
+    },
+    /// Delivery `hop` of a fat-tree packet; arms the next hop.
+    FatHop {
+        hop: usize,
+        bytes: u64,
+        key: u64,
+        tag: i64,
+    },
+    /// The fat-tree tick: logs `tag`, launches the wave, re-arms.
+    FatTick {
+        left: u64,
+        tag: i64,
+        wave: Vec<(u64, u64, i64)>,
+        gap: u64,
     },
 }
 
@@ -137,6 +199,24 @@ impl RefModel {
             action,
         });
         seq
+    }
+
+    /// Launches every `(bytes, key, tag)` packet of a wave from `now`.
+    fn launch(&mut self, wave: &[(u64, u64, i64)], gap: u64) {
+        for (j, &(bytes, key, tag)) in wave.iter().enumerate() {
+            let time = self.now + j as u64 * gap + fat_hop_ns(0, bytes);
+            let hop = 0;
+            self.schedule_keyed(
+                time,
+                key,
+                RefAction::FatHop {
+                    hop,
+                    bytes,
+                    key,
+                    tag,
+                },
+            );
+        }
     }
 
     fn cancel(&mut self, seq: u64) -> bool {
@@ -213,6 +293,49 @@ impl RefModel {
                     let time = self.now + child_dt;
                     self.schedule(time, RefAction::Once(child_tag));
                 }
+                RefAction::FatHop {
+                    hop,
+                    bytes,
+                    key,
+                    tag,
+                } => {
+                    self.log.push(tag);
+                    if hop + 1 < FAT_PROP.len() {
+                        let time = self.now + fat_hop_ns(hop + 1, bytes);
+                        let hop = hop + 1;
+                        self.schedule_keyed(
+                            time,
+                            key,
+                            RefAction::FatHop {
+                                hop,
+                                bytes,
+                                key,
+                                tag,
+                            },
+                        );
+                    }
+                }
+                RefAction::FatTick {
+                    left,
+                    tag,
+                    wave,
+                    gap,
+                } => {
+                    self.log.push(tag);
+                    self.launch(&wave, gap);
+                    if left > 1 {
+                        let time = self.now + FAT_TICK;
+                        self.schedule(
+                            time,
+                            RefAction::FatTick {
+                                left: left - 1,
+                                tag,
+                                wave,
+                                gap,
+                            },
+                        );
+                    }
+                }
             }
         }
     }
@@ -233,6 +356,23 @@ fn chain(s: &mut Sim<Vec<i64>>, d: u64, left: u64, tag: i64) -> EventId {
             }
         },
     )
+}
+
+/// Arms delivery `hop` of a fat-tree packet `wait` after now.
+fn fat_hop(s: &mut Sim<Vec<i64>>, wait: u64, hop: usize, bytes: u64, key: u64, tag: i64) {
+    let at = s.now() + SimDuration::from_nanos(wait + fat_hop_ns(hop, bytes));
+    s.schedule_keyed_at(at, key, move |w: &mut Vec<i64>, s: &mut Sim<Vec<i64>>| {
+        w.push(tag);
+        if hop + 1 < FAT_PROP.len() {
+            fat_hop(s, 0, hop + 1, bytes, key, tag);
+        }
+    });
+}
+
+fn fat_launch(s: &mut Sim<Vec<i64>>, wave: &[(u64, u64, i64)], gap: u64) {
+    for (j, &(bytes, key, tag)) in wave.iter().enumerate() {
+        fat_hop(s, j as u64 * gap, 0, bytes, key, tag);
+    }
 }
 
 fn run_script(far_first: bool, cmds: &[Cmd]) -> (Vec<i64>, Vec<i64>, usize) {
@@ -389,6 +529,49 @@ fn run_script(far_first: bool, cmds: &[Cmd]) -> (Vec<i64>, Vec<i64>, usize) {
                     },
                 ));
             }
+            Cmd::FatTree {
+                ref wave,
+                gap,
+                ticks,
+            } => {
+                let tick_tag = tag();
+                let wave: Vec<(u64, u64, i64)> = wave
+                    .iter()
+                    .map(|p| {
+                        let tg = tag();
+                        let key = if p.keyed { tg as u64 % 4 } else { UNKEYED };
+                        (FAT_BYTES[p.size], key, tg)
+                    })
+                    .collect();
+                if ticks > 0 {
+                    let (w, mut left) = (wave.clone(), ticks);
+                    ids.push(sim.schedule_periodic(
+                        SimTime::from_nanos(FAT_TICK),
+                        SimDuration::from_nanos(FAT_TICK),
+                        move |log: &mut Vec<i64>, s: &mut Sim<Vec<i64>>| {
+                            log.push(tick_tag);
+                            fat_launch(s, &w, gap);
+                            left -= 1;
+                            if left == 0 {
+                                Periodic::Stop
+                            } else {
+                                Periodic::Continue
+                            }
+                        },
+                    ));
+                    mids.push(model.schedule(
+                        FAT_TICK,
+                        RefAction::FatTick {
+                            left: ticks,
+                            tag: tick_tag,
+                            wave: wave.clone(),
+                            gap,
+                        },
+                    ));
+                }
+                fat_launch(&mut sim, &wave, gap);
+                model.launch(&wave, gap);
+            }
         }
     }
 
@@ -410,6 +593,20 @@ proptest! {
         cmds in prop::collection::vec(cmd_strategy(), 0..48)
     ) {
         let (sim_log, model_log, sim_pending) = run_script(far_first, &cmds);
+        prop_assert_eq!(&sim_log, &model_log);
+        prop_assert_eq!(sim_pending, 0, "queue fully drained");
+    }
+}
+
+proptest! {
+    #[test]
+    fn fat_tree_shaped_streams_fire_in_reference_order(
+        far_first: bool,
+        fat in fat_tree_strategy(),
+        cmds in prop::collection::vec(cmd_strategy(), 0..12)
+    ) {
+        let script: Vec<Cmd> = std::iter::once(fat).chain(cmds).collect();
+        let (sim_log, model_log, sim_pending) = run_script(far_first, &script);
         prop_assert_eq!(&sim_log, &model_log);
         prop_assert_eq!(sim_pending, 0, "queue fully drained");
     }

@@ -13,11 +13,18 @@
 //! endpoint count ordering, shard count, or sub-window count. The fleet
 //! is advanced only by its host's pacer event, whose body is gated on shard
 //! ownership like every other traffic source.
+//!
+//! A pacer tick visits only the endpoints with something due: the fleet
+//! keeps each live endpoint's next due instant (its first connect, a
+//! retransmit deadline, the end of a think time) in a min-queue, and an
+//! entry that a reply made stale is dropped when it surfaces.
 
 use crate::host::{HostApp, HostId};
 use crate::net::{Network, NodeRef};
 use edp_evsim::{Periodic, Sim, SimDuration, SimRng, SimTime, Zipf};
 use edp_packet::{PacketBuilder, RpcHeader, RpcKind};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::net::Ipv4Addr;
 
 /// Domain tag for per-endpoint RNG streams (see [`SimRng::stream`]).
@@ -109,6 +116,19 @@ enum EpState {
     Dead,
 }
 
+impl EpState {
+    /// When [`EndpointFleet::advance`] next has work for this endpoint.
+    fn due(&self) -> Option<SimTime> {
+        match *self {
+            EpState::Start(at) | EpState::Idle(at) => Some(at),
+            EpState::Connecting { deadline, .. } | EpState::Waiting { deadline, .. } => {
+                Some(deadline)
+            }
+            EpState::Dead => None,
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Ep {
     rng: SimRng,
@@ -124,6 +144,11 @@ pub struct EndpointFleet {
     /// The client host's address (stamped as the IP source).
     addr: Ipv4Addr,
     eps: Vec<Ep>,
+    /// `(due, endpoint)` for every live endpoint's [`EpState::due`], plus
+    /// stale entries a reply superseded, skipped when they surface.
+    due: BinaryHeap<Reverse<(SimTime, u32)>>,
+    /// The endpoints one `advance` visits, kept to reuse its allocation.
+    visit: Vec<u32>,
     key_zipf: Zipf,
     size_zipf: Zipf,
     /// Aggregate accounting.
@@ -135,7 +160,7 @@ impl EndpointFleet {
     /// connect is staggered by an exponential draw with the think-time
     /// mean so the fleet does not start as one synchronized burst.
     pub fn new(addr: Ipv4Addr, cfg: EndpointConfig) -> Self {
-        let eps = (0..cfg.endpoints as u64)
+        let eps: Vec<Ep> = (0..cfg.endpoints as u64)
             .map(|i| {
                 let mut rng = SimRng::stream(cfg.seed, &[ENDPOINT_DOMAIN, i]);
                 let first = SimTime::from_nanos(rng.exp(cfg.think_mean_ns) as u64);
@@ -146,7 +171,13 @@ impl EndpointFleet {
                 }
             })
             .collect();
+        let due = (0..)
+            .zip(&eps)
+            .filter_map(|(i, ep)| Some(Reverse((ep.state.due()?, i))))
+            .collect();
         EndpointFleet {
+            due,
+            visit: Vec::new(),
             key_zipf: Zipf::new(cfg.keys.max(1), cfg.zipf_s),
             size_zipf: Zipf::new(RESPONSE_SIZES.len(), 1.0),
             cfg,
@@ -179,84 +210,108 @@ impl EndpointFleet {
         .build()
     }
 
-    /// Advances every endpoint to `now`; returns the frames to inject,
-    /// in endpoint order. Timeouts are detected here, so their
+    /// Advances the fleet to `now`; returns the frames to inject, in
+    /// endpoint order. Only endpoints with something due at or before
+    /// `now` are visited. Timeouts are detected here, so their
     /// granularity is the pacer's tick interval.
     pub fn advance(&mut self, now: SimTime) -> Vec<Vec<u8>> {
+        let mut visit = std::mem::take(&mut self.visit);
+        while let Some(&Reverse((at, i))) = self.due.peek() {
+            if at > now {
+                break;
+            }
+            self.due.pop();
+            if self.eps[i as usize].state.due() == Some(at) {
+                visit.push(i);
+            }
+        }
+        visit.sort_unstable();
+        visit.dedup();
         let mut out = Vec::new();
-        for i in 0..self.eps.len() {
-            let id = i as u32;
-            // Take the state to appease the borrow checker; every arm
-            // either restores it or installs a successor.
-            let state = std::mem::replace(&mut self.eps[i].state, EpState::Dead);
-            self.eps[i].state = match state {
-                EpState::Start(at) if at <= now => {
+        for &i in &visit {
+            self.step(i, now, &mut out);
+            if let Some(at) = self.eps[i as usize].state.due() {
+                self.due.push(Reverse((at, i)));
+            }
+        }
+        visit.clear();
+        self.visit = visit;
+        out
+    }
+
+    /// Moves endpoint `id` on to `now`, pushing any frame it sends onto
+    /// `out`; an endpoint with nothing due is left as it is.
+    fn step(&mut self, id: u32, now: SimTime, out: &mut Vec<Vec<u8>>) {
+        let i = id as usize;
+        // Take the state to appease the borrow checker; every arm either
+        // restores it or installs a successor.
+        let state = std::mem::replace(&mut self.eps[i].state, EpState::Dead);
+        self.eps[i].state = match state {
+            EpState::Start(at) if at <= now => {
+                self.stats.connects_sent += 1;
+                out.push(self.frame(id, RpcKind::Connect, 0, 0, 0));
+                EpState::Connecting {
+                    deadline: now + self.cfg.timeout,
+                    retries: 0,
+                }
+            }
+            EpState::Connecting { deadline, retries } if deadline <= now => {
+                if retries >= self.cfg.max_retries {
+                    self.stats.gave_up += 1;
+                    EpState::Dead
+                } else {
+                    self.stats.retransmits += 1;
                     self.stats.connects_sent += 1;
                     out.push(self.frame(id, RpcKind::Connect, 0, 0, 0));
                     EpState::Connecting {
                         deadline: now + self.cfg.timeout,
-                        retries: 0,
+                        retries: retries + 1,
                     }
                 }
-                EpState::Connecting { deadline, retries } if deadline <= now => {
-                    if retries >= self.cfg.max_retries {
-                        self.stats.gave_up += 1;
-                        EpState::Dead
-                    } else {
-                        self.stats.retransmits += 1;
-                        self.stats.connects_sent += 1;
-                        out.push(self.frame(id, RpcKind::Connect, 0, 0, 0));
-                        EpState::Connecting {
-                            deadline: now + self.cfg.timeout,
-                            retries: retries + 1,
-                        }
-                    }
+            }
+            EpState::Idle(at) if at <= now => {
+                let ep = &mut self.eps[i];
+                let seq = ep.next_seq;
+                ep.next_seq += 1;
+                let key = self.key_zipf.sample(&mut ep.rng) as u64;
+                let resp_bytes = RESPONSE_SIZES[self.size_zipf.sample(&mut ep.rng)];
+                self.stats.requests += 1;
+                out.push(self.frame(id, RpcKind::Request, seq, key, resp_bytes));
+                EpState::Waiting {
+                    seq,
+                    key,
+                    resp_bytes,
+                    sent_at: now,
+                    deadline: now + self.cfg.timeout,
+                    retries: 0,
                 }
-                EpState::Idle(at) if at <= now => {
-                    let ep = &mut self.eps[i];
-                    let seq = ep.next_seq;
-                    ep.next_seq += 1;
-                    let key = self.key_zipf.sample(&mut ep.rng) as u64;
-                    let resp_bytes = RESPONSE_SIZES[self.size_zipf.sample(&mut ep.rng)];
-                    self.stats.requests += 1;
+            }
+            EpState::Waiting {
+                seq,
+                key,
+                resp_bytes,
+                sent_at,
+                deadline,
+                retries,
+            } if deadline <= now => {
+                if retries >= self.cfg.max_retries {
+                    self.stats.gave_up += 1;
+                    EpState::Dead
+                } else {
+                    self.stats.retransmits += 1;
                     out.push(self.frame(id, RpcKind::Request, seq, key, resp_bytes));
                     EpState::Waiting {
                         seq,
                         key,
                         resp_bytes,
-                        sent_at: now,
+                        sent_at,
                         deadline: now + self.cfg.timeout,
-                        retries: 0,
+                        retries: retries + 1,
                     }
                 }
-                EpState::Waiting {
-                    seq,
-                    key,
-                    resp_bytes,
-                    sent_at,
-                    deadline,
-                    retries,
-                } if deadline <= now => {
-                    if retries >= self.cfg.max_retries {
-                        self.stats.gave_up += 1;
-                        EpState::Dead
-                    } else {
-                        self.stats.retransmits += 1;
-                        out.push(self.frame(id, RpcKind::Request, seq, key, resp_bytes));
-                        EpState::Waiting {
-                            seq,
-                            key,
-                            resp_bytes,
-                            sent_at,
-                            deadline: now + self.cfg.timeout,
-                            retries: retries + 1,
-                        }
-                    }
-                }
-                unchanged => unchanged,
-            };
-        }
-        out
+            }
+            unchanged => unchanged,
+        };
     }
 
     /// Feeds a received RPC frame (called from the host's receive path).
@@ -269,18 +324,17 @@ impl EndpointFleet {
         match (hdr.kind, &ep.state) {
             (RpcKind::ConnectAck, EpState::Connecting { .. }) => {
                 self.stats.connected += 1;
-                let think = SimDuration::from_nanos(ep.rng.exp(self.cfg.think_mean_ns) as u64);
-                ep.state = EpState::Idle(now + think);
             }
             (RpcKind::Response, EpState::Waiting { seq, sent_at, .. }) if *seq == hdr.seq => {
                 self.stats.responses += 1;
                 self.stats.rtt_ns_sum += now.as_nanos().saturating_sub(sent_at.as_nanos());
                 self.stats.rtt_samples += 1;
-                let think = SimDuration::from_nanos(ep.rng.exp(self.cfg.think_mean_ns) as u64);
-                ep.state = EpState::Idle(now + think);
             }
-            _ => {}
+            _ => return,
         }
+        let next = now + SimDuration::from_nanos(ep.rng.exp(self.cfg.think_mean_ns) as u64);
+        ep.state = EpState::Idle(next);
+        self.due.push(Reverse((next, hdr.endpoint)));
     }
 }
 
@@ -321,6 +375,7 @@ mod tests {
     use crate::host::Host;
     use crate::link::LinkSpec;
     use edp_packet::{parse_packet, AppHeader};
+    use proptest::prelude::*;
 
     fn a(n: u8) -> Ipv4Addr {
         Ipv4Addr::new(10, 0, 0, n)
@@ -483,5 +538,119 @@ mod tests {
         );
         assert_eq!(f.stats.responses, 1);
         assert!(f.stats.rtt_ns_sum >= 3_000);
+    }
+
+    impl EndpointFleet {
+        /// The reference the due-queue replaces: visit every endpoint, in
+        /// endpoint order, on every call.
+        fn advance_full_scan(&mut self, now: SimTime) -> Vec<Vec<u8>> {
+            let mut out = Vec::new();
+            for id in 0..self.eps.len() as u32 {
+                self.step(id, now, &mut out);
+            }
+            out
+        }
+    }
+
+    /// One step of a fleet's life, applied to both fleets.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Move the clock on by this many ns, then advance.
+        Advance(u64),
+        /// A reply arrives for `endpoint` (possibly unknown): `kind`
+        /// indexes [`KINDS`], and the seq is the endpoint's outstanding
+        /// one, the one before it, or arbitrary.
+        Reply {
+            endpoint: u32,
+            kind: usize,
+            seq: SeqPick,
+        },
+    }
+
+    #[derive(Debug, Clone)]
+    enum SeqPick {
+        Current,
+        Stale,
+        Any(u32),
+    }
+
+    const KINDS: [RpcKind; 4] = [
+        RpcKind::ConnectAck,
+        RpcKind::Response,
+        RpcKind::Connect,
+        RpcKind::Request,
+    ];
+
+    /// Endpoint ids run past the largest fleet, so some replies name no
+    /// endpoint.
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        let seq = prop_oneof![
+            Just(SeqPick::Current),
+            Just(SeqPick::Stale),
+            any::<u32>().prop_map(SeqPick::Any),
+        ];
+        prop_oneof![
+            (0u64..60_000).prop_map(Op::Advance),
+            (0u32..14, 0..KINDS.len(), seq).prop_map(|(endpoint, kind, seq)| Op::Reply {
+                endpoint,
+                kind,
+                seq
+            }),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn due_queue_fleet_equals_the_full_scan(
+            endpoints in 1u32..12,
+            ops in prop::collection::vec(op_strategy(), 0..120),
+            timeout_us in 1u64..50,
+            max_retries in 0u32..3,
+            think_us in 1u64..40,
+            seed: u64,
+        ) {
+            let cfg = EndpointConfig {
+                endpoints,
+                seed,
+                server: a(2),
+                keys: 64,
+                think_mean_ns: think_us as f64 * 1_000.0,
+                timeout: SimDuration::from_micros(timeout_us),
+                max_retries,
+                ..EndpointConfig::default()
+            };
+            let mut fleet = EndpointFleet::new(a(1), cfg.clone());
+            let mut scan = EndpointFleet::new(a(1), cfg);
+            let mut now = SimTime::ZERO;
+            for op in ops {
+                match op {
+                    Op::Advance(dt) => {
+                        now += SimDuration::from_nanos(dt);
+                        prop_assert_eq!(fleet.advance(now), scan.advance_full_scan(now));
+                    }
+                    Op::Reply { endpoint, kind, seq } => {
+                        let outstanding = match fleet.eps.get(endpoint as usize).map(|e| &e.state) {
+                            Some(EpState::Waiting { seq, .. }) => *seq,
+                            _ => 0,
+                        };
+                        let hdr = RpcHeader {
+                            kind: KINDS[kind],
+                            endpoint,
+                            seq: match seq {
+                                SeqPick::Current => outstanding,
+                                SeqPick::Stale => outstanding.wrapping_sub(1),
+                                SeqPick::Any(s) => s,
+                            },
+                            key: 0,
+                            resp_bytes: 0,
+                        };
+                        fleet.on_rpc(now, &hdr);
+                        scan.on_rpc(now, &hdr);
+                    }
+                }
+                prop_assert_eq!(&fleet.stats, &scan.stats);
+            }
+            prop_assert_eq!(fleet.dead(), scan.dead());
+        }
     }
 }

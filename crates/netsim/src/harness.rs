@@ -35,6 +35,20 @@ pub trait SwitchHarness: Any + Send {
     fn transmit(&mut self, now: SimTime, port: PortId) -> Option<Packet>;
     /// True if `port` has queued frames.
     fn has_pending(&self, port: PortId) -> bool;
+    /// The ports with queued frames as a bit set over every [`PortId`]:
+    /// bit `p % 64` of word `p / 64` is [`SwitchHarness::has_pending`]
+    /// of port `p`. The default asks each port in turn; it is compiled
+    /// per switch type, so an [`EventSwitch`] reads its TM occupancy
+    /// with one virtual call for the whole set.
+    fn pending_ports(&self) -> [u64; 4] {
+        let mut mask = [0; 4];
+        for port in 0..self.n_ports() {
+            if self.has_pending(port as PortId) {
+                mask[port / 64] |= 1 << (port % 64);
+            }
+        }
+        mask
+    }
     /// Fire timers due at or before `now` (default: none).
     fn fire_due_timers(&mut self, _now: SimTime) {}
     /// Earliest pending timer deadline (default: none).

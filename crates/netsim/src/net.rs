@@ -409,39 +409,56 @@ impl Network {
     /// drain a backlog of any depth.
     fn service(&mut self, sim: &mut Sim<Network>, node: NodeRef) {
         let now = sim.now();
-        let n_ports = match node {
-            NodeRef::Switch(i) => self.switch_ports[i].len(),
-            NodeRef::Host(_) => 1,
-        };
-        // A transmit's egress-side handlers may enqueue toward any port
-        // of the switch, so pass over the ports until a pass sends nothing.
-        loop {
-            let mut sent = false;
-            for port in 0..n_ports as PortId {
-                let ep = (node, port);
-                if self.port(ep).armed {
-                    continue;
-                }
-                while self.has_backlog(ep) {
-                    if let Some(at) = self.blocked_until(ep, now) {
-                        self.arm_transmit(sim, at, ep);
-                        break;
-                    }
-                    self.transmit_one(sim, ep);
-                    sent = true;
-                }
+        let mut from = 0;
+        while let Some(port) = self.next_backlogged(node, from) {
+            let ep = (node, port);
+            if let Some(at) = self.blocked_until(ep, now) {
+                self.arm_transmit(sim, at, ep);
+            } else {
+                self.transmit_one(sim, ep);
             }
-            if !sent {
-                return;
-            }
+            from = port as usize;
         }
     }
 
-    fn has_backlog(&self, (node, port): Endpoint) -> bool {
-        match node {
-            NodeRef::Switch(i) => self.switches[i].has_pending(port),
-            NodeRef::Host(h) => !self.host_txq[h].is_empty(),
+    /// The port `service` serves next: the lowest port of `node` at or
+    /// above `from` with backlog and no transmit attempt armed, else the
+    /// lowest such port below `from`, else none.
+    ///
+    /// It reads the backlog afresh on every call, because a transmit's
+    /// egress-side handlers may enqueue toward any port of the switch:
+    /// ports are served in ascending order, an enqueue toward a later
+    /// port is served in the same pass over the ports, and one toward an
+    /// earlier port starts the next pass. A port below `from` can only
+    /// have backlog and no armed attempt if a transmit of this pass gave
+    /// it one, so the passes end exactly when one sends nothing.
+    fn next_backlogged(&self, node: NodeRef, from: usize) -> Option<PortId> {
+        let (mask, slots) = match node {
+            NodeRef::Switch(i) => (self.switches[i].pending_ports(), &self.switch_ports[i][..]),
+            NodeRef::Host(h) => {
+                let backlog = !self.host_txq[h].is_empty();
+                (
+                    [backlog as u64, 0, 0, 0],
+                    std::slice::from_ref(&self.host_ports[h]),
+                )
+            }
+        };
+        let mut first = None;
+        for (word, &bits) in mask.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                let port = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if slots[port].armed {
+                    continue;
+                }
+                if port >= from {
+                    return Some(port as PortId);
+                }
+                first.get_or_insert(port as PortId);
+            }
         }
+        first
     }
 
     /// Takes the next frame off `ep`'s backlog and puts it on the wire
@@ -920,6 +937,36 @@ mod tests {
             "finished at {}",
             sim.now()
         );
+    }
+
+    #[test]
+    fn a_256_port_switch_serves_port_255() {
+        // Port ids span the whole u8: the last port transmits like any
+        // other (a `0..n_ports as PortId` loop would visit none of them).
+        let mut net = Network::new(7);
+        let sw = net.add_switch(Box::new(EventSwitch::baseline(
+            ForwardTo(255),
+            256,
+            QueueConfig::default(),
+        )));
+        let h0 = net.add_host(Host::new(a(1), HostApp::Sink));
+        let h1 = net.add_host(Host::new(a(2), HostApp::Sink));
+        let spec = LinkSpec::ten_gig(SimDuration::from_micros(1));
+        net.connect((NodeRef::Host(h0), 0), (NodeRef::Switch(sw), 0), spec);
+        net.connect((NodeRef::Switch(sw), 255), (NodeRef::Host(h1), 0), spec);
+        let mut sim: Sim<Network> = Sim::new();
+        sim.schedule_at(
+            SimTime::ZERO,
+            move |w: &mut Network, s: &mut Sim<Network>| {
+                for i in 0..10u16 {
+                    let f = PacketBuilder::udp(a(1), a(2), 5, 6, &[]).ident(i).build();
+                    w.host_send(s, h0, f);
+                }
+            },
+        );
+        sim.run(&mut net);
+        assert_eq!(net.hosts[h1].stats.rx_pkts, 10);
+        assert!(!net.switches[sw].has_pending(255));
     }
 
     #[test]

@@ -16,7 +16,11 @@
 //!
 //! All three paths return bit-for-bit the same winner as a naive full
 //! scan; the index is an acceleration structure, never a semantic change.
+//! Both hash indexes use FNV-1a ([`FnvBuildHasher`]), not SipHash: only
+//! installed entries are inserted, so a packet's key can probe a bucket
+//! but never grow one.
 
+use edp_packet::FnvBuildHasher;
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -159,7 +163,7 @@ struct LpmIndex {
     uniform_priority: Option<i64>,
     /// `(prefix_len, masked-prefix → entry index)`, sorted longest-first.
     /// Only prefix lengths ≥ 1 live here; duplicates keep the first install.
-    buckets: Vec<(u8, HashMap<u64, usize>)>,
+    buckets: Vec<(u8, HashMap<u64, usize, FnvBuildHasher>)>,
     /// The /0 catch-all (first installed), probed last.
     default: Option<usize>,
 }
@@ -185,7 +189,7 @@ impl LpmIndex {
         let shift = self.width as u32 - prefix_len as u32;
         let pos = self.buckets.partition_point(|(p, _)| *p > prefix_len);
         if self.buckets.get(pos).map(|(p, _)| *p) != Some(prefix_len) {
-            self.buckets.insert(pos, (prefix_len, HashMap::new()));
+            self.buckets.insert(pos, (prefix_len, HashMap::default()));
         }
         // First install wins on duplicate prefixes, matching the scan
         // path's earliest-index tie-break.
@@ -207,7 +211,7 @@ impl LpmIndex {
 #[derive(Debug, Clone)]
 enum Index {
     /// All-exact schema: key fields → entry index.
-    Exact(HashMap<Vec<u64>, usize>),
+    Exact(HashMap<Vec<u64>, usize, FnvBuildHasher>),
     /// Single-field LPM schema with uniform priority.
     Lpm(LpmIndex),
     /// Entry indices sorted by (priority desc, install order asc).
@@ -232,7 +236,7 @@ impl<A> MatchTable<A> {
     /// Creates an empty table with the given key schema.
     pub fn new(name: impl Into<String>, schema: Vec<MatchKind>) -> Self {
         let index = if schema.iter().all(|k| matches!(k, MatchKind::Exact)) {
-            Index::Exact(HashMap::new())
+            Index::Exact(HashMap::default())
         } else if let [MatchKind::Lpm { width }] = schema[..] {
             Index::Lpm(LpmIndex::new(width))
         } else {

@@ -5,6 +5,7 @@
 #   scripts/ci.sh --quick       # fmt, build, test, edp_lint, one-parse-path
 #                               # grep, telemetry smoke, paper-reproduction pin
 #   scripts/ci.sh --gate        # fmt, clippy, golden_order at 5000 cases,
+#                               # the fleet's due-queue property at 2000,
 #                               # edp_lint (+ SARIF artifact),
 #                               # one-parse-path grep, telemetry smoke,
 #                               # pcap fixture round-trip, replay smoke,
@@ -176,6 +177,12 @@ step_golden_order() {
     # The key queue's run beside the heap is specified only by this
     # property: every firing order equals the linear-scan reference's.
     PROPTEST_CASES=5000 cargo test --offline --release -q -p edp-evsim --test golden_order
+
+    echo "==> the endpoint fleet's due-queue at 2000 cases (equal to a full scan)"
+    # A pacer tick visits only the due endpoints; this property holds its
+    # frames and FleetStats equal to a visit of every endpoint.
+    PROPTEST_CASES=2000 cargo test --offline --release -q -p edp-netsim --lib \
+        endpoint::tests::due_queue_fleet_equals_the_full_scan
 }
 
 step_clippy() {
