@@ -133,10 +133,10 @@ mod tests {
 
     #[test]
     fn handled_code_clean() {
-        let m = AppManifest::new("t")
+        let mut m = AppManifest::new("t")
             .handles([EventKind::UserEvent])
-            .user_codes([7])
             .raises([7]);
+        m.handles_user_codes.push(7);
         assert!(check("t", &m, &AccessMatrix::default()).is_empty());
     }
 }

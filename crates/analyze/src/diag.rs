@@ -241,11 +241,6 @@ impl Report {
             .filter(|d| d.code.severity() == Severity::Warning)
             .count()
     }
-
-    /// True when a diagnostic with this exact stable code is active.
-    pub fn has_code(&self, code: &str) -> bool {
-        self.diagnostics.iter().any(|d| d.code.code() == code)
-    }
 }
 
 #[cfg(test)]

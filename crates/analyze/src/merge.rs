@@ -127,14 +127,12 @@ pub fn check(app: &str, op: &MergeOp, seed: u64) -> Vec<Diagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edp_core::aggreg::{MERGE_ADD, MERGE_MAX, MERGE_MIN, MERGE_OR};
+    use edp_core::aggreg::MERGE_ADD;
 
     #[test]
     fn builtin_ops_are_lawful() {
-        for op in [MERGE_ADD, MERGE_MAX, MERGE_MIN, MERGE_OR] {
-            let diags = check("t", &op, 42);
-            assert!(diags.is_empty(), "{}: {:?}", op.name, diags);
-        }
+        let diags = check("t", &MERGE_ADD, 42);
+        assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]

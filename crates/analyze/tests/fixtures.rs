@@ -3,7 +3,7 @@
 //! These pin the catalog — a code that stops firing on its canonical
 //! trigger is a regression.
 
-use edp_analyze::lint_app;
+use edp_analyze::{lint_app, Report};
 use edp_core::aggreg::MergeOp;
 use edp_core::event::{DequeueEvent, EnqueueEvent, TimerEvent};
 use edp_core::{AppManifest, EmitFootprint, EventActions, EventKind, EventProgram};
@@ -14,6 +14,11 @@ use edp_pisa::{
 };
 
 const SEED: u64 = 7;
+
+/// True when a diagnostic with this exact stable code is active.
+fn has_code(report: &Report, code: &str) -> bool {
+    report.diagnostics.iter().any(|d| d.code.code() == code)
+}
 
 /// A program implementing nothing: every handler is the pass-through
 /// default. Fixtures that only exercise manifest-level lints use it.
@@ -44,7 +49,7 @@ fn shadowed_ternary_rule_is_e002() {
     let manifest = AppManifest::new("fixture-shadowed").table(shape);
     let report = lint_app(&mut Noop, &manifest, SEED);
     assert!(
-        report.has_code("EDP-E002"),
+        has_code(&report, "EDP-E002"),
         "expected EDP-E002 shadowed-rule, got: {:?}",
         report.diagnostics
     );
@@ -63,7 +68,7 @@ fn non_commutative_merge_is_e001() {
     });
     let report = lint_app(&mut Noop, &manifest, SEED);
     assert!(
-        report.has_code("EDP-E001"),
+        has_code(&report, "EDP-E001"),
         "expected EDP-E001 merge-not-commutative, got: {:?}",
         report.diagnostics
     );
@@ -96,12 +101,12 @@ fn multi_writer_register_is_w001() {
     };
     let report = lint_app(&mut program, &multi_writer_manifest(), SEED);
     assert!(
-        report.has_code("EDP-W001"),
+        has_code(&report, "EDP-W001"),
         "expected EDP-W001 multi-writer-register, got: {:?}",
         report.diagnostics
     );
     // Both contexts RMW, so the cross-handler-RMW lint fires too.
-    assert!(report.has_code("EDP-W002"));
+    assert!(has_code(&report, "EDP-W002"));
 }
 
 #[test]
@@ -113,8 +118,8 @@ fn allow_moves_finding_to_allowed_not_silence() {
         .allow("EDP-W001", "occ", "fixture: intentional")
         .allow("EDP-W002", "occ", "fixture: intentional");
     let report = lint_app(&mut program, &manifest, SEED);
-    assert!(!report.has_code("EDP-W001"));
-    assert!(!report.has_code("EDP-W002"));
+    assert!(!has_code(&report, "EDP-W001"));
+    assert!(!has_code(&report, "EDP-W002"));
     assert_eq!(report.allowed.len(), 2, "allowed findings stay visible");
     assert_eq!(report.warnings(), 0);
 
@@ -124,7 +129,7 @@ fn allow_moves_finding_to_allowed_not_silence() {
         occ: RegisterArray::new("other_reg", 4),
     };
     let report = lint_app(&mut other, &manifest, SEED);
-    assert!(report.has_code("EDP-W001"));
+    assert!(has_code(&report, "EDP-W001"));
 }
 
 /// Raises a user-event code nothing handles.
@@ -202,7 +207,7 @@ fn undeclared_emission_is_w008() {
         .unwrap_or_else(|| panic!("expected EDP-W008, got: {:?}", report.diagnostics));
     assert_eq!(w008.subject, EventKind::IngressPacket.name());
     // Open-world means nothing can be *violated*.
-    assert!(!report.has_code("EDP-E007"));
+    assert!(!has_code(&report, "EDP-E007"));
 }
 
 #[test]
@@ -228,6 +233,6 @@ fn summary_violation_is_e007() {
         .emits(EventKind::IngressPacket, EmitFootprint::Any)
         .emits(EventKind::GeneratedPacket, EmitFootprint::Any);
     let report = lint_app(&mut CovertTimerEmitter, &honest, SEED);
-    assert!(!report.has_code("EDP-E007"), "{:?}", report.diagnostics);
-    assert!(!report.has_code("EDP-W008"));
+    assert!(!has_code(&report, "EDP-E007"), "{:?}", report.diagnostics);
+    assert!(!has_code(&report, "EDP-W008"));
 }

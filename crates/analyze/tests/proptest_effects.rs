@@ -11,7 +11,9 @@
 //! claims silence on a path the app in fact transmits on.
 
 use edp_apps::registry::builtin_apps;
-use edp_core::{EffectSummary, EventKind, EventSwitch, EventSwitchConfig, TimerSpec};
+use edp_core::{
+    EffectSummary, EmitFootprint, EventKind, EventSwitch, EventSwitchConfig, TimerSpec,
+};
 use edp_evsim::{SimDuration, SimTime};
 use edp_packet::{Packet, PacketBuilder};
 use edp_pisa::probe;
@@ -164,7 +166,7 @@ fn check_app(name: &'static str, steps: &[Step]) {
         let kind = entry_kind(e.entry);
         let closure = summary.closure(kind);
         assert!(
-            closure.covers_port(e.port as u8),
+            closure.covers(&EmitFootprint::Ports([e.port as u8].into())),
             "{name}: live runtime emitted on port {} from the {} cascade \
              (innermost context `{}`), outside the declared closure {closure}",
             e.port,

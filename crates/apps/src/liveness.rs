@@ -19,7 +19,7 @@ use edp_core::event::{ControlPlaneEvent, TimerEvent};
 use edp_core::{EventActions, EventProgram};
 use edp_evsim::SimTime;
 use edp_packet::{AppHeader, LivenessHeader, LivenessKind, Packet, PacketBuilder, ParsedPacket};
-use edp_pisa::{Destination, PisaProgram, PortId, StdMeta};
+use edp_pisa::{Destination, PortId, StdMeta};
 use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
@@ -90,11 +90,6 @@ impl LivenessMonitor {
     /// When neighbor `i` was declared dead, if it was.
     pub fn declared_dead_at(&self, i: usize) -> Option<SimTime> {
         self.states[i].declared_dead
-    }
-
-    /// Last observed RTT for neighbor `i` in ns (0 before first reply).
-    pub fn rtt_ns(&self, i: usize) -> u64 {
-        self.states[i].rtt_last_ns
     }
 }
 
@@ -241,27 +236,6 @@ impl EventProgram for LivenessReflector {
     }
 }
 
-/// Baseline comparator: liveness probing run *by the control plane*.
-/// The controller sends a probe per period over its management channel,
-/// the switch forwards it like any packet, and replies travel back up to
-/// the controller — adding the management-channel latency to every RTT
-/// sample and to detection.
-#[derive(Debug, Default)]
-pub struct BaselineForwarder;
-
-impl PisaProgram for BaselineForwarder {
-    fn ingress(
-        &mut self,
-        _pkt: &mut Packet,
-        _parsed: &ParsedPacket,
-        meta: &mut StdMeta,
-        _now: SimTime,
-    ) {
-        // Port 0 is the management/host port; everything else reflects.
-        meta.dest = Destination::Port(if meta.ingress_port == 0 { 1 } else { 0 });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,7 +309,7 @@ mod tests {
         assert!(mon.replies_received >= mon.probes_sent - 2);
         assert_eq!(mon.declared_dead_at(0), None);
         // RTT ≈ 2 × 5 us propagation (+ serialization).
-        let rtt = mon.rtt_ns(0);
+        let rtt = mon.states[0].rtt_last_ns;
         assert!((10_000..20_000).contains(&rtt), "rtt {rtt}");
         let refl = &net.switch_as::<EventSwitch<LivenessReflector>>(1).program;
         assert_eq!(refl.reflected, mon.replies_received);

@@ -84,11 +84,6 @@ impl NetCacheSwitch {
         }
     }
 
-    /// Current number of cached keys.
-    pub fn cached_keys(&self) -> usize {
-        self.cache.len()
-    }
-
     /// True when `key` is cached (tests/observability).
     pub fn contains(&self, key: u64) -> bool {
         self.cache.contains_key(&key)
@@ -390,6 +385,6 @@ mod tests {
         send_gets(&mut sim, client, SimTime::ZERO, 3000, 0, 9);
         run_until(&mut net, &mut sim, SimTime::from_millis(80));
         let prog = &net.switch_as::<EventSwitch<NetCacheSwitch>>(0).program;
-        assert!(prog.cached_keys() <= 8);
+        assert!(prog.cache.len() <= 8);
     }
 }

@@ -127,14 +127,27 @@ fn main() {
             }
             "--seeds" => {
                 let n: u64 = parsed("--seeds", args.next());
-                opts.seeds = (1..=n.max(1)).collect();
+                if n == 0 {
+                    fail("--seeds must be at least 1");
+                }
+                opts.seeds = (1..=n).collect();
             }
             "--duration-ms" => {
-                opts.duration = SimDuration::from_millis(parsed("--duration-ms", args.next()));
+                let ms: u64 = parsed("--duration-ms", args.next());
+                if ms > SimDuration::MAX.as_nanos() / 1_000_000 {
+                    fail("--duration-ms does not fit in u64 nanoseconds");
+                }
+                opts.duration = SimDuration::from_millis(ms);
             }
             "--threads" => opts.threads = parsed("--threads", args.next()),
             "--trace-capacity" => opts.trace_capacity = parsed("--trace-capacity", args.next()),
-            "--overhead" => overhead = Some(parsed("--overhead", args.next())),
+            "--overhead" => {
+                let reps: u64 = parsed("--overhead", args.next());
+                if reps == 0 {
+                    fail("--overhead must be at least 1");
+                }
+                overhead = Some(reps);
+            }
             "--pcap" => {
                 pcap = Some(args.next().unwrap_or_else(|| fail("--pcap needs a path")));
             }
@@ -185,11 +198,11 @@ fn main() {
     }
     let Some(app) = app else { fail("no app named") };
     if let Some(reps) = overhead {
-        let (on, off) = top::measure_overhead(&app, opts.duration, reps.max(1));
+        let (on, off) = top::measure_overhead(&app, opts.duration, reps);
         println!(
             "telemetry overhead ({app}, {} reps x {} ms sim): enabled {:.3}s, \
              disabled {:.3}s, ratio {:.2}x",
-            reps.max(1),
+            reps,
             opts.duration.as_nanos() / 1_000_000,
             on,
             off,

@@ -74,3 +74,24 @@ fn edp_top_has_one_engine() {
         assert!(err.contains("unrecognized argument"), "{flag:?}: {err}");
     }
 }
+
+/// Values `edp_top` cannot honour are rejected with the usage text (exit
+/// 2), never rewritten: no seeds, no overhead repetitions, and a duration
+/// that does not fit in `u64` nanoseconds.
+#[test]
+fn edp_top_rejects_values_it_cannot_honour() {
+    for bad in [
+        ["--seeds", "0"],
+        ["--overhead", "0"],
+        ["--duration-ms", "18446744073710"],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_edp_top"))
+            .args(["microburst", "--seeds", "1", "--duration-ms", "1", "--json"])
+            .args(bad)
+            .output()
+            .expect("spawn edp_top");
+        assert_eq!(out.status.code(), Some(2), "{bad:?} must be rejected");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("usage: edp_top"), "{bad:?}: {err}");
+    }
+}

@@ -15,7 +15,6 @@
 //! long as idle cycles arrive at a sufficient rate (pipeline faster than
 //! line rate) and grows without bound otherwise.
 
-use edp_evsim::Cycles;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -45,18 +44,6 @@ fn merge_sat_add(a: u64, b: u64) -> u64 {
     a.saturating_add(b)
 }
 
-fn merge_max(a: u64, b: u64) -> u64 {
-    a.max(b)
-}
-
-fn merge_min(a: u64, b: u64) -> u64 {
-    a.min(b)
-}
-
-fn merge_or(a: u64, b: u64) -> u64 {
-    a | b
-}
-
 /// Saturating addition — the enqueue/dequeue delta-accumulation idiom
 /// ([`AggregatedState::enqueue`] uses exactly this on its aggregation
 /// array). Saturation preserves associativity: the result clamps iff the
@@ -65,27 +52,6 @@ pub const MERGE_ADD: MergeOp = MergeOp {
     name: "sat-add",
     identity: 0,
     apply: merge_sat_add,
-};
-
-/// Running maximum (peak trackers, high-watermarks).
-pub const MERGE_MAX: MergeOp = MergeOp {
-    name: "max",
-    identity: 0,
-    apply: merge_max,
-};
-
-/// Running minimum (e.g. best-path utilization in HULA-style probes).
-pub const MERGE_MIN: MergeOp = MergeOp {
-    name: "min",
-    identity: u64::MAX,
-    apply: merge_min,
-};
-
-/// Bitwise OR (flag accumulation / membership sketches).
-pub const MERGE_OR: MergeOp = MergeOp {
-    name: "or",
-    identity: 0,
-    apply: merge_or,
 };
 
 /// Configuration for an aggregated register bank.
@@ -284,15 +250,6 @@ impl AggregatedState {
         (self.main[i] + self.enq_agg[i] as i64 - self.deq_agg[i] as i64).max(0) as u64
     }
 
-    /// Net read error of entry `i`: |true − main|. Enqueue and dequeue
-    /// backlogs partially cancel in this metric, so it understates how
-    /// much work is parked.
-    pub fn net_error(&self, i: usize) -> u64 {
-        let i = i % self.cfg.entries;
-        let t = self.true_value(i);
-        t.abs_diff(self.main[i].max(0) as u64)
-    }
-
     /// Staleness of entry `i`: the total unapplied aggregated magnitude
     /// (`enq_agg + deq_agg`). This is the paper's bounded/unbounded
     /// quantity — it upper-bounds the instantaneous read error *and* the
@@ -406,7 +363,6 @@ pub fn run_staleness_experiment(
         sum_stale += s as f64;
         samples += 1;
     }
-    let _ = Cycles::default();
     StalenessReport {
         cycles_per_packet: speedup,
         max_staleness: max_stale,
@@ -448,7 +404,6 @@ mod tests {
         assert_eq!(st.true_value(0), 400);
         assert_eq!(st.true_value(2), 100);
         assert_eq!(st.true_value(3), 100);
-        assert_eq!(st.net_error(0), 100, "main reads 300, truth is 400");
         assert_eq!(st.staleness(0), 300, "200 enq + 100 deq parked");
         // Four idle cycles drain everything.
         for _ in 0..4 {

@@ -43,15 +43,6 @@ impl EmitFootprint {
         !matches!(self, EmitFootprint::None)
     }
 
-    /// True when an emission on `port` is within this footprint.
-    pub fn covers_port(&self, port: PortId) -> bool {
-        match self {
-            EmitFootprint::None => false,
-            EmitFootprint::Ports(p) => p.contains(&port),
-            EmitFootprint::Any => true,
-        }
-    }
-
     /// True when every emission allowed by `other` is allowed by `self`.
     pub fn covers(&self, other: &EmitFootprint) -> bool {
         match (self, other) {
@@ -218,7 +209,6 @@ mod tests {
         assert!(!EmitFootprint::None.covers(&ports(&[1])));
         assert!(ports(&[1]).covers(&EmitFootprint::None));
         assert!(!ports(&[1]).covers(&EmitFootprint::Any));
-        assert!(ports(&[3]).covers_port(3));
         assert!(!EmitFootprint::None.can_emit());
     }
 

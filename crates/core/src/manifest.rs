@@ -121,12 +121,6 @@ impl AppManifest {
         self
     }
 
-    /// Declares user-event codes `on_user` understands.
-    pub fn user_codes(mut self, codes: impl IntoIterator<Item = u32>) -> Self {
-        self.handles_user_codes.extend(codes);
-        self
-    }
-
     /// Declares user-event codes the program may raise.
     pub fn raises(mut self, codes: impl IntoIterator<Item = u32>) -> Self {
         self.raises_user_codes.extend(codes);

@@ -285,19 +285,9 @@ impl<P: EventProgram> EventSwitch<P> {
         self.tm.occupancy_bytes(port)
     }
 
-    /// Total buffered bytes.
-    pub fn total_buffered_bytes(&self) -> u64 {
-        self.tm.total_bytes()
-    }
-
     /// True if `port` has frames waiting to transmit.
     pub fn has_pending(&self, port: PortId) -> bool {
         self.tm.depth_pkts(port) > 0
-    }
-
-    /// Current link status of `port`.
-    pub fn link_is_up(&self, port: PortId) -> bool {
-        self.link_up[port as usize]
     }
 
     /// Drains control-plane notifications raised since the last call.
@@ -1166,7 +1156,7 @@ mod tests {
             assert!(sw.has_pending(p), "port {p}");
         }
         assert!(!sw.has_pending(1));
-        assert_eq!(sw.total_buffered_bytes(), 300);
+        assert_eq!((0..4).map(|p| sw.occupancy_bytes(p)).sum::<u64>(), 300);
     }
 
     #[test]

@@ -175,6 +175,7 @@ proptest! {
         let mut sw = EventSwitch::new(BaselineAdapter(program), cfg);
         edp_telemetry::enable(TelemetryConfig::default());
         let mut now = SimTime::ZERO;
+        let mut link_up = [true; PORTS];
         for &op in &ops {
             let before = sw.counters();
             let at = now.as_nanos();
@@ -190,7 +191,7 @@ proptest! {
                     (0..passes).map(|recirc| Call::Ingress(at, recirc as u8)).collect()
                 }
                 Op::Transmit(port) => {
-                    let (dequeued, up) = (sw.queue_stats(port).dequeued, sw.link_is_up(port));
+                    let (dequeued, up) = (sw.queue_stats(port).dequeued, link_up[port as usize]);
                     sw.transmit(now, port);
                     let left = sw.queue_stats(port).dequeued > dequeued;
                     if left && up { vec![Call::Egress(at)] } else { vec![] }
@@ -215,6 +216,7 @@ proptest! {
                 }
                 Op::Link(port, up) => {
                     sw.set_link_status(now, port, up);
+                    link_up[port as usize] = up;
                     vec![]
                 }
                 Op::UserEvent(code) => {

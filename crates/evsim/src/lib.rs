@@ -15,9 +15,7 @@
 //!   its queue holds; they sit inline in the scheduler's slab. Closure
 //!   worlds (integers, `()`, `Vec<T>`, pairs) queue [`Closure`]s.
 //! * **Explicit randomness.** All stochastic inputs flow from [`SimRng`]
-//!   seeds; forked streams keep components independent.
-//! * **Cycle models welcome.** [`ClockDomain`] supports hardware-shaped,
-//!   cycle-granular models alongside event-granular ones.
+//!   seeds; named streams ([`SimRng::stream`]) keep components independent.
 //!
 //! ```
 //! use edp_evsim::{Sim, SimTime, SimDuration, Periodic};
@@ -36,7 +34,6 @@
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod clock;
 mod parallel;
 mod rng;
 pub mod shard;
@@ -44,10 +41,9 @@ mod sim;
 pub mod stats;
 mod time;
 
-pub use clock::{ClockDomain, Cycles};
 pub use parallel::{default_threads, sweep};
 pub use rng::{SimRng, Zipf};
 pub use shard::{drive_windows, safe_horizon, DriveStats, HorizonMode, WindowSync};
 pub use sim::{Closure, EventId, Periodic, Sim, World, UNKEYED};
-pub use stats::{jain_fairness, percentile, Counter, TimeSeries, Welford};
-pub use time::{SimDuration, SimTime};
+pub use stats::{jain_fairness, TimeSeries, Welford};
+pub use time::{Cycles, SimDuration, SimTime};

@@ -1,9 +1,10 @@
 //! Deterministic randomness for workloads.
 //!
 //! All stochastic behaviour in the workspace draws from a [`SimRng`] that is
-//! seeded explicitly, usually by forking from one experiment master seed via
-//! [`SimRng::fork`]. Forking gives each component an independent stream, so
-//! adding a new consumer of randomness does not perturb existing ones.
+//! seeded explicitly, either directly or as a named stream of one experiment
+//! master seed via [`SimRng::stream`]. A named stream gives each component an
+//! independent generator, so adding a new consumer of randomness does not
+//! perturb existing ones.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -22,22 +23,12 @@ impl SimRng {
         }
     }
 
-    /// Derives an independent child stream labelled by `tag`.
-    ///
-    /// The child seed mixes the tag with fresh output of this RNG, so two
-    /// forks with the same tag from the same parent state still differ.
-    pub fn fork(&mut self, tag: u64) -> SimRng {
-        let s = self.inner.gen::<u64>() ^ tag.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        SimRng::seed_from_u64(s)
-    }
-
     /// Derives a *stateless* named stream: a pure function of the master
     /// seed and a label path, independent of any RNG's current state.
     ///
-    /// Unlike [`SimRng::fork`], which consumes parent output (so the child
-    /// depends on how much the parent has been used), `stream` gives every
-    /// consumer the same generator for the same `(master, path)` no matter
-    /// when — or on which thread — it is constructed. This is the seeding
+    /// `stream` gives every consumer the same generator for the same
+    /// `(master, path)` no matter when — or on which thread — it is
+    /// constructed. This is the seeding
     /// scheme the fault-injection layer uses: each fault model draws from
     /// `stream(seed, &[FAULT_DOMAIN, link_id, dir])`, so adding a fault to
     /// one link can never perturb another link's impairments or the
@@ -89,36 +80,6 @@ impl SimRng {
         // 1 - u in (0, 1]: avoids ln(0).
         let u = 1.0 - self.inner.gen::<f64>();
         -mean * u.ln()
-    }
-
-    /// Geometric-ish bounded Pareto sample in `[lo, hi]` with shape `alpha`.
-    ///
-    /// Used for heavy-tailed flow sizes. `alpha` around 1.2–1.5 reproduces
-    /// the elephant/mice mix typical of data-center traces.
-    pub fn bounded_pareto(&mut self, lo: f64, hi: f64, alpha: f64) -> f64 {
-        assert!(lo > 0.0 && hi > lo && alpha > 0.0);
-        let u = self.inner.gen::<f64>();
-        let la = lo.powf(alpha);
-        let ha = hi.powf(alpha);
-        // Inverse CDF of the truncated Pareto.
-        (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / alpha)
-    }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.inner.gen_range(0..=i);
-            items.swap(i, j);
-        }
-    }
-
-    /// Picks a uniformly random element; `None` on an empty slice.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            Some(&items[self.index(items.len())])
-        }
     }
 }
 
@@ -198,16 +159,6 @@ mod tests {
     }
 
     #[test]
-    fn forks_are_independent() {
-        let mut root = SimRng::seed_from_u64(1);
-        let mut a = root.fork(1);
-        let mut b = root.fork(1);
-        let va: Vec<u64> = (0..10).map(|_| a.uniform_u64(0, u64::MAX - 1)).collect();
-        let vb: Vec<u64> = (0..10).map(|_| b.uniform_u64(0, u64::MAX - 1)).collect();
-        assert_ne!(va, vb, "same tag from advanced parent must differ");
-    }
-
-    #[test]
     fn streams_are_pure_functions_of_seed_and_path() {
         let mut a = SimRng::stream(7, &[1, 2, 3]);
         let mut b = SimRng::stream(7, &[1, 2, 3]);
@@ -274,24 +225,5 @@ mod tests {
         for &c in &counts {
             assert!((8_000..12_000).contains(&c), "uniform bucket {c}");
         }
-    }
-
-    #[test]
-    fn bounded_pareto_stays_in_bounds() {
-        let mut rng = SimRng::seed_from_u64(11);
-        for _ in 0..10_000 {
-            let v = rng.bounded_pareto(100.0, 1_000_000.0, 1.2);
-            assert!((100.0..=1_000_000.0 + 1e-6).contains(&v), "{v}");
-        }
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = SimRng::seed_from_u64(5);
-        let mut v: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 }

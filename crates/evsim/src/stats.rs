@@ -1,46 +1,17 @@
 //! Measurement utilities shared by every experiment.
 //!
-//! Everything here is plain data: counters, streaming mean/variance
-//! ([`Welford`]), a [`TimeSeries`] recorder, and small report helpers
-//! such as Jain's fairness index. The log-linear latency histogram is
-//! `edp_telemetry::LogHistogram`.
+//! Everything here is plain data: streaming mean/min/max ([`Welford`]), a
+//! [`TimeSeries`] recorder, and Jain's fairness index. The log-linear
+//! latency histogram is `edp_telemetry::LogHistogram`.
 
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 
-/// A monotonically increasing event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub const fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds one, saturating at `u64::MAX` so long soak runs cannot
-    /// panic on overflow in debug builds.
-    pub fn incr(&mut self) {
-        self.0 = self.0.saturating_add(1);
-    }
-
-    /// Adds `n`, saturating at `u64::MAX`.
-    pub fn add(&mut self, n: u64) {
-        self.0 = self.0.saturating_add(n);
-    }
-
-    /// Current value.
-    pub const fn get(self) -> u64 {
-        self.0
-    }
-}
-
-/// Streaming mean and variance (Welford's online algorithm).
+/// Streaming mean, minimum and maximum (Welford's online mean update).
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct Welford {
     n: u64,
     mean: f64,
-    m2: f64,
     min: f64,
     max: f64,
 }
@@ -51,7 +22,6 @@ impl Welford {
         Welford {
             n: 0,
             mean: 0.0,
-            m2: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -60,9 +30,7 @@ impl Welford {
     /// Adds one sample.
     pub fn add(&mut self, x: f64) {
         self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
+        self.mean += (x - self.mean) / self.n as f64;
         self.min = self.min.min(x);
         self.max = self.max.max(x);
     }
@@ -79,20 +47,6 @@ impl Welford {
         } else {
             self.mean
         }
-    }
-
-    /// Population variance; 0 with fewer than two samples.
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
     }
 
     /// Smallest sample; 0 when empty.
@@ -157,11 +111,6 @@ impl TimeSeries {
         self.points.is_empty()
     }
 
-    /// Largest recorded value; 0 when empty.
-    pub fn max_value(&self) -> f64 {
-        self.points.iter().map(|&(_, v)| v).fold(0.0, f64::max)
-    }
-
     /// Time-weighted average of the (step-wise) signal over its span.
     ///
     /// Treats the series as piecewise constant between samples; returns the
@@ -200,42 +149,9 @@ pub fn jain_fairness(xs: &[f64]) -> f64 {
     (sum * sum) / (xs.len() as f64 * sq)
 }
 
-/// Exact percentile over a full sample set (sorts a copy). Prefer
-/// `edp_telemetry::LogHistogram::quantile` for large streams.
-pub fn percentile(samples: &[f64], q: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&q));
-    if samples.is_empty() {
-        return 0.0;
-    }
-    let mut v = samples.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-    let idx = ((q * (v.len() - 1) as f64).round() as usize).min(v.len() - 1);
-    v[idx]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
-
-    #[test]
-    fn counter_saturates_at_max() {
-        let mut c = Counter::new();
-        c.add(u64::MAX - 1);
-        c.incr();
-        assert_eq!(c.get(), u64::MAX);
-        c.incr();
-        assert_eq!(c.get(), u64::MAX, "incr past MAX must saturate, not wrap");
-        c.add(17);
-        assert_eq!(c.get(), u64::MAX, "add past MAX must saturate, not wrap");
-    }
 
     #[test]
     fn welford_matches_naive() {
@@ -245,7 +161,6 @@ mod tests {
             w.add(x);
         }
         assert!((w.mean() - 5.0).abs() < 1e-12);
-        assert!((w.variance() - 4.0).abs() < 1e-12);
         assert_eq!(w.min(), 2.0);
         assert_eq!(w.max(), 9.0);
         assert_eq!(w.count(), 8);
@@ -286,7 +201,7 @@ mod tests {
         ts.push(SimTime::from_nanos(30), 0.0);
         // 10 for 10 ns, 0 for 20 ns => 100/30.
         assert!((ts.time_weighted_mean() - 100.0 / 30.0).abs() < 1e-12);
-        assert_eq!(ts.max_value(), 10.0);
+        assert_eq!(ts.points()[0], (0, 10.0));
         assert_eq!(ts.len(), 3);
     }
 
@@ -305,14 +220,5 @@ mod tests {
         assert!((unfair - 0.25).abs() < 1e-12);
         assert_eq!(jain_fairness(&[]), 1.0);
         assert_eq!(jain_fairness(&[0.0, 0.0]), 1.0);
-    }
-
-    #[test]
-    fn percentile_exact() {
-        let v = [5.0, 1.0, 3.0, 2.0, 4.0];
-        assert_eq!(percentile(&v, 0.0), 1.0);
-        assert_eq!(percentile(&v, 0.5), 3.0);
-        assert_eq!(percentile(&v, 1.0), 5.0);
-        assert_eq!(percentile(&[], 0.5), 0.0);
     }
 }

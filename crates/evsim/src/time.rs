@@ -21,6 +21,10 @@ pub struct SimTime(u64);
 )]
 pub struct SimDuration(u64);
 
+/// A count of clock cycles, the unit of the cycle-granular SUME datapath
+/// models (one 5 ns cycle at 200 MHz moves one pipeline word).
+pub type Cycles = u64;
+
 impl SimTime {
     /// The simulation epoch (t = 0).
     pub const ZERO: SimTime = SimTime(0);
@@ -32,34 +36,27 @@ impl SimTime {
         SimTime(ns)
     }
 
-    /// Creates an instant from microseconds since simulation start.
+    /// Creates an instant from microseconds since simulation start; panics
+    /// if it does not fit in `u64` nanoseconds.
     pub const fn from_micros(us: u64) -> Self {
-        SimTime(us * 1_000)
+        match us.checked_mul(1_000) {
+            Some(ns) => SimTime(ns),
+            None => panic!("SimTime overflow"),
+        }
     }
 
-    /// Creates an instant from milliseconds since simulation start.
+    /// Creates an instant from milliseconds since simulation start; panics
+    /// if it does not fit in `u64` nanoseconds.
     pub const fn from_millis(ms: u64) -> Self {
-        SimTime(ms * 1_000_000)
-    }
-
-    /// Creates an instant from seconds since simulation start.
-    pub const fn from_secs(s: u64) -> Self {
-        SimTime(s * 1_000_000_000)
+        match ms.checked_mul(1_000_000) {
+            Some(ns) => SimTime(ns),
+            None => panic!("SimTime overflow"),
+        }
     }
 
     /// Nanoseconds since simulation start.
     pub const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// Microseconds since simulation start (truncating).
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
-    /// Milliseconds since simulation start (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
     }
 
     /// Seconds since simulation start, as a float (for reporting only).
@@ -70,11 +67,6 @@ impl SimTime {
     /// Span from an earlier instant to `self`, saturating at zero.
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Checked difference between two instants.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
     }
 }
 
@@ -89,19 +81,22 @@ impl SimDuration {
         SimDuration(ns)
     }
 
-    /// Creates a span from microseconds.
+    /// Creates a span from microseconds; panics if it does not fit in `u64`
+    /// nanoseconds.
     pub const fn from_micros(us: u64) -> Self {
-        SimDuration(us * 1_000)
+        match us.checked_mul(1_000) {
+            Some(ns) => SimDuration(ns),
+            None => panic!("SimDuration overflow"),
+        }
     }
 
-    /// Creates a span from milliseconds.
+    /// Creates a span from milliseconds; panics if it does not fit in `u64`
+    /// nanoseconds.
     pub const fn from_millis(ms: u64) -> Self {
-        SimDuration(ms * 1_000_000)
-    }
-
-    /// Creates a span from seconds.
-    pub const fn from_secs(s: u64) -> Self {
-        SimDuration(s * 1_000_000_000)
+        match ms.checked_mul(1_000_000) {
+            Some(ns) => SimDuration(ns),
+            None => panic!("SimDuration overflow"),
+        }
     }
 
     /// Creates a span from a floating-point number of seconds (rounded to
@@ -119,16 +114,6 @@ impl SimDuration {
         self.0
     }
 
-    /// Length of the span in microseconds (truncating).
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
-    /// Length of the span in milliseconds (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Length of the span in seconds, as a float (for reporting only).
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
@@ -142,13 +127,6 @@ impl SimDuration {
     /// Saturating subtraction of two spans.
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
-    }
-
-    /// Multiplies the span by a float factor (rounded); panics on overflow
-    /// or negative factors.
-    pub fn mul_f64(self, factor: f64) -> SimDuration {
-        assert!(factor >= 0.0, "negative duration factor: {factor}");
-        SimDuration((self.0 as f64 * factor).round() as u64)
     }
 
     /// The time a given number of bytes occupies on a link of `bits_per_sec`.
@@ -257,10 +235,23 @@ mod tests {
 
     #[test]
     fn conversions_round_trip() {
-        assert_eq!(SimTime::from_secs(2).as_nanos(), 2_000_000_000);
-        assert_eq!(SimTime::from_millis(3).as_micros(), 3_000);
+        assert_eq!(SimTime::from_millis(2_000).as_nanos(), 2_000_000_000);
+        assert_eq!(SimTime::from_micros(3).as_nanos(), 3_000);
         assert_eq!(SimDuration::from_micros(5).as_nanos(), 5_000);
-        assert_eq!(SimDuration::from_secs(1).as_millis(), 1_000);
+        assert_eq!(SimDuration::from_millis(1).as_nanos(), 1_000_000);
+    }
+
+    #[test]
+    #[should_panic(expected = "SimTime overflow")]
+    fn time_constructor_overflow_panics() {
+        // 18446744073710 ms is just past u64::MAX ns; it must not wrap.
+        let _ = SimTime::from_millis(18_446_744_073_710);
+    }
+
+    #[test]
+    #[should_panic(expected = "SimDuration overflow")]
+    fn duration_constructor_overflow_panics() {
+        let _ = SimDuration::from_micros(u64::MAX / 1_000 + 1);
     }
 
     #[test]
@@ -280,7 +271,6 @@ mod tests {
         let b = SimTime::from_nanos(30);
         assert_eq!(a.saturating_since(b), SimDuration::ZERO);
         assert_eq!(b.saturating_since(a).as_nanos(), 20);
-        assert_eq!(a.checked_since(b), None);
     }
 
     #[test]
@@ -298,13 +288,13 @@ mod tests {
         assert_eq!(SimDuration::from_nanos(7).to_string(), "7ns");
         assert_eq!(SimDuration::from_micros(1).to_string(), "1.000us");
         assert_eq!(SimDuration::from_millis(2).to_string(), "2.000ms");
-        assert_eq!(SimDuration::from_secs(3).to_string(), "3.000s");
+        assert_eq!(SimDuration::from_millis(3_000).to_string(), "3.000s");
     }
 
     #[test]
     fn from_secs_f64_rounds() {
         assert_eq!(SimDuration::from_secs_f64(1e-9).as_nanos(), 1);
-        assert_eq!(SimDuration::from_secs_f64(0.5).as_millis(), 500);
+        assert_eq!(SimDuration::from_secs_f64(0.5).as_nanos(), 500_000_000);
     }
 
     #[test]

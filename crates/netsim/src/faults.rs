@@ -105,19 +105,6 @@ impl FaultPlan {
         self
     }
 
-    /// Number of scheduled status transitions (downs + ups, including
-    /// every flap cycle). Stalls and impairment models are not
-    /// transitions.
-    pub fn transitions(&self) -> usize {
-        let downs: usize = self
-            .downs
-            .iter()
-            .map(|(_, _, up)| 1 + usize::from(up.is_some()))
-            .sum();
-        let flaps: usize = self.flaps.iter().map(|f| 2 * f.count as usize).sum();
-        downs + flaps
-    }
-
     /// The RNG stream a given link direction's impairment model draws
     /// from: `stream(seed, [FAULT_DOMAIN, link, dir])`. Exposed so tests
     /// can reproduce a model's draws independently.
@@ -158,21 +145,6 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn transitions_count_downs_ups_and_flap_cycles() {
-        let plan = FaultPlan::new(1)
-            .link_down_at(0, SimTime::from_micros(5), None)
-            .link_down_at(1, SimTime::from_micros(5), Some(SimTime::from_micros(9)))
-            .link_flap(
-                2,
-                SimTime::from_micros(10),
-                SimDuration::from_micros(1),
-                SimDuration::from_micros(4),
-                3,
-            );
-        assert_eq!(plan.transitions(), 1 + 2 + 6);
-    }
 
     #[test]
     fn model_streams_are_per_link_and_direction() {

@@ -128,21 +128,6 @@ pub struct HostStats {
     pub flows: HashMap<FlowKey, FlowStats, FnvBuildHasher>,
 }
 
-impl HostStats {
-    /// Received packets for a flow (0 if none).
-    pub fn flow_pkts(&self, key: &FlowKey) -> u64 {
-        self.flows.get(key).map(|f| f.pkts).unwrap_or(0)
-    }
-
-    /// Total goodput in bits over the interval `[0, now]`, as bits/s.
-    pub fn goodput_bps(&self, now: SimTime) -> f64 {
-        if now == SimTime::ZERO {
-            return 0.0;
-        }
-        self.rx_bytes as f64 * 8.0 * 1e9 / now.as_nanos() as f64
-    }
-}
-
 /// What a host does with arriving packets beyond counting them.
 #[derive(Debug, Clone)]
 pub enum HostApp {

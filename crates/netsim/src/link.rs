@@ -65,14 +65,6 @@ impl LinkFaultModel {
             ..Default::default()
         }
     }
-
-    /// True when every probability is zero (the model is a no-op).
-    pub fn is_noop(&self) -> bool {
-        self.drop_prob <= 0.0
-            && self.corrupt_prob <= 0.0
-            && self.duplicate_prob <= 0.0
-            && self.reorder_prob <= 0.0
-    }
 }
 
 /// An installed fault model plus its per-direction RNG streams.

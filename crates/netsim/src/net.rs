@@ -178,16 +178,21 @@ impl Network {
     /// Connects two endpoints with a link; returns the link id.
     ///
     /// # Panics
-    /// Panics if either endpoint is already connected or out of range.
+    /// Panics if either endpoint is out of range or already connected, and
+    /// with "cannot connect {a:?} to itself" if `a == b`. Every check runs
+    /// before anything changes, so a panicking call leaves both ports free.
     pub fn connect(&mut self, a: Endpoint, b: Endpoint, spec: LinkSpec) -> LinkId {
-        self.validate_endpoint(a);
-        self.validate_endpoint(b);
-        let id = self.links.len();
-        for (ep, dir) in [(a, Dir::AtoB), (b, Dir::BtoA)] {
-            let slot = self.port_mut(ep);
-            assert!(slot.link.is_none(), "endpoint {ep:?} already connected");
-            slot.link = Some((id, dir));
+        assert_ne!(a, b, "cannot connect {a:?} to itself");
+        for ep in [a, b] {
+            self.validate_endpoint(ep);
+            assert!(
+                self.port(ep).link.is_none(),
+                "endpoint {ep:?} already connected"
+            );
         }
+        let id = self.links.len();
+        self.port_mut(a).link = Some((id, Dir::AtoB));
+        self.port_mut(b).link = Some((id, Dir::BtoA));
         self.links.push(NetLink {
             state: LinkState::new(spec),
             ends: [a, b],
@@ -223,14 +228,6 @@ impl Network {
         match &self.shard {
             None => true,
             Some(c) => c.plan.owner(node) == c.id,
-        }
-    }
-
-    /// This world's `(shard id, shard count)`; `(0, 1)` when unsharded.
-    pub fn shard_role(&self) -> (usize, usize) {
-        match &self.shard {
-            None => (0, 1),
-            Some(c) => (c.id, c.plan.shards()),
         }
     }
 
@@ -1114,7 +1111,7 @@ mod tests {
     }
 
     /// Forwards to port 1 and keeps a handle on every payload it sees.
-    struct TapForward(Vec<SharedFrame>);
+    struct TapForward(Vec<Packet>);
     impl edp_pisa::PisaProgram for TapForward {
         fn ingress(
             &mut self,
@@ -1123,7 +1120,7 @@ mod tests {
             m: &mut edp_pisa::StdMeta,
             _n: SimTime,
         ) {
-            self.0.push(p.share_payload());
+            self.0.push(p.clone());
             m.dest = edp_pisa::Destination::Port(1);
         }
     }
@@ -1206,7 +1203,7 @@ mod tests {
         let payloads = std::mem::take(&mut tap.0);
         assert_eq!(payloads.len() as u64, N);
         for payload in payloads {
-            assert!(Packet::from_shared(PacketUid(0), payload).payload_is_unique());
+            assert!(payload.payload_is_unique());
         }
     }
 
@@ -1389,8 +1386,13 @@ mod tests {
             m: &mut edp_pisa::StdMeta,
             _n: SimTime,
         ) {
-            let ttl = edp_packet::Ipv4Header::patch_ttl_decrement(p.bytes_mut(), h.ip_offset);
-            self.ttl_written.push(ttl);
+            use edp_packet::wire::{internet_checksum, put_u16};
+            let (b, ip) = (p.bytes_mut(), h.ip_offset);
+            b[ip + 8] -= 1;
+            put_u16(b, ip + 10, 0);
+            let ck = internet_checksum(&b[ip..ip + 20]);
+            put_u16(b, ip + 10, ck);
+            self.ttl_written.push(b[ip + 8]);
             self.memo_after_write.push(p.parse_is_memoised());
             m.dest = edp_pisa::Destination::Port(1);
         }
@@ -1484,5 +1486,14 @@ mod tests {
         let spec = LinkSpec::ten_gig(SimDuration::ZERO);
         net.connect((NodeRef::Host(h0), 0), (NodeRef::Host(h1), 0), spec);
         net.connect((NodeRef::Host(h0), 0), (NodeRef::Host(h2), 0), spec);
+    }
+
+    #[test]
+    #[should_panic(expected = "to itself")]
+    fn self_loop_connect_panics() {
+        let mut net = Network::new(1);
+        let h0 = net.add_host(Host::new(a(1), HostApp::Sink));
+        let ep = (NodeRef::Host(h0), 0);
+        net.connect(ep, ep, LinkSpec::ten_gig(SimDuration::ZERO));
     }
 }

@@ -720,7 +720,7 @@ mod tests {
                         sim.schedule_at(
                             SimTime::from_micros(10),
                             |w: &mut Network, _: &mut Sim<Network>| {
-                                if w.shard_role().0 == 1 {
+                                if !w.owns_node(NodeRef::Switch(0)) {
                                     panic!("shard 1 died");
                                 }
                             },

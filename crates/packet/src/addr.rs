@@ -8,8 +8,6 @@ use serde::{Deserialize, Serialize};
 pub struct MacAddr(pub [u8; 6]);
 
 impl MacAddr {
-    /// The broadcast address `ff:ff:ff:ff:ff:ff`.
-    pub const BROADCAST: MacAddr = MacAddr([0xff; 6]);
     /// The all-zero address, used as "unset".
     pub const ZERO: MacAddr = MacAddr([0; 6]);
 
@@ -18,16 +16,6 @@ impl MacAddr {
     pub const fn from_id(id: u32) -> MacAddr {
         let b = id.to_be_bytes();
         MacAddr([0x02, 0x00, b[0], b[1], b[2], b[3]])
-    }
-
-    /// True for the broadcast address.
-    pub fn is_broadcast(self) -> bool {
-        self == Self::BROADCAST
-    }
-
-    /// True when the group bit (I/G, lowest bit of the first octet) is set.
-    pub fn is_multicast(self) -> bool {
-        self.0[0] & 0x01 != 0
     }
 
     /// Raw octets.
@@ -57,14 +45,6 @@ mod tests {
             MacAddr([0, 1, 2, 0xaa, 0xbb, 0xff]).to_string(),
             "00:01:02:aa:bb:ff"
         );
-    }
-
-    #[test]
-    fn broadcast_and_multicast_bits() {
-        assert!(MacAddr::BROADCAST.is_broadcast());
-        assert!(MacAddr::BROADCAST.is_multicast());
-        assert!(!MacAddr::from_id(7).is_multicast());
-        assert!(MacAddr([0x01, 0, 0, 0, 0, 0]).is_multicast());
     }
 
     #[test]

@@ -154,20 +154,6 @@ impl PacketBuilder {
         Self::udp(src, dst, PORT_RPC, PORT_RPC, &payload)
     }
 
-    /// A bare event-carrier frame of `len` total bytes (≥ 14): what the
-    /// event merger injects when event metadata has no packet to ride on.
-    pub fn event_carrier(len: usize) -> Vec<u8> {
-        let mut out = Vec::with_capacity(len.max(ETH_HEADER_LEN));
-        EthHeader {
-            dst: MacAddr::ZERO,
-            src: MacAddr::ZERO,
-            ethertype: EtherType::EventCarrier,
-        }
-        .emit(&mut out);
-        out.resize(len.max(ETH_HEADER_LEN), 0);
-        out
-    }
-
     /// Overrides the Ethernet addresses.
     pub fn eth(mut self, src: MacAddr, dst: MacAddr) -> Self {
         self.eth_src = src;
@@ -374,20 +360,14 @@ mod tests {
             .ttl(9)
             .dscp(46)
             .ident(0x4242)
-            .eth(MacAddr::from_id(100), MacAddr::BROADCAST)
+            .eth(MacAddr::from_id(100), MacAddr([0xff; 6]))
             .build();
         let pp = parse_packet(&frame).expect("parse");
         let ip = pp.ipv4.expect("ip");
         assert_eq!(ip.ttl, 9);
         assert_eq!(ip.dscp, 46);
         assert_eq!(ip.ident, 0x4242);
-        assert_eq!(pp.eth.dst, MacAddr::BROADCAST);
-    }
-
-    #[test]
-    fn event_carrier_min_len() {
-        assert_eq!(PacketBuilder::event_carrier(0).len(), ETH_HEADER_LEN);
-        assert_eq!(PacketBuilder::event_carrier(64).len(), 64);
+        assert_eq!(pp.eth.dst, MacAddr([0xff; 6]));
     }
 
     #[test]

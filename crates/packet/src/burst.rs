@@ -45,11 +45,6 @@ impl Burst {
     pub fn is_empty(&self) -> bool {
         self.frames.is_empty()
     }
-
-    /// Gives the frames back in arrival order.
-    pub fn into_frames(self) -> Vec<Packet> {
-        self.frames
-    }
 }
 
 impl From<Vec<Packet>> for Burst {

@@ -144,13 +144,6 @@ impl std::hash::Hasher for Fnv1a {
 /// The fixed [`std::hash::BuildHasher`] over [`Fnv1a`].
 pub type FnvBuildHasher = std::hash::BuildHasherDefault<Fnv1a>;
 
-/// Convenience one-shot hash.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write(bytes);
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,6 +161,11 @@ mod tests {
     #[test]
     fn fnv_known_vectors() {
         // Published FNV-1a test vectors.
+        let fnv1a64 = |bytes: &[u8]| {
+            let mut h = Fnv1a::new();
+            h.write(bytes);
+            h.finish()
+        };
         assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
         assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);

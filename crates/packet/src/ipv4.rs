@@ -175,17 +175,6 @@ impl Ipv4Header {
         put_u16(buf, ip_off + 10, ck);
     }
 
-    /// Decrements the TTL of an encoded header in place, patching the
-    /// checksum. Returns the new TTL (0 means the packet must be dropped).
-    pub fn patch_ttl_decrement(buf: &mut [u8], ip_off: usize) -> u8 {
-        let ttl = buf[ip_off + 8].saturating_sub(1);
-        buf[ip_off + 8] = ttl;
-        put_u16(buf, ip_off + 10, 0);
-        let ck = internet_checksum(&buf[ip_off..ip_off + IPV4_HEADER_LEN]);
-        put_u16(buf, ip_off + 10, ck);
-        ttl
-    }
-
     /// Trims an IPv4 frame to its headers (Ethernet + IPv4 + transport
     /// header, no payload), patching lengths and checksums so the result
     /// still parses, and stamping DSCP [`TRIMMED_DSCP`] as the trim
@@ -336,17 +325,6 @@ mod tests {
     }
 
     #[test]
-    fn patch_ttl_keeps_checksum_valid() {
-        let mut out = Vec::new();
-        sample().emit(&mut out);
-        out.extend_from_slice(&[0u8; 20]);
-        let ttl = Ipv4Header::patch_ttl_decrement(&mut out, 0);
-        assert_eq!(ttl, 63);
-        let (parsed, _) = Ipv4Header::parse(&out).expect("still valid");
-        assert_eq!(parsed.ttl, 63);
-    }
-
-    #[test]
     fn trim_to_network_header_parses_and_marks() {
         let mut frame = crate::builder::PacketBuilder::udp(
             Ipv4Addr::new(10, 0, 0, 1),
@@ -371,7 +349,9 @@ mod tests {
         let mut junk = vec![0u8; 10];
         assert!(!Ipv4Header::trim_to_network_header(&mut junk));
         assert_eq!(junk.len(), 10, "untouched");
-        let mut carrier = crate::builder::PacketBuilder::event_carrier(64);
+        let mut carrier = vec![0u8; 64];
+        carrier[12..14]
+            .copy_from_slice(&crate::eth::EtherType::EventCarrier.to_u16().to_be_bytes());
         assert!(!Ipv4Header::trim_to_network_header(&mut carrier));
     }
 

@@ -61,7 +61,7 @@ pub use builder::PacketBuilder;
 pub use burst::Burst;
 pub use error::{ParseError, ParseResult};
 pub use eth::{EthHeader, EtherType, ETH_HEADER_LEN};
-pub use flow::{fnv1a64, FlowKey, Fnv1a, FnvBuildHasher};
+pub use flow::{FlowKey, Fnv1a, FnvBuildHasher};
 pub use ipv4::{Ecn, IpProto, Ipv4Header, IPV4_HEADER_LEN, TRIMMED_DSCP};
 pub use l4::{
     IcmpEcho, IcmpEchoKind, TcpFlags, TcpHeader, UdpHeader, ICMP_ECHO_LEN, TCP_HEADER_LEN,

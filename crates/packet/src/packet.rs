@@ -192,24 +192,10 @@ impl Packet {
         self.data.0.parse.get().is_some()
     }
 
-    /// A handle to the shared frame (cheap; bumps the refcount).
-    pub fn share_payload(&self) -> SharedFrame {
-        self.data.clone()
-    }
-
     /// True while this packet is the payload's only owner, i.e. mutation
     /// will happen in place rather than copy. Diagnostic/test hook.
     pub fn payload_is_unique(&self) -> bool {
         Arc::strong_count(&self.data.0) == 1
-    }
-
-    /// Unwraps into the frame bytes, copying only if the payload is still
-    /// shared with another packet.
-    pub fn into_frame(self) -> Vec<u8> {
-        match Arc::try_unwrap(self.data.0) {
-            Ok(rec) => rec.bytes,
-            Err(shared) => shared.bytes.clone(),
-        }
     }
 
     /// Frame length in bytes.
@@ -306,19 +292,6 @@ mod tests {
         let q = Packet::from_shared(PacketUid(2), template.clone());
         assert!(std::ptr::eq(p.bytes().as_ptr(), q.bytes().as_ptr()));
         assert_eq!(p.len(), 64);
-    }
-
-    #[test]
-    fn into_frame_avoids_copy_when_unique() {
-        let p = Packet::anonymous(vec![1, 2, 3]);
-        let ptr = p.bytes().as_ptr();
-        let frame = p.into_frame();
-        assert!(std::ptr::eq(ptr, frame.as_ptr()));
-
-        let p = Packet::anonymous(vec![4, 5]);
-        let q = p.clone();
-        assert_eq!(p.into_frame(), vec![4, 5]);
-        assert_eq!(q.into_frame(), vec![4, 5]);
     }
 
     #[test]
@@ -430,6 +403,6 @@ mod tests {
         first.parsed().expect("parses");
         let later = Packet::from_shared(PacketUid(2), template);
         assert!(later.parse_is_memoised());
-        assert!(later.share_payload().bytes() == first.bytes());
+        assert!(std::ptr::eq(later.bytes().as_ptr(), first.bytes().as_ptr()));
     }
 }

@@ -297,7 +297,8 @@ mod tests {
 
     #[test]
     fn non_ip_stops_after_eth() {
-        let frame = PacketBuilder::event_carrier(64);
+        let mut frame = vec![0u8; 64];
+        frame[12..14].copy_from_slice(&EtherType::EventCarrier.to_u16().to_be_bytes());
         let pp = parse_packet(&frame).expect("parse");
         assert!(pp.is_event_carrier());
         assert!(pp.ipv4.is_none());

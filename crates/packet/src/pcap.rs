@@ -287,11 +287,6 @@ impl PcapFile {
         out
     }
 
-    /// Total captured bytes across all frames.
-    pub fn captured_bytes(&self) -> u64 {
-        self.packets.iter().map(|p| p.data.len() as u64).sum()
-    }
-
     /// Capture duration: last timestamp minus first (0 for ≤1 packet).
     pub fn duration_ns(&self) -> u64 {
         match (self.packets.first(), self.packets.last()) {
@@ -780,7 +775,10 @@ mod tests {
     fn helpers_report_span_and_bytes() {
         let f = sample();
         assert_eq!(f.duration_ns(), 2_000_000_123);
-        assert_eq!(f.captured_bytes(), 60 + 64 + 4);
+        assert_eq!(
+            f.packets.iter().map(|p| p.data.len()).sum::<usize>(),
+            60 + 64 + 4
+        );
         assert_eq!(PcapFile::default().duration_ns(), 0);
     }
 

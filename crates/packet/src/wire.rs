@@ -22,16 +22,6 @@ pub fn put_u16(buf: &mut [u8], off: usize, v: u16) {
     buf[off..off + 2].copy_from_slice(&v.to_be_bytes());
 }
 
-/// Writes a big-endian `u32` at `off`.
-pub fn put_u32(buf: &mut [u8], off: usize, v: u32) {
-    buf[off..off + 4].copy_from_slice(&v.to_be_bytes());
-}
-
-/// Writes a big-endian `u64` at `off`.
-pub fn put_u64(buf: &mut [u8], off: usize, v: u64) {
-    buf[off..off + 8].copy_from_slice(&v.to_be_bytes());
-}
-
 /// RFC 1071 Internet checksum over `data` (one's-complement sum folded to
 /// 16 bits, then complemented). An odd trailing byte is padded with zero.
 pub fn internet_checksum(data: &[u8]) -> u16 {
@@ -88,8 +78,8 @@ mod tests {
     fn round_trip_integers() {
         let mut b = vec![0u8; 16];
         put_u16(&mut b, 0, 0xBEEF);
-        put_u32(&mut b, 2, 0xDEAD_BEEF);
-        put_u64(&mut b, 6, 0x0123_4567_89AB_CDEF);
+        b[2..6].copy_from_slice(&0xDEAD_BEEFu32.to_be_bytes());
+        b[6..14].copy_from_slice(&0x0123_4567_89AB_CDEFu64.to_be_bytes());
         assert_eq!(get_u16(&b, 0), 0xBEEF);
         assert_eq!(get_u32(&b, 2), 0xDEAD_BEEF);
         assert_eq!(get_u64(&b, 6), 0x0123_4567_89AB_CDEF);

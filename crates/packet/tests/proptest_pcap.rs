@@ -68,7 +68,7 @@ proptest! {
         let i = pos.index(bytes.len());
         bytes[i] ^= xor;
         match PcapFile::parse(&bytes) {
-            Ok(f) => prop_assert!(f.captured_bytes() <= bytes.len() as u64),
+            Ok(f) => prop_assert!(f.packets.iter().map(|p| p.data.len()).sum::<usize>() <= bytes.len()),
             Err(e) => { let _ = e.to_string(); }
         }
     }

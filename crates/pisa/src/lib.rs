@@ -37,7 +37,7 @@ mod tm;
 pub use meta::{Destination, PortId, StdMeta};
 pub use probe::{ProbeAccess, ProbeClaim, ProbeClass, ProbeRecord};
 pub use program::{ForwardTo, PisaProgram, TableRouter};
-pub use register::{PacketByteCounter, RegisterArray};
+pub use register::RegisterArray;
 pub use table::{
     insert_ipv4_route, ipv4_lpm_schema, FieldMatch, MatchKind, MatchTable, ShapeEntry, TableEntry,
     TableError, TableShape,

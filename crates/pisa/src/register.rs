@@ -134,33 +134,6 @@ impl RegisterArray {
     }
 }
 
-/// A packet/byte counter pair, PSA `Counter`-shaped.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct PacketByteCounter {
-    /// Packets counted.
-    pub packets: u64,
-    /// Bytes counted.
-    pub bytes: u64,
-}
-
-impl PacketByteCounter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Counts one packet of `bytes`.
-    pub fn count(&mut self, bytes: usize) {
-        self.packets += 1;
-        self.bytes += bytes as u64;
-    }
-
-    /// Zeroes both fields.
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,16 +185,5 @@ mod tests {
         r.write(2, 5);
         r.write(2, 0);
         assert_eq!(r.nonzero_entries(), 1);
-    }
-
-    #[test]
-    fn counter_counts() {
-        let mut c = PacketByteCounter::new();
-        c.count(100);
-        c.count(50);
-        assert_eq!(c.packets, 2);
-        assert_eq!(c.bytes, 150);
-        c.reset();
-        assert_eq!(c.packets, 0);
     }
 }

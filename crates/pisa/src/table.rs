@@ -374,15 +374,6 @@ impl<A> MatchTable<A> {
         self.entries.push(entry);
     }
 
-    /// Convenience: installs an all-exact entry.
-    pub fn insert_exact(&mut self, key: &[u64], action: A) {
-        self.insert(TableEntry {
-            fields: key.iter().map(|&v| FieldMatch::Exact(v)).collect(),
-            priority: 0,
-            action,
-        });
-    }
-
     /// Looks up `key`, returning the winning entry's action.
     ///
     /// # Panics
@@ -481,15 +472,6 @@ impl<A> MatchTable<A> {
         }
     }
 
-    /// Removes entries whose action matches a predicate; returns how many
-    /// were removed. (Control-plane flow removal.)
-    pub fn remove_where(&mut self, pred: impl Fn(&TableEntry<A>) -> bool) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|e| !pred(e));
-        self.rebuild_index();
-        before - self.entries.len()
-    }
-
     /// Clears all entries.
     pub fn clear(&mut self) {
         self.entries.clear();
@@ -582,10 +564,19 @@ mod tests {
     use super::*;
     use std::net::Ipv4Addr;
 
+    /// An all-exact single-field entry.
+    fn exact<A>(key: u64, action: A) -> TableEntry<A> {
+        TableEntry {
+            fields: vec![FieldMatch::Exact(key)],
+            priority: 0,
+            action,
+        }
+    }
+
     #[test]
     fn exact_table_hit_miss() {
         let mut t: MatchTable<&str> = MatchTable::new("mac", vec![MatchKind::Exact]);
-        t.insert_exact(&[42], "port1");
+        t.insert(exact(42, "port1"));
         assert_eq!(t.lookup(&[42]), Some(&"port1"));
         assert_eq!(t.lookup(&[43]), None);
         assert_eq!(t.hits(), 1);
@@ -595,7 +586,7 @@ mod tests {
     #[test]
     fn hit_miss_counters_saturate_instead_of_wrapping() {
         let mut t: MatchTable<&str> = MatchTable::new("mac", vec![MatchKind::Exact]);
-        t.insert_exact(&[42], "port1");
+        t.insert(exact(42, "port1"));
         t.hits.set(u64::MAX);
         t.misses.set(u64::MAX - 1);
         assert_eq!(t.lookup(&[42]), Some(&"port1"));
@@ -608,8 +599,8 @@ mod tests {
     #[test]
     fn exact_replaces_duplicate_key() {
         let mut t: MatchTable<u32> = MatchTable::new("x", vec![MatchKind::Exact]);
-        t.insert_exact(&[1], 10);
-        t.insert_exact(&[1], 20);
+        t.insert(exact(1, 10));
+        t.insert(exact(1, 20));
         assert_eq!(t.len(), 1);
         assert_eq!(t.lookup(&[1]), Some(&20));
     }
@@ -752,31 +743,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_where_rebuilds_exact_index() {
-        let mut t: MatchTable<u32> = MatchTable::new("x", vec![MatchKind::Exact]);
-        for i in 0..10u64 {
-            t.insert_exact(&[i], i as u32);
-        }
-        let removed = t.remove_where(|e| e.action % 2 == 0);
-        assert_eq!(removed, 5);
-        assert_eq!(t.lookup(&[3]), Some(&3));
-        assert_eq!(t.lookup(&[4]), None);
-    }
-
-    #[test]
-    fn remove_where_rebuilds_lpm_buckets() {
-        let mut t: MatchTable<&str> = MatchTable::new("routes", ipv4_lpm_schema());
-        insert_ipv4_route(&mut t, Ipv4Addr::new(10, 0, 0, 0), 8, "coarse");
-        insert_ipv4_route(&mut t, Ipv4Addr::new(10, 1, 0, 0), 16, "fine");
-        let removed = t.remove_where(|e| e.action == "fine");
-        assert_eq!(removed, 1);
-        assert_eq!(
-            t.lookup(&[u32::from(Ipv4Addr::new(10, 1, 2, 3)) as u64]),
-            Some(&"coarse")
-        );
-    }
-
-    #[test]
     fn install_order_breaks_ties() {
         let mut t: MatchTable<&str> = MatchTable::new("tie", vec![MatchKind::Ternary]);
         t.insert(TableEntry {
@@ -804,7 +770,7 @@ mod tests {
         // Regression: this configuration used to abort the whole process
         // with "non-exact match ... in all-exact table".
         let mut t: MatchTable<&str> = MatchTable::new("mac", vec![MatchKind::Exact]);
-        t.insert_exact(&[42], "port1");
+        t.insert(exact(42, "port1"));
         t.insert(TableEntry {
             fields: vec![FieldMatch::Any],
             priority: -1,
@@ -818,7 +784,7 @@ mod tests {
     #[test]
     fn try_insert_rejects_non_exact_without_mutating() {
         let mut t: MatchTable<&str> = MatchTable::new("mac", vec![MatchKind::Exact]);
-        t.insert_exact(&[42], "port1");
+        t.insert(exact(42, "port1"));
         let err = t
             .try_insert(TableEntry {
                 fields: vec![FieldMatch::Range { lo: 0, hi: 10 }],

@@ -292,11 +292,6 @@ impl TrafficManager {
         self.queues[port as usize].depth_pkts()
     }
 
-    /// Total buffered bytes across all ports.
-    pub fn total_bytes(&self) -> u64 {
-        self.queues.iter().map(|q| q.bytes).sum()
-    }
-
     /// Statistics snapshot for `port`.
     pub fn stats(&self, port: PortId) -> QueueStats {
         let q = &self.queues[port as usize];

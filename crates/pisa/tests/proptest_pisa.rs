@@ -57,7 +57,11 @@ proptest! {
         let mut table: MatchTable<u32> = MatchTable::new("t", vec![MatchKind::Exact]);
         let mut model = std::collections::HashMap::new();
         for &(k, v) in &inserts {
-            table.insert_exact(&[k], v);
+            table.insert(TableEntry {
+                fields: vec![FieldMatch::Exact(k)],
+                priority: 0,
+                action: v,
+            });
             model.insert(k, v);
         }
         for &k in &keys {

@@ -1,4 +1,4 @@
-//! Active queue management: RED and a PIE-flavoured controller.
+//! Active queue management: RED.
 //!
 //! The paper names AQM as "one of the motivating applications for our
 //! work": the congestion signals these controllers consume (queue size,
@@ -92,61 +92,6 @@ impl Red {
     }
 }
 
-/// A PIE-flavoured latency-target controller (Pan et al., HPSR 2013).
-///
-/// Instead of queue *depth*, PIE controls queue *delay*: the drop
-/// probability integrates the deviation of measured queueing delay from a
-/// target. The measurement comes from dequeue events (timestamp deltas) —
-/// impossible to obtain in a baseline ingress-only model, trivial with
-/// event-driven enqueue/dequeue handlers.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct Pie {
-    target_delay_ns: u64,
-    alpha: f64,
-    beta: f64,
-    drop_prob: f64,
-    last_delay_ns: u64,
-}
-
-impl Pie {
-    /// Creates a PIE controller targeting `target_delay_ns` of queueing
-    /// delay, with proportional gain `alpha` and derivative gain `beta`
-    /// (per update call, typically invoked from a periodic timer event).
-    pub fn new(target_delay_ns: u64, alpha: f64, beta: f64) -> Self {
-        assert!(target_delay_ns > 0);
-        Pie {
-            target_delay_ns,
-            alpha,
-            beta,
-            drop_prob: 0.0,
-            last_delay_ns: 0,
-        }
-    }
-
-    /// Timer-event handler: feeds the latest measured queueing delay.
-    pub fn update(&mut self, measured_delay_ns: u64) {
-        let t = self.target_delay_ns as f64;
-        let err = (measured_delay_ns as f64 - t) / t;
-        let trend = (measured_delay_ns as f64 - self.last_delay_ns as f64) / t;
-        self.drop_prob = (self.drop_prob + self.alpha * err + self.beta * trend).clamp(0.0, 1.0);
-        self.last_delay_ns = measured_delay_ns;
-    }
-
-    /// Packet-event handler: `u` is caller-supplied uniform randomness.
-    pub fn offer(&self, u: f64) -> AqmVerdict {
-        if u < self.drop_prob {
-            AqmVerdict::Drop
-        } else {
-            AqmVerdict::Accept
-        }
-    }
-
-    /// Current drop probability.
-    pub fn drop_prob(&self) -> f64 {
-        self.drop_prob
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,28 +148,5 @@ mod tests {
         red.offer(100, 0.5);
         red.offer(100_000, 0.5);
         assert!(red.avg_queue() < 2000.0, "avg {}", red.avg_queue());
-    }
-
-    #[test]
-    fn pie_ramps_up_under_standing_delay() {
-        let mut pie = Pie::new(1_000_000, 0.125, 1.25);
-        for _ in 0..50 {
-            pie.update(5_000_000); // 5x target
-        }
-        assert!(pie.drop_prob() > 0.5, "p = {}", pie.drop_prob());
-        assert_eq!(pie.offer(0.0), AqmVerdict::Drop);
-    }
-
-    #[test]
-    fn pie_decays_when_idle() {
-        let mut pie = Pie::new(1_000_000, 0.125, 1.25);
-        for _ in 0..50 {
-            pie.update(5_000_000);
-        }
-        for _ in 0..200 {
-            pie.update(0);
-        }
-        assert!(pie.drop_prob() < 0.01, "p = {}", pie.drop_prob());
-        assert_eq!(pie.offer(0.5), AqmVerdict::Accept);
     }
 }

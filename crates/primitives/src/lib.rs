@@ -5,14 +5,11 @@
 //!
 //! * [`CountMinSketch`] — frequency estimation with periodic reset
 //!   (the paper's control-plane-overhead running example);
-//! * [`BloomFilter`] — approximate membership, used by the baseline
-//!   Snappy-style microburst detector;
-//! * [`SpaceSaving`] — top-k heavy hitters for monitoring watchlists;
 //! * [`WindowRate`] / [`Ewma`] — time-window functions built from timer
 //!   events (§5 "Time-Windowed Network Measurement");
 //! * [`TokenBucket`] / [`TimerTokenBucket`] — fixed-function vs.
 //!   build-it-yourself-from-timer-events policing (§3);
-//! * [`Red`] / [`Pie`] — AQM controllers fed by enqueue/dequeue signals;
+//! * [`Red`] — the AQM controller fed by enqueue/dequeue signals;
 //! * [`Pifo`] — the programmable scheduler substrate (§3).
 //!
 //! Everything is deterministic; types that need randomness take the
@@ -22,17 +19,13 @@
 #![warn(rust_2018_idioms)]
 
 mod aqm;
-mod bloom;
 mod cms;
-mod heavy;
 mod meter;
 mod pifo;
 mod window;
 
-pub use aqm::{AqmVerdict, Pie, Red};
-pub use bloom::BloomFilter;
+pub use aqm::{AqmVerdict, Red};
 pub use cms::CountMinSketch;
-pub use heavy::SpaceSaving;
 pub use meter::{Color, TimerTokenBucket, TokenBucket};
 pub use pifo::{Pifo, PifoPush};
 pub use window::{Ewma, WindowRate};

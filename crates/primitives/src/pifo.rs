@@ -117,11 +117,6 @@ impl<T> Pifo<T> {
     pub fn pop(&mut self) -> Option<T> {
         self.heap.pop().map(|e| e.item)
     }
-
-    /// Rank of the head item, if any.
-    pub fn peek_rank(&self) -> Option<u64> {
-        self.heap.peek().map(|e| e.rank)
-    }
 }
 
 #[cfg(test)]
@@ -182,15 +177,6 @@ mod tests {
         let (verdict, _) = p.push(5, "second");
         assert_eq!(verdict, PifoPush::Rejected);
         assert_eq!(p.pop(), Some("first"));
-    }
-
-    #[test]
-    fn peek_rank() {
-        let mut p = Pifo::new(4);
-        assert_eq!(p.peek_rank(), None);
-        p.push(9, ());
-        p.push(3, ());
-        assert_eq!(p.peek_rank(), Some(3));
     }
 
     #[test]

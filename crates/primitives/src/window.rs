@@ -112,11 +112,6 @@ impl Ewma {
         self.value
     }
 
-    /// True once a sample has been fed.
-    pub fn is_primed(&self) -> bool {
-        self.primed
-    }
-
     /// Resets to the unprimed state.
     pub fn reset(&mut self) {
         self.value = 0.0;
@@ -169,9 +164,9 @@ mod tests {
     #[test]
     fn ewma_first_sample_initializes() {
         let mut e = Ewma::new(0.1);
-        assert!(!e.is_primed());
+        assert!(!e.primed);
         assert_eq!(e.update(50.0), 50.0);
-        assert!(e.is_primed());
+        assert!(e.primed);
     }
 
     #[test]
@@ -193,7 +188,7 @@ mod tests {
         let mut e = Ewma::new(0.5);
         e.update(4.0);
         e.reset();
-        assert!(!e.is_primed());
+        assert!(!e.primed);
         assert_eq!(e.value(), 0.0);
     }
 

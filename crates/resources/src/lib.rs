@@ -189,14 +189,12 @@ impl Block {
     }
 }
 
-/// A switch configuration: a bag of blocks plus program state memories.
+/// A switch configuration: a bag of blocks.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Design {
     /// Configuration name.
     pub name: String,
     blocks: Vec<(Block, u64)>,
-    /// Extra program register state in 64-bit words (priced as BRAM).
-    pub state_words: u64,
 }
 
 impl Design {
@@ -205,7 +203,6 @@ impl Design {
         Design {
             name: name.into(),
             blocks: Vec::new(),
-            state_words: 0,
         }
     }
 
@@ -215,30 +212,13 @@ impl Design {
         self
     }
 
-    /// Adds program register state (e.g. a `shared_register` array).
-    pub fn with_state_words(mut self, words: u64) -> Self {
-        self.state_words += words;
-        self
-    }
-
-    /// BRAM blocks needed for `words` 64-bit words (36 Kb = 4608 B each,
-    /// rounded up).
-    pub fn brams_for_words(words: u64) -> u64 {
-        (words * 8).div_ceil(4608)
-    }
-
     /// Total resource cost.
     pub fn total(&self) -> ResourceVec {
-        let mut acc = self
-            .blocks
+        self.blocks
             .iter()
             .fold(ResourceVec::default(), |acc, &(b, n)| {
                 acc.plus(b.cost().times(n))
-            });
-        if self.state_words > 0 {
-            acc.brams += Self::brams_for_words(self.state_words);
-        }
-        acc
+            })
     }
 
     /// Utilization percentages against a device: (lut%, ff%, bram%).
@@ -401,20 +381,5 @@ mod tests {
         assert!((15.0..60.0).contains(&lut), "LUT {lut}%");
         assert!((10.0..60.0).contains(&ff), "FF {ff}%");
         assert!((10.0..60.0).contains(&bram), "BRAM {bram}%");
-    }
-
-    #[test]
-    fn brams_for_words() {
-        assert_eq!(Design::brams_for_words(0), 0);
-        assert_eq!(Design::brams_for_words(1), 1);
-        assert_eq!(Design::brams_for_words(576), 1); // exactly one block
-        assert_eq!(Design::brams_for_words(577), 2);
-    }
-
-    #[test]
-    fn state_words_priced_into_bram() {
-        let d = Design::new("x").with_state_words(10_000);
-        assert_eq!(d.total().brams, Design::brams_for_words(10_000));
-        assert_eq!(d.total().luts, 0);
     }
 }

@@ -79,14 +79,6 @@ pub struct Profile {
     pub phase_ns: [u64; NPHASES],
 }
 
-impl Profile {
-    /// Nanoseconds attributed to named phases — equals `total_ns` in a
-    /// healthy session (the lap model attributes everything).
-    pub fn attributed_ns(&self) -> u64 {
-        self.phase_ns.iter().sum()
-    }
-}
-
 struct ProfState {
     epoch: Instant,
     shard: usize,
@@ -210,7 +202,7 @@ mod tests {
         let p = disable().expect("session");
         assert_eq!(p.shard, 3);
         assert_eq!(
-            p.attributed_ns(),
+            p.phase_ns.iter().sum::<u64>(),
             p.total_ns,
             "lap model must attribute the whole session"
         );

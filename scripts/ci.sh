@@ -3,7 +3,8 @@
 #
 #   scripts/ci.sh               # full local gate (everything below)
 #   scripts/ci.sh --quick       # fmt, build, test, edp_lint, one-parse-path
-#                               # grep, telemetry smoke, paper-reproduction pin
+#                               # grep, caller-less pub API audit, telemetry
+#                               # smoke, paper-reproduction pin
 #   scripts/ci.sh --gate        # fmt, clippy, golden_order at 5000 cases,
 #                               # the fleet's due-queue property at 2000,
 #                               # edp_lint (+ SARIF artifact),
@@ -84,6 +85,14 @@ step_parse_path() {
         fi
     done
     [ "$bad" -eq 0 ]
+}
+
+step_api_audit() {
+    echo "==> api audit (no caller-less pub item outside scripts/api_allow.txt)"
+    # A pub fn/const/static that nothing but tests calls is dead API; one
+    # that stays names its reason in the allow-list, and a listed item that
+    # gains a caller or goes away fails as stale.
+    python3 scripts/api_audit.py
 }
 
 step_lint_sarif() {
@@ -237,6 +246,7 @@ quick)
     step_test
     step_lint
     step_parse_path
+    step_api_audit
     step_top_smoke
     step_reproduction
     ;;
@@ -261,6 +271,7 @@ full)
     step_test
     step_lint
     step_parse_path
+    step_api_audit
     step_top_smoke
     step_pcap
     step_reproduction

@@ -176,7 +176,8 @@ fn frr_reconvergence_tracks_the_control_loop() {
             .program
             .0
             .stats
-            .reconvergence(FAIL_AT)
+            .failover_at
+            .map(|t| t.saturating_since(FAIL_AT))
             .expect("failed over");
         assert_eq!(r, cp_delay, "baseline reconvergence is the cp delay");
         rec.add(r.as_nanos() as f64);
@@ -207,7 +208,10 @@ fn frr_reconvergence_tracks_the_control_loop() {
     cbr(&mut sim, sender);
     run_until(&mut net, &mut sim, SimTime::from_millis(30));
     let prog = &net.switch_as::<EventSwitch<FrrEvent>>(0).program;
-    assert_eq!(prog.stats.reconvergence(FAIL_AT), Some(SimDuration::ZERO));
+    assert_eq!(
+        prog.stats.failover_at.map(|t| t.saturating_since(FAIL_AT)),
+        Some(SimDuration::ZERO)
+    );
     let lost = PKTS - net.hosts[sink].stats.rx_pkts;
     assert!(lost <= 2, "event FRR lost {lost}");
 }

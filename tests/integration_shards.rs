@@ -311,7 +311,8 @@ fn frr_baseline_reconvergence_is_shard_invariant() {
                         .program
                         .0
                         .stats
-                        .reconvergence(FAIL_AT)
+                        .failover_at
+                        .map(|t| t.saturating_since(FAIL_AT))
                 })
                 .expect("failed over");
             (rec, sum_u64(nets, |n| n.hosts[1].stats.rx_pkts))
@@ -325,7 +326,8 @@ fn frr_baseline_reconvergence_is_shard_invariant() {
                 .program
                 .0
                 .stats
-                .reconvergence(FAIL_AT)
+                .failover_at
+                .map(|t| t.saturating_since(FAIL_AT))
         })
         .expect("failed over");
     assert_eq!(rec, SimDuration::from_micros(2000));
@@ -357,7 +359,8 @@ fn frr_event_zero_reconvergence_is_shard_invariant() {
                 n.switch_as::<EventSwitch<FrrEvent>>(0)
                     .program
                     .stats
-                    .reconvergence(FAIL_AT)
+                    .failover_at
+                    .map(|t| t.saturating_since(FAIL_AT))
             });
             (rec, sum_u64(nets, |n| n.hosts[1].stats.rx_pkts))
         },
@@ -913,10 +916,10 @@ fn profiling_is_outside_the_determinism_boundary() {
         assert_eq!(p.shard, shard, "profiles arrive in shard order");
         // The acceptance bar, stated as the pin: >= 95% of
         // the worker's wall-clock span attributed to named phases.
+        let attributed: u64 = p.phase_ns.iter().sum();
         assert!(
-            p.attributed_ns() * 100 >= p.total_ns * 95,
-            "shard {shard}: only {}/{} ns attributed",
-            p.attributed_ns(),
+            attributed * 100 >= p.total_ns * 95,
+            "shard {shard}: only {attributed}/{} ns attributed",
             p.total_ns
         );
         assert!(
