@@ -119,7 +119,7 @@ mod tests {
     use super::*;
     use crate::common::{addr, dumbbell, run_until, sink_addr};
     use edp_core::{EventSwitch, EventSwitchConfig, TimerSpec};
-    use edp_evsim::{Periodic, Sim, SimDuration};
+    use edp_evsim::{Sim, SimDuration};
     use edp_netsim::traffic::start_cbr;
     use edp_netsim::Network;
     use edp_packet::PacketBuilder;
@@ -178,16 +178,13 @@ mod tests {
     fn control_plane_reset_pays_rtt_and_messages() {
         let (mut net, sender) = build(vec![]);
         let mut sim: Sim<Network> = Sim::new();
-        let rtt_half = SimDuration::from_micros(250); // controller→switch latency
-                                                      // Controller issues a reset each period, arriving rtt/2 later.
-        sim.schedule_periodic(
-            SimTime::ZERO + PERIOD,
-            PERIOD,
-            move |w: &mut Network, s: &mut Sim<Network>| {
-                w.control_plane_send(s, rtt_half, 0, CP_OP_RESET, [0; 4]);
-                Periodic::Continue
-            },
-        );
+        // Controller issues a reset each period, arriving rtt/2 later.
+        fn controller(w: &mut Network, s: &mut Sim<Network>) {
+            let rtt_half = SimDuration::from_micros(250); // controller→switch latency
+            w.control_plane_send(s, rtt_half, 0, CP_OP_RESET, [0; 4]);
+            s.rearm_at(s.now() + PERIOD, controller);
+        }
+        sim.schedule_at(SimTime::ZERO + PERIOD, controller);
         drive(&mut net, &mut sim, sender);
         let prog = &net.switch_as::<EventSwitch<CmsMonitor>>(0).program;
         assert!(prog.resets.len() >= 9);

@@ -46,6 +46,15 @@ fn parsed<T: std::str::FromStr>(flag: &str, v: Option<String>) -> T {
     }
 }
 
+/// A count of 0 would run nothing or be silently rewritten to 1.
+fn positive<T: std::str::FromStr + Default + PartialEq>(flag: &str, v: Option<String>) -> T {
+    let n: T = parsed(flag, v);
+    if n == T::default() {
+        fail(&format!("{flag} must be at least 1"));
+    }
+    n
+}
+
 /// Parse `path`, re-encode it canonically, and verify the codec is a
 /// fixpoint: the canonical bytes must re-parse to the same packets and
 /// re-encode to the same bytes. Inputs already in canonical form
@@ -126,10 +135,7 @@ fn main() {
                 return;
             }
             "--seeds" => {
-                let n: u64 = parsed("--seeds", args.next());
-                if n == 0 {
-                    fail("--seeds must be at least 1");
-                }
+                let n: u64 = positive("--seeds", args.next());
                 opts.seeds = (1..=n).collect();
             }
             "--duration-ms" => {
@@ -139,15 +145,9 @@ fn main() {
                 }
                 opts.duration = SimDuration::from_millis(ms);
             }
-            "--threads" => opts.threads = parsed("--threads", args.next()),
-            "--trace-capacity" => opts.trace_capacity = parsed("--trace-capacity", args.next()),
-            "--overhead" => {
-                let reps: u64 = parsed("--overhead", args.next());
-                if reps == 0 {
-                    fail("--overhead must be at least 1");
-                }
-                overhead = Some(reps);
-            }
+            "--threads" => opts.threads = positive("--threads", args.next()),
+            "--trace-capacity" => opts.trace_capacity = positive("--trace-capacity", args.next()),
+            "--overhead" => overhead = Some(positive("--overhead", args.next())),
             "--pcap" => {
                 pcap = Some(args.next().unwrap_or_else(|| fail("--pcap needs a path")));
             }
@@ -157,7 +157,7 @@ fn main() {
                     fail("--speedup must be finite and positive");
                 }
             }
-            "--endpoints" => endpoints = Some(parsed("--endpoints", args.next())),
+            "--endpoints" => endpoints = Some(positive("--endpoints", args.next())),
             "--pcap-roundtrip" => {
                 roundtrip = Some(
                     args.next()

@@ -11,7 +11,7 @@ use crate::{f2, footnote, table_header};
 use edp_apps::cms_reset::{CmsMonitor, CP_OP_RESET};
 use edp_apps::common::{addr, dumbbell, run_until, sink_addr};
 use edp_core::{EventSwitch, EventSwitchConfig, TimerSpec};
-use edp_evsim::{Periodic, Sim, SimDuration, SimTime};
+use edp_evsim::{Sim, SimDuration, SimTime};
 use edp_netsim::traffic::start_cbr;
 use edp_netsim::Network;
 use edp_packet::PacketBuilder;
@@ -23,6 +23,15 @@ struct Outcome {
     resets: usize,
     lateness_us: f64,
     cp_msgs: u64,
+}
+
+/// The controller's loop: a reset command that reaches the switch
+/// `CP_LATENCY` later, then the next one `period` on.
+fn controller(period: SimDuration) -> impl FnOnce(&mut Network, &mut Sim<Network>) {
+    move |w: &mut Network, s: &mut Sim<Network>| {
+        w.control_plane_send(s, CP_LATENCY, 0, CP_OP_RESET, [0; 4]);
+        s.rearm_at(s.now() + period, controller(period));
+    }
 }
 
 fn simulate(period: SimDuration, via_timer: bool) -> Outcome {
@@ -44,14 +53,7 @@ fn simulate(period: SimDuration, via_timer: bool) -> Outcome {
     let (mut net, senders, _, _) = dumbbell(Box::new(sw), 1, 10_000_000_000, 13);
     let mut sim: Sim<Network> = Sim::new();
     if !via_timer {
-        sim.schedule_periodic(
-            SimTime::ZERO + period,
-            period,
-            move |w: &mut Network, s: &mut Sim<Network>| {
-                w.control_plane_send(s, CP_LATENCY, 0, CP_OP_RESET, [0; 4]);
-                Periodic::Continue
-            },
-        );
+        sim.schedule_at(SimTime::ZERO + period, controller(period));
     }
     let src = addr(1);
     start_cbr(

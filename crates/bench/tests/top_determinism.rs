@@ -76,14 +76,18 @@ fn edp_top_has_one_engine() {
 }
 
 /// Values `edp_top` cannot honour are rejected with the usage text (exit
-/// 2), never rewritten: no seeds, no overhead repetitions, and a duration
-/// that does not fit in `u64` nanoseconds.
+/// 2), never rewritten: no seeds, no overhead repetitions, a duration
+/// that does not fit in `u64` nanoseconds, no sweep workers, no trace
+/// ring records and a fleet of no endpoints.
 #[test]
 fn edp_top_rejects_values_it_cannot_honour() {
     for bad in [
         ["--seeds", "0"],
         ["--overhead", "0"],
         ["--duration-ms", "18446744073710"],
+        ["--threads", "0"],
+        ["--trace-capacity", "0"],
+        ["--endpoints", "0"],
     ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_edp_top"))
             .args(["microburst", "--seeds", "1", "--duration-ms", "1", "--json"])

@@ -18,14 +18,15 @@
 //!   seeds; named streams ([`SimRng::stream`]) keep components independent.
 //!
 //! ```
-//! use edp_evsim::{Sim, SimTime, SimDuration, Periodic};
+//! use edp_evsim::{Sim, SimDuration, SimTime};
 //!
-//! // A world counting timer ticks.
-//! let mut sim: Sim<u32> = Sim::new();
-//! sim.schedule_periodic(SimTime::from_micros(10), SimDuration::from_micros(10), |n, _| {
+//! // A world counting timer ticks: each tick re-arms itself 10 µs on.
+//! fn tick(n: &mut u32, sim: &mut Sim<u32>) {
 //!     *n += 1;
-//!     Periodic::Continue
-//! });
+//!     sim.rearm_at(sim.now() + SimDuration::from_micros(10), tick);
+//! }
+//! let mut sim: Sim<u32> = Sim::new();
+//! sim.schedule_at(SimTime::from_micros(10), tick);
 //! let mut ticks = 0;
 //! sim.run_until(&mut ticks, SimTime::from_millis(1));
 //! assert_eq!(ticks, 100);
@@ -44,6 +45,6 @@ mod time;
 pub use parallel::{default_threads, sweep};
 pub use rng::{SimRng, Zipf};
 pub use shard::{drive_windows, safe_horizon, DriveStats, HorizonMode, WindowSync};
-pub use sim::{Closure, EventId, Periodic, Sim, World, UNKEYED};
+pub use sim::{Closure, EventId, Sim, World, UNKEYED};
 pub use stats::{jain_fairness, TimeSeries, Welford};
 pub use time::{Cycles, SimDuration, SimTime};

@@ -23,10 +23,10 @@
 //!   the queue and skew [`Sim::pending`].
 //! - **An event costs what its world's enum costs** — a typed event sits
 //!   inline in its slot and fires through a `match`, so scheduling it
-//!   allocates nothing and firing it calls through no vtable. A periodic
-//!   timer is a one-shot [`Closure`] that re-arms itself after each tick,
-//!   moving its boxed tick into the next slot, so steady-state ticks
-//!   allocate nothing either.
+//!   allocates nothing and firing it calls through no vtable. An event
+//!   repeats by re-arming itself at the end of its step
+//!   ([`Sim::rearm_at`]): a typed world moves the same plain-data event
+//!   into the next slot, so steady-state repeats allocate nothing either.
 //! - **Heap traffic is cache-friendly** — sift operations move small
 //!   `Copy` keys instead of the events.
 //!
@@ -37,7 +37,7 @@
 //! a constant bound of run keys (32) sort after it, shifting those back
 //! by one, and sends any other key to the heap. A full run evicts its
 //! back key to the heap to take a key that sorts before it. One early
-//! outlier armed first (a far-future fault or a periodic tick) therefore
+//! outlier armed first (a far-future fault or a repeating tick) therefore
 //! sits at the run's back while the streams insert in front of it. The
 //! bound keeps a key that lands far behind the back from paying for a
 //! long shift: the heap takes it in `O(log n)`. A pop takes the smaller
@@ -78,10 +78,8 @@ use std::cmp::Ordering;
 /// assert_eq!(c.0, 1);
 /// ```
 pub trait World: Sized + 'static {
-    /// What the queue holds, inline in its slots. Every world accepts
-    /// closures (`From<Closure<Self>>`), so closure-based helpers such as
-    /// [`Sim::schedule_periodic`] work in any world.
-    type Event: From<Closure<Self>>;
+    /// What the queue holds, inline in its slots.
+    type Event;
 
     /// Applies one fired event to the world.
     fn fire(&mut self, sim: &mut Sim<Self>, ev: Self::Event);
@@ -109,52 +107,29 @@ closure_world! {
 
 /// A closure event: the whole event type of a closure world, and the
 /// catch-all arm of a typed world's enum. Every `schedule_*` call takes an
-/// `FnOnce(&mut W, &mut Sim<W>)` as it is; [`Sim::schedule_periodic`]
-/// builds the periodic form.
-pub struct Closure<W: World>(Call<W>);
+/// `FnOnce(&mut W, &mut Sim<W>)` as it is.
+pub struct Closure<W: World>(Box<Once<W>>);
 
 type Once<W> = dyn FnOnce(&mut W, &mut Sim<W>);
-type Tick<W> = dyn FnMut(&mut W, &mut Sim<W>) -> Periodic;
-
-enum Call<W: World> {
-    Once(Box<Once<W>>),
-    /// A periodic timer's tick, moved from slot to slot for as long as it
-    /// returns [`Periodic::Continue`].
-    Every {
-        period: SimDuration,
-        tick: Box<Tick<W>>,
-    },
-}
 
 impl<W: World> Closure<W> {
-    /// Runs the closure. A periodic tick that returns
-    /// [`Periodic::Continue`] re-arms itself one period on, with a
-    /// sequence number taken only now — after everything the tick itself
-    /// scheduled — and without a `SchedArm` record.
+    /// Runs the closure.
     pub fn fire(self, world: &mut W, sim: &mut Sim<W>) {
-        match self.0 {
-            Call::Once(f) => f(world, sim),
-            Call::Every { period, mut tick } => {
-                if tick(world, sim) == Periodic::Continue {
-                    let at = sim.now + period;
-                    sim.enqueue(at, UNKEYED, Closure(Call::Every { period, tick }).into());
-                }
-            }
-        }
+        (self.0)(world, sim)
     }
 }
 
 impl<W: World, F: FnOnce(&mut W, &mut Sim<W>) + 'static> From<F> for Closure<W> {
     fn from(f: F) -> Self {
-        Closure(Call::Once(Box::new(f)))
+        Closure(Box::new(f))
     }
 }
 
 /// Handle to a scheduled event, usable with [`Sim::cancel`].
 ///
 /// Internally packs a slab slot index and a generation counter; a handle
-/// goes stale the moment its event fires or is cancelled (a periodic
-/// timer's next tick is a new event), and stale handles are rejected by
+/// goes stale the moment its event fires or is cancelled (a re-armed
+/// event is a new event), and stale handles are rejected by
 /// [`Sim::cancel`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventId(u64);
@@ -171,15 +146,6 @@ impl EventId {
     fn generation(self) -> u32 {
         (self.0 >> 32) as u32
     }
-}
-
-/// Whether a periodic event should keep firing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Periodic {
-    /// Re-arm for another period.
-    Continue,
-    /// Stop; the timer is dropped.
-    Stop,
 }
 
 /// Ordering key for events that carry no cross-run ordering identity:
@@ -594,29 +560,19 @@ impl<W: World> Sim<W> {
         EventId::pack(slot, self.slots[slot as usize].generation)
     }
 
-    /// Schedules `f` to fire every `period`, first at `start`.
+    /// Re-arms a repeating event at `at`: the one way an event repeats.
+    /// Called last in the step that fired it, so its sequence number
+    /// comes after everything that step armed. Unlike
+    /// [`Sim::schedule_at`] it writes no `SchedArm` record: the repeat is
+    /// the same event again, not a new arm.
     ///
-    /// The closure returns [`Periodic::Stop`] to disarm itself. Returns the
-    /// id of the *first* firing; cancelling it before it fires disarms the
-    /// whole series. Each later tick is a new event (armed, without a
-    /// `SchedArm` record, once the previous tick has returned), so the id
-    /// is stale after the first firing: use `Periodic::Stop` from inside
-    /// the closure to stop an armed series.
+    /// # Panics
     ///
-    /// Re-arming moves the boxed closure into the next event, so a
-    /// steady-state periodic tick performs no allocation at all.
-    pub fn schedule_periodic(
-        &mut self,
-        start: SimTime,
-        period: SimDuration,
-        f: impl FnMut(&mut W, &mut Sim<W>) -> Periodic + 'static,
-    ) -> EventId {
-        assert!(!period.is_zero(), "zero-period timer would loop forever");
-        let tick = Closure(Call::Every {
-            period,
-            tick: Box::new(f),
-        });
-        self.schedule_at(start, tick)
+    /// Panics unless `at` is after the current time: a repeat that does
+    /// not move time forward would loop forever.
+    pub fn rearm_at(&mut self, at: SimTime, ev: impl Into<W::Event>) -> EventId {
+        assert!(at > self.now, "a re-arm at {at} would repeat forever");
+        self.enqueue(at, UNKEYED, ev.into())
     }
 
     /// Cancels a pending event. Returns `false` — with no side effects —
@@ -815,22 +771,32 @@ mod tests {
         assert_eq!(count, 2);
     }
 
+    type Tick<W> = dyn FnMut(&mut W, &mut Sim<W>) -> bool;
+
+    /// A periodic timer on the one repeat path: `tick` fires, and while it
+    /// returns `true` the event re-arms itself one `period` on.
+    fn every<W: World<Event = Closure<W>>>(
+        period: SimDuration,
+        mut tick: Box<Tick<W>>,
+    ) -> Closure<W> {
+        Closure::from(move |w: &mut W, s: &mut Sim<W>| {
+            if tick(w, s) {
+                let at = s.now() + period;
+                s.rearm_at(at, every(period, tick));
+            }
+        })
+    }
+
     #[test]
     fn periodic_fires_until_stopped() {
         let mut sim: Sim<Vec<u64>> = Sim::new();
         let mut out = Vec::new();
-        sim.schedule_periodic(
-            SimTime::from_nanos(10),
-            SimDuration::from_nanos(10),
-            |w: &mut Vec<u64>, s: &mut Sim<Vec<u64>>| {
-                w.push(s.now().as_nanos());
-                if w.len() == 4 {
-                    Periodic::Stop
-                } else {
-                    Periodic::Continue
-                }
-            },
-        );
+        let tick = |w: &mut Vec<u64>, s: &mut Sim<Vec<u64>>| {
+            w.push(s.now().as_nanos());
+            w.len() < 4
+        };
+        let period = SimDuration::from_nanos(10);
+        sim.schedule_at(SimTime::from_nanos(10), every(period, Box::new(tick)));
         sim.run(&mut out);
         assert_eq!(out, vec![10, 20, 30, 40]);
     }
@@ -839,17 +805,27 @@ mod tests {
     fn cancelling_periodic_before_first_fire_disarms() {
         let mut sim: Sim<u64> = Sim::new();
         let mut count = 0u64;
-        let id = sim.schedule_periodic(
-            SimTime::from_nanos(10),
-            SimDuration::from_nanos(10),
-            |w: &mut u64, _s: &mut Sim<u64>| {
-                *w += 1;
-                Periodic::Continue
-            },
-        );
+        let tick = |w: &mut u64, _: &mut Sim<u64>| {
+            *w += 1;
+            true
+        };
+        let period = SimDuration::from_nanos(10);
+        let id = sim.schedule_at(SimTime::from_nanos(10), every(period, Box::new(tick)));
         sim.cancel(id);
         sim.run_until(&mut count, SimTime::from_millis(1));
         assert_eq!(count, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "would repeat forever")]
+    fn rearm_at_the_current_instant_panics() {
+        let mut sim: Sim<u64> = Sim::new();
+        let tick = |_: &mut u64, _: &mut Sim<u64>| true;
+        sim.schedule_at(
+            SimTime::from_nanos(5),
+            every(SimDuration::ZERO, Box::new(tick)),
+        );
+        sim.run(&mut 0);
     }
 
     #[test]
@@ -940,14 +916,12 @@ mod tests {
     fn periodic_rearm_invalidates_first_id() {
         let mut sim: Sim<u64> = Sim::new();
         let mut w = 0u64;
-        let id = sim.schedule_periodic(
-            SimTime::from_nanos(10),
-            SimDuration::from_nanos(10),
-            |w: &mut u64, _: &mut Sim<u64>| {
-                *w += 1;
-                Periodic::Continue
-            },
-        );
+        let tick = |w: &mut u64, _: &mut Sim<u64>| {
+            *w += 1;
+            true
+        };
+        let period = SimDuration::from_nanos(10);
+        let id = sim.schedule_at(SimTime::from_nanos(10), every(period, Box::new(tick)));
         sim.run_until(&mut w, SimTime::from_nanos(35));
         assert_eq!(w, 3);
         // The series re-armed; the first-firing id no longer names it.
@@ -979,7 +953,13 @@ mod tests {
         edp_telemetry::enable(edp_telemetry::TelemetryConfig::default());
         let mut sim: Sim<u64> = Sim::new();
         let mut w = 0u64;
-        sim.schedule_at(SimTime::from_nanos(5), |w: &mut u64, _: &mut _| *w += 1);
+        // The first event arms a child, then re-arms itself: the re-arm
+        // takes the seq after the child's and writes no `SchedArm`.
+        sim.schedule_at(SimTime::from_nanos(5), |w: &mut u64, s: &mut Sim<u64>| {
+            *w += 1;
+            s.schedule_at(SimTime::from_nanos(7), |_: &mut u64, _: &mut _| {});
+            s.rearm_at(SimTime::from_nanos(8), |w: &mut u64, _: &mut _| *w += 1);
+        });
         let b = sim.schedule_at(SimTime::from_nanos(9), |_: &mut u64, _: &mut _| {});
         sim.cancel(b);
         sim.run(&mut w);
@@ -992,9 +972,12 @@ mod tests {
                 RecordKind::SchedArm { seq: 1, due_ns: 9 },
                 RecordKind::SchedCancel { handle: b.0 },
                 RecordKind::SchedFire { seq: 0 },
+                RecordKind::SchedArm { seq: 2, due_ns: 7 },
+                RecordKind::SchedFire { seq: 2 },
+                RecordKind::SchedFire { seq: 3 },
             ]
         );
-        assert_eq!(w, 1);
+        assert_eq!(w, 2);
     }
 
     #[test]
@@ -1129,18 +1112,12 @@ mod tests {
     /// A packet every 500 ns down the line for 200 µs: three interleaved
     /// constant-delay streams (500 / 1,050 / 2,050 ns), ~33 keys queued.
     fn line_shape(s: &mut Sim<()>) {
-        s.schedule_periodic(
-            SimTime::ZERO,
-            SimDuration::from_nanos(500),
-            |_: &mut (), s: &mut Sim<()>| {
-                line_hop(s, 0);
-                if s.now() < SimTime::from_micros(200) {
-                    Periodic::Continue
-                } else {
-                    Periodic::Stop
-                }
-            },
-        );
+        let tick = |_: &mut (), s: &mut Sim<()>| {
+            line_hop(s, 0);
+            s.now() < SimTime::from_micros(200)
+        };
+        let period = SimDuration::from_nanos(500);
+        s.schedule_at(SimTime::ZERO, every(period, Box::new(tick)));
     }
 
     /// Hop `hop` of an RPC across a k=4 fat-tree and back: 1-µs host
@@ -1166,24 +1143,18 @@ mod tests {
     fn fat_tree_shape(s: &mut Sim<()>) {
         for fleet in 0..8u64 {
             let mut lcg = fleet.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-            s.schedule_periodic(
-                SimTime::from_micros(20),
-                SimDuration::from_micros(20),
-                move |_: &mut (), s: &mut Sim<()>| {
-                    let mut wait = 0;
-                    for _ in 0..5 {
-                        lcg = lcg.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-                        let bytes = [96, 128, 256, 1_024, 1_536][(lcg >> 61) as usize % 5];
-                        fat_hop(s, 0, bytes, wait);
-                        wait += bytes * 4 / 5;
-                    }
-                    if s.now() < SimTime::from_micros(400) {
-                        Periodic::Continue
-                    } else {
-                        Periodic::Stop
-                    }
-                },
-            );
+            let tick = move |_: &mut (), s: &mut Sim<()>| {
+                let mut wait = 0;
+                for _ in 0..5 {
+                    lcg = lcg.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    let bytes = [96, 128, 256, 1_024, 1_536][(lcg >> 61) as usize % 5];
+                    fat_hop(s, 0, bytes, wait);
+                    wait += bytes * 4 / 5;
+                }
+                s.now() < SimTime::from_micros(400)
+            };
+            let period = SimDuration::from_micros(20);
+            s.schedule_at(SimTime::from_micros(20), every(period, Box::new(tick)));
         }
     }
 

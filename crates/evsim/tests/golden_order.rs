@@ -5,8 +5,8 @@
 //! firing semantics must be bit-for-bit those of the obvious reference
 //! implementation — a flat list scanned for the minimum
 //! `(time, key, seq)` — under arbitrary interleavings of one-shot and
-//! keyed schedules, periodic timers (including ticks that schedule work
-//! of their own), self-re-arming constant-delay chains, pre-run and
+//! keyed schedules, periodic timers re-armed by `Sim::rearm_at`
+//! (including ticks that schedule work of their own), self-re-arming constant-delay chains, pre-run and
 //! mid-run cancellations, and handlers that schedule more work. Times are drawn from a small range so same-instant ties (keyed
 //! order, then FIFO) are exercised constantly, yet wide enough that
 //! interleaved chains keep both the run and the heap populated; an
@@ -23,7 +23,7 @@
 //! Both executors log every observable: fired tags in order, and the
 //! boolean result of every cancellation. The logs must match exactly.
 
-use edp_evsim::{EventId, Periodic, Sim, SimDuration, SimTime, UNKEYED};
+use edp_evsim::{Closure, EventId, Sim, SimDuration, SimTime, UNKEYED};
 use proptest::prelude::*;
 
 /// Time range of build-phase events, in ns.
@@ -345,6 +345,20 @@ impl RefModel {
 // The property
 // ---------------------------------------------------------------------
 
+type Tick = dyn FnMut(&mut Vec<i64>, &mut Sim<Vec<i64>>) -> bool;
+
+/// A periodic timer on the one repeat path: `tick` fires, and while it
+/// returns `true` the event re-arms itself one `period` on with
+/// [`Sim::rearm_at`] — after everything the tick armed.
+fn every(period: u64, mut tick: Box<Tick>) -> Closure<Vec<i64>> {
+    Closure::from(move |w: &mut Vec<i64>, s: &mut Sim<Vec<i64>>| {
+        if tick(w, s) {
+            let at = s.now() + SimDuration::from_nanos(period);
+            s.rearm_at(at, every(period, tick));
+        }
+    })
+}
+
 /// Arms the next link of a chain at `now + d`; `left` firings remain.
 fn chain(s: &mut Sim<Vec<i64>>, d: u64, left: u64, tag: i64) -> EventId {
     s.schedule_in(
@@ -411,19 +425,12 @@ fn run_script(far_first: bool, cmds: &[Cmd]) -> (Vec<i64>, Vec<i64>, usize) {
             Cmd::Periodic { t, period, ticks } => {
                 let tg = tag();
                 let mut left = ticks;
-                ids.push(sim.schedule_periodic(
-                    SimTime::from_nanos(t),
-                    SimDuration::from_nanos(period),
-                    move |w: &mut Vec<i64>, _: &mut Sim<Vec<i64>>| {
-                        w.push(tg);
-                        left -= 1;
-                        if left == 0 {
-                            Periodic::Stop
-                        } else {
-                            Periodic::Continue
-                        }
-                    },
-                ));
+                let tick = move |w: &mut Vec<i64>, _: &mut Sim<Vec<i64>>| {
+                    w.push(tg);
+                    left -= 1;
+                    left > 0
+                };
+                ids.push(sim.schedule_at(SimTime::from_nanos(t), every(period, Box::new(tick))));
                 mids.push(model.schedule(
                     t,
                     RefAction::Periodic {
@@ -436,23 +443,16 @@ fn run_script(far_first: bool, cmds: &[Cmd]) -> (Vec<i64>, Vec<i64>, usize) {
             Cmd::PeriodicNested { t, period, ticks } => {
                 let (tg, child_tag) = (tag(), tag());
                 let mut left = ticks;
-                ids.push(sim.schedule_periodic(
-                    SimTime::from_nanos(t),
-                    SimDuration::from_nanos(period),
-                    move |w: &mut Vec<i64>, s: &mut Sim<Vec<i64>>| {
-                        w.push(tg);
-                        s.schedule_in(
-                            SimDuration::from_nanos(period),
-                            move |w: &mut Vec<i64>, _: &mut Sim<Vec<i64>>| w.push(child_tag),
-                        );
-                        left -= 1;
-                        if left == 0 {
-                            Periodic::Stop
-                        } else {
-                            Periodic::Continue
-                        }
-                    },
-                ));
+                let tick = move |w: &mut Vec<i64>, s: &mut Sim<Vec<i64>>| {
+                    w.push(tg);
+                    s.schedule_in(
+                        SimDuration::from_nanos(period),
+                        move |w: &mut Vec<i64>, _: &mut Sim<Vec<i64>>| w.push(child_tag),
+                    );
+                    left -= 1;
+                    left > 0
+                };
+                ids.push(sim.schedule_at(SimTime::from_nanos(t), every(period, Box::new(tick))));
                 mids.push(model.schedule(
                     t,
                     RefAction::PeriodicNested {
@@ -545,20 +545,14 @@ fn run_script(far_first: bool, cmds: &[Cmd]) -> (Vec<i64>, Vec<i64>, usize) {
                     .collect();
                 if ticks > 0 {
                     let (w, mut left) = (wave.clone(), ticks);
-                    ids.push(sim.schedule_periodic(
-                        SimTime::from_nanos(FAT_TICK),
-                        SimDuration::from_nanos(FAT_TICK),
-                        move |log: &mut Vec<i64>, s: &mut Sim<Vec<i64>>| {
-                            log.push(tick_tag);
-                            fat_launch(s, &w, gap);
-                            left -= 1;
-                            if left == 0 {
-                                Periodic::Stop
-                            } else {
-                                Periodic::Continue
-                            }
-                        },
-                    ));
+                    let tick = move |log: &mut Vec<i64>, s: &mut Sim<Vec<i64>>| {
+                        log.push(tick_tag);
+                        fat_launch(s, &w, gap);
+                        left -= 1;
+                        left > 0
+                    };
+                    let first = SimTime::from_nanos(FAT_TICK);
+                    ids.push(sim.schedule_at(first, every(FAT_TICK, Box::new(tick))));
                     mids.push(model.schedule(
                         FAT_TICK,
                         RefAction::FatTick {

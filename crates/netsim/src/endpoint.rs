@@ -19,9 +19,10 @@
 //! retransmit deadline, the end of a think time) in a min-queue, and an
 //! entry that a reply made stale is dropped when it surfaces.
 
-use crate::host::{HostApp, HostId};
-use crate::net::{Network, NodeRef};
-use edp_evsim::{Periodic, Sim, SimDuration, SimRng, SimTime, Zipf};
+use crate::host::HostId;
+use crate::net::Network;
+use crate::source::Source;
+use edp_evsim::{Sim, SimDuration, SimRng, SimTime, Zipf};
 use edp_packet::{PacketBuilder, RpcHeader, RpcKind};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -137,7 +138,7 @@ struct Ep {
 }
 
 /// A fleet of logical clients multiplexed onto one host (installed as
-/// [`HostApp::ClientFleet`]).
+/// [`HostApp::ClientFleet`](crate::HostApp::ClientFleet)).
 #[derive(Debug, Clone)]
 pub struct EndpointFleet {
     cfg: EndpointConfig,
@@ -339,11 +340,11 @@ impl EndpointFleet {
 }
 
 /// Arms the fleet pacer on `host` (whose app must be
-/// [`HostApp::ClientFleet`]): every `tick` from `start` until `until`,
-/// the fleet advances and its frames are injected. The body is gated on
-/// shard ownership, so under sharded execution only the host's owner
-/// advances fleet state or injects — the same schedule fires everywhere,
-/// the effects happen exactly once.
+/// [`HostApp::ClientFleet`](crate::HostApp::ClientFleet)): every `tick`
+/// from `start` until `until`, the fleet advances and its frames are
+/// injected. A tick is gated on shard ownership, so under sharded
+/// execution only the host's owner advances fleet state or injects — the
+/// same schedule fires everywhere, the effects happen exactly once.
 pub fn start_endpoints(
     sim: &mut Sim<Network>,
     host: HostId,
@@ -351,29 +352,15 @@ pub fn start_endpoints(
     tick: SimDuration,
     until: SimTime,
 ) {
-    sim.schedule_periodic(start, tick, move |w: &mut Network, s: &mut Sim<Network>| {
-        if s.now() >= until {
-            return Periodic::Stop;
-        }
-        if !w.owns_node(NodeRef::Host(host)) {
-            return Periodic::Continue;
-        }
-        let frames = match &mut w.hosts[host].app {
-            HostApp::ClientFleet(fleet) => fleet.advance(s.now()),
-            _ => return Periodic::Stop,
-        };
-        for f in frames {
-            w.host_send(s, host, f);
-        }
-        Periodic::Continue
-    });
+    Source::Pacer(host, tick, until).arm(sim, start);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::host::Host;
+    use crate::host::{Host, HostApp};
     use crate::link::LinkSpec;
+    use crate::net::NodeRef;
     use edp_packet::{parse_packet, AppHeader};
     use proptest::prelude::*;
 

@@ -14,7 +14,7 @@
 //! order.
 
 use crate::link::{LinkFaultModel, LinkFaults, LinkId};
-use crate::net::Network;
+use crate::net::{NetEvent, Network};
 use edp_evsim::{Sim, SimDuration, SimRng, SimTime};
 
 /// First path element of every fault RNG stream: separates the fault
@@ -135,9 +135,7 @@ impl FaultPlan {
             }
         }
         for &(i, from, until) in &self.stalls {
-            sim.schedule_at(from, move |w: &mut Network, s: &mut Sim<Network>| {
-                w.stall_switch(s, i, until)
-            });
+            sim.schedule_at(from, NetEvent::Stall(i, until));
         }
     }
 }

@@ -32,6 +32,7 @@ mod link;
 mod net;
 pub mod replay;
 pub mod shard;
+mod source;
 pub mod trace;
 pub mod traffic;
 

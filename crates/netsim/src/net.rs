@@ -1,18 +1,19 @@
 //! The network world: nodes, links, and the event-driven glue.
 //!
 //! [`Network`] is the world type `W` for [`Sim<Network>`]: every link
-//! delivery, timer crank, and control-plane round trip is a scheduled
-//! event; a transmission runs inside the cascade that created its
-//! backlog and is scheduled only when it must wait for a future instant.
-//! Its event type is [`NetEvent`]: the hop's delivery, a deferred
-//! transmit attempt and a timer crank sit inline in the scheduler's slab,
-//! and every other event is a closure. All methods that advance the world
-//! take `&mut Sim<Network>` so they can schedule follow-up events.
+//! delivery, timer crank, traffic-source step, fault and control-plane
+//! round trip is a scheduled event; a transmission runs inside the
+//! cascade that created its backlog and is scheduled only when it must
+//! wait for a future instant. Its event type is [`NetEvent`], plain data
+//! inline in the scheduler's slab; only apps, experiments and tests
+//! queue closures. All methods that advance the world take
+//! `&mut Sim<Network>` so they can schedule follow-up events.
 
 use crate::harness::SwitchHarness;
 use crate::host::{Host, HostId};
 use crate::link::{Dir, LinkDirState, LinkFaults, LinkId, LinkSpec, LinkState};
 use crate::shard::{ShardCtx, ShardMsg, ShardPlan};
+use crate::source::{Next, Source};
 use crate::trace::Tracer;
 use edp_core::CpNotification;
 use edp_evsim::{Closure, Sim, SimDuration, SimRng, SimTime, World};
@@ -48,11 +49,11 @@ struct PortSlot {
     armed: bool,
 }
 
-/// The network's closed event type. The hop's own events live inline in
-/// the scheduler's slab, so arming one allocates nothing; everything else
-/// a run schedules (workload generators, faults, control-plane messages,
-/// app timers) is a [`Closure`], and any `FnOnce(&mut Network, &mut
-/// Sim<Network>)` converts into one.
+/// The network's closed event type. Every event the network schedules
+/// itself is plain data inline in the scheduler's slab, so arming one
+/// allocates nothing; apps, experiments and tests add their own as a
+/// [`Closure`], and any `FnOnce(&mut Network, &mut Sim<Network>)`
+/// converts into one.
 pub enum NetEvent {
     /// A frame arriving at `dest`.
     Delivery {
@@ -69,14 +70,22 @@ pub enum NetEvent {
     Transmit(Endpoint),
     /// Switch `i`'s timer crank (see [`Network::arm_switch_timers`]).
     Crank(usize),
+    /// A traffic source's next step. The source rides in its own event,
+    /// boxed once per stream and moved from slot to slot as it re-arms.
+    Source(Box<Source>),
+    /// `(host, frame)`: a frame a source spaced into its own instant.
+    Frame(HostId, Vec<u8>),
+    /// `(link, up)`: a link going down or coming back up.
+    LinkStatus(LinkId, bool),
+    /// `(switch, until)`: the start of a stall ([`Network::stall_switch`]).
+    Stall(usize, SimTime),
+    /// The kick that restarts switch `i`'s egress when its stall lifts.
+    StallEnd(usize),
+    /// `(switch, opcode, args)`: a [`Network::control_plane_send`]
+    /// command arriving.
+    ControlPlane(usize, u32, [u64; 4]),
     /// Any other event.
     Custom(Closure<Network>),
-}
-
-impl From<Closure<Network>> for NetEvent {
-    fn from(c: Closure<Network>) -> Self {
-        NetEvent::Custom(c)
-    }
 }
 
 impl<F: FnOnce(&mut Network, &mut Sim<Network>) + 'static> From<F> for NetEvent {
@@ -96,6 +105,19 @@ impl World for Network {
                 self.service(sim, ep.0);
             }
             NetEvent::Crank(i) => self.crank_timers(sim, i),
+            NetEvent::Source(mut src) => {
+                // The re-arm comes after everything the step armed.
+                match src.step(self, sim) {
+                    Some(Next::Rearm(at)) => sim.rearm_at(at, NetEvent::Source(src)),
+                    Some(Next::Arm(at)) => sim.schedule_at(at, NetEvent::Source(src)),
+                    None => return,
+                };
+            }
+            NetEvent::Frame(host, frame) => self.host_send(sim, host, frame),
+            NetEvent::LinkStatus(link, up) => self.set_link_up(sim, link, up),
+            NetEvent::Stall(i, until) => self.stall_switch(sim, i, until),
+            NetEvent::StallEnd(i) => self.kick(sim, NodeRef::Switch(i)),
+            NetEvent::ControlPlane(i, opcode, args) => self.cp_arrive(sim, i, opcode, args),
             NetEvent::Custom(c) => c.fire(self, sim),
         }
     }
@@ -667,9 +689,7 @@ impl Network {
         }
         // Restart egress once the stall lifts (deliveries and timer
         // cranks re-schedule themselves; queued frames need a kick).
-        sim.schedule_at(until, move |w: &mut Network, s: &mut Sim<Network>| {
-            w.kick(s, NodeRef::Switch(i));
-        });
+        sim.schedule_at(until, NetEvent::StallEnd(i));
     }
 
     /// Arms timers on every switch.
@@ -724,13 +744,9 @@ impl Network {
         at: SimTime,
         back_up: Option<SimTime>,
     ) {
-        sim.schedule_at(at, move |w: &mut Network, s: &mut Sim<Network>| {
-            w.set_link_up(s, link, false)
-        });
+        sim.schedule_at(at, NetEvent::LinkStatus(link, false));
         if let Some(t) = back_up {
-            sim.schedule_at(t, move |w: &mut Network, s: &mut Sim<Network>| {
-                w.set_link_up(s, link, true)
-            });
+            sim.schedule_at(t, NetEvent::LinkStatus(link, true));
         }
     }
 
@@ -843,19 +859,22 @@ impl Network {
         if self.shard.is_none() {
             self.cp_messages += 1;
         }
-        sim.schedule_in(delay, move |w: &mut Network, s: &mut Sim<Network>| {
-            if !w.owns_node(NodeRef::Switch(i)) {
-                return;
-            }
-            if w.shard.is_some() {
-                // Counted at delivery under sharding: the send site runs
-                // on every shard, and only the owner may touch counters.
-                w.cp_messages += 1;
-            }
-            w.switches[i].control_plane(s.now(), opcode, args);
-            w.collect_cp(i);
-            w.service(s, NodeRef::Switch(i));
-        });
+        sim.schedule_in(delay, NetEvent::ControlPlane(i, opcode, args));
+    }
+
+    /// A [`Network::control_plane_send`] command arriving at switch `i`.
+    fn cp_arrive(&mut self, sim: &mut Sim<Network>, i: usize, opcode: u32, args: [u64; 4]) {
+        if !self.owns_node(NodeRef::Switch(i)) {
+            return;
+        }
+        if self.shard.is_some() {
+            // Counted at delivery under sharding: the send site runs on
+            // every shard, and only the owner may touch counters.
+            self.cp_messages += 1;
+        }
+        self.switches[i].control_plane(sim.now(), opcode, args);
+        self.collect_cp(i);
+        self.service(sim, NodeRef::Switch(i));
     }
 }
 
@@ -886,6 +905,14 @@ mod tests {
         net.connect((NodeRef::Host(h0), 0), (NodeRef::Switch(sw), 0), spec);
         net.connect((NodeRef::Switch(sw), 1), (NodeRef::Host(h1), 0), spec);
         (net, h0, h1)
+    }
+
+    /// Every hop pays for the slab slot a `NetEvent` fills. Before the
+    /// network's own events became data it was 56 bytes (the delivery's
+    /// endpoint, wire key and packet); no data variant may widen it.
+    #[test]
+    fn data_variants_do_not_widen_the_event_slot() {
+        assert!(std::mem::size_of::<NetEvent>() <= 56);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 
 use crate::host::HostId;
 use crate::net::Network;
-use edp_evsim::{Sim, SimDuration, SimTime};
+use crate::source::Source;
+use edp_evsim::{Sim, SimTime};
 use edp_packet::PcapPacket;
 use std::sync::Arc;
 
@@ -22,9 +23,10 @@ use std::sync::Arc;
 /// Simple Packet Block, which carries no timestamp) is injected at its
 /// predecessor's instant: file order is kept and time never runs back.
 /// Frames whose scaled time lands at or past `until` are not injected.
-/// Events self-chain — one outstanding event per replay stream no matter
-/// how large the capture is. Each frame is handed over once: moved out
-/// of a capture this replay holds alone, copied from one still shared.
+/// Each frame's event arms the next, moving the one boxed source along:
+/// one outstanding event per replay stream however large the capture,
+/// and no allocation per event. Each frame is handed over once: moved
+/// out of a capture this replay holds alone, copied from one still shared.
 ///
 /// # Panics
 /// Panics if `speedup` is not finite and positive.
@@ -40,41 +42,11 @@ pub fn start_replay(
         speedup.is_finite() && speedup > 0.0,
         "replay speedup must be finite and positive, got {speedup}"
     );
-    if packets.is_empty() {
+    // The first frame's scaled gap is zero: it is injected at `start`.
+    if packets.is_empty() || start >= until {
         return;
     }
-    arm(sim, host, packets, start, speedup, until, 0, start);
-}
-
-/// Arms the injection of packet `i`, no earlier than its predecessor's
-/// instant `prev`. Gaps are scaled relative to the first packet's
-/// timestamp; integer nanoseconds after one f64 division keep the
-/// schedule deterministic.
-#[allow(clippy::too_many_arguments)]
-fn arm(
-    sim: &mut Sim<Network>,
-    host: HostId,
-    mut packets: Arc<Vec<PcapPacket>>,
-    start: SimTime,
-    speedup: f64,
-    until: SimTime,
-    i: usize,
-    prev: SimTime,
-) {
-    let Some(p) = packets.get(i) else { return };
-    let gap = p.ts_ns.saturating_sub(packets[0].ts_ns);
-    let at = (start + SimDuration::from_nanos((gap as f64 / speedup) as u64)).max(prev);
-    if at >= until {
-        return;
-    }
-    sim.schedule_at(at, move |w: &mut Network, s: &mut Sim<Network>| {
-        let frame = match Arc::get_mut(&mut packets) {
-            Some(own) => std::mem::take(&mut own[i].data),
-            None => packets[i].data.clone(),
-        };
-        w.host_send(s, host, frame);
-        arm(s, host, packets, start, speedup, until, i + 1, at);
-    });
+    Source::Replay(host, packets, start, speedup, until, 0).arm(sim, start);
 }
 
 #[cfg(test)]
@@ -83,6 +55,7 @@ mod tests {
     use crate::host::{Host, HostApp};
     use crate::link::LinkSpec;
     use crate::net::NodeRef;
+    use edp_evsim::SimDuration;
     use edp_packet::{PacketBuilder, PcapFile};
     use std::net::Ipv4Addr;
 

@@ -7,7 +7,8 @@
 
 use crate::host::HostId;
 use crate::net::Network;
-use edp_evsim::{Periodic, Sim, SimDuration, SimTime};
+use crate::source::Source;
+use edp_evsim::{Sim, SimDuration, SimTime};
 
 /// A frame factory: builds the `i`-th frame of a stream.
 pub trait FrameFn: FnMut(u64) -> Vec<u8> + 'static {}
@@ -22,25 +23,12 @@ pub fn start_cbr(
     start: SimTime,
     interval: SimDuration,
     count: u64,
-    mut frame: impl FrameFn,
+    frame: impl FrameFn,
 ) {
     if count == 0 {
         return;
     }
-    let mut sent = 0u64;
-    sim.schedule_periodic(
-        start,
-        interval,
-        move |w: &mut Network, s: &mut Sim<Network>| {
-            w.host_send(s, host, frame(sent));
-            sent += 1;
-            if sent >= count {
-                Periodic::Stop
-            } else {
-                Periodic::Continue
-            }
-        },
-    );
+    Source::Cbr(host, interval, count, 0, Box::new(frame)).arm(sim, start);
 }
 
 /// Poisson arrivals with the given mean interval, from `start` until
@@ -53,43 +41,14 @@ pub fn start_poisson(
     until: SimTime,
     frame: impl FrameFn,
 ) {
-    fn arm(
-        sim: &mut Sim<Network>,
-        w: &mut Network,
-        host: HostId,
-        mean_ns: f64,
-        until: SimTime,
-        mut frame: impl FrameFn,
-        seq: u64,
-    ) {
-        let dt = SimDuration::from_nanos(w.rng.exp(mean_ns).max(1.0) as u64);
-        let at = sim.now() + dt;
-        if at >= until {
-            return;
-        }
-        sim.schedule_at(at, move |w: &mut Network, s: &mut Sim<Network>| {
-            w.host_send(s, host, frame(seq));
-            arm(s, w, host, mean_ns, until, frame, seq + 1);
-        });
-    }
     let mean_ns = mean_interval.as_nanos() as f64;
-    sim.schedule_at(start, move |w: &mut Network, s: &mut Sim<Network>| {
-        arm(s, w, host, mean_ns, until, frame, 0);
-    });
+    Source::Poisson(host, mean_ns, until, 0, false, Box::new(frame)).arm(sim, start);
 }
 
 /// A microburst: `n` frames back-to-back at `at`; host egress
 /// serialization paces them.
-pub fn start_burst(
-    sim: &mut Sim<Network>,
-    host: HostId,
-    at: SimTime,
-    n: u64,
-    mut frame: impl FrameFn,
-) {
-    sim.schedule_at(at, move |w: &mut Network, s: &mut Sim<Network>| {
-        send_burst(w, s, host, 0..n, SimDuration::ZERO, &mut frame);
-    });
+pub fn start_burst(sim: &mut Sim<Network>, host: HostId, at: SimTime, n: u64, frame: impl FrameFn) {
+    Source::Burst(host, n, Box::new(frame)).arm(sim, at);
 }
 
 /// An on/off source: bursts of `burst_len` frames every `period`, frames
@@ -103,47 +62,10 @@ pub fn start_on_off(
     burst_len: u64,
     spacing: SimDuration,
     until: SimTime,
-    mut frame: impl FrameFn,
+    frame: impl FrameFn,
 ) {
-    let mut seq = 0u64;
-    sim.schedule_periodic(
-        start,
-        period,
-        move |w: &mut Network, s: &mut Sim<Network>| {
-            if s.now() >= until {
-                return Periodic::Stop;
-            }
-            send_burst(w, s, host, seq..seq + burst_len, spacing, &mut frame);
-            seq += burst_len;
-            Periodic::Continue
-        },
-    );
-}
-
-/// Hands the frames `frame(i)` for `i` in `seqs` from `host` to the
-/// network, each exactly once: all now when `spacing` is zero, otherwise
-/// the `k`-th moved into its own event `spacing * k` from now.
-fn send_burst(
-    w: &mut Network,
-    s: &mut Sim<Network>,
-    host: HostId,
-    seqs: std::ops::Range<u64>,
-    spacing: SimDuration,
-    frame: &mut impl FrameFn,
-) {
-    for (k, i) in seqs.enumerate() {
-        let f = frame(i);
-        if spacing.is_zero() {
-            w.host_send(s, host, f);
-        } else {
-            s.schedule_in(
-                spacing * k as u64,
-                move |w: &mut Network, s: &mut Sim<Network>| {
-                    w.host_send(s, host, f);
-                },
-            );
-        }
-    }
+    let frame = Box::new(frame);
+    Source::OnOff(host, period, burst_len, spacing, until, 0, frame).arm(sim, start);
 }
 
 #[cfg(test)]

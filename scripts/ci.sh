@@ -3,12 +3,14 @@
 #
 #   scripts/ci.sh               # full local gate (everything below)
 #   scripts/ci.sh --quick       # fmt, build, test, edp_lint, one-parse-path
-#                               # grep, caller-less pub API audit, telemetry
-#                               # smoke, paper-reproduction pin
+#                               # grep, one-event-vocabulary grep, caller-less
+#                               # pub API audit, telemetry smoke,
+#                               # paper-reproduction pin
 #   scripts/ci.sh --gate        # fmt, clippy, golden_order at 5000 cases,
 #                               # the fleet's due-queue property at 2000,
 #                               # edp_lint (+ SARIF artifact),
-#                               # one-parse-path grep, telemetry smoke,
+#                               # one-parse-path and one-event-vocabulary
+#                               # greps, telemetry smoke,
 #                               # pcap fixture round-trip, replay smoke,
 #                               # paper-reproduction pin, benchmark smoke
 #
@@ -81,6 +83,27 @@ step_parse_path() {
             bad=1
         elif sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n 'parse_packet('; then
             echo "$f: calls parse_packet( directly; use Packet::parsed()" >&2
+            bad=1
+        fi
+    done
+    [ "$bad" -eq 0 ]
+}
+
+step_net_events() {
+    echo "==> one event vocabulary (no closure scheduled by crates/netsim/src)"
+    # The network's own events (traffic sources, faults, stalls,
+    # control-plane sends) are NetEvent data; closures are for apps,
+    # experiments and tests. A closure over the network (`|w: &mut
+    # Network`), or a `move |` handed to a schedule_* / rearm_at call, in
+    # the non-test code (above each file's #[cfg(test)] module) fails.
+    local f bad=0
+    for f in crates/netsim/src/*.rs; do
+        if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n '|[a-z_]*: &mut Network'; then
+            echo "$f: closure over the network; add a NetEvent variant" >&2
+            bad=1
+        elif sed '/^#\[cfg(test)\]/,$d' "$f" | tr '\n' ' ' |
+            grep -oE '(schedule_[a-z_]+|rearm_at)\([^;]*move \|'; then
+            echo "$f: schedules a closure; add a NetEvent variant" >&2
             bad=1
         fi
     done
@@ -214,7 +237,9 @@ step_bench_gate() {
     # the sink's delivery) and 11 through the 2-shard engine, where
     # exactly 7 frames per packet cross shards; no allocation per hop in
     # the Network glue (what is left is the frame and its host-side
-    # bookkeeping, 3.3 at smoke size); the 2-shard engine's windows and
+    # bookkeeping, 3.3 at smoke size); no closure box per replayed frame
+    # (pcap_imix_replay's allocations per packet, 5.24 at smoke size, were
+    # 6.24 with one); the 2-shard engine's windows and
     # barriers; the other three workloads' events per packet (a replayed
     # frame costs one scheduled event, a burst one for all its frames);
     # and every workload's handler firings per switch receive.
@@ -246,6 +271,7 @@ quick)
     step_test
     step_lint
     step_parse_path
+    step_net_events
     step_api_audit
     step_top_smoke
     step_reproduction
@@ -259,6 +285,7 @@ gate)
     step_golden_order
     step_lint
     step_parse_path
+    step_net_events
     step_lint_sarif
     step_top_smoke
     step_pcap
@@ -271,6 +298,7 @@ full)
     step_test
     step_lint
     step_parse_path
+    step_net_events
     step_api_audit
     step_top_smoke
     step_pcap
