@@ -14,6 +14,7 @@
 
 use edp_analyze::{effect_report, lint_app, LintCode, Report, Severity, DEFAULT_SEED};
 use edp_apps::registry::builtin_apps;
+use edp_telemetry::json;
 
 const HELP: &str = "\
 usage: edp_lint [--json] [--sarif] [--effects] [--deny warnings] [--seed N]
@@ -79,25 +80,6 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 struct AppResult {
     name: String,
     source: Option<&'static str>,
@@ -105,132 +87,83 @@ struct AppResult {
 }
 
 fn print_json(results: &[AppResult]) {
-    let mut out = String::from("{\n  \"apps\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"name\": {},\n", json_str(&r.name)));
-        out.push_str("      \"diagnostics\": [");
-        for (j, d) in r.report.diagnostics.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n        {{\"code\": {}, \"name\": {}, \"severity\": {}, \
-                 \"subject\": {}, \"message\": {}}}",
-                json_str(d.code.code()),
-                json_str(d.code.name()),
-                json_str(d.code.severity().name()),
-                json_str(&d.subject),
-                json_str(&d.message),
-            ));
-        }
-        if !r.report.diagnostics.is_empty() {
-            out.push_str("\n      ");
-        }
-        out.push_str("],\n      \"allowed\": [");
-        for (j, (d, reason)) in r.report.allowed.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n        {{\"code\": {}, \"subject\": {}, \"reason\": {}}}",
-                json_str(d.code.code()),
-                json_str(&d.subject),
-                json_str(reason),
-            ));
-        }
-        if !r.report.allowed.is_empty() {
-            out.push_str("\n      ");
-        }
-        out.push_str("]\n    }");
-        if i + 1 < results.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
+    let apps = json::array(results.iter().map(|r| {
+        let diagnostics = json::array(r.report.diagnostics.iter().map(|d| {
+            format!(
+                "{{\"code\":{},\"name\":{},\"severity\":{},\"subject\":{},\"message\":{}}}",
+                json::string(d.code.code()),
+                json::string(d.code.name()),
+                json::string(d.code.severity().name()),
+                json::string(&d.subject),
+                json::string(&d.message),
+            )
+        }));
+        let allowed = json::array(r.report.allowed.iter().map(|(d, reason)| {
+            format!(
+                "{{\"code\":{},\"subject\":{},\"reason\":{}}}",
+                json::string(d.code.code()),
+                json::string(&d.subject),
+                json::string(reason),
+            )
+        }));
+        format!(
+            "{{\"name\":{},\"diagnostics\":{diagnostics},\"allowed\":{allowed}}}",
+            json::string(&r.name)
+        )
+    }));
     let errors: usize = results.iter().map(|r| r.report.errors()).sum();
     let warnings: usize = results.iter().map(|r| r.report.warnings()).sum();
     let allowed: usize = results.iter().map(|r| r.report.allowed.len()).sum();
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"summary\": {{\"errors\": {errors}, \"warnings\": {warnings}, \"allowed\": {allowed}}}\n"
-    ));
-    out.push('}');
-    println!("{out}");
+    println!(
+        "{{\"apps\":{apps},\"summary\":{{\"errors\":{errors},\"warnings\":{warnings},\"allowed\":{allowed}}}}}"
+    );
 }
 
 /// SARIF 2.1.0: one run, one rule per catalogued lint code, one result
-/// per active diagnostic. Allowed findings are emitted with
-/// `"kind": "informational"` suppressions so scanning UIs show the
+/// per active diagnostic. Allowed findings are emitted as notes with an
+/// `"inSource"` suppression carrying the reason, so scanning UIs show the
 /// acknowledged hazards without failing on them.
 fn print_sarif(results: &[AppResult]) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n");
-    out.push_str("  \"version\": \"2.1.0\",\n");
-    out.push_str("  \"runs\": [\n    {\n");
-    out.push_str("      \"tool\": {\n        \"driver\": {\n");
-    out.push_str("          \"name\": \"edp_lint\",\n");
-    out.push_str("          \"informationUri\": \"DESIGN.md\",\n");
-    out.push_str("          \"rules\": [\n");
-    for (i, code) in LintCode::ALL.iter().enumerate() {
-        let comma = if i + 1 == LintCode::ALL.len() {
-            ""
-        } else {
-            ","
-        };
-        let level = match code.severity() {
-            Severity::Warning => "warning",
-            Severity::Error => "error",
-        };
-        out.push_str(&format!(
-            "            {{\"id\": {}, \"name\": {}, \
-             \"defaultConfiguration\": {{\"level\": \"{level}\"}}}}{comma}\n",
-            json_str(code.code()),
-            json_str(code.name()),
-        ));
-    }
-    out.push_str("          ]\n        }\n      },\n");
-    out.push_str("      \"results\": [\n");
-    let mut results_json = Vec::new();
-    for r in results {
+    let rules = json::array(LintCode::ALL.iter().map(|code| {
+        format!(
+            "{{\"id\":{},\"name\":{},\"defaultConfiguration\":{{\"level\":{}}}}}",
+            json::string(code.code()),
+            json::string(code.name()),
+            json::string(code.severity().name()),
+        )
+    }));
+    // One result object; `rest` is rendered members after the location.
+    let result = |code: LintCode, level: &str, text: String, uri: &str, rest: String| {
+        format!(
+            "{{\"ruleId\":{},\"level\":{},\"message\":{{\"text\":{}}},\"locations\":\
+             [{{\"physicalLocation\":{{\"artifactLocation\":{{\"uri\":{}}}}}}}]{rest}}}",
+            json::string(code.code()),
+            json::string(level),
+            json::string(&text),
+            json::string(uri),
+        )
+    };
+    let findings = json::array(results.iter().flat_map(|r| {
         let uri = r.source.unwrap_or("crates/apps/src/registry.rs");
-        for d in &r.report.diagnostics {
-            let level = match d.code.severity() {
-                Severity::Warning => "warning",
-                Severity::Error => "error",
-            };
-            results_json.push(format!(
-                "        {{\"ruleId\": {}, \"level\": \"{level}\", \
-                 \"message\": {{\"text\": {}}}, \
-                 \"locations\": [{{\"physicalLocation\": \
-                 {{\"artifactLocation\": {{\"uri\": {}}}}}}}]}}",
-                json_str(d.code.code()),
-                json_str(&format!("{}: {}: {}", d.app, d.subject, d.message)),
-                json_str(uri),
-            ));
-        }
-        for (d, reason) in &r.report.allowed {
-            results_json.push(format!(
-                "        {{\"ruleId\": {}, \"level\": \"note\", \
-                 \"message\": {{\"text\": {}}}, \
-                 \"locations\": [{{\"physicalLocation\": \
-                 {{\"artifactLocation\": {{\"uri\": {}}}}}}}], \
-                 \"suppressions\": [{{\"kind\": \"inSource\", \
-                 \"justification\": {}}}]}}",
-                json_str(d.code.code()),
-                json_str(&format!("{}: {}: allowed", d.app, d.subject)),
-                json_str(uri),
-                json_str(reason),
-            ));
-        }
-    }
-    out.push_str(&results_json.join(",\n"));
-    if !results_json.is_empty() {
-        out.push('\n');
-    }
-    out.push_str("      ]\n    }\n  ]\n}");
-    println!("{out}");
+        let active = r.report.diagnostics.iter().map(move |d| {
+            let text = format!("{}: {}: {}", d.app, d.subject, d.message);
+            result(d.code, d.code.severity().name(), text, uri, String::new())
+        });
+        let allowed = r.report.allowed.iter().map(move |(d, reason)| {
+            let text = format!("{}: {}: allowed", d.app, d.subject);
+            let suppression = format!(
+                ",\"suppressions\":[{{\"kind\":\"inSource\",\"justification\":{}}}]",
+                json::string(reason)
+            );
+            result(d.code, "note", text, uri, suppression)
+        });
+        active.chain(allowed)
+    }));
+    println!(
+        "{{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\"version\":\"2.1.0\",\
+         \"runs\":[{{\"tool\":{{\"driver\":{{\"name\":\"edp_lint\",\"informationUri\":\"DESIGN.md\",\
+         \"rules\":{rules}}}}},\"results\":{findings}}}]}}"
+    );
 }
 
 fn print_human(results: &[AppResult]) {

@@ -30,9 +30,7 @@ options:
                      simulation is run
   --json             emit the report as JSON instead of the table
   --prom             emit the registry in Prometheus text format
-  --trace-out FILE   write the structured trace to FILE
-  --overhead REPS    measure enabled-vs-disabled telemetry wall-clock
-                     over REPS runs instead of reporting";
+  --trace-out FILE   write the structured trace to FILE";
 
 fn fail(msg: &str) -> ! {
     eprintln!("edp_top: {msg}\n{USAGE}");
@@ -121,7 +119,6 @@ fn main() {
     let mut json = false;
     let mut prom = false;
     let mut trace_out: Option<String> = None;
-    let mut overhead: Option<u64> = None;
     let mut pcap: Option<String> = None;
     let mut speedup = 1.0f64;
     let mut endpoints: Option<u32> = None;
@@ -147,7 +144,6 @@ fn main() {
             }
             "--threads" => opts.threads = positive("--threads", args.next()),
             "--trace-capacity" => opts.trace_capacity = positive("--trace-capacity", args.next()),
-            "--overhead" => overhead = Some(positive("--overhead", args.next())),
             "--pcap" => {
                 pcap = Some(args.next().unwrap_or_else(|| fail("--pcap needs a path")));
             }
@@ -197,19 +193,6 @@ fn main() {
         (None, None) => {}
     }
     let Some(app) = app else { fail("no app named") };
-    if let Some(reps) = overhead {
-        let (on, off) = top::measure_overhead(&app, opts.duration, reps);
-        println!(
-            "telemetry overhead ({app}, {} reps x {} ms sim): enabled {:.3}s, \
-             disabled {:.3}s, ratio {:.2}x",
-            reps,
-            opts.duration.as_nanos() / 1_000_000,
-            on,
-            off,
-            on / off
-        );
-        return;
-    }
     let report = match top::run(&app, &opts) {
         Ok(r) => r,
         Err(e) => fail(&e),

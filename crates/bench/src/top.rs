@@ -218,8 +218,7 @@ impl EventProgram for ReturnPath {
 }
 
 /// Builds the app's dumbbell, drives the workload for `duration`, and
-/// returns the network for metric publication. Runs identically with
-/// telemetry enabled or disabled — [`measure_overhead`] exploits that.
+/// returns the network for metric publication.
 fn drive(app: &str, seed: u64, duration: SimDuration, workload: &TopWorkload) -> Network {
     let reg_app = builtin_apps()
         .into_iter()
@@ -332,28 +331,6 @@ fn run_point(app: &str, seed: u64, o: &TopOptions) -> PointOutcome {
         registry: t.registry,
         trace,
     }
-}
-
-/// Wall-clock cost of a full telemetry session vs the disabled path:
-/// runs the same point `reps` times with a session enabled, then `reps`
-/// times disabled, and returns `(enabled_secs, disabled_secs)` totals.
-/// The ratio is the number DESIGN.md §10's overhead budget quotes.
-pub fn measure_overhead(app: &str, duration: SimDuration, reps: u64) -> (f64, f64) {
-    use std::time::Instant;
-    let t0 = Instant::now();
-    for r in 0..reps {
-        telemetry::enable(TelemetryConfig::default());
-        drive(app, 1 + r, duration, &TopWorkload::Cbr);
-        telemetry::disable();
-    }
-    let enabled = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    for r in 0..reps {
-        let _ = telemetry::disable(); // ensure the disabled path
-        drive(app, 1 + r, duration, &TopWorkload::Cbr);
-    }
-    let disabled = t1.elapsed().as_secs_f64();
-    (enabled, disabled)
 }
 
 /// Runs `app` over every seed in `opts` and merges the outcomes.
@@ -537,8 +514,8 @@ pub fn render(r: &TopReport) -> String {
 /// [`telemetry::to_json`], so the shape matches the exporter).
 pub fn to_json_report(r: &TopReport) -> String {
     format!(
-        "{{\"app\":\"{}\",\"seeds\":{},\"duration_ns\":{},\"trace_records\":{},\"trace_dropped\":{},\"registry\":{}}}",
-        r.app,
+        "{{\"app\":{},\"seeds\":{},\"duration_ns\":{},\"trace_records\":{},\"trace_dropped\":{},\"registry\":{}}}",
+        telemetry::json::string(&r.app),
         r.n_seeds,
         r.duration.as_nanos(),
         r.trace_records,

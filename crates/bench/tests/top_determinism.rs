@@ -45,7 +45,9 @@ const RETIRED_SHARDS_VAR: &str = concat!("EDP_", "SHARDS");
 
 /// `edp_top` reads no engine selector: the retired shard-count variable
 /// (even set to garbage) is ignored, and the removed `--shards` /
-/// `--profile` flags are rejected as unrecognized arguments (exit 2).
+/// `--profile` flags (and `--overhead`, the wall-clock measurement the
+/// benchmark's `top_microburst` owns) are rejected as unrecognized
+/// arguments (exit 2).
 #[test]
 fn edp_top_has_one_engine() {
     let edp_top = || {
@@ -67,7 +69,11 @@ fn edp_top_has_one_engine() {
         unset.stdout, garbage.stdout,
         "the variable changed the output"
     );
-    for flag in [&["--shards", "2"][..], &["--profile"][..]] {
+    for flag in [
+        &["--shards", "2"][..],
+        &["--profile"][..],
+        &["--overhead", "0"][..],
+    ] {
         let out = edp_top().args(flag).output().expect("spawn edp_top");
         assert_eq!(out.status.code(), Some(2), "{flag:?} must be rejected");
         let err = String::from_utf8_lossy(&out.stderr);
@@ -76,14 +82,13 @@ fn edp_top_has_one_engine() {
 }
 
 /// Values `edp_top` cannot honour are rejected with the usage text (exit
-/// 2), never rewritten: no seeds, no overhead repetitions, a duration
-/// that does not fit in `u64` nanoseconds, no sweep workers, no trace
-/// ring records and a fleet of no endpoints.
+/// 2), never rewritten: no seeds, a duration that does not fit in `u64`
+/// nanoseconds, no sweep workers, no trace ring records and a fleet of
+/// no endpoints.
 #[test]
 fn edp_top_rejects_values_it_cannot_honour() {
     for bad in [
         ["--seeds", "0"],
-        ["--overhead", "0"],
         ["--duration-ms", "18446744073710"],
         ["--threads", "0"],
         ["--trace-capacity", "0"],

@@ -1,10 +1,11 @@
 //! Exporters: Prometheus text exposition and flat JSON.
 //!
 //! Both walk the registry's `BTreeMap`s, so output is byte-deterministic
-//! for a given registry state. JSON is hand-rolled (the workspace keeps
-//! this crate dependency-free); names and scopes are escaped, values are
-//! integers except histogram means.
+//! for a given registry state. JSON goes through the crate's one writer
+//! ([`crate::json`]); names and scopes are escaped, values are integers
+//! except histogram means.
 
+use crate::json;
 use crate::metrics::Registry;
 
 /// Maps a metric name to a Prometheus-legal name: `edp_` prefix plus the
@@ -17,19 +18,6 @@ fn prom_name(name: &str) -> String {
             out.push(c);
         } else {
             out.push('_');
-        }
-    }
-    out
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
         }
     }
     out
@@ -77,53 +65,37 @@ pub fn to_prometheus_text(reg: &Registry) -> String {
 /// `{"counters": [...], "gauges": [...], "histograms": [...]}` with
 /// entries sorted by `(name, scope)`.
 pub fn to_json(reg: &Registry) -> String {
-    let mut out = String::from("{\"counters\":[");
-    let mut first = true;
-    for (name, scope, v) in reg.counters() {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"scope\":\"{}\",\"value\":{v}}}",
-            json_escape(name),
-            json_escape(scope)
-        ));
-    }
-    out.push_str("],\"gauges\":[");
-    first = true;
-    for (name, scope, v) in reg.gauges() {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"scope\":\"{}\",\"value\":{v}}}",
-            json_escape(name),
-            json_escape(scope)
-        ));
-    }
-    out.push_str("],\"histograms\":[");
-    first = true;
-    for (name, scope, h) in reg.histograms() {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"scope\":\"{}\",\"count\":{},\"sum\":{},\"p50\":{},\"p99\":{},\"max\":{},\"mean\":{:.3}}}",
-            json_escape(name),
-            json_escape(scope),
+    let histograms = json::array(reg.histograms().map(|(name, scope, h)| {
+        format!(
+            "{{\"name\":{},\"scope\":{},\"count\":{},\"sum\":{},\"p50\":{},\"p99\":{},\"max\":{},\"mean\":{:.3}}}",
+            json::string(name),
+            json::string(scope),
             h.count(),
             h.sum(),
             h.p50(),
             h.p99(),
             h.max(),
             h.mean()
-        ));
-    }
-    out.push_str("]}");
-    out
+        )
+    }));
+    format!(
+        "{{\"counters\":{},\"gauges\":{},\"histograms\":{histograms}}}",
+        scalars(reg.counters()),
+        scalars(reg.gauges())
+    )
+}
+
+/// Counter or gauge entries as a JSON array of `{name, scope, value}`.
+fn scalars<'a, V: std::fmt::Display>(
+    entries: impl Iterator<Item = (&'a str, &'a str, V)>,
+) -> String {
+    json::array(entries.map(|(name, scope, v)| {
+        format!(
+            "{{\"name\":{},\"scope\":{},\"value\":{v}}}",
+            json::string(name),
+            json::string(scope)
+        )
+    }))
 }
 
 #[cfg(test)]
@@ -169,8 +141,12 @@ mod tests {
     fn json_escapes_quotes() {
         let mut r = Registry::new();
         r.add_counter("we\"ird", "s\\cope", 1);
+        r.add_counter("l\ni\tne\u{1}", "sw\u{e9}\u{2192}0", 2);
         let j = to_json(&r);
         assert!(j.contains("we\\\"ird"));
         assert!(j.contains("s\\\\cope"));
+        // Control characters are spelled `\u00xx` (the bytes `edp_top
+        // --json` has always printed); non-ASCII passes through as UTF-8.
+        assert!(j.contains(r#"{"name":"l\u000ai\u0009ne\u0001","scope":"swé→0","value":2}"#));
     }
 }

@@ -32,6 +32,7 @@
 //! previous cause in the returned token and `span_end` restores it.
 
 pub mod export;
+pub mod json;
 pub mod metrics;
 pub mod prof;
 pub mod record;

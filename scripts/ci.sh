@@ -5,14 +5,15 @@
 #   scripts/ci.sh --quick       # fmt, build, test, edp_lint, one-parse-path
 #                               # grep, one-event-vocabulary grep, caller-less
 #                               # pub API audit, telemetry smoke,
-#                               # paper-reproduction pin
+#                               # paper-reproduction pin, export pins
 #   scripts/ci.sh --gate        # fmt, clippy, golden_order at 5000 cases,
 #                               # the fleet's due-queue property at 2000,
 #                               # edp_lint (+ SARIF artifact),
 #                               # one-parse-path and one-event-vocabulary
 #                               # greps, telemetry smoke,
 #                               # pcap fixture round-trip, replay smoke,
-#                               # paper-reproduction pin, benchmark smoke
+#                               # paper-reproduction pin, export pins,
+#                               # benchmark smoke
 #
 # The CI pipeline runs `--quick` (the one tier-1 run) and `--gate` side
 # by side; the default (no-flag) mode runs their union locally.
@@ -121,14 +122,11 @@ step_api_audit() {
 step_lint_sarif() {
     echo "==> edp_lint --sarif (code-scanning artifact)"
     # The same catalog rendered as SARIF 2.1.0 for code-scanning UIs;
-    # the gate job uploads target/edp_lint.sarif as a build artifact.
-    # python3 validates it parses — SARIF consumers are strict.
+    # the gate job uploads target/edp_lint.sarif as a build artifact
+    # (step_pins parses it).
     mkdir -p target
     cargo run --offline --release -q -p edp-analyze --bin edp_lint -- --sarif \
         >target/edp_lint.sarif
-    if command -v python3 >/dev/null 2>&1; then
-        python3 -c 'import json,sys; json.load(open(sys.argv[1]))' target/edp_lint.sarif
-    fi
 }
 
 step_top_smoke() {
@@ -170,6 +168,38 @@ step_reproduction() {
         echo "and explain the diff (which numbers moved, and why) in CHANGES.md." >&2
         exit 1
     }
+}
+
+step_pins() {
+    echo "==> scripts/top_pins.sh vs docs/top_output.txt (byte pins of the exports)"
+    # edp_top --json/--prom for every app, both pcap fixtures and the
+    # endpoint fleet, and edp_lint in all four renderings, byte for byte.
+    # A change to an app's handlers, the telemetry hooks or a JSON writer
+    # shows up here as a reviewed diff.
+    mkdir -p target
+    scripts/top_pins.sh >target/top_output.txt
+    diff -u docs/top_output.txt target/top_output.txt || {
+        echo "scripts/top_pins.sh differs from docs/top_output.txt (diff above)." >&2
+        echo "If the change is intended, regenerate it, never hand-edit it:" >&2
+        echo "  scripts/top_pins.sh >docs/top_output.txt" >&2
+        echo "and explain the diff (which outputs moved, and why) in CHANGES.md." >&2
+        exit 1
+    }
+    # Every JSON the tools print must parse: each edp_top --json report,
+    # edp_lint --json and edp_lint --sarif (SARIF consumers are strict).
+    python3 - target/top_output.txt <<'PYEOF'
+import json, re, sys
+sections = re.split(r"^== (.*) ==$", open(sys.argv[1]).read(), flags=re.M)[1:]
+parsed = 0
+for head, body in zip(sections[::2], sections[1::2]):
+    if head.endswith(("--json", "--sarif")):
+        try:
+            json.loads(body)
+        except ValueError as e:
+            sys.exit(f"{head}: not JSON: {e}")
+        parsed += 1
+print(f"pins ok: {len(sections) // 2} outputs identical, {parsed} JSON parsed")
+PYEOF
 }
 
 step_pcap() {
@@ -275,6 +305,7 @@ quick)
     step_api_audit
     step_top_smoke
     step_reproduction
+    step_pins
     ;;
 gate)
     # The CI leg beside `--quick`: style, static analysis, fixtures, smoke
@@ -290,6 +321,7 @@ gate)
     step_top_smoke
     step_pcap
     step_reproduction
+    step_pins
     step_bench_gate
     ;;
 full)
@@ -300,9 +332,11 @@ full)
     step_parse_path
     step_net_events
     step_api_audit
+    step_lint_sarif
     step_top_smoke
     step_pcap
     step_reproduction
+    step_pins
     step_clippy
     step_golden_order
     step_bench_gate

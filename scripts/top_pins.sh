@@ -1,0 +1,43 @@
+#!/usr/bin/env bash
+# Prints the byte pins of the tools' exports, in a fixed order:
+#
+#   edp_top --json and --prom for every registered app,
+#   edp_top --pcap on both fixtures and --endpoints (--json and --prom),
+#   edp_lint plain, --effects, --json and --sarif.
+#
+# Each output follows a header line `== <tool> <args> ==`. The archive is
+# docs/top_output.txt; regenerate it, never hand-edit it:
+#
+#   scripts/top_pins.sh >docs/top_output.txt
+#
+# `scripts/ci.sh` (step_pins) regenerates it, diffs it against the
+# archive and parses every JSON section.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+export CARGO_NET_OFFLINE=true
+
+cargo build --offline --release -q -p edp-bench -p edp-analyze
+bin="${CARGO_TARGET_DIR:-target}/release"
+
+run() {
+    echo "== $* =="
+    local tool="$1"
+    shift
+    "$bin/$tool" "$@"
+}
+
+short=(--seeds 2 --duration-ms 2)
+for app in $("$bin/edp_top" --list); do
+    run edp_top "$app" "${short[@]}" --json
+    run edp_top "$app" "${short[@]}" --prom
+done
+# Each workload is a flag and its value, split on purpose.
+for workload in "--pcap tests/fixtures/kv_burst.pcap" \
+    "--pcap tests/fixtures/mixed_protocols.pcap" "--endpoints 64"; do
+    run edp_top microburst $workload "${short[@]}" --json
+    run edp_top microburst $workload "${short[@]}" --prom
+done
+run edp_lint
+run edp_lint --effects
+run edp_lint --json
+run edp_lint --sarif
