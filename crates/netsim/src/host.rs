@@ -3,10 +3,11 @@
 //! endpoint-fleet client).
 
 use crate::endpoint::EndpointFleet;
+use crate::flow_table::FlowTable;
 use edp_evsim::{SimTime, Welford};
 use edp_packet::{
-    AppHeader, EtherType, FlowKey, FnvBuildHasher, IpProto, KvHeader, KvOp, Packet, PacketBuilder,
-    ParsedPacket, RpcHeader, RpcKind,
+    AppHeader, EtherType, IpProto, KvHeader, KvOp, Packet, PacketBuilder, ParsedPacket, RpcHeader,
+    RpcKind, MAX_FRAME_LEN,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -122,10 +123,9 @@ pub struct HostStats {
     pub rx_errors: u64,
     /// Per-protocol breakdown of parsed frames.
     pub proto: ProtoStats,
-    /// Per-flow breakdown. Hashed with FNV-1a, not `RandomState`'s
-    /// SipHash: one lookup per received frame, keyed by the simulation's
-    /// own flows. Iteration order is unspecified — sort before rendering.
-    pub flows: HashMap<FlowKey, FlowStats, FnvBuildHasher>,
+    /// Per-flow breakdown, one lookup per received frame. Iterates in
+    /// first-arrival order, which is deterministic.
+    pub flows: FlowTable,
 }
 
 /// What a host does with arriving packets beyond counting them.
@@ -144,7 +144,8 @@ pub enum HostApp {
         served: u64,
     },
     /// An HTTP/gRPC-shaped RPC server: acks `Connect`s and answers
-    /// `Request`s with a `Response` padded to the client-requested size.
+    /// `Request`s with a `Response` padded to the client-requested size,
+    /// at most [`MAX_FRAME_LEN`] bytes.
     RpcServer {
         /// Served message count (connects + requests).
         served: u64,
@@ -200,12 +201,7 @@ impl Host {
         };
         self.stats.proto.record(parsed, pkt.len() as u64);
         if let Some(key) = parsed.flow_key() {
-            let f = self.stats.flows.entry(key).or_default();
-            f.pkts += 1;
-            f.bytes += pkt.len() as u64;
-            if let Some(l) = latency_ns {
-                f.latency_ns.add(l as f64);
-            }
+            self.stats.flows.record(key, pkt.len() as u64, latency_ns);
         }
         match &mut self.app {
             HostApp::Sink => None,
@@ -262,7 +258,7 @@ impl Host {
                         };
                         Some(
                             PacketBuilder::rpc(ip.dst, ip.src, &resp)
-                                .pad_to(rpc.resp_bytes as usize)
+                                .pad_to(rpc.resp_bytes.min(MAX_FRAME_LEN) as usize)
                                 .build(),
                         )
                     }
@@ -301,6 +297,43 @@ mod tests {
         let fs = &h.stats.flows[&key];
         assert_eq!(fs.pkts, 2);
         assert_eq!(fs.latency_ns.mean(), 2000.0);
+    }
+
+    #[test]
+    fn sink_iterates_flows_in_first_arrival_order() {
+        let mut h = Host::new(a(9), HostApp::Sink);
+        let flow = |port| Packet::anonymous(PacketBuilder::udp(a(1), a(9), port, 80, b"x").build());
+        let (fa, fb) = (flow(1000), flow(2000));
+        for pkt in [&fa, &fb, &fa] {
+            h.on_receive(SimTime::ZERO, pkt, None);
+        }
+        let order: Vec<(u16, u64)> = h
+            .stats
+            .flows
+            .iter()
+            .map(|(k, f)| (k.src_port, f.pkts))
+            .collect();
+        assert_eq!(order, [(1000, 2), (2000, 1)]);
+    }
+
+    #[test]
+    fn rpc_response_is_capped_at_the_largest_frame() {
+        let mut h = Host::new(a(2), HostApp::RpcServer { served: 0 });
+        let req = RpcHeader {
+            kind: RpcKind::Request,
+            endpoint: 0,
+            seq: 1,
+            key: 7,
+            resp_bytes: 100_000,
+        };
+        let frame = PacketBuilder::rpc(a(1), a(2), &req).build();
+        let out = h.on_receive(SimTime::ZERO, &Packet::anonymous(frame), None);
+        let out = out.expect("a request is answered");
+        assert_eq!(out.len(), MAX_FRAME_LEN as usize);
+        match parse_packet(&out).expect("the capped response parses").app {
+            Some(AppHeader::Rpc(r)) => assert_eq!((r.kind, r.seq), (RpcKind::Response, 1)),
+            other => panic!("not rpc: {other:?}"),
+        }
     }
 
     #[test]

@@ -26,6 +26,7 @@
 
 pub mod endpoint;
 pub mod faults;
+mod flow_table;
 mod harness;
 mod host;
 mod link;
@@ -40,6 +41,7 @@ pub use endpoint::{
     start_endpoints, EndpointConfig, EndpointFleet, FleetStats, ENDPOINT_DOMAIN, RESPONSE_SIZES,
 };
 pub use faults::{FaultPlan, FAULT_DOMAIN};
+pub use flow_table::FlowTable;
 pub use harness::SwitchHarness;
 pub use host::{
     FlowStats, Host, HostApp, HostId, HostStats, ProtoStats, ETH_CLASSES, IP_CLASSES, PORT_CLASSES,

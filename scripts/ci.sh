@@ -173,9 +173,11 @@ step_reproduction() {
 step_pins() {
     echo "==> scripts/top_pins.sh vs docs/top_output.txt (byte pins of the exports)"
     # edp_top --json/--prom for every app, both pcap fixtures and the
-    # endpoint fleet, and edp_lint in all four renderings, byte for byte.
-    # A change to an app's handlers, the telemetry hooks or a JSON writer
-    # shows up here as a reviewed diff.
+    # endpoint fleet, edp_lint in all four renderings and the six
+    # examples' stdout, byte for byte. A change to an app's handlers, the
+    # telemetry hooks, a JSON writer or what an example reads from the
+    # network (aqm_fairness reads the sink's per-flow statistics) shows
+    # up here as a reviewed diff.
     mkdir -p target
     scripts/top_pins.sh >target/top_output.txt
     diff -u docs/top_output.txt target/top_output.txt || {
@@ -269,7 +271,10 @@ step_bench_gate() {
     # the Network glue (what is left is the frame and its host-side
     # bookkeeping, 3.3 at smoke size); no closure box per replayed frame
     # (pcap_imix_replay's allocations per packet, 5.24 at smoke size, were
-    # 6.24 with one); the 2-shard engine's windows and
+    # 6.24 with one); bytes allocated per packet on the line and the
+    # replay (the sinks' flow table: a small sink pays for no large first
+    # chunk, and growth never moves the replay's 64-byte flow stats);
+    # the 2-shard engine's windows and
     # barriers; the other three workloads' events per packet (a replayed
     # frame costs one scheduled event, a burst one for all its frames);
     # and every workload's handler firings per switch receive.

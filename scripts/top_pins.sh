@@ -3,7 +3,8 @@
 #
 #   edp_top --json and --prom for every registered app,
 #   edp_top --pcap on both fixtures and --endpoints (--json and --prom),
-#   edp_lint plain, --effects, --json and --sarif.
+#   edp_lint plain, --effects, --json and --sarif,
+#   the stdout of each of the six examples (`== example <name> ==`).
 #
 # Each output follows a header line `== <tool> <args> ==`. The archive is
 # docs/top_output.txt; regenerate it, never hand-edit it:
@@ -17,6 +18,7 @@ cd "$(dirname "$0")/.."
 export CARGO_NET_OFFLINE=true
 
 cargo build --offline --release -q -p edp-bench -p edp-analyze
+cargo build --offline --release -q -p edp-harness --examples
 bin="${CARGO_TARGET_DIR:-target}/release"
 
 run() {
@@ -41,3 +43,7 @@ run edp_lint
 run edp_lint --effects
 run edp_lint --json
 run edp_lint --sarif
+for example in quickstart microburst hula_loadbalancer fast_reroute aqm_fairness ndp_trimming; do
+    echo "== example $example =="
+    "$bin/examples/$example"
+done
