@@ -5,21 +5,17 @@
 //! along the path, or just the maximum queue occupancy at the
 //! bottleneck."
 //!
-//! * [`TelemetryMarker`] (event-driven) — the dequeue event hands the
-//!   egress pipeline the exact queue occupancy and sojourn time; the
-//!   program stamps them into the packet's telemetry record. Receivers
-//!   learn the bottleneck depth *quantitatively*.
-//! * [`OneBitEcn`] (baseline) — classic threshold marking: all a
-//!   receiver learns is whether occupancy ever exceeded K.
-//!
-//! The test quantifies the difference as reconstruction error of the
-//! bottleneck queue depth at the receiver.
+//! [`TelemetryMarker`]: the dequeue event hands the egress pipeline the
+//! exact queue occupancy and sojourn time; the program stamps them into
+//! the packet's telemetry record. Receivers learn the bottleneck depth
+//! *quantitatively*, where classic one-bit ECN tells them only whether
+//! occupancy ever exceeded a threshold.
 
 use edp_core::event::DequeueEvent;
 use edp_core::{EventActions, EventProgram};
 use edp_evsim::SimTime;
-use edp_packet::{AppHeader, Ecn, Ipv4Header, Packet, ParsedPacket, TelemetryHeader};
-use edp_pisa::{Destination, PisaProgram, PortId, StdMeta};
+use edp_packet::{AppHeader, Packet, ParsedPacket, TelemetryHeader};
+use edp_pisa::{Destination, PortId, StdMeta};
 
 /// Event-driven telemetry stamping.
 #[derive(Debug)]
@@ -93,63 +89,6 @@ impl EventProgram for TelemetryMarker {
             // way hardware INT stacks do.
             edp_packet::UdpHeader::patch_zero_checksum(pkt.bytes_mut(), parsed.l4_offset);
             self.stamped += 1;
-        }
-    }
-}
-
-/// Baseline single-bit ECN threshold marking.
-#[derive(Debug)]
-pub struct OneBitEcn {
-    /// Output port for data traffic.
-    pub out_port: PortId,
-    /// Marking threshold in *approximate* queue bytes. The baseline
-    /// program cannot see real occupancy, so it estimates from its own
-    /// arrival counter drained at line rate (a coarse virtual queue).
-    pub threshold: u64,
-    /// Virtual queue: arrivals minus nominal drain.
-    vq_bytes: f64,
-    last_ns: u64,
-    /// Nominal drain rate in bytes/ns.
-    drain_per_ns: f64,
-    /// Packets marked CE.
-    pub marked: u64,
-    /// Packets seen.
-    pub seen: u64,
-}
-
-impl OneBitEcn {
-    /// Creates the marker with a virtual queue draining at
-    /// `bottleneck_bps`.
-    pub fn new(out_port: PortId, threshold: u64, bottleneck_bps: u64) -> Self {
-        OneBitEcn {
-            out_port,
-            threshold,
-            vq_bytes: 0.0,
-            last_ns: 0,
-            drain_per_ns: bottleneck_bps as f64 / 8.0 / 1e9,
-            marked: 0,
-            seen: 0,
-        }
-    }
-}
-
-impl PisaProgram for OneBitEcn {
-    fn ingress(
-        &mut self,
-        pkt: &mut Packet,
-        parsed: &ParsedPacket,
-        meta: &mut StdMeta,
-        now: SimTime,
-    ) {
-        meta.dest = Destination::Port(self.out_port);
-        self.seen += 1;
-        let dt = now.as_nanos().saturating_sub(self.last_ns);
-        self.last_ns = now.as_nanos();
-        self.vq_bytes =
-            (self.vq_bytes - dt as f64 * self.drain_per_ns).max(0.0) + meta.pkt_len as f64;
-        if self.vq_bytes > self.threshold as f64 && parsed.ipv4.is_some() {
-            Ipv4Header::patch_ecn(pkt.bytes_mut(), parsed.ip_offset, Ecn::Ce);
-            self.marked += 1;
         }
     }
 }
@@ -240,30 +179,6 @@ mod tests {
             }
             other => panic!("no telemetry: {other:?}"),
         }
-    }
-
-    #[test]
-    fn one_bit_ecn_marks_under_overload_only() {
-        let bneck = 100_000_000u64;
-        let mut prog = OneBitEcn::new(1, 15_000, bneck);
-        let frame = PacketBuilder::udp(addr(1), addr(9), 1, 2, &[0u8; 1000]).build();
-        // Underload: 1000 B every 200 us = 40 Mb/s < 100 Mb/s.
-        for i in 0..100u64 {
-            let mut pkt = Packet::anonymous(frame.clone());
-            let parsed = parse_packet(pkt.bytes()).expect("p");
-            let mut meta = StdMeta::ingress(0, SimTime::from_micros(i * 200), pkt.len());
-            prog.ingress(&mut pkt, &parsed, &mut meta, SimTime::from_micros(i * 200));
-        }
-        assert_eq!(prog.marked, 0, "no marks under light load");
-        // Overload: every 20 us = 400 Mb/s.
-        for i in 0..2000u64 {
-            let t = SimTime::from_micros(20_000 + i * 20);
-            let mut pkt = Packet::anonymous(frame.clone());
-            let parsed = parse_packet(pkt.bytes()).expect("p");
-            let mut meta = StdMeta::ingress(0, t, pkt.len());
-            prog.ingress(&mut pkt, &parsed, &mut meta, t);
-        }
-        assert!(prog.marked > 500, "marks under overload: {}", prog.marked);
     }
 
     #[test]

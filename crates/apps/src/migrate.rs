@@ -140,38 +140,6 @@ impl EventProgram for StatefulCounter {
     }
 }
 
-/// The branching switch D: routes by destination address.
-#[derive(Debug)]
-pub struct AddrRouter {
-    /// `(address, port)` routing entries; unmatched → `default_port`.
-    pub routes: Vec<(Ipv4Addr, PortId)>,
-    /// Fallback port.
-    pub default_port: PortId,
-}
-
-impl EventProgram for AddrRouter {
-    fn on_ingress(
-        &mut self,
-        _pkt: &mut Packet,
-        parsed: &ParsedPacket,
-        meta: &mut StdMeta,
-        _now: SimTime,
-        _a: &mut EventActions,
-    ) {
-        let Some(ip) = parsed.ipv4 else {
-            meta.dest = Destination::Drop;
-            return;
-        };
-        let port = self
-            .routes
-            .iter()
-            .find(|(a, _)| *a == ip.dst)
-            .map(|&(_, p)| p)
-            .unwrap_or(self.default_port);
-        meta.dest = Destination::Port(port);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,6 +150,38 @@ mod tests {
     use edp_netsim::traffic::start_cbr;
     use edp_netsim::{Host, HostApp, LinkSpec, Network, NodeRef};
     use edp_packet::{FlowKey, IpProto, PacketBuilder};
+
+    /// The branching switch D: routes by destination address.
+    #[derive(Debug)]
+    struct AddrRouter {
+        /// `(address, port)` routing entries; unmatched → `default_port`.
+        routes: Vec<(Ipv4Addr, PortId)>,
+        /// Fallback port.
+        default_port: PortId,
+    }
+
+    impl EventProgram for AddrRouter {
+        fn on_ingress(
+            &mut self,
+            _pkt: &mut Packet,
+            parsed: &ParsedPacket,
+            meta: &mut StdMeta,
+            _now: SimTime,
+            _a: &mut EventActions,
+        ) {
+            let Some(ip) = parsed.ipv4 else {
+                meta.dest = Destination::Drop;
+                return;
+            };
+            let port = self
+                .routes
+                .iter()
+                .find(|(a, _)| *a == ip.dst)
+                .map(|&(_, p)| p)
+                .unwrap_or(self.default_port);
+            meta.dest = Destination::Port(port);
+        }
+    }
 
     const N_FLOWS: usize = 32;
 

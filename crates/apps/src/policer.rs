@@ -242,6 +242,6 @@ mod tests {
                 &mut EventActions::new(),
             );
         }
-        assert!(p.bucket.tokens() > 0);
+        assert_eq!(p.bucket.offer(1), Color::Green);
     }
 }

@@ -114,7 +114,18 @@ impl FaultPlan {
 
     /// Installs the plan on a built network: impairment models
     /// immediately, status changes and stalls as scheduled events.
+    ///
+    /// # Panics
+    /// On a stall of a switch the network does not have, before anything
+    /// is armed, and wherever [`Network::schedule_link_failure`] panics.
     pub fn apply(&self, net: &mut Network, sim: &mut Sim<Network>) {
+        for &(i, ..) in &self.stalls {
+            assert!(
+                i < net.switches.len(),
+                "stall on switch {i}, but the network has {} switches",
+                net.switches.len()
+            );
+        }
         for &(link, model) in &self.models {
             net.set_link_faults(
                 link,
@@ -163,6 +174,13 @@ mod tests {
             draw(FaultPlan::new(43).model_stream(0, 0)),
             "seeds differ"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "stall on switch 0, but the network has 0 switches")]
+    fn stall_of_a_missing_switch_panics_when_applied() {
+        let plan = FaultPlan::new(1).switch_stall(0, SimTime::ZERO, SimTime::from_micros(1));
+        plan.apply(&mut Network::new(1), &mut Sim::new());
     }
 
     #[test]

@@ -736,7 +736,12 @@ impl Network {
         }
     }
 
-    /// Schedules a link failure at `at` and optional recovery at `back_up`.
+    /// Schedules a link failure at `at` and optional recovery at `back_up`
+    /// (`back_up == at` is a zero-length outage).
+    ///
+    /// # Panics
+    /// If `link` does not exist, or `back_up` is before `at`: the recovery
+    /// would fire first, as a no-op, and leave the link down for good.
     pub fn schedule_link_failure(
         &mut self,
         sim: &mut Sim<Network>,
@@ -744,8 +749,13 @@ impl Network {
         at: SimTime,
         back_up: Option<SimTime>,
     ) {
+        assert!(link < self.links.len(), "no link {link}");
         sim.schedule_at(at, NetEvent::LinkStatus(link, false));
         if let Some(t) = back_up {
+            assert!(
+                t >= at,
+                "link {link} recovers at {t}, before it fails at {at}"
+            );
             sim.schedule_at(t, NetEvent::LinkStatus(link, true));
         }
     }
@@ -1060,6 +1070,42 @@ mod tests {
         let sw = net.switch_as::<EventSwitch<BaselineAdapter<ForwardTo>>>(0);
         assert_eq!(sw.counters().dropped_link_down, 1);
         assert_eq!(net.link_drops(1), (0, 0));
+    }
+
+    #[test]
+    fn zero_length_outage_leaves_the_link_up() {
+        let (mut net, h0, h1) = line_topology();
+        let mut sim: Sim<Network> = Sim::new();
+        let at = SimTime::from_micros(10);
+        net.schedule_link_failure(&mut sim, 1, at, Some(at));
+        sim.schedule_at(
+            SimTime::from_micros(20),
+            move |w: &mut Network, s: &mut Sim<Network>| {
+                w.host_send(s, h0, PacketBuilder::udp(a(1), a(2), 5, 6, &[]).build());
+            },
+        );
+        sim.run(&mut net);
+        assert!(net.links[1].state.up);
+        assert_eq!(net.hosts[h1].stats.rx_pkts, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "link 1 recovers at 5.000us, before it fails at 10.000us")]
+    fn recovery_before_failure_panics() {
+        let (mut net, _, _) = line_topology();
+        net.schedule_link_failure(
+            &mut Sim::new(),
+            1,
+            SimTime::from_micros(10),
+            Some(SimTime::from_micros(5)),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "no link 2")]
+    fn failure_of_a_missing_link_panics_when_scheduled() {
+        let (mut net, _, _) = line_topology();
+        net.schedule_link_failure(&mut Sim::new(), 2, SimTime::ZERO, None);
     }
 
     #[test]

@@ -163,18 +163,6 @@ impl Ipv4Header {
         put_u16(&mut out[start..], 10, ck);
     }
 
-    /// Rewrites the ECN bits of an already-encoded header in place (offset
-    /// `ip_off` within `buf`), patching the checksum incrementally. This is
-    /// the operation the multi-bit-ECN app performs per packet.
-    pub fn patch_ecn(buf: &mut [u8], ip_off: usize, ecn: Ecn) {
-        let tos = ip_off + 1;
-        buf[tos] = (buf[tos] & !0b11) | ecn.to_bits();
-        // Recompute full checksum: headers are small, simplicity wins.
-        put_u16(buf, ip_off + 10, 0);
-        let ck = internet_checksum(&buf[ip_off..ip_off + IPV4_HEADER_LEN]);
-        put_u16(buf, ip_off + 10, ck);
-    }
-
     /// Trims an IPv4 frame to its headers (Ethernet + IPv4 + transport
     /// header, no payload), patching lengths and checksums so the result
     /// still parses, and stamping DSCP [`TRIMMED_DSCP`] as the trim
@@ -312,16 +300,6 @@ mod tests {
             Ipv4Header::parse(&out),
             Err(ParseError::BadLength { .. })
         ));
-    }
-
-    #[test]
-    fn patch_ecn_keeps_checksum_valid() {
-        let mut out = Vec::new();
-        sample().emit(&mut out);
-        out.extend_from_slice(&[0u8; 20]);
-        Ipv4Header::patch_ecn(&mut out, 0, Ecn::Ce);
-        let (parsed, _) = Ipv4Header::parse(&out).expect("still valid");
-        assert_eq!(parsed.ecn, Ecn::Ce);
     }
 
     #[test]

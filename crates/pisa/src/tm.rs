@@ -57,8 +57,9 @@ pub enum QueueDisc {
         /// Number of priority classes.
         classes: u8,
     },
-    /// Push-in-first-out on `StdMeta::rank` (lower pops first); overflow
-    /// rejects the worst-ranked packet.
+    /// Push-in-first-out on `StdMeta::rank` (lower pops first, FIFO within
+    /// a rank). Overflow rejects the arriving packet, whatever its rank:
+    /// nothing queued is evicted.
     Pifo,
 }
 
@@ -404,6 +405,25 @@ mod tests {
             .map(|_| tm.dequeue(0, SimTime::ZERO).expect("p").0.len())
             .collect();
         assert_eq!(lens, vec![2, 4, 1, 3]);
+    }
+
+    #[test]
+    fn full_pifo_rejects_the_arrival_even_when_it_ranks_best() {
+        let cfg = QueueConfig {
+            capacity_bytes: 20,
+            disc: QueueDisc::Pifo,
+            rank0_headroom: 0,
+        };
+        let mut tm = TrafficManager::new(1, cfg);
+        tm.offer(0, pkt(10), meta(50), SimTime::ZERO);
+        tm.offer(0, pkt(10), meta(40), SimTime::ZERO);
+        let returned = tm.offer(0, pkt(5), meta(1), SimTime::ZERO);
+        assert_eq!(returned.map(|p| p.len()), Some(5));
+        let ranks: Vec<u64> = (0..2)
+            .map(|_| tm.dequeue(0, SimTime::ZERO).expect("p").1.rank)
+            .collect();
+        assert_eq!(ranks, vec![40, 50], "both queued frames stay");
+        assert!(tm.dequeue(0, SimTime::ZERO).is_none());
     }
 
     #[test]

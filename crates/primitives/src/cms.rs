@@ -79,16 +79,6 @@ impl CountMinSketch {
         self.items
     }
 
-    /// Counters per row.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Number of rows.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
     /// Memory footprint in counter words (what Table 3's BRAM cost prices).
     pub fn state_words(&self) -> usize {
         self.width * self.depth

@@ -55,11 +55,6 @@ impl TokenBucket {
             Color::Red
         }
     }
-
-    /// Remaining tokens (bytes).
-    pub fn tokens(&self) -> f64 {
-        self.tokens
-    }
 }
 
 /// A token bucket built from registers + a periodic timer event.
@@ -72,7 +67,6 @@ pub struct TimerTokenBucket {
     tokens_per_refill: u64,
     burst_bytes: u64,
     tokens: u64,
-    refills: u64,
 }
 
 impl TimerTokenBucket {
@@ -85,14 +79,12 @@ impl TimerTokenBucket {
             tokens_per_refill: quantum.max(1),
             burst_bytes,
             tokens: burst_bytes,
-            refills: 0,
         }
     }
 
     /// The timer-event handler: adds one refill quantum.
     pub fn refill(&mut self) {
         self.tokens = (self.tokens + self.tokens_per_refill).min(self.burst_bytes);
-        self.refills += 1;
     }
 
     /// The packet-event handler: consumes tokens if available.
@@ -103,21 +95,6 @@ impl TimerTokenBucket {
         } else {
             Color::Red
         }
-    }
-
-    /// Remaining tokens (bytes).
-    pub fn tokens(&self) -> u64 {
-        self.tokens
-    }
-
-    /// Number of refills applied (observability for the policing bench).
-    pub fn refills(&self) -> u64 {
-        self.refills
-    }
-
-    /// Bytes added per refill.
-    pub fn quantum(&self) -> u64 {
-        self.tokens_per_refill
     }
 }
 
@@ -175,8 +152,14 @@ mod tests {
 
     #[test]
     fn timer_bucket_quantum() {
-        let tb = TimerTokenBucket::new(1_000_000, 1_000_000, 10_000);
-        assert_eq!(tb.quantum(), 1000); // 1 MB/s * 1 ms
+        // 1 MB/s refilled every 1 ms: a refill of an empty bucket admits
+        // exactly 1000 bytes.
+        let mut tb = TimerTokenBucket::new(1_000_000, 1_000_000, 10_000);
+        assert_eq!(tb.offer(10_000), Color::Green);
+        tb.refill();
+        assert_eq!(tb.offer(1001), Color::Red);
+        assert_eq!(tb.offer(1000), Color::Green);
+        assert_eq!(tb.offer(1), Color::Red);
     }
 
     #[test]
@@ -185,8 +168,9 @@ mod tests {
         for _ in 0..100 {
             tb.refill();
         }
-        assert_eq!(tb.tokens(), 1500);
-        assert_eq!(tb.refills(), 100);
+        assert_eq!(tb.offer(1501), Color::Red);
+        assert_eq!(tb.offer(1500), Color::Green);
+        assert_eq!(tb.offer(1), Color::Red);
     }
 
     #[test]
@@ -195,6 +179,6 @@ mod tests {
         assert_eq!(tb.offer(100), Color::Green);
         assert_eq!(tb.offer(1), Color::Red);
         tb.refill();
-        assert!(tb.tokens() > 0);
+        assert_eq!(tb.offer(1), Color::Green);
     }
 }

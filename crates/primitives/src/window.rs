@@ -1,8 +1,8 @@
-//! Time-window functions over a signal.
+//! A time-window function over a signal.
 //!
-//! Two estimators back the paper's "Time-Windowed Network Measurement"
-//! student project (§5): a bucketed sliding-window rate built from a shift
-//! register advanced by timer events, and a classic EWMA for comparison.
+//! The paper's "Time-Windowed Network Measurement" student project (§5):
+//! a bucketed sliding-window rate built from a shift register advanced by
+//! timer events.
 
 use serde::{Deserialize, Serialize};
 
@@ -60,62 +60,13 @@ impl WindowRate {
             return self.buckets[self.head] as f64 * 8.0 * 1e9 / span_ns;
         }
         let complete = (self.filled - 1) as u64;
-        let bytes = self.window_bytes() - self.buckets[self.head];
+        let bytes = self.buckets.iter().sum::<u64>() - self.buckets[self.head];
         bytes as f64 * 8.0 * 1e9 / (complete * self.bucket_ns) as f64
-    }
-
-    /// Window span when fully filled, in nanoseconds.
-    pub fn window_ns(&self) -> u64 {
-        self.buckets.len() as u64 * self.bucket_ns
     }
 
     /// Memory footprint in counter words.
     pub fn state_words(&self) -> usize {
         self.buckets.len()
-    }
-}
-
-/// Exponentially weighted moving average.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct Ewma {
-    alpha: f64,
-    value: f64,
-    primed: bool,
-}
-
-impl Ewma {
-    /// Creates an EWMA with smoothing factor `alpha` in `(0, 1]` (weight
-    /// of the newest sample).
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha {alpha} out of range");
-        Ewma {
-            alpha,
-            value: 0.0,
-            primed: false,
-        }
-    }
-
-    /// Feeds a sample and returns the updated average. The first sample
-    /// initializes the average directly (no bias toward zero).
-    pub fn update(&mut self, x: f64) -> f64 {
-        if self.primed {
-            self.value += self.alpha * (x - self.value);
-        } else {
-            self.value = x;
-            self.primed = true;
-        }
-        self.value
-    }
-
-    /// Current average (0 before the first sample).
-    pub fn value(&self) -> f64 {
-        self.value
-    }
-
-    /// Resets to the unprimed state.
-    pub fn reset(&mut self) {
-        self.value = 0.0;
-        self.primed = false;
     }
 }
 
@@ -156,45 +107,7 @@ mod tests {
 
     #[test]
     fn window_span() {
-        let w = WindowRate::new(8, 250_000);
-        assert_eq!(w.window_ns(), 2_000_000);
-        assert_eq!(w.state_words(), 8);
-    }
-
-    #[test]
-    fn ewma_first_sample_initializes() {
-        let mut e = Ewma::new(0.1);
-        assert!(!e.primed);
-        assert_eq!(e.update(50.0), 50.0);
-        assert!(e.primed);
-    }
-
-    #[test]
-    fn ewma_converges() {
-        let mut e = Ewma::new(0.2);
-        for _ in 0..100 {
-            e.update(10.0);
-        }
-        assert!((e.value() - 10.0).abs() < 1e-9);
-        // Step change converges toward the new level.
-        for _ in 0..50 {
-            e.update(20.0);
-        }
-        assert!((e.value() - 20.0).abs() < 0.01);
-    }
-
-    #[test]
-    fn ewma_reset() {
-        let mut e = Ewma::new(0.5);
-        e.update(4.0);
-        e.reset();
-        assert!(!e.primed);
-        assert_eq!(e.value(), 0.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn bad_alpha_panics() {
-        Ewma::new(0.0);
+        // One counter word per bucket of the span.
+        assert_eq!(WindowRate::new(8, 250_000).state_words(), 8);
     }
 }

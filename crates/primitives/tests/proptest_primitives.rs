@@ -1,8 +1,6 @@
 //! Property-based tests for the data-plane primitives' invariants.
 
-use edp_primitives::{
-    AqmVerdict, Color, CountMinSketch, Pifo, Red, TimerTokenBucket, TokenBucket, WindowRate,
-};
+use edp_primitives::{Color, CountMinSketch, TimerTokenBucket, TokenBucket, WindowRate};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -37,44 +35,6 @@ proptest! {
         for &(k, _) in &ops {
             prop_assert_eq!(cms.query(k), 0);
         }
-    }
-
-    /// PIFO pops in (rank, arrival) order for any push sequence.
-    #[test]
-    fn pifo_pop_order(ranks in prop::collection::vec(0u64..1000, 1..200)) {
-        let mut p = Pifo::new(ranks.len());
-        for (i, &r) in ranks.iter().enumerate() {
-            let (v, _) = p.push(r, (r, i));
-            prop_assert_eq!(v, edp_primitives::PifoPush::Ok);
-        }
-        let mut out = Vec::new();
-        while let Some(x) = p.pop() {
-            out.push(x);
-        }
-        let mut expect: Vec<(u64, usize)> = ranks.iter().copied().enumerate().map(|(i, r)| (r, i)).collect();
-        expect.sort();
-        prop_assert_eq!(out, expect);
-    }
-
-    /// A bounded PIFO holds exactly the best `capacity` items (by rank,
-    /// ties favouring earlier arrivals).
-    #[test]
-    fn pifo_bounded_keeps_best(
-        capacity in 1usize..32,
-        ranks in prop::collection::vec(0u64..100, 1..100),
-    ) {
-        let mut p = Pifo::new(capacity);
-        for (i, &r) in ranks.iter().enumerate() {
-            p.push(r, (r, i));
-        }
-        let mut kept = Vec::new();
-        while let Some(x) = p.pop() {
-            kept.push(x);
-        }
-        let mut expect: Vec<(u64, usize)> = ranks.iter().copied().enumerate().map(|(i, r)| (r, i)).collect();
-        expect.sort();
-        expect.truncate(capacity);
-        prop_assert_eq!(kept, expect);
     }
 
     /// Token bucket conformance never exceeds rate × time + burst.
@@ -124,7 +84,9 @@ proptest! {
             }
         }
         let elapsed_s = (n_steps * period_us) as f64 / 1e6;
-        let bound = rate as f64 * elapsed_s + burst as f64 + tb.quantum() as f64;
+        // One refill quantum of slack: the timer grants bytes in steps.
+        let quantum = (rate * period_us / 1_000_000).max(1);
+        let bound = rate as f64 * elapsed_s + burst as f64 + quantum as f64;
         prop_assert!((green as f64) <= bound, "green {} bound {}", green, bound);
     }
 
@@ -148,22 +110,5 @@ proptest! {
         // completed tick-sums (head bucket was just reset).
         let expect: u64 = per_tick.iter().rev().take(buckets - 1).sum();
         prop_assert_eq!(w.window_bytes(), expect);
-    }
-
-    /// RED with weight 1 never drops below min_thresh and always
-    /// drops/marks above max_thresh.
-    #[test]
-    fn red_threshold_contract(
-        min in 100u64..1000,
-        span in 1u64..10_000,
-        u in 0.0f64..1.0,
-        below in 0u64..100,
-        above in 0u64..10_000,
-    ) {
-        let max = min + span;
-        let mut red = Red::new(min, max, 0.5, 1.0, false);
-        prop_assert_eq!(red.offer(min.saturating_sub(below + 1), u), AqmVerdict::Accept);
-        let mut red = Red::new(min, max, 0.5, 1.0, false);
-        prop_assert_eq!(red.offer(max + above, u), AqmVerdict::Drop);
     }
 }

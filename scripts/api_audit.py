@@ -3,16 +3,25 @@
 
     python3 scripts/api_audit.py
 
-An item is every `pub fn`, `pub const fn`, `pub const` and `pub static` in
-the non-test code of crates/*/src: each file up to its `#[cfg(test)]`
-module, which clippy's `items_after_test_module` keeps last. Its callers
-are searched by name in the non-test code of crates/*/src (the crates' own
-bins included), benchmark/src, examples/ and harness/. Definitions, `use`
-lines and comments do not count as calls, and neither do tests: an item
-only a test reaches is dead API.
+Items live in the non-test code of crates/*/src: each file up to its
+`#[cfg(test)]` module, which clippy's `items_after_test_module` keeps last.
+Their users are searched by name in the non-test code of crates/*/src (the
+crates' own bins included), benchmark/src, examples/ and harness/. Comments
+and `use` lines are not uses, and neither are tests: an item only a test
+reaches is dead API. Two passes:
 
-The audit is by name, so it errs towards "called": a method that shares its
-name with a called one is not listed. Whatever it does list has no caller.
+* fns: every `pub fn`, `pub const fn`, `pub const` and `pub static`.
+  Definition sites of the same name are not calls.
+* types: every `pub struct`, `pub enum`, `pub trait` and `pub type`. Not
+  uses: a definition of that name, an `impl` block whose header names it,
+  a path segment after a capitalised one (`QueueDisc::Pifo` is a variant,
+  not the type `Pifo`), an enum variant declared with the same spelling,
+  and string literals. A type listed and not allowed is then taken out of
+  the corpus with its impl blocks, and the pass repeats until nothing new
+  is listed, so what only a dead type used is listed too.
+
+The audit is by name, so it errs towards "used": an item that shares its
+name with a used one is not listed. Whatever it does list has no user.
 
 Each listed item must appear in scripts/api_allow.txt with a reason:
 
@@ -48,6 +57,16 @@ PUB_DEF = re.compile(
     r"|static[ \t]+(?:mut[ \t]+)?(?P<static>[A-Za-z_]\w*)[ \t]*:)",
     re.M,
 )
+PUB_TYPE = re.compile(r"^[ \t]*pub[ \t]+(?:struct|enum|trait|type)[ \t]+([A-Za-z_]\w*)", re.M)
+# Comments and string / char literals, blanked before the type pass scans
+# identifiers and braces (a lifetime `'a` is not a char literal).
+NOISE = re.compile(r"//[^\n]*|/\*.*?\*/|\bb?r(#*)\".*?\"\1|\"(?:\\.|[^\"\\])*\"|'(?:\\.|[^'\\])'", re.S)
+TYPE_DEF = re.compile(r"\b(?:struct|enum|trait|type|union)\s+([A-Za-z_]\w*)")
+# An impl item, not `impl Trait` in argument or return position.
+IMPL = re.compile(r"^[ \t]*(?:unsafe[ \t]+)?impl\b", re.M)
+# The segment after a capitalised one: `Enum::Variant`, `Self::Variant`.
+AFTER_TYPE_PATH = re.compile(r"(?=\b[A-Z]\w*\s*::\s*([A-Za-z_]\w*))")
+ANGLES = re.compile(r"<[^<>]*>")
 ALLOW_LINE = re.compile(r"^(\S+)\s+(\w+)\s+—\s+\((a|b)\)\s+(\w+):\s*\S.*$")
 
 
@@ -94,6 +113,129 @@ def public_items():
     return items
 
 
+def blank(text):
+    """`text` with comments and literals replaced by spaces (offsets kept)."""
+    return NOISE.sub(lambda m: re.sub(r"\S", " ", m.group(0)), text)
+
+
+def block_end(code, i):
+    """End of the item starting at `i`: its `;`, or its brace-matched body."""
+    while i < len(code) and code[i] not in ";{":
+        i += 1
+    if i == len(code) or code[i] == ";":
+        return i + 1
+    depth = 0
+    while i < len(code):
+        depth += {"{": 1, "}": -1}.get(code[i], 0)
+        i += 1
+        if depth == 0:
+            break
+    return i
+
+
+def variant_names(code, start, end):
+    """Offsets of the variant names declared in the enum at code[start:end]."""
+    i = code.index("{", start) + 1
+    depth, expect, out = 0, True, []
+    while i < end - 1:
+        c = code[i]
+        if c in "([{":
+            depth += 1
+        elif c in ")]}":
+            depth -= 1
+        elif depth == 0 and c == ",":
+            expect = True
+        elif depth == 0 and expect and (c.isalpha() or c == "_"):
+            out.append(i)
+            expect = False
+        i += 1
+    return out
+
+
+def impl_subjects(header):
+    """The trait and type an `impl` header is for, without generics or bounds:
+    `<P: PisaProgram> Switch<Adapter<P>>` is an impl of `Switch` alone."""
+    header = re.split(r"\bwhere\b", header.replace("->", "  "))[0]
+    while ANGLES.search(header):
+        header = ANGLES.sub(" ", header)
+    return set(IDENT.findall(header))
+
+
+class Corpus:
+    """The caller corpus, indexed for the type pass."""
+
+    def __init__(self):
+        self.files = []
+        self.where = collections.defaultdict(list)  # name -> [(file, offset)]
+        for path in rust_files("crates", "benchmark/src", "examples", "harness/src"):
+            parts = path.relative_to(ROOT).parts
+            if parts[0] == "crates" and parts[2] != "src":
+                continue
+            code = USE.sub(lambda m: " " * len(m.group(0)), blank(non_test(path.read_text())))
+            f = len(self.files)
+            spans = collections.defaultdict(list)  # name -> spans that are not its uses
+            skip = set()
+            for m in TYPE_DEF.finditer(code):
+                end = block_end(code, m.end())
+                spans[m.group(1)].append((m.start(), end))
+                if code.startswith("enum", m.start()):
+                    skip.update(variant_names(code, m.end(), end))
+            for m in IMPL.finditer(code):
+                body = code.find("{", m.end())
+                if body < 0:
+                    continue
+                span = (m.start(), block_end(code, body))
+                for name in impl_subjects(code[m.end() : body]):
+                    spans[name].append(span)
+            skip.update(m.start(1) for m in AFTER_TYPE_PATH.finditer(code))
+            self.files.append(spans)
+            for m in IDENT.finditer(code):
+                if m.start() not in skip:
+                    self.where[m.group()].append((f, m.start()))
+        self.gone = [[] for _ in self.files]  # spans of types found dead
+
+    def used(self, name):
+        def inside(pos, spans):
+            return any(a <= pos < b for a, b in spans)
+
+        return any(
+            not inside(pos, self.files[f].get(name, ())) and not inside(pos, self.gone[f])
+            for f, pos in self.where[name]
+        )
+
+    def drop(self, name):
+        """Takes `name`'s definitions and impl blocks out of the corpus."""
+        for f, spans in enumerate(self.files):
+            self.gone[f].extend(spans.get(name, ()))
+
+
+def public_types():
+    """(path, line, name) of every public struct / enum / trait / type."""
+    items = []
+    for path in rust_files("crates"):
+        parts = path.relative_to(ROOT).parts
+        if parts[2] != "src" or "bin" in parts[3:-1]:
+            continue
+        code = non_test(path.read_text())
+        for m in PUB_TYPE.finditer(code):
+            items.append((rel(path), code.count("\n", 0, m.start()) + 1, m.group(1)))
+    return items
+
+
+def dead_types(items, allowed):
+    """{(path, name): line} of the types with no user, to a fixed point."""
+    corpus = Corpus()
+    dead = {}
+    while True:
+        new = {(p, n): line for p, line, n in items if (p, n) not in dead and not corpus.used(n)}
+        if not new:
+            return dead
+        dead.update(new)
+        for p, n in new:
+            if (p, n) not in allowed:
+                corpus.drop(n)
+
+
 def test_code():
     """Every test's source: crates/*/tests, tests/ and the `#[cfg(test)]` modules."""
     out = []
@@ -120,15 +262,8 @@ def fn_body(code, name):
 
 
 def main():
-    uses = callers_by_name()
-    items = public_items()
-    dead = {(p, n): line for p, line, n in items if uses[n] <= 0}
-    existing = {(p, n) for p, _, n in items}
-    tests = test_code()
-    docs = {d: (ROOT / f"{d}.md").read_text() for d in ("README", "DESIGN")}
-
     errors = []
-    allowed = set()
+    entries = []
     lines = ALLOW.read_text().splitlines() if ALLOW.exists() else []
     for no, raw in enumerate(lines, 1):
         line = raw.strip()
@@ -139,12 +274,24 @@ def main():
         if not m:
             errors.append(f"{where}: not `path item — (a|b) <test_fn|README|DESIGN>: reason`")
             continue
-        path, name, ground, witness = m.groups()
-        allowed.add((path, name))
+        entries.append((where, *m.groups()))
+    allowed = {(path, name) for _, path, name, _, _ in entries}
+
+    uses = callers_by_name()
+    items = public_items()
+    dead = {(p, n): line for p, line, n in items if uses[n] <= 0}
+    types = public_types()
+    dead_ty = dead_types(types, allowed)
+    dead.update(dead_ty)
+    existing = {(p, n) for p, _, n in items + types}
+    tests = test_code()
+    docs = {d: (ROOT / f"{d}.md").read_text() for d in ("README", "DESIGN")}
+
+    for where, path, name, ground, witness in entries:
         if (path, name) not in existing:
             errors.append(f"{where}: stale: no `pub` {name} in {path}")
         elif (path, name) not in dead:
-            errors.append(f"{where}: stale: {name} has a caller now")
+            errors.append(f"{where}: stale: {name} is used now")
         elif ground == "a":
             body = fn_body(tests, witness)
             if body is None:
@@ -158,13 +305,14 @@ def main():
 
     unlisted = sorted((p, line, n) for (p, n), line in dead.items() if (p, n) not in allowed)
     for p, line, n in unlisted:
-        errors.append(f"{p}:{line}: pub {n} has no caller outside tests")
+        what = "user" if (p, n) in dead_ty else "caller"
+        errors.append(f"{p}:{line}: pub {n} has no {what} outside tests")
 
     for e in errors:
         print(e)
     print(
-        f"api audit: {len(dead)} caller-less pub items, {len(allowed)} allowed, "
-        f"{len(unlisted)} unlisted, {len(errors)} errors"
+        f"api audit: {len(dead) - len(dead_ty)} caller-less pub fns, {len(dead_ty)} user-less "
+        f"pub types, {len(allowed)} allowed, {len(unlisted)} unlisted, {len(errors)} errors"
     )
     return 1 if errors else 0
 

@@ -113,9 +113,11 @@ step_net_events() {
 
 step_api_audit() {
     echo "==> api audit (no caller-less pub item outside scripts/api_allow.txt)"
-    # A pub fn/const/static that nothing but tests calls is dead API; one
-    # that stays names its reason in the allow-list, and a listed item that
-    # gains a caller or goes away fails as stale.
+    # A pub fn/const/static that nothing but tests calls, or a pub
+    # struct/enum/trait/type that nothing but tests and its own impls
+    # names, is dead API; one that stays names its reason in the
+    # allow-list, and a listed item that gains a user or goes away fails
+    # as stale. The summary line counts both passes.
     python3 scripts/api_audit.py
 }
 
