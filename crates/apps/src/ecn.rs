@@ -26,6 +26,8 @@ pub struct TelemetryMarker {
     pub last_q_bytes: Vec<u64>,
     /// Sojourn of the packet currently in egress, per port.
     pub last_sojourn_ns: Vec<u64>,
+    /// Port of the latest dequeue: the packet in egress left from there.
+    egress_port: usize,
     /// Largest occupancy any dequeued packet experienced, in bytes.
     pub peak_q_bytes: u64,
     /// Packets stamped.
@@ -39,6 +41,7 @@ impl TelemetryMarker {
             out_port,
             last_q_bytes: vec![0; n_ports],
             last_sojourn_ns: vec![0; n_ports],
+            egress_port: 0,
             peak_q_bytes: 0,
             stamped: 0,
         }
@@ -59,6 +62,7 @@ impl EventProgram for TelemetryMarker {
 
     fn on_dequeue(&mut self, ev: &DequeueEvent, _now: SimTime, _a: &mut EventActions) {
         let p = ev.port as usize;
+        self.egress_port = p;
         // Occupancy the departing packet experienced: queue after + itself.
         self.last_q_bytes[p] = ev.q_bytes + ev.pkt_len as u64;
         self.last_sojourn_ns[p] = ev.sojourn_ns;
@@ -69,21 +73,17 @@ impl EventProgram for TelemetryMarker {
         &mut self,
         pkt: &mut Packet,
         parsed: &ParsedPacket,
-        meta: &mut StdMeta,
+        _meta: &mut StdMeta,
         _now: SimTime,
         _a: &mut EventActions,
     ) {
         if matches!(parsed.app, Some(AppHeader::Telemetry(_))) {
             let rec_off = parsed.payload_offset - TelemetryHeader::WIRE_LEN;
-            let port = meta.ingress_port as usize % self.last_q_bytes.len();
-            // The egress port is where the packet just dequeued from; the
-            // dequeue handler stored that port's occupancy. We cannot see
-            // the egress port id directly in StdMeta (PSA hides it), but
-            // the dequeue event immediately preceding this egress call is
-            // ours — use the freshest stamp.
-            let _ = port;
-            let q = *self.last_q_bytes.iter().max().expect("ports");
-            let d = *self.last_sojourn_ns.iter().max().expect("ports");
+            // StdMeta does not carry the egress port (PSA hides it), but
+            // the dequeue event that fired just before this egress pass is
+            // this packet's: stamp the port it named.
+            let q = self.last_q_bytes[self.egress_port];
+            let d = self.last_sojourn_ns[self.egress_port];
             TelemetryHeader::stamp(pkt.bytes_mut(), rec_off, q as u32, d as u32);
             // The payload changed under the UDP checksum; disable it the
             // way hardware INT stacks do.
@@ -181,24 +181,64 @@ mod tests {
         }
     }
 
+    /// One dequeue then one egress pass of a fresh telemetry frame
+    /// through `prog`'s handlers; returns the stamped (depth, delay).
+    fn stamp_after_dequeue(
+        prog: &mut TelemetryMarker,
+        port: PortId,
+        q_bytes: u64,
+        sojourn_ns: u64,
+    ) -> (u32, u32) {
+        let rec = TelemetryHeader {
+            max_queue_bytes: 0,
+            path_delay_ns: 0,
+            hop_count: 0,
+        };
+        let mut pkt =
+            Packet::anonymous(PacketBuilder::telemetry(addr(1), addr(2), &rec, &[]).build());
+        let parsed = parse_packet(pkt.bytes()).expect("parse");
+        let mut a = EventActions::new();
+        let ev = DequeueEvent {
+            port,
+            pkt_len: pkt.len() as u32,
+            q_bytes,
+            q_pkts: 0,
+            sojourn_ns,
+            meta: [0; 4],
+        };
+        prog.on_dequeue(&ev, SimTime::ZERO, &mut a);
+        let mut meta = StdMeta::ingress(0, SimTime::ZERO, pkt.len());
+        prog.on_egress(&mut pkt, &parsed, &mut meta, SimTime::ZERO, &mut a);
+        match parse_packet(pkt.bytes()).expect("parse").app {
+            Some(AppHeader::Telemetry(t)) => (t.max_queue_bytes, t.path_delay_ns),
+            other => panic!("no telemetry: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn egress_stamps_the_port_it_dequeued_from() {
+        let mut prog = TelemetryMarker::new(4, 1);
+        let deep = stamp_after_dequeue(&mut prog, 2, 90_000, 700_000);
+        let shallow = stamp_after_dequeue(&mut prog, 1, 1_000, 2_000);
+        let len = deep.0 - 90_000;
+        assert_eq!(deep, (90_000 + len, 700_000));
+        // Port 2's deeper queue is still on record, but the packet left
+        // port 1.
+        assert_eq!(shallow, (1_000 + len, 2_000));
+    }
+
     #[test]
     fn information_content_multi_bit_vs_one_bit() {
-        // The architectural point, in miniature: from the telemetry path
-        // a receiver can recover the numeric depth; from 1-bit ECN it can
-        // only recover a threshold comparison. Simulate both readings of
-        // the same queue trajectory.
-        let depths = [0u32, 5_000, 20_000, 60_000, 35_000, 1_000];
-        let threshold = 15_000u32;
-        let mut telemetry_err = 0i64;
-        let mut onebit_values = Vec::new();
-        for &d in &depths {
-            // Multi-bit: receiver reads the stamped depth exactly.
-            telemetry_err += 0.max((d as i64 - d as i64).abs());
-            // One-bit: receiver knows only d > threshold.
-            onebit_values.push(d > threshold);
-        }
-        assert_eq!(telemetry_err, 0);
-        // Two very different depths (20 KB vs 60 KB) are indistinguishable.
-        assert_eq!(onebit_values[2], onebit_values[3]);
+        // The architectural point: a receiver reads the stamped depth
+        // itself, where one-bit ECN reads only which side of a threshold
+        // it fell on. 20 KB and 60 KB both mark under a 15 KB threshold;
+        // the stamps tell them apart, exactly.
+        let threshold = 15_000u64;
+        let mut prog = TelemetryMarker::new(2, 1);
+        let (mid, _) = stamp_after_dequeue(&mut prog, 1, 20_000, 0);
+        let (high, _) = stamp_after_dequeue(&mut prog, 1, 60_000, 0);
+        assert_eq!(20_000 > threshold, 60_000 > threshold);
+        assert_ne!(mid, high);
+        assert_eq!(high - mid, 40_000);
     }
 }

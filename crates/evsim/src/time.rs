@@ -135,6 +135,11 @@ impl SimDuration {
     /// queue models. Rounds up so back-to-back packets never overlap.
     pub fn for_bytes_at_rate(bytes: u64, bits_per_sec: u64) -> SimDuration {
         assert!(bits_per_sec > 0, "zero link rate");
+        // Below ~2.3 GB the product fits in 64 bits, and a 64-bit divide
+        // gives the same quotient without the 128-bit library call.
+        if let Some(bit_ns) = bytes.checked_mul(8_000_000_000) {
+            return SimDuration(bit_ns.div_ceil(bits_per_sec));
+        }
         let bits = bytes as u128 * 8;
         let ns = (bits * 1_000_000_000).div_ceil(bits_per_sec as u128);
         SimDuration(ns.min(u64::MAX as u128) as u64)

@@ -132,4 +132,19 @@ proptest! {
         prop_assert!(d.as_nanos() as f64 >= exact_ns - 1e-6);
         prop_assert!((d.as_nanos() as f64) < exact_ns + 1.0);
     }
+
+    /// The 64-bit path gives the 128-bit formula's result exactly, on
+    /// both sides of the length (2,305,843,009 B) past which `bytes *
+    /// 8e9` no longer fits in a `u64`, at every rate.
+    #[test]
+    fn serialization_delay_matches_the_u128_formula(
+        bytes in prop_oneof![0u64..20_000, 2_305_842_960u64..2_305_843_060, any::<u64>()],
+        rate in prop_oneof![1u64..1_000, 1_000u64..1_000_000_000_000, any::<u64>().prop_map(|r| r.max(1))],
+    ) {
+        let want = (bytes as u128 * 8 * 1_000_000_000).div_ceil(rate as u128);
+        prop_assert_eq!(
+            SimDuration::for_bytes_at_rate(bytes, rate).as_nanos() as u128,
+            want.min(u64::MAX as u128)
+        );
+    }
 }

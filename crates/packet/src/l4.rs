@@ -69,9 +69,11 @@ impl UdpHeader {
         self.emit_padded(out, ip, payload, 0);
     }
 
-    /// [`UdpHeader::emit`] with `pad` zero bytes after `payload`, written
-    /// before the checksum is taken: the builder pads in the frame's own
-    /// buffer instead of growing a copy of the payload first.
+    /// [`UdpHeader::emit`] with `pad` zero bytes after `payload`, under
+    /// the checksum: the builder pads in the frame's own buffer instead of
+    /// growing a copy of the payload first. The sum skips the pad: zero
+    /// words add nothing to a one's-complement sum, and an odd payload's
+    /// last byte already pairs with an implied zero.
     pub(crate) fn emit_padded(
         &self,
         out: &mut Vec<u8>,
@@ -85,9 +87,11 @@ impl UdpHeader {
         out.extend_from_slice(&self.len.to_be_bytes());
         out.extend_from_slice(&[0, 0]);
         out.extend_from_slice(payload);
+        // The zero pad adds nothing to the sum, so it covers header and
+        // payload only (see `UdpHeader::emit_padded`'s doc).
+        let sum = ip.map(|ip| sum_words(&out[start..], ip.pseudo_header_sum(self.len)));
         out.resize(out.len() + pad, 0);
-        if let Some(ip) = ip {
-            let sum = sum_words(&out[start..], ip.pseudo_header_sum(self.len));
+        if let Some(sum) = sum {
             let mut ck = !fold(sum);
             if ck == 0 {
                 ck = 0xffff; // RFC 768: transmitted as all-ones
@@ -214,10 +218,10 @@ impl TcpHeader {
         out.extend_from_slice(&self.window.to_be_bytes());
         out.extend_from_slice(&[0, 0, 0, 0]); // checksum + urgent
         out.extend_from_slice(payload);
+        let l4_len = (out.len() - start + pad) as u16;
+        let sum = ip.map(|ip| sum_words(&out[start..], ip.pseudo_header_sum(l4_len)));
         out.resize(out.len() + pad, 0);
-        if let Some(ip) = ip {
-            let l4_len = (out.len() - start) as u16;
-            let sum = sum_words(&out[start..], ip.pseudo_header_sum(l4_len));
+        if let Some(sum) = sum {
             put_u16(&mut out[start..], 16, !fold(sum));
         }
     }
@@ -289,8 +293,8 @@ impl IcmpEcho {
         out.extend_from_slice(&self.ident.to_be_bytes());
         out.extend_from_slice(&self.seq.to_be_bytes());
         out.extend_from_slice(payload);
-        out.resize(out.len() + pad, 0);
         let ck = internet_checksum(&out[start..]);
+        out.resize(out.len() + pad, 0);
         put_u16(&mut out[start..], 2, ck);
     }
 }

@@ -1,6 +1,6 @@
 //! Property-based tests: every codec round-trips, corruption is caught.
 
-use edp_packet::wire::{fold, sum_words};
+use edp_packet::wire::{fold, internet_checksum, sum_words};
 use edp_packet::{
     parse_packet, Ecn, EthHeader, EtherType, HulaProbe, IcmpEcho, IcmpEchoKind, IpProto,
     Ipv4Header, KvHeader, KvOp, LivenessHeader, LivenessKind, MacAddr, PacketBuilder,
@@ -48,6 +48,42 @@ proptest! {
             want = (want & 0xffff) + (want >> 16);
         }
         prop_assert_eq!(fold(sum_words(&data, init)) as u64, want);
+    }
+
+    /// The builder's L4 checksum skips the zero pad it writes after the
+    /// payload, yet equals `internet_checksum` of the whole segment, pad
+    /// included (behind the pseudo-header for UDP and TCP), for odd and
+    /// even payloads and pads.
+    #[test]
+    fn padded_checksum_covers_the_whole_segment(
+        proto in 0usize..3,
+        payload in prop::collection::vec(any::<u8>(), 0..80),
+        pad_to in 0usize..200,
+    ) {
+        let (src, dst) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
+        let frame = match proto {
+            0 => PacketBuilder::udp(src, dst, 7, 9, &payload),
+            1 => PacketBuilder::tcp(src, dst, 7, 9, 1, 2, &payload),
+            _ => PacketBuilder::icmp_echo(src, dst, true, 7, 9),
+        }
+        .pad_to(pad_to)
+        .build();
+        let segment = &frame[34..];
+        let at = [6, 16, 2][proto];
+        let mut whole = Vec::new();
+        if proto < 2 {
+            whole.extend_from_slice(&frame[26..34]);
+            whole.extend_from_slice(&[0, frame[23]]);
+            whole.extend_from_slice(&(segment.len() as u16).to_be_bytes());
+        }
+        let ck_at = whole.len() + at;
+        whole.extend_from_slice(segment);
+        whole[ck_at..ck_at + 2].fill(0);
+        let mut want = internet_checksum(&whole);
+        if proto == 0 && want == 0 {
+            want = 0xffff; // RFC 768: a UDP zero is sent as all-ones
+        }
+        prop_assert_eq!(u16::from_be_bytes([segment[at], segment[at + 1]]), want);
     }
 
     /// Ethernet headers round-trip for every address/type combination.

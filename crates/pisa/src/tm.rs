@@ -26,24 +26,19 @@ use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Emits a queue-occupancy sample of `q` when a telemetry session is live
-/// and asked for queue-depth detail. Disabled cost: one thread-local branch.
+/// and asked for queue-depth detail; the session applies that gate on the
+/// same pointer read as the record store. Disabled cost: one relaxed load
+/// and a predictable branch.
 #[inline]
 fn depth_sample(now: SimTime, port: PortId, q: &OutQueue) {
-    if !edp_telemetry::on() {
-        return;
-    }
-    edp_telemetry::with(|t| {
-        if t.config.queue_depth_samples {
-            t.emit(
-                now.as_nanos(),
-                edp_telemetry::RecordKind::QueueDepth {
-                    port,
-                    q_bytes: q.bytes,
-                    q_pkts: q.depth_pkts(),
-                },
-            );
-        }
-    });
+    edp_telemetry::emit(
+        now.as_nanos(),
+        edp_telemetry::RecordKind::QueueDepth {
+            port,
+            q_bytes: q.bytes,
+            q_pkts: q.depth_pkts(),
+        },
+    );
 }
 
 /// Queueing discipline for an output queue.

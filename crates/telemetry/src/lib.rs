@@ -4,16 +4,29 @@
 //!
 //! # Design
 //!
-//! Telemetry is a per-thread *session*, mirroring the `edp_pisa::probe`
-//! idiom the analyzer already uses: a `Cell<bool>` armed flag plus a
-//! `RefCell` holding the live state. Every hook first calls [`on`] — one
-//! thread-local load and one predictable branch — and returns
-//! immediately when telemetry is disabled, so the instrumented hot paths
-//! pay a single branch when nobody is watching. Sessions being
-//! thread-local is also what keeps `EDP_SWEEP_THREADS` determinism: a
-//! sweep worker enables a fresh session per point, so the trace a point
+//! Telemetry is a per-thread *session*, like the `edp_pisa::probe`
+//! recorder the analyzer uses. Every hook first loads a global count
+//! of live sessions — one relaxed load and one predictable branch — and
+//! returns immediately when it is zero, so the instrumented hot paths pay
+//! a single branch when nobody is watching. With a session live, a hook
+//! reaches it through one thread-local pointer cell: a const-initialised
+//! `Cell` with no destructor, so the access has no lazy-init check and no
+//! borrow flag. The session itself lives in a separate owning slot that
+//! only [`enable`], [`disable`] and thread exit touch; the slot publishes
+//! the pointer after it stores the session and clears it before the
+//! session leaves. [`with`], the one hook that runs caller code on the
+//! session, parks the cell on a sentinel meanwhile, so a hook reached from
+//! inside it panics instead of aliasing the caller's `&mut`. The
+//! [`TelemetryConfig`] gates are applied by the session as it stores a
+//! record, so a gated hook needs no second look at the session. Sessions
+//! being thread-local is also what keeps `EDP_SWEEP_THREADS` determinism:
+//! a sweep worker enables a fresh session per point, so the trace a point
 //! produces is a pure function of that point's seed, never of which
 //! thread ran it or what ran before.
+//!
+//! The trace ring is written in place: a `Vec` filled once to capacity,
+//! then overwritten at a head index, so a record costs one store whether
+//! or not the ring has wrapped (see [`ring`]).
 //!
 //! Records carry *sim time only* (nanoseconds), never wall-clock time.
 //! Wall-clock attribution lives in the separate, opt-in [`prof`] module
@@ -43,7 +56,8 @@ pub use metrics::{LogHistogram, Registry};
 pub use record::{event_kind_label, register_label, DropReason, RecordKind, TraceRecord};
 pub use ring::Ring;
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
+use std::ptr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The span/cause id meaning "none" (top level).
@@ -67,7 +81,8 @@ pub fn is_telemetry_register(name: &str) -> bool {
 pub struct TelemetryConfig {
     /// Trace-ring capacity in records (oldest evicted beyond this).
     pub trace_capacity: usize,
-    /// Record `QueueDepth` samples on every enqueue/dequeue.
+    /// Record `QueueDepth` samples on every enqueue/dequeue. The session
+    /// applies the gate itself: with it off, [`emit`] drops those records.
     pub queue_depth_samples: bool,
 }
 
@@ -105,17 +120,46 @@ impl Telemetry {
         }
     }
 
-    /// Pushes one record under the current cause. The method form of
-    /// [`emit`], for hooks already inside a [`with`] closure (e.g. after
-    /// checking a [`TelemetryConfig`] gate).
+    /// Pushes one record under the current cause, unless the config
+    /// gates its class off. The method form of [`emit`], for consumers
+    /// already inside a [`with`] closure.
+    #[inline]
     pub fn emit(&mut self, at_ns: u64, kind: RecordKind) {
-        let cause = self.cause;
+        if matches!(kind, RecordKind::QueueDepth { .. }) && !self.config.queue_depth_samples {
+            return;
+        }
         self.ring.push(TraceRecord {
             at_ns,
             span: NO_SPAN,
-            cause,
+            cause: self.cause,
             kind,
         });
+    }
+
+    #[inline]
+    fn span_begin(&mut self, at_ns: u64, kind: RecordKind) -> SpanToken {
+        self.next_span += 1;
+        let span = self.next_span;
+        self.ring.push(TraceRecord {
+            at_ns,
+            span,
+            cause: self.cause,
+            kind,
+        });
+        let prev_cause = self.cause;
+        self.cause = span;
+        SpanToken { span, prev_cause }
+    }
+
+    #[inline]
+    fn span_end(&mut self, at_ns: u64, token: SpanToken, kind: RecordKind) {
+        self.ring.push(TraceRecord {
+            at_ns,
+            span: token.span,
+            cause: token.prev_cause,
+            kind,
+        });
+        self.cause = token.prev_cause;
     }
 
     /// Renders the whole trace ring as stable text, one record per line,
@@ -150,143 +194,173 @@ impl SpanToken {
     }
 }
 
+/// The token [`span_begin`] returns when no session is live.
+const NO_TOKEN: SpanToken = SpanToken {
+    span: NO_SPAN,
+    prev_cause: NO_SPAN,
+};
+
 thread_local! {
-    static ON: Cell<bool> = const { Cell::new(false) };
-    static SESSION: RefCell<Option<Telemetry>> = const { RefCell::new(None) };
+    /// This thread's live session, null when there is none, [`BUSY`]
+    /// while [`with`] runs caller code on it. No destructor and a const
+    /// initialiser: reading it is one thread-local load.
+    static LIVE: Cell<*mut Telemetry> = const { Cell::new(ptr::null_mut()) };
+    /// Owns the session `LIVE` points into. Only [`enable`], [`disable`]
+    /// and thread exit touch it.
+    static OWNER: Owner = const { Owner(Cell::new(None)) };
 }
 
-/// Count of enabled sessions across all threads. The first gate in
-/// [`on`]: with no session anywhere, hooks pay one relaxed load of this
-/// static and never touch thread-local storage — TLS access is the part
-/// that actually shows up in tight loops like the scheduler's re-arm
-/// path. (A thread that dies without `disable` leaks its count, which
-/// only costs other threads the TLS check, never correctness.)
+/// `LIVE`'s value while [`with`] lends the session to caller code. It is
+/// never dereferenced, and no allocation sits at that address.
+const BUSY: *mut Telemetry = ptr::dangling_mut();
+
+/// Count of live sessions across all threads. The first gate of every
+/// hook: with no session anywhere, hooks pay one relaxed load of this
+/// static and never touch thread-local storage.
 static ACTIVE_SESSIONS: AtomicUsize = AtomicUsize::new(0);
+
+/// The slot that owns a thread's session.
+struct Owner(Cell<Option<Box<Telemetry>>>);
+
+impl Drop for Owner {
+    /// Thread exit: unpublish the session before it drops. No `with` is
+    /// running any more, so this needs none of `replace_session`'s check.
+    fn drop(&mut self) {
+        LIVE.set(ptr::null_mut());
+        if self.0.get_mut().take().is_some() {
+            ACTIVE_SESSIONS.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+}
+
+/// Installs `new` as this thread's session and returns the old one.
+/// `LIVE` is null while the slot changes hands, then points into `new`.
+fn replace_session(mut new: Option<Box<Telemetry>>) -> Option<Box<Telemetry>> {
+    assert!(
+        LIVE.get() != BUSY,
+        "telemetry session enabled or disabled inside `edp_telemetry::with`"
+    );
+    LIVE.set(ptr::null_mut());
+    let session = new.as_deref_mut().map_or(ptr::null_mut(), ptr::from_mut);
+    let old = OWNER.with(|owner| owner.0.replace(new));
+    match (old.is_some(), !session.is_null()) {
+        (false, true) => {
+            ACTIVE_SESSIONS.fetch_add(1, Ordering::Relaxed);
+        }
+        (true, false) => {
+            ACTIVE_SESSIONS.fetch_sub(1, Ordering::Relaxed);
+        }
+        _ => {}
+    }
+    LIVE.set(session);
+    old
+}
+
+/// Puts the session pointer back into `LIVE` when [`with`]'s caller code
+/// returns or unwinds.
+struct Lent(*mut Telemetry);
+
+impl Drop for Lent {
+    #[inline]
+    fn drop(&mut self) {
+        LIVE.set(self.0);
+    }
+}
+
+/// Runs `f` on this thread's live session, if any: the one path every
+/// hook takes to it. `lend` says `f` is caller code (from [`with`]).
+/// `LIVE` is read by value, not through a `LocalKey::with` closure around
+/// `f`: that closure grows past what the inliner takes, and an
+/// out-of-line call per hook is what the cell exists to avoid.
+#[inline(always)]
+fn live<R>(lend: bool, f: impl FnOnce(&mut Telemetry) -> R) -> Option<R> {
+    if ACTIVE_SESSIONS.load(Ordering::Relaxed) == 0 {
+        return None;
+    }
+    let session = LIVE.get();
+    if session.is_null() {
+        return None;
+    }
+    assert!(
+        session != BUSY,
+        "telemetry hook called inside `edp_telemetry::with`"
+    );
+    // SAFETY: `session` is neither null nor BUSY, so it points into the
+    // boxed session this thread's `OWNER` holds: `replace_session` points
+    // `LIVE` at a box only after storing it in the slot, and it and
+    // `Owner::drop` (thread exit) clear `LIVE` before a box leaves the
+    // slot. `LIVE` is thread-local, so no other thread holds the pointer.
+    // The `&mut` is the only one: the hooks' own `f` reaches no hook, and
+    // caller code (`lend`) runs with `LIVE` on BUSY, so a hook or
+    // `enable` / `disable` it reaches panics before it touches the session.
+    let session_mut = unsafe { &mut *session };
+    if !lend {
+        return Some(f(session_mut));
+    }
+    LIVE.set(BUSY);
+    let _lent = Lent(session);
+    Some(f(session_mut))
+}
 
 /// True while a telemetry session is enabled on this thread. With no
 /// session on *any* thread this is a single static load and predictable
 /// branch — the only cost instrumented hot paths pay when disabled.
 #[inline(always)]
 pub fn on() -> bool {
-    if ACTIVE_SESSIONS.load(Ordering::Relaxed) == 0 {
-        return false;
-    }
-    ON.with(|c| c.get())
+    ACTIVE_SESSIONS.load(Ordering::Relaxed) != 0 && !LIVE.get().is_null()
 }
 
 /// Starts a fresh session on this thread, discarding any previous one.
 pub fn enable(config: TelemetryConfig) {
-    SESSION.with(|s| *s.borrow_mut() = Some(Telemetry::new(config)));
-    ON.with(|c| {
-        if !c.get() {
-            ACTIVE_SESSIONS.fetch_add(1, Ordering::Relaxed);
-            c.set(true);
-        }
-    });
+    drop(replace_session(Some(Box::new(Telemetry::new(config)))));
 }
 
 /// Stops the session on this thread and returns everything it recorded.
 pub fn disable() -> Option<Telemetry> {
-    ON.with(|c| {
-        if c.get() {
-            ACTIVE_SESSIONS.fetch_sub(1, Ordering::Relaxed);
-            c.set(false);
-        }
-    });
-    SESSION.with(|s| s.borrow_mut().take())
+    replace_session(None).map(|t| *t)
 }
 
 /// Runs `f` against the live session, if any. Hooks use the dedicated
-/// helpers below; this is for consumers that need registry access.
+/// helpers below; this is for consumers that need registry access. A
+/// hook, [`enable`] or [`disable`] called from inside `f` panics.
 pub fn with<R>(f: impl FnOnce(&mut Telemetry) -> R) -> Option<R> {
-    if !on() {
-        return None;
-    }
-    SESSION.with(|s| s.borrow_mut().as_mut().map(f))
+    live(true, f)
 }
 
 /// Emits one trace record under the current cause. No-op when disabled.
 #[inline]
 pub fn emit(at_ns: u64, kind: RecordKind) {
-    if !on() {
-        return;
-    }
-    SESSION.with(|s| {
-        if let Some(t) = s.borrow_mut().as_mut() {
-            t.emit(at_ns, kind);
-        }
-    });
+    live(false, |t| t.emit(at_ns, kind));
 }
 
 /// Opens a span: emits `kind` carrying the new span id, and makes the
 /// span the current cause until the matching [`span_end`].
 #[inline]
 pub fn span_begin(at_ns: u64, kind: RecordKind) -> SpanToken {
-    if !on() {
-        return SpanToken {
-            span: NO_SPAN,
-            prev_cause: NO_SPAN,
-        };
-    }
-    SESSION.with(|s| {
-        let mut s = s.borrow_mut();
-        let Some(t) = s.as_mut() else {
-            return SpanToken {
-                span: NO_SPAN,
-                prev_cause: NO_SPAN,
-            };
-        };
-        t.next_span += 1;
-        let span = t.next_span;
-        t.ring.push(TraceRecord {
-            at_ns,
-            span,
-            cause: t.cause,
-            kind,
-        });
-        let prev_cause = t.cause;
-        t.cause = span;
-        SpanToken { span, prev_cause }
-    })
+    live(false, |t| t.span_begin(at_ns, kind)).unwrap_or(NO_TOKEN)
 }
 
 /// Closes a span opened by [`span_begin`]: emits `kind` with the span's
 /// id and restores the previous cause. No-op on a disabled-path token.
 #[inline]
 pub fn span_end(at_ns: u64, token: SpanToken, kind: RecordKind) {
-    if !on() || token.span == NO_SPAN {
+    if token.span == NO_SPAN {
         return;
     }
-    SESSION.with(|s| {
-        if let Some(t) = s.borrow_mut().as_mut() {
-            t.ring.push(TraceRecord {
-                at_ns,
-                span: token.span,
-                cause: token.prev_cause,
-                kind,
-            });
-            t.cause = token.prev_cause;
-        }
-    });
+    live(false, |t| t.span_end(at_ns, token, kind));
 }
 
 /// Records `v` into registry histogram `name` in `scope`. No-op when
 /// disabled.
 #[inline]
 pub fn observe(name: &str, scope: &str, v: u64) {
-    if !on() {
-        return;
-    }
-    with(|t| t.registry.observe(name, scope, v));
+    live(false, |t| t.registry.observe(name, scope, v));
 }
 
 /// Raises gauge `name` in `scope` to at least `v`. No-op when disabled.
 #[inline]
 pub fn gauge_max(name: &str, scope: &str, v: i64) {
-    if !on() {
-        return;
-    }
-    with(|t| t.registry.gauge_max(name, scope, v));
+    live(false, |t| t.registry.gauge_max(name, scope, v));
 }
 
 #[cfg(test)]
@@ -402,6 +476,92 @@ mod tests {
         let t = disable().expect("session");
         let text = t.render_trace();
         assert!(text.contains("-- 2 records, 3 dropped (ring capacity 2)"));
+    }
+
+    #[test]
+    #[should_panic(expected = "telemetry hook called inside `edp_telemetry::with`")]
+    fn hook_inside_with_panics() {
+        enable(TelemetryConfig::default());
+        with(|_| {
+            emit(
+                1,
+                RecordKind::Note {
+                    code: 0,
+                    a: 0,
+                    b: 0,
+                },
+            )
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "enabled or disabled inside `edp_telemetry::with`")]
+    fn disable_inside_with_panics() {
+        enable(TelemetryConfig::default());
+        with(|_| disable());
+    }
+
+    #[test]
+    fn with_lends_the_session_back_when_caller_code_panics() {
+        enable(TelemetryConfig::default());
+        let lent = std::panic::catch_unwind(|| with(|_| panic!("caller code")));
+        assert!(lent.is_err());
+        emit(
+            1,
+            RecordKind::Note {
+                code: 0,
+                a: 0,
+                b: 0,
+            },
+        );
+        assert_eq!(with(|t| t.ring.len()), Some(1));
+        assert_eq!(disable().expect("session").ring.len(), 1);
+        assert!(!on());
+    }
+
+    #[test]
+    fn queue_depth_gate_is_the_sessions() {
+        let depth = RecordKind::QueueDepth {
+            port: 1,
+            q_bytes: 64,
+            q_pkts: 1,
+        };
+        for samples in [false, true] {
+            enable(TelemetryConfig {
+                queue_depth_samples: samples,
+                ..TelemetryConfig::default()
+            });
+            emit(1, depth);
+            emit(
+                2,
+                RecordKind::Note {
+                    code: 0,
+                    a: 0,
+                    b: 0,
+                },
+            );
+            let t = disable().expect("session");
+            assert_eq!(t.ring.len(), 1 + usize::from(samples));
+        }
+    }
+
+    #[test]
+    fn a_thread_that_exits_with_a_session_drops_it() {
+        std::thread::spawn(|| {
+            enable(TelemetryConfig::default());
+            emit(
+                1,
+                RecordKind::Note {
+                    code: 0,
+                    a: 0,
+                    b: 0,
+                },
+            );
+            assert!(on());
+        })
+        .join()
+        .expect("thread exit with a live session");
+        assert!(!on());
     }
 
     #[test]

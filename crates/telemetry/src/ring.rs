@@ -2,15 +2,18 @@
 //!
 //! The trace ring and netsim's packet `Tracer` both sit on this type: a
 //! bounded queue that, once full, drops the *oldest* entry to admit a new
-//! one and keeps an exact count of everything dropped. The backing store
-//! is allocated once at construction; steady-state pushes never allocate.
-
-use std::collections::VecDeque;
+//! one and keeps an exact count of everything dropped. The backing `Vec`
+//! is allocated once at construction and filled once to capacity; after
+//! that a push is one write over the oldest entry at `head`, and never
+//! allocates.
 
 /// Fixed-capacity ring with a dropped-oldest counter.
 #[derive(Debug, Clone)]
 pub struct Ring<T> {
-    buf: VecDeque<T>,
+    /// Entries in push order from `head` (oldest) around to `head - 1`.
+    buf: Vec<T>,
+    /// Index of the oldest entry once `buf` is full; 0 until then.
+    head: usize,
     capacity: usize,
     dropped: u64,
 }
@@ -20,7 +23,8 @@ impl<T> Ring<T> {
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         Ring {
-            buf: VecDeque::with_capacity(capacity),
+            buf: Vec::with_capacity(capacity),
+            head: 0,
             capacity,
             dropped: 0,
         }
@@ -29,16 +33,22 @@ impl<T> Ring<T> {
     /// Appends an entry, evicting (and counting) the oldest if full.
     #[inline]
     pub fn push(&mut self, item: T) {
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-            self.dropped = self.dropped.saturating_add(1);
+        if self.buf.len() < self.capacity {
+            self.buf.push(item);
+            return;
         }
-        self.buf.push_back(item);
+        self.buf[self.head] = item;
+        self.head += 1;
+        if self.head == self.capacity {
+            self.head = 0;
+        }
+        self.dropped = self.dropped.saturating_add(1);
     }
 
     /// Entries currently held, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.buf.iter()
+        let (newer, older) = self.buf.split_at(self.head);
+        older.iter().chain(newer)
     }
 
     /// Number of entries currently held.
@@ -65,17 +75,21 @@ impl<T> Ring<T> {
     /// Empties the ring and resets the dropped counter.
     pub fn clear(&mut self) {
         self.buf.clear();
+        self.head = 0;
         self.dropped = 0;
     }
 
     /// Oldest entry, if any.
     pub fn front(&self) -> Option<&T> {
-        self.buf.front()
+        self.buf.get(self.head)
     }
 
     /// Newest entry, if any.
     pub fn back(&self) -> Option<&T> {
-        self.buf.back()
+        match self.head {
+            0 => self.buf.last(),
+            h => self.buf.get(h - 1),
+        }
     }
 }
 

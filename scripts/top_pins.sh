@@ -3,6 +3,8 @@
 #
 #   edp_top --json and --prom for every registered app,
 #   edp_top --pcap on both fixtures and --endpoints (--json and --prom),
+#   the line count and sha256 of microburst's --trace-out file, at the
+#   default ring capacity and at one small enough to wrap,
 #   edp_lint plain, --effects, --json and --sarif,
 #   the stdout of each of the six examples (`== example <name> ==`).
 #
@@ -38,6 +40,16 @@ for workload in "--pcap tests/fixtures/kv_burst.pcap" \
     "--pcap tests/fixtures/mixed_protocols.pcap" "--endpoints 64"; do
     run edp_top microburst $workload "${short[@]}" --json
     run edp_top microburst $workload "${short[@]}" --prom
+done
+# The trace file is too long to archive whole: its line count and digest
+# pin every record, their order and the ring's eviction footer.
+trace="$(mktemp)"
+trap 'rm -f "$trace"' EXIT
+for capacity in "" "--trace-capacity 1000"; do
+    echo "== edp_top microburst ${short[*]} $capacity${capacity:+ }--trace-out FILE =="
+    "$bin/edp_top" microburst "${short[@]}" $capacity --trace-out "$trace" >/dev/null
+    wc -l <"$trace"
+    sha256sum <"$trace"
 done
 run edp_lint
 run edp_lint --effects
