@@ -1,11 +1,12 @@
-//! `edp_exp` — regenerate the paper's tables, figures and experiments.
+//! `edp_exp` — regenerate the paper's tables, figures and experiments:
+//! the one place their `Report`s are printed.
 //!
 //! ```sh
 //! edp_exp all                 # every experiment, as docs/experiment_output.txt
 //! edp_exp table1 exp_ndp      # just the named reports
 //! ```
 
-use edp_bench::exp::EXPERIMENTS;
+use edp_bench::exp::{Run, EXPERIMENTS};
 
 fn fail(msg: &str) -> ! {
     let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
@@ -16,7 +17,7 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn lookup(arg: &str) -> fn() {
+fn lookup(arg: &str) -> Run {
     match EXPERIMENTS.iter().find(|(name, _)| *name == arg) {
         Some(&(_, run)) => run,
         None => fail(&format!("unknown experiment `{arg}`")),
@@ -27,18 +28,16 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args == ["all"] {
         for (name, run) in EXPERIMENTS {
-            println!("## {name}");
-            run();
-            println!();
+            println!("## {name}\n{}", run());
         }
         return;
     }
     // Resolve every name before running any, so a typo prints no report.
-    let picked: Vec<fn()> = args.iter().map(|arg| lookup(arg)).collect();
+    let picked: Vec<Run> = args.iter().map(|arg| lookup(arg)).collect();
     if picked.is_empty() {
         fail("no experiment named");
     }
     for run in picked {
-        run();
+        print!("{}", run());
     }
 }

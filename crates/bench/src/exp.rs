@@ -1,9 +1,18 @@
 //! The paper reproduction: one module per table, figure and §5 experiment,
 //! registered in [`EXPERIMENTS`] and run by the `edp_exp` binary.
 //!
-//! Every experiment prints a deterministic report to stdout;
-//! `docs/experiment_output.txt` is `edp_exp all`, byte for byte, and
-//! `tests/reproduction.rs` pins each section of it.
+//! Every experiment returns a deterministic [`Report`] and prints
+//! nothing: `edp_exp` renders the reports, `docs/experiment_output.txt`
+//! is `edp_exp all`, byte for byte, `tests/reproduction.rs` pins each
+//! section of it, and `tests/claims.rs` reads their cells.
+
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
+use crate::Report;
+use edp_apps::common::sink_addr;
+use edp_netsim::traffic::FrameFn;
+use edp_packet::PacketBuilder;
+use std::net::Ipv4Addr;
 
 mod ablation_cms;
 mod exp_aqm;
@@ -26,27 +35,31 @@ mod table1;
 mod table2;
 mod table3;
 
+/// `(name, entry point)` of each module named, the name being the
+/// module's: each name is written once.
+macro_rules! registry {
+    ($($name:ident)*) => { &[$((stringify!($name), $name::run)),*] };
+}
+
+/// An experiment's entry point.
+pub type Run = fn() -> Report;
+
 /// Every experiment as `(name, entry point)`, in the order of the
 /// sections of `docs/experiment_output.txt`.
-pub const EXPERIMENTS: &[(&str, fn())] = &[
-    ("table1", table1::run),
-    ("table2", table2::run),
-    ("table3", table3::run),
-    ("fig2_microburst", fig2_microburst::run),
-    ("fig3_staleness", fig3_staleness::run),
-    ("fig4_pipeline", fig4_pipeline::run),
-    ("exp_microburst", exp_microburst::run),
-    ("exp_hula", exp_hula::run),
-    ("exp_cms_reset", exp_cms_reset::run),
-    ("exp_liveness", exp_liveness::run),
-    ("exp_timewindow", exp_timewindow::run),
-    ("exp_aqm", exp_aqm::run),
-    ("exp_frr", exp_frr::run),
-    ("exp_policer", exp_policer::run),
-    ("exp_netcache", exp_netcache::run),
-    ("exp_scheduler", exp_scheduler::run),
-    ("exp_ndp", exp_ndp::run),
-    ("exp_int_reduce", exp_int_reduce::run),
-    ("exp_emulation", exp_emulation::run),
-    ("ablation_cms", ablation_cms::run),
+pub const EXPERIMENTS: &[(&str, Run)] = registry![
+    table1 table2 table3 fig2_microburst fig3_staleness fig4_pipeline
+    exp_microburst exp_hula exp_cms_reset exp_liveness exp_timewindow
+    exp_aqm exp_frr exp_policer exp_netcache exp_scheduler exp_ndp
+    exp_int_reduce exp_emulation ablation_cms
 ];
+
+/// The frames of one UDP flow to the sink host: the `i`-th carries IP
+/// ident `i` (mod 2^16) and is padded to `len` bytes.
+fn udp_flow(src: Ipv4Addr, sport: u16, dport: u16, len: usize) -> impl FrameFn {
+    move |i| {
+        PacketBuilder::udp(src, sink_addr(), sport, dport, &[])
+            .ident(i as u16)
+            .pad_to(len)
+            .build()
+    }
+}

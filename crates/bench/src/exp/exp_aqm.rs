@@ -5,14 +5,14 @@
 //! drop-tail vs the event-driven FRED. Reproduction target: FRED holds
 //! fairness near 1.0 regardless of hog intensity; drop-tail collapses.
 
-use crate::{f2, footnote, mbps, table_header};
+use super::udp_flow;
+use crate::{f2, mbps, Report};
 use edp_apps::common::{addr, dumbbell, run_until, sink_addr};
 use edp_apps::fred::{FredAqm, TIMER_REPORT};
 use edp_core::{EventSwitch, EventSwitchConfig, TimerSpec};
 use edp_evsim::{jain_fairness, Sim, SimDuration, SimTime};
 use edp_netsim::traffic::start_cbr;
 use edp_netsim::Network;
-use edp_packet::PacketBuilder;
 use edp_pisa::{ForwardTo, QueueConfig};
 
 const CAPACITY: u64 = 30_000;
@@ -52,19 +52,20 @@ pub(super) fn contend(fair: bool, hog_interval_us: u64) -> (Network, usize) {
     };
     let mut sim: Sim<Network> = Sim::new();
     for (i, &h) in senders.iter().enumerate() {
-        let src = addr(i as u8 + 1);
         let port = 1000 + i as u16;
         let interval = if i == N - 1 {
             SimDuration::from_micros(hog_interval_us)
         } else {
             SimDuration::from_micros(300)
         };
-        start_cbr(&mut sim, h, SimTime::ZERO, interval, u64::MAX, move |s| {
-            PacketBuilder::udp(src, sink_addr(), port, 9000, &[])
-                .ident(s as u16)
-                .pad_to(1500)
-                .build()
-        });
+        start_cbr(
+            &mut sim,
+            h,
+            SimTime::ZERO,
+            interval,
+            u64::MAX,
+            udp_flow(addr(i as u8 + 1), port, 9000, 1500),
+        );
     }
     run_until(&mut net, &mut sim, HORIZON);
     (net, sink)
@@ -101,9 +102,12 @@ fn simulate(fair: bool, hog_interval_us: u64) -> (Vec<f64>, f64) {
     (goodputs, occ)
 }
 
-pub fn run() {
-    println!("3 polite flows @40 Mb/s + 1 hog into a 100 Mb/s bottleneck, {HORIZON}");
-    table_header(
+pub fn run() -> Report {
+    let mut report = Report::default();
+    report.line(format!(
+        "3 polite flows @40 Mb/s + 1 hog into a 100 Mb/s bottleneck, {HORIZON}"
+    ));
+    let table = report.table(
         "fair AQM (FRED, event-driven) vs drop-tail across hog intensity",
         &[
             ("hog Mb/s", 9),
@@ -118,22 +122,24 @@ pub fn run() {
         for &fair in &[false, true] {
             let (g, _) = simulate(fair, hog_us);
             let polite_min = g[..N - 1].iter().cloned().fold(f64::INFINITY, f64::min);
-            println!(
-                "{:>9} {:>9} {:>11} {:>9} {:>6}",
+            table.row(cells![
                 mbps(hog_rate),
                 if fair { "FRED" } else { "droptail" },
                 mbps(polite_min),
                 mbps(g[N - 1]),
-                f2(jain_fairness(&g)),
-            );
+                f2(jain_fairness(&g))
+            ]);
         }
     }
     let (_, occ) = simulate(true, 30);
-    println!("\nmean buffer occupancy under FRED (data-plane reports): {occ:.0} bytes");
-    footnote(
+    report.blank();
+    report.line(format!(
+        "mean buffer occupancy under FRED (data-plane reports): {occ:.0} bytes"
+    ));
+    report.note(
         "per-active-flow occupancy and flow counts come entirely from \
          enqueue/dequeue events — signals a baseline ingress pipeline \
          cannot obtain. FRED caps every flow at its fair share, so Jain \
          stays ~1.0 while drop-tail lets the hog take the buffer.",
-    );
+    )
 }

@@ -12,7 +12,7 @@
 //! the pipeline is idle). This bench makes that cost concrete: effective
 //! forwarding capacity vs. event rate, slot-accounted, for both designs.
 
-use crate::{f2, footnote, table_header};
+use crate::{Cell, Report};
 use edp_core::event::UserEvent;
 use edp_core::{Event, EventMerger, MergerConfig};
 use edp_evsim::SimRng;
@@ -84,11 +84,12 @@ fn run_native(load: f64, events_per_100: u32, cycles: u64, seed: u64) -> (u64, u
     (fwd, delivered, 0)
 }
 
-pub fn run() {
+pub fn run() -> Report {
+    let mut report = Report::default();
     const CYCLES: u64 = 1_000_000;
     const LOAD: f64 = 0.95;
-    println!("pipeline slot model: 95% offered packet load, 1M slots");
-    table_header(
+    report.line("pipeline slot model: 95% offered packet load, 1M slots");
+    let table = report.table(
         "emulated events (recirculation) vs native (metadata piggyback)",
         &[
             ("events/100cyc", 14),
@@ -101,24 +102,15 @@ pub fn run() {
     for &rate in &[0u32, 1, 5, 10, 25, 50, 100] {
         let (e_fwd, _e_del, e_def) = run_emulation(LOAD, rate, CYCLES, 3);
         let (n_fwd, _n_del, _) = run_native(LOAD, rate, CYCLES, 3);
-        println!(
-            "{:>14} {:>10} {:>14} {:>12} {:>18}",
-            rate,
-            e_fwd,
-            e_def,
-            n_fwd,
-            format!(
-                "{}%",
-                f2(100.0 * (n_fwd as f64 - e_fwd as f64) / n_fwd as f64)
-            ),
-        );
+        let cost = 100.0 * (n_fwd as f64 - e_fwd as f64) / n_fwd as f64;
+        table.row(cells![rate, e_fwd, e_def, n_fwd, Cell::Num(cost, 2, "%")]);
     }
-    footnote(
+    report.note(
         "every recirculated pseudo-event packet steals a full pipeline \
          slot from ingress traffic, so emulation taxes forwarding \
          capacity linearly with the event rate (≈1% per event per 100 \
          cycles); the event-driven design pays nothing at high load — \
          the paper's argument for why native support needs (cheap, \
          Table 3) hardware changes rather than emulation.",
-    );
+    )
 }

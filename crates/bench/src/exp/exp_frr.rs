@@ -5,7 +5,7 @@
 //! scales linearly with the control loop; event-driven loss is ~0 and
 //! independent of it.
 
-use crate::{footnote, table_header};
+use crate::{Cell, Report};
 use edp_apps::common::{addr, run_until};
 use edp_apps::frr::{FrrBaseline, FrrEvent, CP_OP_SET_ROUTE};
 use edp_core::{BaselineAdapter, EventSwitch, EventSwitchConfig};
@@ -91,9 +91,12 @@ fn simulate(event: bool, cp_latency: SimDuration) -> (u64, Option<SimTime>) {
     (PKTS - net.hosts[sink].stats.rx_pkts, failover)
 }
 
-pub fn run() {
-    println!("primary link fails at {FAIL_AT}; one 500 B packet per {INTERVAL} ({PKTS} total)");
-    table_header(
+pub fn run() -> Report {
+    let mut report = Report::default();
+    report.line(format!(
+        "primary link fails at {FAIL_AT}; one 500 B packet per {INTERVAL} ({PKTS} total)"
+    ));
+    let table = report.table(
         "fast re-route: packets lost during failover",
         &[
             ("variant", 26),
@@ -102,27 +105,17 @@ pub fn run() {
             ("failover at", 12),
         ],
     );
-    let (lost, at) = simulate(true, SimDuration::ZERO);
-    println!(
-        "{:>26} {:>11} {:>6} {:>12}",
-        "event-driven",
-        "-",
-        lost,
-        at.map(|t| t.to_string()).unwrap_or_else(|| "-".into())
-    );
+    let at = |at: Option<SimTime>| at.map_or_else(|| "-".into(), |t| t.to_string());
+    let (lost, failover) = simulate(true, SimDuration::ZERO);
+    table.row(cells!["event-driven", "-", lost, at(failover)]);
     for &ms in &[1u64, 2, 5, 10, 20] {
-        let (lost, at) = simulate(false, SimDuration::from_millis(ms));
-        println!(
-            "{:>26} {:>11} {:>6} {:>12}",
-            "baseline + controller",
-            format!("{ms} ms"),
-            lost,
-            at.map(|t| t.to_string()).unwrap_or_else(|| "-".into())
-        );
+        let (lost, failover) = simulate(false, SimDuration::from_millis(ms));
+        let latency = Cell::Num(ms as f64, 0, " ms");
+        table.row(cells!["baseline + controller", latency, lost, at(failover)]);
     }
-    footnote(
+    report.note(
         "loss = control latency x packet rate for the baseline (a straight \
          line through the origin); the link-status event handler loses \
          only in-flight packets — effectively zero.",
-    );
+    )
 }

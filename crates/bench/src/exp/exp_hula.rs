@@ -5,7 +5,7 @@
 //! period ablation. Reproduction target: HULA steers traffic off the
 //! congested path, beating ECMP whose hashed flows strand on it.
 
-use crate::{f2, footnote, mbps, table_header};
+use crate::{f2, mbps, Cell, Report};
 use edp_apps::hula::testbed::{
     drive, ecmp_leaf, event_leaf, event_leaf_with_period, fabric, fabric_with_period,
 };
@@ -14,8 +14,9 @@ use edp_core::EventSwitch;
 use edp_evsim::jain_fairness;
 use edp_evsim::SimDuration;
 
-pub fn run() {
-    table_header(
+pub fn run() -> Report {
+    let mut report = Report::default();
+    let table = report.table(
         "HULA vs ECMP: aggregate goodput over the asymmetric fabric",
         &[
             ("flows", 6),
@@ -32,18 +33,17 @@ pub fn run() {
         let (mut net, h0, h1) = fabric(&event_leaf);
         let h = drive(&mut net, h0, h1, flows);
         let (et, ht): (f64, f64) = (e.iter().sum(), h.iter().sum());
-        println!(
-            "{:>6} {:>10} {:>10} {:>10} {:>10} {:>8}",
+        table.row(cells![
             flows,
             mbps(et),
             mbps(ht),
             f2(jain_fairness(&e)),
             f2(jain_fairness(&h)),
             f2(ht / et)
-        );
+        ]);
     }
 
-    table_header(
+    let table = report.table(
         "ablation: probe period (stale probes = stale utilization info)",
         &[
             ("probe period", 13),
@@ -58,43 +58,40 @@ pub fn run() {
             fabric_with_period(&move |tor| event_leaf_with_period(tor, period), period);
         let g: f64 = drive(&mut net, h0, h1, 8).iter().sum();
         let leaf0 = &net.switch_as::<EventSwitch<HulaLeaf>>(0).program;
-        println!(
-            "{:>13} {:>10} {:>14} {:>12}",
-            format!("{us} us"),
+        table.row(cells![
+            Cell::Num(us as f64, 0, " us"),
             mbps(g),
             leaf0.path_switches,
-            leaf0.probes_sent,
-        );
+            leaf0.probes_sent
+        ]);
     }
 
     // Probe accounting for the default configuration.
     let (mut net, h0, h1) = fabric(&event_leaf);
     let _ = drive(&mut net, h0, h1, 8);
     let leaf0 = &net.switch_as::<EventSwitch<HulaLeaf>>(0).program;
-    println!();
-    println!("probe accounting (leaf0, 50 ms run, 200 us period):");
-    println!(
-        "  probes generated by the data plane : {}",
-        leaf0.probes_sent
-    );
-    println!(
-        "  probe updates applied              : {}",
-        leaf0.probes_applied
-    );
-    println!(
-        "  path switches                      : {}",
-        leaf0.path_switches
-    );
-    println!(
-        "  best uplink to ToR1                : port {}",
-        leaf0.best[1].port
-    );
-    println!("  control-plane messages             : {}", net.cp_messages);
+    report.blank();
+    report.line("probe accounting (leaf0, 50 ms run, 200 us period):");
+    for (what, value) in [
+        (
+            "probes generated by the data plane",
+            leaf0.probes_sent.to_string(),
+        ),
+        ("probe updates applied", leaf0.probes_applied.to_string()),
+        ("path switches", leaf0.path_switches.to_string()),
+        (
+            "best uplink to ToR1",
+            format!("port {}", leaf0.best[1].port),
+        ),
+        ("control-plane messages", net.cp_messages.to_string()),
+    ] {
+        report.line(format!("  {what:<34} : {value}"));
+    }
 
-    footnote(
+    report.note(
         "probes are generated from timer events and utilization is measured \
          from packet-transmitted events — no control plane, no end hosts, \
          the exact gap §1 calls out in baseline PISA. ECMP's hashed flows \
          stay pinned to the 100 Mb/s path; HULA converges to the fast one.",
-    );
+    )
 }

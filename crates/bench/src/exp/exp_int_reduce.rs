@@ -4,14 +4,14 @@
 //! volume of per-packet INT vs the event-driven reducer, and whether the
 //! anomaly (a mid-run burst) still surfaced.
 
-use crate::{f2, footnote, table_header};
-use edp_apps::common::{addr, dumbbell, run_until, sink_addr};
+use super::udp_flow;
+use crate::{Cell, Report};
+use edp_apps::common::{addr, dumbbell, run_until};
 use edp_apps::int_reduce::{IntPerPacket, IntReduced, NOTIFY_ANOMALY, TIMER_WINDOW};
 use edp_core::{EventSwitch, EventSwitchConfig, TimerSpec};
 use edp_evsim::{Sim, SimDuration, SimTime};
 use edp_netsim::traffic::{start_burst, start_cbr};
 use edp_netsim::Network;
-use edp_packet::PacketBuilder;
 use edp_pisa::QueueConfig;
 
 const HORIZON: SimTime = SimTime::from_millis(100);
@@ -26,32 +26,27 @@ fn qc() -> QueueConfig {
 
 fn drive(net: &mut Network, sim: &mut Sim<Network>, senders: &[usize]) {
     for (i, &h) in senders.iter().take(2).enumerate() {
-        let src = addr(i as u8 + 1);
         start_cbr(
             sim,
             h,
             SimTime::ZERO,
             SimDuration::from_micros(50),
             1800,
-            move |s| {
-                PacketBuilder::udp(src, sink_addr(), 10 + i as u16, 20, &[])
-                    .ident(s as u16)
-                    .pad_to(1000)
-                    .build()
-            },
+            udp_flow(addr(i as u8 + 1), 10 + i as u16, 20, 1000),
         );
     }
-    let src = addr(3);
-    start_burst(sim, senders[2], SimTime::from_millis(50), 80, move |s| {
-        PacketBuilder::udp(src, sink_addr(), 30, 40, &[])
-            .ident(s as u16)
-            .pad_to(1500)
-            .build()
-    });
+    start_burst(
+        sim,
+        senders[2],
+        SimTime::from_millis(50),
+        80,
+        udp_flow(addr(3), 30, 40, 1500),
+    );
     run_until(net, sim, HORIZON);
 }
 
-pub fn run() {
+pub fn run() -> Report {
+    let mut report = Report::default();
     // Baseline firehose.
     let cfg = EventSwitchConfig {
         n_ports: 4,
@@ -66,9 +61,9 @@ pub fn run() {
         .switch_as::<EventSwitch<IntPerPacket>>(0)
         .program
         .reports;
-    println!("per-packet INT reports over {HORIZON}: {raw}");
+    report.line(format!("per-packet INT reports over {HORIZON}: {raw}"));
 
-    table_header(
+    let table = report.table(
         "event-driven reduction vs aggregation window",
         &[
             ("window (ms)", 12),
@@ -96,19 +91,18 @@ pub fn run() {
         drive(&mut net, &mut sim, &senders);
         let prog = &net.switch_as::<EventSwitch<IntReduced>>(0).program;
         let burst_seen = net.cp_log.iter().any(|(_, n)| n.code == NOTIFY_ANOMALY);
-        println!(
-            "{:>12} {:>8} {:>10} {:>10} {:>11}",
+        table.row(cells![
             ms,
             prog.reports,
             prog.anomaly_reports,
-            format!("{}x", f2(raw as f64 / prog.reports as f64)),
-            if burst_seen { "yes" } else { "NO" },
-        );
+            Cell::Num(raw as f64 / prog.reports as f64, 2, "x"),
+            if burst_seen { "yes" } else { "NO" }
+        ]);
     }
-    footnote(
+    report.note(
         "aggregating congestion signals in enqueue/dequeue/overflow \
          handlers and reporting once per timer window cuts the monitor \
          load by orders of magnitude, while the anomaly watchlist still \
          surfaces the microburst immediately in every configuration.",
-    );
+    )
 }

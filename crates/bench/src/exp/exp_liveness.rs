@@ -5,7 +5,7 @@
 //! Reproduction target: detection within timeout + one sweep period, and
 //! zero control-plane involvement until the final notification.
 
-use crate::{f2, footnote, table_header};
+use crate::{f2, Report};
 use edp_apps::common::{addr, run_until};
 use edp_apps::liveness::{
     LivenessMonitor, LivenessReflector, Neighbor, CP_OP_KILL, NOTIFY_NEIGHBOR_DEAD, TIMER_CHECK,
@@ -68,9 +68,10 @@ pub(super) fn build(probe_ms: u64, timeout_ms: u64) -> Network {
     net
 }
 
-pub fn run() {
+pub fn run() -> Report {
+    let mut report = Report::default();
     let kill_at = SimTime::from_millis(30);
-    table_header(
+    let table = report.table(
         "liveness monitoring: detection latency vs probe period",
         &[
             ("probe (ms)", 11),
@@ -95,20 +96,19 @@ pub fn run() {
             .cp_log
             .iter()
             .any(|(sw, n)| *sw == 0 && n.code == NOTIFY_NEIGHBOR_DEAD);
-        println!(
-            "{:>11} {:>13} {:>12} {:>20} {:>11}",
+        table.row(cells![
             probe_ms,
             timeout_ms,
             mon.probes_sent,
-            latency.map(f2).unwrap_or_else(|| "-".into()),
+            latency.map_or_else(|| "-".into(), f2),
             timeout_ms + 2 * probe_ms,
-        );
+        ]);
         assert!(notified, "monitor must notify on detection");
     }
-    footnote(
+    report.note(
         "requests are generated by timer events and reflected by the \
          neighbor's data plane; detection always lands within timeout + \
          probe + sweep, and the central monitor is notified by the data \
          plane itself — \"no intervention by the control plane\".",
-    );
+    )
 }

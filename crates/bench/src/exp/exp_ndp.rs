@@ -4,15 +4,16 @@
 //! the receiver learns about: with trimming every overflow victim
 //! arrives as a high-priority header; with drop-tail the victims vanish.
 
-use crate::{footnote, table_header};
-use edp_apps::common::{addr, dumbbell, run_until, sink_addr};
+use super::udp_flow;
+use crate::Report;
+use edp_apps::common::{addr, dumbbell, run_until};
 use edp_apps::ndp::NdpTrim;
 use edp_core::event::OverflowEvent;
 use edp_core::{EventActions, EventProgram, EventSwitch, EventSwitchConfig};
 use edp_evsim::{Sim, SimTime};
 use edp_netsim::traffic::start_burst;
-use edp_netsim::Network;
-use edp_packet::{Packet, PacketBuilder, ParsedPacket};
+use edp_netsim::{Network, SwitchHarness};
+use edp_packet::{Packet, ParsedPacket};
 use edp_pisa::{QueueConfig, QueueDisc, StdMeta};
 
 const CAPACITY: u64 = 20_000;
@@ -45,29 +46,20 @@ fn simulate(trim: bool, burst: u64) -> (u64, u64, u64) {
         },
         ..Default::default()
     };
-    let (mut net, senders, sink, _) = if trim {
-        dumbbell(
-            Box::new(EventSwitch::new(NdpTrim::new(1), cfg)),
-            1,
-            100_000_000,
-            95,
-        )
+    let sw: Box<dyn SwitchHarness> = if trim {
+        Box::new(EventSwitch::new(NdpTrim::new(1), cfg))
     } else {
-        dumbbell(
-            Box::new(EventSwitch::new(NoTrim(NdpTrim::new(1)), cfg)),
-            1,
-            100_000_000,
-            95,
-        )
+        Box::new(EventSwitch::new(NoTrim(NdpTrim::new(1)), cfg))
     };
+    let (mut net, senders, sink, _) = dumbbell(sw, 1, 100_000_000, 95);
     let mut sim: Sim<Network> = Sim::new();
-    let src = addr(1);
-    start_burst(&mut sim, senders[0], SimTime::ZERO, burst, move |i| {
-        PacketBuilder::udp(src, sink_addr(), 40, 50, &[])
-            .ident(i as u16)
-            .pad_to(1500)
-            .build()
-    });
+    start_burst(
+        &mut sim,
+        senders[0],
+        SimTime::ZERO,
+        burst,
+        udp_flow(addr(1), 40, 50, 1500),
+    );
     run_until(&mut net, &mut sim, SimTime::from_millis(100));
     let delivered = net.hosts[sink].stats.rx_pkts;
     let (trimmed, lost) = if trim {
@@ -80,9 +72,10 @@ fn simulate(trim: bool, burst: u64) -> (u64, u64, u64) {
     (delivered, trimmed, lost)
 }
 
-pub fn run() {
-    println!("20 KB data buffer + 8 KB header reserve; 1500 B bursts into 100 Mb/s");
-    table_header(
+pub fn run() -> Report {
+    let mut report = Report::default();
+    report.line("20 KB data buffer + 8 KB header reserve; 1500 B bursts into 100 Mb/s");
+    let table = report.table(
         "NDP trimming vs drop-tail: what the receiver learns about",
         &[
             ("burst", 6),
@@ -96,16 +89,13 @@ pub fn run() {
     for &burst in &[10u64, 20, 50, 100, 200] {
         let (d_rx, _, d_lost) = simulate(false, burst);
         let (t_rx, t_trim, t_lost) = simulate(true, burst);
-        println!(
-            "{:>6} {:>12} {:>14} {:>8} {:>8} {:>12}",
-            burst, d_rx, d_lost, t_rx, t_trim, t_lost
-        );
+        table.row(cells![burst, d_rx, d_lost, t_rx, t_trim, t_lost]);
     }
-    footnote(
+    report.note(
         "the overflow event plus trim_and_requeue turns every would-be \
          silent loss into a high-priority header the receiver can act on \
          (NDP's pull-based retransmit); drop-tail hides the same losses \
          behind timeouts. Header reserve bounds the rescue capacity: \
          oversized bursts overflow even the header queue eventually.",
-    );
+    )
 }

@@ -5,7 +5,7 @@
 //! let the cache "more rapidly react to workload changes". The hot set
 //! shifts mid-run; we compare phase-2 hit rates with and without resets.
 
-use crate::{f2, footnote, table_header};
+use crate::{f2, Report};
 use edp_apps::common::run_until;
 use edp_apps::netcache::{NetCacheSwitch, TIMER_STATS};
 use edp_core::{EventSwitch, EventSwitchConfig, TimerSpec};
@@ -94,8 +94,9 @@ fn server_load(net: &Network, server: usize) -> u64 {
     }
 }
 
-pub fn run() {
-    table_header(
+pub fn run() -> Report {
+    let mut report = Report::default();
+    let table = report.table(
         "server load shed vs workload skew (5000 GETs, 8-entry cache)",
         &[
             ("zipf s", 7),
@@ -110,16 +111,15 @@ pub fn run() {
         gets(&mut sim, client, SimTime::ZERO, 5000, s, 0, 5);
         run_until(&mut net, &mut sim, SimTime::from_millis(150));
         let prog = &net.switch_as::<EventSwitch<NetCacheSwitch>>(0).program;
-        println!(
-            "{:>7} {:>9} {:>12} {:>12}",
+        table.row(cells![
             f2(s),
             f2(prog.hit_rate()),
             server_load(&net, server),
-            f2(100.0 * prog.cache_hits as f64 / 5000.0),
-        );
+            f2(100.0 * prog.cache_hits as f64 / 5000.0)
+        ]);
     }
 
-    table_header(
+    let table = report.table(
         "adaptation to a hot-set shift (phase 2 hits; paper's timer-reset claim)",
         &[
             ("stats reset", 12),
@@ -149,19 +149,14 @@ pub fn run() {
         run_until(&mut net, &mut sim, SimTime::from_millis(200));
         let prog = &net.switch_as::<EventSwitch<NetCacheSwitch>>(0).program;
         let p2 = prog.cache_hits - p1;
-        println!(
-            "{:>12} {:>12} {:>12} {:>12}",
-            if reset { "timer (2ms)" } else { "never" },
-            p1,
-            p2,
-            f2(p2 as f64 / 3000.0),
-        );
+        let reset = if reset { "timer (2ms)" } else { "never" };
+        table.row(cells![reset, p1, p2, f2(p2 as f64 / 3000.0)]);
     }
-    footnote(
+    report.note(
         "cached GETs are answered by switch-generated replies (the \
          Generated Packet event); hot-key detection is a CMS cleared by a \
          timer event. Clearing keeps popularity *recent*, so the cache \
          re-converges after the hot set shifts — the paper's NetCache \
          improvement, measured.",
-    );
+    )
 }

@@ -4,14 +4,14 @@
 //! the computed rank. Compares steady-flow latency against FIFO when a
 //! burst flow dumps its demand at once, and fairness across equal flows.
 
-use crate::{f2, footnote, table_header};
+use super::udp_flow;
+use crate::{f2, Cell, Report};
 use edp_apps::common::{addr, dumbbell, run_until, sink_addr};
 use edp_apps::scheduler::StfqScheduler;
 use edp_core::{EventSwitch, EventSwitchConfig};
 use edp_evsim::{Sim, SimDuration, SimTime};
 use edp_netsim::traffic::{start_burst, start_cbr};
 use edp_netsim::Network;
-use edp_packet::PacketBuilder;
 use edp_pisa::{QueueConfig, QueueDisc};
 
 const BOTTLENECK: u64 = 100_000_000;
@@ -37,28 +37,22 @@ fn simulate(pifo: bool, burst_pkts: u64) -> Vec<f64> {
     let (mut net, senders, sink, _) = dumbbell(Box::new(sw), 3, BOTTLENECK, 83);
     let mut sim: Sim<Network> = Sim::new();
     for (i, &h) in senders.iter().take(2).enumerate() {
-        let src = addr(i as u8 + 1);
         start_cbr(
             &mut sim,
             h,
             SimTime::ZERO,
             SimDuration::from_micros(400),
             120,
-            move |s| {
-                PacketBuilder::udp(src, sink_addr(), 100 + i as u16, 9000, &[])
-                    .ident(s as u16)
-                    .pad_to(1500)
-                    .build()
-            },
+            udp_flow(addr(i as u8 + 1), 100 + i as u16, 9000, 1500),
         );
     }
-    let src = addr(3);
-    start_burst(&mut sim, senders[2], SimTime::ZERO, burst_pkts, move |s| {
-        PacketBuilder::udp(src, sink_addr(), 300, 9000, &[])
-            .ident(s as u16)
-            .pad_to(1500)
-            .build()
-    });
+    start_burst(
+        &mut sim,
+        senders[2],
+        SimTime::ZERO,
+        burst_pkts,
+        udp_flow(addr(3), 300, 9000, 1500),
+    );
     run_until(&mut net, &mut sim, HORIZON);
     (0..3)
         .map(|i| {
@@ -79,11 +73,12 @@ fn simulate(pifo: bool, burst_pkts: u64) -> Vec<f64> {
         .collect()
 }
 
-pub fn run() {
-    println!(
-        "2 steady flows (30 Mb/s each) + 1 burst flow into 100 Mb/s; PIFO rank = STFQ start tag"
+pub fn run() -> Report {
+    let mut report = Report::default();
+    report.line(
+        "2 steady flows (30 Mb/s each) + 1 burst flow into 100 Mb/s; PIFO rank = STFQ start tag",
     );
-    table_header(
+    let table = report.table(
         "steady-flow mean latency (us) vs burst size: FIFO vs STFQ/PIFO",
         &[
             ("burst pkts", 11),
@@ -99,21 +94,20 @@ pub fn run() {
         let stfq = simulate(true, burst);
         let f_steady = (fifo[0] + fifo[1]) / 2.0;
         let s_steady = (stfq[0] + stfq[1]) / 2.0;
-        println!(
-            "{:>11} {:>12} {:>12} {:>11} {:>11} {:>11}",
+        table.row(cells![
             burst,
             f2(f_steady),
             f2(s_steady),
             f2(fifo[2]),
             f2(stfq[2]),
-            format!("{:.1}x", f_steady / s_steady),
-        );
+            Cell::Num(f_steady / s_steady, 1, "x")
+        ]);
     }
-    footnote(
+    report.note(
         "the burst parks its whole demand in the queue; under FIFO the \
          steady flows wait behind all of it, under STFQ their rank lets \
          them interleave — latency protection grows with the burst while \
          the burst itself finishes at essentially the same time \
          (work conservation). Virtual time comes from dequeue events.",
-    );
+    )
 }

@@ -10,15 +10,16 @@
 //! * more idle-cycle memory bandwidth tightens the bound (the paper's
 //!   "packet processing bandwidth versus accuracy" trade-off).
 
-use crate::{f2, footnote, table_header};
+use crate::{f2, Report};
 use edp_core::{run_staleness_experiment, AggregConfig, StalenessReport};
 use edp_evsim::{default_threads, sweep};
 
-pub fn run() {
+pub fn run() -> Report {
+    let mut report = Report::default();
     const ENTRIES: usize = 64;
     const PACKETS: u64 = 200_000;
 
-    table_header(
+    let table = report.table(
         "Figure 3: staleness vs pipeline speedup (folds/idle-cycle = 1)",
         &[
             ("speedup", 8),
@@ -40,17 +41,16 @@ pub fn run() {
         run_staleness_experiment(cfg, speedup, PACKETS, |p| (p % ENTRIES as u64) as usize)
     });
     for (speedup, r) in speedups.iter().zip(&reports) {
-        println!(
-            "{:>8} {:>14} {:>15} {:>12} {:>12}",
+        table.row(cells![
             f2(*speedup),
             r.max_staleness,
             f2(r.mean_staleness),
             f2(r.stale_read_frac),
-            r.final_pending,
-        );
+            r.final_pending
+        ]);
     }
 
-    table_header(
+    let table = report.table(
         "ablation: idle-cycle fold budget at speedup 1.1",
         &[
             ("folds/idle", 11),
@@ -64,15 +64,10 @@ pub fn run() {
             folds_per_idle_cycle: folds,
         };
         let r = run_staleness_experiment(cfg, 1.1, PACKETS, |p| (p % ENTRIES as u64) as usize);
-        println!(
-            "{:>11} {:>14} {:>15}",
-            folds,
-            r.max_staleness,
-            f2(r.mean_staleness)
-        );
+        table.row(cells![folds, r.max_staleness, f2(r.mean_staleness)]);
     }
 
-    table_header(
+    let table = report.table(
         "skewed workload (all ops hit one entry) at folds = 1",
         &[
             ("speedup", 8),
@@ -86,18 +81,13 @@ pub fn run() {
             folds_per_idle_cycle: 1,
         };
         let r = run_staleness_experiment(cfg, speedup, PACKETS, |_| 0);
-        println!(
-            "{:>8} {:>14} {:>15}",
-            f2(speedup),
-            r.max_staleness,
-            f2(r.mean_staleness)
-        );
+        table.row(cells![f2(speedup), r.max_staleness, f2(r.mean_staleness)]);
     }
 
-    footnote(
+    report.note(
         "staleness = unapplied aggregated bytes (enq_agg + deq_agg), the \
          quantity that bounds both read error and required aggregation \
          register width. Unbounded at speedup 1.0, bounded for any \
          speedup > 1 — the paper's §4 claim.",
-    );
+    )
 }

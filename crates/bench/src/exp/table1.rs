@@ -4,7 +4,7 @@
 //! then prints Table 1 augmented with the observed count and whether a
 //! baseline PISA programming model exposes the event.
 
-use crate::{footnote, table_header};
+use crate::Report;
 use edp_core::{
     EventActions, EventKind, EventProgram, EventSwitch, EventSwitchConfig, PacketGenConfig,
     TimerSpec,
@@ -56,7 +56,7 @@ impl EventProgram for Exerciser {
     }
 }
 
-pub fn run() {
+pub fn run() -> Report {
     let cfg = EventSwitchConfig {
         n_ports: 2,
         queue: QueueConfig {
@@ -108,25 +108,22 @@ pub fn run() {
     sw.control_plane(SimTime::from_micros(21), 1, [0; 4]);
     sw.set_link_status(SimTime::from_micros(22), 0, false);
 
-    table_header(
+    let mut report = Report::default();
+    let table = report.table(
         "Table 1: data-plane events (with observed coverage)",
         &[("event", 24), ("baseline PISA", 14), ("observed", 9)],
     );
     let counters = sw.event_counters();
     for kind in EventKind::ALL {
-        println!(
-            "{:>24} {:>14} {:>9}",
-            kind.name(),
-            if kind.baseline_supported() {
-                "yes"
-            } else {
-                "no"
-            },
-            counters.get(kind)
-        );
+        let baseline = if kind.baseline_supported() {
+            "yes"
+        } else {
+            "no"
+        };
+        table.row(cells![kind.name(), baseline, counters.get(kind)]);
     }
-    footnote(
+    report.note(
         "all 13 kinds fired in one run of the SUME Event Switch model; \
          the baseline model exposes only the three packet events.",
-    );
+    )
 }

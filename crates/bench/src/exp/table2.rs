@@ -7,9 +7,9 @@
 //! own §5 experiments (`exp_frr`, `exp_liveness`, `exp_aqm`,
 //! `exp_netcache`).
 
-use super::{exp_aqm, exp_frr, exp_liveness, exp_netcache};
-use crate::{footnote, table_header};
-use edp_apps::common::{addr, dumbbell, run_until, sink_addr};
+use super::{exp_aqm, exp_frr, exp_liveness, exp_netcache, udp_flow};
+use crate::Report;
+use edp_apps::common::{addr, dumbbell, run_until};
 use edp_apps::fred::FredAqm;
 use edp_apps::frr::FrrEvent;
 use edp_apps::hula::{testbed, HulaLeaf};
@@ -20,7 +20,6 @@ use edp_core::{EventKind, EventProgram, EventSwitch, EventSwitchConfig};
 use edp_evsim::{Sim, SimDuration, SimTime};
 use edp_netsim::traffic::start_burst;
 use edp_netsim::Network;
-use edp_packet::PacketBuilder;
 use edp_pisa::QueueConfig;
 
 /// Event kinds switch 0 (an `EventSwitch<P>`) used beyond plain packet
@@ -78,18 +77,12 @@ fn run_microburst() -> String {
     let sw = EventSwitch::new(MicroburstEvent::new(64, 20_000, 2), cfg);
     let (mut net, senders, _, _) = dumbbell(Box::new(sw), 2, 1_000_000_000, 6);
     let mut sim: Sim<Network> = Sim::new();
-    let src = addr(2);
     start_burst(
         &mut sim,
         senders[1],
         SimTime::from_millis(1),
         60,
-        move |i| {
-            PacketBuilder::udp(src, sink_addr(), 3, 4, &[])
-                .ident(i as u16)
-                .pad_to(1500)
-                .build()
-        },
+        udp_flow(addr(2), 3, 4, 1500),
     );
     run_until(&mut net, &mut sim, SimTime::from_millis(10));
     interesting_events::<MicroburstEvent>(&net)
@@ -108,8 +101,9 @@ fn run_netcache() -> String {
     interesting_events::<NetCacheSwitch>(&net)
 }
 
-pub fn run() {
-    table_header(
+pub fn run() -> Report {
+    let mut report = Report::default();
+    let table = report.table(
         "Table 2: application classes (events observed at run time)",
         &[("class", 28), ("example", 22), ("events used", 42)],
     );
@@ -134,11 +128,11 @@ pub fn run() {
         ),
     ];
     for (class, example, events) in rows {
-        println!("{class:>28} {example:>22} {events:>42}");
+        table.row(cells![class, example, events]);
     }
-    footnote(
+    report.note(
         "each row ran its application on a simulated topology; the events \
          column lists the non-baseline event kinds the switch program \
          actually consumed — matching Table 2's \"Events Used\".",
-    );
+    )
 }

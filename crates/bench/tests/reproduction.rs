@@ -1,4 +1,5 @@
-//! The paper reproduction, pinned: every `## <name>` section of
+//! The paper reproduction, pinned: every experiment returns a `Report`,
+//! `edp_exp` renders it, and every `## <name>` section of
 //! `docs/experiment_output.txt` is, byte for byte, what `edp_exp <name>`
 //! prints. The reports are modelled results (no wall-clock), identical in
 //! debug and release and for every `EDP_SWEEP_THREADS`, so

@@ -25,6 +25,21 @@ fn staleness_bounded_iff_faster_than_line_rate() {
     assert!(slightly_faster.max_staleness < at_line_rate.max_staleness / 10);
     assert!(much_faster.max_staleness <= slightly_faster.max_staleness);
     assert!(much_faster.mean_staleness <= slightly_faster.mean_staleness);
+
+    // Over two run lengths: at line rate, twice the packets park twice
+    // the bytes (375 KB, then 750 KB); faster than line rate, the bound
+    // does not move with the run length.
+    let max_stale = |speedup: f64, packets: u64| {
+        run_staleness_experiment(cfg, speedup, packets, |p| (p % 16) as usize).max_staleness
+    };
+    assert_eq!(max_stale(1.0, 60_000), 2 * at_line_rate.max_staleness);
+    for speedup in [1.1, 1.25, 2.0] {
+        assert_eq!(
+            max_stale(speedup, 60_000),
+            max_stale(speedup, 30_000),
+            "speed-up {speedup}"
+        );
+    }
 }
 
 #[test]
