@@ -105,7 +105,11 @@ pub fn run() -> Report {
             ("failover at", 12),
         ],
     );
-    let at = |at: Option<SimTime>| at.map_or_else(|| "-".into(), |t| t.to_string());
+    let at = |at: Option<SimTime>| {
+        at.map_or("-".into(), |t| {
+            Cell::Num(t.as_nanos() as f64 / 1e6, 3, "ms")
+        })
+    };
     let (lost, failover) = simulate(true, SimDuration::ZERO);
     table.row(cells!["event-driven", "-", lost, at(failover)]);
     for &ms in &[1u64, 2, 5, 10, 20] {

@@ -61,8 +61,8 @@ pub struct Table {
 }
 
 /// One table cell: text, or a number with the decimals and the unit it
-/// is shown with (`"%"`, `"x"`, `" us"`, `" ms"` or `""`).
-#[derive(Clone, Debug, PartialEq)]
+/// is shown with (`"%"`, `"x"`, `" us"`, `" ms"`, `"ms"` or `""`).
+#[derive(Debug)]
 pub enum Cell {
     /// Text, shown as is.
     Text(String),
@@ -83,11 +83,10 @@ impl Report {
 
     /// Appends a table with no rows yet and returns it, for its rows.
     pub fn table(&mut self, title: &str, columns: &[(&'static str, usize)]) -> &mut Table {
-        let (title, columns, rows) = (title.into(), columns.to_vec(), Vec::new());
         self.blocks.push(Block::Table(Table {
-            title,
-            columns,
-            rows,
+            title: title.into(),
+            columns: columns.to_vec(),
+            rows: Vec::new(),
         }));
         match self.blocks.last_mut() {
             Some(Block::Table(table)) => table,
