@@ -117,53 +117,44 @@ impl EventProgram for CmsMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::{addr, dumbbell, run_until, sink_addr};
+    use crate::common::{run_until, Dumbbell, Flow, Scenario};
     use edp_core::{EventSwitch, EventSwitchConfig, TimerSpec};
     use edp_evsim::{Sim, SimDuration};
-    use edp_netsim::traffic::start_cbr;
     use edp_netsim::Network;
-    use edp_packet::PacketBuilder;
 
     const PERIOD: SimDuration = SimDuration::from_millis(1);
+    const HORIZON: SimTime = SimTime::from_millis(10);
 
-    fn build(timers: Vec<TimerSpec>) -> (Network, edp_netsim::HostId) {
+    /// One flow of 450 × 500 B, one every 20 us; the built world.
+    fn build(timers: Vec<TimerSpec>) -> (Network, Sim<Network>) {
         let cfg = EventSwitchConfig {
             n_ports: 2,
             timers,
             ..Default::default()
         };
         let sw = EventSwitch::new(CmsMonitor::new(512, 4, 1), cfg);
-        let (net, senders, _, _) = dumbbell(Box::new(sw), 1, 10_000_000_000, 11);
-        (net, senders[0])
-    }
-
-    fn drive(net: &mut Network, sim: &mut Sim<Network>, sender: edp_netsim::HostId) {
-        let src = addr(1);
-        start_cbr(
-            sim,
-            sender,
-            SimTime::ZERO,
-            SimDuration::from_micros(20),
-            450,
-            move |i| {
-                PacketBuilder::udp(src, sink_addr(), 1, 2, &[])
-                    .ident(i as u16)
-                    .pad_to(500)
-                    .build()
+        let interval = SimDuration::from_micros(20);
+        let flow = Flow::cbr(0, SimTime::ZERO, interval, 450, 1, 2, 500);
+        let sc = Scenario {
+            dumbbell: Dumbbell {
+                senders: 1,
+                bottleneck_bps: 10_000_000_000,
+                seed: 11,
             },
-        );
-        run_until(net, sim, SimTime::from_millis(10));
+            flows: vec![flow],
+            until: HORIZON,
+        };
+        sc.build(Box::new(sw))
     }
 
     #[test]
     fn timer_reset_is_punctual_and_free() {
-        let (mut net, sender) = build(vec![TimerSpec {
+        let (mut net, mut sim) = build(vec![TimerSpec {
             id: 0,
             period: PERIOD,
             start: PERIOD,
         }]);
-        let mut sim: Sim<Network> = Sim::new();
-        drive(&mut net, &mut sim, sender);
+        run_until(&mut net, &mut sim, HORIZON);
         let prog = &net.switch_as::<EventSwitch<CmsMonitor>>(0).program;
         assert_eq!(prog.resets.len(), 10, "one reset per ms");
         assert_eq!(prog.mean_reset_lateness_ns(PERIOD.as_nanos()), 0.0);
@@ -176,8 +167,7 @@ mod tests {
 
     #[test]
     fn control_plane_reset_pays_rtt_and_messages() {
-        let (mut net, sender) = build(vec![]);
-        let mut sim: Sim<Network> = Sim::new();
+        let (mut net, mut sim) = build(vec![]);
         // Controller issues a reset each period, arriving rtt/2 later.
         fn controller(w: &mut Network, s: &mut Sim<Network>) {
             let rtt_half = SimDuration::from_micros(250); // controller→switch latency
@@ -185,7 +175,7 @@ mod tests {
             s.rearm_at(s.now() + PERIOD, controller);
         }
         sim.schedule_at(SimTime::ZERO + PERIOD, controller);
-        drive(&mut net, &mut sim, sender);
+        run_until(&mut net, &mut sim, HORIZON);
         let prog = &net.switch_as::<EventSwitch<CmsMonitor>>(0).program;
         assert!(prog.resets.len() >= 9);
         let lateness = prog.mean_reset_lateness_ns(PERIOD.as_nanos());
@@ -198,13 +188,12 @@ mod tests {
 
     #[test]
     fn sketch_counts_between_resets() {
-        let (mut net, sender) = build(vec![TimerSpec {
+        let (mut net, mut sim) = build(vec![TimerSpec {
             id: 0,
             period: PERIOD,
             start: PERIOD,
         }]);
-        let mut sim: Sim<Network> = Sim::new();
-        drive(&mut net, &mut sim, sender);
+        run_until(&mut net, &mut sim, HORIZON);
         let prog = &net.switch_as::<EventSwitch<CmsMonitor>>(0).program;
         // 450 pkts × 500 B over 10 windows: peak per-window estimate for
         // the single flow is ≈ 45 × 500 = 22.5 KB (within CMS error).

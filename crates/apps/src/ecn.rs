@@ -96,11 +96,10 @@ impl EventProgram for TelemetryMarker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::{addr, dumbbell, run_until, sink_addr};
+    use crate::common::{addr, run_until, sink_addr, Dumbbell, Scenario};
     use edp_core::{EventSwitch, EventSwitchConfig};
-    use edp_evsim::{Sim, SimDuration};
+    use edp_evsim::SimDuration;
     use edp_netsim::traffic::start_cbr;
-    use edp_netsim::Network;
     use edp_packet::{parse_packet, PacketBuilder};
     use edp_pisa::QueueConfig;
 
@@ -116,12 +115,22 @@ mod tests {
         };
         let sw = EventSwitch::new(TelemetryMarker::new(2, 1), cfg);
         // 100 Mb/s bottleneck, overdriven 4× so a queue builds.
-        let (mut net, senders, sink, _) = dumbbell(Box::new(sw), 1, 100_000_000, 91);
-        let mut sim: Sim<Network> = Sim::new();
+        let sc = Scenario {
+            dumbbell: Dumbbell {
+                senders: 1,
+                bottleneck_bps: 100_000_000,
+                seed: 91,
+            },
+            flows: vec![],
+            until: SimTime::from_millis(100),
+        };
+        let (mut net, mut sim) = sc.build(Box::new(sw));
+        let sink = sc.sink();
         let src = addr(1);
+        // Telemetry frames are not a UDP `Flow`: sender 0 sends them by hand.
         start_cbr(
             &mut sim,
-            senders[0],
+            0,
             SimTime::ZERO,
             SimDuration::from_micros(30),
             500,
@@ -134,7 +143,7 @@ mod tests {
                 PacketBuilder::telemetry(src, sink_addr(), &rec, &[0u8; 1000]).build()
             },
         );
-        run_until(&mut net, &mut sim, SimTime::from_millis(100));
+        run_until(&mut net, &mut sim, sc.until);
         // Receiver side: per-packet quantitative depth.
         assert!(net.hosts[sink].stats.rx_pkts > 400);
         let prog = &net.switch_as::<EventSwitch<TelemetryMarker>>(0).program;

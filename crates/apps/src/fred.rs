@@ -119,12 +119,10 @@ impl EventProgram for FredAqm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::{addr, dumbbell, run_until, sink_addr};
+    use crate::common::{Dumbbell, Flow, Scenario};
     use edp_core::{EventSwitch, EventSwitchConfig, TimerSpec};
-    use edp_evsim::{jain_fairness, Sim, SimDuration};
-    use edp_netsim::traffic::start_cbr;
-    use edp_netsim::Network;
-    use edp_packet::PacketBuilder;
+    use edp_evsim::{jain_fairness, SimDuration};
+    use edp_netsim::SwitchHarness;
     use edp_pisa::{ForwardTo, QueueConfig};
 
     const CAPACITY: u64 = 30_000;
@@ -141,7 +139,7 @@ mod tests {
     /// 100 Mb/s bottleneck. Returns per-sender goodput (bps).
     fn run(fair: bool) -> (Vec<f64>, Option<Vec<(u64, f64)>>) {
         let n = 4;
-        let (mut net, senders, sink, _) = if fair {
+        let sw: Box<dyn SwitchHarness> = if fair {
             let cfg = EventSwitchConfig {
                 n_ports: 5,
                 queue: queue_cfg(),
@@ -152,44 +150,34 @@ mod tests {
                 }],
                 ..Default::default()
             };
-            let sw = EventSwitch::new(FredAqm::new(64, CAPACITY, 2000, 4), cfg);
-            dumbbell(Box::new(sw), n, BOTTLENECK, 55)
+            Box::new(EventSwitch::new(FredAqm::new(64, CAPACITY, 2000, 4), cfg))
         } else {
-            let sw = EventSwitch::baseline(ForwardTo(4), 5, queue_cfg());
-            dumbbell(Box::new(sw), n, BOTTLENECK, 55)
+            Box::new(EventSwitch::baseline(ForwardTo(4), 5, queue_cfg()))
         };
-        let mut sim: Sim<Network> = Sim::new();
-        let horizon = SimTime::from_millis(100);
-        for (i, &h) in senders.iter().enumerate() {
-            let src = addr(i as u8 + 1);
+        // Polite: 1500 B / 300 us = 40 Mb/s. Hog: 1500 B / 30 us = 400 Mb/s.
+        let flows = (0..n).map(|i| {
+            let interval = SimDuration::from_micros(if i == n - 1 { 30 } else { 300 });
             let port = 1000 + i as u16;
-            // Polite: 1500 B / 300 us = 40 Mb/s. Hog: 1500 B / 30 us = 400 Mb/s.
-            let interval = if i == n - 1 {
-                SimDuration::from_micros(30)
-            } else {
-                SimDuration::from_micros(300)
-            };
-            start_cbr(&mut sim, h, SimTime::ZERO, interval, u64::MAX, move |s| {
-                PacketBuilder::udp(src, sink_addr(), port, 9000, &[])
-                    .ident(s as u16)
-                    .pad_to(1500)
-                    .build()
-            });
-        }
-        run_until(&mut net, &mut sim, horizon);
-        let goodputs: Vec<f64> = (0..n)
-            .map(|i| {
-                let key = edp_packet::FlowKey::new(
-                    addr(i as u8 + 1),
-                    sink_addr(),
-                    edp_packet::IpProto::Udp,
-                    1000 + i as u16,
-                    9000,
-                );
-                net.hosts[sink]
+            Flow::cbr(i, SimTime::ZERO, interval, u64::MAX, port, 9000, 1500)
+        });
+        let sc = Scenario {
+            dumbbell: Dumbbell {
+                senders: n,
+                bottleneck_bps: BOTTLENECK,
+                seed: 55,
+            },
+            flows: flows.collect(),
+            until: SimTime::from_millis(100),
+        };
+        let net = sc.run(sw);
+        let goodputs: Vec<f64> = sc
+            .flows
+            .iter()
+            .map(|flow| {
+                net.hosts[sc.sink()]
                     .stats
                     .flows
-                    .get(&key)
+                    .get(&flow.key())
                     .map(|f| f.bytes as f64 * 8.0 / 0.1)
                     .unwrap_or(0.0)
             })
@@ -240,23 +228,18 @@ mod tests {
             ..Default::default()
         };
         let sw = EventSwitch::new(FredAqm::new(64, CAPACITY, 2000, 2), cfg);
-        let (mut net, senders, _, _) = dumbbell(Box::new(sw), 2, 10_000_000_000, 77);
-        let mut sim: Sim<Network> = Sim::new();
-        let src = addr(1);
-        start_cbr(
-            &mut sim,
-            senders[0],
-            SimTime::ZERO,
-            SimDuration::from_micros(50),
-            100,
-            move |i| {
-                PacketBuilder::udp(src, sink_addr(), 1, 2, &[])
-                    .ident(i as u16)
-                    .pad_to(1000)
-                    .build()
+        let interval = SimDuration::from_micros(50);
+        let flow = Flow::cbr(0, SimTime::ZERO, interval, 100, 1, 2, 1000);
+        let sc = Scenario {
+            dumbbell: Dumbbell {
+                senders: 2,
+                bottleneck_bps: 10_000_000_000,
+                seed: 77,
             },
-        );
-        run_until(&mut net, &mut sim, SimTime::from_millis(50));
+            flows: vec![flow],
+            until: SimTime::from_millis(50),
+        };
+        let net = sc.run(Box::new(sw));
         let p = &net.switch_as::<EventSwitch<FredAqm>>(0).program;
         assert_eq!(p.active_flows, 0);
         assert_eq!(p.total_occ, 0);

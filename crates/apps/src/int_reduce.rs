@@ -201,11 +201,9 @@ impl EventProgram for IntReduced {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::{addr, dumbbell, run_until, sink_addr};
+    use crate::common::{addr, Dumbbell, Flow, Scenario};
     use edp_core::{EventSwitch, EventSwitchConfig, TimerSpec};
-    use edp_evsim::{Sim, SimDuration};
-    use edp_netsim::traffic::{start_burst, start_cbr};
-    use edp_netsim::Network;
+    use edp_evsim::SimDuration;
     use edp_packet::PacketBuilder;
     use edp_pisa::QueueConfig;
 
@@ -213,32 +211,22 @@ mod tests {
     const HORIZON: SimTime = SimTime::from_millis(40);
     const THRESH: u64 = 30_000;
 
-    fn drive(net: &mut Network, sim: &mut Sim<Network>, senders: &[usize]) {
-        // Two steady flows + one mid-run burst to trip the anomaly filter.
-        for (i, &h) in senders.iter().take(2).enumerate() {
-            let src = addr(i as u8 + 1);
-            start_cbr(
-                sim,
-                h,
-                SimTime::ZERO,
-                SimDuration::from_micros(120),
-                300,
-                move |s| {
-                    PacketBuilder::udp(src, sink_addr(), 10 + i as u16, 20, &[])
-                        .ident(s as u16)
-                        .pad_to(1000)
-                        .build()
-                },
-            );
+    /// Two steady flows + one mid-run burst to trip the anomaly filter.
+    fn scenario(seed: u64) -> Scenario {
+        let steady = |i: usize| {
+            let interval = SimDuration::from_micros(120);
+            Flow::cbr(i, SimTime::ZERO, interval, 300, 10 + i as u16, 20, 1000)
+        };
+        let burst = Flow::burst(2, SimTime::from_millis(20), 60, 30, 40, 1500);
+        Scenario {
+            dumbbell: Dumbbell {
+                senders: 3,
+                bottleneck_bps: 200_000_000,
+                seed,
+            },
+            flows: vec![steady(0), steady(1), burst],
+            until: HORIZON,
         }
-        let src = addr(3);
-        start_burst(sim, senders[2], SimTime::from_millis(20), 60, move |s| {
-            PacketBuilder::udp(src, sink_addr(), 30, 40, &[])
-                .ident(s as u16)
-                .pad_to(1500)
-                .build()
-        });
-        run_until(net, sim, HORIZON);
     }
 
     fn qc() -> QueueConfig {
@@ -257,9 +245,7 @@ mod tests {
             ..Default::default()
         };
         let sw = EventSwitch::new(IntPerPacket::new(3), cfg);
-        let (mut net, senders, _, _) = dumbbell(Box::new(sw), 3, 200_000_000, 111);
-        let mut sim: Sim<Network> = Sim::new();
-        drive(&mut net, &mut sim, &senders);
+        let net = scenario(111).run(Box::new(sw));
         let raw_reports = net
             .switch_as::<EventSwitch<IntPerPacket>>(0)
             .program
@@ -277,9 +263,7 @@ mod tests {
             ..Default::default()
         };
         let sw = EventSwitch::new(IntReduced::new(3, 4, 64, THRESH), cfg);
-        let (mut net, senders, _, _) = dumbbell(Box::new(sw), 3, 200_000_000, 111);
-        let mut sim: Sim<Network> = Sim::new();
-        drive(&mut net, &mut sim, &senders);
+        let net = scenario(111).run(Box::new(sw));
         let prog = &net.switch_as::<EventSwitch<IntReduced>>(0).program;
 
         assert!(raw_reports >= 650, "firehose: {raw_reports}");
@@ -307,9 +291,7 @@ mod tests {
             ..Default::default()
         };
         let sw = EventSwitch::new(IntReduced::new(3, 4, 64, THRESH), cfg);
-        let (mut net, senders, _, _) = dumbbell(Box::new(sw), 3, 200_000_000, 112);
-        let mut sim: Sim<Network> = Sim::new();
-        drive(&mut net, &mut sim, &senders);
+        let net = scenario(112).run(Box::new(sw));
         let prog = &net.switch_as::<EventSwitch<IntReduced>>(0).program;
         assert!(prog.summaries.len() >= 19, "one per window");
         // The burst window has a visibly larger peak than quiet windows.

@@ -292,12 +292,10 @@ impl EventProgram for MicroburstCms {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::{addr, dumbbell, run_until, sink_addr};
+    use crate::common::{Dumbbell, Flow, Scenario};
     use edp_core::{BaselineAdapter, EventSwitch, EventSwitchConfig};
-    use edp_evsim::{Sim, SimDuration};
-    use edp_netsim::traffic::{start_burst, start_cbr};
-    use edp_netsim::Network;
-    use edp_packet::PacketBuilder;
+    use edp_evsim::SimDuration;
+    use edp_netsim::SwitchHarness;
     use edp_pisa::QueueConfig;
 
     const THRESH: u64 = 20_000; // 20 KB of buffered bytes per flow
@@ -306,6 +304,19 @@ mod tests {
         QueueConfig {
             capacity_bytes: 200_000,
             ..QueueConfig::default()
+        }
+    }
+
+    /// Two senders into a 1 Gb/s bottleneck.
+    fn scenario(seed: u64, flows: Vec<Flow>, until: SimTime) -> Scenario {
+        Scenario {
+            dumbbell: Dumbbell {
+                senders: 2,
+                bottleneck_bps: 1_000_000_000,
+                seed,
+            },
+            flows,
+            until,
         }
     }
 
@@ -324,45 +335,16 @@ mod tests {
             ..Default::default()
         };
         let sw = EventSwitch::new(MicroburstEvent::new(256, THRESH, 2), cfg);
-        let (mut net, senders, _sink, _) = dumbbell(Box::new(sw), 2, 1_000_000_000, 5);
-        let mut sim: Sim<Network> = Sim::new();
-
         // Sender 0: polite 1500 B packet every 100 us (well under thresh).
-        let polite_src = addr(1);
-        start_cbr(
-            &mut sim,
-            senders[0],
-            SimTime::ZERO,
-            SimDuration::from_micros(100),
-            200,
-            move |i| {
-                PacketBuilder::udp(polite_src, sink_addr(), 10, 20, &[])
-                    .ident(i as u16)
-                    .pad_to(1500)
-                    .build()
-            },
-        );
+        let interval = SimDuration::from_micros(100);
+        let polite = Flow::cbr(0, SimTime::ZERO, interval, 200, 10, 20, 1500);
         // Sender 1: a 100-packet microburst at t = 5 ms.
-        let burst_src = addr(2);
-        start_burst(
-            &mut sim,
-            senders[1],
-            SimTime::from_millis(5),
-            100,
-            move |i| {
-                PacketBuilder::udp(burst_src, sink_addr(), 30, 40, &[])
-                    .ident(i as u16)
-                    .pad_to(1500)
-                    .build()
-            },
-        );
-
-        run_until(&mut net, &mut sim, SimTime::from_millis(30));
+        let burst = Flow::burst(1, SimTime::from_millis(5), 100, 30, 40, 1500);
+        let sc = scenario(5, vec![polite, burst], SimTime::from_millis(30));
+        let net = sc.run(Box::new(sw));
         let prog = &net.switch_as::<EventSwitch<MicroburstEvent>>(0).program;
         assert!(!prog.detections.is_empty(), "burst must be detected");
-        let burst_flow =
-            edp_packet::FlowKey::new(burst_src, sink_addr(), edp_packet::IpProto::Udp, 30, 40)
-                .ip_pair_index(256) as u64;
+        let burst_flow = burst.key().ip_pair_index(256) as u64;
         for d in &prog.detections {
             assert_eq!(
                 d.flow_index, burst_flow,
@@ -383,16 +365,8 @@ mod tests {
             ..Default::default()
         };
         let sw = EventSwitch::new(MicroburstEvent::new(64, THRESH, 2), cfg);
-        let (mut net, senders, _, _) = dumbbell(Box::new(sw), 2, 1_000_000_000, 6);
-        let mut sim: Sim<Network> = Sim::new();
-        let src = addr(1);
-        start_burst(&mut sim, senders[0], SimTime::ZERO, 20, move |i| {
-            PacketBuilder::udp(src, sink_addr(), 1, 2, &[])
-                .ident(i as u16)
-                .pad_to(1500)
-                .build()
-        });
-        run_until(&mut net, &mut sim, SimTime::from_millis(50));
+        let burst = Flow::burst(0, SimTime::ZERO, 20, 1, 2, 1500);
+        let net = scenario(6, vec![burst], SimTime::from_millis(50)).run(Box::new(sw));
         let prog = &net.switch_as::<EventSwitch<MicroburstEvent>>(0).program;
         assert_eq!(
             prog.buf_size.nonzero_entries(),
@@ -411,22 +385,8 @@ mod tests {
             ..Default::default()
         };
         let sw = EventSwitch::new(MicroburstCms::new(32, 2, THRESH, 2), cfg);
-        let (mut net, senders, _, _) = dumbbell(Box::new(sw), 2, 1_000_000_000, 5);
-        let mut sim: Sim<Network> = Sim::new();
-        let burst_src = addr(2);
-        start_burst(
-            &mut sim,
-            senders[1],
-            SimTime::from_millis(5),
-            100,
-            move |i| {
-                PacketBuilder::udp(burst_src, sink_addr(), 30, 40, &[])
-                    .ident(i as u16)
-                    .pad_to(1500)
-                    .build()
-            },
-        );
-        run_until(&mut net, &mut sim, SimTime::from_millis(30));
+        let burst = Flow::burst(1, SimTime::from_millis(5), 100, 30, 40, 1500);
+        let net = scenario(5, vec![burst], SimTime::from_millis(30)).run(Box::new(sw));
         let prog = &net.switch_as::<EventSwitch<MicroburstCms>>(0).program;
         assert!(!prog.detections.is_empty(), "CMS variant must detect");
         // 2 sketches × 32 × 2 = 128 words: half of the 256-entry exact
@@ -440,38 +400,19 @@ mod tests {
     fn baseline_detects_later_than_event_driven() {
         // Same workload into both architectures; compare first-detection time.
         let run = |event: bool| -> (Option<SimTime>, usize) {
-            let (mut net, senders, _sink, _) = if event {
+            let sw: Box<dyn SwitchHarness> = if event {
                 let cfg = EventSwitchConfig {
                     n_ports: 3,
                     queue: queue_cfg(),
                     ..Default::default()
                 };
-                let sw = EventSwitch::new(MicroburstEvent::new(256, THRESH, 2), cfg);
-                dumbbell(Box::new(sw), 2, 1_000_000_000, 9)
+                Box::new(EventSwitch::new(MicroburstEvent::new(256, THRESH, 2), cfg))
             } else {
                 let prog = MicroburstBaseline::new(256, THRESH, 240_000, 2);
-                dumbbell(
-                    Box::new(EventSwitch::baseline(prog, 3, queue_cfg())),
-                    2,
-                    1_000_000_000,
-                    9,
-                )
+                Box::new(EventSwitch::baseline(prog, 3, queue_cfg()))
             };
-            let mut sim: Sim<Network> = Sim::new();
-            let burst_src = addr(2);
-            start_burst(
-                &mut sim,
-                senders[1],
-                SimTime::from_millis(1),
-                120,
-                move |i| {
-                    PacketBuilder::udp(burst_src, sink_addr(), 30, 40, &[])
-                        .ident(i as u16)
-                        .pad_to(1500)
-                        .build()
-                },
-            );
-            run_until(&mut net, &mut sim, SimTime::from_millis(20));
+            let burst = Flow::burst(1, SimTime::from_millis(1), 120, 30, 40, 1500);
+            let net = scenario(9, vec![burst], SimTime::from_millis(20)).run(sw);
             if event {
                 let p = &net.switch_as::<EventSwitch<MicroburstEvent>>(0).program;
                 (p.detections.first().map(|d| d.at), p.state_words())

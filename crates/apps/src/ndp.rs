@@ -69,17 +69,18 @@ impl EventProgram for NdpTrim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::{addr, dumbbell, run_until, sink_addr};
+    use crate::common::{addr, Dumbbell, Flow, Scenario};
     use edp_core::{EventSwitch, EventSwitchConfig};
-    use edp_evsim::{Sim, SimTime};
-    use edp_netsim::traffic::start_burst;
-    use edp_netsim::Network;
+    use edp_evsim::SimTime;
+    use edp_netsim::{Network, SwitchHarness};
     use edp_packet::{PacketBuilder, TRIMMED_DSCP};
     use edp_pisa::{QueueConfig, QueueDisc};
 
     const CAPACITY: u64 = 20_000; // 13 full packets
 
-    fn build(trim: bool) -> (Network, Vec<usize>, usize) {
+    /// 100 × 1500 B at t = 0 into a trimming or a drop-tail switch;
+    /// returns the network and the sink.
+    fn blast(trim: bool) -> (Network, usize) {
         let cfg = EventSwitchConfig {
             n_ports: 2,
             queue: QueueConfig {
@@ -108,32 +109,26 @@ mod tests {
                 self.0.overflows += 1;
             }
         }
-        let (net, senders, sink, _) = if trim {
-            let sw = EventSwitch::new(NdpTrim::new(1), cfg);
-            dumbbell(Box::new(sw), 1, 100_000_000, 95)
+        let sw: Box<dyn SwitchHarness> = if trim {
+            Box::new(EventSwitch::new(NdpTrim::new(1), cfg))
         } else {
-            let sw = EventSwitch::new(NoTrim(NdpTrim::new(1)), cfg);
-            dumbbell(Box::new(sw), 1, 100_000_000, 95)
+            Box::new(EventSwitch::new(NoTrim(NdpTrim::new(1)), cfg))
         };
-        (net, senders, sink)
-    }
-
-    fn blast(net: &mut Network, sim: &mut Sim<Network>, sender: usize, n: u64) {
-        let src = addr(1);
-        start_burst(sim, sender, SimTime::ZERO, n, move |i| {
-            PacketBuilder::udp(src, sink_addr(), 40, 50, &[])
-                .ident(i as u16)
-                .pad_to(1500)
-                .build()
-        });
-        run_until(net, sim, SimTime::from_millis(50));
+        let sc = Scenario {
+            dumbbell: Dumbbell {
+                senders: 1,
+                bottleneck_bps: 100_000_000,
+                seed: 95,
+            },
+            flows: vec![Flow::burst(0, SimTime::ZERO, 100, 40, 50, 1500)],
+            until: SimTime::from_millis(50),
+        };
+        (sc.run(sw), sc.sink())
     }
 
     #[test]
     fn every_overflow_victim_arrives_as_a_trimmed_header() {
-        let (mut net, senders, sink) = build(true);
-        let mut sim: Sim<Network> = Sim::new();
-        blast(&mut net, &mut sim, senders[0], 100);
+        let (net, sink) = blast(true);
         // Every one of the 100 packets arrives: full or trimmed.
         assert_eq!(net.hosts[sink].stats.rx_pkts, 100);
         // Trimmed ones are recognizable by size and DSCP.
@@ -153,14 +148,10 @@ mod tests {
 
     #[test]
     fn droptail_loses_what_trim_preserves() {
-        let (mut net, senders, sink) = build(false);
-        let mut sim: Sim<Network> = Sim::new();
-        blast(&mut net, &mut sim, senders[0], 100);
+        let (net, sink) = blast(false);
         let delivered = net.hosts[sink].stats.rx_pkts;
         assert!(delivered < 100, "droptail must lose packets: {delivered}");
-        let (mut net2, senders2, sink2) = build(true);
-        let mut sim2: Sim<Network> = Sim::new();
-        blast(&mut net2, &mut sim2, senders2[0], 100);
+        let (net2, sink2) = blast(true);
         assert_eq!(net2.hosts[sink2].stats.rx_pkts, 100);
         // Information delta: the trim run tells the receiver about every
         // loss; droptail tells it nothing about (100 - delivered) packets.

@@ -130,20 +130,29 @@ impl PisaProgram for MeterPolicer {
 /// green-rate relative error of each against the configured rate:
 /// `(timer_error, meter_error)`. Used by tests and the bench sweep.
 pub fn compare_policers(timer_period_ns: u64, seed: u64) -> (f64, f64) {
-    use crate::common::{addr, dumbbell, run_until, sink_addr};
+    use crate::common::{Dumbbell, Flow, Scenario};
     use edp_core::{EventSwitch, EventSwitchConfig, TimerSpec};
-    use edp_evsim::{Sim, SimDuration};
-    use edp_netsim::traffic::start_cbr;
-    use edp_netsim::Network;
-    use edp_packet::PacketBuilder;
+    use edp_evsim::SimDuration;
+    use edp_netsim::SwitchHarness;
     use edp_pisa::QueueConfig;
 
     const RATE: u64 = 12_500_000; // 100 Mb/s in bytes/s
     const BURST: u64 = 15_000;
     let horizon = SimTime::from_millis(100);
     // Offered: 1500 B every 60 us = 200 Mb/s (2× the policed rate).
+    let interval = SimDuration::from_micros(60);
+    let offered = Flow::cbr(0, SimTime::ZERO, interval, u64::MAX, 7, 8, 1500);
+    let sc = Scenario {
+        dumbbell: Dumbbell {
+            senders: 1,
+            bottleneck_bps: 10_000_000_000,
+            seed,
+        },
+        flows: vec![offered],
+        until: horizon,
+    };
     let run_one = |timer: bool| -> f64 {
-        let (mut net, senders, sink, _) = if timer {
+        let sw: Box<dyn SwitchHarness> = if timer {
             let cfg = EventSwitchConfig {
                 n_ports: 2,
                 timers: vec![TimerSpec {
@@ -154,29 +163,14 @@ pub fn compare_policers(timer_period_ns: u64, seed: u64) -> (f64, f64) {
                 ..Default::default()
             };
             let sw = EventSwitch::new(TimerPolicer::new(RATE, timer_period_ns, BURST, 1), cfg);
-            dumbbell(Box::new(sw), 1, 10_000_000_000, seed)
+            Box::new(sw)
         } else {
             let sw =
                 EventSwitch::baseline(MeterPolicer::new(RATE, BURST, 1), 2, QueueConfig::default());
-            dumbbell(Box::new(sw), 1, 10_000_000_000, seed)
+            Box::new(sw)
         };
-        let mut sim: Sim<Network> = Sim::new();
-        let src = addr(1);
-        start_cbr(
-            &mut sim,
-            senders[0],
-            SimTime::ZERO,
-            SimDuration::from_micros(60),
-            u64::MAX,
-            move |i| {
-                PacketBuilder::udp(src, sink_addr(), 7, 8, &[])
-                    .ident(i as u16)
-                    .pad_to(1500)
-                    .build()
-            },
-        );
-        run_until(&mut net, &mut sim, horizon);
-        let got = net.hosts[sink].stats.rx_bytes as f64 / horizon.as_secs_f64();
+        let net = sc.run(sw);
+        let got = net.hosts[sc.sink()].stats.rx_bytes as f64 / horizon.as_secs_f64();
         (got - RATE as f64).abs() / RATE as f64
     };
     (run_one(true), run_one(false))

@@ -85,17 +85,15 @@ impl EventProgram for RateMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::{addr, dumbbell, run_until, sink_addr};
+    use crate::common::{Dumbbell, Flow, Scenario};
     use edp_core::{EventSwitch, EventSwitchConfig, TimerSpec};
-    use edp_evsim::{Sim, SimDuration};
-    use edp_netsim::traffic::{start_cbr, start_on_off};
+    use edp_evsim::SimDuration;
     use edp_netsim::Network;
-    use edp_packet::{FlowKey, IpProto, PacketBuilder};
 
     const N_FLOWS: usize = 16;
     const BUCKET: SimDuration = SimDuration::from_millis(1);
 
-    fn build() -> (Network, Vec<edp_netsim::HostId>) {
+    fn run(flows: Vec<Flow>, until: SimTime) -> Network {
         let cfg = EventSwitchConfig {
             n_ports: 3,
             timers: vec![
@@ -113,36 +111,26 @@ mod tests {
             ..Default::default()
         };
         let sw = EventSwitch::new(RateMonitor::new(N_FLOWS, 8, BUCKET.as_nanos(), 2), cfg);
-        let (net, senders, _, _) = dumbbell(Box::new(sw), 2, 10_000_000_000, 41);
-        (net, senders)
-    }
-
-    fn flow_slot(src: u8, sp: u16, dp: u16) -> usize {
-        FlowKey::new(addr(src), sink_addr(), IpProto::Udp, sp, dp).index(N_FLOWS)
+        let sc = Scenario {
+            dumbbell: Dumbbell {
+                senders: 2,
+                bottleneck_bps: 10_000_000_000,
+                seed: 41,
+            },
+            flows,
+            until,
+        };
+        sc.run(Box::new(sw))
     }
 
     #[test]
     fn cbr_rate_measured_accurately() {
-        let (mut net, senders) = build();
-        let mut sim: Sim<Network> = Sim::new();
         // 1000 B every 100 us = 80 Mb/s.
-        let src = addr(1);
-        start_cbr(
-            &mut sim,
-            senders[0],
-            SimTime::ZERO,
-            SimDuration::from_micros(100),
-            1000,
-            move |i| {
-                PacketBuilder::udp(src, sink_addr(), 10, 20, &[])
-                    .ident(i as u16)
-                    .pad_to(1000)
-                    .build()
-            },
-        );
-        run_until(&mut net, &mut sim, SimTime::from_millis(90));
+        let interval = SimDuration::from_micros(100);
+        let flow = Flow::cbr(0, SimTime::ZERO, interval, 1000, 10, 20, 1000);
+        let net = run(vec![flow], SimTime::from_millis(90));
         let prog = &net.switch_as::<EventSwitch<RateMonitor>>(0).program;
-        let s = &prog.samples[flow_slot(1, 10, 20)];
+        let s = &prog.samples[flow.key().index(N_FLOWS)];
         assert!(!s.is_empty());
         // Steady-state samples (drop the first two while the window fills).
         let steady: Vec<f64> = s
@@ -159,30 +147,23 @@ mod tests {
 
     #[test]
     fn bursty_flow_average_rate_is_right() {
-        let (mut net, senders) = build();
-        let mut sim: Sim<Network> = Sim::new();
         // 20 × 1000 B per 7 ms ≈ 22.86 Mb/s average, very bursty. The
         // 7 ms period is deliberately co-prime with the 8 ms window and
         // the 5 ms sampling period so aliasing averages out.
-        let src = addr(2);
-        start_on_off(
-            &mut sim,
-            senders[1],
+        let flow = Flow::on_off(
+            1,
             SimTime::ZERO,
             SimDuration::from_millis(7),
             20,
             SimDuration::ZERO,
             SimTime::from_millis(100),
-            move |i| {
-                PacketBuilder::udp(src, sink_addr(), 30, 40, &[])
-                    .ident(i as u16)
-                    .pad_to(1000)
-                    .build()
-            },
+            30,
+            40,
+            1000,
         );
-        run_until(&mut net, &mut sim, SimTime::from_millis(100));
+        let net = run(vec![flow], SimTime::from_millis(100));
         let prog = &net.switch_as::<EventSwitch<RateMonitor>>(0).program;
-        let s = &prog.samples[flow_slot(2, 30, 40)];
+        let s = &prog.samples[flow.key().index(N_FLOWS)];
         let truth = 20.0 * 1000.0 * 8.0 / 7e-3; // bits per second
         let avg = s.time_weighted_mean();
         assert!(
@@ -195,9 +176,7 @@ mod tests {
 
     #[test]
     fn idle_flow_measures_zero() {
-        let (mut net, _senders) = build();
-        let mut sim: Sim<Network> = Sim::new();
-        run_until(&mut net, &mut sim, SimTime::from_millis(50));
+        let net = run(vec![], SimTime::from_millis(50));
         let prog = &net.switch_as::<EventSwitch<RateMonitor>>(0).program;
         for s in &prog.samples {
             assert!(s.points().iter().all(|&(_, v)| v == 0.0));

@@ -81,16 +81,43 @@ impl EventProgram for StfqScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::{addr, dumbbell, run_until, sink_addr};
+    use crate::common::{addr, Dumbbell, Flow, Scenario};
     use edp_core::{EventSwitch, EventSwitchConfig};
-    use edp_evsim::{jain_fairness, Sim, SimDuration};
-    use edp_netsim::traffic::{start_burst, start_cbr};
-    use edp_netsim::Network;
+    use edp_evsim::{jain_fairness, SimDuration};
+    use edp_netsim::{FlowStats, Network};
     use edp_packet::PacketBuilder;
     use edp_pisa::{QueueConfig, QueueDisc};
 
     const BOTTLENECK: u64 = 100_000_000;
     const HORIZON: SimTime = SimTime::from_millis(60);
+
+    /// Three senders into the bottleneck, to the horizon.
+    fn scenario(seed: u64, flows: Vec<Flow>) -> Scenario {
+        Scenario {
+            dumbbell: Dumbbell {
+                senders: 3,
+                bottleneck_bps: BOTTLENECK,
+                seed,
+            },
+            flows,
+            until: HORIZON,
+        }
+    }
+
+    /// `f(sink stats of flow)` for each of `sc`'s flows, `missing` for
+    /// a flow that never arrived.
+    fn per_flow(
+        net: &Network,
+        sc: &Scenario,
+        f: impl Fn(&FlowStats) -> f64,
+        missing: f64,
+    ) -> Vec<f64> {
+        let sink = &net.hosts[sc.sink()].stats.flows;
+        sc.flows
+            .iter()
+            .map(|flow| sink.get(&flow.key()).map_or(missing, &f))
+            .collect()
+    }
 
     fn run(pifo: bool) -> Vec<f64> {
         let disc = if pifo {
@@ -108,52 +135,17 @@ mod tests {
             ..Default::default()
         };
         let sw = EventSwitch::new(StfqScheduler::new(64, 3), cfg);
-        let (mut net, senders, sink, _) = dumbbell(Box::new(sw), 3, BOTTLENECK, 81);
-        let mut sim: Sim<Network> = Sim::new();
         // Two steady flows plus one flow that blasts its whole demand at
         // t = 0 as a burst.
-        for (i, &h) in senders.iter().take(2).enumerate() {
-            let src = addr(i as u8 + 1);
-            start_cbr(
-                &mut sim,
-                h,
-                SimTime::ZERO,
-                SimDuration::from_micros(400),
-                120,
-                move |s| {
-                    PacketBuilder::udp(src, sink_addr(), 100 + i as u16, 9000, &[])
-                        .ident(s as u16)
-                        .pad_to(1500)
-                        .build()
-                },
-            );
-        }
-        let src = addr(3);
-        start_burst(&mut sim, senders[2], SimTime::ZERO, 120, move |s| {
-            PacketBuilder::udp(src, sink_addr(), 300, 9000, &[])
-                .ident(s as u16)
-                .pad_to(1500)
-                .build()
-        });
-        run_until(&mut net, &mut sim, HORIZON);
+        let steady = |i: usize| {
+            let interval = SimDuration::from_micros(400);
+            Flow::cbr(i, SimTime::ZERO, interval, 120, 100 + i as u16, 9000, 1500)
+        };
+        let burst = Flow::burst(2, SimTime::ZERO, 120, 300, 9000, 1500);
+        let sc = scenario(81, vec![steady(0), steady(1), burst]);
+        let net = sc.run(Box::new(sw));
         // Mean delivery latency per flow is the schedule-quality signal.
-        (0..3)
-            .map(|i| {
-                let key = edp_packet::FlowKey::new(
-                    addr(i as u8 + 1),
-                    sink_addr(),
-                    edp_packet::IpProto::Udp,
-                    if i == 2 { 300 } else { 100 + i as u16 },
-                    9000,
-                );
-                net.hosts[sink]
-                    .stats
-                    .flows
-                    .get(&key)
-                    .map(|f| f.latency_ns.mean())
-                    .unwrap_or(f64::INFINITY)
-            })
-            .collect()
+        per_flow(&net, &sc, |f| f.latency_ns.mean(), f64::INFINITY)
     }
 
     #[test]
@@ -219,40 +211,17 @@ mod tests {
             ..Default::default()
         };
         let sw = EventSwitch::new(StfqScheduler::new(64, 3), cfg);
-        let (mut net, senders, sink, _) = dumbbell(Box::new(sw), 3, BOTTLENECK, 82);
-        let mut sim: Sim<Network> = Sim::new();
         // Co-prime intervals and staggered starts so the flows don't
         // phase-lock on the deterministic event order (synchronized CBR
         // would let one flow always claim the freed queue slot).
-        for (i, &h) in senders.iter().enumerate() {
-            let src = addr(i as u8 + 1);
+        let flows = (0..3).map(|i| {
             let interval = SimDuration::from_micros([97u64, 101, 103][i]);
             let start = SimTime::from_micros(13 * i as u64);
-            start_cbr(&mut sim, h, start, interval, u64::MAX, move |s| {
-                PacketBuilder::udp(src, sink_addr(), 500 + i as u16, 9000, &[])
-                    .ident(s as u16)
-                    .pad_to(1500)
-                    .build()
-            });
-        }
-        run_until(&mut net, &mut sim, HORIZON);
-        let goodputs: Vec<f64> = (0..3)
-            .map(|i| {
-                let key = edp_packet::FlowKey::new(
-                    addr(i as u8 + 1),
-                    sink_addr(),
-                    edp_packet::IpProto::Udp,
-                    500 + i as u16,
-                    9000,
-                );
-                net.hosts[sink]
-                    .stats
-                    .flows
-                    .get(&key)
-                    .map(|f| f.bytes as f64)
-                    .unwrap_or(0.0)
-            })
-            .collect();
+            Flow::cbr(i, start, interval, u64::MAX, 500 + i as u16, 9000, 1500)
+        });
+        let sc = scenario(82, flows.collect());
+        let net = sc.run(Box::new(sw));
+        let goodputs = per_flow(&net, &sc, |f| f.bytes as f64, 0.0);
         let j = jain_fairness(&goodputs);
         assert!(j > 0.95, "jain {j}: {goodputs:?}");
     }

@@ -9,10 +9,6 @@
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
 use crate::Report;
-use edp_apps::common::sink_addr;
-use edp_netsim::traffic::FrameFn;
-use edp_packet::PacketBuilder;
-use std::net::Ipv4Addr;
 
 mod ablation_cms;
 mod exp_aqm;
@@ -52,14 +48,3 @@ pub const EXPERIMENTS: &[(&str, Run)] = registry![
     exp_aqm exp_frr exp_policer exp_netcache exp_scheduler exp_ndp
     exp_int_reduce exp_emulation ablation_cms
 ];
-
-/// The frames of one UDP flow to the sink host: the `i`-th carries IP
-/// ident `i` (mod 2^16) and is padded to `len` bytes.
-fn udp_flow(src: Ipv4Addr, sport: u16, dport: u16, len: usize) -> impl FrameFn {
-    move |i| {
-        PacketBuilder::udp(src, sink_addr(), sport, dport, &[])
-            .ident(i as u16)
-            .pad_to(len)
-            .build()
-    }
-}

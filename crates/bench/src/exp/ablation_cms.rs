@@ -7,13 +7,11 @@
 //! detections on a clean (burst-free) background vs a bursty one, for
 //! shrinking sketch widths.
 
-use super::udp_flow;
 use crate::Report;
-use edp_apps::common::{addr, dumbbell, run_until};
+use edp_apps::common::{Dumbbell, Flow, Scenario};
 use edp_apps::microburst::{MicroburstCms, MicroburstEvent};
 use edp_core::{EventProgram, EventSwitch, EventSwitchConfig};
-use edp_evsim::{Sim, SimDuration, SimTime};
-use edp_netsim::traffic::{start_burst, start_cbr};
+use edp_evsim::{SimDuration, SimTime};
 use edp_netsim::Network;
 use edp_pisa::QueueConfig;
 
@@ -35,32 +33,28 @@ fn run_tracker<P: EventProgram + 'static>(program: P, with_burst: bool) -> Netwo
         ..Default::default()
     };
     let sw = EventSwitch::new(program, cfg);
-    let (mut net, senders, _, _) = dumbbell(Box::new(sw), 4, 1_000_000_000, 9);
-    let mut sim: Sim<Network> = Sim::new();
     // Many interleaved polite flows to provoke collisions.
-    for (i, &h) in senders.iter().take(3).enumerate() {
+    let mut flows = Vec::new();
+    for i in 0..3 {
         for port in 0..8u16 {
-            start_cbr(
-                &mut sim,
-                h,
-                SimTime::from_micros(port as u64 * 11),
-                SimDuration::from_micros(400),
-                100,
-                udp_flow(addr(i as u8 + 1), 1000 + port, 20, 1500),
-            );
+            let start = SimTime::from_micros(port as u64 * 11);
+            let interval = SimDuration::from_micros(400);
+            flows.push(Flow::cbr(i, start, interval, 100, 1000 + port, 20, 1500));
         }
     }
     if with_burst {
-        start_burst(
-            &mut sim,
-            senders[3],
-            SimTime::from_millis(5),
-            120,
-            udp_flow(addr(4), 30, 40, 1500),
-        );
+        flows.push(Flow::burst(3, SimTime::from_millis(5), 120, 30, 40, 1500));
     }
-    run_until(&mut net, &mut sim, SimTime::from_millis(40));
-    net
+    let sc = Scenario {
+        dumbbell: Dumbbell {
+            senders: 4,
+            bottleneck_bps: 1_000_000_000,
+            seed: 9,
+        },
+        flows,
+        until: SimTime::from_millis(40),
+    };
+    sc.run(Box::new(sw))
 }
 
 /// Detection count and state words of a `width` x `depth` CMS tracker.

@@ -5,14 +5,12 @@
 //! drop-tail vs the event-driven FRED. Reproduction target: FRED holds
 //! fairness near 1.0 regardless of hog intensity; drop-tail collapses.
 
-use super::udp_flow;
 use crate::{f2, mbps, Report};
-use edp_apps::common::{addr, dumbbell, run_until, sink_addr};
+use edp_apps::common::{Dumbbell, Flow, Scenario};
 use edp_apps::fred::{FredAqm, TIMER_REPORT};
 use edp_core::{EventSwitch, EventSwitchConfig, TimerSpec};
-use edp_evsim::{jain_fairness, Sim, SimDuration, SimTime};
-use edp_netsim::traffic::start_cbr;
-use edp_netsim::Network;
+use edp_evsim::{jain_fairness, SimDuration, SimTime};
+use edp_netsim::{Network, SwitchHarness};
 use edp_pisa::{ForwardTo, QueueConfig};
 
 const CAPACITY: u64 = 30_000;
@@ -27,9 +25,10 @@ fn qc() -> QueueConfig {
     }
 }
 
-/// Runs the four flows to `HORIZON`; returns the network and the sink host.
-pub(super) fn contend(fair: bool, hog_interval_us: u64) -> (Network, usize) {
-    let (mut net, senders, sink, _) = if fair {
+/// Runs the four flows to `HORIZON`, the last one the hog; returns the
+/// network and its scenario.
+pub(super) fn contend(fair: bool, hog_interval_us: u64) -> (Network, Scenario) {
+    let sw: Box<dyn SwitchHarness> = if fair {
         let cfg = EventSwitchConfig {
             n_ports: 5,
             queue: qc(),
@@ -40,53 +39,39 @@ pub(super) fn contend(fair: bool, hog_interval_us: u64) -> (Network, usize) {
             }],
             ..Default::default()
         };
-        let sw = EventSwitch::new(FredAqm::new(64, CAPACITY, 2000, 4), cfg);
-        dumbbell(Box::new(sw), N, BOTTLENECK, 31)
+        Box::new(EventSwitch::new(FredAqm::new(64, CAPACITY, 2000, 4), cfg))
     } else {
-        dumbbell(
-            Box::new(EventSwitch::baseline(ForwardTo(4), 5, qc())),
-            N,
-            BOTTLENECK,
-            31,
-        )
+        Box::new(EventSwitch::baseline(ForwardTo(4), 5, qc()))
     };
-    let mut sim: Sim<Network> = Sim::new();
-    for (i, &h) in senders.iter().enumerate() {
+    let flows = (0..N).map(|i| {
+        let us = if i == N - 1 { hog_interval_us } else { 300 };
+        let interval = SimDuration::from_micros(us);
         let port = 1000 + i as u16;
-        let interval = if i == N - 1 {
-            SimDuration::from_micros(hog_interval_us)
-        } else {
-            SimDuration::from_micros(300)
-        };
-        start_cbr(
-            &mut sim,
-            h,
-            SimTime::ZERO,
-            interval,
-            u64::MAX,
-            udp_flow(addr(i as u8 + 1), port, 9000, 1500),
-        );
-    }
-    run_until(&mut net, &mut sim, HORIZON);
-    (net, sink)
+        Flow::cbr(i, SimTime::ZERO, interval, u64::MAX, port, 9000, 1500)
+    });
+    let sc = Scenario {
+        dumbbell: Dumbbell {
+            senders: N,
+            bottleneck_bps: BOTTLENECK,
+            seed: 31,
+        },
+        flows: flows.collect(),
+        until: HORIZON,
+    };
+    (sc.run(sw), sc)
 }
 
 /// Returns (per-flow goodputs, mean occupancy from data-plane reports).
 fn simulate(fair: bool, hog_interval_us: u64) -> (Vec<f64>, f64) {
-    let (net, sink) = contend(fair, hog_interval_us);
-    let goodputs: Vec<f64> = (0..N)
-        .map(|i| {
-            let key = edp_packet::FlowKey::new(
-                addr(i as u8 + 1),
-                sink_addr(),
-                edp_packet::IpProto::Udp,
-                1000 + i as u16,
-                9000,
-            );
-            net.hosts[sink]
+    let (net, sc) = contend(fair, hog_interval_us);
+    let goodputs: Vec<f64> = sc
+        .flows
+        .iter()
+        .map(|flow| {
+            net.hosts[sc.sink()]
                 .stats
                 .flows
-                .get(&key)
+                .get(&flow.key())
                 .map(|f| f.bytes as f64 * 8.0 / HORIZON.as_secs_f64())
                 .unwrap_or(0.0)
         })

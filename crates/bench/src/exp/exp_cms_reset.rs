@@ -7,13 +7,11 @@
 //! and one message per reset — "significant overhead for the control
 //! plane, especially if the data structure must be frequently reset".
 
-use super::udp_flow;
 use crate::{f2, Report};
 use edp_apps::cms_reset::{CmsMonitor, CP_OP_RESET};
-use edp_apps::common::{addr, dumbbell, run_until};
+use edp_apps::common::{run_until, Dumbbell, Flow, Scenario};
 use edp_core::{EventSwitch, EventSwitchConfig, TimerSpec};
 use edp_evsim::{Sim, SimDuration, SimTime};
-use edp_netsim::traffic::start_cbr;
 use edp_netsim::Network;
 
 const HORIZON: SimTime = SimTime::from_millis(100);
@@ -50,19 +48,21 @@ fn simulate(period: SimDuration, via_timer: bool) -> Outcome {
         ..Default::default()
     };
     let sw = EventSwitch::new(CmsMonitor::new(512, 4, 1), cfg);
-    let (mut net, senders, _, _) = dumbbell(Box::new(sw), 1, 10_000_000_000, 13);
-    let mut sim: Sim<Network> = Sim::new();
+    let interval = SimDuration::from_micros(10);
+    let flow = Flow::cbr(0, SimTime::ZERO, interval, u64::MAX, 1, 2, 600);
+    let sc = Scenario {
+        dumbbell: Dumbbell {
+            senders: 1,
+            bottleneck_bps: 10_000_000_000,
+            seed: 13,
+        },
+        flows: vec![flow],
+        until: HORIZON,
+    };
+    let (mut net, mut sim) = sc.build(Box::new(sw));
     if !via_timer {
         sim.schedule_at(SimTime::ZERO + period, controller(period));
     }
-    start_cbr(
-        &mut sim,
-        senders[0],
-        SimTime::ZERO,
-        SimDuration::from_micros(10),
-        u64::MAX,
-        udp_flow(addr(1), 1, 2, 600),
-    );
     run_until(&mut net, &mut sim, HORIZON);
     let prog = &net.switch_as::<EventSwitch<CmsMonitor>>(0).program;
     Outcome {

@@ -4,14 +4,12 @@
 //! volume of per-packet INT vs the event-driven reducer, and whether the
 //! anomaly (a mid-run burst) still surfaced.
 
-use super::udp_flow;
 use crate::{Cell, Report};
-use edp_apps::common::{addr, dumbbell, run_until};
+use edp_apps::common::{Dumbbell, Flow, Scenario};
 use edp_apps::int_reduce::{IntPerPacket, IntReduced, NOTIFY_ANOMALY, TIMER_WINDOW};
 use edp_core::{EventSwitch, EventSwitchConfig, TimerSpec};
-use edp_evsim::{Sim, SimDuration, SimTime};
-use edp_netsim::traffic::{start_burst, start_cbr};
-use edp_netsim::Network;
+use edp_evsim::{SimDuration, SimTime};
+use edp_netsim::{Network, SwitchHarness};
 use edp_pisa::QueueConfig;
 
 const HORIZON: SimTime = SimTime::from_millis(100);
@@ -24,25 +22,23 @@ fn qc() -> QueueConfig {
     }
 }
 
-fn drive(net: &mut Network, sim: &mut Sim<Network>, senders: &[usize]) {
-    for (i, &h) in senders.iter().take(2).enumerate() {
-        start_cbr(
-            sim,
-            h,
-            SimTime::ZERO,
-            SimDuration::from_micros(50),
-            1800,
-            udp_flow(addr(i as u8 + 1), 10 + i as u16, 20, 1000),
-        );
-    }
-    start_burst(
-        sim,
-        senders[2],
-        SimTime::from_millis(50),
-        80,
-        udp_flow(addr(3), 30, 40, 1500),
-    );
-    run_until(net, sim, HORIZON);
+/// Two steady flows and a mid-run burst through `switch`, to `HORIZON`.
+fn drive(switch: Box<dyn SwitchHarness>) -> Network {
+    let steady = |i: usize| {
+        let interval = SimDuration::from_micros(50);
+        Flow::cbr(i, SimTime::ZERO, interval, 1800, 10 + i as u16, 20, 1000)
+    };
+    let burst = Flow::burst(2, SimTime::from_millis(50), 80, 30, 40, 1500);
+    let sc = Scenario {
+        dumbbell: Dumbbell {
+            senders: 3,
+            bottleneck_bps: 400_000_000,
+            seed: 121,
+        },
+        flows: vec![steady(0), steady(1), burst],
+        until: HORIZON,
+    };
+    sc.run(switch)
 }
 
 pub fn run() -> Report {
@@ -54,9 +50,7 @@ pub fn run() -> Report {
         ..Default::default()
     };
     let sw = EventSwitch::new(IntPerPacket::new(3), cfg);
-    let (mut net, senders, _, _) = dumbbell(Box::new(sw), 3, 400_000_000, 121);
-    let mut sim: Sim<Network> = Sim::new();
-    drive(&mut net, &mut sim, &senders);
+    let net = drive(Box::new(sw));
     let raw = net
         .switch_as::<EventSwitch<IntPerPacket>>(0)
         .program
@@ -86,9 +80,7 @@ pub fn run() -> Report {
             ..Default::default()
         };
         let sw = EventSwitch::new(IntReduced::new(3, 4, 64, THRESH), cfg);
-        let (mut net, senders, _, _) = dumbbell(Box::new(sw), 3, 400_000_000, 121);
-        let mut sim: Sim<Network> = Sim::new();
-        drive(&mut net, &mut sim, &senders);
+        let net = drive(Box::new(sw));
         let prog = &net.switch_as::<EventSwitch<IntReduced>>(0).program;
         let burst_seen = net.cp_log.iter().any(|(_, n)| n.code == NOTIFY_ANOMALY);
         table.row(cells![

@@ -4,14 +4,11 @@
 //! Reproduction targets: ≥4× state reduction (constant, by construction)
 //! and earlier detection (ingress, before enqueue) across the sweep.
 
-use super::udp_flow;
 use crate::{Cell, Report};
-use edp_apps::common::{addr, dumbbell, run_until};
+use edp_apps::common::{Dumbbell, Flow, Scenario};
 use edp_apps::microburst::{Detection, MicroburstBaseline, MicroburstEvent};
 use edp_core::{BaselineAdapter, EventSwitch, EventSwitchConfig};
-use edp_evsim::{Sim, SimDuration, SimTime};
-use edp_netsim::traffic::{start_burst, start_cbr};
-use edp_netsim::Network;
+use edp_evsim::{SimDuration, SimTime};
 use edp_pisa::QueueConfig;
 
 const THRESH: u64 = 20_000;
@@ -25,24 +22,22 @@ fn qc() -> QueueConfig {
     }
 }
 
-fn workload(sim: &mut Sim<Network>, senders: &[usize], burst_pkts: u64) {
-    for (i, &h) in senders.iter().take(2).enumerate() {
-        start_cbr(
-            sim,
-            h,
-            SimTime::ZERO,
-            SimDuration::from_micros(150),
-            250,
-            udp_flow(addr(i as u8 + 1), 10 + i as u16, 20, 1500),
-        );
+/// Two polite flows and a `burst_pkts` burst at `BURST_AT`, for 40 ms.
+fn scenario(burst_pkts: u64) -> Scenario {
+    let polite = |i: usize| {
+        let interval = SimDuration::from_micros(150);
+        Flow::cbr(i, SimTime::ZERO, interval, 250, 10 + i as u16, 20, 1500)
+    };
+    let burst = Flow::burst(2, BURST_AT, burst_pkts, 30, 40, 1500);
+    Scenario {
+        dumbbell: Dumbbell {
+            senders: 3,
+            bottleneck_bps: 1_000_000_000,
+            seed: 2,
+        },
+        flows: vec![polite(0), polite(1), burst],
+        until: SimTime::from_millis(40),
     }
-    start_burst(
-        sim,
-        senders[2],
-        BURST_AT,
-        burst_pkts,
-        udp_flow(addr(3), 30, 40, 1500),
-    );
 }
 
 struct Outcome {
@@ -59,10 +54,7 @@ fn simulate(event: bool, burst_pkts: u64) -> Outcome {
             ..Default::default()
         };
         let sw = EventSwitch::new(MicroburstEvent::new(N_FLOWS, THRESH, 3), cfg);
-        let (mut net, senders, _, _) = dumbbell(Box::new(sw), 3, 1_000_000_000, 2);
-        let mut sim: Sim<Network> = Sim::new();
-        workload(&mut sim, &senders, burst_pkts);
-        run_until(&mut net, &mut sim, SimTime::from_millis(40));
+        let net = scenario(burst_pkts).run(Box::new(sw));
         let p = &net.switch_as::<EventSwitch<MicroburstEvent>>(0).program;
         Outcome {
             state_words: p.state_words(),
@@ -72,10 +64,7 @@ fn simulate(event: bool, burst_pkts: u64) -> Outcome {
     } else {
         let prog = MicroburstBaseline::new(N_FLOWS, THRESH, 240_000, 3);
         let sw = EventSwitch::baseline(prog, 4, qc());
-        let (mut net, senders, _, _) = dumbbell(Box::new(sw), 3, 1_000_000_000, 2);
-        let mut sim: Sim<Network> = Sim::new();
-        workload(&mut sim, &senders, burst_pkts);
-        run_until(&mut net, &mut sim, SimTime::from_millis(40));
+        let net = scenario(burst_pkts).run(Box::new(sw));
         let p = &net
             .switch_as::<EventSwitch<BaselineAdapter<MicroburstBaseline>>>(0)
             .program

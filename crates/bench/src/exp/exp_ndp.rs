@@ -4,15 +4,13 @@
 //! the receiver learns about: with trimming every overflow victim
 //! arrives as a high-priority header; with drop-tail the victims vanish.
 
-use super::udp_flow;
 use crate::Report;
-use edp_apps::common::{addr, dumbbell, run_until};
+use edp_apps::common::{Dumbbell, Flow, Scenario};
 use edp_apps::ndp::NdpTrim;
 use edp_core::event::OverflowEvent;
 use edp_core::{EventActions, EventProgram, EventSwitch, EventSwitchConfig};
-use edp_evsim::{Sim, SimTime};
-use edp_netsim::traffic::start_burst;
-use edp_netsim::{Network, SwitchHarness};
+use edp_evsim::SimTime;
+use edp_netsim::SwitchHarness;
 use edp_packet::{Packet, ParsedPacket};
 use edp_pisa::{QueueConfig, QueueDisc, StdMeta};
 
@@ -51,17 +49,17 @@ fn simulate(trim: bool, burst: u64) -> (u64, u64, u64) {
     } else {
         Box::new(EventSwitch::new(NoTrim(NdpTrim::new(1)), cfg))
     };
-    let (mut net, senders, sink, _) = dumbbell(sw, 1, 100_000_000, 95);
-    let mut sim: Sim<Network> = Sim::new();
-    start_burst(
-        &mut sim,
-        senders[0],
-        SimTime::ZERO,
-        burst,
-        udp_flow(addr(1), 40, 50, 1500),
-    );
-    run_until(&mut net, &mut sim, SimTime::from_millis(100));
-    let delivered = net.hosts[sink].stats.rx_pkts;
+    let sc = Scenario {
+        dumbbell: Dumbbell {
+            senders: 1,
+            bottleneck_bps: 100_000_000,
+            seed: 95,
+        },
+        flows: vec![Flow::burst(0, SimTime::ZERO, burst, 40, 50, 1500)],
+        until: SimTime::from_millis(100),
+    };
+    let net = sc.run(sw);
+    let delivered = net.hosts[sc.sink()].stats.rx_pkts;
     let (trimmed, lost) = if trim {
         let c = net.switch_as::<EventSwitch<NdpTrim>>(0).counters();
         (c.trimmed, c.dropped_overflow)

@@ -4,14 +4,11 @@
 //! the computed rank. Compares steady-flow latency against FIFO when a
 //! burst flow dumps its demand at once, and fairness across equal flows.
 
-use super::udp_flow;
 use crate::{f2, Cell, Report};
-use edp_apps::common::{addr, dumbbell, run_until, sink_addr};
+use edp_apps::common::{Dumbbell, Flow, Scenario};
 use edp_apps::scheduler::StfqScheduler;
 use edp_core::{EventSwitch, EventSwitchConfig};
-use edp_evsim::{Sim, SimDuration, SimTime};
-use edp_netsim::traffic::{start_burst, start_cbr};
-use edp_netsim::Network;
+use edp_evsim::{SimDuration, SimTime};
 use edp_pisa::{QueueConfig, QueueDisc};
 
 const BOTTLENECK: u64 = 100_000_000;
@@ -34,39 +31,28 @@ fn simulate(pifo: bool, burst_pkts: u64) -> Vec<f64> {
         ..Default::default()
     };
     let sw = EventSwitch::new(StfqScheduler::new(64, 3), cfg);
-    let (mut net, senders, sink, _) = dumbbell(Box::new(sw), 3, BOTTLENECK, 83);
-    let mut sim: Sim<Network> = Sim::new();
-    for (i, &h) in senders.iter().take(2).enumerate() {
-        start_cbr(
-            &mut sim,
-            h,
-            SimTime::ZERO,
-            SimDuration::from_micros(400),
-            120,
-            udp_flow(addr(i as u8 + 1), 100 + i as u16, 9000, 1500),
-        );
-    }
-    start_burst(
-        &mut sim,
-        senders[2],
-        SimTime::ZERO,
-        burst_pkts,
-        udp_flow(addr(3), 300, 9000, 1500),
-    );
-    run_until(&mut net, &mut sim, HORIZON);
-    (0..3)
-        .map(|i| {
-            let key = edp_packet::FlowKey::new(
-                addr(i as u8 + 1),
-                sink_addr(),
-                edp_packet::IpProto::Udp,
-                if i == 2 { 300 } else { 100 + i as u16 },
-                9000,
-            );
-            net.hosts[sink]
+    let steady = |i: usize| {
+        let interval = SimDuration::from_micros(400);
+        Flow::cbr(i, SimTime::ZERO, interval, 120, 100 + i as u16, 9000, 1500)
+    };
+    let burst = Flow::burst(2, SimTime::ZERO, burst_pkts, 300, 9000, 1500);
+    let sc = Scenario {
+        dumbbell: Dumbbell {
+            senders: 3,
+            bottleneck_bps: BOTTLENECK,
+            seed: 83,
+        },
+        flows: vec![steady(0), steady(1), burst],
+        until: HORIZON,
+    };
+    let net = sc.run(Box::new(sw));
+    sc.flows
+        .iter()
+        .map(|flow| {
+            net.hosts[sc.sink()]
                 .stats
                 .flows
-                .get(&key)
+                .get(&flow.key())
                 .map(|f| f.latency_ns.mean() / 1000.0)
                 .unwrap_or(f64::NAN)
         })

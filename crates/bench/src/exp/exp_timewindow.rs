@@ -6,20 +6,18 @@
 //! within the window quantization (one bucket) for CBR, and the correct
 //! average for bursty traffic.
 
-use super::udp_flow;
 use crate::{f2, Cell, Report};
-use edp_apps::common::{addr, dumbbell, run_until, sink_addr};
+use edp_apps::common::{Dumbbell, Flow, Scenario};
 use edp_apps::rate_monitor::{RateMonitor, TIMER_SAMPLE, TIMER_SHIFT};
 use edp_core::{EventSwitch, EventSwitchConfig, TimerSpec};
-use edp_evsim::{Sim, SimDuration, SimTime};
-use edp_netsim::traffic::{start_cbr, start_on_off};
+use edp_evsim::{SimDuration, SimTime};
 use edp_netsim::Network;
-use edp_packet::{FlowKey, IpProto};
 
 const N_FLOWS: usize = 16;
 const BUCKET: SimDuration = SimDuration::from_millis(1);
 
-fn build() -> (Network, Vec<usize>) {
+/// Runs `flow` through the rate monitor for 100 ms.
+fn run_flow(flow: Flow) -> Network {
     let cfg = EventSwitchConfig {
         n_ports: 3,
         timers: vec![
@@ -37,8 +35,16 @@ fn build() -> (Network, Vec<usize>) {
         ..Default::default()
     };
     let sw = EventSwitch::new(RateMonitor::new(N_FLOWS, 8, BUCKET.as_nanos(), 2), cfg);
-    let (net, senders, _, _) = dumbbell(Box::new(sw), 2, 10_000_000_000, 23);
-    (net, senders)
+    let sc = Scenario {
+        dumbbell: Dumbbell {
+            senders: 2,
+            bottleneck_bps: 10_000_000_000,
+            seed: 23,
+        },
+        flows: vec![flow],
+        until: SimTime::from_millis(100),
+    };
+    sc.run(Box::new(sw))
 }
 
 pub fn run() -> Report {
@@ -53,19 +59,11 @@ pub fn run() -> Report {
         ],
     );
     for &(interval_us, pkt_len) in &[(800u64, 1000usize), (200, 1000), (50, 1000), (10, 1250)] {
-        let (mut net, senders) = build();
-        let mut sim: Sim<Network> = Sim::new();
-        start_cbr(
-            &mut sim,
-            senders[0],
-            SimTime::ZERO,
-            SimDuration::from_micros(interval_us),
-            u64::MAX,
-            udp_flow(addr(1), 10, 20, pkt_len),
-        );
-        run_until(&mut net, &mut sim, SimTime::from_millis(100));
+        let interval = SimDuration::from_micros(interval_us);
+        let flow = Flow::cbr(0, SimTime::ZERO, interval, u64::MAX, 10, 20, pkt_len);
+        let net = run_flow(flow);
         let truth = pkt_len as f64 * 8.0 * 1e6 / interval_us as f64;
-        let slot = FlowKey::new(addr(1), sink_addr(), IpProto::Udp, 10, 20).index(N_FLOWS);
+        let slot = flow.key().index(N_FLOWS);
         let prog = &net.switch_as::<EventSwitch<RateMonitor>>(0).program;
         let steady: Vec<f64> = prog.samples[slot]
             .points()
@@ -92,21 +90,20 @@ pub fn run() -> Report {
         ],
     );
     for &period_ms in &[3u64, 7, 13] {
-        let (mut net, senders) = build();
-        let mut sim: Sim<Network> = Sim::new();
-        start_on_off(
-            &mut sim,
-            senders[1],
+        let flow = Flow::on_off(
+            1,
             SimTime::ZERO,
             SimDuration::from_millis(period_ms),
             20,
             SimDuration::ZERO,
             SimTime::from_millis(100),
-            udp_flow(addr(2), 30, 40, 1000),
+            30,
+            40,
+            1000,
         );
-        run_until(&mut net, &mut sim, SimTime::from_millis(100));
+        let net = run_flow(flow);
         let truth = 20.0 * 1000.0 * 8.0 * 1000.0 / period_ms as f64;
-        let slot = FlowKey::new(addr(2), sink_addr(), IpProto::Udp, 30, 40).index(N_FLOWS);
+        let slot = flow.key().index(N_FLOWS);
         let prog = &net.switch_as::<EventSwitch<RateMonitor>>(0).program;
         let measured = prog.samples[slot].time_weighted_mean();
         table.row(cells![

@@ -7,14 +7,11 @@
 //! the port usage a direct multiported (low-line-rate) realization needs,
 //! which §4 then replaces with aggregation registers for fast devices.
 
-use super::udp_flow;
 use crate::Report;
-use edp_apps::common::{addr, dumbbell, run_until};
+use edp_apps::common::{Dumbbell, Flow, Scenario};
 use edp_apps::microburst::MicroburstEvent;
 use edp_core::{Accessor, EventKind, EventSwitch, EventSwitchConfig};
-use edp_evsim::{Sim, SimDuration, SimTime};
-use edp_netsim::traffic::{start_burst, start_cbr};
-use edp_netsim::Network;
+use edp_evsim::{SimDuration, SimTime};
 use edp_pisa::QueueConfig;
 
 pub fn run() -> Report {
@@ -28,26 +25,21 @@ pub fn run() -> Report {
         ..Default::default()
     };
     let sw = EventSwitch::new(MicroburstEvent::new(256, 20_000, 3), cfg);
-    let (mut net, senders, _, _) = dumbbell(Box::new(sw), 3, 1_000_000_000, 1);
-    let mut sim: Sim<Network> = Sim::new();
-    for (i, &h) in senders.iter().take(2).enumerate() {
-        start_cbr(
-            &mut sim,
-            h,
-            SimTime::ZERO,
-            SimDuration::from_micros(120),
-            400,
-            udp_flow(addr(i as u8 + 1), 10 + i as u16, 20, 1500),
-        );
-    }
-    start_burst(
-        &mut sim,
-        senders[2],
-        SimTime::from_millis(3),
-        100,
-        udp_flow(addr(3), 30, 40, 1500),
-    );
-    run_until(&mut net, &mut sim, SimTime::from_millis(60));
+    let polite = |i: usize| {
+        let interval = SimDuration::from_micros(120);
+        Flow::cbr(i, SimTime::ZERO, interval, 400, 10 + i as u16, 20, 1500)
+    };
+    let burst = Flow::burst(2, SimTime::from_millis(3), 100, 30, 40, 1500);
+    let sc = Scenario {
+        dumbbell: Dumbbell {
+            senders: 3,
+            bottleneck_bps: 1_000_000_000,
+            seed: 1,
+        },
+        flows: vec![polite(0), polite(1), burst],
+        until: SimTime::from_millis(60),
+    };
+    let net = sc.run(Box::new(sw));
 
     let sw = net.switch_as::<EventSwitch<MicroburstEvent>>(0);
     let counters = sw.event_counters();

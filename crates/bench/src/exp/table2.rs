@@ -7,9 +7,9 @@
 //! own §5 experiments (`exp_frr`, `exp_liveness`, `exp_aqm`,
 //! `exp_netcache`).
 
-use super::{exp_aqm, exp_frr, exp_liveness, exp_netcache, udp_flow};
+use super::{exp_aqm, exp_frr, exp_liveness, exp_netcache};
 use crate::Report;
-use edp_apps::common::{addr, dumbbell, run_until};
+use edp_apps::common::{run_until, Dumbbell, Flow, Scenario};
 use edp_apps::fred::FredAqm;
 use edp_apps::frr::FrrEvent;
 use edp_apps::hula::{testbed, HulaLeaf};
@@ -18,7 +18,6 @@ use edp_apps::microburst::MicroburstEvent;
 use edp_apps::netcache::NetCacheSwitch;
 use edp_core::{EventKind, EventProgram, EventSwitch, EventSwitchConfig};
 use edp_evsim::{Sim, SimDuration, SimTime};
-use edp_netsim::traffic::start_burst;
 use edp_netsim::Network;
 use edp_pisa::QueueConfig;
 
@@ -75,16 +74,16 @@ fn run_microburst() -> String {
         ..Default::default()
     };
     let sw = EventSwitch::new(MicroburstEvent::new(64, 20_000, 2), cfg);
-    let (mut net, senders, _, _) = dumbbell(Box::new(sw), 2, 1_000_000_000, 6);
-    let mut sim: Sim<Network> = Sim::new();
-    start_burst(
-        &mut sim,
-        senders[1],
-        SimTime::from_millis(1),
-        60,
-        udp_flow(addr(2), 3, 4, 1500),
-    );
-    run_until(&mut net, &mut sim, SimTime::from_millis(10));
+    let sc = Scenario {
+        dumbbell: Dumbbell {
+            senders: 2,
+            bottleneck_bps: 1_000_000_000,
+            seed: 6,
+        },
+        flows: vec![Flow::burst(1, SimTime::from_millis(1), 60, 3, 4, 1500)],
+        until: SimTime::from_millis(10),
+    };
+    let net = sc.run(Box::new(sw));
     interesting_events::<MicroburstEvent>(&net)
 }
 

@@ -1,5 +1,5 @@
-//! The `edp_top` runner: drives any registered app on the canonical
-//! dumbbell under a telemetry session and renders what it saw.
+//! The `edp_top` runner: drives any registered app on the dumbbell
+//! [`Scenario`] under a telemetry session and renders what it saw.
 //!
 //! One sweep *point* is one seed: enable a fresh telemetry session,
 //! build the app from [`builtin_apps`], run a one-sender dumbbell with a
@@ -11,14 +11,14 @@
 //! `EDP_SWEEP_THREADS`, which is exactly what the determinism test
 //! checks.
 
-use edp_apps::common::{addr, dumbbell, run_until, sink_addr};
+use edp_apps::common::{addr, run_until, sink_addr, Dumbbell, Scenario};
 use edp_apps::registry::builtin_apps;
 use edp_core::event::{
     ControlPlaneEvent, DequeueEvent, EnqueueEvent, LinkStatusEvent, OverflowEvent, TimerEvent,
     TransmitEvent, UnderflowEvent, UserEvent,
 };
 use edp_core::{EventActions, EventProgram, EventSwitch, EventSwitchConfig, TimerSpec};
-use edp_evsim::{default_threads, sweep, Sim, SimDuration, SimTime};
+use edp_evsim::{default_threads, sweep, SimDuration, SimTime};
 use edp_netsim::traffic::start_cbr;
 use edp_netsim::{start_endpoints, start_replay, EndpointConfig, EndpointFleet, HostApp, Network};
 use edp_packet::{Packet, PacketBuilder, ParsedPacket, PcapPacket};
@@ -255,32 +255,35 @@ fn drive(app: &str, seed: u64, duration: SimDuration, workload: &TopWorkload) ->
     let sw: EventSwitch<Box<dyn EventProgram>> = EventSwitch::new(program, cfg);
     // One sender on port 0, sink behind a 50 Mb/s bottleneck on port 1 —
     // the port most registry apps egress to — so ~190 Mb/s of CBR load
-    // builds real queues and forces overflow/trim paths.
-    let (mut net, senders, sink, _) = dumbbell(Box::new(sw), 1, 50_000_000, seed);
-    let mut sim: Sim<Network> = Sim::new();
+    // builds real queues and forces overflow/trim paths. Every workload
+    // is armed by hand: none is a padded UDP flow.
     let until = SimTime::ZERO + duration;
+    let sc = Scenario {
+        dumbbell: Dumbbell {
+            senders: 1,
+            bottleneck_bps: 50_000_000,
+            seed,
+        },
+        flows: vec![],
+        until,
+    };
+    let (mut net, mut sim) = sc.build(Box::new(sw));
+    let (sender, sink) = (0, sc.sink());
     match workload {
         TopWorkload::Cbr => {
             let src = addr(1);
             let interval = SimDuration::from_micros(10);
             let count = duration.as_nanos() / interval.as_nanos();
-            start_cbr(
-                &mut sim,
-                senders[0],
-                SimTime::ZERO,
-                interval,
-                count,
-                move |i| {
-                    PacketBuilder::udp(src, sink_addr(), 4000, 9000, &[0u8; 200])
-                        .ident(i as u16)
-                        .build()
-                },
-            );
+            start_cbr(&mut sim, sender, SimTime::ZERO, interval, count, move |i| {
+                PacketBuilder::udp(src, sink_addr(), 4000, 9000, &[0u8; 200])
+                    .ident(i as u16)
+                    .build()
+            });
         }
         TopWorkload::Pcap { packets, speedup } => {
             start_replay(
                 &mut sim,
-                senders[0],
+                sender,
                 Arc::clone(packets),
                 SimTime::ZERO,
                 *speedup,
@@ -298,12 +301,12 @@ fn drive(app: &str, seed: u64, duration: SimDuration, workload: &TopWorkload) ->
                 timeout: SimDuration::from_millis(1),
                 max_retries: 3,
             };
-            net.hosts[senders[0]].app =
+            net.hosts[sender].app =
                 HostApp::ClientFleet(Box::new(EndpointFleet::new(addr(1), cfg)));
             net.hosts[sink].app = HostApp::RpcServer { served: 0 };
             start_endpoints(
                 &mut sim,
-                senders[0],
+                sender,
                 SimTime::ZERO,
                 SimDuration::from_micros(20),
                 until,

@@ -9,13 +9,11 @@
 //! cargo run --example aqm_fairness
 //! ```
 
-use edp_apps::common::{addr, dumbbell, run_until, sink_addr};
+use edp_apps::common::{Dumbbell, Flow, Scenario};
 use edp_apps::fred::{FredAqm, TIMER_REPORT};
 use edp_core::{EventSwitch, EventSwitchConfig, TimerSpec};
-use edp_evsim::{jain_fairness, Sim, SimDuration, SimTime};
-use edp_netsim::traffic::start_cbr;
-use edp_netsim::Network;
-use edp_packet::PacketBuilder;
+use edp_evsim::{jain_fairness, SimDuration, SimTime};
+use edp_netsim::SwitchHarness;
 use edp_pisa::{ForwardTo, QueueConfig};
 
 const CAPACITY: u64 = 30_000;
@@ -31,7 +29,7 @@ fn queue_cfg() -> QueueConfig {
 }
 
 fn run(fair: bool) -> (Vec<f64>, Option<f64>) {
-    let (mut net, senders, sink, _) = if fair {
+    let sw: Box<dyn SwitchHarness> = if fair {
         let cfg = EventSwitchConfig {
             n_ports: 5,
             queue: queue_cfg(),
@@ -42,46 +40,37 @@ fn run(fair: bool) -> (Vec<f64>, Option<f64>) {
             }],
             ..Default::default()
         };
-        let sw = EventSwitch::new(FredAqm::new(64, CAPACITY, 2000, 4), cfg);
-        dumbbell(Box::new(sw), N, BOTTLENECK, 5)
+        Box::new(EventSwitch::new(FredAqm::new(64, CAPACITY, 2000, 4), cfg))
     } else {
-        dumbbell(
-            Box::new(EventSwitch::baseline(ForwardTo(4), 5, queue_cfg())),
-            N,
-            BOTTLENECK,
-            5,
-        )
+        Box::new(EventSwitch::baseline(ForwardTo(4), 5, queue_cfg()))
     };
-    let mut sim: Sim<Network> = Sim::new();
-    for (i, &h) in senders.iter().enumerate() {
-        let src = addr(i as u8 + 1);
-        let port = 1000 + i as u16;
+    let flows = (0..N).map(|i| {
         let interval = if i == N - 1 {
             SimDuration::from_micros(30) // hog: 400 Mb/s
         } else {
             SimDuration::from_micros(300) // polite: 40 Mb/s
         };
-        start_cbr(&mut sim, h, SimTime::ZERO, interval, u64::MAX, move |s| {
-            PacketBuilder::udp(src, sink_addr(), port, 9000, &[])
-                .ident(s as u16)
-                .pad_to(1500)
-                .build()
-        });
-    }
-    run_until(&mut net, &mut sim, HORIZON);
-    let goodputs: Vec<f64> = (0..N)
-        .map(|i| {
-            let key = edp_packet::FlowKey::new(
-                addr(i as u8 + 1),
-                sink_addr(),
-                edp_packet::IpProto::Udp,
-                1000 + i as u16,
-                9000,
-            );
-            net.hosts[sink]
+        let port = 1000 + i as u16;
+        Flow::cbr(i, SimTime::ZERO, interval, u64::MAX, port, 9000, 1500)
+    });
+    let sc = Scenario {
+        dumbbell: Dumbbell {
+            senders: N,
+            bottleneck_bps: BOTTLENECK,
+            seed: 5,
+        },
+        flows: flows.collect(),
+        until: HORIZON,
+    };
+    let net = sc.run(sw);
+    let goodputs: Vec<f64> = sc
+        .flows
+        .iter()
+        .map(|flow| {
+            net.hosts[sc.sink()]
                 .stats
                 .flows
-                .get(&key)
+                .get(&flow.key())
                 .map(|f| f.bytes as f64 * 8.0 / HORIZON.as_secs_f64())
                 .unwrap_or(0.0)
         })

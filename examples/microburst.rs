@@ -10,13 +10,10 @@
 //! cargo run --example microburst
 //! ```
 
-use edp_apps::common::{addr, dumbbell, run_until, sink_addr};
+use edp_apps::common::{Dumbbell, Flow, Scenario};
 use edp_apps::microburst::{MicroburstBaseline, MicroburstEvent};
 use edp_core::{BaselineAdapter, EventSwitch, EventSwitchConfig};
-use edp_evsim::{Sim, SimDuration, SimTime};
-use edp_netsim::traffic::{start_burst, start_cbr};
-use edp_netsim::Network;
-use edp_packet::PacketBuilder;
+use edp_evsim::{SimDuration, SimTime};
 use edp_pisa::QueueConfig;
 
 const THRESH: u64 = 20_000;
@@ -30,32 +27,23 @@ fn queue_cfg() -> QueueConfig {
     }
 }
 
-fn workload(sim: &mut Sim<Network>, senders: &[usize]) {
+fn scenario() -> Scenario {
     // Two polite flows.
-    for (i, &h) in senders.iter().take(2).enumerate() {
-        let src = addr(i as u8 + 1);
-        start_cbr(
-            sim,
-            h,
-            SimTime::ZERO,
-            SimDuration::from_micros(100),
-            300,
-            move |s| {
-                PacketBuilder::udp(src, sink_addr(), 10 + i as u16, 20, &[])
-                    .ident(s as u16)
-                    .pad_to(1500)
-                    .build()
-            },
-        );
-    }
+    let polite = |i: usize| {
+        let interval = SimDuration::from_micros(100);
+        Flow::cbr(i, SimTime::ZERO, interval, 300, 10 + i as u16, 20, 1500)
+    };
     // One 150-packet microburst.
-    let src = addr(3);
-    start_burst(sim, senders[2], BURST_AT, 150, move |s| {
-        PacketBuilder::udp(src, sink_addr(), 30, 40, &[])
-            .ident(s as u16)
-            .pad_to(1500)
-            .build()
-    });
+    let burst = Flow::burst(2, BURST_AT, 150, 30, 40, 1500);
+    Scenario {
+        dumbbell: Dumbbell {
+            senders: 3,
+            bottleneck_bps: 1_000_000_000,
+            seed: 7,
+        },
+        flows: vec![polite(0), polite(1), burst],
+        until: SimTime::from_millis(40),
+    }
 }
 
 fn main() {
@@ -68,10 +56,7 @@ fn main() {
         ..Default::default()
     };
     let sw = EventSwitch::new(MicroburstEvent::new(N_FLOWS, THRESH, 3), cfg);
-    let (mut net, senders, _, _) = dumbbell(Box::new(sw), 3, 1_000_000_000, 7);
-    let mut sim: Sim<Network> = Sim::new();
-    workload(&mut sim, &senders);
-    run_until(&mut net, &mut sim, SimTime::from_millis(40));
+    let net = scenario().run(Box::new(sw));
     let ev = &net.switch_as::<EventSwitch<MicroburstEvent>>(0).program;
 
     println!("event-driven (1 shared_register, detect at INGRESS):");
@@ -90,10 +75,7 @@ fn main() {
     // --- Baseline (Snappy-style) ---
     let prog = MicroburstBaseline::new(N_FLOWS, THRESH, 240_000, 3);
     let sw = EventSwitch::baseline(prog, 4, queue_cfg());
-    let (mut net, senders, _, _) = dumbbell(Box::new(sw), 3, 1_000_000_000, 7);
-    let mut sim: Sim<Network> = Sim::new();
-    workload(&mut sim, &senders);
-    run_until(&mut net, &mut sim, SimTime::from_millis(40));
+    let net = scenario().run(Box::new(sw));
     let base = &net
         .switch_as::<EventSwitch<BaselineAdapter<MicroburstBaseline>>>(0)
         .program

@@ -10,14 +10,12 @@
 //! cargo run --example ndp_trimming
 //! ```
 
-use edp_apps::common::{addr, dumbbell, run_until, sink_addr};
+use edp_apps::common::{run_until, Dumbbell, Flow, Scenario};
 use edp_apps::ndp::NdpTrim;
 use edp_core::event::OverflowEvent;
 use edp_core::{EventActions, EventProgram, EventSwitch, EventSwitchConfig};
-use edp_evsim::{Sim, SimTime};
-use edp_netsim::traffic::start_burst;
-use edp_netsim::Network;
-use edp_packet::{Packet, PacketBuilder, ParsedPacket, TRIMMED_DSCP};
+use edp_evsim::SimTime;
+use edp_packet::{Packet, ParsedPacket, TRIMMED_DSCP};
 use edp_pisa::{QueueConfig, QueueDisc, StdMeta};
 
 #[derive(Debug)]
@@ -50,44 +48,35 @@ fn cfg() -> EventSwitchConfig {
     }
 }
 
-fn blast(net: &mut Network, sim: &mut Sim<Network>, sender: usize) {
-    let src = addr(1);
-    start_burst(sim, sender, SimTime::ZERO, 100, move |i| {
-        PacketBuilder::udp(src, sink_addr(), 40, 50, &[])
-            .ident(i as u16)
-            .pad_to(1500)
-            .build()
-    });
-    run_until(net, sim, SimTime::from_millis(50));
+/// 100 × 1500 B at t = 0 from the one sender.
+fn blast() -> Scenario {
+    Scenario {
+        dumbbell: Dumbbell {
+            senders: 1,
+            bottleneck_bps: 100_000_000,
+            seed: 7,
+        },
+        flows: vec![Flow::burst(0, SimTime::ZERO, 100, 40, 50, 1500)],
+        until: SimTime::from_millis(50),
+    }
 }
 
 fn main() {
     println!("=== NDP packet trimming (buffer overflow events) ===");
     println!("burst: 100 x 1500 B into a 20 KB buffer, 100 Mb/s drain\n");
 
-    let (mut net, senders, sink, _) = dumbbell(
-        Box::new(EventSwitch::new(NoTrim(NdpTrim::new(1)), cfg())),
-        1,
-        100_000_000,
-        7,
-    );
-    let mut sim: Sim<Network> = Sim::new();
-    blast(&mut net, &mut sim, senders[0]);
+    let sc = blast();
+    let sink = sc.sink();
+    let net = sc.run(Box::new(EventSwitch::new(NoTrim(NdpTrim::new(1)), cfg())));
     let d_rx = net.hosts[sink].stats.rx_pkts;
     println!(
         "drop-tail  : {d_rx}/100 arrive, {} silent losses",
         100 - d_rx
     );
 
-    let (mut net, senders, sink, _) = dumbbell(
-        Box::new(EventSwitch::new(NdpTrim::new(1), cfg())),
-        1,
-        100_000_000,
-        7,
-    );
-    let mut sim: Sim<Network> = Sim::new();
+    let (mut net, mut sim) = sc.build(Box::new(EventSwitch::new(NdpTrim::new(1), cfg())));
     net.tracer.enabled = true;
-    blast(&mut net, &mut sim, senders[0]);
+    run_until(&mut net, &mut sim, sc.until);
     let t_rx = net.hosts[sink].stats.rx_pkts;
     let c = net.switch_as::<EventSwitch<NdpTrim>>(0).counters();
     println!(

@@ -5,8 +5,12 @@
 #   scripts/ci.sh --quick       # fmt, build, test, edp_lint, one-parse-path
 #                               # grep, one-event-vocabulary grep, caller-less
 #                               # pub API audit, telemetry smoke,
-#                               # paper-reproduction pin, export pins
-#   scripts/ci.sh --gate        # fmt, clippy, golden_order at 5000 cases,
+#                               # paper-reproduction pin, export pins;
+#                               # no clippy: `--gate` runs it beside this
+#                               # in the pipeline, so lint-only rules
+#                               # (e.g. `exp`'s deny(print_stdout)) are
+#                               # enforced there, not by a local --quick
+#   scripts/ci.sh --gate       # fmt, clippy, golden_order at 5000 cases,
 #                               # the fleet's due-queue property at 2000,
 #                               # edp_lint (+ SARIF artifact),
 #                               # one-parse-path and one-event-vocabulary

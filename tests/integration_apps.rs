@@ -1,7 +1,7 @@
 //! Table 2 end-to-end: one representative application per class, run on
 //! a real topology, asserting the class's headline benefit.
 
-use edp_apps::common::{addr, dumbbell, run_until, sink_addr};
+use edp_apps::common::{addr, run_until, Dumbbell, Flow, Scenario};
 use edp_apps::hula::testbed;
 use edp_apps::hula::HulaLeaf;
 use edp_apps::liveness::{LivenessMonitor, LivenessReflector, Neighbor, CP_OP_KILL};
@@ -180,23 +180,18 @@ fn monitoring_cms_window_counts_are_clean() {
         ..Default::default()
     };
     let sw = EventSwitch::new(CmsMonitor::new(256, 4, 1), cfg);
-    let (mut net, senders, _, _) = dumbbell(Box::new(sw), 1, 10_000_000_000, 63);
-    let mut sim: Sim<Network> = Sim::new();
-    let src = addr(1);
-    edp_netsim::traffic::start_cbr(
-        &mut sim,
-        senders[0],
-        SimTime::ZERO,
-        SimDuration::from_micros(100),
-        100,
-        move |i| {
-            PacketBuilder::udp(src, sink_addr(), 1, 2, &[])
-                .ident(i as u16)
-                .pad_to(1000)
-                .build()
+    let interval = SimDuration::from_micros(100);
+    let flow = Flow::cbr(0, SimTime::ZERO, interval, 100, 1, 2, 1000);
+    let sc = Scenario {
+        dumbbell: Dumbbell {
+            senders: 1,
+            bottleneck_bps: 10_000_000_000,
+            seed: 63,
         },
-    );
-    run_until(&mut net, &mut sim, SimTime::from_millis(20));
+        flows: vec![flow],
+        until: SimTime::from_millis(20),
+    };
+    let net = sc.run(Box::new(sw));
     let prog = &net.switch_as::<EventSwitch<CmsMonitor>>(0).program;
     assert!(prog.resets.len() >= 19);
     assert_eq!(prog.mean_reset_lateness_ns(period.as_nanos()), 0.0);

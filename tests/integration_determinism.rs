@@ -3,13 +3,10 @@
 //! The experiment harness depends on this — every table in
 //! EXPERIMENTS.md must regenerate bit-identically.
 
-use edp_apps::common::{addr, dumbbell, run_until, sink_addr};
+use edp_apps::common::{run_until, Dumbbell, Flow, Pattern, Scenario};
 use edp_apps::fred::{FredAqm, TIMER_REPORT};
 use edp_core::{EventSwitch, EventSwitchConfig, TimerSpec};
-use edp_evsim::{Sim, SimDuration, SimTime};
-use edp_netsim::traffic::{start_cbr, start_poisson};
-use edp_netsim::Network;
-use edp_packet::PacketBuilder;
+use edp_evsim::{SimDuration, SimTime};
 use edp_pisa::QueueConfig;
 
 /// A moderately complex run: FRED switch, CBR + Poisson traffic, timers.
@@ -29,37 +26,28 @@ fn fingerprint(seed: u64) -> (u64, u64, u64, Vec<(u64, u64)>) {
         ..Default::default()
     };
     let sw = EventSwitch::new(FredAqm::new(32, 40_000, 1500, 2), cfg);
-    let (mut net, senders, sink, _) = dumbbell(Box::new(sw), 2, 200_000_000, seed);
-    let mut sim: Sim<Network> = Sim::new();
-    let src0 = addr(1);
-    start_cbr(
-        &mut sim,
-        senders[0],
-        SimTime::ZERO,
-        SimDuration::from_micros(40),
-        u64::MAX,
-        move |i| {
-            PacketBuilder::udp(src0, sink_addr(), 1, 2, &[])
-                .ident(i as u16)
-                .pad_to(1200)
-                .build()
+    let interval = SimDuration::from_micros(40);
+    let cbr = Flow::cbr(0, SimTime::ZERO, interval, u64::MAX, 1, 2, 1200);
+    let mean = SimDuration::from_micros(60);
+    let poisson = Flow {
+        from: 1,
+        sport: 3,
+        dport: 4,
+        len: 800,
+        pattern: Pattern::Poisson(SimTime::ZERO, mean, SimTime::from_millis(30)),
+    };
+    let sc = Scenario {
+        dumbbell: Dumbbell {
+            senders: 2,
+            bottleneck_bps: 200_000_000,
+            seed,
         },
-    );
-    let src1 = addr(2);
-    start_poisson(
-        &mut sim,
-        senders[1],
-        SimTime::ZERO,
-        SimDuration::from_micros(60),
-        SimTime::from_millis(30),
-        move |i| {
-            PacketBuilder::udp(src1, sink_addr(), 3, 4, &[])
-                .ident(i as u16)
-                .pad_to(800)
-                .build()
-        },
-    );
-    run_until(&mut net, &mut sim, SimTime::from_millis(30));
+        flows: vec![cbr, poisson],
+        until: SimTime::from_millis(30),
+    };
+    let sink = sc.sink();
+    let (mut net, mut sim) = sc.build(Box::new(sw));
+    run_until(&mut net, &mut sim, sc.until);
     let prog = &net.switch_as::<EventSwitch<FredAqm>>(0).program;
     let series: Vec<(u64, u64)> = prog
         .occupancy_series

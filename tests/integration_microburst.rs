@@ -6,13 +6,10 @@
 //!    is enqueued (the baseline flags only after the buffer was hogged);
 //! 3. the per-flow occupancy it maintains is exact (returns to zero).
 
-use edp_apps::common::{addr, dumbbell, run_until, sink_addr};
+use edp_apps::common::{Dumbbell, Flow, Scenario};
 use edp_apps::microburst::{MicroburstBaseline, MicroburstEvent};
 use edp_core::{BaselineAdapter, EventSwitch, EventSwitchConfig};
-use edp_evsim::{Sim, SimDuration, SimTime};
-use edp_netsim::traffic::{start_burst, start_cbr};
-use edp_netsim::Network;
-use edp_packet::PacketBuilder;
+use edp_evsim::{SimDuration, SimTime};
 use edp_pisa::QueueConfig;
 
 const THRESH: u64 = 20_000;
@@ -26,30 +23,24 @@ fn qc() -> QueueConfig {
     }
 }
 
-fn workload(sim: &mut Sim<Network>, senders: &[usize]) {
-    for (i, &h) in senders.iter().take(2).enumerate() {
-        let src = addr(i as u8 + 1);
-        start_cbr(
-            sim,
-            h,
-            SimTime::ZERO,
-            SimDuration::from_micros(150),
-            200,
-            move |s| {
-                PacketBuilder::udp(src, sink_addr(), 10 + i as u16, 20, &[])
-                    .ident(s as u16)
-                    .pad_to(1500)
-                    .build()
-            },
-        );
+/// Polite flow `i`: `count` frames of 1500 B, one every 150 us.
+fn polite(i: usize, count: u64) -> Flow {
+    let interval = SimDuration::from_micros(150);
+    Flow::cbr(i, SimTime::ZERO, interval, count, 10 + i as u16, 20, 1500)
+}
+
+/// Two polite flows and a 120-packet burst at `BURST_AT`.
+fn scenario(seed: u64, until: SimTime) -> Scenario {
+    let burst = Flow::burst(2, BURST_AT, 120, 30, 40, 1500);
+    Scenario {
+        dumbbell: Dumbbell {
+            senders: 3,
+            bottleneck_bps: 1_000_000_000,
+            seed,
+        },
+        flows: vec![polite(0, 200), polite(1, 200), burst],
+        until,
     }
-    let src = addr(3);
-    start_burst(sim, senders[2], BURST_AT, 120, move |s| {
-        PacketBuilder::udp(src, sink_addr(), 30, 40, &[])
-            .ident(s as u16)
-            .pad_to(1500)
-            .build()
-    });
 }
 
 #[test]
@@ -61,10 +52,7 @@ fn state_reduction_detection_lead_and_exactness() {
         ..Default::default()
     };
     let sw = EventSwitch::new(MicroburstEvent::new(N_FLOWS, THRESH, 3), cfg);
-    let (mut net, senders, _, _) = dumbbell(Box::new(sw), 3, 1_000_000_000, 3);
-    let mut sim: Sim<Network> = Sim::new();
-    workload(&mut sim, &senders);
-    run_until(&mut net, &mut sim, SimTime::from_millis(40));
+    let net = scenario(3, SimTime::from_millis(40)).run(Box::new(sw));
     let ev = &net.switch_as::<EventSwitch<MicroburstEvent>>(0).program;
     let ev_words = ev.state_words();
     let ev_first = ev.detections.first().map(|d| d.at).expect("event detects");
@@ -72,10 +60,7 @@ fn state_reduction_detection_lead_and_exactness() {
     // Baseline run, identical workload.
     let prog = MicroburstBaseline::new(N_FLOWS, THRESH, 240_000, 3);
     let sw = EventSwitch::baseline(prog, 4, qc());
-    let (mut net, senders, _, _) = dumbbell(Box::new(sw), 3, 1_000_000_000, 3);
-    let mut sim: Sim<Network> = Sim::new();
-    workload(&mut sim, &senders);
-    run_until(&mut net, &mut sim, SimTime::from_millis(40));
+    let net = scenario(3, SimTime::from_millis(40)).run(Box::new(sw));
     let base = &net
         .switch_as::<EventSwitch<BaselineAdapter<MicroburstBaseline>>>(0)
         .program
@@ -109,10 +94,9 @@ fn event_occupancy_is_exact_and_self_cleaning() {
         ..Default::default()
     };
     let sw = EventSwitch::new(MicroburstEvent::new(N_FLOWS, THRESH, 3), cfg);
-    let (mut net, senders, sink, _) = dumbbell(Box::new(sw), 3, 1_000_000_000, 4);
-    let mut sim: Sim<Network> = Sim::new();
-    workload(&mut sim, &senders);
-    run_until(&mut net, &mut sim, SimTime::from_millis(100));
+    let sc = scenario(4, SimTime::from_millis(100));
+    let sink = sc.sink();
+    let net = sc.run(Box::new(sw));
     let ev = &net.switch_as::<EventSwitch<MicroburstEvent>>(0).program;
     assert_eq!(
         ev.buf_size.nonzero_entries(),
@@ -133,26 +117,12 @@ fn no_false_positives_without_bursts() {
         ..Default::default()
     };
     let sw = EventSwitch::new(MicroburstEvent::new(N_FLOWS, THRESH, 3), cfg);
-    let (mut net, senders, _, _) = dumbbell(Box::new(sw), 3, 1_000_000_000, 5);
-    let mut sim: Sim<Network> = Sim::new();
     // Only the polite flows.
-    for (i, &h) in senders.iter().take(2).enumerate() {
-        let src = addr(i as u8 + 1);
-        start_cbr(
-            &mut sim,
-            h,
-            SimTime::ZERO,
-            SimDuration::from_micros(150),
-            300,
-            move |s| {
-                PacketBuilder::udp(src, sink_addr(), 10 + i as u16, 20, &[])
-                    .ident(s as u16)
-                    .pad_to(1500)
-                    .build()
-            },
-        );
-    }
-    run_until(&mut net, &mut sim, SimTime::from_millis(60));
+    let sc = Scenario {
+        flows: vec![polite(0, 300), polite(1, 300)],
+        ..scenario(5, SimTime::from_millis(60))
+    };
+    let net = sc.run(Box::new(sw));
     let ev = &net.switch_as::<EventSwitch<MicroburstEvent>>(0).program;
     assert!(
         ev.detections.is_empty(),
